@@ -12,6 +12,17 @@ b-slot and pairing up the b-slots that used to reach the merged columns.
 Face n wraps around, merging slot n into slot 0 the same way.  The cyclic
 operator rotates the a-slots one step and reindexes the b-slots
 accordingly, with sign (-1)^n; its (n+1)-st power is the identity.
+
+The cyclic operator t is a signed permutation of the basis, so the
+canonical RREF of im(1 - t) is written down orbit by orbit, with no
+elimination.  Walk an orbit from its smallest index and let c_i be the
+product of the signs met before reaching i.  If the signs of the whole
+orbit multiply to -1, 1 - t is invertible on it and every element is a
+pivot with row {i: 1}.  Otherwise the image is the hyperplane
+sum_i c_i x_i = 0 of the orbit's coordinates: every element except the
+largest index m is a pivot, with row {i: 1, m: -c_i/c_m}.  Rows of
+different orbits have disjoint supports, so together they are already
+fully reduced.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from itertools import product
 
 from .algebra import multiply
 from .linalg import (ONE, QuotientStructure, SparseMat, Subspace,
-                     InternalCheckError, colspace)
+                     InternalCheckError, _axpy)
 from .triples import Triple
 
 
@@ -117,7 +128,8 @@ class _Tables:
     """Products and matrices reused across degrees for one triple."""
 
     def __init__(self, T: Triple):
-        self.triple = T
+        # Holds no reference to T: the value of a WeakKeyDictionary entry
+        # must not keep its own key alive.
         A, B, eps = T.A, T.B, T.eps
         da, db = A.dim, B.dim
 
@@ -136,7 +148,7 @@ class _Tables:
                          for i in range(da)]
         self.spaces: dict = {}
         self.boundaries: dict = {}
-        self.cyclics: dict = {}
+        self.rotations: dict = {}
         self.wspaces: dict = {}
         self.quotients: dict = {}
         self.compat_checked: set = set()
@@ -282,13 +294,13 @@ def boundary(T: Triple, n: int) -> SparseMat:
 
 # -- cyclic structure ------------------------------------------------------
 
-def cyclic_operator(T: Triple, n: int) -> SparseMat:
-    """Signed rotation: a-slots shift by one (slot n to slot 0) and b-slots
-    follow, with global sign (-1)^n."""
+def _rotation(T: Triple, n: int) -> tuple:
+    """The signed rotation in degree n as lists (img, sgn): basis tensor c
+    goes to sgn[c] times basis tensor img[c]."""
     tb = _tables(T)
-    M = tb.cyclics.get(n)
-    if M is not None:
-        return M
+    rot = tb.rotations.get(n)
+    if rot is not None:
+        return rot
     cs = chain_space(T, n)
     bpos = {pr: t for t, pr in enumerate(cs.pairs)}
     na = n + 1
@@ -300,24 +312,52 @@ def cyclic_operator(T: Triple, n: int) -> SparseMat:
             src_of[na + t] = na + bpos[(s - 1, n)]
         else:
             src_of[na + t] = na + bpos[(r - 1, s - 1)]
-    sign = ONE if n % 2 == 0 else -ONE
-    cols = {}
-    for ix, digits in enumerate(cs.all_digit_tuples()):
-        out = 0
-        for slot, w in enumerate(cs.weights):
-            out += digits[src_of[slot]] * w
-        cols[ix] = {out: sign}
-    M = SparseMat(cs.dim, cs.dim, cols)
-    tb.cyclics[n] = M
-    return M
+    moves = list(zip(src_of, cs.weights))
+    img = [sum(digits[src] * w for src, w in moves)
+           for digits in cs.all_digit_tuples()]
+    rot = (img, [ONE if n % 2 == 0 else -ONE] * cs.dim)
+    tb.rotations[n] = rot
+    return rot
+
+
+def cyclic_operator(T: Triple, n: int) -> SparseMat:
+    """Signed rotation: a-slots shift by one (slot n to slot 0) and b-slots
+    follow, with global sign (-1)^n."""
+    img, sgn = _rotation(T, n)
+    return SparseMat(len(img), len(img),
+                     {c: {i: s} for c, (i, s) in enumerate(zip(img, sgn))})
 
 
 def _coinvariant_relations(T: Triple, n: int) -> Subspace:
+    """im(1 - cyclic) in degree n, in canonical form read off the orbits."""
     tb = _tables(T)
     W = tb.wspaces.get(n)
     if W is None:
-        cs = chain_space(T, n)
-        W = colspace(SparseMat.identity(cs.dim) - cyclic_operator(T, n))
+        img, sgn = _rotation(T, n)
+        rows = {}
+        seen = bytearray(len(img))
+        for start in range(len(img)):
+            if seen[start]:
+                continue
+            orbit, coef = [], []
+            i, c = start, ONE
+            while not seen[i]:
+                seen[i] = 1
+                orbit.append(i)
+                coef.append(c)
+                c *= sgn[i]
+                i = img[i]
+            if c < 0:
+                for i in orbit:
+                    rows[i] = {i: ONE}
+                continue
+            m = max(orbit)
+            cm = coef[orbit.index(m)]
+            for i, ci in zip(orbit, coef):
+                if i != m:
+                    rows[i] = {i: ONE, m: -ci / cm}
+        pivots = sorted(rows)
+        W = Subspace.from_canonical(len(img), [rows[p] for p in pivots], pivots)
         tb.wspaces[n] = W
     return W
 
@@ -328,7 +368,9 @@ def cyclic_quotient(T: Triple, n: int) -> QuotientStructure:
     Also certifies that the boundary descends: every column of
     boundary(T, n) composed with (1 - cyclic) must reduce to zero against
     the degree n-1 coinvariant relations.  Failure is a hard error since
-    any quotient complex built afterwards would be meaningless.
+    any quotient complex built afterwards would be meaningless.  Column c
+    of that composite is boundary[c] - sgn[c] * boundary[img[c]], so the
+    check costs one pass over the boundary's nonzeros.
     """
     tb = _tables(T)
     Q = tb.quotients.get(n)
@@ -338,10 +380,12 @@ def cyclic_quotient(T: Triple, n: int) -> QuotientStructure:
         tb.quotients[n] = Q
     if n >= 1 and n not in tb.compat_checked:
         W_low = _coinvariant_relations(T, n - 1)
-        bnd = boundary(T, n)
-        moved = bnd @ (SparseMat.identity(Q.ambient_dim) - cyclic_operator(T, n))
-        for c in sorted(moved.cols):
-            if not W_low.contains(moved.cols[c]):
+        bnd = boundary(T, n).cols
+        img, sgn = _rotation(T, n)
+        for c in range(Q.ambient_dim):
+            moved = dict(bnd.get(c, {}))
+            _axpy(moved, -sgn[c], bnd.get(img[c], {}))
+            if moved and not W_low.contains(moved):
                 raise InternalCheckError(
                     f"boundary does not descend to cyclic coinvariants at "
                     f"degree {n} (column {c})")

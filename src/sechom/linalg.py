@@ -136,6 +136,30 @@ class Subspace:
                     row[k] /= lead
 
     @classmethod
+    def from_canonical(cls, ambient_dim: int, rows: list,
+                       pivots: list) -> "Subspace":
+        """Wrap rows that are already the canonical RREF, with no elimination.
+
+        `rows[k]` has its least index at `pivots[k]`, value 1 there and 0 at
+        every other pivot; pivots strictly increase.  This is checked in
+        time linear in the entries, and a violation raises ValueError.
+        """
+        sub = cls.__new__(cls)
+        sub.ambient_dim = ambient_dim
+        sub.rows = list(rows)
+        sub.pivots = list(pivots)
+        sub._pivot_pos = {p: k for k, p in enumerate(sub.pivots)}
+        if len(sub.rows) != len(sub.pivots) or any(
+                a >= b for a, b in zip(sub.pivots, sub.pivots[1:])):
+            raise ValueError("pivots must strictly increase, one per row")
+        for p, row in zip(sub.pivots, sub.rows):
+            if (row.get(p) != 1 or min(row) != p or max(row) >= ambient_dim
+                    or not all(row.values())
+                    or any(k != p and k in sub._pivot_pos for k in row)):
+                raise ValueError(f"row with pivot {p} is not in canonical form")
+        return sub
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim)
 
@@ -150,15 +174,21 @@ class Subspace:
         return len(self.rows)
 
     def reduce(self, v) -> dict:
-        """Remainder of v after reduction against the basis (sparse)."""
+        """Remainder of v after reduction against the basis (sparse).
+
+        Stored rows are fully reduced: each is 1 at its own pivot and 0 at
+        every other pivot.  Subtracting one therefore leaves the other
+        pivot entries of v alone, so only the rows whose pivots lie in v's
+        support are used, each once with v's own entry as coefficient; the
+        cost follows v's support and those rows, not the rank.
+        """
         v = _as_sparse(v)
         if any(i < 0 or i >= self.ambient_dim for i in v):
             raise AmbientDimensionError(
                 f"vector index out of range for ambient dimension {self.ambient_dim}")
-        for p, row in zip(self.pivots, self.rows):
-            c = v.get(p)
-            if c:
-                _axpy(v, -c, row)
+        pos = self._pivot_pos
+        for p in [p for p in v if p in pos]:
+            _axpy(v, -v[p], self.rows[pos[p]])
         return v
 
     def contains(self, v) -> bool:

@@ -142,10 +142,10 @@ def _hstack(mats):
 
 def classical_hh_dims(A: FinAlgebra, n_max: int) -> list:
     """Hochschild homology dimensions of A in degrees 0..n_max."""
+    _check_cap(A.dim ** (n_max + 2))  # the largest space, before any rank
     dims = []
     ranks = {0: 0}
     for k in range(1, n_max + 2):
-        _check_cap(A.dim ** (k + 1))
         ranks[k] = dense_rank(bar_boundary(A, k))
     for n in range(n_max + 1):
         dims.append(A.dim ** (n + 1) - ranks[n] - ranks[n + 1])
@@ -162,10 +162,10 @@ def classical_hc_dims(A: FinAlgebra, n_max: int) -> list:
     quotient complexes entirely, so it shares nothing with the engine's
     route.
     """
+    _check_cap(A.dim ** (n_max + 2))  # b_{n_max+1} is the largest matrix
     dims = []
     omegas = {}
     for k in range(n_max + 1):
-        _check_cap(A.dim ** (k + 1))
         ident = _zeros(A.dim ** (k + 1), A.dim ** (k + 1))
         for i in range(A.dim ** (k + 1)):
             ident[i, i] = 1

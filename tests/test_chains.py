@@ -5,15 +5,19 @@ term-by-term formulas that do their own index arithmetic, so they share no
 construction logic with the face-recipe machinery they test.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from _shared import ALL_NAMES, COMMUTATIVE_NAMES, shared_triple
+from sechom import chains
 from sechom.algebra import multiply
 from sechom.chains import (boundary, chain_dim, chain_space, cyclic_operator,
                            cyclic_quotient, face_map, pair_list)
-from sechom.linalg import SparseMat
+from sechom.linalg import InternalCheckError, SparseMat, Subspace, colspace
+from sechom.triples import catalog
 from sechom.oracles import (bar_boundary, bar_rotation, dense_rank,
                             dense_rank_of_sparse)
 
@@ -331,3 +335,47 @@ def test_boundary_descends_to_coinvariants():
         T = shared_triple(name)
         for n in range(3):
             cyclic_quotient(T, n)
+
+
+def test_orbit_relations_equal_colspace_of_one_minus_rotation():
+    # Equality gate for the closed form: the orbit-built relations must be
+    # the very canonical form that elimination of 1 - rotation produces.
+    cases = [(name, 3) for name in ALL_NAMES]
+    cases += [("dual_k", 5), ("trunc3_k", 5)]
+    for name, top in cases:
+        T = shared_triple(name)
+        for n in range(top + 1):
+            W = chains._coinvariant_relations(T, n)
+            d = chain_dim(T, n)
+            ref = colspace(SparseMat.identity(d) - cyclic_operator(T, n))
+            assert W == ref
+            assert W.rows == ref.rows
+            assert W.pivots == ref.pivots
+            assert W._pivot_pos == ref._pivot_pos
+
+
+def test_descent_check_fires_on_smaller_relations(monkeypatch):
+    # Drop one orbit row from the degree-1 relations: the boundary of
+    # degree 2 must then fail to descend, and loudly.
+    T = catalog("mat2_k")  # fresh, so no cached verdict is reused
+    full = chains._coinvariant_relations(T, 1)
+    smaller = Subspace.from_canonical(full.ambient_dim, full.rows[1:],
+                                      full.pivots[1:])
+    orig = chains._coinvariant_relations
+    monkeypatch.setattr(chains, "_coinvariant_relations",
+                        lambda T2, k: smaller if k == 1 else orig(T2, k))
+    with pytest.raises(InternalCheckError):
+        cyclic_quotient(T, 2)
+
+
+def test_dropped_triple_frees_its_tables():
+    gc.collect()
+    before = len(chains._TABLES)
+    T = catalog("dual_dual_x")
+    boundary(T, 2)
+    assert len(chains._TABLES) == before + 1
+    ref = weakref.ref(T)
+    del T
+    gc.collect()
+    assert ref() is None
+    assert len(chains._TABLES) == before

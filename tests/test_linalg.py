@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from _shared import shared_triple
+from sechom.chains import _coinvariant_relations
 from sechom.linalg import (AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, colspace,
                            export_triplets, induced_on_quotients, nullspace,
@@ -209,3 +211,52 @@ def test_random_quotient_consistency():
         lhs = Q.project([a + b for a, b in zip(v, u)])
         rhs = [a + b for a, b in zip(Q.project(v), Q.project(u))]
         assert lhs == rhs
+
+
+def _reduce_full_scan(S, v):
+    """Reference reduction: every stored row in pivot order."""
+    v = {i: F(x) for i, x in v.items() if x}
+    for p, row in zip(S.pivots, S.rows):
+        c = v.get(p)
+        if c:
+            for i, x in row.items():
+                y = v.get(i, F(0)) - c * x
+                if y:
+                    v[i] = y
+                else:
+                    v.pop(i, None)
+    return v
+
+
+def _random_sparse(rng, amb, nnz):
+    return {rng.randrange(amb): F(rng.randrange(-4, 5), rng.randrange(1, 4))
+            for _ in range(nnz)}
+
+
+def test_reduce_matches_full_scan():
+    rng = random.Random(77)
+    for _ in range(40):
+        amb = rng.randrange(1, 12)
+        S = Subspace(amb, [_random_sparse(rng, amb, rng.randrange(1, 4))
+                           for _ in range(rng.randrange(0, amb + 2))])
+        for _ in range(5):
+            v = _random_sparse(rng, amb, rng.randrange(0, amb + 1))
+            assert S.reduce(v) == _reduce_full_scan(S, v)
+    W = _coinvariant_relations(shared_triple("dual_dual_x"), 3)
+    for _ in range(200):
+        v = _random_sparse(rng, W.ambient_dim, rng.randrange(1, 9))
+        assert W.reduce(v) == _reduce_full_scan(W, v)
+
+
+def test_from_canonical_round_trip_and_rejection():
+    S = Subspace(4, [[1, 2, 0, 3], [0, 0, 1, 5]])
+    T = Subspace.from_canonical(4, S.rows, S.pivots)
+    assert T == S and T._pivot_pos == S._pivot_pos
+    with pytest.raises(ValueError):
+        Subspace.from_canonical(4, [{0: F(2)}], [0])  # pivot not 1
+    with pytest.raises(ValueError):
+        Subspace.from_canonical(4, [{0: F(1), 2: F(1)}, {2: F(1)}], [0, 2])
+    with pytest.raises(ValueError):
+        Subspace.from_canonical(4, [{1: F(1)}, {0: F(1)}], [1, 0])
+    with pytest.raises(ValueError):
+        Subspace.from_canonical(4, [{3: F(1), 4: F(1)}], [3])

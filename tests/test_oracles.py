@@ -11,6 +11,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra,
                             truncated_polynomial_algebra)
@@ -152,3 +153,14 @@ def test_reference_paths_refuse_large_problems():
         classical_hh_dims(matrix_algebra(2), 6)
     with pytest.raises(ValueError):
         dense_rank_of_sparse(SparseMat.zeros(6000, 1))
+
+
+def test_oracle_caps_are_checked_before_any_rank(monkeypatch):
+    def no_rank(M):
+        raise AssertionError("ranked a matrix before refusing")
+
+    monkeypatch.setattr(oracles, "dense_rank", no_rank)
+    with pytest.raises(ValueError):
+        classical_hh_dims(matrix_algebra(2), 6)
+    with pytest.raises(ValueError):
+        classical_hc_dims(matrix_algebra(2), 5)
