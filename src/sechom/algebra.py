@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import Subspace, ZERO, ONE
+from .linalg import Subspace, ZERO, ONE, basis_vector
 
 
 def _vec(coords) -> list:
@@ -50,9 +50,6 @@ class FinAlgebra:
                 raise ValueError(f"structure constant index {(i, j, k)} out of range")
             mult[i][j][k] = Fraction(x)
         return cls(dim, mult, unit, name)
-
-    def basis_product(self, i: int, j: int) -> list:
-        return self.mult[i][j]
 
 
 @dataclass
@@ -99,10 +96,8 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
     for i in range(A.dim):
         for j in range(A.dim):
             for k in range(A.dim):
-                left = multiply(A, A.mult[i][j], [ONE if t == k else ZERO
-                                                  for t in range(A.dim)])
-                right = multiply(A, [ONE if t == i else ZERO
-                                     for t in range(A.dim)], A.mult[j][k])
+                left = multiply(A, A.mult[i][j], basis_vector(A.dim, k))
+                right = multiply(A, basis_vector(A.dim, i), A.mult[j][k])
                 if left != right:
                     report.associative = False
                     report.assoc_witness = (i, j, k)
@@ -112,7 +107,7 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
         if not report.associative:
             break
     for i in range(A.dim):
-        e_i = [ONE if t == i else ZERO for t in range(A.dim)]
+        e_i = basis_vector(A.dim, i)
         if multiply(A, A.unit, e_i) != e_i or multiply(A, e_i, A.unit) != e_i:
             report.unital = False
             report.unit_witness = i
@@ -131,7 +126,7 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
 def is_central(A: FinAlgebra, v) -> bool:
     v = _vec(v)
     for i in range(A.dim):
-        e_i = [ONE if t == i else ZERO for t in range(A.dim)]
+        e_i = basis_vector(A.dim, i)
         if multiply(A, v, e_i) != multiply(A, e_i, v):
             return False
     return True

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .algebra import multiply
 from .linalg import (ONE, QuotientStructure, SparseMat, Subspace,
-                     InternalCheckError, _axpy)
+                     InternalCheckError, _axpy, basis_vector)
 from .triples import Triple
 
 
@@ -138,8 +137,7 @@ class _Tables:
 
         self.bprod = [[support(B.mult[i][j]) for j in range(db)]
                       for i in range(db)]
-        basis_a = [[ONE if t == i else Fraction(0) for t in range(da)]
-                   for i in range(da)]
+        basis_a = [basis_vector(da, i) for i in range(da)]
         self.sandwich = [[[support(multiply(A, multiply(A, basis_a[i],
                                                         eps.columns[k]),
                                             basis_a[j]))
@@ -241,40 +239,12 @@ def _face_column(tb: _Tables, recipe: list, weights: list, digits: tuple) -> dic
     return {ix: c for ix, c in col.items() if c}
 
 
-def face_map(T: Triple, n: int, i: int) -> SparseMat:
-    """The unsigned face i in degree n, as a matrix to degree n - 1."""
-    if n < 1:
-        raise ValueError("faces need degree at least 1")
-    if not 0 <= i <= n:
-        raise ValueError(f"face index {i} outside 0..{n}")
+def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
+    """The sum of sign * face i over (i, sign) in faces, degree n to n - 1."""
     tb = _tables(T)
     src = chain_space(T, n)
     dst = chain_space(T, n - 1)
-    recipe = _face_recipe(n, i)
-    cols = {}
-    for ix, digits in enumerate(src.all_digit_tuples()):
-        col = _face_column(tb, recipe, dst.weights, digits)
-        if col:
-            cols[ix] = col
-    return SparseMat(dst.dim, src.dim, cols)
-
-
-def boundary(T: Triple, n: int) -> SparseMat:
-    """Alternating sum of the faces; degree 0 gets the zero map."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    tb = _tables(T)
-    M = tb.boundaries.get(n)
-    if M is not None:
-        return M
-    src = chain_space(T, n)
-    if n == 0:
-        M = SparseMat.zeros(0, src.dim)
-        tb.boundaries[0] = M
-        return M
-    dst = chain_space(T, n - 1)
-    recipes = [(_face_recipe(n, i), ONE if i % 2 == 0 else -ONE)
-               for i in range(n + 1)]
+    recipes = [(_face_recipe(n, i), sign) for i, sign in faces]
     cols: dict = {}
     for ix, digits in enumerate(src.all_digit_tuples()):
         acc: dict = {}
@@ -287,8 +257,31 @@ def boundary(T: Triple, n: int) -> SparseMat:
                     acc.pop(r, None)
         if acc:
             cols[ix] = acc
-    M = SparseMat(dst.dim, src.dim, cols)
-    tb.boundaries[n] = M
+    return SparseMat(dst.dim, src.dim, cols)
+
+
+def face_map(T: Triple, n: int, i: int) -> SparseMat:
+    """The unsigned face i in degree n, as a matrix to degree n - 1."""
+    if n < 1:
+        raise ValueError("faces need degree at least 1")
+    if not 0 <= i <= n:
+        raise ValueError(f"face index {i} outside 0..{n}")
+    return _face_sum(T, n, [(i, ONE)])
+
+
+def boundary(T: Triple, n: int) -> SparseMat:
+    """Alternating sum of the faces; degree 0 gets the zero map."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    tb = _tables(T)
+    M = tb.boundaries.get(n)
+    if M is None:
+        if n == 0:
+            M = SparseMat.zeros(0, chain_space(T, 0).dim)
+        else:
+            M = _face_sum(T, n, [(i, ONE if i % 2 == 0 else -ONE)
+                                 for i in range(n + 1)])
+        tb.boundaries[n] = M
     return M
 
 

@@ -17,11 +17,11 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .homology import DEFAULT_MAX_DEGREE, DegreeCapError, hc, hh
 from .kernel import kernel_data, symmetry_check
+from .linalg import basis_vector
 from .differentials import d_one_A_subspace, omega
 from .oracles import (classical_hh_dims, classical_hc_dims,
                       classical_I_mod_I2_dim, classical_kahler_dim)
@@ -51,12 +51,6 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _frac_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else \
-        f"{x.numerator}/{x.denominator}"
 
 
 def _triple_meta(T: Triple) -> dict:
@@ -182,6 +176,12 @@ def _cap_from(args, parsed: ParsedTriple) -> int:
     return cap
 
 
+def _require_ground_field(T: Triple, what: str) -> None:
+    """Refuse, as a precondition failure, a request that needs B = Q."""
+    if T.B.dim != 1:
+        raise _CliError(f"{what} B to be the ground field", EXIT_VALIDATION)
+
+
 def _cmd_validate(args) -> int:
     started = time.monotonic()
     parsed = _load(args)
@@ -223,13 +223,10 @@ def _cmd_compute(args) -> int:
                 for i, rep in enumerate(res.representatives):
                     reps_out.append({
                         "label": f"{args.flavor}{n} class {i}",
-                        "vector": [_frac_str(x) for x in rep]})
+                        "vector": [str(x) for x in rep]})
         payload["results"] = results
         if args.oracle:
-            if T.B.dim != 1:
-                raise _CliError(
-                    "reference comparison requires B to be the ground field",
-                    EXIT_VALIDATION)
+            _require_ground_field(T, "reference comparison requires")
             ref = classical_hh_dims(T.A, max(degrees)) if args.flavor == "hh" \
                 else classical_hc_dims(T.A, max(degrees))
             mine = {r["degree"]: r["dimension"] for r in results}
@@ -250,16 +247,12 @@ def _cmd_compute(args) -> int:
         }
         if args.representatives:
             for i in range(P.quotient.dim):
-                unit = [1 if t == i else 0 for t in range(P.quotient.dim)]
-                reps_out.append({
-                    "label": f"symbol class {i}",
-                    "vector": [_frac_str(x) for x in P.quotient.section(unit)]})
+                section = P.quotient.section(basis_vector(P.quotient.dim, i))
+                reps_out.append({"label": f"symbol class {i}",
+                                 "vector": [str(x) for x in section]})
         if args.oracle:
-            ref = classical_kahler_dim(T.A) if T.B.dim == 1 else None
-            if ref is None:
-                raise _CliError(
-                    "reference comparison requires B to be the ground field",
-                    EXIT_VALIDATION)
+            _require_ground_field(T, "reference comparison requires")
+            ref = classical_kahler_dim(T.A)
             payload["reference"] = {"agrees": ref == P.quotient.dim,
                                     "classical": {"dimension": ref}}
     elif args.flavor == "kernel":
@@ -280,10 +273,7 @@ def _cmd_compute(args) -> int:
             "symmetric": symmetry_check(K),
         }
         if args.oracle:
-            if T.B.dim != 1:
-                raise _CliError(
-                    "reference comparison requires B to be the ground field",
-                    EXIT_VALIDATION)
+            _require_ground_field(T, "reference comparison requires")
             ref = classical_I_mod_I2_dim(T.A)
             payload["reference"] = {"agrees": ref == K.quotient.dim,
                                     "classical": {"dimension": ref}}
@@ -293,6 +283,11 @@ def _cmd_compute(args) -> int:
     if "reference" in payload and not payload["reference"]["agrees"]:
         return EXIT_VERIFY_FAIL
     return EXIT_OK
+
+
+def _reduction_report(T: Triple) -> TheoremReport:
+    """The B = Q reduction battery, to degree 3 (degree 2 when dim A > 3)."""
+    return verify_reduction_Bk(T.A, n_max=3 if T.A.dim <= 3 else 2)
 
 
 def _battery(T: Triple) -> tuple:
@@ -307,8 +302,7 @@ def _battery(T: Triple) -> tuple:
             skipped.append({"triple": T.name, "theorem": theorem,
                             "reason": "requires commutative A"})
     if T.B.dim == 1:
-        n_max = 3 if T.A.dim <= 3 else 2
-        reports.append(verify_reduction_Bk(T.A, n_max=n_max))
+        reports.append(_reduction_report(T))
     return reports, skipped
 
 
@@ -329,11 +323,8 @@ def _cmd_verify(args) -> int:
         if args.theorem == "all":
             reports, skipped = _battery(T)
         elif args.theorem == "reduction":
-            if T.B.dim != 1:
-                raise _CliError(
-                    "the reduction check needs B to be the ground field",
-                    EXIT_VALIDATION)
-            reports = [verify_reduction_Bk(T.A, n_max=3 if T.A.dim <= 3 else 2)]
+            _require_ground_field(T, "the reduction check needs")
+            reports = [_reduction_report(T)]
         else:
             try:
                 reports = [_THEOREM_FUNCS[args.theorem](T)]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import multiply
-from .linalg import ONE, ZERO, QuotientStructure, SparseMat, Subspace
+from .linalg import (ZERO, QuotientStructure, SparseMat, Subspace,
+                     basis_vector)
 from .triples import Triple
 
 
@@ -71,10 +72,6 @@ def ambient_symbol(P: OmegaPresentation, coeff, alpha, a) -> list:
     return _symbol(P.triple, coeff, alpha, a)
 
 
-def _basis(dim: int, i: int) -> list:
-    return [ONE if t == i else ZERO for t in range(dim)]
-
-
 def _sub(u: list, v: list) -> None:
     for i, x in enumerate(v):
         if x:
@@ -89,7 +86,7 @@ def omega(T: Triple) -> OmegaPresentation:
     ambient = da * db * da
     rels = []
     for m in range(da):
-        e_m = _basis(da, m)
+        e_m = basis_vector(da, m)
         for p in range(db):
             eps_p = eps.columns[p]
             for r in range(db):
@@ -98,14 +95,16 @@ def omega(T: Triple) -> OmegaPresentation:
                     for s in range(da):
                         vec = _symbol(T, e_m, B.mult[p][r], A.mult[q][s])
                         c1 = multiply(A, e_m,
-                                      multiply(A, _basis(da, q), eps_p))
-                        _sub(vec, _symbol(T, c1, _basis(db, r), _basis(da, s)))
+                                      multiply(A, basis_vector(da, q), eps_p))
+                        _sub(vec, _symbol(T, c1, basis_vector(db, r),
+                                          basis_vector(da, s)))
                         c2 = multiply(A, e_m,
-                                      multiply(A, _basis(da, s), eps_r))
-                        _sub(vec, _symbol(T, c2, _basis(db, p), _basis(da, q)))
+                                      multiply(A, basis_vector(da, s), eps_r))
+                        _sub(vec, _symbol(T, c2, basis_vector(db, p),
+                                          basis_vector(da, q)))
                         if any(vec):
                             rels.append(vec)
-            vec = [2 * x for x in _symbol(T, e_m, _basis(db, p), A.unit)]
+            vec = [2 * x for x in _symbol(T, e_m, basis_vector(db, p), A.unit)]
             _sub(vec, _symbol(T, e_m, B.unit, eps_p))
             if any(vec):
                 rels.append(vec)
@@ -122,7 +121,8 @@ def d_symbol(P: OmegaPresentation, alpha, a) -> list:
 def d_one_A_subspace(P: OmegaPresentation) -> Subspace:
     """Span of the classes d(1 (x) a) inside the quotient coordinates."""
     T = P.triple
-    vecs = [d_symbol(P, T.B.unit, _basis(T.A.dim, k)) for k in range(T.A.dim)]
+    vecs = [d_symbol(P, T.B.unit, basis_vector(T.A.dim, k))
+            for k in range(T.A.dim)]
     return Subspace(P.quotient.dim, vecs)
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chains import boundary, chain_dim, chain_space, cyclic_quotient
-from .linalg import (ONE, ZERO, InternalCheckError, QuotientStructure,
-                     SparseMat, Subspace, colspace, induced_on_quotients,
+from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
+                     Subspace, basis_vector, colspace, induced_on_quotients,
                      nullspace, rank)
 from .triples import Triple
 
@@ -79,30 +79,34 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols) -> QuotientStruct
     return QuotientStructure(cycles.dim, Subspace(cycles.dim, rels))
 
 
+def _homology_pieces(d: SparseMat, d_next: SparseMat, what: str, n: int):
+    """Cycles of d (degree n) and their quotient by the image of d_next.
+
+    d after d_next must vanish; otherwise the complex is broken and
+    this is a hard error.  In degree 0, d has no rows, so every chain is a
+    cycle.
+    """
+    if not (d @ d_next).is_zero():
+        raise InternalCheckError(
+            f"{what} squared is nonzero between degrees {n + 1} and {n - 1}")
+    cycles = nullspace(d)
+    Q = _quotient_of_complex(
+        cycles, (d_next.cols[c] for c in sorted(d_next.cols)))
+    return cycles, Q
+
+
 def _hh_pieces(T: Triple, n: int):
     """Cycles of the boundary at degree n and the homology quotient."""
-    bnd_next = boundary(T, n + 1)
-    if n == 0:
-        cycles = Subspace.full(chain_dim(T, 0))
-    else:
-        bnd = boundary(T, n)
-        if not (bnd @ bnd_next).is_zero():
-            raise InternalCheckError(
-                f"boundary squared is nonzero between degrees {n + 1} and {n - 1}")
-        cycles = nullspace(bnd)
-    Q = _quotient_of_complex(
-        cycles, (bnd_next.cols[c] for c in sorted(bnd_next.cols)))
-    return cycles, Q
+    return _homology_pieces(boundary(T, n), boundary(T, n + 1), "boundary", n)
 
 
 def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
     """Homology of the chain complex at degree n."""
     _check_degree(T, n, max_degree)
     cycles, Q = _hh_pieces(T, n)
-    reps = []
-    for j in range(Q.dim):
-        unit = [ONE if t == j else ZERO for t in range(Q.dim)]
-        reps.append(_combo(cycles.rows, Q.section(unit), chain_dim(T, n)))
+    reps = [_combo(cycles.rows, Q.section(basis_vector(Q.dim, j)),
+                   chain_dim(T, n))
+            for j in range(Q.dim)]
     return HomologyResult(T.name, "hh", n, Q.dim, reps)
 
 
@@ -121,20 +125,10 @@ def _induced_boundary(T: Triple, k: int) -> SparseMat:
 
 def _hc_pieces(T: Triple, n: int):
     """Cycle subspace and homology quotient on coinvariant coordinates."""
-    q_n = cyclic_quotient(T, n)
-    dbar_next = _induced_boundary(T, n + 1)
-    if n == 0:
-        cycles = Subspace.full(q_n.dim)
-    else:
-        dbar = _induced_boundary(T, n)
-        if not (dbar @ dbar_next).is_zero():
-            raise InternalCheckError(
-                f"induced boundary squared is nonzero between degrees "
-                f"{n + 1} and {n - 1}")
-        cycles = nullspace(dbar)
-    Q = _quotient_of_complex(
-        cycles, (dbar_next.cols[c] for c in sorted(dbar_next.cols)))
-    return q_n, cycles, Q
+    cycles, Q = _homology_pieces(_induced_boundary(T, n),
+                                 _induced_boundary(T, n + 1),
+                                 "induced boundary", n)
+    return cyclic_quotient(T, n), cycles, Q
 
 
 def hc(T: Triple, n: int, max_degree=None) -> HomologyResult:
@@ -143,8 +137,8 @@ def hc(T: Triple, n: int, max_degree=None) -> HomologyResult:
     q_n, cycles, Q = _hc_pieces(T, n)
     reps = []
     for j in range(Q.dim):
-        unit = [ONE if t == j else ZERO for t in range(Q.dim)]
-        in_coinv = _combo(cycles.rows, Q.section(unit), q_n.dim)
+        in_coinv = _combo(cycles.rows, Q.section(basis_vector(Q.dim, j)),
+                          q_n.dim)
         reps.append(q_n.section(in_coinv))
     return HomologyResult(T.name, "hc", n, Q.dim, reps)
 
@@ -222,8 +216,8 @@ def connes_segment_check(T: Triple) -> SegmentReport:
     # Induced map on degree-one homology classes, column per basis class.
     i_cols = []
     for j in range(Q_hh.dim):
-        unit = [ONE if t == j else ZERO for t in range(Q_hh.dim)]
-        rep = _combo(cycles.rows, Q_hh.section(unit), chain_dim(T, 1))
+        rep = _combo(cycles.rows, Q_hh.section(basis_vector(Q_hh.dim, j)),
+                     chain_dim(T, 1))
         cc = hc_cycles.coords_of(q_1.project(rep))
         qc = Q_hc.project({t: x for t, x in enumerate(cc) if x})
         i_cols.append({t: x for t, x in enumerate(qc) if x})

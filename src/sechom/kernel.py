@@ -24,13 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra, multiply, tensor_algebra
-from .linalg import (ONE, ZERO, InternalCheckError, QuotientStructure,
-                     SparseMat, Subspace, nullspace)
+from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
+                     Subspace, basis_vector, nullspace)
 from .triples import Triple
-
-
-def _basis(dim: int, i: int) -> list:
-    return [ONE if t == i else ZERO for t in range(dim)]
 
 
 @dataclass(eq=False)
@@ -131,7 +127,8 @@ def kernel_data(T: Triple) -> KernelData:
     hat_vecs = []
     for p in range(B.dim):
         eps_p = T.eps.columns[p]
-        vec = [2 * x for x in embed_tensor(T, A.unit, A.unit, _basis(B.dim, p))]
+        vec = [2 * x for x in
+               embed_tensor(T, A.unit, A.unit, basis_vector(B.dim, p))]
         for i, x in enumerate(embed_tensor(T, eps_p, A.unit, B.unit)):
             vec[i] -= x
         for i, x in enumerate(embed_tensor(T, A.unit, eps_p, B.unit)):
@@ -146,8 +143,8 @@ def kernel_data(T: Triple) -> KernelData:
     for vec in hat_vecs:
         for i in range(A.dim):
             for j in range(A.dim):
-                factor = embed_tensor(T, _basis(A.dim, i), _basis(A.dim, j),
-                                      B.unit)
+                factor = embed_tensor(T, basis_vector(A.dim, i),
+                                      basis_vector(A.dim, j), B.unit)
                 closed_vecs.append(multiply(P3, factor, vec))
     j_hat_closed = Subspace(mm.ncols, closed_vecs)
 
@@ -180,10 +177,11 @@ def symmetry_check(K: KernelData) -> bool:
     A = T.A
     for row in K.J.basis_vectors():
         for m in range(A.dim):
+            e_m = basis_vector(A.dim, m)
             left = multiply(K.algebra,
-                            embed_tensor(T, _basis(A.dim, m), A.unit, T.B.unit), row)
+                            embed_tensor(T, e_m, A.unit, T.B.unit), row)
             right = multiply(K.algebra,
-                             embed_tensor(T, A.unit, _basis(A.dim, m), T.B.unit), row)
+                             embed_tensor(T, A.unit, e_m, T.B.unit), row)
             diff = [x - y for x, y in zip(left, right)]
             if not K.span_relations.contains(diff):
                 return False

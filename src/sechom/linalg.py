@@ -31,6 +31,11 @@ class InternalCheckError(RuntimeError):
     """An internal consistency check failed; results would be unreliable."""
 
 
+def basis_vector(dim: int, i: int) -> list:
+    """The i-th standard basis vector of Q^dim, dense."""
+    return [ONE if t == i else ZERO for t in range(dim)]
+
+
 def _as_sparse(v) -> dict:
     """Accept a dense list or a sparse dict; return a sparse dict copy."""
     if isinstance(v, dict):
@@ -367,14 +372,6 @@ class SparseMat:
     def __sub__(self, other: "SparseMat") -> "SparseMat":
         return self._combine(other, -1)
 
-    def scale(self, c) -> "SparseMat":
-        c = Fraction(c)
-        if not c:
-            return SparseMat.zeros(self.nrows, self.ncols)
-        return SparseMat(self.nrows, self.ncols,
-                         {j: {r: c * x for r, x in col.items()}
-                          for j, col in self.cols.items()})
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseMat)
                 and (self.nrows, self.ncols) == (other.nrows, other.ncols)
@@ -523,10 +520,6 @@ class QuotientStructure:
         return f"QuotientStructure(ambient={self.ambient_dim}, dim={self.dim})"
 
 
-def quotient_map(ambient_dim: int, relations: Subspace) -> QuotientStructure:
-    return QuotientStructure(ambient_dim, relations)
-
-
 def induced_on_quotients(M: SparseMat, src: QuotientStructure,
                          dst: QuotientStructure, check: bool = True) -> SparseMat:
     """Matrix of the map induced by M on quotient coordinates.
@@ -572,5 +565,8 @@ def parse_triplets(text: str) -> SparseMat:
             raise ValueError(f"bad triplet line: {ln!r}")
         r, c = int(parts[0]), int(parts[1])
         num, _, den = parts[2].partition("/")
-        entries.append((r, c, Fraction(int(num), int(den or "1"))))
+        den = int(den or "1")
+        if den == 0:
+            raise ValueError(f"zero denominator in triplet line: {ln!r}")
+        entries.append((r, c, Fraction(int(num), den)))
     return SparseMat.from_entries(nrows, ncols, entries)

@@ -1,8 +1,8 @@
 """Independent dense reference computations for cross-checking.
 
 Everything here is deliberately separate from the sparse engine: basis
-tensors are enumerated as tuples, matrices are dense numpy object arrays
-of exact numbers, and ranks come from an integer fraction-free
+tensors are enumerated as tuples, matrices are dense lists of rows of
+exact numbers, and ranks come from an integer fraction-free
 elimination.  The only shared inputs are the algebra structure tables
 themselves.
 
@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-
-import numpy as np
 
 from .algebra import FinAlgebra, multiply
 
@@ -34,10 +32,8 @@ def _tuple_positions(dim: int, length: int) -> dict:
     return {t: i for i, t in enumerate(product(range(dim), repeat=length))}
 
 
-def _zeros(nrows: int, ncols: int):
-    M = np.empty((nrows, ncols), dtype=object)
-    M[:] = 0
-    return M
+def _zeros(nrows: int, ncols: int) -> list:
+    return [[0] * ncols for _ in range(nrows)]
 
 
 def bar_boundary(A: FinAlgebra, n: int):
@@ -61,13 +57,13 @@ def bar_boundary(A: FinAlgebra, n: int):
             for k, x in enumerate(coeffs):
                 if x:
                     r = dst_pos[rest[:i] + (k,) + rest[i:]]
-                    M[r, c] += sign * x
+                    M[r][c] += sign * x
         coeffs = A.mult[tup[n]][tup[0]]
         sign = 1 if n % 2 == 0 else -1
         for k, x in enumerate(coeffs):
             if x:
                 r = dst_pos[(k,) + tup[1:n]]
-                M[r, c] += sign * x
+                M[r][c] += sign * x
     return M
 
 
@@ -79,7 +75,7 @@ def bar_rotation(A: FinAlgebra, n: int):
     M = _zeros(d ** (n + 1), d ** (n + 1))
     sign = 1 if n % 2 == 0 else -1
     for tup, c in pos.items():
-        M[pos[(tup[-1],) + tup[:-1]], c] = sign
+        M[pos[(tup[-1],) + tup[:-1]]][c] = sign
     return M
 
 
@@ -129,15 +125,13 @@ def dense_rank_of_sparse(M) -> int:
     _check_cap(max(M.nrows, M.ncols))
     D = _zeros(M.nrows, M.ncols)
     for rr, cc, x in M.entries():
-        D[rr, cc] = x
+        D[rr][cc] = x
     return dense_rank(D)
 
 
-def _hstack(mats):
-    mats = [m for m in mats if m is not None and m.shape[1]]
-    if not mats:
-        return None
-    return np.concatenate(mats, axis=1)
+def _hstack(left: list, right: list) -> list:
+    """Column concatenation [left | right] of two matrices with equal rows."""
+    return [lrow + rrow for lrow, rrow in zip(left, right)]
 
 
 def classical_hh_dims(A: FinAlgebra, n_max: int) -> list:
@@ -166,10 +160,8 @@ def classical_hc_dims(A: FinAlgebra, n_max: int) -> list:
     dims = []
     omegas = {}
     for k in range(n_max + 1):
-        ident = _zeros(A.dim ** (k + 1), A.dim ** (k + 1))
-        for i in range(A.dim ** (k + 1)):
-            ident[i, i] = 1
-        omegas[k] = ident - bar_rotation(A, k)
+        omegas[k] = [[int(r == c) - x for c, x in enumerate(row)]
+                     for r, row in enumerate(bar_rotation(A, k))]
     w_rank = {k: dense_rank(M) for k, M in omegas.items()}
     w_rank[-1] = 0
     for n in range(n_max + 1):
@@ -178,8 +170,8 @@ def classical_hc_dims(A: FinAlgebra, n_max: int) -> list:
             mid = dense_rank(bar_boundary(A, 1))
             dims.append(N - mid)
             continue
-        low = dense_rank(_hstack([bar_boundary(A, n), omegas[n - 1]]))
-        high = dense_rank(_hstack([bar_boundary(A, n + 1), omegas[n]]))
+        low = dense_rank(_hstack(bar_boundary(A, n), omegas[n - 1]))
+        high = dense_rank(_hstack(bar_boundary(A, n + 1), omegas[n]))
         dims.append(N + w_rank[n - 1] - low - high)
     return dims
 
@@ -255,7 +247,7 @@ def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
         for j in range(d):
             for k, x in enumerate(A.mult[i][j]):
                 if x:
-                    mu[k, i * d + j] += x
+                    mu[k][i * d + j] += x
     kernel = _dense_kernel(mu)
 
     def tensor_mult(u, v):

@@ -186,11 +186,6 @@ def parse_triple_file(path: str) -> ParsedTriple:
         return parse_triple_source(fh.read())
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else \
-        f"{x.numerator}/{x.denominator}"
-
-
 def export_triple(T: Triple, max_degree: Optional[int] = None) -> str:
     """Canonical text for a triple; parsing it back reproduces the data."""
     out = []
@@ -198,15 +193,15 @@ def export_triple(T: Triple, max_degree: Optional[int] = None) -> str:
         out.append(f"name {T.name}")
     for label, alg in (("A", T.A), ("B", T.B)):
         out.append(f"algebra {label} {alg.dim}")
-        out.append(f"unit {label} " + " ".join(_fmt(x) for x in alg.unit))
+        out.append(f"unit {label} " + " ".join(str(x) for x in alg.unit))
         for i in range(alg.dim):
             for j in range(alg.dim):
                 for k, x in enumerate(alg.mult[i][j]):
                     if x != ZERO:
-                        out.append(f"c {label} {i} {j} {k} {_fmt(x)}")
+                        out.append(f"c {label} {i} {j} {k} {x}")
     for j in range(T.B.dim):
         out.append(f"eps {j} " +
-                   " ".join(_fmt(x) for x in T.eps.columns[j]))
+                   " ".join(str(x) for x in T.eps.columns[j]))
     if max_degree is not None:
         out.append(f"max_degree {max_degree}")
     return "\n".join(out) + "\n"

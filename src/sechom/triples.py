@@ -64,10 +64,6 @@ class Triple:
                 f"(triple {self.name or '<unnamed>'} is not)")
 
 
-def _basis(dim: int, i: int) -> list:
-    return [ONE if t == i else ZERO for t in range(dim)]
-
-
 def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
                 name: str = "") -> Triple:
     """Validate and assemble a triple.
@@ -75,6 +71,7 @@ def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
     eps_columns lists the image in A of each basis vector of B.  Failures
     raise subclasses of TripleAxiomError with a replayable witness.
     """
+    reports = []
     for label, alg in (("A", A), ("B", B)):
         rep = validate_algebra(alg)
         if not rep.valid:
@@ -83,7 +80,8 @@ def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
             raise AlgebraInvalidError(
                 f"algebra {label} ({alg.name or 'unnamed'}) fails {bad[0]} "
                 f"at basis witness {bad[1]}", witness=(label, *bad))
-    rep_b = validate_algebra(B)
+        reports.append(rep)
+    rep_a, rep_b = reports
     if not rep_b.commutative:
         i, j = rep_b.comm_witness
         raise BaseNotCommutativeError(
@@ -109,19 +107,10 @@ def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
             raise EpsImageNotCentralError(
                 f"eps(f_{i}) = {eps.columns[i]} is not central in A",
                 witness=(i, eps.columns[i]))
-    rep_a = validate_algebra(A)
     return Triple(A, B, eps, commutative=rep_a.commutative, name=name)
 
 
 # -- catalog ---------------------------------------------------------------
-
-def _eps_to_unit(B: FinAlgebra, A: FinAlgebra) -> list:
-    """Columns of the map sending every nilpotent basis vector to zero and
-    the unit to the unit; only valid when B is Q."""
-    if B.dim != 1:
-        raise ValueError("helper only applies to a one-dimensional B")
-    return [list(A.unit)]
-
 
 def _catalog_k_k() -> Triple:
     A = field_algebra("Q")
@@ -132,7 +121,7 @@ def _catalog_k_k() -> Triple:
 def _catalog_dual_k() -> Triple:
     A = truncated_polynomial_algebra(2, "Q[x]/x^2")
     B = field_algebra("Q")
-    return make_triple(A, B, _eps_to_unit(B, A), name="dual_k")
+    return make_triple(A, B, [list(A.unit)], name="dual_k")
 
 
 def _catalog_dual_dual_zero() -> Triple:
@@ -152,13 +141,13 @@ def _catalog_dual_dual_x() -> Triple:
 def _catalog_prod_k() -> Triple:
     A = split_product_algebra(2, "QxQ")
     B = field_algebra("Q")
-    return make_triple(A, B, _eps_to_unit(B, A), name="prod_k")
+    return make_triple(A, B, [list(A.unit)], name="prod_k")
 
 
 def _catalog_trunc3_k() -> Triple:
     A = truncated_polynomial_algebra(3, "Q[x]/x^3")
     B = field_algebra("Q")
-    return make_triple(A, B, _eps_to_unit(B, A), name="trunc3_k")
+    return make_triple(A, B, [list(A.unit)], name="trunc3_k")
 
 
 def _catalog_dual_over_dual_id() -> Triple:
@@ -171,7 +160,7 @@ def _catalog_dual_over_dual_id() -> Triple:
 def _catalog_mat2_k() -> Triple:
     A = matrix_algebra(2, "M2(Q)")
     B = field_algebra("Q")
-    return make_triple(A, B, _eps_to_unit(B, A), name="mat2_k")
+    return make_triple(A, B, [list(A.unit)], name="mat2_k")
 
 
 _CATALOG = {

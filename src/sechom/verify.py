@@ -25,8 +25,8 @@ from .differentials import (OmegaPresentation, _symbol, d_one_A_subspace,
                             omega, symbol_index)
 from .homology import _combo, _hc_pieces, _hh_pieces, hc, hh
 from .kernel import KernelData, embed_tensor, kernel_data, tensor_index
-from .linalg import (ONE, ZERO, InternalCheckError, SparseMat, colspace,
-                     nullspace, rank, solve)
+from .linalg import (ONE, ZERO, InternalCheckError, SparseMat, basis_vector,
+                     colspace, nullspace, rank, solve)
 from .oracles import (classical_hh_dims, classical_hc_dims,
                       classical_I_mod_I2_dim, classical_kahler_dim)
 from .triples import Triple, make_triple
@@ -97,11 +97,11 @@ def forward_matrix(T: Triple) -> SparseMat:
     amb = da * da * db
     cols = {}
     for m in range(da):
-        e_m = [ONE if t == m else ZERO for t in range(da)]
+        e_m = basis_vector(da, m)
         for j in range(db):
             sand = multiply(A, e_m, T.eps.columns[j])
             for k in range(da):
-                e_k = [ONE if t == k else ZERO for t in range(da)]
+                e_k = basis_vector(da, k)
                 vec = [ZERO] * amb
                 vec[tensor_index(T, m, k, j)] += ONE
                 scaled = multiply(A, sand, e_k)
@@ -126,8 +126,8 @@ def _hh1_interface(T: Triple):
             "degree-one boundary does not vanish on a commutative triple")
     sect = SparseMat.from_columns(
         chain_dim(T, 1),
-        [{i: x for i, x in enumerate(Q_hh.section(
-            [ONE if t == j else ZERO for t in range(Q_hh.dim)])) if x}
+        [{i: x for i, x in
+          enumerate(Q_hh.section(basis_vector(Q_hh.dim, j))) if x}
          for j in range(Q_hh.dim)])
     return Q_hh, Q_hh.project_matrix(), sect
 
@@ -236,13 +236,13 @@ def _prop_omega_J(T: Triple, P: OmegaPresentation, K: KernelData, b: _Builder):
     ok = True
     wit = None
     for p in range(B.dim):
-        f_p = [ONE if t == p else ZERO for t in range(B.dim)]
+        f_p = basis_vector(B.dim, p)
         for q in range(B.dim):
-            f_q = [ONE if t == q else ZERO for t in range(B.dim)]
+            f_q = basis_vector(B.dim, q)
             for k in range(A.dim):
-                e_k = [ONE if t == k else ZERO for t in range(A.dim)]
+                e_k = basis_vector(A.dim, k)
                 for l in range(A.dim):
-                    e_l = [ONE if t == l else ZERO for t in range(A.dim)]
+                    e_l = basis_vector(A.dim, l)
                     rel = _symbol(T, A.unit, multiply(B, f_p, f_q),
                                   multiply(A, e_k, e_l))
                     for i, x in enumerate(_symbol(
@@ -266,7 +266,7 @@ def _prop_omega_J(T: Triple, P: OmegaPresentation, K: KernelData, b: _Builder):
     ok = True
     wit = None
     for p in range(B.dim):
-        f_p = [ONE if t == p else ZERO for t in range(B.dim)]
+        f_p = basis_vector(B.dim, p)
         bal = [2 * x for x in _symbol(T, A.unit, f_p, A.unit)]
         for i, x in enumerate(_symbol(T, A.unit, B.unit, T.eps.columns[p])):
             bal[i] -= x
@@ -307,8 +307,8 @@ def _prop_omega_J(T: Triple, P: OmegaPresentation, K: KernelData, b: _Builder):
     ok = True
     wit = None
     for j in range(K.quotient.dim):
-        unit = [ONE if t == j else ZERO for t in range(K.quotient.dim)]
-        ambient = _combo(K.J.rows, K.quotient.section(unit), K.m_matrix.ncols)
+        ambient = _combo(K.J.rows, K.quotient.section(
+            basis_vector(K.quotient.dim, j)), K.m_matrix.ncols)
         w = solve(F, ambient)
         if w is None:
             ok, wit = False, {"class": j}

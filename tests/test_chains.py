@@ -257,7 +257,7 @@ def test_boundary_matches_classical_bar_complex_over_ground_field():
             ref = bar_boundary(T.A, n)
             for r in range(len(dense)):
                 for c in range(len(dense[r])):
-                    assert dense[r][c] == ref[r, c]
+                    assert dense[r][c] == ref[r][c]
 
 
 # -- cyclic operator -------------------------------------------------------
@@ -295,7 +295,7 @@ def test_rotation_matches_classical_bar_rotation_over_ground_field():
             ref = bar_rotation(T.A, n)
             for r in range(len(dense)):
                 for c in range(len(dense[r])):
-                    assert dense[r][c] == ref[r, c]
+                    assert dense[r][c] == ref[r][c]
 
 
 # -- cyclic coinvariants ---------------------------------------------------

@@ -254,3 +254,17 @@ def test_console_entry_point_smoke():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "valid"
+
+
+def test_runs_with_numpy_blocked():
+    # Importing a module mapped to None in sys.modules raises ImportError,
+    # so any numpy import left in the package fails this run.
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from sechom.cli import main\n"
+            "sys.exit(main(['verify', '--catalog', '--format', 'machine']))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)["reports"]
+    assert reports and all(rep["passed"] for rep in reports)

@@ -11,9 +11,11 @@ import pytest
 
 from _shared import ALL_NAMES, shared_triple
 from sechom.algebra import commutator_subspace
-from sechom.chains import boundary, chain_dim
+from sechom import homology
+from sechom.chains import boundary, chain_dim, cyclic_quotient
 from sechom.homology import (DegreeCapError, connes_segment_check, hc, hh)
-from sechom.linalg import Subspace
+from sechom.linalg import InternalCheckError, SparseMat, Subspace
+from sechom.triples import catalog
 from sechom.oracles import (classical_hc_dims, classical_hh_dims,
                             dense_rank_of_sparse)
 
@@ -108,6 +110,22 @@ def test_cyclic_representatives_live_in_the_chain_space():
 
 
 # -- guard rails -----------------------------------------------------------
+
+def test_nonzero_square_is_a_hard_error_in_both_flavors(monkeypatch):
+    def ones(nrows, ncols):
+        return SparseMat(nrows, ncols, {c: {r: F(1) for r in range(nrows)}
+                                        for c in range(ncols)})
+
+    T = catalog("dual_k")
+    monkeypatch.setattr(homology, "boundary", lambda T, k: ones(
+        chain_dim(T, k - 1), chain_dim(T, k)))
+    with pytest.raises(InternalCheckError, match="^boundary squared"):
+        hh(T, 1)
+    monkeypatch.setattr(homology, "_induced_boundary", lambda T, k: ones(
+        cyclic_quotient(T, k - 1).dim, cyclic_quotient(T, k).dim))
+    with pytest.raises(InternalCheckError, match="^induced boundary squared"):
+        hc(T, 1)
+
 
 def test_degree_cap_mentions_the_override():
     T = shared_triple("dual_k")

@@ -174,6 +174,8 @@ def test_triplet_export_parse_round_trip():
     assert parse_triplets(text) == M
     with pytest.raises(ValueError):
         parse_triplets("3 4\n")
+    with pytest.raises(ValueError, match="'0 0 1/0'"):
+        parse_triplets("1 1 1\n0 0 1/0\n")
 
 
 def test_random_span_membership_and_rank_nullity():

@@ -72,6 +72,11 @@ def test_rationals_are_accepted_but_floats_are_named_and_refused():
     src = DUAL_SOURCE + "c A 1 1 0 3/2\nc B 1 1 0 3/2\n"
     parsed = parse_triple_source(src)
     assert parsed.triple.A.mult[1][1][0] == F(3, 2)
+    text = export_triple(parsed.triple)
+    assert "c A 1 1 0 3/2" in text.splitlines()
+    assert "unit A 1 0" in text.splitlines()
+    assert triple_hash(parsed.triple) == (
+        "c6a6d709a179405c17331627a801d59acd4d0f99a69d1514d8e23248044b82a2")
 
     with pytest.raises(SpecParseError) as exc:
         parse_triple_source(DUAL_SOURCE.replace("c A 0 1 1 1", "c A 0 1 1 1.0"))
