@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .algebra import multiply
 from .linalg import (ONE, QuotientStructure, SparseMat, Subspace,
@@ -123,27 +125,37 @@ class ChainSpace:
 
 # -- per-triple caches -----------------------------------------------------
 
+def _integer_supports(vecs: list) -> tuple:
+    """Supports of rational vectors as (k, numerator) pairs over one common
+    denominator: returns (den, supports) with vecs[t][k] equal to
+    numerator / den for every pair (k, numerator) in supports[t]."""
+    den = lcm(*(x.denominator for vec in vecs for x in vec))
+    return den, [tuple((k, x.numerator * (den // x.denominator))
+                       for k, x in enumerate(vec) if x) for vec in vecs]
+
+
 class _Tables:
-    """Products and matrices reused across degrees for one triple."""
+    """Products and matrices reused across degrees for one triple.
+
+    The product tables hold integer numerators over one denominator per
+    table (`bden` for products in B, `sden` for the sandwiches
+    e_i eps(f_k) e_j), so faces are assembled in plain ints.
+    """
 
     def __init__(self, T: Triple):
         # Holds no reference to T: the value of a WeakKeyDictionary entry
         # must not keep its own key alive.
         A, B, eps = T.A, T.B, T.eps
         da, db = A.dim, B.dim
-
-        def support(vec):
-            return tuple((k, x) for k, x in enumerate(vec) if x)
-
-        self.bprod = [[support(B.mult[i][j]) for j in range(db)]
-                      for i in range(db)]
+        self.bden, flat = _integer_supports(
+            [B.mult[i][j] for i in range(db) for j in range(db)])
+        self.bprod = [flat[i * db:(i + 1) * db] for i in range(db)]
         basis_a = [basis_vector(da, i) for i in range(da)]
-        self.sandwich = [[[support(multiply(A, multiply(A, basis_a[i],
-                                                        eps.columns[k]),
-                                            basis_a[j]))
-                           for j in range(da)]
-                          for k in range(db)]
-                         for i in range(da)]
+        self.sden, flat = _integer_supports(
+            [multiply(A, multiply(A, basis_a[i], eps.columns[k]), basis_a[j])
+             for i in range(da) for k in range(db) for j in range(da)])
+        self.sandwich = [[flat[(i * db + k) * da:(i * db + k + 1) * da]
+                          for k in range(db)] for i in range(da)]
         self.spaces: dict = {}
         self.boundaries: dict = {}
         self.rotations: dict = {}
@@ -215,48 +227,55 @@ def _face_recipe(n: int, i: int) -> list:
     return recipe
 
 
-def _face_column(tb: _Tables, recipe: list, weights: list, digits: tuple) -> dict:
-    """Sparse column of an (unsigned) face on one basis tensor."""
-    terms = [(0, ONE)]
-    for slot, op in enumerate(recipe):
-        w = weights[slot]
-        kind = op[0]
-        if kind == "a" or kind == "b":
-            d = digits[op[1]]
-            terms = [(ix + d * w, c) for ix, c in terms]
-            continue
-        if kind == "aba":
+def _face_terms(tb: _Tables, shifts: list, products: list,
+                digits: tuple) -> list:
+    """Terms (row, integer numerator) of an unsigned face on one basis
+    tensor; rows may repeat.  `shifts` and `products` split the face's
+    recipe into copied digits and multiplied slots (see _face_sum)."""
+    base = 0
+    for pos, w in shifts:
+        base += digits[pos] * w
+    terms = [(base, 1)]
+    for op, w in products:
+        if op[0] == "aba":
             opts = tb.sandwich[digits[op[1]]][digits[op[2]]][digits[op[3]]]
         else:
             opts = tb.bprod[digits[op[1]]][digits[op[2]]]
         if not opts:
-            return {}
+            return []
         terms = [(ix + d * w, c * x) for ix, c in terms for d, x in opts]
-    col: dict = {}
-    for ix, c in terms:
-        y = col.get(ix)
-        col[ix] = c if y is None else y + c
-    return {ix: c for ix, c in col.items() if c}
+    return terms
 
 
 def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
-    """The sum of sign * face i over (i, sign) in faces, degree n to n - 1."""
+    """The sum of sign * face i over (i, sign) in faces, degree n to n - 1.
+
+    Every face in degree n multiplies one sandwich and n - 1 products in B,
+    so each entry is an integer over sden * bden^(n - 1), divided once when
+    the column is finished.
+    """
     tb = _tables(T)
     src = chain_space(T, n)
     dst = chain_space(T, n - 1)
-    recipes = [(_face_recipe(n, i), sign) for i, sign in faces]
+    den = tb.sden * tb.bden ** (n - 1)
+    split = []
+    for i, sign in faces:
+        shifts, products = [], []
+        for op, w in zip(_face_recipe(n, i), dst.weights):
+            if op[0] in ("a", "b"):
+                shifts.append((op[1], w))
+            else:
+                products.append((op, w))
+        split.append((shifts, products, sign))
     cols: dict = {}
     for ix, digits in enumerate(src.all_digit_tuples()):
         acc: dict = {}
-        for recipe, sign in recipes:
-            for r, x in _face_column(tb, recipe, dst.weights, digits).items():
-                y = acc.get(r, 0) + sign * x
-                if y:
-                    acc[r] = y
-                else:
-                    acc.pop(r, None)
-        if acc:
-            cols[ix] = acc
+        for shifts, products, sign in split:
+            for r, x in _face_terms(tb, shifts, products, digits):
+                acc[r] = acc.get(r, 0) + sign * x
+        col = {r: Fraction(x, den) for r, x in acc.items() if x}
+        if col:
+            cols[ix] = col
     return SparseMat(dst.dim, src.dim, cols)
 
 
@@ -266,7 +285,7 @@ def face_map(T: Triple, n: int, i: int) -> SparseMat:
         raise ValueError("faces need degree at least 1")
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} outside 0..{n}")
-    return _face_sum(T, n, [(i, ONE)])
+    return _face_sum(T, n, [(i, 1)])
 
 
 def boundary(T: Triple, n: int) -> SparseMat:
@@ -279,7 +298,7 @@ def boundary(T: Triple, n: int) -> SparseMat:
         if n == 0:
             M = SparseMat.zeros(0, chain_space(T, 0).dim)
         else:
-            M = _face_sum(T, n, [(i, ONE if i % 2 == 0 else -ONE)
+            M = _face_sum(T, n, [(i, 1 if i % 2 == 0 else -1)
                                  for i in range(n + 1)])
         tb.boundaries[n] = M
     return M

@@ -72,10 +72,7 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols) -> QuotientStruct
     coordinates are then read off the canonical basis without a second
     membership pass.
     """
-    rels = []
-    for col in next_boundary_cols:
-        rels.append({i: x for i, x in
-                     enumerate(cycles.coords_of(col, verify=False)) if x})
+    rels = [cycles.coords_of(col, verify=False) for col in next_boundary_cols]
     return QuotientStructure(cycles.dim, Subspace(cycles.dim, rels))
 
 
@@ -210,16 +207,14 @@ def connes_segment_check(T: Triple) -> SegmentReport:
     chain_map_ok = lhs == rhs
 
     def hh1_coords(chain_vec) -> list:
-        cc = cycles.coords_of(chain_vec)
-        return Q_hh.project({t: x for t, x in enumerate(cc) if x})
+        return Q_hh.project(cycles.coords_of(chain_vec))
 
     # Induced map on degree-one homology classes, column per basis class.
     i_cols = []
     for j in range(Q_hh.dim):
         rep = _combo(cycles.rows, Q_hh.section(basis_vector(Q_hh.dim, j)),
                      chain_dim(T, 1))
-        cc = hc_cycles.coords_of(q_1.project(rep))
-        qc = Q_hc.project({t: x for t, x in enumerate(cc) if x})
+        qc = Q_hc.project(hc_cycles.coords_of(q_1.project(rep)))
         i_cols.append({t: x for t, x in enumerate(qc) if x})
     i_mat = SparseMat.from_columns(Q_hc.dim, i_cols)
 

@@ -153,9 +153,8 @@ def kernel_data(T: Triple) -> KernelData:
     for row in relations.rows:
         if not J.contains(row):
             raise InternalCheckError("relation space escaped the kernel")
-    rel_in_j = Subspace(J.dim, [
-        {i: x for i, x in enumerate(J.coords_of(row, verify=False)) if x}
-        for row in relations.rows])
+    rel_in_j = Subspace(J.dim, [J.coords_of(row, verify=False)
+                                for row in relations.rows])
     quotient = QuotientStructure(J.dim, rel_in_j)
 
     return KernelData(

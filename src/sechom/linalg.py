@@ -2,11 +2,19 @@
 
 Conventions used throughout the package:
 
-* a *vector* is a plain list of Fraction (dense),
-* a *sparse vector* is a dict mapping index -> nonzero Fraction,
-* matrices are column-major sparse (`SparseMat`),
+* a *vector* is a sparse dict mapping index -> nonzero Fraction; entry
+  points that take vectors from callers also accept dense lists, and a
+  few results that callers index positionally are dense lists,
+* matrices are column-major sparse (`SparseMat`), each column such a dict,
 * subspaces are stored as reduced row echelon bases, so two subspaces are
   equal exactly when their stored data is equal.
+
+Elimination is fraction-free: `Subspace` turns each input vector into a
+primitive integer row, reduces it against the integer working rows by
+cross-multiplication and strips the content after each scaled step, so
+no Fraction is formed while rows are combined.  Fractions appear
+once, when the canonical rows (pivot entry 1, zero at every other pivot)
+are emitted.
 
 Everything is exact; no floats enter at any point.
 """
@@ -37,10 +45,13 @@ def basis_vector(dim: int, i: int) -> list:
 
 
 def _as_sparse(v) -> dict:
-    """Accept a dense list or a sparse dict; return a sparse dict copy."""
-    if isinstance(v, dict):
-        return {i: Fraction(x) for i, x in v.items() if x}
-    return {i: Fraction(x) for i, x in enumerate(v) if x}
+    """Accept a dense list or a sparse dict; return a sparse dict copy.
+
+    Entries that already are Fractions are kept as they are.
+    """
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    return {i: x if type(x) is Fraction else Fraction(x)
+            for i, x in items if x}
 
 
 def _to_dense(v: dict, n: int) -> list:
@@ -60,25 +71,48 @@ def _axpy(v: dict, c: Fraction, w: dict) -> None:
             v.pop(i, None)
 
 
-def _strip_content(v: dict) -> None:
-    """Scale v in place to a primitive integer vector with positive lead.
+def _primitive(v: dict) -> dict:
+    """The primitive integer multiple of a nonzero sparse rational vector."""
+    den = lcm(*(x.denominator for x in v.values()))
+    if den == 1:
+        ints = {i: x.numerator for i, x in v.items()}
+    else:
+        ints = {i: x.numerator * (den // x.denominator) for i, x in v.items()}
+    _strip_content(ints)
+    return ints
 
-    Used between elimination steps to keep numerators and denominators
-    small; the row's span is unchanged.
+
+def _strip_content(v: dict) -> None:
+    """Divide a nonzero integer vector in place by the gcd of its entries."""
+    g = gcd(*v.values())
+    if g != 1:
+        for i in v:
+            v[i] //= g
+
+
+def _eliminate(v: dict, row: dict, p: int) -> None:
+    """Clear entry p of the integer vector v with the integer row, in place.
+
+    v becomes a*v - b*row for the smallest integers a > 0 and b that
+    cancel entry p, and is then stripped of its content.
     """
-    if not v:
-        return
-    den = 1
-    for x in v.values():
-        den = lcm(den, x.denominator)
-    num = 0
-    for x in v.values():
-        num = gcd(num, x.numerator * (den // x.denominator))
-    lead = min(v)
-    scale = Fraction(den, num) if v[lead] > 0 else Fraction(-den, num)
-    if scale != 1:
-        for i in list(v):
-            v[i] *= scale
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    if a < 0:
+        g = -g
+    a //= g
+    b //= g
+    if a != 1:
+        for i in v:
+            v[i] *= a
+    for i, x in row.items():
+        y = v.get(i, 0) - b * x
+        if y:
+            v[i] = y
+        else:
+            del v[i]
+    if a != 1 and v:
+        _strip_content(v)
 
 
 class Subspace:
@@ -93,52 +127,35 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
         self.ambient_dim = ambient_dim
-        self.rows: list[dict] = []
-        self.pivots: list[int] = []
-        self._pivot_pos: dict[int, int] = {}
+        work: dict[int, dict] = {}  # pivot -> primitive integer row
         for v in vectors:
-            self._ref_insert(_as_sparse(v))
-        self._finalize()
-
-    # -- construction ------------------------------------------------------
-
-    def _ref_insert(self, v: dict) -> None:
-        """Insert one vector, keeping rows in echelon form (pivots distinct,
-        each row content-stripped).  Full reduction happens in _finalize."""
-        if any(i < 0 or i >= self.ambient_dim for i in v):
-            raise AmbientDimensionError(
-                f"vector index out of range for ambient dimension {self.ambient_dim}")
-        while v:
-            lead = min(v)
-            pos = self._pivot_pos.get(lead)
-            if pos is None:
-                break
-            row = self.rows[pos]
-            _axpy(v, -v[lead] / row[lead], row)
-        if not v:
-            return
-        _strip_content(v)
-        lead = min(v)
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < lead:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, lead)
-        self._pivot_pos = {p: i for i, p in enumerate(self.pivots)}
-
-    def _finalize(self) -> None:
-        """Back-substitute and pivot-normalize, yielding the canonical RREF."""
-        for i in range(len(self.rows) - 1, -1, -1):
-            row = self.rows[i]
-            for j in range(i + 1, len(self.rows)):
-                p = self.pivots[j]
-                c = row.get(p)
-                if c:
-                    _axpy(row, -c / self.rows[j][p], self.rows[j])
-            lead = row[self.pivots[i]]
-            if lead != 1:
-                for k in row:
-                    row[k] /= lead
+            v = _as_sparse(v)
+            if any(i < 0 or i >= ambient_dim for i in v):
+                raise AmbientDimensionError(
+                    f"vector index out of range for ambient dimension {ambient_dim}")
+            if not v:
+                continue
+            v = _primitive(v)
+            while v:
+                lead = min(v)
+                row = work.get(lead)
+                if row is None:
+                    work[lead] = v
+                    break
+                _eliminate(v, row, lead)
+        # Back-substitute from the last pivot down.  A row below is already
+        # fully reduced, so clearing one pivot leaves the others alone and
+        # each row visits only the pivots it holds.
+        self.pivots = sorted(work)
+        self.rows = [{}] * len(self.pivots)
+        for k in range(len(self.pivots) - 1, -1, -1):
+            p = self.pivots[k]
+            row = work[p]
+            for q in [q for q in row if q != p and q in work]:
+                _eliminate(row, work[q], q)
+            lead = row[p]
+            self.rows[k] = {i: Fraction(x, lead) for i, x in row.items()}
+        self._pivot_pos = {p: k for k, p in enumerate(self.pivots)}
 
     @classmethod
     def from_canonical(cls, ambient_dim: int, rows: list,
@@ -163,14 +180,6 @@ class Subspace:
                     or any(k != p and k in sub._pivot_pos for k in row)):
                 raise ValueError(f"row with pivot {p} is not in canonical form")
         return sub
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim)
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ({i: ONE} for i in range(ambient_dim)))
 
     # -- queries -----------------------------------------------------------
 
@@ -199,33 +208,24 @@ class Subspace:
     def contains(self, v) -> bool:
         return not self.reduce(v)
 
-    def coords_of(self, v, verify: bool = True) -> list:
-        """Coordinates of v in the stored basis.
+    def coords_of(self, v, verify: bool = True) -> dict:
+        """Coordinates of v in the stored basis, sparse: {row number: x}.
 
-        With verify off the caller must know v lies in the subspace; the
-        pivot entries of v are then already the coordinates.
+        The pivot entries of a vector in the subspace are its coordinates.
+        With verify on, a vector outside the subspace raises ValueError;
+        with it off the caller must know v lies in the subspace.
         """
         v = _as_sparse(v)
-        coords = [v.get(p, ZERO) for p in self.pivots]
-        if verify:
-            res = dict(v)
-            for c, row in zip(coords, self.rows):
-                if c:
-                    _axpy(res, -c, row)
-            if res:
-                raise ValueError("vector is not in the subspace")
+        pos = self._pivot_pos
+        coords = {pos[p]: x for p, x in v.items() if p in pos}
+        if verify and self.reduce(v):
+            raise ValueError("vector is not in the subspace")
         return coords
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise AmbientDimensionError("subspace sum across different ambient spaces")
-        out = Subspace(self.ambient_dim)
-        for row in self.rows:
-            out._ref_insert(dict(row))
-        for row in other.rows:
-            out._ref_insert(dict(row))
-        out._finalize()
-        return out
+        return Subspace(self.ambient_dim, self.rows + other.rows)
 
     def basis_vectors(self) -> list:
         """Basis as dense vectors (rows of the canonical form)."""

@@ -294,12 +294,9 @@ def _prop_omega_J(T: Triple, P: OmegaPresentation, K: KernelData, b: _Builder):
             break
     b.check("kernel relations pull back to symbol relations", ok, wit)
 
-    coord_cols = []
-    for c in range(F.ncols):
-        col = F.column(c)
-        coord_cols.append({i: x for i, x in
-                           enumerate(K.J.coords_of(col, verify=False)) if x})
-    C = SparseMat.from_columns(K.J.dim, coord_cols)
+    C = SparseMat.from_columns(
+        K.J.dim, [K.J.coords_of(F.column(c), verify=False)
+                  for c in range(F.ncols)])
     f_bar = K.quotient.project_matrix() @ C @ P.quotient.section_matrix()
 
     g_bar = None

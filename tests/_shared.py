@@ -7,9 +7,9 @@ rebuilt from scratch for every test.
 
 from fractions import Fraction
 
-from sechom.algebra import multiply
+from sechom.algebra import FinAlgebra, multiply
 from sechom.differentials import ambient_symbol
-from sechom.triples import catalog, catalog_names
+from sechom.triples import catalog, catalog_names, make_triple
 
 _MEMO: dict = {}
 
@@ -24,6 +24,36 @@ def shared_triple(name: str):
     if name not in _MEMO:
         _MEMO[name] = catalog(name)
     return _MEMO[name]
+
+
+def _rescaled_algebra(alg: FinAlgebra, t: int, s: Fraction) -> FinAlgebra:
+    """The same algebra in the basis with e_t replaced by s * e_t."""
+    sc = [s if i == t else Fraction(1) for i in range(alg.dim)]
+    mult = [[[sc[i] * sc[j] * alg.mult[i][j][k] / sc[k] for k in range(alg.dim)]
+             for j in range(alg.dim)] for i in range(alg.dim)]
+    return FinAlgebra(alg.dim, mult, [u / c for u, c in zip(alg.unit, sc)],
+                      alg.name)
+
+
+def rescaled_triple(name: str):
+    """A catalog triple rewritten with e_1 of A and f_0 of B (the unit of
+    B) scaled by 2/3, built through make_triple.
+
+    It is isomorphic to its catalog twin, but its structure constants,
+    units and eps have denominators 2, 3 or 9, so its faces are assembled
+    over a denominator other than 1.
+    """
+    key = ("rescaled", name)
+    if key not in _MEMO:
+        T = catalog(name)
+        s = Fraction(2, 3)
+        A = _rescaled_algebra(T.A, 1, s)
+        B = _rescaled_algebra(T.B, 0, s)
+        eps = [[(s if p == 0 else 1) * x / (s if k == 1 else 1)
+                for k, x in enumerate(T.eps.columns[p])]
+               for p in range(B.dim)]
+        _MEMO[key] = make_triple(A, B, eps, name=f"{name}_rescaled")
+    return _MEMO[key]
 
 
 def check_catalog_complete():

@@ -4,8 +4,6 @@ import copy
 import random
 from fractions import Fraction
 
-import pytest
-
 from sechom.algebra import (AlgMorphism, FinAlgebra, commutator_subspace,
                             field_algebra, is_central, matrix_algebra,
                             multiply, split_product_algebra, tensor_algebra,

@@ -11,14 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import ALL_NAMES, COMMUTATIVE_NAMES, shared_triple
+from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rescaled_triple,
+                     shared_triple)
 from sechom import chains
 from sechom.algebra import multiply
 from sechom.chains import (boundary, chain_dim, chain_space, cyclic_operator,
                            cyclic_quotient, face_map, pair_list)
 from sechom.linalg import InternalCheckError, SparseMat, Subspace, colspace
 from sechom.triples import catalog
-from sechom.oracles import (bar_boundary, bar_rotation, dense_rank,
+from sechom.oracles import (bar_boundary, bar_rotation,
                             dense_rank_of_sparse)
 
 F = Fraction
@@ -379,3 +380,62 @@ def test_dropped_triple_frees_its_tables():
     gc.collect()
     assert ref() is None
     assert len(chains._TABLES) == before
+
+
+def _fraction_face_sum(T, n, faces):
+    """Test-local copy of the Fraction face assembly that the integer one
+    replaced: Fraction tables, Fraction terms, one face at a time."""
+    A, B, eps = T.A, T.B, T.eps
+
+    def support(vec):
+        return tuple((k, x) for k, x in enumerate(vec) if x)
+
+    bprod = [[support(B.mult[i][j]) for j in range(B.dim)]
+             for i in range(B.dim)]
+    sandwich = [[[support(multiply(A, multiply(A, _basis(A.dim, i),
+                                               eps.columns[k]),
+                                   _basis(A.dim, j)))
+                  for j in range(A.dim)] for k in range(B.dim)]
+                for i in range(A.dim)]
+    src, dst = chain_space(T, n), chain_space(T, n - 1)
+    recipes = [(chains._face_recipe(n, i), sign) for i, sign in faces]
+    cols = {}
+    for ix, digits in enumerate(src.all_digit_tuples()):
+        acc = {}
+        for recipe, sign in recipes:
+            terms = [(0, F(1))]
+            for slot, op in enumerate(recipe):
+                w = dst.weights[slot]
+                if op[0] in ("a", "b"):
+                    terms = [(r + digits[op[1]] * w, c) for r, c in terms]
+                    continue
+                if op[0] == "aba":
+                    opts = sandwich[digits[op[1]]][digits[op[2]]][digits[op[3]]]
+                else:
+                    opts = bprod[digits[op[1]]][digits[op[2]]]
+                terms = [(r + d * w, c * x) for r, c in terms for d, x in opts]
+            for r, c in terms:
+                acc[r] = acc.get(r, F(0)) + sign * c
+        acc = {r: x for r, x in acc.items() if x}
+        if acc:
+            cols[ix] = acc
+    return SparseMat(dst.dim, src.dim, cols)
+
+
+def test_integer_face_assembly_matches_fraction_assembly():
+    # Equality gate for the integer tables: every face and every boundary
+    # equals the Fraction assembly, entry for entry, on the catalog and on
+    # rescaled triples whose tables have denominators other than 1.
+    triples = [shared_triple(name) for name in ALL_NAMES]
+    triples += [rescaled_triple("dual_dual_x"), rescaled_triple("trunc3_k")]
+    for T in triples:
+        for n in range(1, 4):
+            ref = _fraction_face_sum(
+                T, n, [(i, 1 if i % 2 == 0 else -1) for i in range(n + 1)])
+            assert boundary(T, n).cols == ref.cols
+            for i in range(n + 1):
+                assert face_map(T, n, i).cols == \
+                    _fraction_face_sum(T, n, [(i, 1)]).cols
+    for T in triples[-2:]:
+        tb = chains._tables(T)
+        assert tb.bden > 1 and tb.sden > 1

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import ALL_NAMES, shared_triple
+from _shared import ALL_NAMES, rescaled_triple, shared_triple
 from sechom.algebra import commutator_subspace
 from sechom import homology
 from sechom.chains import boundary, chain_dim, cyclic_quotient
@@ -18,6 +18,8 @@ from sechom.linalg import InternalCheckError, SparseMat, Subspace
 from sechom.triples import catalog
 from sechom.oracles import (classical_hc_dims, classical_hh_dims,
                             dense_rank_of_sparse)
+from sechom.verify import (verify_cor_hc1, verify_main, verify_prop_hh1_omega,
+                           verify_prop_omega_J, verify_reduction_Bk)
 
 F = Fraction
 
@@ -138,6 +140,24 @@ def test_degree_cap_mentions_the_override():
         hh(T, -1)
     with pytest.raises(DegreeCapError):
         hc(T, 5)
+
+
+def test_rescaled_triples_match_their_catalog_twins():
+    # Fractional structure constants: a change of basis must change no
+    # dimension and no verdict.
+    for name in ("dual_dual_x", "trunc3_k"):
+        R, T = rescaled_triple(name), shared_triple(name)
+        for n in range(4):
+            assert hh(R, n).dimension == hh(T, n).dimension
+            assert hc(R, n).dimension == hc(T, n).dimension
+        runs = [verify_prop_hh1_omega, verify_cor_hc1, verify_prop_omega_J,
+                verify_main]
+        if T.B.dim == 1:
+            runs.append(lambda X: verify_reduction_Bk(X.A))
+        for run in runs:
+            got, want = run(R), run(T)
+            assert got.passed and want.passed
+            assert (got.dims, got.checks) == (want.dims, want.checks)
 
 
 def test_result_string_names_flavor_and_degree():

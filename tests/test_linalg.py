@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from _shared import shared_triple
+from _shared import ALL_NAMES, shared_triple
 from sechom.chains import _coinvariant_relations
+from sechom.homology import hc, hh
 from sechom.linalg import (AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, colspace,
                            export_triplets, induced_on_quotients, nullspace,
@@ -39,9 +41,9 @@ def test_subspace_accepts_sparse_dict_vectors():
 
 
 def test_subspace_zero_and_full():
-    Z = Subspace.zero(5)
+    Z = Subspace(5)
     assert Z.dim == 0 and not Z.contains([1, 0, 0, 0, 0])
-    E = Subspace.full(3)
+    E = Subspace(3, ({i: F(1)} for i in range(3)))
     assert E.dim == 3 and E.contains([7, -2, F(1, 3)])
 
 
@@ -49,7 +51,8 @@ def test_coords_of_round_trip_and_rejection():
     S = Subspace(3, [[1, 2, 0], [0, 0, 3]])
     v = [2, 4, 5]
     coords = S.coords_of(v)
-    rebuilt = [sum(F(c) * F(row.get(i, 0)) for c, row in zip(coords, S.rows))
+    assert all(coords.values())  # sparse: no zero coordinates stored
+    rebuilt = [sum(c * S.rows[k].get(i, 0) for k, c in coords.items())
                for i in range(3)]
     assert rebuilt == [F(x) for x in v]
     with pytest.raises(ValueError):
@@ -262,3 +265,99 @@ def test_from_canonical_round_trip_and_rejection():
         Subspace.from_canonical(4, [{1: F(1)}, {0: F(1)}], [1, 0])
     with pytest.raises(ValueError):
         Subspace.from_canonical(4, [{3: F(1), 4: F(1)}], [3])
+
+
+def _fraction_rref(ambient_dim, vectors):
+    """Test-local copy of the Fraction elimination that the fraction-free
+    one replaced (echelon inserts with content stripping, then a full
+    back-substitution); returns (rows, pivots, pivot positions)."""
+    rows, pivots, pos = [], [], {}
+
+    def axpy(v, c, w):
+        for i, x in w.items():
+            y = v.get(i, F(0)) + c * x
+            if y:
+                v[i] = y
+            else:
+                v.pop(i, None)
+
+    for v in vectors:
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        v = {i: F(x) for i, x in items if x}
+        while v:
+            lead = min(v)
+            p = pos.get(lead)
+            if p is None:
+                break
+            axpy(v, -v[lead] / rows[p][lead], rows[p])
+        if not v:
+            continue
+        den = lcm(*(x.denominator for x in v.values()))
+        num = gcd(*(x.numerator * (den // x.denominator) for x in v.values()))
+        scale = F(den, num) if v[lead] > 0 else F(-den, num)
+        v = {i: x * scale for i, x in v.items()}
+        at = sum(1 for p in pivots if p < lead)
+        rows.insert(at, v)
+        pivots.insert(at, lead)
+        pos = {p: i for i, p in enumerate(pivots)}
+    for i in range(len(rows) - 1, -1, -1):
+        for j in range(i + 1, len(rows)):
+            c = rows[i].get(pivots[j])
+            if c:
+                axpy(rows[i], -c / rows[j][pivots[j]], rows[j])
+        lead = rows[i][pivots[i]]
+        rows[i] = {k: x / lead for k, x in rows[i].items()}
+    return rows, pivots, pos
+
+
+def _assert_same_rref(ambient_dim, vectors):
+    S = Subspace(ambient_dim, vectors)
+    rows, pivots, pos = _fraction_rref(ambient_dim, vectors)
+    assert S.rows == rows
+    assert S.pivots == pivots
+    assert S._pivot_pos == pos
+    assert all(type(x) is F for row in S.rows for x in row.values())
+
+
+def test_fraction_free_elimination_matches_fraction_elimination():
+    rng = random.Random(1968)
+    for trial in range(300):
+        amb = rng.randrange(1, 10)
+        density = rng.choice([0.2, 0.5, 1.0])
+        big = rng.choice([1, 10 ** 12])
+        vectors = []
+        for _ in range(rng.randrange(0, amb + 4)):
+            v = {}
+            for i in range(amb):
+                if rng.random() < density:
+                    v[i] = F(rng.randrange(-9, 10) * big, rng.randrange(1, 8))
+            vectors.append(v if trial % 2 else [v.get(i, 0) for i in range(amb)])
+        _assert_same_rref(amb, vectors)
+        if vectors:
+            half = len(vectors) // 2
+            U = Subspace(amb, vectors[:half]).sum(Subspace(amb, vectors[half:]))
+            assert U == Subspace(amb, vectors)
+
+
+def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
+    # Every Subspace that hh and hc build up to degree 3 on the catalog:
+    # per call, the row space and the kernel basis of nullspace for each
+    # of the two boundaries, and the homology-quotient relations.
+    inputs = []
+    orig = Subspace.__init__
+
+    def recording(self, ambient_dim, vectors=()):
+        vectors = list(vectors)
+        inputs.append((ambient_dim, vectors))
+        orig(self, ambient_dim, vectors)
+
+    monkeypatch.setattr(Subspace, "__init__", recording)
+    for name in ALL_NAMES:
+        T = shared_triple(name)
+        for n in range(4):
+            hh(T, n)
+            hc(T, n)
+    monkeypatch.undo()
+    assert len(inputs) == 3 * 2 * 4 * len(ALL_NAMES)
+    for ambient_dim, vectors in inputs:
+        _assert_same_rref(ambient_dim, vectors)
