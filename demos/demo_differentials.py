@@ -7,8 +7,14 @@ from fractions import Fraction
 
 from sechom import (ambient_symbol, catalog, coefficient_action,
                     d_one_A_subspace, d_symbol, omega)
+from sechom.linalg import to_dense
 
 F = Fraction
+
+
+def coords(P, v) -> str:
+    """Quotient coordinates of a class, sparse in the engine, as a tuple."""
+    return "(" + ", ".join(str(x) for x in to_dense(v, P.dim)) + ")"
 
 
 def main():
@@ -21,9 +27,9 @@ def main():
 
     x = [F(0), F(1)]
     y = [F(0), F(1)]
-    print(f"\nclass of d(1 (x) x): {d_symbol(P, T.B.unit, x)}")
-    print(f"class of d(y (x) 1): {d_symbol(P, y, T.A.unit)}")
-    print(f"class of d(1 (x) 1): {d_symbol(P, T.B.unit, T.A.unit)} "
+    print(f"\nclass of d(1 (x) x): {coords(P, d_symbol(P, T.B.unit, x))}")
+    print(f"class of d(y (x) 1): {coords(P, d_symbol(P, y, T.A.unit))}")
+    print(f"class of d(1 (x) 1): {coords(P, d_symbol(P, T.B.unit, T.A.unit))} "
           f"(derivatives of the unit vanish)")
 
     # The product rule in action: d(1 (x) x^2) = 2 x d(1 (x) x), and x^2

@@ -16,7 +16,16 @@ from .linalg import Subspace, ZERO, ONE, basis_vector
 
 
 def _vec(coords) -> list:
-    return [Fraction(x) for x in coords]
+    """Dense Fraction coordinates of an algebra element; entries that
+    already are Fractions are kept as they are.
+
+    A sparse dict is refused: iterating one reads its keys, not its
+    entries, so it would be taken silently for a different vector.
+    """
+    if isinstance(coords, dict):
+        raise TypeError("algebra elements are dense coordinate lists, "
+                        "not sparse dicts")
+    return [x if type(x) is Fraction else Fraction(x) for x in coords]
 
 
 @dataclass(eq=False)

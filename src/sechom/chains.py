@@ -367,7 +367,7 @@ def _coinvariant_relations(T: Triple, n: int) -> Subspace:
             cm = coef[orbit.index(m)]
             for i, ci in zip(orbit, coef):
                 if i != m:
-                    rows[i] = {i: ONE, m: -ci / cm}
+                    rows[i] = {i: ONE, m: -ci * cm}
         pivots = sorted(rows)
         W = Subspace.from_canonical(len(img), [rows[p] for p in pivots], pivots)
         tb.wspaces[n] = W

@@ -246,10 +246,11 @@ def _cmd_compute(args) -> int:
             "d_one_A": d_one_A_subspace(P).dim,
         }
         if args.representatives:
-            for i in range(P.quotient.dim):
-                section = P.quotient.section(basis_vector(P.quotient.dim, i))
+            # Symbol class i is that of the ambient axis nonpivots[i].
+            for i, c in enumerate(P.quotient.nonpivots):
                 reps_out.append({"label": f"symbol class {i}",
-                                 "vector": [str(x) for x in section]})
+                                 "vector": [str(x) for x in
+                                            basis_vector(P.ambient_dim, c)]})
         if args.oracle:
             _require_ground_field(T, "reference comparison requires")
             ref = classical_kahler_dim(T.A)

@@ -18,9 +18,8 @@ d(1 (x) 1) = 0 already lies in the product-rule span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import multiply
+from .algebra import _vec, multiply
 from .linalg import (ZERO, QuotientStructure, SparseMat, Subspace,
                      basis_vector)
 from .triples import Triple
@@ -49,22 +48,21 @@ def symbol_index(T: Triple, m: int, j: int, k: int) -> int:
 def _symbol(T: Triple, coeff, alpha, a) -> list:
     """Dense ambient vector of (coeff) d(alpha (x) a), expanded trilinearly."""
     da, db = T.A.dim, T.B.dim
-    coeff, alpha, a = list(coeff), list(alpha), list(a)
+    coeff, alpha, a = _vec(coeff), _vec(alpha), _vec(a)
     if len(coeff) != da or len(a) != da or len(alpha) != db:
         raise ValueError("coefficient and argument vectors have wrong lengths")
     out = [ZERO] * (da * db * da)
     for m, cm in enumerate(coeff):
         if not cm:
             continue
-        cm = Fraction(cm)
         for j, xj in enumerate(alpha):
             if not xj:
                 continue
             base = (m * db + j) * da
-            cx = cm * Fraction(xj)
+            cx = cm * xj
             for k, yk in enumerate(a):
                 if yk:
-                    out[base + k] += cx * Fraction(yk)
+                    out[base + k] += cx * yk
     return out
 
 
@@ -113,8 +111,8 @@ def omega(T: Triple) -> OmegaPresentation:
                              QuotientStructure(ambient, relations))
 
 
-def d_symbol(P: OmegaPresentation, alpha, a) -> list:
-    """Quotient coordinates of the class of d(alpha (x) a)."""
+def d_symbol(P: OmegaPresentation, alpha, a) -> dict:
+    """Quotient coordinates of the class of d(alpha (x) a), sparse."""
     return P.quotient.project(_symbol(P.triple, P.triple.A.unit, alpha, a))
 
 

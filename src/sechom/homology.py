@@ -7,6 +7,8 @@ requested explicitly since space grows as dim(A)^(n+1) * dim(B)^(n(n+1)/2).
 
 Representatives are always reported in the chain coordinates of the
 requested degree; their classes form a basis of the homology space.
+Class j of a homology quotient is that of the cycle basis row at the
+quotient's non-pivot axis j, so each representative is a stored row.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 from .chains import boundary, chain_dim, chain_space, cyclic_quotient
 from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
-                     Subspace, basis_vector, colspace, induced_on_quotients,
-                     nullspace, rank)
+                     Subspace, colspace, induced_on_quotients, nullspace,
+                     rank, to_dense)
 from .triples import Triple
 
 DEFAULT_MAX_DEGREE = 3
@@ -56,15 +58,6 @@ class HomologyResult:
                 f"has dimension {self.dimension}")
 
 
-def _combo(rows: list, coords: list, ambient: int) -> list:
-    out = [ZERO] * ambient
-    for c, row in zip(coords, rows):
-        if c:
-            for i, x in row.items():
-                out[i] += c * x
-    return out
-
-
 def _quotient_of_complex(cycles: Subspace, next_boundary_cols) -> QuotientStructure:
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
@@ -101,9 +94,7 @@ def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
     """Homology of the chain complex at degree n."""
     _check_degree(T, n, max_degree)
     cycles, Q = _hh_pieces(T, n)
-    reps = [_combo(cycles.rows, Q.section(basis_vector(Q.dim, j)),
-                   chain_dim(T, n))
-            for j in range(Q.dim)]
+    reps = [to_dense(cycles.rows[c], chain_dim(T, n)) for c in Q.nonpivots]
     return HomologyResult(T.name, "hh", n, Q.dim, reps)
 
 
@@ -132,11 +123,8 @@ def hc(T: Triple, n: int, max_degree=None) -> HomologyResult:
     """Homology of the cyclic coinvariant complex at degree n."""
     _check_degree(T, n, max_degree)
     q_n, cycles, Q = _hc_pieces(T, n)
-    reps = []
-    for j in range(Q.dim):
-        in_coinv = _combo(cycles.rows, Q.section(basis_vector(Q.dim, j)),
-                          q_n.dim)
-        reps.append(q_n.section(in_coinv))
+    reps = [to_dense(q_n.section(cycles.rows[c]), chain_dim(T, n))
+            for c in Q.nonpivots]
     return HomologyResult(T.name, "hc", n, Q.dim, reps)
 
 
@@ -206,24 +194,16 @@ def connes_segment_check(T: Triple) -> SegmentReport:
     rhs = q_1.project_matrix() @ boundary(T, 2)
     chain_map_ok = lhs == rhs
 
-    def hh1_coords(chain_vec) -> list:
-        return Q_hh.project(cycles.coords_of(chain_vec))
-
     # Induced map on degree-one homology classes, column per basis class.
-    i_cols = []
-    for j in range(Q_hh.dim):
-        rep = _combo(cycles.rows, Q_hh.section(basis_vector(Q_hh.dim, j)),
-                     chain_dim(T, 1))
-        qc = Q_hc.project(hc_cycles.coords_of(q_1.project(rep)))
-        i_cols.append({t: x for t, x in enumerate(qc) if x})
-    i_mat = SparseMat.from_columns(Q_hc.dim, i_cols)
+    i_mat = SparseMat.from_columns(
+        Q_hc.dim,
+        [Q_hc.project(hc_cycles.coords_of(q_1.project(cycles.rows[c])))
+         for c in Q_hh.nonpivots])
 
     b_chain = connes_b_chain(T)
-    b_cols = []
-    for c in range(T.A.dim):
-        b_cols.append({i: x for i, x in
-                       enumerate(hh1_coords(b_chain.column(c))) if x})
-    b_mat = SparseMat.from_columns(Q_hh.dim, b_cols)
+    b_mat = SparseMat.from_columns(
+        Q_hh.dim, [Q_hh.project(cycles.coords_of(b_chain.column(c)))
+                   for c in range(T.A.dim)])
 
     image_rank = rank(i_mat)
     surjective = image_rank == Q_hc.dim

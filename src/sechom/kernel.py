@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, multiply, tensor_algebra
+from .algebra import FinAlgebra, _vec, multiply, tensor_algebra
 from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
-                     Subspace, basis_vector, nullspace)
+                     Subspace, basis_vector, nullspace, to_dense)
 from .triples import Triple
 
 
@@ -60,6 +60,7 @@ def tensor_index(T: Triple, i: int, j: int, k: int) -> int:
 def embed_tensor(T: Triple, x, y, beta) -> list:
     """Dense coordinates of x (x) y (x) beta."""
     da, db = T.A.dim, T.B.dim
+    x, y, beta = _vec(x), _vec(y), _vec(beta)
     out = [ZERO] * (da * da * db)
     for i, xi in enumerate(x):
         if not xi:
@@ -77,22 +78,15 @@ def multiplication_matrix(T: Triple) -> SparseMat:
     """The map e_i (x) e_j (x) f_k to e_i e_j eps(f_k), as a matrix."""
     A, eps = T.A, T.eps
     da, db = A.dim, T.B.dim
-    cols = {}
-    for i in range(da):
-        for j in range(da):
-            prod = A.mult[i][j]
-            for k in range(db):
-                val = multiply(A, prod, eps.columns[k])
-                col = {t: x for t, x in enumerate(val) if x}
-                if col:
-                    cols[(i * da + j) * db + k] = col
-    return SparseMat(da, da * da * db, cols)
+    return SparseMat.from_columns(
+        da, [multiply(A, A.mult[i][j], eps.columns[k])
+             for i in range(da) for j in range(da) for k in range(db)])
 
 
 def j_generator(T: Triple, alpha, a) -> list:
     """The vector 1 (x) a (x) alpha - (a eps(alpha)) (x) 1 (x) 1; always in J."""
     A, B = T.A, T.B
-    alpha, a = list(alpha), list(a)
+    alpha, a = _vec(alpha), _vec(a)
     if len(alpha) != B.dim or len(a) != A.dim:
         raise ValueError("argument vectors have wrong lengths")
     vec = embed_tensor(T, A.unit, a, alpha)
@@ -100,8 +94,7 @@ def j_generator(T: Triple, alpha, a) -> list:
     for i, x in enumerate(embed_tensor(T, scaled, A.unit, B.unit)):
         if x:
             vec[i] -= x
-    image = multiplication_matrix(T).matvec(vec)
-    if any(image):
+    if multiplication_matrix(T).matvec(vec):
         raise InternalCheckError("generator escaped the multiplication kernel")
     return vec
 
@@ -115,7 +108,7 @@ def kernel_data(T: Triple) -> KernelData:
     mm = multiplication_matrix(T)
     J = nullspace(mm)
 
-    j_rows = [list(row_dense) for row_dense in J.basis_vectors()]
+    j_rows = [to_dense(row, mm.ncols) for row in J.rows]
     products = []
     for u in j_rows:
         for v in j_rows:
@@ -174,7 +167,7 @@ def symmetry_check(K: KernelData) -> bool:
     """
     T = K.triple
     A = T.A
-    for row in K.J.basis_vectors():
+    for row in (to_dense(r, K.J.ambient_dim) for r in K.J.rows):
         for m in range(A.dim):
             e_m = basis_vector(A.dim, m)
             left = multiply(K.algebra,

@@ -2,9 +2,10 @@
 
 Conventions used throughout the package:
 
-* a *vector* is a sparse dict mapping index -> nonzero Fraction; entry
-  points that take vectors from callers also accept dense lists, and a
-  few results that callers index positionally are dense lists,
+* a *vector* is a sparse dict mapping index -> nonzero Fraction; inputs
+  may be dense lists or sparse dicts, and every vector this module
+  returns is a sparse dict (`to_dense` turns one into a list where a
+  caller needs coordinates by position),
 * matrices are column-major sparse (`SparseMat`), each column such a dict,
 * subspaces are stored as reduced row echelon bases, so two subspaces are
   equal exactly when their stored data is equal.
@@ -21,6 +22,7 @@ Everything is exact; no floats enter at any point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
@@ -54,7 +56,8 @@ def _as_sparse(v) -> dict:
             for i, x in items if x}
 
 
-def _to_dense(v: dict, n: int) -> list:
+def to_dense(v: dict, n: int) -> list:
+    """The sparse vector v as a dense list of length n."""
     out = [ZERO] * n
     for i, x in v.items():
         out[i] = x
@@ -227,10 +230,6 @@ class Subspace:
             raise AmbientDimensionError("subspace sum across different ambient spaces")
         return Subspace(self.ambient_dim, self.rows + other.rows)
 
-    def basis_vectors(self) -> list:
-        """Basis as dense vectors (rows of the canonical form)."""
-        return [_to_dense(row, self.ambient_dim) for row in self.rows]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
@@ -273,11 +272,12 @@ class SparseMat:
         return m
 
     @classmethod
-    def from_columns(cls, nrows: int, columns: Iterable[dict]) -> "SparseMat":
+    def from_columns(cls, nrows: int, columns: Iterable) -> "SparseMat":
+        """The matrix with these columns, each dense or sparse."""
         cols = {}
         columns = list(columns)
         for c, col in enumerate(columns):
-            col = {r: Fraction(x) for r, x in col.items() if x}
+            col = _as_sparse(col)
             if any(r < 0 or r >= nrows for r in col):
                 raise AmbientDimensionError(f"row index out of range in column {c}")
             if col:
@@ -324,19 +324,15 @@ class SparseMat:
                 cols.setdefault(r, {})[c] = x
         return SparseMat(self.ncols, self.nrows, cols)
 
-    def matvec(self, v) -> list:
-        """Dense product M v for a dense or sparse vector v."""
+    def matvec(self, v) -> dict:
+        """Product M v for a dense or sparse vector v."""
         v = _as_sparse(v)
-        acc: dict = {}
-        for c, x in v.items():
-            if not 0 <= c < self.ncols:
-                raise AmbientDimensionError(f"index {c} outside width {self.ncols}")
-            col = self.cols.get(c)
-            if col:
-                _axpy(acc, x, col)
-        return _to_dense(acc, self.nrows)
+        if any(c < 0 or c >= self.ncols for c in v):
+            raise AmbientDimensionError(f"vector index outside width {self.ncols}")
+        return self._times(v)
 
-    def matvec_sparse(self, v: dict) -> dict:
+    def _times(self, v: dict) -> dict:
+        """M v for a sparse vector already known to fit, unchecked."""
         acc: dict = {}
         for c, x in v.items():
             col = self.cols.get(c)
@@ -350,7 +346,7 @@ class SparseMat:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         cols = {}
         for c, col in other.cols.items():
-            acc = self.matvec_sparse(col)
+            acc = self._times(col)
             if acc:
                 cols[c] = acc
         return SparseMat(self.nrows, other.ncols, cols)
@@ -431,7 +427,7 @@ def nullspace(M: SparseMat) -> Subspace:
     return ker
 
 
-def solve(M: SparseMat, b) -> Optional[list]:
+def solve(M: SparseMat, b) -> Optional[dict]:
     """One solution of M x = b, or None when the system is inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
@@ -444,13 +440,10 @@ def solve(M: SparseMat, b) -> Optional[list]:
     for i, x in b.items():
         rows[i][aug] = x
     R = Subspace(M.ncols + 1, rows)
-    x = [ZERO] * M.ncols
-    for p, row in zip(R.pivots, R.rows):
-        if p == aug:
-            return None
-        x[p] = row.get(aug, ZERO)
-    check = M.matvec(x)
-    if _as_sparse(check) != b:
+    if R.pivots and R.pivots[-1] == aug:
+        return None
+    x = {p: row[aug] for p, row in zip(R.pivots, R.rows) if aug in row}
+    if M.matvec(x) != b:
         raise InternalCheckError("solver produced an invalid solution")
     return x
 
@@ -459,9 +452,10 @@ class QuotientStructure:
     """Coordinates on Q^n / R for a relation subspace R.
 
     The non-pivot coordinates of the canonical form of R serve as
-    coordinates on the quotient.  `project` reduces a vector against R and
-    reads those coordinates; `section` embeds quotient coordinates back
-    using the non-pivot axes, so project(section(c)) == c.
+    coordinates on the quotient: class j is that of the axis
+    `nonpivots[j]`.  `project` reduces a vector against R and reads those
+    coordinates; `section` embeds quotient coordinates back using the
+    non-pivot axes, so project(section(c)) == c.
     """
 
     __slots__ = ("ambient_dim", "relations", "nonpivots", "_proj", "_sect")
@@ -480,18 +474,19 @@ class QuotientStructure:
     def dim(self) -> int:
         return len(self.nonpivots)
 
-    def project(self, v) -> list:
-        r = self.relations.reduce(v)
-        return [r.get(c, ZERO) for c in self.nonpivots]
+    def project(self, v) -> dict:
+        """Quotient coordinates of the class of v."""
+        axes = self.nonpivots  # sorted; the remainder lives on these axes
+        return {bisect_left(axes, c): x
+                for c, x in self.relations.reduce(v).items()}
 
-    def section(self, coords) -> list:
-        if len(coords) != self.dim:
+    def section(self, coords) -> dict:
+        """The ambient vector on the non-pivot axes with these coordinates."""
+        coords = _as_sparse(coords)
+        if any(j < 0 or j >= self.dim for j in coords):
             raise AmbientDimensionError(
-                f"expected {self.dim} quotient coordinates, got {len(coords)}")
-        out = [ZERO] * self.ambient_dim
-        for c, x in zip(self.nonpivots, coords):
-            out[c] = Fraction(x)
-        return out
+                f"quotient coordinate out of range for dimension {self.dim}")
+        return {self.nonpivots[j]: x for j, x in coords.items()}
 
     def project_matrix(self) -> SparseMat:
         """Matrix of `project` (dim x ambient_dim), read off the canonical form."""
@@ -531,7 +526,7 @@ def induced_on_quotients(M: SparseMat, src: QuotientStructure,
         raise AmbientDimensionError("matrix shape does not match the quotients")
     if check:
         for row in src.relations.rows:
-            if not dst.relations.contains(M.matvec_sparse(row)):
+            if not dst.relations.contains(M.matvec(row)):
                 raise InternalCheckError(
                     "map does not descend to the quotient: image of a relation "
                     "is not a relation")

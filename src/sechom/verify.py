@@ -16,17 +16,17 @@ when B is the ground field).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
+from itertools import product
+from typing import Iterator, Optional
 
 from .algebra import FinAlgebra, field_algebra, multiply
 from .chains import boundary, chain_dim, chain_space
 from .differentials import (OmegaPresentation, _symbol, d_one_A_subspace,
                             omega, symbol_index)
-from .homology import _combo, _hc_pieces, _hh_pieces, hc, hh
+from .homology import _hc_pieces, _hh_pieces, hc, hh
 from .kernel import KernelData, embed_tensor, kernel_data, tensor_index
-from .linalg import (ONE, ZERO, InternalCheckError, SparseMat, basis_vector,
-                     colspace, nullspace, rank, solve)
+from .linalg import (ONE, InternalCheckError, SparseMat, basis_vector,
+                     colspace, nullspace, rank, solve, to_dense)
 from .oracles import (classical_hh_dims, classical_hc_dims,
                       classical_I_mod_I2_dim, classical_kahler_dim)
 from .triples import Triple, make_triple
@@ -62,15 +62,19 @@ class _Builder:
                 self.report.witness = payload
         return ok
 
+    def check_all(self, label: str, failures: Iterator[dict]) -> bool:
+        """Pass when `failures` yields nothing; otherwise the first witness
+        it yields is recorded and no later one is computed."""
+        witness = next(failures, None)
+        return self.check(label, witness is None, witness)
+
     def dims(self, **kwargs):
         self.report.dims.update(kwargs)
 
 
-def _wvec(v) -> list:
-    """Witness-friendly rendering of a vector."""
-    if isinstance(v, dict):
-        return [[i, str(Fraction(x))] for i, x in sorted(v.items())]
-    return [str(Fraction(x)) for x in v]
+def _wvec(v: dict) -> list:
+    """Witness-friendly rendering of a sparse vector."""
+    return [[i, str(x)] for i, x in sorted(v.items())]
 
 
 def transfer_matrices(T: Triple):
@@ -94,24 +98,16 @@ def forward_matrix(T: Triple) -> SparseMat:
     goes to e_m (x) e_k (x) f_j minus (e_m eps(f_j) e_k) (x) 1 (x) 1."""
     A, B = T.A, T.B
     da, db = A.dim, B.dim
-    amb = da * da * db
-    cols = {}
+    cols = []  # in symbol_index order
     for m in range(da):
-        e_m = basis_vector(da, m)
         for j in range(db):
-            sand = multiply(A, e_m, T.eps.columns[j])
+            sand = multiply(A, basis_vector(da, m), T.eps.columns[j])
             for k in range(da):
-                e_k = basis_vector(da, k)
-                vec = [ZERO] * amb
+                scaled = multiply(A, sand, basis_vector(da, k))
+                vec = [-x for x in embed_tensor(T, scaled, A.unit, B.unit)]
                 vec[tensor_index(T, m, k, j)] += ONE
-                scaled = multiply(A, sand, e_k)
-                for i, x in enumerate(embed_tensor(T, scaled, A.unit, B.unit)):
-                    if x:
-                        vec[i] -= x
-                col = {i: x for i, x in enumerate(vec) if x}
-                if col:
-                    cols[symbol_index(T, m, j, k)] = col
-    return SparseMat(amb, da * db * da, cols)
+                cols.append(vec)
+    return SparseMat.from_columns(da * da * db, cols)
 
 
 def _hh1_interface(T: Triple):
@@ -124,12 +120,7 @@ def _hh1_interface(T: Triple):
     if cycles.dim != chain_dim(T, 1):
         raise InternalCheckError(
             "degree-one boundary does not vanish on a commutative triple")
-    sect = SparseMat.from_columns(
-        chain_dim(T, 1),
-        [{i: x for i, x in
-          enumerate(Q_hh.section(basis_vector(Q_hh.dim, j))) if x}
-         for j in range(Q_hh.dim)])
-    return Q_hh, Q_hh.project_matrix(), sect
+    return Q_hh, Q_hh.project_matrix(), Q_hh.section_matrix()
 
 
 def _hc1_interface(T: Triple):
@@ -150,24 +141,18 @@ def _prop_hh1_omega(T: Triple, P: OmegaPresentation, b: _Builder):
     phi, psi = transfer_matrices(T)
     bnd2 = boundary(T, 2)
     moved = phi @ bnd2
-    ok = True
-    wit = None
-    for c in sorted(moved.cols):
-        if not P.relations.contains(moved.cols[c]):
-            ok, wit = False, {"column": c, "vector": _wvec(moved.cols[c])}
-            break
-    b.check("boundaries map into relations", ok, wit)
+    b.check_all("boundaries map into relations",
+                ({"column": c, "vector": _wvec(moved.cols[c])}
+                 for c in sorted(moved.cols)
+                 if not P.relations.contains(moved.cols[c])))
 
     b.check("symbol images are cycles", (boundary(T, 1) @ psi).is_zero())
 
     im2 = colspace(bnd2)
-    ok = True
-    wit = None
-    for i, row in enumerate(P.relations.rows):
-        if not im2.contains(psi.matvec_sparse(row)):
-            ok, wit = False, {"relation": i, "vector": _wvec(row)}
-            break
-    b.check("relations map into boundaries", ok, wit)
+    b.check_all("relations map into boundaries",
+                ({"relation": i, "vector": _wvec(row)}
+                 for i, row in enumerate(P.relations.rows)
+                 if not im2.contains(psi.matvec(row))))
 
     Q_hh, p_hh, s_hh = _hh1_interface(T)
     phi_bar = P.quotient.project_matrix() @ phi @ s_hh
@@ -199,14 +184,10 @@ def verify_cor_hc1(T: Triple) -> TheoremReport:
     Q_hc, chain_to_hc = _hc1_interface(T)
     full_map = chain_to_hc @ psi  # symbol ambient -> cyclic classes
 
-    ok = True
-    wit = None
-    for i, row in enumerate(P.relations.rows):
-        img = full_map.matvec_sparse(row)
-        if img:
-            ok, wit = False, {"relation": i, "vector": _wvec(img)}
-            break
-    b.check("relations die in cyclic homology", ok, wit)
+    images = (full_map.matvec(row) for row in P.relations.rows)
+    b.check_all("relations die in cyclic homology",
+                ({"relation": i, "vector": _wvec(img)}
+                 for i, img in enumerate(images) if img))
 
     eta = full_map @ P.quotient.section_matrix()
     d1a = d_one_A_subspace(P)
@@ -233,88 +214,59 @@ def _prop_omega_J(T: Triple, P: OmegaPresentation, K: KernelData, b: _Builder):
     b.check("forward images span the kernel", colspace(F) == K.J)
 
     A, B = T.A, T.B
-    ok = True
-    wit = None
-    for p in range(B.dim):
-        f_p = basis_vector(B.dim, p)
-        for q in range(B.dim):
-            f_q = basis_vector(B.dim, q)
-            for k in range(A.dim):
-                e_k = basis_vector(A.dim, k)
-                for l in range(A.dim):
-                    e_l = basis_vector(A.dim, l)
-                    rel = _symbol(T, A.unit, multiply(B, f_p, f_q),
-                                  multiply(A, e_k, e_l))
-                    for i, x in enumerate(_symbol(
-                            T, multiply(A, e_k, T.eps.columns[p]), f_q, e_l)):
-                        rel[i] -= x
-                    for i, x in enumerate(_symbol(
-                            T, multiply(A, e_l, T.eps.columns[q]), f_p, e_k)):
-                        rel[i] -= x
-                    if not K.j_squared.contains(F.matvec(rel)):
-                        ok = False
-                        wit = {"b_pair": (p, q), "a_pair": (k, l)}
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    b.check("product-rule images land in the squared kernel", ok, wit)
 
-    ok = True
-    wit = None
-    for p in range(B.dim):
-        f_p = basis_vector(B.dim, p)
-        bal = [2 * x for x in _symbol(T, A.unit, f_p, A.unit)]
-        for i, x in enumerate(_symbol(T, A.unit, B.unit, T.eps.columns[p])):
-            bal[i] -= x
-        if not K.j_hat.contains(F.matvec(bal)):
-            ok, wit = False, {"b_index": p}
-            break
-    b.check("balancing images land in the balancing span", ok, wit)
+    def product_rule(p, q, k, l) -> list:
+        """d(f_p f_q (x) e_k e_l) minus its two product-rule terms."""
+        e_k, e_l = basis_vector(A.dim, k), basis_vector(A.dim, l)
+        terms = (_symbol(T, A.unit, B.mult[p][q], A.mult[k][l]),
+                 _symbol(T, multiply(A, e_k, T.eps.columns[p]),
+                         basis_vector(B.dim, q), e_l),
+                 _symbol(T, multiply(A, e_l, T.eps.columns[q]),
+                         basis_vector(B.dim, p), e_k))
+        return [x - y - z for x, y, z in zip(*terms)]
 
-    ok = True
-    wit = None
-    for i, row in enumerate(P.relations.rows):
-        if not K.relations.contains(F.matvec_sparse(row)):
-            ok, wit = False, {"relation": i, "vector": _wvec(row)}
-            break
-    b.check("symbol relations map into kernel relations", ok, wit)
+    b.check_all("product-rule images land in the squared kernel",
+                ({"b_pair": (p, q), "a_pair": (k, l)}
+                 for p, q, k, l in product(range(B.dim), range(B.dim),
+                                           range(A.dim), range(A.dim))
+                 if not K.j_squared.contains(
+                     F.matvec(product_rule(p, q, k, l)))))
 
-    ok = True
-    wit = None
-    for i, row in enumerate(K.relations.rows):
-        w = solve(F, row)
-        if w is None or not P.relations.contains(w):
-            ok = False
-            wit = {"kernel_relation": i,
-                   "preimage": "none" if w is None else _wvec(w)}
-            break
-    b.check("kernel relations pull back to symbol relations", ok, wit)
+    def balancing(p) -> list:
+        """2 d(f_p (x) 1) - d(1 (x) eps(f_p))."""
+        return [2 * x - y for x, y in zip(
+            _symbol(T, A.unit, basis_vector(B.dim, p), A.unit),
+            _symbol(T, A.unit, B.unit, T.eps.columns[p]))]
+
+    b.check_all("balancing images land in the balancing span",
+                ({"b_index": p} for p in range(B.dim)
+                 if not K.j_hat.contains(F.matvec(balancing(p)))))
+
+    b.check_all("symbol relations map into kernel relations",
+                ({"relation": i, "vector": _wvec(row)}
+                 for i, row in enumerate(P.relations.rows)
+                 if not K.relations.contains(F.matvec(row))))
+
+    pulled = (solve(F, row) for row in K.relations.rows)
+    b.check_all("kernel relations pull back to symbol relations",
+                ({"kernel_relation": i,
+                  "preimage": "none" if w is None else
+                  [str(x) for x in to_dense(w, F.ncols)]}
+                 for i, w in enumerate(pulled)
+                 if w is None or not P.relations.contains(w)))
 
     C = SparseMat.from_columns(
         K.J.dim, [K.J.coords_of(F.column(c), verify=False)
                   for c in range(F.ncols)])
     f_bar = K.quotient.project_matrix() @ C @ P.quotient.section_matrix()
 
+    # Kernel class j is that of the J basis row at non-pivot axis j.
     g_bar = None
-    g_cols = []
-    ok = True
-    wit = None
-    for j in range(K.quotient.dim):
-        ambient = _combo(K.J.rows, K.quotient.section(
-            basis_vector(K.quotient.dim, j)), K.m_matrix.ncols)
-        w = solve(F, ambient)
-        if w is None:
-            ok, wit = False, {"class": j}
-            break
-        g_cols.append({i: x for i, x in
-                       enumerate(P.quotient.project(w)) if x})
-    b.check("kernel classes pull back", ok, wit)
-    if ok:
-        g_bar = SparseMat.from_columns(P.quotient.dim, g_cols)
+    pulled = [solve(F, K.J.rows[c]) for c in K.quotient.nonpivots]
+    if b.check_all("kernel classes pull back",
+                   ({"class": j} for j, w in enumerate(pulled) if w is None)):
+        g_bar = SparseMat.from_columns(
+            P.quotient.dim, [P.quotient.project(w) for w in pulled])
         b.check("round trip on the kernel quotient is the identity",
                 f_bar @ g_bar == SparseMat.identity(K.quotient.dim))
         b.check("round trip on the symbol module is the identity",

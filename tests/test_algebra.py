@@ -4,10 +4,15 @@ import copy
 import random
 from fractions import Fraction
 
+import pytest
+
+from _shared import shared_triple
 from sechom.algebra import (AlgMorphism, FinAlgebra, commutator_subspace,
                             field_algebra, is_central, matrix_algebra,
                             multiply, split_product_algebra, tensor_algebra,
                             truncated_polynomial_algebra, validate_algebra)
+from sechom.differentials import _symbol
+from sechom.kernel import embed_tensor, j_generator
 
 F = Fraction
 
@@ -155,3 +160,27 @@ def test_morphism_apply_is_matrix_action():
     Q = field_algebra()
     f = AlgMorphism(source=Q, target=D, columns=[list(D.unit)])
     assert f.apply([F(3)]) == [F(3), F(0)]
+
+
+def test_algebra_layer_refuses_sparse_vectors():
+    # Iterating a dict reads its keys: {0: 1} would pass for the vector
+    # (0,), so every algebra-element argument must refuse a sparse dict.
+    T = shared_triple("dual_dual_x")
+    A, B = T.A, T.B
+    s = {0: F(1)}
+    calls = [
+        lambda: multiply(A, s, A.unit),
+        lambda: multiply(A, A.unit, s),
+        lambda: T.eps.apply(s),
+        lambda: _symbol(T, s, B.unit, A.unit),
+        lambda: _symbol(T, A.unit, s, A.unit),
+        lambda: _symbol(T, A.unit, B.unit, s),
+        lambda: embed_tensor(T, s, A.unit, B.unit),
+        lambda: embed_tensor(T, A.unit, s, B.unit),
+        lambda: embed_tensor(T, A.unit, A.unit, s),
+        lambda: j_generator(T, s, A.unit),
+        lambda: j_generator(T, B.unit, s),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

@@ -1,12 +1,13 @@
 """Command line behavior: sources, flavors, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 from sechom.cli import main
 from sechom.specfile import export_triple, parse_triple_file, triple_hash
-from sechom.triples import catalog
+from sechom.triples import catalog, catalog_names
 
 
 def run(capsys, *argv):
@@ -97,6 +98,50 @@ def test_compute_degree_list_and_representatives(capsys):
     assert [r["degree"] for r in payload["results"]] == [0, 2]
     assert [r["dimension"] for r in payload["results"]] == [2, 2]
     assert len(payload["representatives"]) == 4
+
+
+# sha256 of `compute --format machine --representatives` (hh/hc at
+# --degree 0..2, and omega) on each catalog triple, frozen from the
+# output of the dense-representative implementation.
+REPRESENTATIVE_HASHES = {
+    ("k_k", "hh"): "a1c04588d3ce088b870f61de77a0e4466e395da9bddec20dd2d8269495cfdbfb",
+    ("k_k", "hc"): "0385d15759e25f743c9fbe5cd951c7ec53fe11cb743464964c4084cd7bc6c0c0",
+    ("k_k", "omega"): "a815a157ed7384934a2c1ec5ceb5a34ab08a4b9c8142602c4e9df621b0c53028",
+    ("dual_k", "hh"): "475076d8d7bf4a6b6151184b5e837532dcd8426dc7030c2cba3a9a89096e11a3",
+    ("dual_k", "hc"): "efa9f379dc6af3a9cd13fbaee56eb1c5ca3cb0a69d7897b546ab5df388029dda",
+    ("dual_k", "omega"): "f1134b2046e932be290fb934bdcbae433628e129a6587319e58ac5d764082162",
+    ("dual_dual_zero", "hh"): "81edc0a1111fd191b9d2d6c1f91c985bc9bfe0d9486faeb7c9af4ca8ba12052a",
+    ("dual_dual_zero", "hc"): "06bcdc38daffca679c8ab7f86f4b8e6ce29d9a077dedd0a930661eaa1961af04",
+    ("dual_dual_zero", "omega"): "9e36f551e2812224926bd5d8b1819e631a0a6b57157ab16aa194625bc2c12d69",
+    ("dual_dual_x", "hh"): "4e9fe8edbcbb2983c11b80490ae17625de26f310575c25a5d8ac773ec04b25f9",
+    ("dual_dual_x", "hc"): "850ac33b629fa8ae47081d4caa8230854c40d483e68a4f8a5507f7411c5532d5",
+    ("dual_dual_x", "omega"): "2b4a9954d4e5fa79d0effd001ee42c72c344b460fee4f0620e0310977f8d4ea3",
+    ("prod_k", "hh"): "158295aab07cc4dc11102e24db7cdd49c13426477e771a308092b17536009b82",
+    ("prod_k", "hc"): "4fea72f9831500318ed2c9cd632a3237f74608a5f494514826a0c1c896d68cf1",
+    ("prod_k", "omega"): "2282514dd9724c2b370959c42cd6defc78933635a2f8be1f1ba90c63168286d1",
+    ("trunc3_k", "hh"): "feec35f699f3d267615d686455a28146244a770d71c2590dd8b3ed41fbd224bc",
+    ("trunc3_k", "hc"): "a50d262ba52eae288d8da744e24d282d65b46d4a8614074bc3584a06b61a628f",
+    ("trunc3_k", "omega"): "1fea2d1484049fa8d6dc06290c8d2df414ab9b30c04cf1b1e4a81f7a202f000c",
+    ("dual_over_dual_id", "hh"): "8913964a5bca8b3aac31b1e418f4cf373b58b8306d21c1e918ac6274282cdf7a",
+    ("dual_over_dual_id", "hc"): "20b23331ac1d32268b313973475f453502612a061abe99489169e3f955bc15c5",
+    ("dual_over_dual_id", "omega"): "cec3761cad021816b67c39dac377cbc976c7d1237ae078041b03af157103bbbe",
+    ("mat2_k", "hh"): "294ed411f8f0b7d52c06157fe7731bb368e27ed0a7a8f0aa6230cd71782a9ba0",
+    ("mat2_k", "hc"): "5ef459b607e82eade602cc77e53afef5229fad00ed178b916c85e0bd71f12f98",
+}
+
+
+def test_representatives_output_is_frozen(capsys):
+    # omega needs commutative A, so mat2_k has only hh and hc entries.
+    assert {name for name, _ in REPRESENTATIVE_HASHES} == set(catalog_names())
+    for (name, flavor), digest in REPRESENTATIVE_HASHES.items():
+        argv = ["compute", "--catalog", name, "--flavor", flavor,
+                "--representatives", "--format", "machine"]
+        if flavor != "omega":
+            argv += ["--degree", "0..2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+            (name, flavor)
 
 
 def test_bad_degree_specs(capsys):

@@ -75,10 +75,9 @@ def test_derivative_of_the_unit_vanishes():
     for name in COMMUTATIVE_NAMES:
         P = _pres(name)
         T = P.triple
-        zero = [F(0)] * P.dim
-        assert d_symbol(P, T.B.unit, T.A.unit) == zero
+        assert d_symbol(P, T.B.unit, T.A.unit) == {}
         assert d_symbol(P, [F(3) * x for x in T.B.unit],
-                        [F(5) * x for x in T.A.unit]) == zero
+                        [F(5) * x for x in T.A.unit]) == {}
 
 
 def test_square_relation_traps_the_nilpotent():
@@ -89,7 +88,7 @@ def test_square_relation_traps_the_nilpotent():
     x = _basis(2, 1)
     doubled = [2 * v for v in ambient_symbol(P, x, T.B.unit, x)]
     assert P.relations.contains(doubled)
-    assert any(d_symbol(P, T.B.unit, x))
+    assert d_symbol(P, T.B.unit, x)
 
 
 def test_derivation_laws_hold_in_the_quotient():
@@ -117,7 +116,7 @@ def test_coefficient_action_preserves_relations():
         for m in range(P.triple.A.dim):
             act = coefficient_action(P, m)
             for row in P.relations.rows:
-                assert P.relations.contains(act.matvec_sparse(row))
+                assert P.relations.contains(act.matvec(row))
 
 
 def test_coefficient_action_composes_like_the_algebra():
@@ -128,4 +127,4 @@ def test_coefficient_action_composes_like_the_algebra():
     twice = act @ act
     for c in range(P.ambient_dim):
         col = twice.column(c)
-        assert not any(P.quotient.project(col))
+        assert not P.quotient.project(col)

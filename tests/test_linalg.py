@@ -12,7 +12,7 @@ from sechom.homology import hc, hh
 from sechom.linalg import (AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, colspace,
                            export_triplets, induced_on_quotients, nullspace,
-                           parse_triplets, rank, row_space, solve)
+                           parse_triplets, rank, row_space, solve, to_dense)
 
 F = Fraction
 
@@ -100,9 +100,11 @@ def test_matvec_matches_dense():
     v = [F(1), F(1, 3), F(2)]
     dense = M.to_dense()
     expect = [sum(row[j] * v[j] for j in range(3)) for row in dense]
-    assert M.matvec(v) == expect
-    sparse_out = M.matvec_sparse({0: F(1), 1: F(1, 3), 2: F(2)})
-    assert [sparse_out.get(i, F(0)) for i in range(2)] == expect
+    assert to_dense(M.matvec(v), 2) == expect
+    sparse_out = M.matvec({0: F(1), 1: F(1, 3), 2: F(2)})
+    assert to_dense(sparse_out, 2) == expect
+    with pytest.raises(AmbientDimensionError):
+        M.matvec({3: F(1)})
 
 
 def test_matmul_add_transpose():
@@ -123,7 +125,7 @@ def test_rank_nullspace_rowspace_colspace():
     ker = nullspace(M)
     assert ker.dim == 1
     for row in ker.rows:
-        assert not any(M.matvec_sparse(row).values())
+        assert not M.matvec(row)
     assert row_space(M).dim == 2
     assert colspace(M).dim == 2
 
@@ -132,7 +134,7 @@ def test_solve_finds_and_rejects():
     M = SparseMat.from_entries(2, 2, [(0, 0, F(1)), (1, 1, F(2))])
     x = solve(M, [F(3), F(5)])
     assert x is not None
-    assert M.matvec(x) == [F(3), F(5)]
+    assert M.matvec(x) == {0: F(3), 1: F(5)}
     singular = SparseMat.from_entries(2, 1, [(0, 0, F(1))])
     assert solve(singular, [F(0), F(1)]) is None
     with pytest.raises(AmbientDimensionError):
@@ -145,10 +147,13 @@ def test_quotient_projection_section_identities():
     assert Q.dim == 2
     for j in range(Q.dim):
         unit = [F(1) if t == j else F(0) for t in range(Q.dim)]
-        assert Q.project(Q.section(unit)) == unit
+        assert Q.project(Q.section(unit)) == {j: F(1)}
+        assert Q.section({j: F(1)}) == {Q.nonpivots[j]: F(1)}
     v = [F(3), F(1), F(2), F(7)]
-    back = Q.section(Q.project(v))
+    back = to_dense(Q.section(Q.project(v)), 4)
     assert rel.contains([a - b for a, b in zip(v, back)])
+    with pytest.raises(AmbientDimensionError):
+        Q.section({Q.dim: F(1)})
     assert Q.project_matrix() @ Q.section_matrix() == SparseMat.identity(Q.dim)
 
 
@@ -213,8 +218,9 @@ def test_random_quotient_consistency():
         assert Q.dim == amb - rel.dim
         v = [F(rng.randrange(-5, 6)) for _ in range(amb)]
         u = [F(rng.randrange(-5, 6)) for _ in range(amb)]
-        lhs = Q.project([a + b for a, b in zip(v, u)])
-        rhs = [a + b for a, b in zip(Q.project(v), Q.project(u))]
+        lhs = to_dense(Q.project([a + b for a, b in zip(v, u)]), Q.dim)
+        rhs = [a + b for a, b in zip(to_dense(Q.project(v), Q.dim),
+                                     to_dense(Q.project(u), Q.dim))]
         assert lhs == rhs
 
 
@@ -251,6 +257,44 @@ def test_reduce_matches_full_scan():
     for _ in range(200):
         v = _random_sparse(rng, W.ambient_dim, rng.randrange(1, 9))
         assert W.reduce(v) == _reduce_full_scan(W, v)
+
+
+def _assert_sparse_result(v, n):
+    """A vector result: a dict with keys in range(n) and no zero value."""
+    assert type(v) is dict
+    assert all(type(i) is int and 0 <= i < n for i in v)
+    assert all(type(x) is F and x != 0 for x in v.values())
+
+
+def test_vector_results_are_sparse_dicts():
+    # Draws as in test_reduce_matches_full_scan (zero entries included);
+    # inputs alternate between sparse dicts and dense lists.
+    rng = random.Random(77)
+    for trial in range(40):
+        amb = rng.randrange(1, 12)
+        gens = [_random_sparse(rng, amb, rng.randrange(1, 4))
+                for _ in range(rng.randrange(0, amb + 2))]
+        S = Subspace(amb, gens)
+        Q = QuotientStructure(amb, S)
+        M = SparseMat.from_columns(amb, gens)
+        for _ in range(5):
+            v = _random_sparse(rng, amb, rng.randrange(0, amb + 1))
+            c = _random_sparse(rng, len(gens), len(gens)) if gens else {}
+            q = _random_sparse(rng, Q.dim, Q.dim) if Q.dim else {}
+            if trial % 2:
+                v = [v.get(i, 0) for i in range(amb)]
+                c = [c.get(i, 0) for i in range(len(gens))]
+                q = [q.get(j, 0) for j in range(Q.dim)]
+            _assert_sparse_result(S.reduce(v), amb)
+            _assert_sparse_result(Q.project(v), Q.dim)
+            _assert_sparse_result(Q.section(q), amb)
+            image = M.matvec(c)
+            _assert_sparse_result(image, amb)
+            _assert_sparse_result(S.coords_of(image), S.dim)
+            _assert_sparse_result(solve(M, image), M.ncols)
+            x = solve(M, v)
+            if x is not None:
+                _assert_sparse_result(x, M.ncols)
 
 
 def test_from_canonical_round_trip_and_rejection():

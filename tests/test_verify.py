@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from _shared import COMMUTATIVE_NAMES, shared_triple
-from sechom.algebra import (field_algebra, matrix_algebra,
+from sechom.algebra import (field_algebra, matrix_algebra, multiply,
                             split_product_algebra,
                             truncated_polynomial_algebra)
-from sechom.differentials import omega
+from sechom.differentials import ambient_symbol, omega
 from sechom.kernel import kernel_data
 from sechom.linalg import QuotientStructure, Subspace
 from sechom.triples import CommutativeTripleRequiredError
@@ -119,8 +119,7 @@ def test_doctored_relations_fail_with_replayable_witness():
     P = omega(T)
     K = kernel_data(T)
     raw_in_J = Subspace(K.J.dim,
-                        [K.J.coords_of(row) for row in
-                         K.span_relations.basis_vectors()])
+                        [K.J.coords_of(row) for row in K.span_relations.rows])
     K2 = dataclasses.replace(
         K, relations=K.span_relations,
         quotient=QuotientStructure(K.J.dim, raw_in_J))
@@ -139,9 +138,52 @@ def test_doctored_relations_fail_with_replayable_witness():
     wit = rep.witness
     assert wit["check"] == "symbol relations map into kernel relations"
     row = P.relations.rows[wit["relation"]]
-    img = forward_matrix(T).matvec_sparse(row)
+    img = forward_matrix(T).matvec(row)
     assert not K.span_relations.contains(img)
     assert K.relations.contains(img)
+
+
+def test_product_rule_witness_is_the_first_failure_in_order():
+    # With the squared kernel emptied, a product-rule instance fails
+    # exactly when its image is nonzero; the witness must be the first
+    # failing (b_pair, a_pair) in (p, q, k, l) order.
+    from sechom.verify import _Builder, _prop_omega_J
+
+    T = shared_triple("dual_dual_x")
+    A, B = T.A, T.B
+    P = omega(T)
+    K = kernel_data(T)
+    K2 = dataclasses.replace(K, j_squared=Subspace(K.J.ambient_dim))
+    b = _Builder(T.name, "doctored")
+    _prop_omega_J(T, P, K2, b)
+
+    def e(dim, i):
+        return [F(1) if t == i else F(0) for t in range(dim)]
+
+    def first_failure():
+        F_mat = forward_matrix(T)
+        for p in range(B.dim):
+            for q in range(B.dim):
+                for k in range(A.dim):
+                    for l in range(A.dim):
+                        lhs = ambient_symbol(P, A.unit, B.mult[p][q],
+                                             A.mult[k][l])
+                        t1 = ambient_symbol(
+                            P, multiply(A, e(A.dim, k), T.eps.columns[p]),
+                            e(B.dim, q), e(A.dim, l))
+                        t2 = ambient_symbol(
+                            P, multiply(A, e(A.dim, l), T.eps.columns[q]),
+                            e(B.dim, p), e(A.dim, k))
+                        rel = [x - y - z for x, y, z in zip(lhs, t1, t2)]
+                        if F_mat.matvec(rel):
+                            return {"b_pair": (p, q), "a_pair": (k, l)}
+
+    expect = first_failure()
+    assert expect is not None
+    assert expect != {"b_pair": (0, 0), "a_pair": (0, 0)}  # passes skipped
+    label = "product-rule images land in the squared kernel"
+    assert (label, False) in b.report.checks
+    assert b.report.witness == {"check": label, **expect}
 
 
 def test_doctored_multiplication_table_fails():
