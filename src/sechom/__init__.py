@@ -16,7 +16,7 @@ from .algebra import (AlgMorphism, FinAlgebra, commutator_subspace,
                       split_product_algebra, tensor_algebra,
                       truncated_polynomial_algebra, validate_algebra)
 from .chains import (ChainIndex, ChainSpace, boundary, chain_dim, chain_space,
-                     cyclic_operator, cyclic_quotient, face_map, pair_list)
+                     cyclic_operator, cyclic_quotient, pair_list)
 from .differentials import (OmegaPresentation, ambient_symbol,
                             coefficient_action, d_one_A_subspace, d_symbol,
                             omega, symbol_index)

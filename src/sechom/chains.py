@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
 
 from .algebra import multiply
-from .linalg import (ONE, QuotientStructure, SparseMat, Subspace,
+from .linalg import (QuotientStructure, SparseMat, Subspace,
                      InternalCheckError, _axpy, basis_vector)
 from .triples import Triple
 
@@ -56,9 +55,6 @@ class ChainIndex:
     degree: int
     a: tuple
     b: tuple  # aligned with pair_list(degree)
-
-    def b_dict(self) -> dict:
-        return dict(zip(pair_list(self.degree), self.b))
 
 
 class ChainSpace:
@@ -251,8 +247,8 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
     """The sum of sign * face i over (i, sign) in faces, degree n to n - 1.
 
     Every face in degree n multiplies one sandwich and n - 1 products in B,
-    so each entry is an integer over sden * bden^(n - 1), divided once when
-    the column is finished.
+    so each entry is an integer over sden * bden^(n - 1), and the integer
+    columns go into the matrix over that denominator as they are.
     """
     tb = _tables(T)
     src = chain_space(T, n)
@@ -273,19 +269,10 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
         for shifts, products, sign in split:
             for r, x in _face_terms(tb, shifts, products, digits):
                 acc[r] = acc.get(r, 0) + sign * x
-        col = {r: Fraction(x, den) for r, x in acc.items() if x}
+        col = {r: x for r, x in acc.items() if x}
         if col:
             cols[ix] = col
-    return SparseMat(dst.dim, src.dim, cols)
-
-
-def face_map(T: Triple, n: int, i: int) -> SparseMat:
-    """The unsigned face i in degree n, as a matrix to degree n - 1."""
-    if n < 1:
-        raise ValueError("faces need degree at least 1")
-    if not 0 <= i <= n:
-        raise ValueError(f"face index {i} outside 0..{n}")
-    return _face_sum(T, n, [(i, 1)])
+    return SparseMat.from_ints(dst.dim, src.dim, cols, den)
 
 
 def boundary(T: Triple, n: int) -> SparseMat:
@@ -327,7 +314,7 @@ def _rotation(T: Triple, n: int) -> tuple:
     moves = list(zip(src_of, cs.weights))
     img = [sum(digits[src] * w for src, w in moves)
            for digits in cs.all_digit_tuples()]
-    rot = (img, [ONE if n % 2 == 0 else -ONE] * cs.dim)
+    rot = (img, [1 if n % 2 == 0 else -1] * cs.dim)
     tb.rotations[n] = rot
     return rot
 
@@ -336,8 +323,9 @@ def cyclic_operator(T: Triple, n: int) -> SparseMat:
     """Signed rotation: a-slots shift by one (slot n to slot 0) and b-slots
     follow, with global sign (-1)^n."""
     img, sgn = _rotation(T, n)
-    return SparseMat(len(img), len(img),
-                     {c: {i: s} for c, (i, s) in enumerate(zip(img, sgn))})
+    return SparseMat.from_ints(
+        len(img), len(img),
+        {c: {i: s} for c, (i, s) in enumerate(zip(img, sgn))})
 
 
 def _coinvariant_relations(T: Triple, n: int) -> Subspace:
@@ -352,7 +340,7 @@ def _coinvariant_relations(T: Triple, n: int) -> Subspace:
             if seen[start]:
                 continue
             orbit, coef = [], []
-            i, c = start, ONE
+            i, c = start, 1
             while not seen[i]:
                 seen[i] = 1
                 orbit.append(i)
@@ -361,13 +349,13 @@ def _coinvariant_relations(T: Triple, n: int) -> Subspace:
                 i = img[i]
             if c < 0:
                 for i in orbit:
-                    rows[i] = {i: ONE}
+                    rows[i] = {i: 1}
                 continue
             m = max(orbit)
             cm = coef[orbit.index(m)]
             for i, ci in zip(orbit, coef):
                 if i != m:
-                    rows[i] = {i: ONE, m: -ci * cm}
+                    rows[i] = {i: 1, m: -ci * cm}
         pivots = sorted(rows)
         W = Subspace.from_canonical(len(img), [rows[p] for p in pivots], pivots)
         tb.wspaces[n] = W
@@ -382,7 +370,8 @@ def cyclic_quotient(T: Triple, n: int) -> QuotientStructure:
     the degree n-1 coinvariant relations.  Failure is a hard error since
     any quotient complex built afterwards would be meaningless.  Column c
     of that composite is boundary[c] - sgn[c] * boundary[img[c]], so the
-    check costs one pass over the boundary's nonzeros.
+    check costs one pass over the boundary's nonzeros, in its integer
+    numerators: scaling a vector does not change whether it is a relation.
     """
     tb = _tables(T)
     Q = tb.quotients.get(n)
@@ -392,7 +381,7 @@ def cyclic_quotient(T: Triple, n: int) -> QuotientStructure:
         tb.quotients[n] = Q
     if n >= 1 and n not in tb.compat_checked:
         W_low = _coinvariant_relations(T, n - 1)
-        bnd = boundary(T, n).cols
+        bnd = boundary(T, n).num
         img, sgn = _rotation(T, n)
         for c in range(Q.ambient_dim):
             moved = dict(bnd.get(c, {}))

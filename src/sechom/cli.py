@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .homology import DEFAULT_MAX_DEGREE, DegreeCapError, hc, hh
+from .homology import DEFAULT_MAX_DEGREE, DegreeCapError, check_degree, hc, hh
 from .kernel import kernel_data, symmetry_check
 from .linalg import basis_vector
 from .differentials import d_one_A_subspace, omega
@@ -84,8 +84,12 @@ def _load(args) -> ParsedTriple:
         raise _CliError(f"invalid triple: {exc}", EXIT_VALIDATION) from None
 
 
-def _parse_degrees(spec: str) -> list:
+def _parse_degrees(spec: str, cap: int) -> tuple:
+    """The requested degrees up to the cap, sorted, and the smallest one
+    above it (None if there is none).  No range is expanded past the cap."""
     out = set()
+    over = None
+    lowest = 0
     for part in spec.split(","):
         part = part.strip()
         if ".." in part:
@@ -97,15 +101,19 @@ def _parse_degrees(spec: str) -> list:
                     from None
             if lo_i > hi_i:
                 raise _CliError(f"empty degree range {part!r}", EXIT_PARSE)
-            out.update(range(lo_i, hi_i + 1))
         else:
             try:
-                out.add(int(part))
+                lo_i = hi_i = int(part)
             except ValueError:
                 raise _CliError(f"bad degree {part!r}", EXIT_PARSE) from None
-    if any(d < 0 for d in out):
+        lowest = min(lowest, lo_i)
+        out.update(range(lo_i, min(hi_i, cap) + 1))
+        if hi_i > cap:
+            first = max(lo_i, cap + 1)
+            over = first if over is None else min(over, first)
+    if lowest < 0:
         raise _CliError("degrees must be nonnegative", EXIT_PARSE)
-    return sorted(out)
+    return sorted(out), over
 
 
 def _report_dict(rep: TheoremReport) -> dict:
@@ -211,13 +219,15 @@ def _cmd_compute(args) -> int:
     reps_out = []
     if args.flavor in ("hh", "hc"):
         func = hh if args.flavor == "hh" else hc
-        degrees = _parse_degrees(args.degree)
-        results = []
-        for n in degrees:
+        degrees, over = _parse_degrees(args.degree, cap)
+        if over is not None:  # refused before any degree is computed
             try:
-                res = func(T, n, max_degree=cap)
+                check_degree(T, over, cap)
             except DegreeCapError as exc:
                 raise _CliError(str(exc), EXIT_RESOURCE) from None
+        results = []
+        for n in degrees:
+            res = func(T, n, max_degree=cap)
             results.append({"degree": n, "dimension": res.dimension})
             if args.representatives:
                 for i, rep in enumerate(res.representatives):

@@ -36,7 +36,8 @@ class DegreeCapError(ValueError):
         self.cap = cap
 
 
-def _check_degree(T: Triple, n: int, max_degree) -> None:
+def check_degree(T: Triple, n: int, max_degree) -> None:
+    """Raise DegreeCapError when n exceeds the cap (default 3)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     cap = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
@@ -63,7 +64,8 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols) -> QuotientStruct
 
     Callers must have certified that the given columns are cycles; the
     coordinates are then read off the canonical basis without a second
-    membership pass.
+    membership pass.  Integer numerators serve as well as the columns
+    themselves, since only their span matters.
     """
     rels = [cycles.coords_of(col, verify=False) for col in next_boundary_cols]
     return QuotientStructure(cycles.dim, Subspace(cycles.dim, rels))
@@ -81,7 +83,7 @@ def _homology_pieces(d: SparseMat, d_next: SparseMat, what: str, n: int):
             f"{what} squared is nonzero between degrees {n + 1} and {n - 1}")
     cycles = nullspace(d)
     Q = _quotient_of_complex(
-        cycles, (d_next.cols[c] for c in sorted(d_next.cols)))
+        cycles, (d_next.num[c] for c in sorted(d_next.num)))
     return cycles, Q
 
 
@@ -92,7 +94,7 @@ def _hh_pieces(T: Triple, n: int):
 
 def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
     """Homology of the chain complex at degree n."""
-    _check_degree(T, n, max_degree)
+    check_degree(T, n, max_degree)
     cycles, Q = _hh_pieces(T, n)
     reps = [to_dense(cycles.rows[c], chain_dim(T, n)) for c in Q.nonpivots]
     return HomologyResult(T.name, "hh", n, Q.dim, reps)
@@ -121,7 +123,7 @@ def _hc_pieces(T: Triple, n: int):
 
 def hc(T: Triple, n: int, max_degree=None) -> HomologyResult:
     """Homology of the cyclic coinvariant complex at degree n."""
-    _check_degree(T, n, max_degree)
+    check_degree(T, n, max_degree)
     q_n, cycles, Q = _hc_pieces(T, n)
     reps = [to_dense(q_n.section(cycles.rows[c]), chain_dim(T, n))
             for c in Q.nonpivots]

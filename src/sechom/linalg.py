@@ -3,19 +3,28 @@
 Conventions used throughout the package:
 
 * a *vector* is a sparse dict mapping index -> nonzero Fraction; inputs
-  may be dense lists or sparse dicts, and every vector this module
-  returns is a sparse dict (`to_dense` turns one into a list where a
-  caller needs coordinates by position),
-* matrices are column-major sparse (`SparseMat`), each column such a dict,
+  may be dense lists or sparse dicts of ints or Fractions, and every
+  vector this module returns is a sparse dict of Fractions (`to_dense`
+  turns one into a list where a caller needs coordinates by position),
+* matrices are column-major sparse (`SparseMat`),
 * subspaces are stored as reduced row echelon bases, so two subspaces are
   equal exactly when their stored data is equal.
 
+Arithmetic is in integers over a common denominator, after Bareiss.  A
+`SparseMat` holds integer numerator columns over one positive
+denominator, in lowest terms (the gcd of the denominator and every entry
+is 1), so products, sums and transposes multiply plain ints and `==`
+compares stored data.  A `Subspace` holds one primitive integer row per
+pivot, positive at its pivot and zero at every other pivot; dividing a
+row by its pivot entry gives the canonical row.
+
 Elimination is fraction-free: `Subspace` turns each input vector into a
 primitive integer row, reduces it against the integer working rows by
-cross-multiplication and strips the content after each scaled step, so
-no Fraction is formed while rows are combined.  Fractions appear
-once, when the canonical rows (pivot entry 1, zero at every other pivot)
-are emitted.
+cross-multiplication and strips the content after each scaled step.
+Reduction against a finished basis scales the vector once, by the lcm of
+the pivot entries it meets, and then subtracts integer multiples of
+rows.  Fractions are formed only for the vectors and rows that leave this
+module (`rows`, `reduce`, `coords_of`, `column`, `matvec`, ...).
 
 Everything is exact; no floats enter at any point.
 """
@@ -56,6 +65,25 @@ def _as_sparse(v) -> dict:
             for i, x in items if x}
 
 
+def _ints(v) -> tuple:
+    """A dense or sparse rational vector as (numerators, den): a sparse
+    dict of nonzero ints over den, the lcm of the entries' denominators."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    v = {i: x for i, x in items if x}
+    if all(type(x) is int for x in v.values()):
+        return v, 1
+    v = _as_sparse(v)
+    den = lcm(*(x.denominator for x in v.values()))
+    return {i: x.numerator * (den // x.denominator) for i, x in v.items()}, den
+
+
+def _as_fractions(v: dict, den: int) -> dict:
+    """The integer vector v divided by den > 0, as a sparse dict of Fractions."""
+    if den == 1:
+        return {i: Fraction(x) for i, x in v.items()}
+    return {i: Fraction(x, den) for i, x in v.items()}
+
+
 def to_dense(v: dict, n: int) -> list:
     """The sparse vector v as a dense list of length n."""
     out = [ZERO] * n
@@ -64,25 +92,15 @@ def to_dense(v: dict, n: int) -> list:
     return out
 
 
-def _axpy(v: dict, c: Fraction, w: dict) -> None:
-    """v += c*w in place, dropping entries that cancel."""
+def _axpy(v: dict, c: int, w: dict) -> None:
+    """v += c*w in place for integer vectors and c != 0, dropping entries
+    that cancel."""
     for i, x in w.items():
-        y = v.get(i, ZERO) + c * x
+        y = v.get(i, 0) + c * x
         if y:
             v[i] = y
         else:
-            v.pop(i, None)
-
-
-def _primitive(v: dict) -> dict:
-    """The primitive integer multiple of a nonzero sparse rational vector."""
-    den = lcm(*(x.denominator for x in v.values()))
-    if den == 1:
-        ints = {i: x.numerator for i, x in v.items()}
-    else:
-        ints = {i: x.numerator * (den // x.denominator) for i, x in v.items()}
-    _strip_content(ints)
-    return ints
+            del v[i]
 
 
 def _strip_content(v: dict) -> None:
@@ -108,12 +126,7 @@ def _eliminate(v: dict, row: dict, p: int) -> None:
     if a != 1:
         for i in v:
             v[i] *= a
-    for i, x in row.items():
-        y = v.get(i, 0) - b * x
-        if y:
-            v[i] = y
-        else:
-            del v[i]
+    _axpy(v, -b, row)
     if a != 1 and v:
         _strip_content(v)
 
@@ -121,24 +134,24 @@ def _eliminate(v: dict, row: dict, p: int) -> None:
 class Subspace:
     """A linear subspace of Q^n held as a reduced row echelon basis.
 
-    The basis rows are pivot-normalized and fully reduced, so the stored
-    form is canonical: two Subspaces are equal iff they describe the same
-    subspace of the same ambient space.
+    Row k is stored as a primitive integer vector, positive at its pivot
+    `pivots[k]` and zero at every other pivot; divided by its pivot entry
+    it is the canonical row `rows[k]`.  Both forms are unique, so two
+    Subspaces are equal iff they describe the same subspace of the same
+    ambient space.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_pivot_pos")
+    __slots__ = ("ambient_dim", "pivots", "_int_rows", "_rows", "_pivot_pos")
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
         self.ambient_dim = ambient_dim
         work: dict[int, dict] = {}  # pivot -> primitive integer row
         for v in vectors:
-            v = _as_sparse(v)
-            if any(i < 0 or i >= ambient_dim for i in v):
-                raise AmbientDimensionError(
-                    f"vector index out of range for ambient dimension {ambient_dim}")
+            v = _ints(v)[0]
+            self._check_range(v)
             if not v:
                 continue
-            v = _primitive(v)
+            _strip_content(v)
             while v:
                 lead = min(v)
                 row = work.get(lead)
@@ -150,14 +163,16 @@ class Subspace:
         # fully reduced, so clearing one pivot leaves the others alone and
         # each row visits only the pivots it holds.
         self.pivots = sorted(work)
-        self.rows = [{}] * len(self.pivots)
-        for k in range(len(self.pivots) - 1, -1, -1):
-            p = self.pivots[k]
+        for p in reversed(self.pivots):
             row = work[p]
             for q in [q for q in row if q != p and q in work]:
                 _eliminate(row, work[q], q)
-            lead = row[p]
-            self.rows[k] = {i: Fraction(x, lead) for i, x in row.items()}
+            _strip_content(row)
+            if row[p] < 0:
+                for i in row:
+                    row[i] = -row[i]
+        self._int_rows = [work[p] for p in self.pivots]
+        self._rows = None
         self._pivot_pos = {p: k for k, p in enumerate(self.pivots)}
 
     @classmethod
@@ -165,51 +180,80 @@ class Subspace:
                        pivots: list) -> "Subspace":
         """Wrap rows that are already the canonical RREF, with no elimination.
 
-        `rows[k]` has its least index at `pivots[k]`, value 1 there and 0 at
-        every other pivot; pivots strictly increase.  This is checked in
-        time linear in the entries, and a violation raises ValueError.
+        `rows[k]` (ints or Fractions) has its least index at `pivots[k]`,
+        value 1 there and 0 at every other pivot; pivots strictly increase.
+        This is checked in time linear in the entries, and a violation
+        raises ValueError.
         """
         sub = cls.__new__(cls)
         sub.ambient_dim = ambient_dim
-        sub.rows = list(rows)
         sub.pivots = list(pivots)
         sub._pivot_pos = {p: k for k, p in enumerate(sub.pivots)}
-        if len(sub.rows) != len(sub.pivots) or any(
+        if len(rows) != len(sub.pivots) or any(
                 a >= b for a, b in zip(sub.pivots, sub.pivots[1:])):
             raise ValueError("pivots must strictly increase, one per row")
-        for p, row in zip(sub.pivots, sub.rows):
+        for p, row in zip(sub.pivots, rows):
             if (row.get(p) != 1 or min(row) != p or max(row) >= ambient_dim
                     or not all(row.values())
                     or any(k != p and k in sub._pivot_pos for k in row)):
                 raise ValueError(f"row with pivot {p} is not in canonical form")
+        # Over the lcm of its denominators a row with a 1 at its pivot is
+        # primitive and positive there.
+        sub._int_rows = [_ints(row)[0] for row in rows]
+        sub._rows = None
         return sub
 
     # -- queries -----------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, v) -> dict:
-        """Remainder of v after reduction against the basis (sparse).
+    @property
+    def rows(self) -> list:
+        """The canonical basis rows, sparse dicts of Fractions: row k is 1
+        at `pivots[k]` and 0 at every other pivot.  Formed on first use."""
+        if self._rows is None:
+            self._rows = [_as_fractions(row, row[p])
+                          for p, row in zip(self.pivots, self._int_rows)]
+        return self._rows
 
-        Stored rows are fully reduced: each is 1 at its own pivot and 0 at
-        every other pivot.  Subtracting one therefore leaves the other
-        pivot entries of v alone, so only the rows whose pivots lie in v's
-        support are used, each once with v's own entry as coefficient; the
-        cost follows v's support and those rows, not the rank.
-        """
-        v = _as_sparse(v)
+    def _check_range(self, v: dict) -> None:
         if any(i < 0 or i >= self.ambient_dim for i in v):
             raise AmbientDimensionError(
                 f"vector index out of range for ambient dimension {self.ambient_dim}")
+
+    def _remainder(self, v) -> tuple:
+        """The remainder of a rational vector v after reduction against the
+        basis, as (numerators, den).
+
+        Each stored row is zero at every other pivot, so subtracting one
+        leaves the other pivot entries of v alone.  Only the rows whose
+        pivots lie in v's support are used, each once, after v is scaled
+        by the lcm of their pivot entries; the cost follows v's support
+        and those rows, not the rank.
+        """
+        v, den = _ints(v)
+        self._check_range(v)
         pos = self._pivot_pos
-        for p in [p for p in v if p in pos]:
-            _axpy(v, -v[p], self.rows[pos[p]])
-        return v
+        hits = [(p, self._int_rows[pos[p]]) for p in v if p in pos]
+        if not hits:
+            return v, den
+        scale = lcm(*(row[p] for p, row in hits))
+        coefs = [(v[p] * (scale // row[p]), row) for p, row in hits]
+        if scale != 1:
+            for i in v:
+                v[i] *= scale
+        for c, row in coefs:
+            _axpy(v, -c, row)
+        return v, den * scale
+
+    def reduce(self, v) -> dict:
+        """Remainder of v after reduction against the basis (sparse)."""
+        return _as_fractions(*self._remainder(v))
 
     def contains(self, v) -> bool:
-        return not self.reduce(v)
+        return not self._remainder(v)[0]
 
     def coords_of(self, v, verify: bool = True) -> dict:
         """Coordinates of v in the stored basis, sparse: {row number: x}.
@@ -218,58 +262,86 @@ class Subspace:
         With verify on, a vector outside the subspace raises ValueError;
         with it off the caller must know v lies in the subspace.
         """
-        v = _as_sparse(v)
-        pos = self._pivot_pos
-        coords = {pos[p]: x for p, x in v.items() if p in pos}
-        if verify and self.reduce(v):
+        if verify and self._remainder(v)[0]:
             raise ValueError("vector is not in the subspace")
-        return coords
+        pos = self._pivot_pos
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        return _as_sparse({pos[p]: x for p, x in items if p in pos})
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise AmbientDimensionError("subspace sum across different ambient spaces")
-        return Subspace(self.ambient_dim, self.rows + other.rows)
+        return Subspace(self.ambient_dim, self._int_rows + other._int_rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
                 and self.pivots == other.pivots
-                and self.rows == other.rows)
+                and self._int_rows == other._int_rows)
 
     def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.rows)
+        if self.ambient_dim != other.ambient_dim:
+            raise AmbientDimensionError(
+                "subspace comparison across different ambient spaces")
+        return all(other.contains(row) for row in self._int_rows)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
 class SparseMat:
-    """Column-major sparse matrix over the rationals."""
+    """Column-major sparse matrix over the rationals.
 
-    __slots__ = ("nrows", "ncols", "cols")
+    The matrix is `num / den`: `num` maps a column index to its integer
+    numerators (no zero entry, no empty column) and `den` is one positive
+    integer, in lowest terms.  The stored form is therefore unique.
+    """
+
+    __slots__ = ("nrows", "ncols", "num", "den")
 
     def __init__(self, nrows: int, ncols: int,
                  cols: Optional[dict[int, dict]] = None):
+        """The matrix with these columns, {column: {row: rational}}."""
         self.nrows = nrows
         self.ncols = ncols
-        self.cols: dict[int, dict] = cols if cols is not None else {}
+        cols = {c: _as_sparse(col) for c, col in (cols or {}).items()}
+        # Over the lcm of the denominators the numerators have no common
+        # factor with it, so this is already in lowest terms.
+        self.den = den = lcm(*(x.denominator for col in cols.values()
+                               for x in col.values()))
+        self.num = {c: {r: x.numerator * (den // x.denominator)
+                        for r, x in col.items()}
+                    for c, col in cols.items() if col}
+
+    @classmethod
+    def from_ints(cls, nrows: int, ncols: int, num: dict,
+                  den: int = 1) -> "SparseMat":
+        """The matrix num / den for integer columns num (no zero entry, no
+        empty column; the dict is taken over) and den > 0, brought to
+        lowest terms."""
+        if den != 1:
+            g = den
+            for col in num.values():
+                g = gcd(g, *col.values())
+                if g == 1:
+                    break
+            if g != 1:
+                num = {c: {r: x // g for r, x in col.items()}
+                       for c, col in num.items()}
+                den //= g
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m.num, m.den = nrows, ncols, num, den
+        return m
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int, entries) -> "SparseMat":
-        m = cls(nrows, ncols)
+        cols: dict[int, dict] = {}
         for r, c, x in entries:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise AmbientDimensionError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            x = Fraction(x)
-            if x:
-                col = m.cols.setdefault(c, {})
-                y = col.get(r, ZERO) + x
-                if y:
-                    col[r] = y
-                else:
-                    del col[r]
-        m._prune()
-        return m
+            col = cols.setdefault(c, {})
+            col[r] = col.get(r, ZERO) + Fraction(x)
+        return cls(nrows, ncols, cols)
 
     @classmethod
     def from_columns(cls, nrows: int, columns: Iterable) -> "SparseMat":
@@ -280,62 +352,58 @@ class SparseMat:
             col = _as_sparse(col)
             if any(r < 0 or r >= nrows for r in col):
                 raise AmbientDimensionError(f"row index out of range in column {c}")
-            if col:
-                cols[c] = col
+            cols[c] = col
         return cls(nrows, len(columns), cols)
 
     @classmethod
     def identity(cls, n: int) -> "SparseMat":
-        return cls(n, n, {i: {i: ONE} for i in range(n)})
+        return cls.from_ints(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "SparseMat":
         return cls(nrows, ncols)
 
-    def _prune(self) -> None:
-        for c in [c for c, col in self.cols.items() if not col]:
-            del self.cols[c]
-
     def column(self, c: int) -> dict:
         if not 0 <= c < self.ncols:
             raise AmbientDimensionError(f"column {c} outside width {self.ncols}")
-        return dict(self.cols.get(c, {}))
+        return _as_fractions(self.num.get(c, {}), self.den)
 
     def entries(self) -> Iterator[tuple]:
         """Yield (row, col, value) sorted by (row, col)."""
         items = []
-        for c, col in self.cols.items():
-            for r, x in col.items():
+        for c, col in self.num.items():
+            for r, x in _as_fractions(col, self.den).items():
                 items.append((r, c, x))
         items.sort(key=lambda t: (t[0], t[1]))
         return iter(items)
 
     @property
     def nnz(self) -> int:
-        return sum(len(col) for col in self.cols.values())
+        return sum(len(col) for col in self.num.values())
 
     def is_zero(self) -> bool:
-        return not self.cols
+        return not self.num
 
     def transpose(self) -> "SparseMat":
         cols: dict[int, dict] = {}
-        for c, col in self.cols.items():
+        for c, col in self.num.items():
             for r, x in col.items():
                 cols.setdefault(r, {})[c] = x
-        return SparseMat(self.ncols, self.nrows, cols)
+        return SparseMat.from_ints(self.ncols, self.nrows, cols, self.den)
 
     def matvec(self, v) -> dict:
         """Product M v for a dense or sparse vector v."""
-        v = _as_sparse(v)
+        v, den = _ints(v)
         if any(c < 0 or c >= self.ncols for c in v):
             raise AmbientDimensionError(f"vector index outside width {self.ncols}")
-        return self._times(v)
+        return _as_fractions(self._times(v), self.den * den)
 
     def _times(self, v: dict) -> dict:
-        """M v for a sparse vector already known to fit, unchecked."""
+        """num v for an integer vector already known to fit, unchecked."""
         acc: dict = {}
+        cols = self.num
         for c, x in v.items():
-            col = self.cols.get(c)
+            col = cols.get(c)
             if col:
                 _axpy(acc, x, col)
         return acc
@@ -345,22 +413,26 @@ class SparseMat:
             raise AmbientDimensionError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         cols = {}
-        for c, col in other.cols.items():
+        for c, col in other.num.items():
             acc = self._times(col)
             if acc:
                 cols[c] = acc
-        return SparseMat(self.nrows, other.ncols, cols)
+        return SparseMat.from_ints(self.nrows, other.ncols, cols,
+                                   self.den * other.den)
 
     def _combine(self, other: "SparseMat", sign: int) -> "SparseMat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise AmbientDimensionError("matrix shapes differ")
-        cols = {c: dict(col) for c, col in self.cols.items()}
-        for c, col in other.cols.items():
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        cols = {c: {r: a * x for r, x in col.items()}
+                for c, col in self.num.items()}
+        for c, col in other.num.items():
             acc = cols.setdefault(c, {})
-            _axpy(acc, Fraction(sign), col)
-        out = SparseMat(self.nrows, self.ncols, cols)
-        out._prune()
-        return out
+            _axpy(acc, b, col)
+            if not acc:
+                del cols[c]
+        return SparseMat.from_ints(self.nrows, self.ncols, cols, den)
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
         return self._combine(other, 1)
@@ -371,13 +443,12 @@ class SparseMat:
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseMat)
                 and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-                and self.cols == other.cols)
+                and self.den == other.den and self.num == other.num)
 
     def to_dense(self) -> list:
         out = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for c, col in self.cols.items():
-            for r, x in col.items():
-                out[r][c] = x
+        for r, c, x in self.entries():
+            out[r][c] = x
         return out
 
     def __repr__(self) -> str:
@@ -385,10 +456,13 @@ class SparseMat:
 
 
 # -- matrix-level operations ----------------------------------------------
+#
+# A span, a rank or a zero test does not change when a matrix is scaled,
+# so these run on the integer numerators and never divide.
 
 def _row_dicts(M: SparseMat) -> list:
     rows: list[dict] = [dict() for _ in range(M.nrows)]
-    for c, col in M.cols.items():
+    for c, col in M.num.items():
         for r, x in col.items():
             rows[r][c] = x
     return rows
@@ -396,8 +470,7 @@ def _row_dicts(M: SparseMat) -> list:
 
 def rank(M: SparseMat) -> int:
     """Rank via row elimination with content stripping."""
-    sp = Subspace(M.ncols, _row_dicts(M))
-    return sp.dim
+    return row_space(M).dim
 
 
 def row_space(M: SparseMat) -> Subspace:
@@ -405,21 +478,31 @@ def row_space(M: SparseMat) -> Subspace:
 
 
 def colspace(M: SparseMat) -> Subspace:
-    return Subspace(M.nrows, (M.cols[c] for c in sorted(M.cols)))
+    return Subspace(M.nrows, (M.num[c] for c in sorted(M.num)))
 
 
 def nullspace(M: SparseMat) -> Subspace:
-    """Kernel of M as a subspace of Q^ncols."""
+    """Kernel of M as a subspace of Q^ncols.
+
+    Free column f gives the kernel vector e_f minus the sum of
+    rows[p][f] * e_p over the pivots p, scaled to integers by the lcm of
+    the pivot entries of the rows that hold f.
+    """
     R = row_space(M)
-    pivset = set(R.pivots)
-    free = [c for c in range(M.ncols) if c not in pivset]
+    held: dict[int, list] = {}  # free column -> [(pivot, entry, pivot entry)]
+    for p, row in zip(R.pivots, R._int_rows):
+        for c, x in row.items():
+            if c != p:
+                held.setdefault(c, []).append((p, x, row[p]))
     basis = []
-    for f in free:
-        v = {f: ONE}
-        for p, row in zip(R.pivots, R.rows):
-            x = row.get(f)
-            if x:
-                v[p] = -x
+    for f in range(M.ncols):
+        if f in R._pivot_pos:
+            continue
+        terms = held.get(f, ())
+        scale = lcm(*(r for _, _, r in terms))
+        v = {f: scale}
+        for p, x, r in terms:
+            v[p] = -x * (scale // r)
         basis.append(v)
     ker = Subspace(M.ncols, basis)
     if ker.dim != M.ncols - R.dim:
@@ -432,18 +515,23 @@ def solve(M: SparseMat, b) -> Optional[dict]:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    b = _as_sparse(b)
+    b, bden = _ints(b)
     if any(i < 0 or i >= M.nrows for i in b):
         raise AmbientDimensionError("right-hand side has wrong length")
+    # With M = num / den and b = numerators / bden, M x = b is
+    # bden * num x = den * numerators.
     aug = M.ncols
     rows = _row_dicts(M)
+    if bden != 1:
+        rows = [{c: bden * x for c, x in row.items()} for row in rows]
     for i, x in b.items():
-        rows[i][aug] = x
+        rows[i][aug] = M.den * x
     R = Subspace(M.ncols + 1, rows)
     if R.pivots and R.pivots[-1] == aug:
         return None
-    x = {p: row[aug] for p, row in zip(R.pivots, R.rows) if aug in row}
-    if M.matvec(x) != b:
+    x = {p: Fraction(row[aug], row[p])
+         for p, row in zip(R.pivots, R._int_rows) if aug in row}
+    if M.matvec(x) != _as_fractions(b, bden):
         raise InternalCheckError("solver produced an invalid solution")
     return x
 
@@ -489,26 +577,27 @@ class QuotientStructure:
         return {self.nonpivots[j]: x for j, x in coords.items()}
 
     def project_matrix(self) -> SparseMat:
-        """Matrix of `project` (dim x ambient_dim), read off the canonical form."""
+        """Matrix of `project` (dim x ambient_dim), read off the canonical
+        form: over the lcm of the pivot entries, column p of a pivot holds
+        minus the row's non-pivot entries."""
         if self._proj is None:
+            rel = self.relations
             pos = {c: i for i, c in enumerate(self.nonpivots)}
-            cols: dict[int, dict] = {}
-            for c, i in pos.items():
-                cols[c] = {i: ONE}
-            for p, row in zip(self.relations.pivots, self.relations.rows):
-                col = {}
-                for c, x in row.items():
-                    if c in pos:
-                        col[pos[c]] = -x
+            den = lcm(*(row[p] for p, row in zip(rel.pivots, rel._int_rows)))
+            cols: dict[int, dict] = {c: {i: den} for c, i in pos.items()}
+            for p, row in zip(rel.pivots, rel._int_rows):
+                s = den // row[p]
+                col = {pos[c]: -x * s for c, x in row.items() if c in pos}
                 if col:
                     cols[p] = col
-            self._proj = SparseMat(self.dim, self.ambient_dim, cols)
+            self._proj = SparseMat.from_ints(self.dim, self.ambient_dim,
+                                             cols, den)
         return self._proj
 
     def section_matrix(self) -> SparseMat:
         if self._sect is None:
-            cols = {i: {c: ONE} for i, c in enumerate(self.nonpivots)}
-            self._sect = SparseMat(self.ambient_dim, self.dim, cols)
+            cols = {i: {c: 1} for i, c in enumerate(self.nonpivots)}
+            self._sect = SparseMat.from_ints(self.ambient_dim, self.dim, cols)
         return self._sect
 
     def __repr__(self) -> str:
@@ -525,8 +614,8 @@ def induced_on_quotients(M: SparseMat, src: QuotientStructure,
     if M.ncols != src.ambient_dim or M.nrows != dst.ambient_dim:
         raise AmbientDimensionError("matrix shape does not match the quotients")
     if check:
-        for row in src.relations.rows:
-            if not dst.relations.contains(M.matvec(row)):
+        for row in src.relations._int_rows:
+            if not dst.relations.contains(M._times(row)):
                 raise InternalCheckError(
                     "map does not descend to the quotient: image of a relation "
                     "is not a relation")

@@ -120,15 +120,6 @@ def dense_rank(M) -> int:
     return r
 
 
-def dense_rank_of_sparse(M) -> int:
-    """Rank of an engine sparse matrix, recomputed densely."""
-    _check_cap(max(M.nrows, M.ncols))
-    D = _zeros(M.nrows, M.ncols)
-    for rr, cc, x in M.entries():
-        D[rr][cc] = x
-    return dense_rank(D)
-
-
 def _hstack(left: list, right: list) -> list:
     """Column concatenation [left | right] of two matrices with equal rows."""
     return [lrow + rrow for lrow, rrow in zip(left, right)]

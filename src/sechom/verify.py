@@ -142,9 +142,9 @@ def _prop_hh1_omega(T: Triple, P: OmegaPresentation, b: _Builder):
     bnd2 = boundary(T, 2)
     moved = phi @ bnd2
     b.check_all("boundaries map into relations",
-                ({"column": c, "vector": _wvec(moved.cols[c])}
-                 for c in sorted(moved.cols)
-                 if not P.relations.contains(moved.cols[c])))
+                ({"column": c, "vector": _wvec(moved.column(c))}
+                 for c in sorted(moved.num)
+                 if not P.relations.contains(moved.num[c])))
 
     b.check("symbol images are cycles", (boundary(T, 1) @ psi).is_zero())
 

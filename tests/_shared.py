@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from sechom.algebra import FinAlgebra, multiply
 from sechom.differentials import ambient_symbol
+from sechom.oracles import _check_cap, dense_rank
 from sechom.triples import catalog, catalog_names, make_triple
 
 _MEMO: dict = {}
@@ -54,6 +55,25 @@ def rescaled_triple(name: str):
                for p in range(B.dim)]
         _MEMO[key] = make_triple(A, B, eps, name=f"{name}_rescaled")
     return _MEMO[key]
+
+
+def dense_rank_of_sparse(M) -> int:
+    """Rank of an engine sparse matrix, recomputed densely by the oracle."""
+    _check_cap(max(M.nrows, M.ncols))
+    D = [[Fraction(0)] * M.ncols for _ in range(M.nrows)]
+    for rr, cc, x in M.entries():
+        D[rr][cc] = x
+    return dense_rank(D)
+
+
+def value_columns(M) -> dict:
+    """The nonzero columns of a SparseMat as {column: {row: Fraction}},
+    read through its entries, whatever the stored form."""
+    cols: dict = {}
+    for r, c, x in M.entries():
+        assert type(x) is Fraction
+        cols.setdefault(c, {})[r] = x
+    return cols
 
 
 def check_catalog_complete():

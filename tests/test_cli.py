@@ -4,7 +4,9 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
+from sechom import cli
 from sechom.cli import main
 from sechom.specfile import export_triple, parse_triple_file, triple_hash
 from sechom.triples import catalog, catalog_names
@@ -161,6 +163,26 @@ def test_degree_cap_and_override(capsys):
                                 "--degree", "4", "--max-degree-override", "4")
     assert code == 0
     assert payload["results"][0]["dimension"] == 1
+
+
+def test_over_cap_degrees_are_refused_before_any_work(capsys, monkeypatch):
+    # The smallest requested degree above the cap is refused first, so no
+    # degree below it is computed.
+    calls = []
+    monkeypatch.setattr(cli, "hc", lambda T, n, max_degree=None: calls.append(n))
+    code, _, err = run(capsys, "compute", "--catalog", "dual_dual_x",
+                       "--flavor", "hc", "--degree", "5,0..4")
+    assert code == 4 and calls == []
+    assert err.startswith("error: degree 4 exceeds the cap 3;")
+
+
+def test_huge_degree_range_is_refused_at_once(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "compute", "--catalog", "dual_dual_x",
+                       "--flavor", "hc", "--degree", "0..1000000000000")
+    assert time.perf_counter() - started < 1
+    assert code == 4
+    assert err.startswith("error: degree 4 exceeds the cap 3;")
 
 
 def test_file_degree_directive_raises_the_cap(capsys, tmp_path):

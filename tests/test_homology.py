@@ -9,15 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import ALL_NAMES, rescaled_triple, shared_triple
+from _shared import (ALL_NAMES, dense_rank_of_sparse, rescaled_triple,
+                     shared_triple)
 from sechom.algebra import commutator_subspace
 from sechom import homology
 from sechom.chains import boundary, chain_dim, cyclic_quotient
 from sechom.homology import (DegreeCapError, connes_segment_check, hc, hh)
 from sechom.linalg import InternalCheckError, SparseMat, Subspace
 from sechom.triples import catalog
-from sechom.oracles import (classical_hc_dims, classical_hh_dims,
-                            dense_rank_of_sparse)
+from sechom.oracles import classical_hc_dims, classical_hh_dims
 from sechom.verify import (verify_cor_hc1, verify_main, verify_prop_hh1_omega,
                            verify_prop_omega_J, verify_reduction_Bk)
 

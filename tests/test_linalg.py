@@ -6,8 +6,8 @@ from math import gcd, lcm
 
 import pytest
 
-from _shared import ALL_NAMES, shared_triple
-from sechom.chains import _coinvariant_relations
+from _shared import ALL_NAMES, rescaled_triple, shared_triple, value_columns
+from sechom.chains import _coinvariant_relations, boundary, cyclic_quotient
 from sechom.homology import hc, hh
 from sechom.linalg import (AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, colspace,
@@ -405,3 +405,165 @@ def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
     assert len(inputs) == 3 * 2 * 4 * len(ALL_NAMES)
     for ambient_dim, vectors in inputs:
         _assert_same_rref(ambient_dim, vectors)
+
+
+# -- equality gates for the integer core -----------------------------------
+#
+# Test-local Fraction copies of the matrix and reduction code that the
+# integer numerators replaced.  Matrices enter them as {column: {row:
+# Fraction}}, read through the public entries by value_columns.
+
+def _frac_axpy(v, c, w):
+    for i, x in w.items():
+        y = v.get(i, F(0)) + c * x
+        if y:
+            v[i] = y
+        else:
+            v.pop(i, None)
+
+
+def _frac_times(cols, v):
+    acc = {}
+    for c, x in v.items():
+        if cols.get(c):
+            _frac_axpy(acc, x, cols[c])
+    return acc
+
+
+def _frac_matmul(a_cols, b_cols):
+    out = {}
+    for c, col in b_cols.items():
+        acc = _frac_times(a_cols, col)
+        if acc:
+            out[c] = acc
+    return out
+
+
+def _frac_reduce(S, v):
+    pos = {p: k for k, p in enumerate(S.pivots)}
+    v = {i: F(x) for i, x in v.items() if x}
+    for p in [p for p in v if p in pos]:
+        _frac_axpy(v, -v[p], S.rows[pos[p]])
+    return v
+
+
+def _frac_project_matrix(Q):
+    pos = {c: i for i, c in enumerate(Q.nonpivots)}
+    cols = {c: {i: F(1)} for c, i in pos.items()}
+    for p, row in zip(Q.relations.pivots, Q.relations.rows):
+        col = {pos[c]: -x for c, x in row.items() if c in pos}
+        if col:
+            cols[p] = col
+    return cols
+
+
+def _frac_induced(M, src, dst):
+    m_cols = value_columns(M)
+    for row in src.relations.rows:
+        if _frac_reduce(dst.relations, _frac_times(m_cols, row)):
+            return None
+    sect = {i: {c: F(1)} for i, c in enumerate(src.nonpivots)}
+    return _frac_matmul(_frac_matmul(_frac_project_matrix(dst), m_cols), sect)
+
+
+def _assert_integer_core_matches(M, N, vectors, src, dst):
+    """M @ N, M.matvec on the vectors, reduce/contains/project of their
+    images (alone and shifted by relations) against dst's relations, and
+    the map M induces from src to dst, each against the Fraction copy."""
+    m_cols = value_columns(M)
+    assert value_columns(M @ N) == _frac_matmul(m_cols, value_columns(N))
+    R = dst.relations
+    inside = {}
+    for k, row in enumerate(R.rows[:3]):
+        _frac_axpy(inside, F(2 * k - 3, k + 2), row)
+    for v in vectors:
+        image = M.matvec(v)
+        assert image == _frac_times(m_cols, v)
+        shifted = dict(image)
+        _frac_axpy(shifted, F(1), inside)
+        for w in (image, shifted, inside):
+            rem = _frac_reduce(R, w)
+            assert R.reduce(w) == rem
+            assert R.contains(w) == (not rem)
+            axes = dst.nonpivots
+            assert dst.project(w) == {axes.index(c): x for c, x in rem.items()}
+    ref = _frac_induced(M, src, dst)
+    if ref is None:
+        with pytest.raises(InternalCheckError):
+            induced_on_quotients(M, src, dst)
+    else:
+        assert value_columns(induced_on_quotients(M, src, dst)) == ref
+
+
+def _random_rational(rng, big):
+    return F(rng.randrange(-9, 10) * big + rng.randrange(-9, 10),
+             rng.randrange(1, 8))
+
+
+def test_integer_core_matches_fraction_code_on_random_inputs():
+    rng = random.Random(1968)
+    for trial in range(150):
+        big = rng.choice([1, 10 ** 12])  # entries up to about 10^13 / 7
+        n, m, k = (rng.randrange(1, 7) for _ in range(3))
+
+        def rand_mat(rows, cols):
+            return SparseMat.from_entries(rows, cols, [
+                (r, c, _random_rational(rng, big))
+                for r in range(rows) for c in range(cols)
+                if rng.random() < 0.6])
+
+        M, N = rand_mat(n, m), rand_mat(m, k)
+        src = QuotientStructure(m, Subspace(m, [
+            {i: _random_rational(rng, big) for i in range(m)
+             if rng.random() < 0.5} for _ in range(rng.randrange(0, m))]))
+        # Relations that contain the image of src's relations (so M
+        # descends) on odd trials, arbitrary ones on even trials.
+        gens = [{i: _random_rational(rng, big) for i in range(n)
+                 if rng.random() < 0.5} for _ in range(rng.randrange(0, n))]
+        if trial % 2:
+            gens += [M.matvec(row) for row in src.relations.rows]
+        dst = QuotientStructure(n, Subspace(n, gens))
+        vectors = [{i: _random_rational(rng, big) for i in range(m)
+                    if rng.random() < 0.5} for _ in range(4)]
+        _assert_integer_core_matches(M, N, vectors, src, dst)
+
+
+def test_integer_core_matches_fraction_code_on_catalog_boundaries():
+    # d_n @ d_(n+1), boundary columns reduced against and projected onto
+    # the degree n-1 coinvariants, and the induced boundary, for n <= 3;
+    # the rescaled triples have boundaries over denominators 9 to 243.
+    triples = [shared_triple(name) for name in ALL_NAMES]
+    triples += [rescaled_triple("dual_dual_x"), rescaled_triple("trunc3_k")]
+    for T in triples:
+        for n in range(1, 4):
+            d = boundary(T, n)
+            d_next = boundary(T, n + 1) if n < 3 else SparseMat.zeros(d.ncols, 0)
+            vectors = [{c: F(1), (5 * c + 1) % d.ncols: F(-3, 2)}
+                       for c in range(0, d.ncols, 7)]
+            _assert_integer_core_matches(d, d_next, vectors,
+                                         cyclic_quotient(T, n),
+                                         cyclic_quotient(T, n - 1))
+    assert boundary(triples[-1], 3).den > 1
+
+
+def test_matrices_and_subspaces_built_at_two_scalings_are_equal():
+    M = SparseMat.from_ints(2, 3, {0: {0: 4, 1: -6}, 2: {1: 2}}, 6)
+    N = SparseMat.from_ints(2, 3, {0: {0: 2, 1: -3}, 2: {1: 1}}, 3)
+    assert M == N == SparseMat(2, 3, {0: {0: F(2, 3), 1: F(-1)},
+                                      2: {1: F(1, 3)}})
+    assert (M.num, M.den) == (N.num, N.den)
+    # Products whose factors carry opposite scalings: (3M)(N/3) = MN.
+    three = SparseMat.from_ints(2, 2, {0: {0: 3}, 1: {1: 3}})
+    third = SparseMat.from_ints(3, 3, {c: {c: 1} for c in range(3)}, 3)
+    assert (three @ M) @ third == M
+    assert M - M == SparseMat.zeros(2, 3) and (M - M).den == 1
+    S = Subspace(3, [[F(1, 2), F(3, 2), 0], [0, 0, F(7, 3)]])
+    assert S == Subspace(3, [[2, 6, 0], [0, 0, -1]])
+
+
+def test_subspace_order_needs_one_ambient_space():
+    small, big = Subspace(2, [[1, 0]]), Subspace(3, [[1, 0, 0]])
+    with pytest.raises(AmbientDimensionError):
+        small <= big
+    with pytest.raises(AmbientDimensionError):
+        big <= small

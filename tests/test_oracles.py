@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from _shared import dense_rank_of_sparse
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra,
@@ -17,8 +18,7 @@ from sechom.algebra import (field_algebra, matrix_algebra,
 from sechom.linalg import SparseMat, rank
 from sechom.oracles import (bar_boundary, bar_rotation, classical_hc_dims,
                             classical_hh_dims, classical_I_mod_I2_dim,
-                            classical_kahler_dim, dense_rank,
-                            dense_rank_of_sparse)
+                            classical_kahler_dim, dense_rank)
 
 F = Fraction
 
