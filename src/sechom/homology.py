@@ -14,6 +14,7 @@ quotient's non-pivot axis j, so each representative is a stored row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import log10
 
 from .chains import boundary, chain_dim, chain_space, cyclic_quotient
 from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
@@ -22,6 +23,7 @@ from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
 from .triples import Triple
 
 DEFAULT_MAX_DEGREE = 3
+_MAX_DIGITS = 100  # longer chain dimensions are printed as powers
 
 
 class DegreeCapError(ValueError):
@@ -36,13 +38,22 @@ class DegreeCapError(ValueError):
         self.cap = cap
 
 
+def _dim_text(T: Triple, k: int) -> str:
+    """chain_dim(T, k) in decimal, or as a product of powers when it would
+    have more than _MAX_DIGITS digits (it is then never computed)."""
+    e_a, e_b = k + 1, k * (k + 1) // 2
+    if e_a * log10(T.A.dim) + e_b * log10(T.B.dim) < _MAX_DIGITS:
+        return str(chain_dim(T, k))
+    return f"{T.A.dim}^{e_a}*{T.B.dim}^{e_b}"
+
+
 def check_degree(T: Triple, n: int, max_degree) -> None:
     """Raise DegreeCapError when n exceeds the cap (default 3)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     cap = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     if n > cap:
-        dims = ", ".join(str(chain_dim(T, k)) for k in range(n, n + 2))
+        dims = ", ".join(_dim_text(T, k) for k in range(n, n + 2))
         raise DegreeCapError(n, cap, dims)
 
 
@@ -63,12 +74,19 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols) -> QuotientStruct
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
     Callers must have certified that the given columns are cycles; the
-    coordinates are then read off the canonical basis without a second
-    membership pass.  Integer numerators serve as well as the columns
-    themselves, since only their span matters.
+    coordinates of one are its pivot entries in the canonical basis, read
+    without a membership pass.  Integer numerators serve as well as the
+    columns themselves, since only their span matters.  The span stops
+    taking columns once it is the whole cycle space: the quotient is then
+    zero and no later column can change the canonical form.
     """
-    rels = [cycles.coords_of(col, verify=False) for col in next_boundary_cols]
-    return QuotientStructure(cycles.dim, Subspace(cycles.dim, rels))
+    pos = cycles._pivot_pos
+    rels = Subspace(cycles.dim)
+    for col in next_boundary_cols:
+        if rels.dim == cycles.dim:
+            break
+        rels.add({pos[p]: x for p, x in col.items() if p in pos})
+    return QuotientStructure(cycles.dim, rels)
 
 
 def _homology_pieces(d: SparseMat, d_next: SparseMat, what: str, n: int):

@@ -18,13 +18,16 @@ compares stored data.  A `Subspace` holds one primitive integer row per
 pivot, positive at its pivot and zero at every other pivot; dividing a
 row by its pivot entry gives the canonical row.
 
-Elimination is fraction-free: `Subspace` turns each input vector into a
-primitive integer row, reduces it against the integer working rows by
-cross-multiplication and strips the content after each scaled step.
-Reduction against a finished basis scales the vector once, by the lcm of
-the pivot entries it meets, and then subtracts integer multiples of
-rows.  Fractions are formed only for the vectors and rows that leave this
-module (`rows`, `reduce`, `coords_of`, `column`, `matvec`, ...).
+Elimination is fraction-free and one-pass: a `Subspace` keeps its basis
+in canonical form after every vector it takes (`Subspace.add`).  A new
+vector is reduced once, scaled by the lcm of the pivot entries it meets
+and then cleared by integer multiples of those rows; if anything is left,
+it is made primitive, its least index becomes a new pivot, and that
+entry is cleared by cross-multiplication from the stored rows that hold
+it.  No back-substitution runs at the end.  `nullspace` reads the
+kernel's canonical form off one such elimination, with no second one.
+Fractions are formed only for the vectors and rows that leave this module
+(`rows`, `reduce`, `coords_of`, `column`, `matvec`, ...).
 
 Everything is exact; no floats enter at any point.
 """
@@ -115,7 +118,8 @@ def _eliminate(v: dict, row: dict, p: int) -> None:
     """Clear entry p of the integer vector v with the integer row, in place.
 
     v becomes a*v - b*row for the smallest integers a > 0 and b that
-    cancel entry p, and is then stripped of its content.
+    cancel entry p, and is then stripped of its content, which can
+    exceed 1 even when a == 1.
     """
     a, b = row[p], v[p]
     g = gcd(a, b)
@@ -127,8 +131,7 @@ def _eliminate(v: dict, row: dict, p: int) -> None:
         for i in v:
             v[i] *= a
     _axpy(v, -b, row)
-    if a != 1 and v:
-        _strip_content(v)
+    _strip_content(v)
 
 
 class Subspace:
@@ -139,41 +142,66 @@ class Subspace:
     it is the canonical row `rows[k]`.  Both forms are unique, so two
     Subspaces are equal iff they describe the same subspace of the same
     ambient space.
+
+    The basis is kept in this form at every step: the constructor passes
+    each vector to `add`, which reduces it once and clears its new pivot
+    from the stored rows, so vectors can also be added after construction
+    and the stored data never depends on the order they came in.
     """
 
     __slots__ = ("ambient_dim", "pivots", "_int_rows", "_rows", "_pivot_pos")
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
         self.ambient_dim = ambient_dim
-        work: dict[int, dict] = {}  # pivot -> primitive integer row
-        for v in vectors:
-            v = _ints(v)[0]
-            self._check_range(v)
-            if not v:
-                continue
-            _strip_content(v)
-            while v:
-                lead = min(v)
-                row = work.get(lead)
-                if row is None:
-                    work[lead] = v
-                    break
-                _eliminate(v, row, lead)
-        # Back-substitute from the last pivot down.  A row below is already
-        # fully reduced, so clearing one pivot leaves the others alone and
-        # each row visits only the pivots it holds.
-        self.pivots = sorted(work)
-        for p in reversed(self.pivots):
-            row = work[p]
-            for q in [q for q in row if q != p and q in work]:
-                _eliminate(row, work[q], q)
-            _strip_content(row)
-            if row[p] < 0:
-                for i in row:
-                    row[i] = -row[i]
-        self._int_rows = [work[p] for p in self.pivots]
+        self.pivots: list = []
+        self._int_rows: list = []
+        self._pivot_pos: dict = {}
         self._rows = None
-        self._pivot_pos = {p: k for k, p in enumerate(self.pivots)}
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v) -> bool:
+        """Put the vector v into the span, in place; return whether the
+        dimension grew.
+
+        v is reduced once against the basis, stripped of its content and
+        made positive at q, its least surviving index.  The stored rows
+        that hold q are cleared there with it, and it becomes the row for
+        pivot q.  v is zero at every old pivot and its least index is q, so
+        every row keeps its pivot as its least index: the basis is the
+        canonical form after every call, whatever order vectors come in.
+        """
+        v = self._remainder(v)[0]
+        if not v:
+            return False
+        _strip_content(v)
+        q = min(v)
+        if v[q] < 0:
+            for i in v:
+                v[i] = -v[i]
+        for row in self._int_rows:
+            if q in row:
+                _eliminate(row, v, q)
+        at = bisect_left(self.pivots, q)
+        self.pivots.insert(at, q)
+        self._int_rows.insert(at, v)
+        for k in range(at, len(self.pivots)):
+            self._pivot_pos[self.pivots[k]] = k
+        self._rows = None
+        return True
+
+    @classmethod
+    def _of_int_rows(cls, ambient_dim: int, pivots: list,
+                     int_rows: list) -> "Subspace":
+        """Wrap primitive integer rows that already are the canonical form
+        (positive at their pivots, which strictly increase), unchecked."""
+        sub = cls.__new__(cls)
+        sub.ambient_dim = ambient_dim
+        sub.pivots = pivots
+        sub._int_rows = int_rows
+        sub._pivot_pos = {p: k for k, p in enumerate(pivots)}
+        sub._rows = None
+        return sub
 
     @classmethod
     def from_canonical(cls, ambient_dim: int, rows: list,
@@ -185,23 +213,20 @@ class Subspace:
         This is checked in time linear in the entries, and a violation
         raises ValueError.
         """
-        sub = cls.__new__(cls)
-        sub.ambient_dim = ambient_dim
-        sub.pivots = list(pivots)
-        sub._pivot_pos = {p: k for k, p in enumerate(sub.pivots)}
-        if len(rows) != len(sub.pivots) or any(
-                a >= b for a, b in zip(sub.pivots, sub.pivots[1:])):
+        pivots = list(pivots)
+        pos = {p: k for k, p in enumerate(pivots)}
+        if len(rows) != len(pivots) or any(
+                a >= b for a, b in zip(pivots, pivots[1:])):
             raise ValueError("pivots must strictly increase, one per row")
-        for p, row in zip(sub.pivots, rows):
+        for p, row in zip(pivots, rows):
             if (row.get(p) != 1 or min(row) != p or max(row) >= ambient_dim
                     or not all(row.values())
-                    or any(k != p and k in sub._pivot_pos for k in row)):
+                    or any(k != p and k in pos for k in row)):
                 raise ValueError(f"row with pivot {p} is not in canonical form")
         # Over the lcm of its denominators a row with a 1 at its pivot is
         # primitive and positive there.
-        sub._int_rows = [_ints(row)[0] for row in rows]
-        sub._rows = None
-        return sub
+        return cls._of_int_rows(ambient_dim, pivots,
+                                [_ints(row)[0] for row in rows])
 
     # -- queries -----------------------------------------------------------
 
@@ -482,29 +507,41 @@ def colspace(M: SparseMat) -> Subspace:
 
 
 def nullspace(M: SparseMat) -> Subspace:
-    """Kernel of M as a subspace of Q^ncols.
+    """Kernel of M as a subspace of Q^ncols, read off in closed form.
 
-    Free column f gives the kernel vector e_f minus the sum of
-    rows[p][f] * e_p over the pivots p, scaled to integers by the lcm of
-    the pivot entries of the rows that hold f.
+    The rows of M are eliminated with the largest index of each row as its
+    lead: the columns are reversed, `Subspace` runs, and the indices are
+    mapped back.  Each stored row R_p then has its largest index at its
+    pivot p and is zero at every other pivot.  A free column f gives the
+    kernel row e_f - sum of R_p[f] / R_p[p] * e_p over the pivots p whose
+    row holds f.  Every such p lies above f, so f is the row's least index
+    and the row is zero at every other free column: these rows already are
+    the kernel's canonical form, with pivots at the free columns, and are
+    only scaled to primitive integers.  Each is checked to be killed by M.
     """
-    R = row_space(M)
+    last = M.ncols - 1
+    R = Subspace(M.ncols, ({last - c: x for c, x in row.items()}
+                           for row in _row_dicts(M)))
     held: dict[int, list] = {}  # free column -> [(pivot, entry, pivot entry)]
-    for p, row in zip(R.pivots, R._int_rows):
+    for q, row in zip(R.pivots, R._int_rows):
+        r = row[q]
         for c, x in row.items():
-            if c != p:
-                held.setdefault(c, []).append((p, x, row[p]))
-    basis = []
-    for f in range(M.ncols):
-        if f in R._pivot_pos:
-            continue
+            if c != q:
+                held.setdefault(last - c, []).append((last - q, x, r))
+    pivots = {last - q for q in R.pivots}
+    free = [f for f in range(M.ncols) if f not in pivots]
+    rows = []
+    for f in free:
         terms = held.get(f, ())
         scale = lcm(*(r for _, _, r in terms))
         v = {f: scale}
         for p, x, r in terms:
             v[p] = -x * (scale // r)
-        basis.append(v)
-    ker = Subspace(M.ncols, basis)
+        _strip_content(v)
+        if M._times(v):
+            raise InternalCheckError("nullspace row is not in the kernel")
+        rows.append(v)
+    ker = Subspace._of_int_rows(M.ncols, free, rows)
     if ker.dim != M.ncols - R.dim:
         raise InternalCheckError("rank-nullity violated in nullspace computation")
     return ker

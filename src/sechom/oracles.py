@@ -80,17 +80,16 @@ def bar_rotation(A: FinAlgebra, n: int):
 
 
 def dense_rank(M) -> int:
-    """Fraction-free integer elimination; rows are scaled primitive."""
+    """Fraction-free integer elimination; rows are scaled primitive.
+
+    Entries are ints or Fractions.  Rows below the pivot row are zero left
+    of the pivot column, so each update touches the columns from it on.
+    """
     rows = []
     for row in M:
-        den = 1
-        vals = [Fraction(x) for x in row]
-        for x in vals:
-            den = lcm(den, x.denominator)
-        ints = [int(x * den) for x in vals]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
         if g:
             rows.append([x // g for x in ints])
     ncols = len(rows[0]) if rows else 0
@@ -106,16 +105,15 @@ def dense_rank(M) -> int:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[col]
+        ptail = rows[r][col:]
+        p = ptail[0]
         for i in range(r + 1, len(rows)):
-            q = rows[i][col]
+            row = rows[i]
+            q = row[col]
             if q:
-                row = [p * a - q * b for a, b in zip(rows[i], prow)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                rows[i] = [x // g for x in row] if g else row
+                tail = [p * a - q * b for a, b in zip(row[col:], ptail)]
+                g = gcd(*tail)
+                row[col:] = [x // g for x in tail] if g > 1 else tail
         r += 1
     return r
 

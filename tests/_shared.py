@@ -57,6 +57,50 @@ def rescaled_triple(name: str):
     return _MEMO[key]
 
 
+# Per dimension, an integer change of basis of determinant 1 with no zero
+# entry (its columns are the new basis vectors) and its inverse.
+_MIX = {
+    1: ([[1]], [[1]]),
+    2: ([[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+    3: ([[1, 1, 2], [1, 2, 3], [2, 3, 6]],
+        [[3, 0, -1], [0, 2, -1], [-1, -1, 1]]),
+}
+
+
+def _mixed(P: list, v: list) -> list:
+    return [sum(P[r][c] * v[c] for c in range(len(v))) for r in range(len(P))]
+
+
+def _mixed_algebra(alg: FinAlgebra) -> FinAlgebra:
+    """The same algebra in the basis given by the columns of _MIX."""
+    P, Pinv = _MIX[alg.dim]
+    r = range(alg.dim)
+    mult = [[_mixed(Pinv, [sum(P[p][i] * P[q][j] * alg.mult[p][q][k]
+                               for p in r for q in r) for k in r])
+             for j in r] for i in r]
+    return FinAlgebra(alg.dim, mult, _mixed(Pinv, alg.unit), alg.name)
+
+
+def rebased_triple(name: str):
+    """A catalog triple whose algebras have dimension at most 3, rewritten
+    in the basis given by the columns of _MIX in A and in B, built through
+    make_triple.
+
+    It is isomorphic to its catalog twin, but every new basis vector mixes
+    all the old ones, so its structure constants are dense and its
+    boundaries carry many more nonzeros.  Not memoized: its degree-4
+    boundary is large, and its tables go when the caller drops it.
+    """
+    T = catalog(name)
+    P = _MIX[T.B.dim][0]
+    Pinv = _MIX[T.A.dim][1]
+    r = range(T.B.dim)
+    eps = [_mixed(Pinv, [sum(P[l][j] * T.eps.columns[l][k] for l in r)
+                         for k in range(T.A.dim)]) for j in r]
+    return make_triple(_mixed_algebra(T.A), _mixed_algebra(T.B), eps,
+                       name=f"{name}_rebased")
+
+
 def dense_rank_of_sparse(M) -> int:
     """Rank of an engine sparse matrix, recomputed densely by the oracle."""
     _check_cap(max(M.nrows, M.ncols))

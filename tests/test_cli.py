@@ -185,6 +185,20 @@ def test_huge_degree_range_is_refused_at_once(capsys):
     assert err.startswith("error: degree 4 exceeds the cap 3;")
 
 
+def test_huge_single_degree_is_refused_at_once(capsys):
+    # The chain dimensions of these degrees have too many digits to print
+    # (or to compute quickly), so the message writes them as powers.
+    for degree, dims in (("200", "2^201*2^20100, 2^202*2^20301"),
+                         ("10000", "2^10001*2^50005000, 2^10002*2^50015001")):
+        started = time.perf_counter()
+        code, _, err = run(capsys, "compute", "--catalog", "dual_dual_x",
+                           "--flavor", "hh", "--degree", degree)
+        assert time.perf_counter() - started < 1
+        assert code == 4
+        assert err.startswith(f"error: degree {degree} exceeds the cap 3; "
+                              f"chain spaces involved have dimensions {dims}.")
+
+
 def test_file_degree_directive_raises_the_cap(capsys, tmp_path):
     p = tmp_path / "deep.triple"
     p.write_text(export_triple(catalog("dual_k"), max_degree=4),

@@ -6,9 +6,10 @@ from math import gcd, lcm
 
 import pytest
 
-from _shared import ALL_NAMES, rescaled_triple, shared_triple, value_columns
+from _shared import (ALL_NAMES, rebased_triple, rescaled_triple,
+                     shared_triple, value_columns)
 from sechom.chains import _coinvariant_relations, boundary, cyclic_quotient
-from sechom.homology import hc, hh
+from sechom.homology import _induced_boundary, _quotient_of_complex, hc, hh
 from sechom.linalg import (AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, colspace,
                            export_triplets, induced_on_quotients, nullspace,
@@ -355,12 +356,51 @@ def _fraction_rref(ambient_dim, vectors):
 
 
 def _assert_same_rref(ambient_dim, vectors):
+    """Subspace built from the vectors in order, and through `add` in a
+    shuffled order, against the Fraction elimination."""
     S = Subspace(ambient_dim, vectors)
     rows, pivots, pos = _fraction_rref(ambient_dim, vectors)
     assert S.rows == rows
     assert S.pivots == pivots
     assert S._pivot_pos == pos
     assert all(type(x) is F for row in S.rows for x in row.values())
+    shuffled = list(vectors)
+    random.Random(len(shuffled)).shuffle(shuffled)
+    U = Subspace(ambient_dim)
+    grew = [U.add(v) for v in shuffled]
+    assert sum(grew) == U.dim
+    assert U == S and U.rows == rows and U._pivot_pos == pos
+
+
+def _nullspace_by_second_elimination(M):
+    """Test-local copy of the kernel path that the closed form replaced:
+    free column f gives e_f minus the sum of rows[p][f] * e_p over the
+    pivots of the row space, and a second Subspace eliminates those."""
+    R = row_space(M)
+    held = {}
+    for p, row in zip(R.pivots, R._int_rows):
+        for c, x in row.items():
+            if c != p:
+                held.setdefault(c, []).append((p, x, row[p]))
+    basis = []
+    for f in range(M.ncols):
+        if f in R._pivot_pos:
+            continue
+        terms = held.get(f, ())
+        scale = lcm(*(r for _, _, r in terms))
+        v = {f: scale}
+        for p, x, r in terms:
+            v[p] = -x * (scale // r)
+        basis.append(v)
+    return Subspace(M.ncols, basis)
+
+
+def _assert_same_nullspace(M):
+    K, ref = nullspace(M), _nullspace_by_second_elimination(M)
+    assert K.pivots == ref.pivots
+    assert K._int_rows == ref._int_rows
+    assert K._pivot_pos == ref._pivot_pos
+    assert K.rows == ref.rows
 
 
 def test_fraction_free_elimination_matches_fraction_elimination():
@@ -377,6 +417,7 @@ def test_fraction_free_elimination_matches_fraction_elimination():
                     v[i] = F(rng.randrange(-9, 10) * big, rng.randrange(1, 8))
             vectors.append(v if trial % 2 else [v.get(i, 0) for i in range(amb)])
         _assert_same_rref(amb, vectors)
+        _assert_same_nullspace(SparseMat.from_columns(amb, vectors).transpose())
         if vectors:
             half = len(vectors) // 2
             U = Subspace(amb, vectors[:half]).sum(Subspace(amb, vectors[half:]))
@@ -384,9 +425,12 @@ def test_fraction_free_elimination_matches_fraction_elimination():
 
 
 def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
-    # Every Subspace that hh and hc build up to degree 3 on the catalog:
-    # per call, the row space and the kernel basis of nullspace for each
-    # of the two boundaries, and the homology-quotient relations.
+    # Every Subspace that hh and hc construct up to degree 3 on the
+    # catalog: per call, the row space in nullspace and the homology-quotient
+    # relations, which start empty and grow through `add` (gated in
+    # test_relation_spans_match_fraction_elimination).  nullspace wraps its
+    # kernel rows without a second elimination (gated in the nullspace
+    # tests below).
     inputs = []
     orig = Subspace.__init__
 
@@ -402,7 +446,7 @@ def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
             hh(T, n)
             hc(T, n)
     monkeypatch.undo()
-    assert len(inputs) == 3 * 2 * 4 * len(ALL_NAMES)
+    assert len(inputs) == 2 * 2 * 4 * len(ALL_NAMES)
     for ambient_dim, vectors in inputs:
         _assert_same_rref(ambient_dim, vectors)
 
@@ -567,3 +611,80 @@ def test_subspace_order_needs_one_ambient_space():
         small <= big
     with pytest.raises(AmbientDimensionError):
         big <= small
+
+
+def test_closed_form_nullspace_matches_second_elimination():
+    # Every catalog boundary and induced boundary for n <= 3, on the
+    # catalog, on the rescaled triples and, up to degree 2, on a rebased
+    # triple; the random inputs are in the fraction-free elimination test.
+    triples = [shared_triple(name) for name in ALL_NAMES]
+    triples += [rescaled_triple("dual_dual_x"), rescaled_triple("trunc3_k")]
+    for T in triples:
+        for n in range(4):
+            _assert_same_nullspace(boundary(T, n))
+            _assert_same_nullspace(_induced_boundary(T, n))
+    T = rebased_triple("dual_dual_x")
+    for n in range(3):
+        _assert_same_nullspace(boundary(T, n))
+        _assert_same_nullspace(_induced_boundary(T, n))
+    # Degree 3, where the second elimination takes about 10 s: rows in
+    # canonical form, each killed by the boundary, as many as the nullity,
+    # can only be the kernel's canonical form.
+    d = boundary(T, 3)
+    K = nullspace(d)
+    assert Subspace.from_canonical(d.ncols, K.rows, K.pivots) == K
+    assert not any(d.matvec(row) for row in K.rows)
+    assert K.dim == d.ncols - rank(d) == 968
+
+
+def test_nullspace_checks_each_kernel_row(monkeypatch):
+    M = SparseMat.from_entries(1, 2, [(0, 0, F(1)), (0, 1, F(1))])
+    assert nullspace(M).rows == [{0: F(1), 1: F(-1)}]
+    monkeypatch.setattr(SparseMat, "_times", lambda self, v: {0: 1})
+    with pytest.raises(InternalCheckError, match="not in the kernel"):
+        nullspace(M)
+
+
+def _cycle_coordinates(cycles, cols):
+    pos = cycles._pivot_pos
+    return [{pos[p]: x for p, x in col.items() if p in pos} for col in cols]
+
+
+def test_relation_span_stops_once_full_with_the_same_canonical_form():
+    # The homology relations of hh and hc up to degree 3 on the catalog,
+    # against the Fraction elimination of every boundary column; where the
+    # span fills the cycle space early, the later columns are never read.
+    stopped = 0
+    for name in ALL_NAMES:
+        T = shared_triple(name)
+        for n in range(4):
+            for d, d_next in ((boundary(T, n), boundary(T, n + 1)),
+                              (_induced_boundary(T, n),
+                               _induced_boundary(T, n + 1))):
+                cycles = nullspace(d)
+                cols = [d_next.num[c] for c in sorted(d_next.num)]
+                taken = []
+                Q = _quotient_of_complex(
+                    cycles, (taken.append(c) or c for c in cols))
+                rows, pivots, _ = _fraction_rref(
+                    cycles.dim, _cycle_coordinates(cycles, cols))
+                assert Q.relations.rows == rows
+                assert Q.relations.pivots == pivots
+                if len(taken) < len(cols):
+                    assert Q.dim == 0
+                    stopped += 1
+    assert stopped
+
+
+def test_rebased_degree_three_relation_slice_matches_fraction_elimination():
+    # Every 256th column of the rebased dual_dual_x boundary(4) (1.63M
+    # nonzeros), in coordinates on the 968 cycles of degree 3: dense
+    # inputs whose elimination fills in.  The Fraction reference keeps the
+    # slice small; it takes about 30 s on every 64th column.
+    T = rebased_triple("dual_dual_x")
+    cycles = nullspace(boundary(T, 3))
+    d4 = boundary(T, 4)
+    cols = [d4.num[c] for c in sorted(d4.num)[::256]]
+    vectors = _cycle_coordinates(cycles, cols)
+    assert len(vectors) == 128 and Subspace(cycles.dim, vectors).dim == 115
+    _assert_same_rref(cycles.dim, vectors)

@@ -5,12 +5,15 @@ cross-checked against the standard closed-form answers for these small
 algebras, so later engine comparisons test two genuinely independent routes.
 """
 
+import ast
+import inspect
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 import pytest
 
-from _shared import dense_rank_of_sparse
+from _shared import dense_rank_of_sparse, rebased_triple
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra,
@@ -149,6 +152,84 @@ def test_dense_rank_agrees_with_sparse_elimination():
                                             rng.randrange(1, 4))))
         M = SparseMat.from_entries(nrows, ncols, entries)
         assert rank(M) == dense_rank_of_sparse(M)
+
+
+def _dense_rank_before(M) -> int:
+    """Test-local copy of dense_rank before its leaner row updates."""
+    rows = []
+    for row in M:
+        den = 1
+        vals = [Fraction(x) for x in row]
+        for x in vals:
+            den = lcm(den, x.denominator)
+        ints = [int(x * den) for x in vals]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        if g:
+            rows.append([x // g for x in ints])
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[col]
+        for i in range(r + 1, len(rows)):
+            q = rows[i][col]
+            if q:
+                row = [p * a - q * b for a, b in zip(rows[i], prow)]
+                g = 0
+                for x in row:
+                    g = gcd(g, x)
+                rows[i] = [x // g for x in row] if g else row
+        r += 1
+    return r
+
+
+def test_dense_rank_matches_the_code_it_replaced():
+    rng = Random(1968)
+    for trial in range(200):
+        nrows, ncols = rng.randrange(0, 9), rng.randrange(1, 9)
+        big = rng.choice([1, 10 ** 12])
+        density = rng.choice([0.3, 0.7, 1.0])
+        M = [[F(rng.randrange(-9, 10) * big + rng.randrange(-9, 10),
+                rng.randrange(1, 8)) if rng.random() < density else F(0)
+              for _ in range(ncols)] for _ in range(nrows)]
+        if nrows and trial % 3 == 0:
+            M[rng.randrange(nrows)] = [F(0)] * ncols  # a zero row
+        if trial % 4 == 1:  # a rank-deficient tall matrix: repeated rows
+            M += [[2 * x for x in row] for row in M]
+        assert dense_rank(M) == _dense_rank_before(M)
+    # The oracle matrices of a rebased trunc3_k: boundaries, 1 - rotation
+    # and the concatenations that classical_hc_dims ranks.
+    A = rebased_triple("trunc3_k").A
+    omegas = [[[int(r == c) - x for c, x in enumerate(row)]
+               for r, row in enumerate(bar_rotation(A, k))] for k in range(4)]
+    mats = [bar_boundary(A, k) for k in range(1, 5)] + omegas
+    mats += [oracles._hstack(bar_boundary(A, n), omegas[n - 1])
+             for n in range(1, 5)]
+    for M in mats:
+        assert dense_rank(M) == _dense_rank_before(M)
+
+
+def test_oracles_import_nothing_from_the_engine_linear_algebra():
+    tree = ast.parse(inspect.getsource(oracles))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("linalg" in name for name in imported)
 
 
 def test_reference_paths_refuse_large_problems():
