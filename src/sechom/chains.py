@@ -13,6 +13,14 @@ Face n wraps around, merging slot n into slot 0 the same way.  The cyclic
 operator rotates the a-slots one step and reindexes the b-slots
 accordingly, with sign (-1)^n; its (n+1)-st power is the identity.
 
+A face copies some input digits to output slots and sends disjoint groups
+of the others through a table: an `aba` group through the sandwich
+e_i eps(f_k) e_j, a `bb` group through a product in B.  So a face is the
+Cartesian product of its copied digits, as pairs (input offset, output
+offset), with the nonzero table entries of its groups, as items (input
+offset, output offset, signed coefficient), and its cost follows the
+nonzero terms, not columns x faces.  The rotation copies every digit.
+
 The cyclic operator t is a signed permutation of the basis, so the
 canonical RREF of im(1 - t) is written down orbit by orbit, with no
 elimination.  Walk an orbit from its smallest index and let c_i be the
@@ -29,7 +37,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
 
 from .algebra import multiply
@@ -113,10 +120,6 @@ class ChainSpace:
         digits.reverse()
         na = self.degree + 1
         return ChainIndex(self.degree, tuple(digits[:na]), tuple(digits[na:]))
-
-    def all_digit_tuples(self):
-        """Digit tuples in increasing linear-index order."""
-        return product(*(range(r) for r in self.radices))
 
 
 # -- per-triple caches -----------------------------------------------------
@@ -223,56 +226,59 @@ def _face_recipe(n: int, i: int) -> list:
     return recipe
 
 
-def _face_terms(tb: _Tables, shifts: list, products: list,
-                digits: tuple) -> list:
-    """Terms (row, integer numerator) of an unsigned face on one basis
-    tensor; rows may repeat.  `shifts` and `products` split the face's
-    recipe into copied digits and multiplied slots (see _face_sum)."""
-    base = 0
-    for pos, w in shifts:
-        base += digits[pos] * w
-    terms = [(base, 1)]
-    for op, w in products:
-        if op[0] == "aba":
-            opts = tb.sandwich[digits[op[1]]][digits[op[2]]][digits[op[3]]]
-        else:
-            opts = tb.bprod[digits[op[1]]][digits[op[2]]]
-        if not opts:
-            return []
-        terms = [(ix + d * w, c * x) for ix, c in terms for d, x in opts]
-    return terms
-
-
 def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
     """The sum of sign * face i over (i, sign) in faces, degree n to n - 1.
 
     Every face in degree n multiplies one sandwich and n - 1 products in B,
     so each entry is an integer over sden * bden^(n - 1), and the integer
-    columns go into the matrix over that denominator as they are.
+    columns go into the matrix over that denominator as they are.  Each
+    face is built from its digit groups (see the module docstring) into
+    one slot per column, read out in column order.
     """
     tb = _tables(T)
     src = chain_space(T, n)
     dst = chain_space(T, n - 1)
     den = tb.sden * tb.bden ** (n - 1)
-    split = []
+    W = src.weights
+    slots = [None] * src.dim
+    rows = list(range(dst.dim))  # one int object per row, for all columns
     for i, sign in faces:
-        shifts, products = [], []
+        copies, items = [(0, 0)], [(0, 0, sign)]
         for op, w in zip(_face_recipe(n, i), dst.weights):
-            if op[0] in ("a", "b"):
-                shifts.append((op[1], w))
+            if op[0] == "aba":
+                _, p, q, s = op
+                group = [(a * W[p] + k * W[q] + b * W[s], d * w, x)
+                         for a, row in enumerate(tb.sandwich)
+                         for k, rk in enumerate(row)
+                         for b, opts in enumerate(rk) for d, x in opts]
+            elif op[0] == "bb":
+                _, p, q = op
+                group = [(a * W[p] + b * W[q], d * w, x)
+                         for a, row in enumerate(tb.bprod)
+                         for b, opts in enumerate(row) for d, x in opts]
             else:
-                products.append((op, w))
-        split.append((shifts, products, sign))
-    cols: dict = {}
-    for ix, digits in enumerate(src.all_digit_tuples()):
-        acc: dict = {}
-        for shifts, products, sign in split:
-            for r, x in _face_terms(tb, shifts, products, digits):
-                acc[r] = acc.get(r, 0) + sign * x
-        col = {r: x for r, x in acc.items() if x}
+                copies = [(ci + d * W[op[1]], co + d * w) for ci, co in copies
+                          for d in range(src.radices[op[1]])]
+                continue
+            items = [(pi + qi, po + qo, c * x)
+                     for pi, po, c in items for qi, qo, x in group]
+        by_in: dict = {}
+        for pi, po, c in items:
+            by_in.setdefault(pi, []).append((po, c))
+        for ci, co in copies:
+            here = rows[co:]
+            for pi, outs in by_in.items():
+                col = slots[ci + pi]
+                if col is None:
+                    col = slots[ci + pi] = {}
+                for po, c in outs:
+                    r = here[po]
+                    col[r] = col.get(r, 0) + c
+    for c, col in enumerate(slots):  # fresh, packed dicts keep peak RSS down
         if col:
-            cols[ix] = col
-    return SparseMat.from_ints(dst.dim, src.dim, cols, den)
+            slots[c] = {r: x for r, x in col.items() if x}
+    return SparseMat.from_ints(
+        dst.dim, src.dim, {c: col for c, col in enumerate(slots) if col}, den)
 
 
 def boundary(T: Triple, n: int) -> SparseMat:
@@ -303,17 +309,13 @@ def _rotation(T: Triple, n: int) -> tuple:
     cs = chain_space(T, n)
     bpos = {pr: t for t, pr in enumerate(cs.pairs)}
     na = n + 1
-    src_of = list(range(na + len(cs.pairs)))
-    for t in range(na):
-        src_of[t] = n if t == 0 else t - 1
-    for (r, s), t in bpos.items():
-        if r == 0:
-            src_of[na + t] = na + bpos[(s - 1, n)]
-        else:
-            src_of[na + t] = na + bpos[(r - 1, s - 1)]
-    moves = list(zip(src_of, cs.weights))
-    img = [sum(digits[src] * w for src, w in moves)
-           for digits in cs.all_digit_tuples()]
+    # The weight of the output digit that each input digit moves to.
+    out_w = [cs.weights[(t + 1) % na] for t in range(na)]
+    out_w += [cs.weights[na + bpos[(r + 1, s + 1) if s < n else (0, r + 1)]]
+              for r, s in cs.pairs]
+    img = [0]
+    for r, w in zip(cs.radices, out_w):
+        img = [x + d * w for x in img for d in range(r)]
     rot = (img, [1 if n % 2 == 0 else -1] * cs.dim)
     tb.rotations[n] = rot
     return rot

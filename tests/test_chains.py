@@ -8,11 +8,13 @@ construction logic with the face-recipe machinery they test.
 import gc
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, dense_rank_of_sparse,
-                     rescaled_triple, shared_triple, value_columns)
+                     rebased_triple, rescaled_triple, shared_triple,
+                     value_columns)
 from sechom import chains
 from sechom.algebra import multiply
 from sechom.chains import (_face_sum, boundary, chain_dim, chain_space,
@@ -390,7 +392,7 @@ def _fraction_face_sum(T, n, faces):
     src, dst = chain_space(T, n), chain_space(T, n - 1)
     recipes = [(chains._face_recipe(n, i), sign) for i, sign in faces]
     cols = {}
-    for ix, digits in enumerate(src.all_digit_tuples()):
+    for ix, digits in enumerate(product(*(range(r) for r in src.radices))):
         acc = {}
         for recipe, sign in recipes:
             terms = [(0, F(1))]
@@ -430,3 +432,101 @@ def test_integer_face_assembly_matches_fraction_assembly():
     for T in triples[-2:]:
         tb = chains._tables(T)
         assert tb.bden > 1 and tb.sden > 1
+
+
+def _per_column_face_sum(T, n, faces):
+    """Test-local copy of the per-column integer face assembly that the
+    digit-group build replaced: every face visits every basis tensor."""
+    tb = chains._tables(T)
+    src, dst = chain_space(T, n), chain_space(T, n - 1)
+    split = []
+    for i, sign in faces:
+        shifts, products = [], []
+        for op, w in zip(chains._face_recipe(n, i), dst.weights):
+            if op[0] in ("a", "b"):
+                shifts.append((op[1], w))
+            else:
+                products.append((op, w))
+        split.append((shifts, products, sign))
+    cols = {}
+    for ix, digits in enumerate(product(*(range(r) for r in src.radices))):
+        acc = {}
+        for shifts, products, sign in split:
+            terms = [(sum(digits[pos] * w for pos, w in shifts), 1)]
+            for op, w in products:
+                if op[0] == "aba":
+                    opts = tb.sandwich[digits[op[1]]][digits[op[2]]][digits[op[3]]]
+                else:
+                    opts = tb.bprod[digits[op[1]]][digits[op[2]]]
+                terms = [(r + d * w, c * x) for r, c in terms for d, x in opts]
+            for r, x in terms:
+                acc[r] = acc.get(r, 0) + sign * x
+        col = {r: x for r, x in acc.items() if x}
+        if col:
+            cols[ix] = col
+    return SparseMat.from_ints(dst.dim, src.dim, cols,
+                               tb.sden * tb.bden ** (n - 1))
+
+
+def _assert_same_assembly(T, n):
+    alternating = [(i, 1 if i % 2 == 0 else -1) for i in range(n + 1)]
+    for faces in [alternating] + [[(i, 1)] for i in range(n + 1)]:
+        new, ref = _face_sum(T, n, faces), _per_column_face_sum(T, n, faces)
+        assert new.den == ref.den
+        assert new.num == ref.num
+        assert list(new.num) == list(ref.num)
+
+
+def test_digit_group_assembly_matches_per_column_assembly():
+    # Equality gate for the digit-group build: every single face and the
+    # alternating sum equal the per-column assembly in numerators,
+    # denominator and column order.  Rescaled trunc3_k has a
+    # one-dimensional B with bprod[0][0] != 1, so no product group may be
+    # skipped for having radix 1.
+    for name in ALL_NAMES:
+        T = shared_triple(name)
+        for n in range(1, 9):
+            if chain_dim(T, n) > 4096:
+                break
+            _assert_same_assembly(T, n)
+    for name in ["dual_dual_x", "trunc3_k"]:
+        T = rescaled_triple(name)
+        for n in range(1, 4):
+            _assert_same_assembly(T, n)
+    tb = chains._tables(rescaled_triple("trunc3_k"))
+    assert tb.bprod[0][0] != ((0, tb.bden),)
+    for name in ["trunc3_k", "dual_over_dual_id"]:
+        T = rebased_triple(name)
+        for n in range(1, 4):
+            _assert_same_assembly(T, n)
+
+
+def _per_tuple_rotation(T, n):
+    """Test-local copy of the rotation that the digit-by-digit build
+    replaced: one weighted sum per digit tuple."""
+    cs = chain_space(T, n)
+    bpos = {pr: t for t, pr in enumerate(cs.pairs)}
+    na = n + 1
+    src_of = list(range(na + len(cs.pairs)))
+    for t in range(na):
+        src_of[t] = n if t == 0 else t - 1
+    for (r, s), t in bpos.items():
+        if r == 0:
+            src_of[na + t] = na + bpos[(s - 1, n)]
+        else:
+            src_of[na + t] = na + bpos[(r - 1, s - 1)]
+    moves = list(zip(src_of, cs.weights))
+    img = [sum(digits[src] * w for src, w in moves)
+           for digits in product(*(range(r) for r in cs.radices))]
+    return img, [1 if n % 2 == 0 else -1] * cs.dim
+
+
+def test_digit_rotation_matches_per_tuple_rotation():
+    triples = [shared_triple(name) for name in ALL_NAMES]
+    triples += [rebased_triple(name) for name in ALL_NAMES if name != "mat2_k"]
+    for T in triples:
+        for n in range(9):
+            if chain_dim(T, n) > 6561:
+                break
+            img, sgn = chains._rotation(T, n)
+            assert (img, sgn) == _per_tuple_rotation(T, n)
