@@ -26,8 +26,7 @@ from .homology import (DEFAULT_MAX_DEGREE, DegreeCapError, HomologyResult,
 from .kernel import (KernelData, embed_tensor, j_generator, kernel_data,
                      multiplication_matrix, symmetry_check, tensor_index)
 from .linalg import (QuotientStructure, Rat, SparseMat, Subspace, colspace,
-                     export_triplets, induced_on_quotients, nullspace,
-                     parse_triplets, rank, solve)
+                     induced_on_quotients, nullspace, rank, solve)
 from .specfile import (ParsedTriple, SpecParseError, export_triple,
                        parse_triple_file, parse_triple_source, triple_hash)
 from .triples import (CommutativeTripleRequiredError, Triple,

@@ -30,7 +30,8 @@ pivot with row {i: 1}.  Otherwise the image is the hyperplane
 sum_i c_i x_i = 0 of the orbit's coordinates: every element except the
 largest index m is a pivot, with row {i: 1, m: -c_i/c_m}.  Rows of
 different orbits have disjoint supports, so together they are already
-fully reduced.
+fully reduced.  Descent of the boundary to the coinvariants is certified
+where the induced boundary is built, by `linalg.induced_on_quotients`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .algebra import multiply
-from .linalg import (QuotientStructure, SparseMat, Subspace,
-                     InternalCheckError, _axpy, basis_vector)
+from .linalg import QuotientStructure, SparseMat, Subspace, basis_vector
 from .triples import Triple
 
 
@@ -157,10 +157,7 @@ class _Tables:
                           for k in range(db)] for i in range(da)]
         self.spaces: dict = {}
         self.boundaries: dict = {}
-        self.rotations: dict = {}
-        self.wspaces: dict = {}
         self.quotients: dict = {}
-        self.compat_checked: set = set()
 
 
 _TABLES: "weakref.WeakKeyDictionary[Triple, _Tables]" = weakref.WeakKeyDictionary()
@@ -257,8 +254,10 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
                          for a, row in enumerate(tb.bprod)
                          for b, opts in enumerate(row) for d, x in opts]
             else:
-                copies = [(ci + d * W[op[1]], co + d * w) for ci, co in copies
-                          for d in range(src.radices[op[1]])]
+                if src.radices[op[1]] > 1:  # a radix-1 digit is always 0
+                    copies = [(ci + d * W[op[1]], co + d * w)
+                              for ci, co in copies
+                              for d in range(src.radices[op[1]])]
                 continue
             items = [(pi + qi, po + qo, c * x)
                      for pi, po, c in items for qi, qo, x in group]
@@ -299,13 +298,9 @@ def boundary(T: Triple, n: int) -> SparseMat:
 
 # -- cyclic structure ------------------------------------------------------
 
-def _rotation(T: Triple, n: int) -> tuple:
-    """The signed rotation in degree n as lists (img, sgn): basis tensor c
-    goes to sgn[c] times basis tensor img[c]."""
-    tb = _tables(T)
-    rot = tb.rotations.get(n)
-    if rot is not None:
-        return rot
+def _rotation(T: Triple, n: int) -> list:
+    """The rotation in degree n as a list img: basis tensor c goes to
+    (-1)^n times basis tensor img[c]."""
     cs = chain_space(T, n)
     bpos = {pr: t for t, pr in enumerate(cs.pairs)}
     na = n + 1
@@ -315,82 +310,56 @@ def _rotation(T: Triple, n: int) -> tuple:
               for r, s in cs.pairs]
     img = [0]
     for r, w in zip(cs.radices, out_w):
-        img = [x + d * w for x in img for d in range(r)]
-    rot = (img, [1 if n % 2 == 0 else -1] * cs.dim)
-    tb.rotations[n] = rot
-    return rot
+        if r > 1:  # a radix-1 digit is always 0
+            img = [x + d * w for x in img for d in range(r)]
+    return img
 
 
 def cyclic_operator(T: Triple, n: int) -> SparseMat:
     """Signed rotation: a-slots shift by one (slot n to slot 0) and b-slots
     follow, with global sign (-1)^n."""
-    img, sgn = _rotation(T, n)
-    return SparseMat.from_ints(
-        len(img), len(img),
-        {c: {i: s} for c, (i, s) in enumerate(zip(img, sgn))})
+    img = _rotation(T, n)
+    sign = 1 if n % 2 == 0 else -1
+    return SparseMat.from_ints(len(img), len(img),
+                               {c: {i: sign} for c, i in enumerate(img)})
 
 
 def _coinvariant_relations(T: Triple, n: int) -> Subspace:
     """im(1 - cyclic) in degree n, in canonical form read off the orbits."""
-    tb = _tables(T)
-    W = tb.wspaces.get(n)
-    if W is None:
-        img, sgn = _rotation(T, n)
-        rows = {}
-        seen = bytearray(len(img))
-        for start in range(len(img)):
-            if seen[start]:
-                continue
-            orbit, coef = [], []
-            i, c = start, 1
-            while not seen[i]:
-                seen[i] = 1
-                orbit.append(i)
-                coef.append(c)
-                c *= sgn[i]
-                i = img[i]
-            if c < 0:
-                for i in orbit:
-                    rows[i] = {i: 1}
-                continue
-            m = max(orbit)
-            cm = coef[orbit.index(m)]
-            for i, ci in zip(orbit, coef):
-                if i != m:
-                    rows[i] = {i: 1, m: -ci * cm}
-        pivots = sorted(rows)
-        W = Subspace.from_canonical(len(img), [rows[p] for p in pivots], pivots)
-        tb.wspaces[n] = W
-    return W
+    img = _rotation(T, n)
+    sign = 1 if n % 2 == 0 else -1
+    rows = {}
+    seen = bytearray(len(img))
+    for start in range(len(img)):
+        if seen[start]:
+            continue
+        orbit, coef = [], []
+        i, c = start, 1
+        while not seen[i]:
+            seen[i] = 1
+            orbit.append(i)
+            coef.append(c)
+            c *= sign
+            i = img[i]
+        if c < 0:
+            for i in orbit:
+                rows[i] = {i: 1}
+            continue
+        m = max(orbit)
+        cm = coef[orbit.index(m)]
+        for i, ci in zip(orbit, coef):
+            if i != m:
+                rows[i] = {i: 1, m: -ci * cm}
+    pivots = sorted(rows)
+    return Subspace.from_canonical(len(img), [rows[p] for p in pivots], pivots)
 
 
 def cyclic_quotient(T: Triple, n: int) -> QuotientStructure:
-    """Coordinates on the cyclic coinvariants in degree n.
-
-    Also certifies that the boundary descends: every column of
-    boundary(T, n) composed with (1 - cyclic) must reduce to zero against
-    the degree n-1 coinvariant relations.  Failure is a hard error since
-    any quotient complex built afterwards would be meaningless.  Column c
-    of that composite is boundary[c] - sgn[c] * boundary[img[c]], so the
-    check costs one pass over the boundary's nonzeros, in its integer
-    numerators: scaling a vector does not change whether it is a relation.
-    """
+    """Coordinates on the cyclic coinvariants in degree n.  The boundary's
+    descent to them is certified in `homology._induced_boundary`."""
     tb = _tables(T)
     Q = tb.quotients.get(n)
     if Q is None:
-        cs = chain_space(T, n)
-        Q = QuotientStructure(cs.dim, _coinvariant_relations(T, n))
+        Q = QuotientStructure(chain_dim(T, n), _coinvariant_relations(T, n))
         tb.quotients[n] = Q
-    if n >= 1 and n not in tb.compat_checked:
-        W_low = _coinvariant_relations(T, n - 1)
-        bnd = boundary(T, n).num
-        img, sgn = _rotation(T, n)
-        for c in range(Q.ambient_dim):
-            moved = dict(bnd.get(c, {}))
-            _axpy(moved, -sgn[c], bnd.get(img[c], {}))
-            if moved and not W_low.contains(moved):
-                raise InternalCheckError(
-                    f"boundary does not descend to cyclic coinvariants at "
-                    f"degree {n} (column {c})")
-        tb.compat_checked.add(n)
     return Q

@@ -180,6 +180,9 @@ def _cap_from(args, parsed: ParsedTriple) -> int:
     if parsed.max_degree is not None:
         cap = parsed.max_degree
     if args.max_degree_override is not None:
+        if args.max_degree_override < 0:
+            raise _CliError("--max-degree-override must be nonnegative",
+                            EXIT_PARSE)
         cap = args.max_degree_override
     return cap
 

@@ -121,14 +121,14 @@ def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
 def _induced_boundary(T: Triple, k: int) -> SparseMat:
     """Boundary on cyclic coinvariant coordinates, degree k to k - 1.
 
-    cyclic_quotient has already certified that the boundary descends, so
-    the induced matrix is assembled without re-checking relations.
+    induced_on_quotients certifies that the boundary descends; a failure
+    is a hard error.
     """
     q_src = cyclic_quotient(T, k)
     if k == 0:
         return SparseMat.zeros(0, q_src.dim)
     q_dst = cyclic_quotient(T, k - 1)
-    return induced_on_quotients(boundary(T, k), q_src, q_dst, check=False)
+    return induced_on_quotients(boundary(T, k), q_src, q_dst)
 
 
 def _hc_pieces(T: Triple, n: int):

@@ -359,16 +359,6 @@ class SparseMat:
         return m
 
     @classmethod
-    def from_entries(cls, nrows: int, ncols: int, entries) -> "SparseMat":
-        cols: dict[int, dict] = {}
-        for r, c, x in entries:
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise AmbientDimensionError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            col = cols.setdefault(c, {})
-            col[r] = col.get(r, ZERO) + Fraction(x)
-        return cls(nrows, ncols, cols)
-
-    @classmethod
     def from_columns(cls, nrows: int, columns: Iterable) -> "SparseMat":
         """The matrix with these columns, each dense or sparse."""
         cols = {}
@@ -642,52 +632,19 @@ class QuotientStructure:
 
 
 def induced_on_quotients(M: SparseMat, src: QuotientStructure,
-                         dst: QuotientStructure, check: bool = True) -> SparseMat:
+                         dst: QuotientStructure) -> SparseMat:
     """Matrix of the map induced by M on quotient coordinates.
 
-    Well-definedness needs M(src relations) inside the dst relations; with
-    check on this is verified and violation is a hard error.
+    M descends when P M kills every src relation row, P being dst's
+    projection matrix, whose kernel is dst's relations; a violation is a
+    hard error.
     """
     if M.ncols != src.ambient_dim or M.nrows != dst.ambient_dim:
         raise AmbientDimensionError("matrix shape does not match the quotients")
-    if check:
-        for row in src.relations._int_rows:
-            if not dst.relations.contains(M._times(row)):
-                raise InternalCheckError(
-                    "map does not descend to the quotient: image of a relation "
-                    "is not a relation")
-    return dst.project_matrix() @ M @ src.section_matrix()
-
-
-# -- sparse triplet serialization ------------------------------------------
-
-def export_triplets(M: SparseMat) -> str:
-    """Text form: `rows cols nnz` header, then `row col num/den` lines."""
-    lines = [f"{M.nrows} {M.ncols} {M.nnz}"]
-    for r, c, x in M.entries():
-        lines.append(f"{r} {c} {x.numerator}/{x.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_triplets(text: str) -> SparseMat:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty triplet text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"bad triplet header: {lines[0]!r}")
-    nrows, ncols, nnz = (int(t) for t in head)
-    if len(lines) - 1 != nnz:
-        raise ValueError(f"header promises {nnz} entries, found {len(lines) - 1}")
-    entries = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad triplet line: {ln!r}")
-        r, c = int(parts[0]), int(parts[1])
-        num, _, den = parts[2].partition("/")
-        den = int(den or "1")
-        if den == 0:
-            raise ValueError(f"zero denominator in triplet line: {ln!r}")
-        entries.append((r, c, Fraction(int(num), den)))
-    return SparseMat.from_entries(nrows, ncols, entries)
+    F = dst.project_matrix() @ M
+    for row in src.relations._int_rows:
+        if F._times(row):
+            raise InternalCheckError(
+                "map does not descend to the quotient: image of a relation "
+                "is not a relation")
+    return F @ src.section_matrix()

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from sechom.algebra import FinAlgebra, multiply
 from sechom.differentials import ambient_symbol
+from sechom.linalg import AmbientDimensionError, SparseMat
 from sechom.oracles import _check_cap, dense_rank
 from sechom.triples import catalog, catalog_names, make_triple
 
@@ -108,6 +109,19 @@ def dense_rank_of_sparse(M) -> int:
     for rr, cc, x in M.entries():
         D[rr][cc] = x
     return dense_rank(D)
+
+
+def from_entries(nrows: int, ncols: int, entries) -> SparseMat:
+    """The matrix with these (row, column, value) entries; values at one
+    position add up."""
+    cols: dict = {}
+    for r, c, x in entries:
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            raise AmbientDimensionError(
+                f"entry ({r},{c}) outside {nrows}x{ncols}")
+        col = cols.setdefault(c, {})
+        col[r] = col.get(r, 0) + Fraction(x)
+    return SparseMat(nrows, ncols, cols)
 
 
 def value_columns(M) -> dict:

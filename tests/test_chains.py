@@ -15,11 +15,12 @@ import pytest
 from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, dense_rank_of_sparse,
                      rebased_triple, rescaled_triple, shared_triple,
                      value_columns)
-from sechom import chains
+from sechom import chains, homology
 from sechom.algebra import multiply
 from sechom.chains import (_face_sum, boundary, chain_dim, chain_space,
                            cyclic_operator, cyclic_quotient, pair_list)
-from sechom.linalg import InternalCheckError, SparseMat, Subspace, colspace
+from sechom.linalg import (InternalCheckError, QuotientStructure, SparseMat,
+                           Subspace, colspace, induced_on_quotients)
 from sechom.triples import catalog
 from sechom.oracles import bar_boundary, bar_rotation
 
@@ -321,12 +322,12 @@ def test_degree_one_coinvariants_of_dual_numbers():
 
 
 def test_boundary_descends_to_coinvariants():
-    # Construction fails loudly if the boundary did not descend, so building
-    # the quotients across the catalog is itself the assertion.
+    # Building the induced boundary fails loudly if the boundary did not
+    # descend, so building it across the catalog is itself the assertion.
     for name in ALL_NAMES:
         T = shared_triple(name)
         for n in range(3):
-            cyclic_quotient(T, n)
+            homology._induced_boundary(T, n)
 
 
 def test_orbit_relations_equal_colspace_of_one_minus_rotation():
@@ -349,7 +350,7 @@ def test_orbit_relations_equal_colspace_of_one_minus_rotation():
 def test_descent_check_fires_on_smaller_relations(monkeypatch):
     # Drop one orbit row from the degree-1 relations: the boundary of
     # degree 2 must then fail to descend, and loudly.
-    T = catalog("mat2_k")  # fresh, so no cached verdict is reused
+    T = catalog("mat2_k")  # fresh, so no cached quotient is reused
     full = chains._coinvariant_relations(T, 1)
     smaller = Subspace.from_canonical(full.ambient_dim, full.rows[1:],
                                       full.pivots[1:])
@@ -357,7 +358,64 @@ def test_descent_check_fires_on_smaller_relations(monkeypatch):
     monkeypatch.setattr(chains, "_coinvariant_relations",
                         lambda T2, k: smaller if k == 1 else orig(T2, k))
     with pytest.raises(InternalCheckError):
-        cyclic_quotient(T, 2)
+        homology._induced_boundary(T, 2)
+
+
+def _per_column_descends(T, n, W_low):
+    """Test-local copy of the descent check that induced_on_quotients
+    replaced: column c of boundary composed with (1 - t) is
+    d[c] - (-1)^n d[img[c]], and must lie in the relations W_low."""
+    bnd = boundary(T, n).num
+    img, sgn = _per_tuple_rotation(T, n)
+    for c in range(len(img)):
+        moved = dict(bnd.get(c, {}))
+        for r, x in bnd.get(img[c], {}).items():
+            y = moved.get(r, 0) - sgn[c] * x
+            if y:
+                moved[r] = y
+            else:
+                del moved[r]
+        if moved and not W_low.contains(moved):
+            return False
+    return True
+
+
+def _matrix_descends(T, n, W_low):
+    try:
+        induced_on_quotients(boundary(T, n), cyclic_quotient(T, n),
+                             QuotientStructure(W_low.ambient_dim, W_low))
+    except InternalCheckError:
+        return False
+    return True
+
+
+def test_matrix_descent_check_matches_per_column_check():
+    # Equality gate: the matrix identity of induced_on_quotients and the
+    # per-column membership loop it replaced give the same verdict, on the
+    # true degree n-1 relations (both accept) and on those relations with
+    # their first orbit row dropped (both give one verdict, and both
+    # reject at least once, mat2_k in degree 2 among them).
+    cases = [(shared_triple(name), 3) for name in ALL_NAMES]
+    cases += [(shared_triple("dual_k"), 5), (shared_triple("trunc3_k"), 5)]
+    cases += [(rescaled_triple(name), 2)
+              for name in ["dual_dual_x", "trunc3_k"]]
+    cases += [(rebased_triple(name), 2)
+              for name in ALL_NAMES if name != "mat2_k"]
+    rejected = set()
+    for T, top in cases:
+        for n in range(1, top + 1):
+            full = chains._coinvariant_relations(T, n - 1)
+            assert _per_column_descends(T, n, full)
+            assert _matrix_descends(T, n, full)
+            if not full.pivots:
+                continue
+            smaller = Subspace.from_canonical(
+                full.ambient_dim, full.rows[1:], full.pivots[1:])
+            verdict = _per_column_descends(T, n, smaller)
+            assert _matrix_descends(T, n, smaller) == verdict, (T.name, n)
+            if not verdict:
+                rejected.add((T.name, n))
+    assert ("mat2_k", 2) in rejected
 
 
 def test_dropped_triple_frees_its_tables():
@@ -528,5 +586,8 @@ def test_digit_rotation_matches_per_tuple_rotation():
         for n in range(9):
             if chain_dim(T, n) > 6561:
                 break
-            img, sgn = chains._rotation(T, n)
-            assert (img, sgn) == _per_tuple_rotation(T, n)
+            img, sgn = _per_tuple_rotation(T, n)
+            assert chains._rotation(T, n) == img
+            assert sgn == [(-1) ** n] * len(img)
+            assert cyclic_operator(T, n).num == {
+                c: {i: s} for c, (i, s) in enumerate(zip(img, sgn))}

@@ -165,6 +165,15 @@ def test_degree_cap_and_override(capsys):
     assert payload["results"][0]["dimension"] == 1
 
 
+def test_negative_override_is_a_usage_error(capsys):
+    # Refused like a spec file's negative max_degree: exit 2, same wording,
+    # and not as a degree over the cap.
+    code, _, err = run(capsys, "compute", "--catalog", "k_k", "--degree", "0",
+                       "--max-degree-override", "-1")
+    assert code == 2
+    assert err == "error: --max-degree-override must be nonnegative\n"
+
+
 def test_over_cap_degrees_are_refused_before_any_work(capsys, monkeypatch):
     # The smallest requested degree above the cap is refused first, so no
     # degree below it is computed.

@@ -6,14 +6,14 @@ from math import gcd, lcm
 
 import pytest
 
-from _shared import (ALL_NAMES, rebased_triple, rescaled_triple,
-                     shared_triple, value_columns)
+from _shared import (ALL_NAMES, from_entries, rebased_triple,
+                     rescaled_triple, shared_triple, value_columns)
 from sechom.chains import _coinvariant_relations, boundary, cyclic_quotient
 from sechom.homology import _induced_boundary, _quotient_of_complex, hc, hh
 from sechom.linalg import (AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, colspace,
-                           export_triplets, induced_on_quotients, nullspace,
-                           parse_triplets, rank, row_space, solve, to_dense)
+                           induced_on_quotients, nullspace, rank, row_space,
+                           solve, to_dense)
 
 F = Fraction
 
@@ -81,7 +81,7 @@ def test_reduce_length_checked():
 
 def test_sparse_matrix_constructors_agree():
     entries = [(0, 0, F(1)), (1, 0, F(-2)), (0, 2, F(1, 3))]
-    M = SparseMat.from_entries(2, 3, entries)
+    M = from_entries(2, 3, entries)
     N = SparseMat.from_columns(2, [{0: F(1), 1: F(-2)}, {}, {0: F(1, 3)}])
     assert M == N
     assert sorted(M.entries()) == sorted(entries)
@@ -90,14 +90,14 @@ def test_sparse_matrix_constructors_agree():
 
 def test_sparse_matrix_bounds_checked():
     with pytest.raises(AmbientDimensionError):
-        SparseMat.from_entries(2, 2, [(2, 0, F(1))])
+        SparseMat.from_columns(2, [{2: F(1)}, {}])
     M = SparseMat.identity(2)
     with pytest.raises(AmbientDimensionError):
         M.column(5)
 
 
 def test_matvec_matches_dense():
-    M = SparseMat.from_entries(2, 3, [(0, 0, F(2)), (1, 1, F(3)), (0, 2, F(-1))])
+    M = from_entries(2, 3, [(0, 0, F(2)), (1, 1, F(3)), (0, 2, F(-1))])
     v = [F(1), F(1, 3), F(2)]
     dense = M.to_dense()
     expect = [sum(row[j] * v[j] for j in range(3)) for row in dense]
@@ -109,8 +109,8 @@ def test_matvec_matches_dense():
 
 
 def test_matmul_add_transpose():
-    A = SparseMat.from_entries(2, 2, [(0, 0, F(1)), (0, 1, F(2)), (1, 1, F(1))])
-    B = SparseMat.from_entries(2, 2, [(0, 1, F(1)), (1, 0, F(3))])
+    A = from_entries(2, 2, [(0, 0, F(1)), (0, 1, F(2)), (1, 1, F(1))])
+    B = from_entries(2, 2, [(0, 1, F(1)), (1, 0, F(3))])
     C = A @ B
     assert C.to_dense() == [[F(6), F(1)], [F(3), F(0)]]
     assert (A + B - B) == A
@@ -120,7 +120,7 @@ def test_matmul_add_transpose():
 
 
 def test_rank_nullspace_rowspace_colspace():
-    M = SparseMat.from_entries(3, 3, [
+    M = from_entries(3, 3, [
         (0, 0, F(1)), (0, 1, F(2)), (1, 0, F(2)), (1, 1, F(4)), (2, 2, F(1))])
     assert rank(M) == 2
     ker = nullspace(M)
@@ -132,11 +132,11 @@ def test_rank_nullspace_rowspace_colspace():
 
 
 def test_solve_finds_and_rejects():
-    M = SparseMat.from_entries(2, 2, [(0, 0, F(1)), (1, 1, F(2))])
+    M = from_entries(2, 2, [(0, 0, F(1)), (1, 1, F(2))])
     x = solve(M, [F(3), F(5)])
     assert x is not None
     assert M.matvec(x) == {0: F(3), 1: F(5)}
-    singular = SparseMat.from_entries(2, 1, [(0, 0, F(1))])
+    singular = from_entries(2, 1, [(0, 0, F(1))])
     assert solve(singular, [F(0), F(1)]) is None
     with pytest.raises(AmbientDimensionError):
         solve(M, [F(1), F(0), F(5)])
@@ -166,25 +166,12 @@ def test_quotient_relations_ambient_checked():
 def test_induced_map_compatibility_enforced():
     rel = Subspace(2, [[1, -1]])
     Q = QuotientStructure(2, rel)
-    flip = SparseMat.from_entries(2, 2, [(0, 1, F(1)), (1, 0, F(1))])
+    flip = from_entries(2, 2, [(0, 1, F(1)), (1, 0, F(1))])
     ind = induced_on_quotients(flip, Q, Q)
     assert ind == SparseMat.identity(1)
-    bad = SparseMat.from_entries(2, 2, [(0, 0, F(1))])  # kills one summand
+    bad = from_entries(2, 2, [(0, 0, F(1))])  # kills one summand
     with pytest.raises(InternalCheckError):
         induced_on_quotients(bad, Q, Q)
-
-
-def test_triplet_export_parse_round_trip():
-    M = SparseMat.from_entries(3, 4, [
-        (0, 0, F(1, 2)), (2, 3, F(-5)), (1, 1, F(7, 3))])
-    text = export_triplets(M)
-    head = text.splitlines()[0].split()
-    assert head == ["3", "4", "3"]
-    assert parse_triplets(text) == M
-    with pytest.raises(ValueError):
-        parse_triplets("3 4\n")
-    with pytest.raises(ValueError, match="'0 0 1/0'"):
-        parse_triplets("1 1 1\n0 0 1/0\n")
 
 
 def test_random_span_membership_and_rank_nullity():
@@ -197,7 +184,7 @@ def test_random_span_membership_and_rank_nullity():
             for c in range(ncols):
                 if rng.random() < 0.5:
                     entries.append((r, c, F(rng.randrange(-4, 5))))
-        M = SparseMat.from_entries(nrows, ncols, entries)
+        M = from_entries(nrows, ncols, entries)
         assert rank(M) + nullspace(M).dim == ncols
         S = colspace(M)
         combo = [F(0)] * nrows
@@ -551,7 +538,7 @@ def test_integer_core_matches_fraction_code_on_random_inputs():
         n, m, k = (rng.randrange(1, 7) for _ in range(3))
 
         def rand_mat(rows, cols):
-            return SparseMat.from_entries(rows, cols, [
+            return from_entries(rows, cols, [
                 (r, c, _random_rational(rng, big))
                 for r in range(rows) for c in range(cols)
                 if rng.random() < 0.6])
@@ -638,7 +625,7 @@ def test_closed_form_nullspace_matches_second_elimination():
 
 
 def test_nullspace_checks_each_kernel_row(monkeypatch):
-    M = SparseMat.from_entries(1, 2, [(0, 0, F(1)), (0, 1, F(1))])
+    M = from_entries(1, 2, [(0, 0, F(1)), (0, 1, F(1))])
     assert nullspace(M).rows == [{0: F(1), 1: F(-1)}]
     monkeypatch.setattr(SparseMat, "_times", lambda self, v: {0: 1})
     with pytest.raises(InternalCheckError, match="not in the kernel"):

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from _shared import dense_rank_of_sparse, rebased_triple
+from _shared import dense_rank_of_sparse, from_entries, rebased_triple
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra,
@@ -150,7 +150,7 @@ def test_dense_rank_agrees_with_sparse_elimination():
                 if rng.random() < 0.5:
                     entries.append((r, c, F(rng.randrange(-4, 5),
                                             rng.randrange(1, 4))))
-        M = SparseMat.from_entries(nrows, ncols, entries)
+        M = from_entries(nrows, ncols, entries)
         assert rank(M) == dense_rank_of_sparse(M)
 
 
