@@ -36,13 +36,12 @@ where the induced boundary is built, by `linalg.induced_on_quotients`.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from math import lcm
 
 from .algebra import multiply
 from .linalg import QuotientStructure, SparseMat, Subspace, basis_vector
-from .triples import Triple
+from .triples import Triple, per_triple
 
 
 def pair_list(n: int) -> list:
@@ -122,7 +121,7 @@ class ChainSpace:
         return ChainIndex(self.degree, tuple(digits[:na]), tuple(digits[na:]))
 
 
-# -- per-triple caches -----------------------------------------------------
+# -- product tables and chain spaces, one per triple -----------------------
 
 def _integer_supports(vecs: list) -> tuple:
     """Supports of rational vectors as (k, numerator) pairs over one common
@@ -134,16 +133,14 @@ def _integer_supports(vecs: list) -> tuple:
 
 
 class _Tables:
-    """Products and matrices reused across degrees for one triple.
+    """The product tables of one triple, shared by its faces in every degree.
 
-    The product tables hold integer numerators over one denominator per
-    table (`bden` for products in B, `sden` for the sandwiches
-    e_i eps(f_k) e_j), so faces are assembled in plain ints.
+    They hold integer numerators over one denominator per table (`bden`
+    for products in B, `sden` for the sandwiches e_i eps(f_k) e_j), so
+    faces are assembled in plain ints.
     """
 
     def __init__(self, T: Triple):
-        # Holds no reference to T: the value of a WeakKeyDictionary entry
-        # must not keep its own key alive.
         A, B, eps = T.A, T.B, T.eps
         da, db = A.dim, B.dim
         self.bden, flat = _integer_supports(
@@ -155,31 +152,16 @@ class _Tables:
              for i in range(da) for k in range(db) for j in range(da)])
         self.sandwich = [[flat[(i * db + k) * da:(i * db + k + 1) * da]
                           for k in range(db)] for i in range(da)]
-        self.spaces: dict = {}
-        self.boundaries: dict = {}
-        self.quotients: dict = {}
 
 
-_TABLES: "weakref.WeakKeyDictionary[Triple, _Tables]" = weakref.WeakKeyDictionary()
+_tables = per_triple(_Tables)
 
 
-def _tables(T: Triple) -> _Tables:
-    tb = _TABLES.get(T)
-    if tb is None:
-        tb = _Tables(T)
-        _TABLES[T] = tb
-    return tb
-
-
+@per_triple
 def chain_space(T: Triple, n: int) -> ChainSpace:
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    tb = _tables(T)
-    cs = tb.spaces.get(n)
-    if cs is None:
-        cs = ChainSpace(T.A.dim, T.B.dim, n)
-        tb.spaces[n] = cs
-    return cs
+    return ChainSpace(T.A.dim, T.B.dim, n)
 
 
 # -- face maps -------------------------------------------------------------
@@ -280,20 +262,15 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
         dst.dim, src.dim, {c: col for c, col in enumerate(slots) if col}, den)
 
 
+@per_triple
 def boundary(T: Triple, n: int) -> SparseMat:
     """Alternating sum of the faces; degree 0 gets the zero map."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    tb = _tables(T)
-    M = tb.boundaries.get(n)
-    if M is None:
-        if n == 0:
-            M = SparseMat.zeros(0, chain_space(T, 0).dim)
-        else:
-            M = _face_sum(T, n, [(i, 1 if i % 2 == 0 else -1)
-                                 for i in range(n + 1)])
-        tb.boundaries[n] = M
-    return M
+    if n == 0:
+        return SparseMat.zeros(0, chain_space(T, 0).dim)
+    return _face_sum(T, n, [(i, 1 if i % 2 == 0 else -1)
+                            for i in range(n + 1)])
 
 
 # -- cyclic structure ------------------------------------------------------
@@ -354,12 +331,8 @@ def _coinvariant_relations(T: Triple, n: int) -> Subspace:
     return Subspace.from_canonical(len(img), [rows[p] for p in pivots], pivots)
 
 
+@per_triple
 def cyclic_quotient(T: Triple, n: int) -> QuotientStructure:
     """Coordinates on the cyclic coinvariants in degree n.  The boundary's
     descent to them is certified in `homology._induced_boundary`."""
-    tb = _tables(T)
-    Q = tb.quotients.get(n)
-    if Q is None:
-        Q = QuotientStructure(chain_dim(T, n), _coinvariant_relations(T, n))
-        tb.quotients[n] = Q
-    return Q
+    return QuotientStructure(chain_dim(T, n), _coinvariant_relations(T, n))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebra import _vec, multiply
 from .linalg import (ZERO, QuotientStructure, SparseMat, Subspace,
                      basis_vector)
-from .triples import Triple
+from .triples import Triple, per_triple
 
 
 @dataclass(eq=False)
@@ -76,6 +76,7 @@ def _sub(u: list, v: list) -> None:
             u[i] -= x
 
 
+@per_triple
 def omega(T: Triple) -> OmegaPresentation:
     """Build the presented module; A must be commutative."""
     T.require_commutative("the module of differential symbols")

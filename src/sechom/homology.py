@@ -20,7 +20,7 @@ from .chains import boundary, chain_dim, chain_space, cyclic_quotient
 from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
                      Subspace, colspace, induced_on_quotients, nullspace,
                      rank, to_dense)
-from .triples import Triple
+from .triples import Triple, per_triple
 
 DEFAULT_MAX_DEGREE = 3
 _MAX_DIGITS = 100  # longer chain dimensions are printed as powers
@@ -118,11 +118,12 @@ def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
     return HomologyResult(T.name, "hh", n, Q.dim, reps)
 
 
+@per_triple
 def _induced_boundary(T: Triple, k: int) -> SparseMat:
     """Boundary on cyclic coinvariant coordinates, degree k to k - 1.
 
     induced_on_quotients certifies that the boundary descends; a failure
-    is a hard error.
+    is a hard error.  Memoized, so a sweep over degrees builds each once.
     """
     q_src = cyclic_quotient(T, k)
     if k == 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .algebra import FinAlgebra, _vec, multiply, tensor_algebra
 from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
                      Subspace, basis_vector, nullspace, to_dense)
-from .triples import Triple
+from .triples import Triple, per_triple
 
 
 @dataclass(eq=False)
@@ -99,6 +99,7 @@ def j_generator(T: Triple, alpha, a) -> list:
     return vec
 
 
+@per_triple
 def kernel_data(T: Triple) -> KernelData:
     """Assemble the kernel, its relation spaces, and the quotient."""
     T.require_commutative("the kernel presentation")

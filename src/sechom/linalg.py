@@ -209,9 +209,9 @@ class Subspace:
         """Wrap rows that are already the canonical RREF, with no elimination.
 
         `rows[k]` (ints or Fractions) has its least index at `pivots[k]`,
-        value 1 there and 0 at every other pivot; pivots strictly increase.
-        This is checked in time linear in the entries, and a violation
-        raises ValueError.
+        value 1 there and 0 at every other pivot; pivots are nonnegative
+        and strictly increase.  This is checked in time linear in the
+        entries, and a violation raises ValueError.
         """
         pivots = list(pivots)
         pos = {p: k for k, p in enumerate(pivots)}
@@ -219,7 +219,8 @@ class Subspace:
                 a >= b for a, b in zip(pivots, pivots[1:])):
             raise ValueError("pivots must strictly increase, one per row")
         for p, row in zip(pivots, rows):
-            if (row.get(p) != 1 or min(row) != p or max(row) >= ambient_dim
+            if (p < 0 or row.get(p) != 1 or min(row) != p
+                    or max(row) >= ambient_dim
                     or not all(row.values())
                     or any(k != p and k in pos for k in row)):
                 raise ValueError(f"row with pivot {p} is not in canonical form")

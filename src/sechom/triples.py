@@ -9,7 +9,8 @@ and the command line tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import wraps
 
 from .algebra import (AlgMorphism, FinAlgebra, field_algebra, is_central,
                       matrix_algebra, multiply, split_product_algebra,
@@ -56,12 +57,30 @@ class Triple:
     eps: AlgMorphism
     commutative: bool  # whether A is commutative
     name: str = ""
+    # Not an init field, so dataclasses.replace starts an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def require_commutative(self, what: str) -> None:
         if not self.commutative:
             raise CommutativeTripleRequiredError(
                 f"{what} requires a commutative algebra A "
                 f"(triple {self.name or '<unnamed>'} is not)")
+
+
+def per_triple(fn):
+    """Memoize fn(T, *args) in a dict on the triple T itself.
+
+    Every value lives exactly as long as its triple, and a repeated call
+    returns the very object the first call built.  A value may refer back
+    to T: the cycle it forms is freed by the garbage collector.
+    """
+    @wraps(fn)
+    def memoized(T: Triple, *args):
+        memo, key = T._memo, (fn, args)
+        if key not in memo:
+            memo[key] = fn(T, *args)
+        return memo[key]
+    return memoized
 
 
 def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,

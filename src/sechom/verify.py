@@ -138,9 +138,9 @@ def _prop_hh1_omega(T: Triple, P: OmegaPresentation, b: _Builder):
     Returns (hh_quotient, phi_bar, psi_bar) with the induced matrices in
     quotient coordinates on both sides.
     """
+    Q_hh, p_hh, s_hh = _hh1_interface(T)
     phi, psi = transfer_matrices(T)
-    bnd2 = boundary(T, 2)
-    moved = phi @ bnd2
+    moved = phi @ boundary(T, 2)
     b.check_all("boundaries map into relations",
                 ({"column": c, "vector": _wvec(moved.column(c))}
                  for c in sorted(moved.num)
@@ -148,13 +148,13 @@ def _prop_hh1_omega(T: Triple, P: OmegaPresentation, b: _Builder):
 
     b.check("symbol images are cycles", (boundary(T, 1) @ psi).is_zero())
 
-    im2 = colspace(bnd2)
+    # Cycle coordinates are chain coordinates here (_hh1_interface), so
+    # the homology relations are the span of the degree-two boundary.
     b.check_all("relations map into boundaries",
                 ({"relation": i, "vector": _wvec(row)}
                  for i, row in enumerate(P.relations.rows)
-                 if not im2.contains(psi.matvec(row))))
+                 if not Q_hh.relations.contains(psi.matvec(row))))
 
-    Q_hh, p_hh, s_hh = _hh1_interface(T)
     phi_bar = P.quotient.project_matrix() @ phi @ s_hh
     psi_bar = p_hh @ psi @ P.quotient.section_matrix()
     b.check("round trip on the symbol module is the identity",

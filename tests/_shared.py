@@ -1,8 +1,10 @@
 """Shared helpers for the test suite.
 
-Catalog triples are memoized here so the per-triple caches (boundary
-matrices, cyclic quotients) are reused across test files instead of being
-rebuilt from scratch for every test.
+Catalog triples are memoized here, so what the package memoizes on each
+triple (boundaries, cyclic quotients, omega, kernel_data, ...; see
+`sechom.triples.per_triple`) is reused across tests and test files
+instead of being rebuilt for every test.  Each test file must still pass
+on its own, with a cold memo.
 """
 
 from fractions import Fraction

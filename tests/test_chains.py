@@ -5,6 +5,8 @@ term-by-term formulas that do their own index arithmetic, so they share no
 construction logic with the face-recipe machinery they test.
 """
 
+import copy
+import dataclasses
 import gc
 import weakref
 from fractions import Fraction
@@ -19,6 +21,8 @@ from sechom import chains, homology
 from sechom.algebra import multiply
 from sechom.chains import (_face_sum, boundary, chain_dim, chain_space,
                            cyclic_operator, cyclic_quotient, pair_list)
+from sechom.differentials import omega
+from sechom.kernel import kernel_data
 from sechom.linalg import (InternalCheckError, QuotientStructure, SparseMat,
                            Subspace, colspace, induced_on_quotients)
 from sechom.triples import catalog
@@ -418,17 +422,38 @@ def test_matrix_descent_check_matches_per_column_check():
     assert ("mat2_k", 2) in rejected
 
 
+# -- the per-triple memo ---------------------------------------------------
+
 def test_dropped_triple_frees_its_tables():
-    gc.collect()
-    before = len(chains._TABLES)
+    # omega(T) holds T, so T and its memo form a cycle; the collector must
+    # free both once the caller drops T.
     T = catalog("dual_dual_x")
     boundary(T, 2)
-    assert len(chains._TABLES) == before + 1
-    ref = weakref.ref(T)
+    refs = [weakref.ref(T), weakref.ref(omega(T))]
     del T
     gc.collect()
-    assert ref() is None
-    assert len(chains._TABLES) == before
+    assert [r() for r in refs] == [None, None]
+
+
+def test_memo_returns_the_same_object_for_the_same_arguments():
+    T = catalog("dual_dual_x")
+    for fn, args in [(boundary, (2,)), (cyclic_quotient, (2,)),
+                     (homology._induced_boundary, (2,)), (omega, ()),
+                     (kernel_data, ())]:
+        assert fn(T, *args) is fn(T, *args), fn.__name__
+    assert boundary(T, 1) is not boundary(T, 2)
+    assert boundary(catalog("dual_dual_x"), 2) is not boundary(T, 2)
+
+
+def test_replaced_triple_starts_an_empty_memo():
+    T = catalog("dual_dual_x")
+    M, P = boundary(T, 2), omega(T)
+    mutated = copy.deepcopy(T.A.mult)
+    mutated[1][1][0] += F(1)  # pretend x * x = 1
+    T2 = dataclasses.replace(T, A=dataclasses.replace(T.A, mult=mutated))
+    assert T2._memo == {}
+    assert boundary(T2, 2) != M
+    assert omega(T2) is not P and omega(T2).triple is T2
 
 
 def _fraction_face_sum(T, n, faces):

@@ -111,6 +111,23 @@ def test_cyclic_representatives_live_in_the_chain_space():
         assert len(rep) == chain_dim(T, 2)
 
 
+def test_hc_sweep_builds_each_induced_boundary_once(monkeypatch):
+    # hc(T, n) needs the induced boundaries of degrees n and n + 1, so a
+    # sweep over 0..6 asks for degrees 1..7 twice each but builds each once.
+    built = []
+    real = homology.induced_on_quotients
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homology, "induced_on_quotients", counted)
+    T = catalog("trunc3_k")
+    for n in range(7):
+        hc(T, n, max_degree=6)
+    assert len(built) == 7
+
+
 # -- guard rails -----------------------------------------------------------
 
 def test_nonzero_square_is_a_hard_error_in_both_flavors(monkeypatch):

@@ -297,6 +297,8 @@ def test_from_canonical_round_trip_and_rejection():
         Subspace.from_canonical(4, [{1: F(1)}, {0: F(1)}], [1, 0])
     with pytest.raises(ValueError):
         Subspace.from_canonical(4, [{3: F(1), 4: F(1)}], [3])
+    with pytest.raises(ValueError):
+        Subspace.from_canonical(3, [{-1: 1, 0: 2}], [-1])  # negative pivot
 
 
 def _fraction_rref(ambient_dim, vectors):

@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import COMMUTATIVE_NAMES, shared_triple
+from _shared import (COMMUTATIVE_NAMES, rebased_triple, rescaled_triple,
+                     shared_triple)
 from sechom.algebra import (field_algebra, matrix_algebra, multiply,
                             split_product_algebra,
                             truncated_polynomial_algebra)
+from sechom.chains import boundary
 from sechom.differentials import ambient_symbol, omega
+from sechom.homology import _hh_pieces
 from sechom.kernel import kernel_data
-from sechom.linalg import QuotientStructure, Subspace
+from sechom.linalg import QuotientStructure, Subspace, colspace
 from sechom.triples import CommutativeTripleRequiredError
 from sechom.verify import (forward_matrix, transfer_matrices, verify_cor_hc1,
                            verify_main, verify_prop_hh1_omega,
@@ -106,6 +109,19 @@ def test_forward_matrix_lands_in_the_kernel():
         T = shared_triple(name)
         K = kernel_data(T)
         assert (K.m_matrix @ forward_matrix(T)).is_zero()
+
+
+def test_homology_relations_are_the_degree_two_boundary_span():
+    # The degree-one comparison tests symbol relations against the
+    # homology quotient's relations in place of colspace(boundary(T, 2)).
+    triples = [shared_triple(name) for name in COMMUTATIVE_NAMES]
+    triples += [rescaled_triple(name) for name in ["dual_dual_x", "trunc3_k"]]
+    triples += [rebased_triple(name) for name in
+                ["dual_dual_zero", "dual_dual_x", "dual_over_dual_id",
+                 "trunc3_k"]]
+    for T in triples:
+        assert colspace(boundary(T, 2)) == _hh_pieces(T, 1)[1].relations, \
+            T.name
 
 
 # -- failure behavior ------------------------------------------------------
