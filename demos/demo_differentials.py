@@ -27,21 +27,21 @@ def main():
 
     x = [F(0), F(1)]
     y = [F(0), F(1)]
-    print(f"\nclass of d(1 (x) x): {coords(P, d_symbol(P, T.B.unit, x))}")
-    print(f"class of d(y (x) 1): {coords(P, d_symbol(P, y, T.A.unit))}")
-    print(f"class of d(1 (x) 1): {coords(P, d_symbol(P, T.B.unit, T.A.unit))} "
+    print(f"\nclass of d(1 (x) x): {coords(P, d_symbol(T, T.B.unit, x))}")
+    print(f"class of d(y (x) 1): {coords(P, d_symbol(T, y, T.A.unit))}")
+    print(f"class of d(1 (x) 1): {coords(P, d_symbol(T, T.B.unit, T.A.unit))} "
           f"(derivatives of the unit vanish)")
 
     # The product rule in action: d(1 (x) x^2) = 2 x d(1 (x) x), and x^2
     # is zero here, so the doubled symbol must be a relation.
-    doubled = [2 * v for v in ambient_symbol(P, x, T.B.unit, x)]
+    doubled = [2 * v for v in ambient_symbol(T, x, T.B.unit, x)]
     print(f"\n2 x d(1 (x) x) lies in the relation span: "
           f"{P.relations.contains(doubled)}")
 
-    sub = d_one_A_subspace(P)
+    sub = d_one_A_subspace(T)
     print(f"\nthe classes d(1 (x) a) span a {sub.dim}-dimensional subspace")
 
-    act = coefficient_action(P, 1)
+    act = coefficient_action(T, 1)
     print(f"multiplying coefficients by x is a {act.nrows} x {act.ncols} "
           f"matrix on the ambient space")
 

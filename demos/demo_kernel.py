@@ -31,7 +31,7 @@ def main():
     print(f"  closed combined span:      {K.relations.dim}")
     print(f"  quotient dimension:        {K.dim}")
     print(f"  readings agree:            {K.readings_agree}")
-    print(f"  left/right action agrees:  {symmetry_check(K)}")
+    print(f"  left/right action agrees:  {symmetry_check(T)}")
 
     # One catalog triple distinguishes the raw balancing span from its
     # closure under coefficient multiplication; the quotient is taken by

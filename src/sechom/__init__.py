@@ -11,12 +11,12 @@ mechanically verifies the isomorphisms relating all of these.
 
 __version__ = "0.1.0"
 
-from .algebra import (AlgMorphism, FinAlgebra, commutator_subspace,
-                      field_algebra, is_central, matrix_algebra, multiply,
-                      split_product_algebra, tensor_algebra,
-                      truncated_polynomial_algebra, validate_algebra)
-from .chains import (ChainIndex, ChainSpace, boundary, chain_dim, chain_space,
-                     cyclic_operator, cyclic_quotient, pair_list)
+from .algebra import (AlgMorphism, FinAlgebra, field_algebra, is_central,
+                      matrix_algebra, multiply, split_product_algebra,
+                      tensor_algebra, truncated_polynomial_algebra,
+                      validate_algebra)
+from .chains import (ChainSpace, boundary, chain_dim, chain_space,
+                     cyclic_quotient, pair_list)
 from .differentials import (OmegaPresentation, ambient_symbol,
                             coefficient_action, d_one_A_subspace, d_symbol,
                             omega, symbol_index)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import Subspace, ZERO, ONE, basis_vector
+from .linalg import ZERO, ONE, basis_vector
 
 
 def _vec(coords) -> list:
@@ -139,17 +139,6 @@ def is_central(A: FinAlgebra, v) -> bool:
         if multiply(A, v, e_i) != multiply(A, e_i, v):
             return False
     return True
-
-
-def commutator_subspace(A: FinAlgebra) -> Subspace:
-    """Span of all basis commutators e_i e_j - e_j e_i."""
-    vectors = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            diff = [a - b for a, b in zip(A.mult[i][j], A.mult[j][i])]
-            if any(diff):
-                vectors.append(diff)
-    return Subspace(A.dim, vectors)
 
 
 def tensor_algebra(A: FinAlgebra, B: FinAlgebra, name: str = "") -> FinAlgebra:

@@ -36,7 +36,6 @@ where the induced boundary is built, by `linalg.induced_on_quotients`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .algebra import multiply
@@ -53,14 +52,6 @@ def chain_dim(T: Triple, n: int) -> int:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     return T.A.dim ** (n + 1) * T.B.dim ** (n * (n + 1) // 2)
-
-
-@dataclass(frozen=True)
-class ChainIndex:
-    """A basis tensor: a-slot digits and a digit per b-slot pair."""
-    degree: int
-    a: tuple
-    b: tuple  # aligned with pair_list(degree)
 
 
 class ChainSpace:
@@ -108,18 +99,6 @@ class ChainSpace:
                 raise ValueError(f"basis digit {d} out of range 0..{r - 1}")
             ix += d * w
         return ix
-
-    def delinearize(self, ix: int) -> ChainIndex:
-        if not 0 <= ix < self.dim:
-            raise ValueError(f"index {ix} outside chain space of dimension {self.dim}")
-        digits = []
-        for r in reversed(self.radices):
-            ix, d = divmod(ix, r)
-            digits.append(d)
-        digits.reverse()
-        na = self.degree + 1
-        return ChainIndex(self.degree, tuple(digits[:na]), tuple(digits[na:]))
-
 
 # -- product tables and chain spaces, one per triple -----------------------
 
@@ -290,15 +269,6 @@ def _rotation(T: Triple, n: int) -> list:
         if r > 1:  # a radix-1 digit is always 0
             img = [x + d * w for x in img for d in range(r)]
     return img
-
-
-def cyclic_operator(T: Triple, n: int) -> SparseMat:
-    """Signed rotation: a-slots shift by one (slot n to slot 0) and b-slots
-    follow, with global sign (-1)^n."""
-    img = _rotation(T, n)
-    sign = 1 if n % 2 == 0 else -1
-    return SparseMat.from_ints(len(img), len(img),
-                               {c: {i: sign} for c, i in enumerate(img)})
 
 
 def _coinvariant_relations(T: Triple, n: int) -> Subspace:

@@ -23,8 +23,9 @@ from .homology import DEFAULT_MAX_DEGREE, DegreeCapError, check_degree, hc, hh
 from .kernel import kernel_data, symmetry_check
 from .linalg import basis_vector
 from .differentials import d_one_A_subspace, omega
-from .oracles import (classical_hh_dims, classical_hc_dims,
-                      classical_I_mod_I2_dim, classical_kahler_dim)
+from .oracles import (ReferenceCapError, classical_hh_dims,
+                      classical_hc_dims, classical_I_mod_I2_dim,
+                      classical_kahler_dim)
 from .specfile import (ParsedTriple, SpecParseError, export_triple,
                        parse_triple_file, triple_hash)
 from .triples import (CommutativeTripleRequiredError, Triple,
@@ -78,6 +79,12 @@ def _load(args) -> ParsedTriple:
         return parse_triple_file(args.path)
     except FileNotFoundError:
         raise _CliError(f"no such file: {args.path}", EXIT_PARSE) from None
+    except OSError as exc:
+        raise _CliError(f"cannot read {args.path}: {exc.strerror}",
+                        EXIT_PARSE) from None
+    except UnicodeDecodeError:
+        raise _CliError(f"cannot read {args.path}: not UTF-8 text",
+                        EXIT_PARSE) from None
     except SpecParseError as exc:
         raise _CliError(f"parse error: {exc}", EXIT_PARSE) from None
     except TripleAxiomError as exc:
@@ -193,6 +200,16 @@ def _require_ground_field(T: Triple, what: str) -> None:
         raise _CliError(f"{what} B to be the ground field", EXIT_VALIDATION)
 
 
+def _reference(args, oracle, T: Triple, *rest):
+    """oracle(A, *rest) under --oracle, else None.  Callers run it before
+    the engine, so a reference over its size cap is refused before any
+    engine work."""
+    if not args.oracle:
+        return None
+    _require_ground_field(T, "reference comparison requires")
+    return oracle(T.A, *rest)
+
+
 def _cmd_validate(args) -> int:
     started = time.monotonic()
     parsed = _load(args)
@@ -228,6 +245,8 @@ def _cmd_compute(args) -> int:
                 check_degree(T, over, cap)
             except DegreeCapError as exc:
                 raise _CliError(str(exc), EXIT_RESOURCE) from None
+        ref = _reference(args, classical_hh_dims if args.flavor == "hh"
+                         else classical_hc_dims, T, max(degrees))
         results = []
         for n in degrees:
             res = func(T, n, max_degree=cap)
@@ -238,16 +257,14 @@ def _cmd_compute(args) -> int:
                         "label": f"{args.flavor}{n} class {i}",
                         "vector": [str(x) for x in rep]})
         payload["results"] = results
-        if args.oracle:
-            _require_ground_field(T, "reference comparison requires")
-            ref = classical_hh_dims(T.A, max(degrees)) if args.flavor == "hh" \
-                else classical_hc_dims(T.A, max(degrees))
+        if ref is not None:
             mine = {r["degree"]: r["dimension"] for r in results}
             agrees = all(mine[n] == ref[n] for n in degrees)
             payload["reference"] = {
                 "agrees": agrees,
                 "classical": {str(n): ref[n] for n in degrees}}
     elif args.flavor == "omega":
+        ref = _reference(args, classical_kahler_dim, T)
         try:
             P = omega(T)
         except CommutativeTripleRequiredError as exc:
@@ -256,7 +273,7 @@ def _cmd_compute(args) -> int:
             "ambient": P.ambient_dim,
             "relations": P.relations.dim,
             "dimension": P.quotient.dim,
-            "d_one_A": d_one_A_subspace(P).dim,
+            "d_one_A": d_one_A_subspace(T).dim,
         }
         if args.representatives:
             # Symbol class i is that of the ambient axis nonpivots[i].
@@ -264,12 +281,11 @@ def _cmd_compute(args) -> int:
                 reps_out.append({"label": f"symbol class {i}",
                                  "vector": [str(x) for x in
                                             basis_vector(P.ambient_dim, c)]})
-        if args.oracle:
-            _require_ground_field(T, "reference comparison requires")
-            ref = classical_kahler_dim(T.A)
+        if ref is not None:
             payload["reference"] = {"agrees": ref == P.quotient.dim,
                                     "classical": {"dimension": ref}}
     elif args.flavor == "kernel":
+        ref = _reference(args, classical_I_mod_I2_dim, T)
         try:
             K = kernel_data(T)
         except CommutativeTripleRequiredError as exc:
@@ -284,11 +300,9 @@ def _cmd_compute(args) -> int:
             "relations": K.relations.dim,
             "readings_agree": K.readings_agree,
             "dimension": K.quotient.dim,
-            "symmetric": symmetry_check(K),
+            "symmetric": symmetry_check(T),
         }
-        if args.oracle:
-            _require_ground_field(T, "reference comparison requires")
-            ref = classical_I_mod_I2_dim(T.A)
+        if ref is not None:
             payload["reference"] = {"agrees": ref == K.quotient.dim,
                                     "classical": {"dimension": ref}}
     if reps_out:
@@ -362,8 +376,12 @@ def _cmd_export(args) -> int:
     parsed = _load(args)
     text = export_triple(parsed.triple, max_degree=parsed.max_degree)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}: {exc.strerror}",
+                            EXIT_PARSE) from None
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -444,7 +462,7 @@ def main(argv=None) -> int:
     except TripleAxiomError as exc:
         print(f"invalid triple: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except DegreeCapError as exc:
+    except (DegreeCapError, ReferenceCapError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -27,7 +27,6 @@ from .triples import Triple, per_triple
 
 @dataclass(eq=False)
 class OmegaPresentation:
-    triple: Triple
     ambient_dim: int
     relations: Subspace
     quotient: QuotientStructure
@@ -45,7 +44,7 @@ def symbol_index(T: Triple, m: int, j: int, k: int) -> int:
     return (m * db + j) * da + k
 
 
-def _symbol(T: Triple, coeff, alpha, a) -> list:
+def ambient_symbol(T: Triple, coeff, alpha, a) -> list:
     """Dense ambient vector of (coeff) d(alpha (x) a), expanded trilinearly."""
     da, db = T.A.dim, T.B.dim
     coeff, alpha, a = _vec(coeff), _vec(alpha), _vec(a)
@@ -64,10 +63,6 @@ def _symbol(T: Triple, coeff, alpha, a) -> list:
                 if yk:
                     out[base + k] += cx * yk
     return out
-
-
-def ambient_symbol(P: OmegaPresentation, coeff, alpha, a) -> list:
-    return _symbol(P.triple, coeff, alpha, a)
 
 
 def _sub(u: list, v: list) -> None:
@@ -92,42 +87,42 @@ def omega(T: Triple) -> OmegaPresentation:
                 eps_r = eps.columns[r]
                 for q in range(da):
                     for s in range(da):
-                        vec = _symbol(T, e_m, B.mult[p][r], A.mult[q][s])
+                        vec = ambient_symbol(T, e_m, B.mult[p][r],
+                                             A.mult[q][s])
                         c1 = multiply(A, e_m,
                                       multiply(A, basis_vector(da, q), eps_p))
-                        _sub(vec, _symbol(T, c1, basis_vector(db, r),
-                                          basis_vector(da, s)))
+                        _sub(vec, ambient_symbol(T, c1, basis_vector(db, r),
+                                                 basis_vector(da, s)))
                         c2 = multiply(A, e_m,
                                       multiply(A, basis_vector(da, s), eps_r))
-                        _sub(vec, _symbol(T, c2, basis_vector(db, p),
-                                          basis_vector(da, q)))
+                        _sub(vec, ambient_symbol(T, c2, basis_vector(db, p),
+                                                 basis_vector(da, q)))
                         if any(vec):
                             rels.append(vec)
-            vec = [2 * x for x in _symbol(T, e_m, basis_vector(db, p), A.unit)]
-            _sub(vec, _symbol(T, e_m, B.unit, eps_p))
+            vec = [2 * x for x in
+                   ambient_symbol(T, e_m, basis_vector(db, p), A.unit)]
+            _sub(vec, ambient_symbol(T, e_m, B.unit, eps_p))
             if any(vec):
                 rels.append(vec)
     relations = Subspace(ambient, rels)
-    return OmegaPresentation(T, ambient, relations,
+    return OmegaPresentation(ambient, relations,
                              QuotientStructure(ambient, relations))
 
 
-def d_symbol(P: OmegaPresentation, alpha, a) -> dict:
+def d_symbol(T: Triple, alpha, a) -> dict:
     """Quotient coordinates of the class of d(alpha (x) a), sparse."""
-    return P.quotient.project(_symbol(P.triple, P.triple.A.unit, alpha, a))
+    return omega(T).quotient.project(ambient_symbol(T, T.A.unit, alpha, a))
 
 
-def d_one_A_subspace(P: OmegaPresentation) -> Subspace:
+def d_one_A_subspace(T: Triple) -> Subspace:
     """Span of the classes d(1 (x) a) inside the quotient coordinates."""
-    T = P.triple
-    vecs = [d_symbol(P, T.B.unit, basis_vector(T.A.dim, k))
+    vecs = [d_symbol(T, T.B.unit, basis_vector(T.A.dim, k))
             for k in range(T.A.dim)]
-    return Subspace(P.quotient.dim, vecs)
+    return Subspace(omega(T).dim, vecs)
 
 
-def coefficient_action(P: OmegaPresentation, m: int) -> SparseMat:
+def coefficient_action(T: Triple, m: int) -> SparseMat:
     """Ambient matrix of premultiplication of the coefficient by e_m."""
-    T = P.triple
     da, db = T.A.dim, T.B.dim
     cols = {}
     for mm in range(da):
@@ -141,4 +136,5 @@ def coefficient_action(P: OmegaPresentation, m: int) -> SparseMat:
                         col[(t * db + j) * da + k] = x
                 if col:
                     cols[src] = col
-    return SparseMat(P.ambient_dim, P.ambient_dim, cols)
+    ambient = da * db * da
+    return SparseMat(ambient, ambient, cols)

@@ -31,7 +31,6 @@ from .triples import Triple, per_triple
 
 @dataclass(eq=False)
 class KernelData:
-    triple: Triple
     algebra: FinAlgebra  # A (x) A (x) B with componentwise product
     m_matrix: SparseMat
     J: Subspace
@@ -152,21 +151,21 @@ def kernel_data(T: Triple) -> KernelData:
     quotient = QuotientStructure(J.dim, rel_in_j)
 
     return KernelData(
-        triple=T, algebra=P3, m_matrix=mm, J=J, j_squared=j_squared,
+        algebra=P3, m_matrix=mm, J=J, j_squared=j_squared,
         j_hat=j_hat, j_hat_closed=j_hat_closed,
         span_relations=span_relations, relations=relations,
         relations_in_J=rel_in_j, quotient=quotient,
         readings_agree=(span_relations == relations))
 
 
-def symmetry_check(K: KernelData) -> bool:
+def symmetry_check(T: Triple) -> bool:
     """Left and right coefficient actions agree on J modulo the relations.
 
     The difference (e_m (x) 1 (x) 1) v - (1 (x) e_m (x) 1) v factors as
     a product of two kernel elements, so membership is tested against the
     raw span reading -- the stronger of the two denominators.
     """
-    T = K.triple
+    K = kernel_data(T)
     A = T.A
     for row in (to_dense(r, K.J.ambient_dim) for r in K.J.rows):
         for m in range(A.dim):

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 Arithmetic is in integers over a common denominator, after Bareiss.  A
 `SparseMat` holds integer numerator columns over one positive
 denominator, in lowest terms (the gcd of the denominator and every entry
-is 1), so products, sums and transposes multiply plain ints and `==`
+is 1), so products and transposes multiply plain ints and `==`
 compares stored data.  A `Subspace` holds one primitive integer row per
 pivot, positive at its pivot and zero at every other pivot; dividing a
 row by its pivot entry gives the canonical row.
@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 Rat = Fraction
 
@@ -305,12 +305,6 @@ class Subspace:
                 and self.pivots == other.pivots
                 and self._int_rows == other._int_rows)
 
-    def __le__(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientDimensionError(
-                "subspace comparison across different ambient spaces")
-        return all(other.contains(row) for row in self._int_rows)
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -384,15 +378,6 @@ class SparseMat:
             raise AmbientDimensionError(f"column {c} outside width {self.ncols}")
         return _as_fractions(self.num.get(c, {}), self.den)
 
-    def entries(self) -> Iterator[tuple]:
-        """Yield (row, col, value) sorted by (row, col)."""
-        items = []
-        for c, col in self.num.items():
-            for r, x in _as_fractions(col, self.den).items():
-                items.append((r, c, x))
-        items.sort(key=lambda t: (t[0], t[1]))
-        return iter(items)
-
     @property
     def nnz(self) -> int:
         return sum(len(col) for col in self.num.values())
@@ -436,36 +421,10 @@ class SparseMat:
         return SparseMat.from_ints(self.nrows, other.ncols, cols,
                                    self.den * other.den)
 
-    def _combine(self, other: "SparseMat", sign: int) -> "SparseMat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise AmbientDimensionError("matrix shapes differ")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        cols = {c: {r: a * x for r, x in col.items()}
-                for c, col in self.num.items()}
-        for c, col in other.num.items():
-            acc = cols.setdefault(c, {})
-            _axpy(acc, b, col)
-            if not acc:
-                del cols[c]
-        return SparseMat.from_ints(self.nrows, self.ncols, cols, den)
-
-    def __add__(self, other: "SparseMat") -> "SparseMat":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self._combine(other, -1)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseMat)
                 and (self.nrows, self.ncols) == (other.nrows, other.ncols)
                 and self.den == other.den and self.num == other.num)
-
-    def to_dense(self) -> list:
-        out = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for r, c, x in self.entries():
-            out[r][c] = x
-        return out
 
     def __repr__(self) -> str:
         return f"SparseMat({self.nrows}x{self.ncols}, nnz={self.nnz})"

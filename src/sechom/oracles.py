@@ -22,9 +22,13 @@ from .algebra import FinAlgebra, multiply
 _CAP = 5000
 
 
+class ReferenceCapError(ValueError):
+    """A reference computation would exceed the size cap."""
+
+
 def _check_cap(dim: int) -> None:
     if dim > _CAP:
-        raise ValueError(
+        raise ReferenceCapError(
             f"reference path refuses ambient dimension {dim} > {_CAP}")
 
 

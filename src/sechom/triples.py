@@ -71,8 +71,8 @@ def per_triple(fn):
     """Memoize fn(T, *args) in a dict on the triple T itself.
 
     Every value lives exactly as long as its triple, and a repeated call
-    returns the very object the first call built.  A value may refer back
-    to T: the cycle it forms is freed by the garbage collector.
+    returns the very object the first call built.  A value must not refer
+    back to T, so dropping T frees its memo at once, by reference counting.
     """
     @wraps(fn)
     def memoized(T: Triple, *args):

@@ -21,10 +21,10 @@ from typing import Iterator, Optional
 
 from .algebra import FinAlgebra, field_algebra, multiply
 from .chains import boundary, chain_dim, chain_space
-from .differentials import (OmegaPresentation, _symbol, d_one_A_subspace,
-                            omega, symbol_index)
+from .differentials import (ambient_symbol, d_one_A_subspace, omega,
+                            symbol_index)
 from .homology import _hc_pieces, _hh_pieces, hc, hh
-from .kernel import KernelData, embed_tensor, kernel_data, tensor_index
+from .kernel import embed_tensor, kernel_data, tensor_index
 from .linalg import (ONE, InternalCheckError, SparseMat, basis_vector,
                      colspace, nullspace, rank, solve, to_dense)
 from .oracles import (classical_hh_dims, classical_hc_dims,
@@ -132,12 +132,13 @@ def _hc1_interface(T: Triple):
     return Q_hc, Q_hc.project_matrix() @ q_1.project_matrix()
 
 
-def _prop_hh1_omega(T: Triple, P: OmegaPresentation, b: _Builder):
+def _prop_hh1_omega(T: Triple, b: _Builder):
     """Shared body for the homology/symbol-module comparison.
 
     Returns (hh_quotient, phi_bar, psi_bar) with the induced matrices in
     quotient coordinates on both sides.
     """
+    P = omega(T)
     Q_hh, p_hh, s_hh = _hh1_interface(T)
     phi, psi = transfer_matrices(T)
     moved = phi @ boundary(T, 2)
@@ -171,7 +172,7 @@ def verify_prop_hh1_omega(T: Triple) -> TheoremReport:
     """Degree-one homology equals the differential-symbol module."""
     T.require_commutative("the degree-one homology comparison")
     b = _Builder(T.name, "Prop3")
-    _prop_hh1_omega(T, omega(T), b)
+    _prop_hh1_omega(T, b)
     return b.report
 
 
@@ -190,7 +191,7 @@ def verify_cor_hc1(T: Triple) -> TheoremReport:
                  for i, img in enumerate(images) if img))
 
     eta = full_map @ P.quotient.section_matrix()
-    d1a = d_one_A_subspace(P)
+    d1a = d_one_A_subspace(T)
     b.check("induced map is onto", rank(eta) == Q_hc.dim)
     ker = nullspace(eta)
     b.check("kernel is exactly d(1 (x) A)", ker == d1a,
@@ -202,12 +203,13 @@ def verify_cor_hc1(T: Triple) -> TheoremReport:
     return b.report
 
 
-def _prop_omega_J(T: Triple, P: OmegaPresentation, K: KernelData, b: _Builder):
+def _prop_omega_J(T: Triple, b: _Builder):
     """Shared body for the symbol-module/kernel-quotient comparison.
 
     Returns (f_bar, g_bar); the induced matrices are None when a
     prerequisite check failed.
     """
+    P, K = omega(T), kernel_data(T)
     F = forward_matrix(T)
 
     b.check("forward images lie in the kernel", (K.m_matrix @ F).is_zero())
@@ -218,11 +220,11 @@ def _prop_omega_J(T: Triple, P: OmegaPresentation, K: KernelData, b: _Builder):
     def product_rule(p, q, k, l) -> list:
         """d(f_p f_q (x) e_k e_l) minus its two product-rule terms."""
         e_k, e_l = basis_vector(A.dim, k), basis_vector(A.dim, l)
-        terms = (_symbol(T, A.unit, B.mult[p][q], A.mult[k][l]),
-                 _symbol(T, multiply(A, e_k, T.eps.columns[p]),
-                         basis_vector(B.dim, q), e_l),
-                 _symbol(T, multiply(A, e_l, T.eps.columns[q]),
-                         basis_vector(B.dim, p), e_k))
+        terms = (ambient_symbol(T, A.unit, B.mult[p][q], A.mult[k][l]),
+                 ambient_symbol(T, multiply(A, e_k, T.eps.columns[p]),
+                                basis_vector(B.dim, q), e_l),
+                 ambient_symbol(T, multiply(A, e_l, T.eps.columns[q]),
+                                basis_vector(B.dim, p), e_k))
         return [x - y - z for x, y, z in zip(*terms)]
 
     b.check_all("product-rule images land in the squared kernel",
@@ -235,8 +237,8 @@ def _prop_omega_J(T: Triple, P: OmegaPresentation, K: KernelData, b: _Builder):
     def balancing(p) -> list:
         """2 d(f_p (x) 1) - d(1 (x) eps(f_p))."""
         return [2 * x - y for x, y in zip(
-            _symbol(T, A.unit, basis_vector(B.dim, p), A.unit),
-            _symbol(T, A.unit, B.unit, T.eps.columns[p]))]
+            ambient_symbol(T, A.unit, basis_vector(B.dim, p), A.unit),
+            ambient_symbol(T, A.unit, B.unit, T.eps.columns[p]))]
 
     b.check_all("balancing images land in the balancing span",
                 ({"b_index": p} for p in range(B.dim)
@@ -283,7 +285,7 @@ def verify_prop_omega_J(T: Triple) -> TheoremReport:
     """The symbol module equals the multiplication-kernel quotient."""
     T.require_commutative("the kernel comparison")
     b = _Builder(T.name, "Prop4")
-    _prop_omega_J(T, omega(T), kernel_data(T), b)
+    _prop_omega_J(T, b)
     return b.report
 
 
@@ -295,8 +297,8 @@ def verify_main(T: Triple) -> TheoremReport:
     P = omega(T)
     K = kernel_data(T)
     b = _Builder(T.name, "Thm_main")
-    Q_hh, phi_bar, psi_bar = _prop_hh1_omega(T, P, b)
-    f_bar, g_bar = _prop_omega_J(T, P, K, b)
+    Q_hh, phi_bar, psi_bar = _prop_hh1_omega(T, b)
+    f_bar, g_bar = _prop_omega_J(T, b)
     if g_bar is not None:
         comp = f_bar @ phi_bar  # homology classes -> kernel classes
         inv = psi_bar @ g_bar

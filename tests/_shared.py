@@ -9,9 +9,10 @@ on its own, with a cold memo.
 
 from fractions import Fraction
 
+from sechom import chains
 from sechom.algebra import FinAlgebra, multiply
-from sechom.differentials import ambient_symbol
-from sechom.linalg import AmbientDimensionError, SparseMat
+from sechom.differentials import ambient_symbol, omega
+from sechom.linalg import AmbientDimensionError, SparseMat, Subspace
 from sechom.oracles import _check_cap, dense_rank
 from sechom.triples import catalog, catalog_names, make_triple
 
@@ -104,13 +105,17 @@ def rebased_triple(name: str):
                        name=f"{name}_rebased")
 
 
+def dense_matrix(M) -> list:
+    """An engine sparse matrix as a list of rows of Fractions, read
+    column by column."""
+    cols = [M.column(c) for c in range(M.ncols)]
+    return [[col.get(r, Fraction(0)) for col in cols] for r in range(M.nrows)]
+
+
 def dense_rank_of_sparse(M) -> int:
     """Rank of an engine sparse matrix, recomputed densely by the oracle."""
     _check_cap(max(M.nrows, M.ncols))
-    D = [[Fraction(0)] * M.ncols for _ in range(M.nrows)]
-    for rr, cc, x in M.entries():
-        D[rr][cc] = x
-    return dense_rank(D)
+    return dense_rank(dense_matrix(M))
 
 
 def from_entries(nrows: int, ncols: int, entries) -> SparseMat:
@@ -128,19 +133,57 @@ def from_entries(nrows: int, ncols: int, entries) -> SparseMat:
 
 def value_columns(M) -> dict:
     """The nonzero columns of a SparseMat as {column: {row: Fraction}},
-    read through its entries, whatever the stored form."""
+    read through `column`, whatever the stored form."""
     cols: dict = {}
-    for r, c, x in M.entries():
-        assert type(x) is Fraction
-        cols.setdefault(c, {})[r] = x
+    for c in range(M.ncols):
+        col = M.column(c)
+        assert all(type(x) is Fraction for x in col.values())
+        if col:
+            cols[c] = col
     return cols
+
+
+def _signed_rotation(T, n: int, one: int, t: int) -> SparseMat:
+    """one * 1 + t * (the cyclic operator) in degree n, built column by
+    column from the engine's digit rotation: the cyclic operator sends
+    basis tensor c to (-1)^n times basis tensor chains._rotation(T, n)[c]."""
+    img = chains._rotation(T, n)
+    cols = {}
+    for c, i in enumerate(img):
+        col = {c: one}
+        col[i] = col.get(i, 0) + t * (-1) ** n
+        col = {r: x for r, x in col.items() if x}
+        if col:
+            cols[c] = col
+    return SparseMat.from_ints(len(img), len(img), cols)
+
+
+def cyclic_operator(T, n: int) -> SparseMat:
+    """The cyclic operator t in degree n, as a matrix."""
+    return _signed_rotation(T, n, 0, 1)
+
+
+def one_minus_cyclic(T, n: int) -> SparseMat:
+    """1 - t in degree n, as a matrix."""
+    return _signed_rotation(T, n, 1, -1)
+
+
+def commutator_subspace(A: FinAlgebra) -> Subspace:
+    """Span of all basis commutators e_i e_j - e_j e_i."""
+    vectors = []
+    for i in range(A.dim):
+        for j in range(i + 1, A.dim):
+            diff = [a - b for a, b in zip(A.mult[i][j], A.mult[j][i])]
+            if any(diff):
+                vectors.append(diff)
+    return Subspace(A.dim, vectors)
 
 
 def check_catalog_complete():
     assert sorted(catalog_names()) == sorted(ALL_NAMES)
 
 
-def derivation_identity_failures(P) -> list:
+def derivation_identity_failures(T) -> list:
     """Check the four product laws of the universal derivation on every
     basis instantiation; return the offending (identity, indices) list.
 
@@ -152,7 +195,7 @@ def derivation_identity_failures(P) -> list:
       3. d(fp fq (x) 1)     = eps(fp) d(fq (x) 1) + eps(fq) d(fp (x) 1)
       4. d(fp (x) ek)       = eps(fp) d(1 (x) ek) + ek d(fp (x) 1)
     """
-    T = P.triple
+    P = omega(T)
     A, B = T.A, T.B
     da, db = A.dim, B.dim
     one = Fraction(1)
@@ -164,7 +207,7 @@ def derivation_identity_failures(P) -> list:
         return [one if t == i else Fraction(0) for t in range(db)]
 
     def sym(coeff, alpha, a):
-        return ambient_symbol(P, coeff, alpha, a)
+        return ambient_symbol(T, coeff, alpha, a)
 
     bad = []
     for p in range(db):

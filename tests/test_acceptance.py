@@ -10,15 +10,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from _shared import (ALL_NAMES, COMMUTATIVE_NAMES,
-                     derivation_identity_failures, shared_triple)
-from sechom.algebra import (commutator_subspace, field_algebra, multiply,
-                            split_product_algebra,
+from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, commutator_subspace,
+                     derivation_identity_failures, one_minus_cyclic,
+                     shared_triple)
+from sechom.algebra import (field_algebra, multiply, split_product_algebra,
                             truncated_polynomial_algebra)
-from sechom.chains import boundary, chain_dim, chain_space, cyclic_operator
-from sechom.differentials import omega
+from sechom.chains import boundary, chain_dim
 from sechom.homology import connes_segment_check, hc, hh
-from sechom.linalg import SparseMat, colspace
+from sechom.linalg import colspace
 from sechom.specfile import export_triple, parse_triple_source
 from sechom.triples import EpsNotMultiplicativeError, catalog
 from sechom.verify import (verify_cor_hc1, verify_main, verify_reduction_Bk)
@@ -55,12 +54,8 @@ def test_criterion_02_boundary_respects_the_rotation():
     for name in ALL_NAMES:
         T = shared_triple(name)
         for n in range(1, _top_degree(T) + 1):
-            dim_n = chain_space(T, n).dim
-            dim_lo = chain_space(T, n - 1).dim
-            M = boundary(T, n) @ (SparseMat.identity(dim_n)
-                                  - cyclic_operator(T, n))
-            W = colspace(SparseMat.identity(dim_lo)
-                         - cyclic_operator(T, n - 1))
+            M = boundary(T, n) @ one_minus_cyclic(T, n)
+            W = colspace(one_minus_cyclic(T, n - 1))
             for c in range(M.ncols):
                 if not W.contains(M.column(c)):
                     ok = False
@@ -126,7 +121,7 @@ def test_criterion_08_connecting_segment_exactness():
 def test_criterion_09_derivation_consequence_identities():
     ok = True
     for name in COMMUTATIVE_NAMES:
-        if derivation_identity_failures(omega(shared_triple(name))):
+        if derivation_identity_failures(shared_triple(name)):
             ok = False
     _line(9, "derivation consequence identities", ok)
 

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import shared_triple
-from sechom.algebra import (AlgMorphism, FinAlgebra, commutator_subspace,
-                            field_algebra, is_central, matrix_algebra,
-                            multiply, split_product_algebra, tensor_algebra,
+from _shared import commutator_subspace, shared_triple
+from sechom.algebra import (AlgMorphism, FinAlgebra, field_algebra,
+                            is_central, matrix_algebra, multiply,
+                            split_product_algebra, tensor_algebra,
                             truncated_polynomial_algebra, validate_algebra)
-from sechom.differentials import _symbol
+from sechom.differentials import ambient_symbol
 from sechom.kernel import embed_tensor, j_generator
 
 F = Fraction
@@ -172,9 +172,9 @@ def test_algebra_layer_refuses_sparse_vectors():
         lambda: multiply(A, s, A.unit),
         lambda: multiply(A, A.unit, s),
         lambda: T.eps.apply(s),
-        lambda: _symbol(T, s, B.unit, A.unit),
-        lambda: _symbol(T, A.unit, s, A.unit),
-        lambda: _symbol(T, A.unit, B.unit, s),
+        lambda: ambient_symbol(T, s, B.unit, A.unit),
+        lambda: ambient_symbol(T, A.unit, s, A.unit),
+        lambda: ambient_symbol(T, A.unit, B.unit, s),
         lambda: embed_tensor(T, s, A.unit, B.unit),
         lambda: embed_tensor(T, A.unit, s, B.unit),
         lambda: embed_tensor(T, A.unit, A.unit, s),

@@ -65,6 +65,20 @@ def test_missing_file(capsys):
     assert "no such file" in err
 
 
+def test_directory_is_a_parse_error(capsys, tmp_path):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read")
+
+
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "latin1.triple"
+    p.write_bytes("name caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read") and "UTF-8" in err
+
+
 def test_malformed_file_is_a_parse_error(capsys, tmp_path):
     p = tmp_path / "bad.triple"
     p.write_text("algebra A 2\nunit A 1 0.5\n", encoding="utf-8")
@@ -256,6 +270,27 @@ def test_reference_comparison_requires_ground_field(capsys):
     assert "ground field" in err
 
 
+def test_reference_over_its_cap_is_refused_before_the_engine(
+        capsys, monkeypatch):
+    # The degree-6 reference for trunc3_k needs 3^8 = 6561 > 5000 columns.
+    argv = ["compute", "--catalog", "trunc3_k", "--flavor", "hc",
+            "--degree", "6", "--max-degree-override", "6", "--oracle"]
+    proc = subprocess.run([sys.executable, "-m", "sechom.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("resource cap:")
+    assert proc.stderr.count("\n") == 1
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran before the refusal")
+
+    monkeypatch.setattr(cli, "hc", engine)
+    code, out, _ = run(capsys, *argv)
+    assert code == 4 and out == ""
+
+
 # -- verify ----------------------------------------------------------------
 
 def test_verify_single_theorem(capsys):
@@ -323,6 +358,15 @@ def test_export_round_trip(capsys, tmp_path):
     assert "wrote" in out
     back = parse_triple_file(str(out_path)).triple
     assert triple_hash(back) == triple_hash(catalog("trunc3_k"))
+
+
+def test_export_to_a_missing_directory_is_a_parse_error(capsys, tmp_path):
+    out_path = tmp_path / "no_such_dir" / "x.triple"
+    code, out, err = run(capsys, "export", "--catalog", "k_k",
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write")
+    assert not out_path.parent.exists()
 
 
 def test_export_to_stdout(capsys):

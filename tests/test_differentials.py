@@ -23,15 +23,6 @@ F = Fraction
 # In COMMUTATIVE_NAMES order.
 FROZEN_DIMS = [0, 1, 1, 1, 0, 2, 1]
 
-_PRES = {}
-
-
-def _pres(name):
-    if name not in _PRES:
-        _PRES[name] = omega(shared_triple(name))
-    return _PRES[name]
-
-
 def _basis(dim, i):
     return [F(1) if t == i else F(0) for t in range(dim)]
 
@@ -51,8 +42,8 @@ def test_symbol_index_is_a_lex_bijection():
 
 def test_presented_dimensions_are_frozen():
     for name, expect in zip(COMMUTATIVE_NAMES, FROZEN_DIMS):
-        P = _pres(name)
-        T = P.triple
+        T = shared_triple(name)
+        P = omega(T)
         assert P.ambient_dim == T.A.dim ** 2 * T.B.dim
         assert P.dim == expect
         assert P.dim == P.ambient_dim - P.relations.dim
@@ -60,8 +51,8 @@ def test_presented_dimensions_are_frozen():
 
 def test_ground_field_case_is_the_classical_module():
     for name in ["k_k", "dual_k", "prod_k", "trunc3_k"]:
-        P = _pres(name)
-        assert P.dim == classical_kahler_dim(P.triple.A)
+        T = shared_triple(name)
+        assert omega(T).dim == classical_kahler_dim(T.A)
 
 
 def test_noncommutative_triples_are_refused():
@@ -73,48 +64,47 @@ def test_noncommutative_triples_are_refused():
 
 def test_derivative_of_the_unit_vanishes():
     for name in COMMUTATIVE_NAMES:
-        P = _pres(name)
-        T = P.triple
-        assert d_symbol(P, T.B.unit, T.A.unit) == {}
-        assert d_symbol(P, [F(3) * x for x in T.B.unit],
+        T = shared_triple(name)
+        assert d_symbol(T, T.B.unit, T.A.unit) == {}
+        assert d_symbol(T, [F(3) * x for x in T.B.unit],
                         [F(5) * x for x in T.A.unit]) == {}
 
 
 def test_square_relation_traps_the_nilpotent():
     # Over the dual numbers, 0 = d(1 (x) x^2) forces 2 x d(1 (x) x) into
     # the relation span, while d(1 (x) x) itself survives.
-    P = _pres("dual_k")
-    T = P.triple
+    T = shared_triple("dual_k")
     x = _basis(2, 1)
-    doubled = [2 * v for v in ambient_symbol(P, x, T.B.unit, x)]
-    assert P.relations.contains(doubled)
-    assert d_symbol(P, T.B.unit, x)
+    doubled = [2 * v for v in ambient_symbol(T, x, T.B.unit, x)]
+    assert omega(T).relations.contains(doubled)
+    assert d_symbol(T, T.B.unit, x)
 
 
 def test_derivation_laws_hold_in_the_quotient():
     for name in ["dual_dual_x", "trunc3_k"]:
-        assert derivation_identity_failures(_pres(name)) == []
+        assert derivation_identity_failures(shared_triple(name)) == []
 
 
 def test_span_of_plain_derivatives():
     for name, expect in zip(COMMUTATIVE_NAMES, FROZEN_DIMS):
-        assert d_one_A_subspace(_pres(name)).dim == expect
+        assert d_one_A_subspace(shared_triple(name)).dim == expect
 
 
 # -- the coefficient action ------------------------------------------------
 
 def test_unit_coefficient_acts_as_identity():
     for name in ["dual_k", "dual_dual_x", "trunc3_k"]:
-        P = _pres(name)
-        act = coefficient_action(P, 0)
-        assert (act - SparseMat.identity(P.ambient_dim)).is_zero()
+        T = shared_triple(name)
+        act = coefficient_action(T, 0)
+        assert act == SparseMat.identity(omega(T).ambient_dim)
 
 
 def test_coefficient_action_preserves_relations():
     for name in ["dual_k", "dual_dual_x", "trunc3_k", "prod_k"]:
-        P = _pres(name)
-        for m in range(P.triple.A.dim):
-            act = coefficient_action(P, m)
+        T = shared_triple(name)
+        P = omega(T)
+        for m in range(T.A.dim):
+            act = coefficient_action(T, m)
             for row in P.relations.rows:
                 assert P.relations.contains(act.matvec(row))
 
@@ -122,8 +112,9 @@ def test_coefficient_action_preserves_relations():
 def test_coefficient_action_composes_like_the_algebra():
     # Acting by x then x over the dual numbers is acting by x^2 = 0 on the
     # quotient (not on the ambient space, where symbols are formal).
-    P = _pres("dual_k")
-    act = coefficient_action(P, 1)
+    T = shared_triple("dual_k")
+    P = omega(T)
+    act = coefficient_action(T, 1)
     twice = act @ act
     for c in range(P.ambient_dim):
         col = twice.column(c)

@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import (ALL_NAMES, dense_rank_of_sparse, rescaled_triple,
-                     shared_triple)
-from sechom.algebra import commutator_subspace
+from _shared import (ALL_NAMES, commutator_subspace, dense_rank_of_sparse,
+                     rescaled_triple, shared_triple)
 from sechom import homology
 from sechom.chains import boundary, chain_dim, cyclic_quotient
 from sechom.homology import (DegreeCapError, connes_segment_check, hc, hh)

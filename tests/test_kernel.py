@@ -20,13 +20,8 @@ from sechom.triples import CommutativeTripleRequiredError
 
 F = Fraction
 
-_DATA = {}
-
-
 def _kd(name):
-    if name not in _DATA:
-        _DATA[name] = kernel_data(shared_triple(name))
-    return _DATA[name]
+    return kernel_data(shared_triple(name))
 
 
 def _basis(dim, i):
@@ -148,7 +143,7 @@ def test_balancing_span_is_trivial_over_the_ground_field():
 
 def test_left_and_right_coefficient_actions_agree():
     for name in COMMUTATIVE_NAMES:
-        assert symmetry_check(_kd(name))
+        assert symmetry_check(shared_triple(name))
 
 
 def test_quotient_dimension_matches_the_symbol_module():

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from _shared import (ALL_NAMES, from_entries, rebased_triple,
+from _shared import (ALL_NAMES, dense_matrix, from_entries, rebased_triple,
                      rescaled_triple, shared_triple, value_columns)
 from sechom.chains import _coinvariant_relations, boundary, cyclic_quotient
 from sechom.homology import _induced_boundary, _quotient_of_complex, hc, hh
@@ -65,7 +65,7 @@ def test_subspace_sum_and_order():
     T = Subspace(3, [[0, 1, 0]])
     U = S.sum(T)
     assert U.dim == 2
-    assert S <= U and T <= U
+    assert all(U.contains(row) for row in S.rows + T.rows)
     with pytest.raises(AmbientDimensionError):
         S.sum(Subspace(4, [[1, 0, 0, 0]]))
 
@@ -84,7 +84,7 @@ def test_sparse_matrix_constructors_agree():
     M = from_entries(2, 3, entries)
     N = SparseMat.from_columns(2, [{0: F(1), 1: F(-2)}, {}, {0: F(1, 3)}])
     assert M == N
-    assert sorted(M.entries()) == sorted(entries)
+    assert value_columns(M) == {0: {0: F(1), 1: F(-2)}, 2: {0: F(1, 3)}}
     assert M.nnz == 3
 
 
@@ -99,7 +99,7 @@ def test_sparse_matrix_bounds_checked():
 def test_matvec_matches_dense():
     M = from_entries(2, 3, [(0, 0, F(2)), (1, 1, F(3)), (0, 2, F(-1))])
     v = [F(1), F(1, 3), F(2)]
-    dense = M.to_dense()
+    dense = dense_matrix(M)
     expect = [sum(row[j] * v[j] for j in range(3)) for row in dense]
     assert to_dense(M.matvec(v), 2) == expect
     sparse_out = M.matvec({0: F(1), 1: F(1, 3), 2: F(2)})
@@ -112,8 +112,7 @@ def test_matmul_add_transpose():
     A = from_entries(2, 2, [(0, 0, F(1)), (0, 1, F(2)), (1, 1, F(1))])
     B = from_entries(2, 2, [(0, 1, F(1)), (1, 0, F(3))])
     C = A @ B
-    assert C.to_dense() == [[F(6), F(1)], [F(3), F(0)]]
-    assert (A + B - B) == A
+    assert dense_matrix(C) == [[F(6), F(1)], [F(3), F(0)]]
     assert A.transpose().transpose() == A
     with pytest.raises(AmbientDimensionError):
         A @ SparseMat.identity(3)
@@ -589,17 +588,16 @@ def test_matrices_and_subspaces_built_at_two_scalings_are_equal():
     three = SparseMat.from_ints(2, 2, {0: {0: 3}, 1: {1: 3}})
     third = SparseMat.from_ints(3, 3, {c: {c: 1} for c in range(3)}, 3)
     assert (three @ M) @ third == M
-    assert M - M == SparseMat.zeros(2, 3) and (M - M).den == 1
     S = Subspace(3, [[F(1, 2), F(3, 2), 0], [0, 0, F(7, 3)]])
     assert S == Subspace(3, [[2, 6, 0], [0, 0, -1]])
 
 
 def test_subspace_order_needs_one_ambient_space():
-    small, big = Subspace(2, [[1, 0]]), Subspace(3, [[1, 0, 0]])
+    small, big = Subspace(2, [[1, 0]]), Subspace(3, [[0, 0, 1]])
     with pytest.raises(AmbientDimensionError):
-        small <= big
+        small.contains(big.rows[0])
     with pytest.raises(AmbientDimensionError):
-        big <= small
+        small.sum(big)
 
 
 def test_closed_form_nullspace_matches_second_elimination():

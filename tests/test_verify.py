@@ -11,11 +11,12 @@ from _shared import (COMMUTATIVE_NAMES, rebased_triple, rescaled_triple,
 from sechom.algebra import (field_algebra, matrix_algebra, multiply,
                             split_product_algebra,
                             truncated_polynomial_algebra)
+from sechom import verify
 from sechom.chains import boundary
 from sechom.differentials import ambient_symbol, omega
 from sechom.homology import _hh_pieces
 from sechom.kernel import kernel_data
-from sechom.linalg import QuotientStructure, Subspace, colspace
+from sechom.linalg import QuotientStructure, SparseMat, Subspace, colspace
 from sechom.triples import CommutativeTripleRequiredError
 from sechom.verify import (forward_matrix, transfer_matrices, verify_cor_hc1,
                            verify_main, verify_prop_hh1_omega,
@@ -98,7 +99,7 @@ def test_transfer_matrices_are_mutually_inverse_permutations():
     for name in ["dual_k", "dual_dual_x", "trunc3_k"]:
         T = shared_triple(name)
         phi, psi = transfer_matrices(T)
-        assert (phi @ psi - phi @ psi).nnz == 0  # shapes line up
+        assert psi @ phi == SparseMat.identity(psi.nrows)
         prod = phi @ psi
         assert prod.nrows == prod.ncols
         assert all(prod.column(c) == {c: F(1)} for c in range(prod.ncols))
@@ -126,7 +127,7 @@ def test_homology_relations_are_the_degree_two_boundary_span():
 
 # -- failure behavior ------------------------------------------------------
 
-def test_doctored_relations_fail_with_replayable_witness():
+def test_doctored_relations_fail_with_replayable_witness(monkeypatch):
     # Swap in the raw balancing span as the denominator on the one triple
     # where the two readings differ; the comparison must detect it.
     from sechom.verify import _Builder, _prop_omega_J
@@ -141,8 +142,9 @@ def test_doctored_relations_fail_with_replayable_witness():
         quotient=QuotientStructure(K.J.dim, raw_in_J))
     assert K2.quotient.dim == 2  # the raw reading leaves too much behind
 
+    monkeypatch.setattr(verify, "kernel_data", lambda _: K2)
     b = _Builder(T.name, "doctored")
-    _prop_omega_J(T, P, K2, b)
+    _prop_omega_J(T, b)
     rep = b.report
     assert not rep.passed
     failed = {label for label, ok in rep.checks if not ok}
@@ -159,7 +161,7 @@ def test_doctored_relations_fail_with_replayable_witness():
     assert K.relations.contains(img)
 
 
-def test_product_rule_witness_is_the_first_failure_in_order():
+def test_product_rule_witness_is_the_first_failure_in_order(monkeypatch):
     # With the squared kernel emptied, a product-rule instance fails
     # exactly when its image is nonzero; the witness must be the first
     # failing (b_pair, a_pair) in (p, q, k, l) order.
@@ -167,11 +169,11 @@ def test_product_rule_witness_is_the_first_failure_in_order():
 
     T = shared_triple("dual_dual_x")
     A, B = T.A, T.B
-    P = omega(T)
     K = kernel_data(T)
     K2 = dataclasses.replace(K, j_squared=Subspace(K.J.ambient_dim))
+    monkeypatch.setattr(verify, "kernel_data", lambda _: K2)
     b = _Builder(T.name, "doctored")
-    _prop_omega_J(T, P, K2, b)
+    _prop_omega_J(T, b)
 
     def e(dim, i):
         return [F(1) if t == i else F(0) for t in range(dim)]
@@ -182,13 +184,13 @@ def test_product_rule_witness_is_the_first_failure_in_order():
             for q in range(B.dim):
                 for k in range(A.dim):
                     for l in range(A.dim):
-                        lhs = ambient_symbol(P, A.unit, B.mult[p][q],
+                        lhs = ambient_symbol(T, A.unit, B.mult[p][q],
                                              A.mult[k][l])
                         t1 = ambient_symbol(
-                            P, multiply(A, e(A.dim, k), T.eps.columns[p]),
+                            T, multiply(A, e(A.dim, k), T.eps.columns[p]),
                             e(B.dim, q), e(A.dim, l))
                         t2 = ambient_symbol(
-                            P, multiply(A, e(A.dim, l), T.eps.columns[q]),
+                            T, multiply(A, e(A.dim, l), T.eps.columns[q]),
                             e(B.dim, p), e(A.dim, k))
                         rel = [x - y - z for x, y, z in zip(lhs, t1, t2)]
                         if F_mat.matvec(rel):
@@ -202,21 +204,22 @@ def test_product_rule_witness_is_the_first_failure_in_order():
     assert b.report.witness == {"check": label, **expect}
 
 
-def test_doctored_multiplication_table_fails():
+def test_doctored_multiplication_table_fails(monkeypatch):
     # Corrupt one structure constant after validation; the forward images
     # no longer span the kernel of the doctored multiplication matrix.
     import copy
 
     from sechom.verify import _Builder, _prop_omega_J
 
+    # T2 keeps the presentations of T, built before the corruption.
     T = shared_triple("dual_dual_x")
-    P = omega(T)
-    K = kernel_data(T)
-    K2 = copy.copy(K)
+    P, K = omega(T), kernel_data(T)
     mutated = copy.deepcopy(T.A.mult)
     mutated[1][1][0] += F(1)  # pretend x * x = 1
     A2 = dataclasses.replace(T.A, mult=mutated)
     T2 = dataclasses.replace(T, A=A2)
+    monkeypatch.setattr(verify, "omega", lambda _: P)
+    monkeypatch.setattr(verify, "kernel_data", lambda _: K)
     b = _Builder(T.name, "doctored")
-    _prop_omega_J(T2, P, K2, b)
+    _prop_omega_J(T2, b)
     assert not b.report.passed
