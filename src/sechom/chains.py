@@ -30,7 +30,11 @@ pivot with row {i: 1}.  Otherwise the image is the hyperplane
 sum_i c_i x_i = 0 of the orbit's coordinates: every element except the
 largest index m is a pivot, with row {i: 1, m: -c_i/c_m}.  Rows of
 different orbits have disjoint supports, so together they are already
-fully reduced.  Descent of the boundary to the coinvariants is certified
+fully reduced.
+
+A grading of the triple (`triples.grading`) gives each basis tensor a
+weight, the sum of its digits' weights.  Faces multiply within a digit
+group and the rotation permutes digits, so both keep the weight.  Descent of the boundary to the coinvariants is certified
 where the induced boundary is built, by `linalg.induced_on_quotients`.
 """
 
@@ -40,7 +44,7 @@ from math import lcm
 
 from .algebra import multiply
 from .linalg import QuotientStructure, SparseMat, Subspace, basis_vector
-from .triples import Triple, per_triple
+from .triples import Triple, grading, per_triple
 
 
 def pair_list(n: int) -> list:
@@ -141,6 +145,31 @@ def chain_space(T: Triple, n: int) -> ChainSpace:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     return ChainSpace(T.A.dim, T.B.dim, n)
+
+
+# Weight (w_1, ..., w_r) has the key sum_j w_j * _KEY_BASE^j in every
+# degree.  Distinct weights get distinct keys while each component stays
+# below _KEY_BASE / 2 in absolute value; past that, two weight blocks
+# would share a key and be split no further, which costs time only.
+_KEY_BASE = 1 << 32
+
+
+@per_triple
+def chain_weights(T: Triple, n: int) -> list:
+    """The weight key of every basis tensor in degree n under `grading(T)`:
+    the sum of its digits' keys, expanded digit by digit.  All keys are 0
+    when the triple's basis carries no grading."""
+    G = grading(T)
+    da = T.A.dim
+    keys = [sum(row[v] * _KEY_BASE ** j for j, row in enumerate(G))
+            for v in range(da + T.B.dim)]
+    cs = chain_space(T, n)
+    digits = [keys[:da]] * (n + 1) + [keys[da:]] * len(cs.pairs)
+    out = [0]
+    for r, digit in zip(cs.radices, digits):
+        if r > 1:  # a radix-1 digit is the unit, of weight 0
+            out = [x + y for x in out for y in digit]
+    return out
 
 
 # -- face maps -------------------------------------------------------------

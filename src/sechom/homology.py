@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import log10
 
-from .chains import boundary, chain_dim, chain_space, cyclic_quotient
+from .chains import (boundary, chain_dim, chain_space, chain_weights,
+                     cyclic_quotient)
 from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
                      Subspace, colspace, induced_on_quotients, nullspace,
                      rank, to_dense)
@@ -70,44 +71,77 @@ class HomologyResult:
                 f"has dimension {self.dimension}")
 
 
-def _quotient_of_complex(cycles: Subspace, next_boundary_cols) -> QuotientStructure:
+def _weight(v: dict, weights: list, what: str):
+    """The one weight key of every index of the nonzero vector v."""
+    keys = set(map(weights.__getitem__, v))
+    if len(keys) != 1:
+        raise InternalCheckError(
+            f"{what} is not homogeneous for the triple's grading")
+    return keys.pop()
+
+
+def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
+                         weights: list) -> QuotientStructure:
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
     Callers must have certified that the given columns are cycles; the
     coordinates of one are its pivot entries in the canonical basis, read
     without a membership pass.  Integer numerators serve as well as the
-    columns themselves, since only their span matters.  The span stops
-    taking columns once it is the whole cycle space: the quotient is then
-    zero and no later column can change the canonical form.
+    columns themselves, since only their span matters.
+
+    `weights` gives the weight key of each chain coordinate.  Every cycle
+    row and every boundary column read must be homogeneous, or the
+    grading is wrong and this is a hard error.  A homogeneous column of
+    weight w then has coordinates only on the cycles whose pivot has
+    weight w, so the relations split into one block per weight.  A block
+    takes no more columns once it spans all the cycles of its weight,
+    and the span stops once every block does.  Rows of different blocks
+    have disjoint supports, so together they are the canonical form.
     """
     pos = cycles._pivot_pos
-    rels = Subspace(cycles.dim)
+    size: dict = {}
+    for row in cycles._int_rows:
+        w = _weight(row, weights, "cycle row")
+        size[w] = size.get(w, 0) + 1
+    open_blocks = {w: Subspace(cycles.dim) for w in size}
+    full = []
     for col in next_boundary_cols:
-        if rels.dim == cycles.dim:
+        if not open_blocks:
             break
-        rels.add({pos[p]: x for p, x in col.items() if p in pos})
-    return QuotientStructure(cycles.dim, rels)
+        w = _weight(col, weights, "boundary column")
+        rels = open_blocks.get(w)
+        if (rels is not None
+                and rels.add({pos[p]: x for p, x in col.items() if p in pos})
+                and rels.dim == size[w]):
+            full.append(open_blocks.pop(w))
+    rows = sorted((p, row) for rels in full + list(open_blocks.values())
+                  for p, row in zip(rels.pivots, rels._int_rows))
+    relations = Subspace._of_int_rows(cycles.dim, [p for p, _ in rows],
+                                      [row for _, row in rows])
+    return QuotientStructure(cycles.dim, relations)
 
 
-def _homology_pieces(d: SparseMat, d_next: SparseMat, what: str, n: int):
+def _homology_pieces(d: SparseMat, d_next: SparseMat, weights: list,
+                     what: str, n: int):
     """Cycles of d (degree n) and their quotient by the image of d_next.
 
     d after d_next must vanish; otherwise the complex is broken and
     this is a hard error.  In degree 0, d has no rows, so every chain is a
-    cycle.
+    cycle.  `weights` gives the weight key of each degree-n coordinate.
     """
     if not (d @ d_next).is_zero():
         raise InternalCheckError(
             f"{what} squared is nonzero between degrees {n + 1} and {n - 1}")
     cycles = nullspace(d)
     Q = _quotient_of_complex(
-        cycles, (d_next.num[c] for c in sorted(d_next.num)))
+        cycles, (d_next.num[c] for c in sorted(d_next.num)), weights)
     return cycles, Q
 
 
 def _hh_pieces(T: Triple, n: int):
     """Cycles of the boundary at degree n and the homology quotient."""
-    return _homology_pieces(boundary(T, n), boundary(T, n + 1), "boundary", n)
+    return _homology_pieces(boundary(T, n), boundary(T, n + 1),
+                            chain_weights(T, n), "boundary", n)
 
 
 def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
@@ -134,10 +168,13 @@ def _induced_boundary(T: Triple, k: int) -> SparseMat:
 
 def _hc_pieces(T: Triple, n: int):
     """Cycle subspace and homology quotient on coinvariant coordinates."""
+    q_n = cyclic_quotient(T, n)
+    weights = chain_weights(T, n)
     cycles, Q = _homology_pieces(_induced_boundary(T, n),
                                  _induced_boundary(T, n + 1),
+                                 [weights[c] for c in q_n.nonpivots],
                                  "induced boundary", n)
-    return cyclic_quotient(T, n), cycles, Q
+    return q_n, cycles, Q
 
 
 def hc(T: Triple, n: int, max_degree=None) -> HomologyResult:

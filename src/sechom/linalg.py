@@ -43,6 +43,7 @@ Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT_TYPE = {int}
 
 
 class AmbientDimensionError(ValueError):
@@ -225,9 +226,10 @@ class Subspace:
                     or any(k != p and k in pos for k in row)):
                 raise ValueError(f"row with pivot {p} is not in canonical form")
         # Over the lcm of its denominators a row with a 1 at its pivot is
-        # primitive and positive there.
-        return cls._of_int_rows(ambient_dim, pivots,
-                                [_ints(row)[0] for row in rows])
+        # primitive and positive there; a row of ints already is.
+        return cls._of_int_rows(ambient_dim, pivots, [
+            dict(row) if set(map(type, row.values())) == _INT_TYPE
+            else _ints(row)[0] for row in rows])
 
     # -- queries -----------------------------------------------------------
 

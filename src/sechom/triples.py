@@ -15,7 +15,7 @@ from functools import wraps
 from .algebra import (AlgMorphism, FinAlgebra, field_algebra, is_central,
                       matrix_algebra, multiply, split_product_algebra,
                       truncated_polynomial_algebra, validate_algebra)
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, SparseMat, nullspace
 
 
 class TripleAxiomError(ValueError):
@@ -127,6 +127,41 @@ def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
                 f"eps(f_{i}) = {eps.columns[i]} is not central in A",
                 witness=(i, eps.columns[i]))
     return Triple(A, B, eps, commutative=rep_a.commutative, name=name)
+
+
+@per_triple
+def grading(T: Triple) -> list:
+    """A basis of the Z^r gradings of the triple's bases, as r integer rows.
+
+    A row gives a weight to each basis vector of A, then of B, such that
+    w_A(k) = w_A(i) + w_A(j) wherever e_i e_j has a nonzero e_k entry, the
+    same in B, and w_A(m) = w_B(k) wherever eps(f_k) has a nonzero e_m
+    entry.  The boundary and the rotation then keep the total weight of a
+    basis tensor.  The rows are the primitive integer rows of the canonical
+    basis of the rational solutions; a basis that carries no grading (a
+    dense change of basis, say) gives none, and every weight is 0.
+    """
+    da = T.A.dim
+    eqs = []
+    for alg, off in ((T.A, 0), (T.B, da)):
+        for i, row in enumerate(alg.mult):
+            for j, prod in enumerate(row):
+                for k, x in enumerate(prod):
+                    if x:
+                        eq: dict = {}
+                        for v, c in ((k, 1), (i, -1), (j, -1)):
+                            eq[off + v] = eq.get(off + v, 0) + c
+                        eqs.append(eq)
+    for k, col in enumerate(T.eps.columns):
+        eqs += [{m: 1, da + k: -1} for m, x in enumerate(col) if x]
+    cols: dict = {}
+    for r, eq in enumerate(eqs):
+        for v, c in eq.items():
+            if c:
+                cols.setdefault(v, {})[r] = c
+    K = nullspace(SparseMat.from_ints(len(eqs), da + T.B.dim, cols))
+    return [tuple(row.get(v, 0) for v in range(K.ambient_dim))
+            for row in K._int_rows]
 
 
 # -- catalog ---------------------------------------------------------------

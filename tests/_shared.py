@@ -12,7 +12,9 @@ from fractions import Fraction
 from sechom import chains
 from sechom.algebra import FinAlgebra, multiply
 from sechom.differentials import ambient_symbol, omega
-from sechom.linalg import AmbientDimensionError, SparseMat, Subspace
+from sechom.homology import _induced_boundary
+from sechom.linalg import (AmbientDimensionError, QuotientStructure,
+                           SparseMat, Subspace, nullspace)
 from sechom.oracles import _check_cap, dense_rank
 from sechom.triples import catalog, catalog_names, make_triple
 
@@ -177,6 +179,32 @@ def commutator_subspace(A: FinAlgebra) -> Subspace:
             if any(diff):
                 vectors.append(diff)
     return Subspace(A.dim, vectors)
+
+
+def relation_span_inputs(T, flavor: str, n: int) -> tuple:
+    """What `homology._quotient_of_complex` takes for hh or hc in degree n:
+    the cycles, the next boundary's integer columns in order, and the
+    weight key of each degree-n coordinate."""
+    weights = chains.chain_weights(T, n)
+    if flavor == "hh":
+        d, d_next = chains.boundary(T, n), chains.boundary(T, n + 1)
+    else:
+        d, d_next = _induced_boundary(T, n), _induced_boundary(T, n + 1)
+        weights = [weights[c] for c in chains.cyclic_quotient(T, n).nonpivots]
+    return nullspace(d), [d_next.num[c] for c in sorted(d_next.num)], weights
+
+
+def reference_quotient_of_complex(cycles: Subspace, cols) -> QuotientStructure:
+    """The homology quotient with one relation span over all weights, as
+    the engine built it before the span was split into weight blocks: it
+    stops only once it is the whole cycle space."""
+    pos = cycles._pivot_pos
+    rels = Subspace(cycles.dim)
+    for col in cols:
+        if rels.dim == cycles.dim:
+            break
+        rels.add({pos[p]: x for p, x in col.items() if p in pos})
+    return QuotientStructure(cycles.dim, rels)
 
 
 def check_catalog_complete():

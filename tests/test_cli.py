@@ -160,6 +160,29 @@ def test_representatives_output_is_frozen(capsys):
             (name, flavor)
 
 
+# sha256 of `compute --flavor hh|hc --degree 3 --representatives --format
+# machine` on the two-variable triples, where the homology quotient is
+# split into weight blocks that stop once they are spanned.
+DEGREE_THREE_HASHES = {
+    ("dual_dual_zero", "hh"): "ba098e91660db7a6343ad2074c930a9f95e24ee250d7b50cb28ed506276c3b06",
+    ("dual_dual_zero", "hc"): "c53ccb8be47ff7833a3ce7994948811fd184c95f9660dc547c8f17df28e02f18",
+    ("dual_dual_x", "hh"): "9e168da657044e66fe317a3c40e438130cd8f330ce80901d779c3c132f8c8972",
+    ("dual_dual_x", "hc"): "10c2ea75e11bcc061cfe705945f27e82aeb4672b29bf67ce890c9e7796d46b0f",
+    ("dual_over_dual_id", "hh"): "e203f1d1b1ef0479f8bef822a036bd2976c8bfd2687b44521689469528599903",
+    ("dual_over_dual_id", "hc"): "4f729338021a7b5d9f209c6da04a63f14f942a878e40216877006b7e93f48976",
+}
+
+
+def test_degree_three_representatives_are_frozen(capsys):
+    for (name, flavor), digest in DEGREE_THREE_HASHES.items():
+        code, out, _ = run(capsys, "compute", "--catalog", name, "--flavor",
+                           flavor, "--degree", "3", "--representatives",
+                           "--format", "machine")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+            (name, flavor)
+
+
 def test_bad_degree_specs(capsys):
     for spec in ("x", "3..1", "-2", "1..y"):
         code, _, err = run(capsys, "compute", "--catalog", "dual_k",

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from _shared import (ALL_NAMES, commutator_subspace, dense_rank_of_sparse,
-                     rescaled_triple, shared_triple)
-from sechom import homology
+                     rebased_triple, reference_quotient_of_complex,
+                     relation_span_inputs, rescaled_triple, shared_triple)
+from sechom import chains, homology
 from sechom.chains import boundary, chain_dim, cyclic_quotient
 from sechom.homology import (DegreeCapError, connes_segment_check, hc, hh)
 from sechom.linalg import InternalCheckError, SparseMat, Subspace
@@ -125,6 +126,72 @@ def test_hc_sweep_builds_each_induced_boundary_once(monkeypatch):
     for n in range(7):
         hc(T, n, max_degree=6)
     assert len(built) == 7
+
+
+# -- weight blocks ---------------------------------------------------------
+
+def _assert_blocks_match_single_span(T, flavor, degrees):
+    for n in degrees:
+        cycles, cols, weights = relation_span_inputs(T, flavor, n)
+        Q = homology._quotient_of_complex(cycles, cols, weights)
+        ref = reference_quotient_of_complex(cycles, cols)
+        assert Q.relations == ref.relations, (T.name, flavor, n)
+        assert Q.nonpivots == ref.nonpivots
+
+
+def test_weight_blocks_match_the_single_span():
+    # The relations in canonical form, block by block against one span
+    # over every weight: graded catalog triples, rescaled ones (graded,
+    # fractional constants) and rebased ones (one block of weight 0).
+    for name in ALL_NAMES:
+        T = shared_triple(name)
+        for flavor in ("hh", "hc"):
+            _assert_blocks_match_single_span(T, flavor, range(4))
+    _assert_blocks_match_single_span(shared_triple("trunc3_k"), "hc",
+                                     range(4, 7))
+    _assert_blocks_match_single_span(shared_triple("mat2_k"), "hc", [4])
+    for T, top in ((rescaled_triple("dual_dual_x"), 3),
+                   (rescaled_triple("trunc3_k"), 3),
+                   (rebased_triple("dual_dual_zero"), 2),
+                   (rebased_triple("trunc3_k"), 3)):
+        for flavor in ("hh", "hc"):
+            _assert_blocks_match_single_span(T, flavor, range(top + 1))
+
+
+def test_weight_blocks_stop_feeding_columns_once_spanned(monkeypatch):
+    # hh(dual_dual_x, 3) with one span fed 15,976 boundary columns to
+    # `add` at degree 3 alone, because HH_3 = 1 kept it from filling up.
+    calls = []
+    real = Subspace.add
+    monkeypatch.setattr(Subspace, "add",
+                        lambda self, v: calls.append(1) or real(self, v))
+    assert hh(catalog("dual_dual_x"), 3).dimension == 1
+    assert len(calls) <= 6000
+
+
+def test_a_wrong_grading_is_a_hard_error_never_a_wrong_dimension(monkeypatch):
+    # Gradings that break eps or a product: every degree either raises or
+    # gives the true dimension, and hh in degree 2 raises.  A coarser
+    # grading than the detected one is still a grading, with the same
+    # dimensions.
+    for name, rows in (("dual_dual_x", [(0, 1, 0, 0)]),
+                       ("trunc3_k", [(0, 1, 1, 0)]),
+                       ("mat2_k", [(0, 1, 1, 0, 0)]),
+                       ("dual_dual_zero", [(0, 1, 0, 0)])):
+        monkeypatch.setattr(chains, "grading", lambda T, rows=rows: rows)
+        T = catalog(name)
+        for n in range(4):
+            for fn in (hh, hc):
+                want = fn(shared_triple(name), n).dimension
+                try:
+                    assert fn(T, n).dimension == want
+                except InternalCheckError as exc:
+                    assert "not homogeneous" in str(exc)
+                    assert name != "dual_dual_zero"
+        if name != "dual_dual_zero":
+            with pytest.raises(InternalCheckError, match="not homogeneous"):
+                hh(catalog(name), 2)
+        monkeypatch.undo()
 
 
 # -- guard rails -----------------------------------------------------------

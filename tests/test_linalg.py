@@ -1,19 +1,22 @@
 """Exact sparse linear algebra: subspaces, quotients, solvers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
 from _shared import (ALL_NAMES, dense_matrix, from_entries, rebased_triple,
-                     rescaled_triple, shared_triple, value_columns)
+                     relation_span_inputs, rescaled_triple, shared_triple,
+                     value_columns)
 from sechom.chains import _coinvariant_relations, boundary, cyclic_quotient
 from sechom.homology import _induced_boundary, _quotient_of_complex, hc, hh
 from sechom.linalg import (AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, colspace,
                            induced_on_quotients, nullspace, rank, row_space,
                            solve, to_dense)
+from sechom.triples import grading
 
 F = Fraction
 
@@ -288,8 +291,16 @@ def test_from_canonical_round_trip_and_rejection():
     S = Subspace(4, [[1, 2, 0, 3], [0, 0, 1, 5]])
     T = Subspace.from_canonical(4, S.rows, S.pivots)
     assert T == S and T._pivot_pos == S._pivot_pos
+    # Rows of ints are copied as they are, alone or next to Fraction rows.
+    rows = [{0: 1, 1: 2, 3: 3}, {2: 1, 3: 5}]
+    U = Subspace.from_canonical(4, rows, [0, 2])
+    assert Subspace.from_canonical(4, [rows[0], S.rows[1]], [0, 2]) == S
+    rows[0][1] = 7
+    assert U == S
     with pytest.raises(ValueError):
         Subspace.from_canonical(4, [{0: F(2)}], [0])  # pivot not 1
+    with pytest.raises(ValueError):
+        Subspace.from_canonical(4, [{0: 2, 1: 1}], [0])
     with pytest.raises(ValueError):
         Subspace.from_canonical(4, [{0: F(1), 2: F(1)}, {2: F(1)}], [0, 2])
     with pytest.raises(ValueError):
@@ -414,11 +425,12 @@ def test_fraction_free_elimination_matches_fraction_elimination():
 
 def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
     # Every Subspace that hh and hc construct up to degree 3 on the
-    # catalog: per call, the row space in nullspace and the homology-quotient
-    # relations, which start empty and grow through `add` (gated in
-    # test_relation_spans_match_fraction_elimination).  nullspace wraps its
-    # kernel rows without a second elimination (gated in the nullspace
-    # tests below).
+    # catalog: per call, the row space in nullspace and one homology
+    # relation span per weight of the cycles, which starts empty and grows
+    # through `add` (gated in
+    # test_relation_span_stops_once_full_with_the_same_canonical_form).
+    # nullspace wraps its kernel rows without a second elimination (gated
+    # in the nullspace tests below).
     inputs = []
     orig = Subspace.__init__
 
@@ -427,6 +439,8 @@ def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
         inputs.append((ambient_dim, vectors))
         orig(self, ambient_dim, vectors)
 
+    for name in ALL_NAMES:  # memoized, so found before recording starts
+        grading(shared_triple(name))
     monkeypatch.setattr(Subspace, "__init__", recording)
     for name in ALL_NAMES:
         T = shared_triple(name)
@@ -434,7 +448,14 @@ def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
             hh(T, n)
             hc(T, n)
     monkeypatch.undo()
-    assert len(inputs) == 2 * 2 * 4 * len(ALL_NAMES)
+    blocks = 0
+    for name in ALL_NAMES:
+        for n in range(4):
+            for flavor in ("hh", "hc"):
+                cycles, _, weights = relation_span_inputs(
+                    shared_triple(name), flavor, n)
+                blocks += len({weights[p] for p in cycles.pivots})
+    assert len(inputs) == 2 * 4 * len(ALL_NAMES) + blocks
     for ambient_dim, vectors in inputs:
         _assert_same_rref(ambient_dim, vectors)
 
@@ -637,30 +658,45 @@ def _cycle_coordinates(cycles, cols):
     return [{pos[p]: x for p, x in col.items() if p in pos} for col in cols]
 
 
-def test_relation_span_stops_once_full_with_the_same_canonical_form():
+def test_relation_span_stops_once_full_with_the_same_canonical_form(
+        monkeypatch):
     # The homology relations of hh and hc up to degree 3 on the catalog,
-    # against the Fraction elimination of every boundary column; where the
-    # span fills the cycle space early, the later columns are never read.
-    stopped = 0
+    # against the Fraction elimination of every boundary column.  A column
+    # that never reaches `add` (its weight block was full, or every block
+    # was) lies in a block that spans all the cycles of its weight.
+    read, fed = [], set()
+    orig = Subspace.add
+
+    def recording(self, v):
+        fed.add(read[-1])
+        return orig(self, v)
+
+    skipped = skipped_with_homology = 0
     for name in ALL_NAMES:
         T = shared_triple(name)
         for n in range(4):
-            for d, d_next in ((boundary(T, n), boundary(T, n + 1)),
-                              (_induced_boundary(T, n),
-                               _induced_boundary(T, n + 1))):
-                cycles = nullspace(d)
-                cols = [d_next.num[c] for c in sorted(d_next.num)]
-                taken = []
+            for flavor in ("hh", "hc"):
+                cycles, cols, weights = relation_span_inputs(T, flavor, n)
+                read.clear()
+                fed.clear()
+                monkeypatch.setattr(Subspace, "add", recording)
                 Q = _quotient_of_complex(
-                    cycles, (taken.append(c) or c for c in cols))
+                    cycles, (read.append(k) or c for k, c in enumerate(cols)),
+                    weights)
+                monkeypatch.undo()
                 rows, pivots, _ = _fraction_rref(
                     cycles.dim, _cycle_coordinates(cycles, cols))
                 assert Q.relations.rows == rows
                 assert Q.relations.pivots == pivots
-                if len(taken) < len(cols):
-                    assert Q.dim == 0
-                    stopped += 1
-    assert stopped
+                cycle_weights = [weights[p] for p in cycles.pivots]
+                spanned = Counter(cycle_weights[j] for j in Q.relations.pivots)
+                full = {w for w, k in Counter(cycle_weights).items()
+                        if spanned[w] == k}
+                for k in set(range(len(cols))) - fed:
+                    assert weights[min(cols[k])] in full
+                    skipped += 1
+                    skipped_with_homology += Q.dim > 0
+    assert skipped and skipped_with_homology
 
 
 def test_rebased_degree_three_relation_slice_matches_fraction_elimination():

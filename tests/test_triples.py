@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import ALL_NAMES, COMMUTATIVE_NAMES, shared_triple
+from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
+                     shared_triple)
 from sechom.algebra import (FinAlgebra, field_algebra, matrix_algebra,
                             multiply, truncated_polynomial_algebra)
+from sechom.chains import chain_dim, chain_weights
 from sechom.triples import (BaseNotCommutativeError,
                             CommutativeTripleRequiredError,
                             EpsImageNotCentralError,
                             EpsNotMultiplicativeError, EpsNotUnitalError,
                             TripleAxiomError, catalog, catalog_names,
-                            make_triple)
+                            grading, make_triple)
 
 F = Fraction
 
@@ -101,3 +103,33 @@ def test_dual_dual_variants_differ_in_eps():
     x = shared_triple("dual_dual_x")
     assert z.eps.columns[1] == [F(0), F(0)]
     assert x.eps.columns[1] == [F(0), F(1)]
+
+
+# -- grading ---------------------------------------------------------------
+
+def test_detected_grading_of_the_catalog():
+    # Rows give weights to the basis of A, then of B.
+    assert grading(shared_triple("dual_dual_zero")) == [(0, 1, 0, 0),
+                                                        (0, 0, 0, 1)]
+    assert grading(shared_triple("dual_dual_x")) == [(0, 1, 0, 1)]
+    assert grading(shared_triple("dual_over_dual_id")) == [(0, 1, 0, 1)]
+    assert grading(shared_triple("trunc3_k")) == [(0, 1, 2, 0)]
+    # E11, E12, E21, E22: E12 E21 = E11 forces w(E21) = -w(E12).
+    assert grading(shared_triple("mat2_k")) == [(0, 1, -1, 0, 0)]
+    assert grading(shared_triple("k_k")) == grading(shared_triple("prod_k")) == []
+
+
+def test_chain_weights_add_up_the_digits():
+    T = shared_triple("dual_dual_x")
+    # Degree 1: a_0, a_1, then the b-slot of (0, 1); x and y have weight 1.
+    assert chain_weights(T, 1) == [0, 1, 1, 2, 1, 2, 2, 3]
+    for n in range(4):
+        assert len(chain_weights(T, n)) == chain_dim(T, n)
+
+
+def test_rebased_twins_have_no_grading():
+    for name in ("dual_k", "dual_dual_zero", "dual_dual_x",
+                 "dual_over_dual_id", "trunc3_k"):
+        T = rebased_triple(name)
+        assert grading(T) == []
+        assert set(chain_weights(T, 2)) == {0}
