@@ -108,10 +108,11 @@ def kernel_data(T: Triple) -> KernelData:
     mm = multiplication_matrix(T)
     J = nullspace(mm)
 
+    # P3 is commutative, as A and B are, so each product is formed once.
     j_rows = [to_dense(row, mm.ncols) for row in J.rows]
     products = []
-    for u in j_rows:
-        for v in j_rows:
+    for i, u in enumerate(j_rows):
+        for v in j_rows[i:]:
             w = multiply(P3, u, v)
             if any(w):
                 products.append(w)

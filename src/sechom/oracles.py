@@ -6,6 +6,10 @@ exact numbers, and ranks come from an integer fraction-free
 elimination.  The only shared inputs are the algebra structure tables
 themselves.
 
+Cyclic homology takes one rank per degree, of [W_{k-1} | b_k] with W
+the image of 1 - rotation, so the +-1 rotation columns pivot before any
+boundary column is reduced (see classical_hc_dims).
+
 These are slow paths; every entry point refuses ambient dimensions above
 5000 so an accidental call on a large instance fails fast instead of
 grinding.
@@ -50,24 +54,23 @@ def bar_boundary(A: FinAlgebra, n: int):
         raise ValueError("boundary needs degree at least 1")
     d = A.dim
     _check_cap(d ** (n + 1))
+    # The table read once: the nonzero terms (k, x) of each product, with
+    # integral x as int so that integral tables are summed in ints.
+    mult = [[[(k, int(x) if x.denominator == 1 else x)
+              for k, x in enumerate(coeffs) if x] for coeffs in row]
+            for row in A.mult]
     src = list(product(range(d), repeat=n + 1))
     dst_pos = _tuple_positions(d, n)
     M = _zeros(d ** n, d ** (n + 1))
     for c, tup in enumerate(src):
         for i in range(n):
-            coeffs = A.mult[tup[i]][tup[i + 1]]
             rest = tup[:i] + tup[i + 2:]
             sign = 1 if i % 2 == 0 else -1
-            for k, x in enumerate(coeffs):
-                if x:
-                    r = dst_pos[rest[:i] + (k,) + rest[i:]]
-                    M[r][c] += sign * x
-        coeffs = A.mult[tup[n]][tup[0]]
+            for k, x in mult[tup[i]][tup[i + 1]]:
+                M[dst_pos[rest[:i] + (k,) + rest[i:]]][c] += sign * x
         sign = 1 if n % 2 == 0 else -1
-        for k, x in enumerate(coeffs):
-            if x:
-                r = dst_pos[(k,) + tup[1:n]]
-                M[r][c] += sign * x
+        for k, x in mult[tup[n]][tup[0]]:
+            M[dst_pos[(k,) + tup[1:n]]][c] += sign * x
     return M
 
 
@@ -86,8 +89,10 @@ def bar_rotation(A: FinAlgebra, n: int):
 def dense_rank(M) -> int:
     """Fraction-free integer elimination; rows are scaled primitive.
 
-    Entries are ints or Fractions.  Rows below the pivot row are zero left
-    of the pivot column, so each update touches the columns from it on.
+    Entries are ints or Fractions.  Each column pivots on its first row of
+    smallest nonzero absolute value, so a +-1 keeps the updated rows from
+    growing.  Rows below the pivot row are zero left of the pivot column,
+    so each update touches the columns from it on.
     """
     rows = []
     for row in M:
@@ -101,13 +106,10 @@ def dense_rank(M) -> int:
     for col in range(ncols):
         if r == len(rows):
             break
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
+        nonzero = [i for i in range(r, len(rows)) if rows[i][col]]
+        if not nonzero:
             continue
+        piv = min(nonzero, key=lambda i: abs(rows[i][col]))
         rows[r], rows[piv] = rows[piv], rows[r]
         ptail = rows[r][col:]
         p = ptail[0]
@@ -142,31 +144,24 @@ def classical_hh_dims(A: FinAlgebra, n_max: int) -> list:
 def classical_hc_dims(A: FinAlgebra, n_max: int) -> list:
     """Cyclic homology dimensions of A in degrees 0..n_max.
 
-    Computed purely from ranks: with W_k the image of (1 - rotation) in
-    degree k, the degree-n dimension equals
-    N_n + rank(W_{n-1}) - rank[b_n | W_{n-1}] - rank[b_{n+1} | W_n],
-    where [X | Y] is column concatenation.  This avoids constructing
+    Computed purely from ranks of the Connes complex C/(1 - t): with W_k
+    the image of (1 - rotation) in degree k and R_k the rank of the
+    column concatenation [W_{k-1} | b_k] (R_0 = 0), the degree-n
+    dimension is N_n + rank W_{n-1} - R_n - R_{n+1}, with rank W_{-1} = 0.
+    W_0 is zero, so R_1 is the rank of b_1.  Each concatenation is ranked
+    once, with the rotation columns first.  This avoids constructing
     quotient complexes entirely, so it shares nothing with the engine's
     route.
     """
     _check_cap(A.dim ** (n_max + 2))  # b_{n_max+1} is the largest matrix
-    dims = []
-    omegas = {}
-    for k in range(n_max + 1):
-        omegas[k] = [[int(r == c) - x for c, x in enumerate(row)]
-                     for r, row in enumerate(bar_rotation(A, k))]
-    w_rank = {k: dense_rank(M) for k, M in omegas.items()}
-    w_rank[-1] = 0
-    for n in range(n_max + 1):
-        N = A.dim ** (n + 1)
-        if n == 0:
-            mid = dense_rank(bar_boundary(A, 1))
-            dims.append(N - mid)
-            continue
-        low = dense_rank(_hstack(bar_boundary(A, n), omegas[n - 1]))
-        high = dense_rank(_hstack(bar_boundary(A, n + 1), omegas[n]))
-        dims.append(N + w_rank[n - 1] - low - high)
-    return dims
+    omegas = [[[int(r == c) - x for c, x in enumerate(row)]
+               for r, row in enumerate(bar_rotation(A, k))]
+              for k in range(n_max + 1)]
+    w_rank = [0] + [dense_rank(W) for W in omegas[:n_max]]  # rank W_{n-1}
+    R = [0] + [dense_rank(_hstack(omegas[k - 1], bar_boundary(A, k)))
+               for k in range(1, n_max + 2)]
+    return [A.dim ** (n + 1) + w_rank[n] - R[n] - R[n + 1]
+            for n in range(n_max + 1)]
 
 
 def classical_kahler_dim(A: FinAlgebra) -> int:

@@ -16,7 +16,7 @@ from sechom.homology import _induced_boundary
 from sechom.linalg import (AmbientDimensionError, QuotientStructure,
                            SparseMat, Subspace, nullspace)
 from sechom.oracles import _check_cap, dense_rank
-from sechom.triples import catalog, catalog_names, make_triple
+from sechom.triples import catalog, make_triple
 
 _MEMO: dict = {}
 
@@ -205,10 +205,6 @@ def reference_quotient_of_complex(cycles: Subspace, cols) -> QuotientStructure:
             break
         rels.add({pos[p]: x for p, x in col.items() if p in pos})
     return QuotientStructure(cycles.dim, rels)
-
-
-def check_catalog_complete():
-    assert sorted(catalog_names()) == sorted(ALL_NAMES)
 
 
 def derivation_identity_failures(T) -> list:

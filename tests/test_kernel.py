@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import COMMUTATIVE_NAMES, shared_triple
+from _shared import COMMUTATIVE_NAMES, rebased_triple, shared_triple
+from sechom.algebra import multiply
 from sechom.differentials import omega
 from sechom.kernel import (embed_tensor, j_generator, kernel_data,
                            multiplication_matrix, symmetry_check,
                            tensor_index)
-from sechom.linalg import rank
+from sechom.linalg import Subspace, rank, to_dense
 from sechom.triples import CommutativeTripleRequiredError
 
 F = Fraction
@@ -117,6 +118,17 @@ def test_relation_space_dimensions_are_frozen():
         assert K.span_relations.dim == span, name
         assert K.relations.dim == rel, name
         assert K.dim == quot, name
+
+
+def test_squared_span_needs_each_product_once():
+    # P3 is commutative, so the products u v with u after v add nothing:
+    # the span of all ordered products is the same canonical Subspace.
+    for T in [shared_triple(name) for name in COMMUTATIVE_NAMES] + [
+            rebased_triple("dual_dual_x")]:
+        K = kernel_data(T)
+        rows = [to_dense(row, K.J.ambient_dim) for row in K.J.rows]
+        every = [multiply(K.algebra, u, v) for u in rows for v in rows]
+        assert Subspace(K.J.ambient_dim, every) == K.j_squared, T.name
 
 
 def test_relations_stay_inside_the_kernel():

@@ -8,20 +8,23 @@ algebras, so later engine comparisons test two genuinely independent routes.
 import ast
 import inspect
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from random import Random
 
 import pytest
 
-from _shared import dense_rank_of_sparse, from_entries, rebased_triple
+from _shared import (dense_rank_of_sparse, from_entries, rebased_triple,
+                     rescaled_triple)
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
-                            split_product_algebra,
+                            split_product_algebra, tensor_algebra,
                             truncated_polynomial_algebra)
 from sechom.linalg import SparseMat, rank
 from sechom.oracles import (bar_boundary, bar_rotation, classical_hc_dims,
                             classical_hh_dims, classical_I_mod_I2_dim,
                             classical_kahler_dim, dense_rank)
+from sechom.triples import catalog, catalog_names
 
 F = Fraction
 
@@ -67,6 +70,43 @@ def test_bar_rotation_has_finite_order():
                            for i in range(len(R))]
 
 
+def _bar_boundary_before(A, n):
+    """Test-local copy of bar_boundary as it summed the Fraction table."""
+    d = A.dim
+    src = list(product(range(d), repeat=n + 1))
+    dst_pos = {t: i for i, t in enumerate(product(range(d), repeat=n))}
+    M = [[0] * d ** (n + 1) for _ in range(d ** n)]
+    for c, tup in enumerate(src):
+        for i in range(n):
+            coeffs = A.mult[tup[i]][tup[i + 1]]
+            rest = tup[:i] + tup[i + 2:]
+            sign = 1 if i % 2 == 0 else -1
+            for k, x in enumerate(coeffs):
+                if x:
+                    M[dst_pos[rest[:i] + (k,) + rest[i:]]][c] += sign * x
+        sign = 1 if n % 2 == 0 else -1
+        for k, x in enumerate(A.mult[tup[n]][tup[0]]):
+            if x:
+                M[dst_pos[(k,) + tup[1:n]]][c] += sign * x
+    return M
+
+
+def test_bar_boundary_matches_the_fraction_built_copy():
+    integral = rebased_triple("trunc3_k").A
+    fractional = rescaled_triple("trunc3_k").A
+    assert all(x.denominator == 1 for row in integral.mult
+               for prod in row for x in prod)
+    assert any(x.denominator > 1 for row in fractional.mult
+               for prod in row for x in prod)
+    for A in (integral, fractional, matrix_algebra(2)):
+        for n in (1, 2, 3):
+            new, old = bar_boundary(A, n), _bar_boundary_before(A, n)
+            assert len(new) == len(old)
+            for new_row, old_row in zip(new, old):
+                assert len(new_row) == len(old_row)
+                assert all(x == y for x, y in zip(new_row, old_row))
+
+
 def test_bar_boundary_rejects_degree_zero():
     with pytest.raises(ValueError):
         bar_boundary(field_algebra(), 0)
@@ -96,6 +136,78 @@ def test_classical_cyclic_dimensions():
     }
     for name, A in _algebras():
         assert classical_hc_dims(A, 3) == expect[name]
+
+
+def _classical_hc_dims_before(A, n_max):
+    """Test-local copy of classical_hc_dims as it ranked [b_n | W_{n-1}]
+    and [b_{n+1} | W_n] separately in each degree."""
+    omegas = {k: [[int(r == c) - x for c, x in enumerate(row)]
+                  for r, row in enumerate(bar_rotation(A, k))]
+              for k in range(n_max + 1)}
+    w_rank = {k: dense_rank(M) for k, M in omegas.items()}
+    dims = []
+    for n in range(n_max + 1):
+        N = A.dim ** (n + 1)
+        if n == 0:
+            dims.append(N - dense_rank(bar_boundary(A, 1)))
+            continue
+        low = dense_rank(oracles._hstack(bar_boundary(A, n), omegas[n - 1]))
+        high = dense_rank(oracles._hstack(bar_boundary(A, n + 1), omegas[n]))
+        dims.append(N + w_rank[n - 1] - low - high)
+    return dims
+
+
+def _reduction_degree(A):
+    """The top degree of the B = Q reduction battery on A."""
+    return 3 if A.dim <= 3 else 2
+
+
+def test_cyclic_dimensions_match_the_code_they_replaced():
+    algebras = [catalog(name).A for name in catalog_names()]
+    algebras += [rebased_triple("trunc3_k").A, rebased_triple("dual_k").A,
+                 rescaled_triple("trunc3_k").A,
+                 tensor_algebra(truncated_polynomial_algebra(3),
+                                truncated_polynomial_algebra(2))]
+    for A in algebras:
+        n_max = _reduction_degree(A)
+        assert classical_hc_dims(A, n_max) == _classical_hc_dims_before(
+            A, n_max)
+
+
+def test_cyclic_dimensions_match_on_random_algebras():
+    # Tensor products of the catalog algebras and of monomial quotients
+    # Q[x]/(x^m), up to dimension 4.
+    rng = Random(1992)
+    factors = [A for _, A in _algebras()]
+    factors += [truncated_polynomial_algebra(m) for m in (1, 2, 3, 4)]
+    seen = set()
+    for _ in range(20):
+        while True:
+            X, Y = rng.choice(factors), rng.choice(factors)
+            if X.dim * Y.dim <= 4:
+                break
+        A = tensor_algebra(X, Y)
+        seen.add(A.dim)
+        n_max = _reduction_degree(A)
+        assert classical_hc_dims(A, n_max) == _classical_hc_dims_before(
+            A, n_max)
+    assert seen == {1, 2, 3, 4}
+
+
+def test_cyclic_dimensions_rank_each_concatenation_once(monkeypatch):
+    # rank W_0, W_1, W_2 and [W_{k-1} | b_k] for k = 1..4; the code it
+    # replaced made 11 calls.
+    calls = []
+    ranked = oracles.dense_rank
+
+    def counting(M):
+        calls.append(len(M))
+        return ranked(M)
+
+    monkeypatch.setattr(oracles, "dense_rank", counting)
+    assert classical_hc_dims(truncated_polynomial_algebra(2), 3) == \
+        [2, 0, 2, 0]
+    assert len(calls) == 7
 
 
 def test_degree_zero_cyclic_equals_hochschild():
@@ -216,6 +328,8 @@ def test_dense_rank_matches_the_code_it_replaced():
                for r, row in enumerate(bar_rotation(A, k))] for k in range(4)]
     mats = [bar_boundary(A, k) for k in range(1, 5)] + omegas
     mats += [oracles._hstack(bar_boundary(A, n), omegas[n - 1])
+             for n in range(1, 5)]
+    mats += [oracles._hstack(omegas[n - 1], bar_boundary(A, n))
              for n in range(1, 5)]
     for M in mats:
         assert dense_rank(M) == _dense_rank_before(M)
