@@ -18,13 +18,17 @@ from math import log10
 
 from .chains import (boundary, chain_dim, chain_space, chain_weights,
                      cyclic_quotient)
-from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
-                     Subspace, colspace, induced_on_quotients, nullspace,
-                     rank, to_dense)
+from .linalg import (ZERO, InternalCheckError, KernelTest, QuotientStructure,
+                     SparseMat, Subspace, colspace, induced_on_quotients,
+                     nullspace, product_is_zero, projection_matrix, rank,
+                     to_dense)
 from .triples import Triple, per_triple
 
 DEFAULT_MAX_DEGREE = 3
 _MAX_DIGITS = 100  # longer chain dimensions are printed as powers
+# Columns a weight block rejects in a row before later ones are tested
+# against its projection (see _quotient_of_complex).
+_STALL = 32
 
 
 class DegreeCapError(ValueError):
@@ -97,24 +101,45 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
     takes no more columns once it spans all the cycles of its weight,
     and the span stops once every block does.  Rows of different blocks
     have disjoint supports, so together they are the canonical form.
+
+    Once a block has rejected _STALL columns in a row, its projection P
+    onto the quotient of its own cycle coordinates is built, and each
+    later column v of the block is tested by P v = 0, which is exact: the
+    kernel of P is the block's span.  Only a column that P does not kill
+    goes to `add`; it raises the rank, and P is built again at the next
+    stall.
     """
     pos = cycles._pivot_pos
     size: dict = {}
     for row in cycles._int_rows:
         w = _weight(row, weights, "cycle row")
         size[w] = size.get(w, 0) + 1
-    open_blocks = {w: Subspace(cycles.dim) for w in size}
+    # weight -> [its span, columns it rejected in a row, KernelTest of P]
+    open_blocks = {w: [Subspace(cycles.dim), 0, None] for w in size}
     full = []
     for col in next_boundary_cols:
         if not open_blocks:
             break
         w = _weight(col, weights, "boundary column")
-        rels = open_blocks.get(w)
-        if (rels is not None
-                and rels.add({pos[p]: x for p, x in col.items() if p in pos})
-                and rels.dim == size[w]):
-            full.append(open_blocks.pop(w))
-    rows = sorted((p, row) for rels in full + list(open_blocks.values())
+        block = open_blocks.get(w)
+        if block is None:
+            continue
+        rels, rejected, test = block
+        v = {pos[p]: x for p, x in col.items() if p in pos}
+        if test is not None and test.kills(v):
+            continue
+        if rels.add(v):
+            if rels.dim == size[w]:
+                full.append(open_blocks.pop(w)[0])
+            block[1:] = 0, None
+        elif rejected + 1 < _STALL:
+            block[1] = rejected + 1
+        else:
+            block[1:] = 0, KernelTest(projection_matrix(rels, [
+                j for j, p in enumerate(cycles.pivots)
+                if weights[p] == w and j not in rels._pivot_pos]))
+    rows = sorted((p, row) for rels in full
+                  + [block[0] for block in open_blocks.values()]
                   for p, row in zip(rels.pivots, rels._int_rows))
     relations = Subspace._of_int_rows(cycles.dim, [p for p, _ in rows],
                                       [row for _, row in rows])
@@ -129,7 +154,7 @@ def _homology_pieces(d: SparseMat, d_next: SparseMat, weights: list,
     this is a hard error.  In degree 0, d has no rows, so every chain is a
     cycle.  `weights` gives the weight key of each degree-n coordinate.
     """
-    if not (d @ d_next).is_zero():
+    if not product_is_zero(d, d_next):
         raise InternalCheckError(
             f"{what} squared is nonzero between degrees {n + 1} and {n - 1}")
     cycles = nullspace(d)

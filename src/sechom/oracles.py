@@ -258,5 +258,10 @@ def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
                                     out[k1 * d + k2] += x * y * a * b
         return out
 
-    squares = [tensor_mult(u, v) for u in kernel for v in kernel]
+    # For commutative A, A (x) A is commutative too, so u v = v u and each
+    # unordered pair of kernel vectors is multiplied once.
+    commutative = all(A.mult[i][j] == A.mult[j][i]
+                      for i in range(d) for j in range(i))
+    squares = [tensor_mult(u, v) for i, u in enumerate(kernel)
+               for v in (kernel[i:] if commutative else kernel)]
     return len(kernel) - dense_rank(squares) if kernel else 0

@@ -26,7 +26,8 @@ from .differentials import (ambient_symbol, d_one_A_subspace, omega,
 from .homology import _hc_pieces, _hh_pieces, hc, hh
 from .kernel import embed_tensor, kernel_data, tensor_index
 from .linalg import (ONE, InternalCheckError, SparseMat, basis_vector,
-                     colspace, nullspace, rank, solve, to_dense)
+                     colspace, nullspace, product_is_zero, rank, solve,
+                     to_dense)
 from .oracles import (classical_hh_dims, classical_hc_dims,
                       classical_I_mod_I2_dim, classical_kahler_dim)
 from .triples import Triple, make_triple
@@ -147,7 +148,7 @@ def _prop_hh1_omega(T: Triple, b: _Builder):
                  for c in sorted(moved.num)
                  if not P.relations.contains(moved.num[c])))
 
-    b.check("symbol images are cycles", (boundary(T, 1) @ psi).is_zero())
+    b.check("symbol images are cycles", product_is_zero(boundary(T, 1), psi))
 
     # Cycle coordinates are chain coordinates here (_hh1_interface), so
     # the homology relations are the span of the degree-two boundary.
@@ -212,7 +213,7 @@ def _prop_omega_J(T: Triple, b: _Builder):
     P, K = omega(T), kernel_data(T)
     F = forward_matrix(T)
 
-    b.check("forward images lie in the kernel", (K.m_matrix @ F).is_zero())
+    b.check("forward images lie in the kernel", product_is_zero(K.m_matrix, F))
     b.check("forward images span the kernel", colspace(F) == K.J)
 
     A, B = T.A, T.B

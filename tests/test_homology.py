@@ -140,8 +140,9 @@ def _assert_blocks_match_single_span(T, flavor, degrees):
 
 
 def test_weight_blocks_match_the_single_span():
-    # The relations in canonical form, block by block against one span
-    # over every weight: graded catalog triples, rescaled ones (graded,
+    # The relations in canonical form, block by block and with stalled
+    # blocks tested by their projection, against one plain span over
+    # every weight: graded catalog triples, rescaled ones (graded,
     # fractional constants) and rebased ones (one block of weight 0).
     for name in ALL_NAMES:
         T = shared_triple(name)
@@ -153,6 +154,8 @@ def test_weight_blocks_match_the_single_span():
     for T, top in ((rescaled_triple("dual_dual_x"), 3),
                    (rescaled_triple("trunc3_k"), 3),
                    (rebased_triple("dual_dual_zero"), 2),
+                   (rebased_triple("dual_dual_x"), 2),
+                   (rebased_triple("dual_over_dual_id"), 2),
                    (rebased_triple("trunc3_k"), 3)):
         for flavor in ("hh", "hc"):
             _assert_blocks_match_single_span(T, flavor, range(top + 1))
@@ -167,6 +170,23 @@ def test_weight_blocks_stop_feeding_columns_once_spanned(monkeypatch):
                         lambda self, v: calls.append(1) or real(self, v))
     assert hh(catalog("dual_dual_x"), 3).dimension == 1
     assert len(calls) <= 6000
+
+
+def test_stalled_span_tests_columns_by_projection(monkeypatch):
+    # Rebased dual_dual_x is one block, and its degree-2 span stops growing
+    # after a few hundred of its 1,024 boundary columns; a plain span
+    # reduces every one of them in `add`.
+    T = rebased_triple("dual_dual_x")
+    cycles, cols, weights = relation_span_inputs(T, "hh", 2)
+    assert len(cols) == 1024
+    calls = []
+    real = Subspace.add
+    monkeypatch.setattr(Subspace, "add",
+                        lambda self, v: calls.append(1) or real(self, v))
+    Q = homology._quotient_of_complex(cycles, cols, weights)
+    monkeypatch.undo()
+    assert len(calls) < 1024
+    assert Q.relations == reference_quotient_of_complex(cycles, cols).relations
 
 
 def test_a_wrong_grading_is_a_hard_error_never_a_wrong_dimension(monkeypatch):

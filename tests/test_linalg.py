@@ -11,11 +11,13 @@ from _shared import (ALL_NAMES, dense_matrix, from_entries, rebased_triple,
                      relation_span_inputs, rescaled_triple, shared_triple,
                      value_columns)
 from sechom.chains import _coinvariant_relations, boundary, cyclic_quotient
+from sechom import linalg
 from sechom.homology import _induced_boundary, _quotient_of_complex, hc, hh
 from sechom.linalg import (AmbientDimensionError, InternalCheckError,
-                           QuotientStructure, SparseMat, Subspace, colspace,
-                           induced_on_quotients, nullspace, rank, row_space,
-                           solve, to_dense)
+                           KernelTest, QuotientStructure, SparseMat, Subspace,
+                           _dict_is_zero, _packed_is_zero, _slot_bits,
+                           colspace, induced_on_quotients, nullspace,
+                           product_is_zero, rank, row_space, solve, to_dense)
 from sechom.triples import grading
 
 F = Fraction
@@ -651,6 +653,11 @@ def test_nullspace_checks_each_kernel_row(monkeypatch):
     monkeypatch.setattr(SparseMat, "_times", lambda self, v: {0: 1})
     with pytest.raises(InternalCheckError, match="not in the kernel"):
         nullspace(M)
+    # A dense boundary's kernel rows are checked on the packed path.
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_packed_is_zero", lambda M, cols, b: False)
+    with pytest.raises(InternalCheckError, match="not in the kernel"):
+        nullspace(boundary(rebased_triple("dual_dual_x"), 2))
 
 
 def _cycle_coordinates(cycles, cols):
@@ -662,8 +669,10 @@ def test_relation_span_stops_once_full_with_the_same_canonical_form(
         monkeypatch):
     # The homology relations of hh and hc up to degree 3 on the catalog,
     # against the Fraction elimination of every boundary column.  A column
-    # that never reaches `add` (its weight block was full, or every block
-    # was) lies in a block that spans all the cycles of its weight.
+    # that never reaches `add` lies in a block that spans all the cycles
+    # of its weight (its block was full, or every block was), or its
+    # block's projection killed it: it lies in the span of the columns of
+    # its block that reached `add` before it.
     read, fed = [], set()
     orig = Subspace.add
 
@@ -671,7 +680,7 @@ def test_relation_span_stops_once_full_with_the_same_canonical_form(
         fed.add(read[-1])
         return orig(self, v)
 
-    skipped = skipped_with_homology = 0
+    skipped = skipped_with_homology = killed = 0
     for name in ALL_NAMES:
         T = shared_triple(name)
         for n in range(4):
@@ -684,30 +693,201 @@ def test_relation_span_stops_once_full_with_the_same_canonical_form(
                     cycles, (read.append(k) or c for k, c in enumerate(cols)),
                     weights)
                 monkeypatch.undo()
-                rows, pivots, _ = _fraction_rref(
-                    cycles.dim, _cycle_coordinates(cycles, cols))
+                vectors = _cycle_coordinates(cycles, cols)
+                rows, pivots, _ = _fraction_rref(cycles.dim, vectors)
                 assert Q.relations.rows == rows
                 assert Q.relations.pivots == pivots
                 cycle_weights = [weights[p] for p in cycles.pivots]
                 spanned = Counter(cycle_weights[j] for j in Q.relations.pivots)
                 full = {w for w, k in Counter(cycle_weights).items()
                         if spanned[w] == k}
-                for k in set(range(len(cols))) - fed:
-                    assert weights[min(cols[k])] in full
+                before: dict = {}  # weight -> span of the columns fed so far
+                for k in read:
+                    w = weights[min(cols[k])]
+                    span = before.setdefault(w, Subspace(cycles.dim))
+                    if k in fed:
+                        span.add(vectors[k])
+                        continue
+                    assert w in full or span.contains(vectors[k])
+                    killed += w not in full
                     skipped += 1
                     skipped_with_homology += Q.dim > 0
-    assert skipped and skipped_with_homology
+                if len(read) < len(cols):  # the span stopped early
+                    assert full == set(cycle_weights)
+    assert skipped and skipped_with_homology and killed
 
 
-def test_rebased_degree_three_relation_slice_matches_fraction_elimination():
+@pytest.fixture(scope="module")
+def rebased_dual_dual_x():
+    """Rebased dual_dual_x, shared by the degree-three tests of this file,
+    so that its memoized boundary(4) (1.63M nonzeros) is built once."""
+    return rebased_triple("dual_dual_x")
+
+
+def test_rebased_degree_three_relation_slice_matches_fraction_elimination(
+        rebased_dual_dual_x):
     # Every 256th column of the rebased dual_dual_x boundary(4) (1.63M
     # nonzeros), in coordinates on the 968 cycles of degree 3: dense
     # inputs whose elimination fills in.  The Fraction reference keeps the
     # slice small; it takes about 30 s on every 64th column.
-    T = rebased_triple("dual_dual_x")
+    T = rebased_dual_dual_x
     cycles = nullspace(boundary(T, 3))
     d4 = boundary(T, 4)
     cols = [d4.num[c] for c in sorted(d4.num)[::256]]
     vectors = _cycle_coordinates(cycles, cols)
     assert len(vectors) == 128 and Subspace(cycles.dim, vectors).dim == 115
     _assert_same_rref(cycles.dim, vectors)
+
+
+# -- packed zero tests ------------------------------------------------------
+
+def _packed(M, N) -> bool:
+    cols = N.num.values()
+    return _packed_is_zero(M, cols, _slot_bits(M, cols))
+
+
+def _both_paths_are_zero(M, N) -> bool:
+    """The verdict of the packed and the dict zero test of M N, which must
+    agree with the product formed in full."""
+    want = (M @ N).is_zero()
+    assert _dict_is_zero(M, N.num.values()) == want
+    if M.num and N.num:
+        assert _packed(M, N) == want
+    assert product_is_zero(M, N) == want
+    return want
+
+
+def _boundary_pairs(T, top):
+    for n in range(top + 1):
+        yield boundary(T, n), boundary(T, n + 1)
+        yield _induced_boundary(T, n), _induced_boundary(T, n + 1)
+
+
+def test_packed_and_dict_zero_tests_match_the_product():
+    # d after d, boundary and induced boundary, on the catalog and the
+    # rescaled triples for n <= 3 and on the rebased ones for n <= 2.
+    triples = [(shared_triple(name), 3) for name in ALL_NAMES]
+    triples += [(rescaled_triple(name), 3) for name in ALL_NAMES]
+    triples += [(rebased_triple(name), 2) for name in ALL_NAMES
+                if name != "mat2_k"]
+    for T, top in triples:
+        for M, N in _boundary_pairs(T, top):
+            assert _both_paths_are_zero(M, N), (T.name, M, N)
+    # Random integer operands, many of them near the slot bound: products
+    # that vanish (N built from the kernel of M) and products that do not.
+    rng = random.Random(14)
+    for trial in range(300):
+        rows, inner = rng.randrange(1, 7), rng.randrange(1, 7)
+        big = rng.choice([1, 7, 2 ** 40])
+        M = SparseMat.from_columns(rows, [
+            [rng.choice([0, big, -big, rng.randrange(-big, big + 1)])
+             for _ in range(rows)] for _ in range(inner)])
+        K = nullspace(M)
+        cols = [{c: x * rng.choice([1, -3, big]) for c, x in row.items()}
+                for row in K._int_rows]
+        if trial % 2 and cols:
+            cols[-1] = dict(cols[-1])
+            k = rng.randrange(inner)
+            cols[-1][k] = cols[-1].get(k, 0) + rng.choice([-1, 1])
+            cols[-1] = {k: x for k, x in cols[-1].items() if x}
+        N = SparseMat.from_columns(inner, [c for c in cols if c])
+        _both_paths_are_zero(M, N)
+
+
+def test_product_is_zero_packs_dense_operands_only(monkeypatch):
+    packed = []
+    real = linalg._packed_is_zero
+    monkeypatch.setattr(linalg, "_packed_is_zero",
+                        lambda *args: packed.append(1) or real(*args))
+    T = shared_triple("dual_dual_x")
+    assert product_is_zero(boundary(T, 3), boundary(T, 4))
+    T = shared_triple("trunc3_k")
+    assert product_is_zero(boundary(T, 6), boundary(T, 7))
+    assert not packed
+    T = rebased_triple("dual_dual_x")
+    assert product_is_zero(boundary(T, 2), boundary(T, 3))
+    assert packed
+
+
+def _perturbed(N, k, c, delta):
+    """N with delta added at row k of column c; the other columns are
+    shared, not copied."""
+    col = dict(N.num.get(c, {}))
+    col[k] = col.get(k, 0) + delta
+    num = dict(N.num)
+    num[c] = {r: x for r, x in col.items() if x}
+    return SparseMat.from_ints(N.nrows, N.ncols, num, N.den)
+
+
+def _assert_perturbations_caught(M, N):
+    # A column of M whose entry in the last row, the largest slot of the
+    # packing, is nonzero; the column of N that sets the slot width; and
+    # one entry changed in N.
+    k = next(k for k, col in M.num.items() if M.nrows - 1 in col)
+    wide = max(N.num, key=lambda c: sum(map(abs, N.num[c].values())))
+    other = next(c for c in sorted(N.num) if c != wide)
+    for c, delta in ((other, -1), (wide, -1), (wide, 1),
+                     (wide, M.num[k][M.nrows - 1] * 2 ** 60)):
+        bad = _perturbed(N, k, c, delta)
+        assert not _packed(M, bad), (c, delta)
+        assert not _dict_is_zero(M, bad.num.values())
+        assert not product_is_zero(M, bad)
+
+
+def test_packed_zero_test_catches_one_perturbed_entry():
+    T = rebased_triple("dual_dual_x")
+    M, N = boundary(T, 2), boundary(T, 3)
+    assert product_is_zero(M, N)
+    _assert_perturbations_caught(M, N)
+    # Products whose only nonzero entry is in the last row, positive or
+    # negative, and one whose lower rows cancel to exactly zero.
+    M = SparseMat.from_ints(3, 2, {0: {0: 5, 1: -5, 2: 5}, 1: {0: 5, 1: -5}})
+    for col, last in (({0: 1, 1: -1}, 5), ({0: -1, 1: 1}, -5),
+                      ({0: 2 ** 70, 1: -(2 ** 70)}, 5 * 2 ** 70)):
+        N = SparseMat.from_ints(2, 1, {0: col})
+        assert (M @ N).num == {0: {2: last}}
+        assert not _packed(M, N)
+    M = SparseMat.from_ints(2, 2, {0: {0: 3, 1: -7}, 1: {0: -3, 1: 7}})
+    N = SparseMat.from_ints(2, 1, {0: {0: 2 ** 70, 1: 2 ** 70}})
+    assert (M @ N).is_zero() and _packed(M, N)
+    for M, ones in _slot_overflow_cases():
+        N = SparseMat.from_ints(M.ncols, 1, {0: ones})
+        assert not _packed(M, N)
+        assert not product_is_zero(M, N)
+
+
+def _slot_overflow_cases():
+    """Pairs (M, v) where M v = (y * 2^j, -y) reaches max|M| * sum|v|: the
+    packed sum vanishes for a slot of exactly j bits, so a slot width that
+    misjudges the largest entry is caught."""
+    for y in (1, 2, 3):
+        for a in (0, 1, 3, 20):
+            for m in (1, 2, 4, 8, 16, 32, 64):
+                num = {k: {0: y * 2 ** a} for k in range(m)}
+                num[0][1] = -y
+                M = SparseMat.from_ints(2, m, num)
+                ones = dict.fromkeys(range(m), 1)
+                assert M._times(ones) == {0: y * 2 ** a * m, 1: -y}
+                yield M, ones
+
+
+def test_kernel_test_repacks_for_wider_vectors():
+    for M, ones in _slot_overflow_cases():
+        test = KernelTest(M)
+        assert not test.kills({0: 1})  # packs for vectors of width 2
+        assert not test.kills(ones)
+        if M.ncols > 2:
+            assert test.kills({1: 1, 2: -1})
+        assert KernelTest(M).kills({})
+
+
+def test_rebased_degree_three_square_is_zero_on_the_packed_path(
+        rebased_dual_dual_x, monkeypatch):
+    packed = []
+    real = linalg._packed_is_zero
+    monkeypatch.setattr(linalg, "_packed_is_zero",
+                        lambda *args: packed.append(1) or real(*args))
+    M, N = boundary(rebased_dual_dual_x, 3), boundary(rebased_dual_dual_x, 4)
+    assert product_is_zero(M, N) and packed
+    monkeypatch.undo()
+    _assert_perturbations_caught(M, N)

@@ -19,7 +19,7 @@ from _shared import (dense_rank_of_sparse, from_entries, rebased_triple,
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra, tensor_algebra,
-                            truncated_polynomial_algebra)
+                            truncated_polynomial_algebra, validate_algebra)
 from sechom.linalg import SparseMat, rank
 from sechom.oracles import (bar_boundary, bar_rotation, classical_hc_dims,
                             classical_hh_dims, classical_I_mod_I2_dim,
@@ -235,6 +235,37 @@ def test_diagonal_ideal_presentation_dimensions():
     expect = {"Q": 0, "dual": 1, "trunc3": 2, "QxQ": 0}
     for name, A in _algebras()[:4]:
         assert classical_I_mod_I2_dim(A) == expect[name]
+
+
+def _ordered_I_mod_I2_dim(A):
+    """I/I^2 with every ordered product u v of kernel basis vectors, as the
+    oracle formed it for every algebra before it skipped v u on
+    commutative ones."""
+    d = A.dim
+    mu = [[Fraction(0)] * (d * d) for _ in range(d)]
+    for i, j in product(range(d), repeat=2):
+        for k, x in enumerate(A.mult[i][j]):
+            mu[k][i * d + j] += x
+    kernel = oracles._dense_kernel(mu)
+    squares = []
+    for u, v in product(kernel, repeat=2):
+        out = [Fraction(0)] * (d * d)
+        for i1, j1, i2, j2 in product(range(d), repeat=4):
+            x, y = u[i1 * d + j1], v[i2 * d + j2]
+            if x and y:
+                for k1, k2 in product(range(d), repeat=2):
+                    out[k1 * d + k2] += (x * y * A.mult[i1][i2][k1]
+                                         * A.mult[j1][j2][k2])
+        squares.append(out)
+    return len(kernel) - dense_rank(squares) if kernel else 0
+
+
+def test_unordered_kernel_products_match_the_ordered_ones():
+    algebras = [catalog(name).A for name in catalog_names()]
+    algebras += [rebased_triple("trunc3_k").A, rescaled_triple("trunc3_k").A]
+    assert not all(validate_algebra(A).commutative for A in algebras)
+    for A in algebras:
+        assert classical_I_mod_I2_dim(A) == _ordered_I_mod_I2_dim(A), A.name
 
 
 def test_two_classical_presentations_agree():
