@@ -25,8 +25,9 @@ from .homology import (DEFAULT_MAX_DEGREE, DegreeCapError, HomologyResult,
                        hc, hh)
 from .kernel import (KernelData, embed_tensor, j_generator, kernel_data,
                      multiplication_matrix, symmetry_check, tensor_index)
-from .linalg import (QuotientStructure, Rat, SparseMat, Subspace, colspace,
-                     induced_on_quotients, nullspace, rank, solve)
+from .linalg import (ClassMapQuotient, QuotientStructure, Rat, SparseMat,
+                     Subspace, colspace, induced_on_quotients, nullspace,
+                     rank, solve)
 from .specfile import (ParsedTriple, SpecParseError, export_triple,
                        parse_triple_file, parse_triple_source, triple_hash)
 from .triples import (CommutativeTripleRequiredError, Triple,

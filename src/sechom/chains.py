@@ -21,21 +21,27 @@ offset), with the nonzero table entries of its groups, as items (input
 offset, output offset, signed coefficient), and its cost follows the
 nonzero terms, not columns x faces.  The rotation copies every digit.
 
-The cyclic operator t is a signed permutation of the basis, so the
-canonical RREF of im(1 - t) is written down orbit by orbit, with no
-elimination.  Walk an orbit from its smallest index and let c_i be the
-product of the signs met before reaching i.  If the signs of the whole
-orbit multiply to -1, 1 - t is invertible on it and every element is a
-pivot with row {i: 1}.  Otherwise the image is the hyperplane
-sum_i c_i x_i = 0 of the orbit's coordinates: every element except the
-largest index m is a pivot, with row {i: 1, m: -c_i/c_m}.  Rows of
-different orbits have disjoint supports, so together they are already
-fully reduced.
+The cyclic operator t is a signed permutation of the basis: it sends
+e_i to (-1)^n e_img(i).  So the coinvariants C_n / (1 - t) have one axis
+per orbit whose signs multiply to +1 (Loday, *Cyclic Homology*, 2.1), and
+they are kept as a signed class map (`linalg.ClassMapQuotient`), with no
+relation row written out.  Each orbit is walked once, from its largest
+index m, which becomes its axis: the k-th element after m, img^k(m), maps
+to (-1)^(nk) times the class of e_m.  An orbit that comes back to m with
+sign -1 is dead: 1 - t is invertible on it, and its elements map to 0.
+The map is then checked to kill 1 - t: P (1 - t) e_i = 0 for every
+basis index i, P being the projection.  The relations, formed only when
+a caller reads them, are e_i minus its sign times e_m, and e_i on a dead
+orbit; they already are the canonical RREF of im(1 - t), and the axes
+are its non-pivots.
 
 A grading of the triple (`triples.grading`) gives each basis tensor a
 weight, the sum of its digits' weights.  Faces multiply within a digit
-group and the rotation permutes digits, so both keep the weight.  Descent of the boundary to the coinvariants is certified
-where the induced boundary is built, by `linalg.induced_on_quotients`.
+group and the rotation permutes digits, so both keep the weight.
+
+Descent of the boundary to the coinvariants is certified where the
+induced boundary is built, by `linalg.induced_on_quotients`, orbit by
+orbit.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ from __future__ import annotations
 from math import lcm
 
 from .algebra import multiply
-from .linalg import QuotientStructure, SparseMat, Subspace, basis_vector
+from .linalg import (ClassMapQuotient, InternalCheckError, SparseMat,
+                     basis_vector)
 from .triples import Triple, grading, per_triple
 
 
@@ -300,38 +307,42 @@ def _rotation(T: Triple, n: int) -> list:
     return img
 
 
-def _coinvariant_relations(T: Triple, n: int) -> Subspace:
-    """im(1 - cyclic) in degree n, in canonical form read off the orbits."""
-    img = _rotation(T, n)
-    sign = 1 if n % 2 == 0 else -1
-    rows = {}
+def _orbit_classes(img: list, rot_sign: int) -> tuple:
+    """The signed class map of the coinvariants, as (axis, sign) for
+    `linalg.ClassMapQuotient`, of the rotation e_i -> rot_sign e_img[i]
+    (see the module docstring)."""
+    axis = [None] * len(img)
+    sign = [0] * len(img)
     seen = bytearray(len(img))
-    for start in range(len(img)):
-        if seen[start]:
+    for m in range(len(img) - 1, -1, -1):
+        if seen[m]:
             continue
-        orbit, coef = [], []
-        i, c = start, 1
+        orbit = []
+        i = m
         while not seen[i]:
             seen[i] = 1
             orbit.append(i)
-            coef.append(c)
-            c *= sign
             i = img[i]
-        if c < 0:
-            for i in orbit:
-                rows[i] = {i: 1}
-            continue
-        m = max(orbit)
-        cm = coef[orbit.index(m)]
-        for i, ci in zip(orbit, coef):
-            if i != m:
-                rows[i] = {i: 1, m: -ci * cm}
-    pivots = sorted(rows)
-    return Subspace.from_canonical(len(img), [rows[p] for p in pivots], pivots)
+        if rot_sign ** len(orbit) > 0:  # the orbit is live
+            for k, i in enumerate(orbit):
+                axis[i] = m
+                sign[i] = rot_sign ** k
+    return axis, sign
 
 
 @per_triple
-def cyclic_quotient(T: Triple, n: int) -> QuotientStructure:
-    """Coordinates on the cyclic coinvariants in degree n.  The boundary's
-    descent to them is certified in `homology._induced_boundary`."""
-    return QuotientStructure(chain_dim(T, n), _coinvariant_relations(T, n))
+def cyclic_quotient(T: Triple, n: int) -> ClassMapQuotient:
+    """The cyclic coinvariants C_n / (1 - t) in degree n, as a signed class
+    map.  P (1 - t) = 0 is checked on every basis index, P being the
+    projection; the boundary's descent is certified in
+    `homology._induced_boundary`."""
+    img = _rotation(T, n)
+    rot_sign = 1 if n % 2 == 0 else -1
+    axis, sign = _orbit_classes(img, rot_sign)
+    # P (1 - t) e_i is sign[i] times the class of e_axis[i] minus
+    # rot_sign * sign[k] times the class of e_axis[k], k = img[i].
+    if ([axis[k] for k in img] != axis
+            or [rot_sign * sign[k] for k in img] != sign):
+        raise InternalCheckError(
+            "the coinvariant class map does not kill 1 - t")
+    return ClassMapQuotient(axis, sign)

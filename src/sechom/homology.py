@@ -173,7 +173,7 @@ def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
     """Homology of the chain complex at degree n."""
     check_degree(T, n, max_degree)
     cycles, Q = _hh_pieces(T, n)
-    reps = [to_dense(cycles.rows[c], chain_dim(T, n)) for c in Q.nonpivots]
+    reps = [to_dense(cycles.row(c), chain_dim(T, n)) for c in Q.nonpivots]
     return HomologyResult(T.name, "hh", n, Q.dim, reps)
 
 
@@ -206,7 +206,7 @@ def hc(T: Triple, n: int, max_degree=None) -> HomologyResult:
     """Homology of the cyclic coinvariant complex at degree n."""
     check_degree(T, n, max_degree)
     q_n, cycles, Q = _hc_pieces(T, n)
-    reps = [to_dense(q_n.section(cycles.rows[c]), chain_dim(T, n))
+    reps = [to_dense(q_n.section(cycles.row(c)), chain_dim(T, n))
             for c in Q.nonpivots]
     return HomologyResult(T.name, "hc", n, Q.dim, reps)
 

@@ -29,8 +29,8 @@ kernel's canonical form off one such elimination, with no second one.
 Fractions are formed only for the vectors and rows that leave this module
 (`rows`, `reduce`, `coords_of`, `column`, `matvec`, ...).
 
-A product that must vanish (d after d, the kernel rows, the relations
-that must descend) is tested by `product_is_zero`, never formed.  On
+A product that must vanish (d after d, the kernel rows, the verifier's
+maps into kernels) is tested by `product_is_zero`, never formed.  On
 dense operands it packs each column k of M's numerators into one
 integer, P_k = sum of M[r][k] * 2^(r*b) (Kronecker substitution), so
 column c of M N is zero iff S_c = sum of N[k][c] * P_k is.  Row r of
@@ -48,6 +48,12 @@ to twenty nonzeros per column) are packed; the choice reads only the
 operands' sizes.  The stalled homology relation spans use the same
 packing, one vector at a time (`KernelTest`).
 
+A quotient by relations that identify basis vectors up to sign (the
+cyclic coinvariants) is kept as its signed class map
+(`ClassMapQuotient`), and a map between two such quotients is induced
+by relabelling rows, with descent checked class by class
+(`induced_on_quotients`); no relation row or product is formed.
+
 Everything is exact; no floats enter at any point.
 """
 
@@ -63,7 +69,6 @@ Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_INT_TYPE = {int}
 
 
 class AmbientDimensionError(ValueError):
@@ -224,33 +229,6 @@ class Subspace:
         sub._rows = None
         return sub
 
-    @classmethod
-    def from_canonical(cls, ambient_dim: int, rows: list,
-                       pivots: list) -> "Subspace":
-        """Wrap rows that are already the canonical RREF, with no elimination.
-
-        `rows[k]` (ints or Fractions) has its least index at `pivots[k]`,
-        value 1 there and 0 at every other pivot; pivots are nonnegative
-        and strictly increase.  This is checked in time linear in the
-        entries, and a violation raises ValueError.
-        """
-        pivots = list(pivots)
-        pos = {p: k for k, p in enumerate(pivots)}
-        if len(rows) != len(pivots) or any(
-                a >= b for a, b in zip(pivots, pivots[1:])):
-            raise ValueError("pivots must strictly increase, one per row")
-        for p, row in zip(pivots, rows):
-            if (p < 0 or row.get(p) != 1 or min(row) != p
-                    or max(row) >= ambient_dim
-                    or not all(row.values())
-                    or any(k != p and k in pos for k in row)):
-                raise ValueError(f"row with pivot {p} is not in canonical form")
-        # Over the lcm of its denominators a row with a 1 at its pivot is
-        # primitive and positive there; a row of ints already is.
-        return cls._of_int_rows(ambient_dim, pivots, [
-            dict(row) if set(map(type, row.values())) == _INT_TYPE
-            else _ints(row)[0] for row in rows])
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -262,9 +240,13 @@ class Subspace:
         """The canonical basis rows, sparse dicts of Fractions: row k is 1
         at `pivots[k]` and 0 at every other pivot.  Formed on first use."""
         if self._rows is None:
-            self._rows = [_as_fractions(row, row[p])
-                          for p, row in zip(self.pivots, self._int_rows)]
+            self._rows = list(map(self.row, range(len(self.pivots))))
         return self._rows
+
+    def row(self, k: int) -> dict:
+        """Canonical basis row k (see `rows`), formed alone."""
+        row = self._int_rows[k]
+        return _as_fractions(row, row[self.pivots[k]])
 
     def _check_range(self, v: dict) -> None:
         if any(i < 0 or i >= self.ambient_dim for i in v):
@@ -675,17 +657,22 @@ class QuotientStructure:
     non-pivot axes, so project(section(c)) == c.
     """
 
-    __slots__ = ("ambient_dim", "relations", "nonpivots", "_proj", "_sect")
+    __slots__ = ("ambient_dim", "nonpivots", "_relations", "_proj", "_sect")
 
     def __init__(self, ambient_dim: int, relations: Subspace):
         if relations.ambient_dim != ambient_dim:
             raise AmbientDimensionError("relations live in a different ambient space")
         self.ambient_dim = ambient_dim
-        self.relations = relations
+        self._relations = relations
         pivset = set(relations.pivots)
         self.nonpivots = [c for c in range(ambient_dim) if c not in pivset]
         self._proj: Optional[SparseMat] = None
         self._sect: Optional[SparseMat] = None
+
+    @property
+    def relations(self) -> Subspace:
+        """R, in canonical form."""
+        return self._relations
 
     @property
     def dim(self) -> int:
@@ -718,22 +705,97 @@ class QuotientStructure:
         return self._sect
 
     def __repr__(self) -> str:
-        return f"QuotientStructure(ambient={self.ambient_dim}, dim={self.dim})"
+        return (f"{type(self).__name__}(ambient={self.ambient_dim}, "
+                f"dim={self.dim})")
 
 
-def induced_on_quotients(M: SparseMat, src: QuotientStructure,
-                         dst: QuotientStructure) -> SparseMat:
-    """Matrix of the map induced by M on quotient coordinates.
+class ClassMapQuotient(QuotientStructure):
+    """Q^n / R for relations that identify basis vectors up to sign.
 
-    M descends when P M kills every src relation row, P being dst's
-    projection matrix, whose kernel is dst's relations; a violation is a
-    hard error.
+    The quotient is held as its signed class map: basis vector e_i goes to
+    sign[i] times the class of its axis, the basis vector e_axis[i]; on a
+    dead class, which the relations kill, axis[i] is None and sign[i] is
+    0.  Every axis must be the largest index of its class, with sign 1.
+    Then R is spanned by e_i - sign[i] e_axis[i] for every i off an axis
+    and e_i for every i on a dead class, and these rows are R's canonical
+    form with pivots at those i, so the axes are exactly the non-pivots.
+    `project_matrix` (one +-1 per live column, and `project` through it)
+    and `induced_on_quotients` read the map itself; R is formed only when
+    `relations` is read.
+    """
+
+    __slots__ = ("axis", "sign", "_coord")
+
+    def __init__(self, axis: list, sign: list):
+        if len(axis) != len(sign):
+            raise ValueError("one sign per basis index is needed")
+        self.ambient_dim = len(axis)
+        self.axis = axis
+        self.sign = sign
+        self.nonpivots = [i for i, a in enumerate(axis) if a == i]
+        at = dict(zip(self.nonpivots, range(len(self.nonpivots))))
+        self._coord = list(map(at.get, axis))  # quotient coordinate or None
+        self._relations = self._proj = self._sect = None
+
+    @property
+    def relations(self) -> Subspace:
+        """R in canonical form, formed on first use."""
+        if self._relations is None:
+            pivots, rows = [], []
+            for i, (a, s) in enumerate(zip(self.axis, self.sign)):
+                if a != i:
+                    pivots.append(i)
+                    rows.append({i: 1} if a is None else {i: 1, a: -s})
+            self._relations = Subspace._of_int_rows(self.ambient_dim,
+                                                    pivots, rows)
+        return self._relations
+
+    def project(self, v) -> dict:
+        return self.project_matrix().matvec(v)
+
+    def project_matrix(self) -> SparseMat:
+        if self._proj is None:
+            self._proj = SparseMat.from_ints(self.dim, self.ambient_dim, {
+                i: {j: s} for i, (j, s) in enumerate(zip(self._coord, self.sign))
+                if s})
+        return self._proj
+
+
+def induced_on_quotients(M: SparseMat, src: ClassMapQuotient,
+                         dst: ClassMapQuotient) -> SparseMat:
+    """Matrix of the map induced by M on class-map quotient coordinates.
+
+    F = P M, P being dst's projection, is formed in one pass over M's
+    columns: row r moves to dst's class of r with r's sign, or drops on a
+    dead class.  M descends when F kills every relation of src: F e_i = 0
+    on a dead class and F e_i = sign[i] F e_axis[i] elsewhere, src's sign
+    and axis.  This is checked on every index of src, and a violation is
+    a hard error.  Column j of the induced map is F e_m for the j-th axis
+    m of src.
     """
     if M.ncols != src.ambient_dim or M.nrows != dst.ambient_dim:
         raise AmbientDimensionError("matrix shape does not match the quotients")
-    F = dst.project_matrix() @ M
-    if not _kills(F, src.relations._int_rows):
+    coord, sign, src_sign = dst._coord, dst.sign, src.sign
+    F = [None] * M.ncols  # column c is sign[c] F e_c (F e_c on a dead class)
+    for c, col in M.num.items():
+        sc = src_sign[c] or 1
+        acc: dict = {}
+        for r, x in col.items():
+            j = coord[r]
+            if j is not None:
+                if j in acc:
+                    y = acc[j] + sc * sign[r] * x
+                    if y:
+                        acc[j] = y
+                    else:
+                        del acc[j]
+                else:
+                    acc[j] = sc * sign[r] * x
+        if acc:
+            F[c] = acc
+    if [None if a is None else F[a] for a in src.axis] != F:
         raise InternalCheckError(
             "map does not descend to the quotient: image of a relation "
             "is not a relation")
-    return F @ src.section_matrix()
+    return SparseMat.from_ints(dst.dim, src.dim, {
+        j: F[m] for j, m in enumerate(src.nonpivots) if F[m]}, M.den)

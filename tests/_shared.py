@@ -13,8 +13,9 @@ from sechom import chains
 from sechom.algebra import FinAlgebra, multiply
 from sechom.differentials import ambient_symbol, omega
 from sechom.homology import _induced_boundary
-from sechom.linalg import (AmbientDimensionError, QuotientStructure,
-                           SparseMat, Subspace, nullspace)
+from sechom.linalg import (AmbientDimensionError, InternalCheckError,
+                           QuotientStructure, SparseMat, Subspace, _ints,
+                           _kills, nullspace, projection_matrix)
 from sechom.oracles import _check_cap, dense_rank
 from sechom.triples import catalog, make_triple
 
@@ -168,6 +169,77 @@ def cyclic_operator(T, n: int) -> SparseMat:
 def one_minus_cyclic(T, n: int) -> SparseMat:
     """1 - t in degree n, as a matrix."""
     return _signed_rotation(T, n, 1, -1)
+
+
+def from_canonical(ambient_dim: int, rows: list, pivots: list) -> Subspace:
+    """Wrap rows that are already the canonical RREF, with no elimination.
+
+    `rows[k]` (ints or Fractions) has its least index at `pivots[k]`,
+    value 1 there and 0 at every other pivot; pivots are nonnegative
+    and strictly increase.  This is checked in time linear in the
+    entries, and a violation raises ValueError.
+    """
+    pivots = list(pivots)
+    pos = {p: k for k, p in enumerate(pivots)}
+    if len(rows) != len(pivots) or any(
+            a >= b for a, b in zip(pivots, pivots[1:])):
+        raise ValueError("pivots must strictly increase, one per row")
+    for p, row in zip(pivots, rows):
+        if (p < 0 or row.get(p) != 1 or min(row) != p
+                or max(row) >= ambient_dim
+                or not all(row.values())
+                or any(k != p and k in pos for k in row)):
+            raise ValueError(f"row with pivot {p} is not in canonical form")
+    # Over the lcm of its denominators a row with a 1 at its pivot is
+    # primitive and positive there.
+    return Subspace._of_int_rows(ambient_dim, pivots,
+                                 [_ints(row)[0] for row in rows])
+
+
+def coinvariant_relations(T, n: int) -> Subspace:
+    """im(1 - t) in degree n, in canonical form read off the orbits of
+    the rotation, as the engine built it before it kept the coinvariants
+    as a class map: orbits walked from their smallest index, every row
+    written out and passed through `from_canonical`."""
+    img = chains._rotation(T, n)
+    sign = 1 if n % 2 == 0 else -1
+    rows = {}
+    seen = bytearray(len(img))
+    for start in range(len(img)):
+        if seen[start]:
+            continue
+        orbit, coef = [], []
+        i, c = start, 1
+        while not seen[i]:
+            seen[i] = 1
+            orbit.append(i)
+            coef.append(c)
+            c *= sign
+            i = img[i]
+        if c < 0:
+            for i in orbit:
+                rows[i] = {i: 1}
+            continue
+        m = max(orbit)
+        cm = coef[orbit.index(m)]
+        for i, ci in zip(orbit, coef):
+            if i != m:
+                rows[i] = {i: 1, m: -ci * cm}
+    pivots = sorted(rows)
+    return from_canonical(len(img), [rows[p] for p in pivots], pivots)
+
+
+def reference_induced_on_quotients(M: SparseMat, src: QuotientStructure,
+                                   dst: QuotientStructure) -> SparseMat:
+    """The map M induces from src to dst as the engine built it before
+    class maps, on any quotients: F = P M as a product with dst's
+    projection matrix read off its relations, descent as F killing every
+    relation row of src (InternalCheckError otherwise), then F S with
+    src's section."""
+    F = projection_matrix(dst.relations, dst.nonpivots) @ M
+    if not _kills(F, src.relations._int_rows):
+        raise InternalCheckError("map does not descend to the quotient")
+    return F @ src.section_matrix()
 
 
 def commutator_subspace(A: FinAlgebra) -> Subspace:

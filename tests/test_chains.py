@@ -14,18 +14,20 @@ from itertools import product
 
 import pytest
 
-from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, cyclic_operator,
-                     dense_matrix, dense_rank_of_sparse, one_minus_cyclic,
-                     rebased_triple, rescaled_triple, shared_triple,
-                     value_columns)
+from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, coinvariant_relations,
+                     cyclic_operator, dense_matrix, dense_rank_of_sparse,
+                     one_minus_cyclic, rebased_triple,
+                     reference_induced_on_quotients, rescaled_triple,
+                     shared_triple, value_columns)
 from sechom import chains, homology
 from sechom.algebra import multiply
 from sechom.chains import (_face_sum, boundary, chain_dim, chain_space,
                            cyclic_quotient, pair_list)
 from sechom.differentials import omega
 from sechom.kernel import kernel_data, symmetry_check
-from sechom.linalg import (InternalCheckError, QuotientStructure, SparseMat,
-                           Subspace, colspace, induced_on_quotients)
+from sechom.linalg import (ClassMapQuotient, InternalCheckError,
+                           QuotientStructure, SparseMat, colspace,
+                           induced_on_quotients)
 from sechom.triples import catalog
 from sechom.oracles import bar_boundary, bar_rotation
 from sechom.verify import verify_main
@@ -341,34 +343,117 @@ def test_boundary_descends_to_coinvariants():
             homology._induced_boundary(T, n)
 
 
+def _degree_cases(top_catalog, top_deep=5):
+    """(triple, top degree) over the catalog, with dual_k and trunc3_k
+    taken deeper."""
+    cases = [(shared_triple(name), top_catalog) for name in ALL_NAMES]
+    cases += [(shared_triple("dual_k"), top_deep),
+              (shared_triple("trunc3_k"), top_deep)]
+    return cases
+
+
 def test_orbit_relations_equal_colspace_of_one_minus_rotation():
-    # Equality gate for the closed form: the orbit-built relations must be
-    # the very canonical form that elimination of 1 - rotation produces.
-    cases = [(name, 3) for name in ALL_NAMES]
-    cases += [("dual_k", 5), ("trunc3_k", 5)]
-    for name, top in cases:
-        T = shared_triple(name)
+    # Equality gate for the class map: its non-pivots, its projection
+    # matrix and its lazily formed relations are the canonical form that
+    # the orbit rows gave before, and that elimination of 1 - rotation
+    # produces.
+    for T, top in _degree_cases(3):
         for n in range(top + 1):
-            W = chains._coinvariant_relations(T, n)
-            ref = colspace(one_minus_cyclic(T, n))
-            assert W == ref
-            assert W.rows == ref.rows
-            assert W.pivots == ref.pivots
-            assert W._pivot_pos == ref._pivot_pos
+            Q = cyclic_quotient(T, n)
+            ref = QuotientStructure(chain_dim(T, n),
+                                    coinvariant_relations(T, n))
+            assert Q.nonpivots == ref.nonpivots, (T.name, n)
+            assert Q.project_matrix() == ref.project_matrix(), (T.name, n)
+            W = Q.relations
+            assert W == ref.relations == colspace(one_minus_cyclic(T, n))
+            assert W.rows == ref.relations.rows
+            assert W._pivot_pos == ref.relations._pivot_pos
+
+
+def test_induced_boundary_equals_the_projected_product():
+    # Equality gate for the one-pass induced boundary: it is the very
+    # matrix P M S of the path it replaced, on the catalog, on rescaled
+    # triples (denominators) and on rebased ones (dense boundaries).
+    cases = _degree_cases(3)
+    cases += [(rescaled_triple(name), 2)
+              for name in ["dual_dual_x", "trunc3_k"]]
+    cases += [(rebased_triple(name), 2)
+              for name in ALL_NAMES if name != "mat2_k"]
+    for T, top in cases:
+        quotients = [QuotientStructure(chain_dim(T, n),
+                                       coinvariant_relations(T, n))
+                     for n in range(top + 1)]
+        for n in range(1, top + 1):
+            ref = reference_induced_on_quotients(
+                boundary(T, n), quotients[n], quotients[n - 1])
+            assert homology._induced_boundary(T, n) == ref, (T.name, n)
+
+
+def test_class_map_must_kill_one_minus_rotation(monkeypatch):
+    # A class map with one sign flipped in a live orbit, or with one dead
+    # orbit made live, is refused where it is built.
+    real = chains._orbit_classes
+
+    def flipped(img, rot_sign):
+        axis, sign = real(img, rot_sign)
+        i = next(i for i, a in enumerate(axis) if a is not None and a != i)
+        sign[i] = -sign[i]
+        return axis, sign
+
+    def revived(img, rot_sign):
+        axis, sign = real(img, rot_sign)
+        i = axis.index(None)
+        axis[i], sign[i] = i, 1
+        return axis, sign
+
+    for mutate, name, n in ((flipped, "dual_k", 2), (revived, "mat2_k", 1)):
+        monkeypatch.setattr(chains, "_orbit_classes", mutate)
+        with pytest.raises(InternalCheckError, match="1 - t"):
+            cyclic_quotient(catalog(name), n)
+    monkeypatch.undo()
 
 
 def test_descent_check_fires_on_smaller_relations(monkeypatch):
-    # Drop one orbit row from the degree-1 relations: the boundary of
-    # degree 2 must then fail to descend, and loudly.
+    # Drop one orbit relation from the degree-1 coinvariants: the boundary
+    # of degree 2 must then fail to descend, and loudly.
     T = catalog("mat2_k")  # fresh, so no cached quotient is reused
-    full = chains._coinvariant_relations(T, 1)
-    smaller = Subspace.from_canonical(full.ambient_dim, full.rows[1:],
-                                      full.pivots[1:])
-    orig = chains._coinvariant_relations
-    monkeypatch.setattr(chains, "_coinvariant_relations",
-                        lambda T2, k: smaller if k == 1 else orig(T2, k))
+    smaller = _mutations(T, 1)["dropped"]
+    real = homology.cyclic_quotient
+    monkeypatch.setattr(homology, "cyclic_quotient",
+                        lambda T2, k: smaller if k == 1 else real(T2, k))
     with pytest.raises(InternalCheckError):
         homology._induced_boundary(T, 2)
+
+
+def _mutations(T, n):
+    """The class map of the degree-n coinvariants, changed three ways at
+    its first index of each kind: a relation dropped (the index becomes
+    its own class), the sign of a live orbit element flipped, a dead orbit
+    made live (signs alternating from its largest index)."""
+    Q = cyclic_quotient(T, n)
+    out = {}
+    off = [i for i, a in enumerate(Q.axis) if a != i]
+    if off:
+        axis, sign = list(Q.axis), list(Q.sign)
+        axis[off[0]], sign[off[0]] = off[0], 1
+        out["dropped"] = ClassMapQuotient(axis, sign)
+    live = [i for i in off if Q.axis[i] is not None]
+    if live:
+        sign = list(Q.sign)
+        sign[live[0]] = -sign[live[0]]
+        out["flipped"] = ClassMapQuotient(list(Q.axis), sign)
+    if None in Q.axis:
+        img = chains._rotation(T, n)
+        orbit = [Q.axis.index(None)]
+        while img[orbit[-1]] != orbit[0]:
+            orbit.append(img[orbit[-1]])
+        k = orbit.index(max(orbit))
+        orbit = orbit[k:] + orbit[:k]
+        axis, sign = list(Q.axis), list(Q.sign)
+        for t, i in enumerate(orbit):
+            axis[i], sign[i] = orbit[0], (-1) ** t
+        out["revived"] = ClassMapQuotient(axis, sign)
+    return out
 
 
 def _per_column_descends(T, n, W_low):
@@ -390,42 +475,39 @@ def _per_column_descends(T, n, W_low):
     return True
 
 
-def _matrix_descends(T, n, W_low):
+def _class_map_descends(T, n, dst):
     try:
-        induced_on_quotients(boundary(T, n), cyclic_quotient(T, n),
-                             QuotientStructure(W_low.ambient_dim, W_low))
+        induced_on_quotients(boundary(T, n), cyclic_quotient(T, n), dst)
     except InternalCheckError:
         return False
     return True
 
 
 def test_matrix_descent_check_matches_per_column_check():
-    # Equality gate: the matrix identity of induced_on_quotients and the
-    # per-column membership loop it replaced give the same verdict, on the
-    # true degree n-1 relations (both accept) and on those relations with
-    # their first orbit row dropped (both give one verdict, and both
-    # reject at least once, mat2_k in degree 2 among them).
-    cases = [(shared_triple(name), 3) for name in ALL_NAMES]
-    cases += [(shared_triple("dual_k"), 5), (shared_triple("trunc3_k"), 5)]
+    # Equality gate: the class-by-class descent check of
+    # induced_on_quotients and the per-column membership loop give the
+    # same verdict, on the true degree n-1 coinvariants (both accept) and
+    # on each of their three mutations.  Each mutation is rejected at
+    # least once, mat2_k in degree 2 among the rejections.
+    cases = _degree_cases(3)
     cases += [(rescaled_triple(name), 2)
               for name in ["dual_dual_x", "trunc3_k"]]
     cases += [(rebased_triple(name), 2)
               for name in ALL_NAMES if name != "mat2_k"]
-    rejected = set()
+    rejected = {"dropped": set(), "flipped": set(), "revived": set()}
     for T, top in cases:
         for n in range(1, top + 1):
-            full = chains._coinvariant_relations(T, n - 1)
-            assert _per_column_descends(T, n, full)
-            assert _matrix_descends(T, n, full)
-            if not full.pivots:
-                continue
-            smaller = Subspace.from_canonical(
-                full.ambient_dim, full.rows[1:], full.pivots[1:])
-            verdict = _per_column_descends(T, n, smaller)
-            assert _matrix_descends(T, n, smaller) == verdict, (T.name, n)
-            if not verdict:
-                rejected.add((T.name, n))
-    assert ("mat2_k", 2) in rejected
+            full = cyclic_quotient(T, n - 1)
+            assert _per_column_descends(T, n, full.relations)
+            assert _class_map_descends(T, n, full)
+            for kind, dst in _mutations(T, n - 1).items():
+                verdict = _per_column_descends(T, n, dst.relations)
+                assert _class_map_descends(T, n, dst) == verdict, \
+                    (T.name, n, kind)
+                if not verdict:
+                    rejected[kind].add((T.name, n))
+    for kind, where in rejected.items():
+        assert ("mat2_k", 2) in where, kind
 
 
 # -- the per-triple memo ---------------------------------------------------

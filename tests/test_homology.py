@@ -44,6 +44,15 @@ def test_ground_field_homology_matches_classical_reference():
         assert got_hc == classical_hc_dims(T.A, 3)
 
 
+def test_cyclic_homology_matches_classical_reference_at_benchmark_degrees():
+    # The degrees that the hc-cyclic benchmark serves past the default
+    # cap, all under the oracle's cap of 5,000 coordinates.
+    for name, top in (("trunc3_k", 5), ("dual_k", 5), ("mat2_k", 4)):
+        T = shared_triple(name)
+        got = [hc(T, n, max_degree=top).dimension for n in range(top + 1)]
+        assert got == classical_hc_dims(T.A, top), name
+
+
 def test_two_variable_homology_dimensions():
     for name in TWO_VARIABLE_NAMES:
         T = shared_triple(name)

@@ -7,14 +7,15 @@ from math import gcd, lcm
 
 import pytest
 
-from _shared import (ALL_NAMES, dense_matrix, from_entries, rebased_triple,
-                     relation_span_inputs, rescaled_triple, shared_triple,
-                     value_columns)
-from sechom.chains import _coinvariant_relations, boundary, cyclic_quotient
+from _shared import (ALL_NAMES, dense_matrix, from_canonical, from_entries,
+                     rebased_triple, relation_span_inputs, rescaled_triple,
+                     shared_triple, value_columns)
+from sechom.chains import boundary, cyclic_quotient
 from sechom import linalg
 from sechom.homology import _induced_boundary, _quotient_of_complex, hc, hh
-from sechom.linalg import (AmbientDimensionError, InternalCheckError,
-                           KernelTest, QuotientStructure, SparseMat, Subspace,
+from sechom.linalg import (AmbientDimensionError, ClassMapQuotient,
+                           InternalCheckError, KernelTest, QuotientStructure,
+                           SparseMat, Subspace,
                            _dict_is_zero, _packed_is_zero, _slot_bits,
                            colspace, induced_on_quotients, nullspace,
                            product_is_zero, rank, row_space, solve, to_dense)
@@ -167,9 +168,38 @@ def test_quotient_relations_ambient_checked():
         QuotientStructure(3, Subspace(4, [[1, 0, 0, 0]]))
 
 
+def test_class_map_quotient_equals_the_quotient_by_its_relations():
+    # The map read directly (project, project_matrix, section) against the
+    # generic quotient by the relations it forms, and those relations
+    # against elimination of their generators.
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        Q = _random_class_map(rng, n)
+        gens = [{i: 1} if a is None else {i: 1, a: -s}
+                for i, (a, s) in enumerate(zip(Q.axis, Q.sign)) if a != i]
+        assert Q.relations == Subspace(n, gens)
+        ref = QuotientStructure(n, Q.relations)
+        assert Q.nonpivots == ref.nonpivots
+        assert Q.project_matrix() == ref.project_matrix()
+        assert Q.section_matrix() == ref.section_matrix()
+        for _ in range(5):
+            v = _random_sparse(rng, n, rng.randrange(0, n + 1))
+            assert Q.project(v) == ref.project(v)
+            _assert_sparse_result(Q.project(v), Q.dim)
+        assert Q.project(to_dense({}, n)) == {}
+    with pytest.raises(AmbientDimensionError):
+        ClassMapQuotient([0, None], [1, 0]).project({2: 1})
+
+
+def test_single_rows_equal_the_canonical_rows():
+    S = Subspace(4, [[2, 4, 0, 6], [0, 0, 3, 1], [0, 1, 1, 1]])
+    assert [S.row(k) for k in range(S.dim)] == S.rows
+
+
 def test_induced_map_compatibility_enforced():
-    rel = Subspace(2, [[1, -1]])
-    Q = QuotientStructure(2, rel)
+    Q = ClassMapQuotient([1, 1], [1, 1])  # e_0 and e_1 are one class
+    assert Q.relations == Subspace(2, [[1, -1]])
     flip = from_entries(2, 2, [(0, 1, F(1)), (1, 0, F(1))])
     ind = induced_on_quotients(flip, Q, Q)
     assert ind == SparseMat.identity(1)
@@ -245,7 +275,7 @@ def test_reduce_matches_full_scan():
         for _ in range(5):
             v = _random_sparse(rng, amb, rng.randrange(0, amb + 1))
             assert S.reduce(v) == _reduce_full_scan(S, v)
-    W = _coinvariant_relations(shared_triple("dual_dual_x"), 3)
+    W = cyclic_quotient(shared_triple("dual_dual_x"), 3).relations
     for _ in range(200):
         v = _random_sparse(rng, W.ambient_dim, rng.randrange(1, 9))
         assert W.reduce(v) == _reduce_full_scan(W, v)
@@ -291,26 +321,26 @@ def test_vector_results_are_sparse_dicts():
 
 def test_from_canonical_round_trip_and_rejection():
     S = Subspace(4, [[1, 2, 0, 3], [0, 0, 1, 5]])
-    T = Subspace.from_canonical(4, S.rows, S.pivots)
+    T = from_canonical(4, S.rows, S.pivots)
     assert T == S and T._pivot_pos == S._pivot_pos
     # Rows of ints are copied as they are, alone or next to Fraction rows.
     rows = [{0: 1, 1: 2, 3: 3}, {2: 1, 3: 5}]
-    U = Subspace.from_canonical(4, rows, [0, 2])
-    assert Subspace.from_canonical(4, [rows[0], S.rows[1]], [0, 2]) == S
+    U = from_canonical(4, rows, [0, 2])
+    assert from_canonical(4, [rows[0], S.rows[1]], [0, 2]) == S
     rows[0][1] = 7
     assert U == S
     with pytest.raises(ValueError):
-        Subspace.from_canonical(4, [{0: F(2)}], [0])  # pivot not 1
+        from_canonical(4, [{0: F(2)}], [0])  # pivot not 1
     with pytest.raises(ValueError):
-        Subspace.from_canonical(4, [{0: 2, 1: 1}], [0])
+        from_canonical(4, [{0: 2, 1: 1}], [0])
     with pytest.raises(ValueError):
-        Subspace.from_canonical(4, [{0: F(1), 2: F(1)}, {2: F(1)}], [0, 2])
+        from_canonical(4, [{0: F(1), 2: F(1)}, {2: F(1)}], [0, 2])
     with pytest.raises(ValueError):
-        Subspace.from_canonical(4, [{1: F(1)}, {0: F(1)}], [1, 0])
+        from_canonical(4, [{1: F(1)}, {0: F(1)}], [1, 0])
     with pytest.raises(ValueError):
-        Subspace.from_canonical(4, [{3: F(1), 4: F(1)}], [3])
+        from_canonical(4, [{3: F(1), 4: F(1)}], [3])
     with pytest.raises(ValueError):
-        Subspace.from_canonical(3, [{-1: 1, 0: 2}], [-1])  # negative pivot
+        from_canonical(3, [{-1: 1, 0: 2}], [-1])  # negative pivot
 
 
 def _fraction_rref(ambient_dim, vectors):
@@ -521,10 +551,10 @@ def _frac_induced(M, src, dst):
     return _frac_matmul(_frac_matmul(_frac_project_matrix(dst), m_cols), sect)
 
 
-def _assert_integer_core_matches(M, N, vectors, src, dst):
-    """M @ N, M.matvec on the vectors, reduce/contains/project of their
-    images (alone and shifted by relations) against dst's relations, and
-    the map M induces from src to dst, each against the Fraction copy."""
+def _assert_integer_core_matches(M, N, vectors, dst):
+    """M @ N, M.matvec on the vectors, and reduce/contains/project of
+    their images (alone and shifted by relations) against dst's relations,
+    each against the Fraction copy."""
     m_cols = value_columns(M)
     assert value_columns(M @ N) == _frac_matmul(m_cols, value_columns(N))
     R = dst.relations
@@ -542,6 +572,11 @@ def _assert_integer_core_matches(M, N, vectors, src, dst):
             assert R.contains(w) == (not rem)
             axes = dst.nonpivots
             assert dst.project(w) == {axes.index(c): x for c, x in rem.items()}
+
+
+def _assert_induced_matches(M, src, dst):
+    """The map M induces between class-map quotients against the Fraction
+    copy, which reads only their relations and non-pivots."""
     ref = _frac_induced(M, src, dst)
     if ref is None:
         with pytest.raises(InternalCheckError):
@@ -553,6 +588,24 @@ def _assert_integer_core_matches(M, N, vectors, src, dst):
 def _random_rational(rng, big):
     return F(rng.randrange(-9, 10) * big + rng.randrange(-9, 10),
              rng.randrange(1, 8))
+
+
+def _random_class_map(rng, n):
+    """A signed class map on n indices: a random partition into classes of
+    one to three indices, about a quarter of them dead, the others with
+    random signs off their axis, the largest index."""
+    order = list(range(n))
+    rng.shuffle(order)
+    axis, sign = [None] * n, [0] * n
+    while order:
+        size = rng.randrange(1, 4)
+        members, order = order[:size], order[size:]
+        if rng.random() < 0.25:
+            continue
+        m = max(members)
+        for i in members:
+            axis[i], sign[i] = m, 1 if i == m else rng.choice([1, -1])
+    return ClassMapQuotient(axis, sign)
 
 
 def test_integer_core_matches_fraction_code_on_random_inputs():
@@ -567,20 +620,35 @@ def test_integer_core_matches_fraction_code_on_random_inputs():
                 for r in range(rows) for c in range(cols)
                 if rng.random() < 0.6])
 
+        def relation(Q):
+            """A random element of Q's relations."""
+            out = {}
+            for row in Q.relations.rows:
+                _frac_axpy(out, _random_rational(rng, big), row)
+            return out
+
         M, N = rand_mat(n, m), rand_mat(m, k)
-        src = QuotientStructure(m, Subspace(m, [
-            {i: _random_rational(rng, big) for i in range(m)
-             if rng.random() < 0.5} for _ in range(rng.randrange(0, m))]))
-        # Relations that contain the image of src's relations (so M
-        # descends) on odd trials, arbitrary ones on even trials.
         gens = [{i: _random_rational(rng, big) for i in range(n)
                  if rng.random() < 0.5} for _ in range(rng.randrange(0, n))]
-        if trial % 2:
-            gens += [M.matvec(row) for row in src.relations.rows]
-        dst = QuotientStructure(n, Subspace(n, gens))
         vectors = [{i: _random_rational(rng, big) for i in range(m)
                     if rng.random() < 0.5} for _ in range(4)]
-        _assert_integer_core_matches(M, N, vectors, src, dst)
+        _assert_integer_core_matches(M, N, vectors,
+                                     QuotientStructure(n, Subspace(n, gens)))
+        # Class maps, with M changed on odd trials so that it descends: a
+        # column off an axis becomes its sign times the axis column, or 0
+        # on a dead class, plus a random relation of dst.
+        src, dst = _random_class_map(rng, m), _random_class_map(rng, n)
+        _assert_integer_core_matches(M, N, vectors, dst)
+        if trial % 2:
+            cols = value_columns(M)
+            for i, (a, s) in enumerate(zip(src.axis, src.sign)):
+                if a != i:
+                    col = relation(dst)
+                    if a is not None:
+                        _frac_axpy(col, F(s), cols.get(a, {}))
+                    cols[i] = col
+            M = SparseMat(n, m, cols)
+        _assert_induced_matches(M, src, dst)
 
 
 def test_integer_core_matches_fraction_code_on_catalog_boundaries():
@@ -596,8 +664,9 @@ def test_integer_core_matches_fraction_code_on_catalog_boundaries():
             vectors = [{c: F(1), (5 * c + 1) % d.ncols: F(-3, 2)}
                        for c in range(0, d.ncols, 7)]
             _assert_integer_core_matches(d, d_next, vectors,
-                                         cyclic_quotient(T, n),
                                          cyclic_quotient(T, n - 1))
+            _assert_induced_matches(d, cyclic_quotient(T, n),
+                                    cyclic_quotient(T, n - 1))
     assert boundary(triples[-1], 3).den > 1
 
 
@@ -642,7 +711,7 @@ def test_closed_form_nullspace_matches_second_elimination():
     # can only be the kernel's canonical form.
     d = boundary(T, 3)
     K = nullspace(d)
-    assert Subspace.from_canonical(d.ncols, K.rows, K.pivots) == K
+    assert from_canonical(d.ncols, K.rows, K.pivots) == K
     assert not any(d.matvec(row) for row in K.rows)
     assert K.dim == d.ncols - rank(d) == 968
 
