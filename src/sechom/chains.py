@@ -123,11 +123,14 @@ def _integer_supports(vecs: list) -> tuple:
 
 
 class _Tables:
-    """The product tables of one triple, shared by its faces in every degree.
+    """The product tables of one triple, shared by its faces in every degree
+    and by the degree-one layer.
 
     They hold integer numerators over one denominator per table (`bden`
-    for products in B, `sden` for the sandwiches e_i eps(f_k) e_j), so
-    faces are assembled in plain ints.
+    for products in B, `aden` for products in A, `sden` for the
+    sandwiches e_i eps(f_k) e_j, `lden` for the units `aunit`, `bunit`
+    and the columns `eps` of eps), so faces and the degree-one objects are
+    assembled in plain ints.
     """
 
     def __init__(self, T: Triple):
@@ -136,6 +139,11 @@ class _Tables:
         self.bden, flat = _integer_supports(
             [B.mult[i][j] for i in range(db) for j in range(db)])
         self.bprod = [flat[i * db:(i + 1) * db] for i in range(db)]
+        self.aden, flat = _integer_supports(
+            [A.mult[i][j] for i in range(da) for j in range(da)])
+        self.aprod = [flat[i * da:(i + 1) * da] for i in range(da)]
+        self.lden, (self.aunit, self.bunit, *self.eps) = _integer_supports(
+            [A.unit, B.unit, *eps.columns])
         basis_a = [basis_vector(da, i) for i in range(da)]
         self.sden, flat = _integer_supports(
             [multiply(A, multiply(A, basis_a[i], eps.columns[k]), basis_a[j])

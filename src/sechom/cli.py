@@ -315,7 +315,7 @@ def _cmd_compute(args) -> int:
 
 def _reduction_report(T: Triple) -> TheoremReport:
     """The B = Q reduction battery, to degree 3 (degree 2 when dim A > 3)."""
-    return verify_reduction_Bk(T.A, n_max=3 if T.A.dim <= 3 else 2)
+    return verify_reduction_Bk(T, n_max=3 if T.A.dim <= 3 else 2)
 
 
 def _battery(T: Triple) -> tuple:

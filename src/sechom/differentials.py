@@ -12,16 +12,18 @@ span is a submodule:
 * the balancing rule  2 d(beta (x) 1) = d(1 (x) eps(beta)).
 
 Additivity in both arguments is built into the symbol expansion, and
-d(1 (x) 1) = 0 already lies in the product-rule span.
+d(1 (x) 1) = 0 already lies in the product-rule span.  The relations are
+formed in integers from the triple's tables (`chains._tables`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import _vec, multiply
-from .linalg import (ZERO, QuotientStructure, SparseMat, Subspace,
-                     basis_vector)
+from .algebra import _vec
+from .chains import _tables
+from .linalg import (QuotientStructure, SparseMat, Subspace, _outer, _summed,
+                     to_dense)
 from .triples import Triple, per_triple
 
 
@@ -47,66 +49,58 @@ def symbol_index(T: Triple, m: int, j: int, k: int) -> int:
 def ambient_symbol(T: Triple, coeff, alpha, a) -> list:
     """Dense ambient vector of (coeff) d(alpha (x) a), expanded trilinearly."""
     da, db = T.A.dim, T.B.dim
-    coeff, alpha, a = _vec(coeff), _vec(alpha), _vec(a)
-    if len(coeff) != da or len(a) != da or len(alpha) != db:
+    vecs = _vec(coeff), _vec(alpha), _vec(a)
+    if list(map(len, vecs)) != [da, db, da]:
         raise ValueError("coefficient and argument vectors have wrong lengths")
-    out = [ZERO] * (da * db * da)
-    for m, cm in enumerate(coeff):
-        if not cm:
-            continue
-        for j, xj in enumerate(alpha):
-            if not xj:
-                continue
-            base = (m * db + j) * da
-            cx = cm * xj
-            for k, yk in enumerate(a):
-                if yk:
-                    out[base + k] += cx * yk
-    return out
+    supports = [[(i, x) for i, x in enumerate(v) if x] for v in vecs]
+    return to_dense(dict(_outer(db, da, *supports)), da * db * da)
 
 
-def _sub(u: list, v: list) -> None:
-    for i, x in enumerate(v):
-        if x:
-            u[i] -= x
+# The relations in integers over the tables `tb` of `chains._Tables`, for a
+# coefficient c given by its integer support: each is exact up to a scale,
+# which leaves every span and membership alone.
+
+def _product_rule(tb, da: int, db: int, coeff, p: int, r: int, q: int,
+                  s: int) -> dict:
+    """c d(f_p f_r (x) e_q e_s) minus c e_q eps(f_p) d(f_r (x) e_s) and
+    c e_s eps(f_r) d(f_p (x) e_q)."""
+    w = -tb.aden * tb.bden
+    return _summed(
+        _outer(db, da, [(m, c * tb.sden) for m, c in coeff], tb.bprod[p][r],
+               tb.aprod[q][s])
+        + [term for m, c in coeff for term in
+           _outer(db, da, tb.sandwich[m][p][q], ((r, w * c),), ((s, 1),))
+           + _outer(db, da, tb.sandwich[m][r][s], ((p, w * c),), ((q, 1),))])
+
+
+def _balancing(tb, da: int, db: int, coeff, p: int) -> dict:
+    """c (2 d(f_p (x) 1) - d(1 (x) eps(f_p)))."""
+    return _summed(
+        _outer(db, da, [(m, 2 * tb.lden * c) for m, c in coeff], ((p, 1),),
+               tb.aunit)
+        + _outer(db, da, [(m, -c) for m, c in coeff], tb.bunit, tb.eps[p]))
 
 
 @per_triple
 def omega(T: Triple) -> OmegaPresentation:
-    """Build the presented module; A must be commutative."""
+    """Build the presented module; A must be commutative.  A and B
+    commute, so the product-rule instance for (f_p, e_q), (f_r, e_s) is
+    the one for (f_r, e_s), (f_p, e_q), and each pair is taken once."""
     T.require_commutative("the module of differential symbols")
-    A, B, eps = T.A, T.B, T.eps
-    da, db = A.dim, B.dim
-    ambient = da * db * da
-    rels = []
+    tb = _tables(T)
+    da, db = T.A.dim, T.B.dim
+    relations = Subspace(da * db * da)
+    pairs = [(p, q) for p in range(db) for q in range(da)]
     for m in range(da):
-        e_m = basis_vector(da, m)
+        e_m = ((m, 1),)
+        for i, (p, q) in enumerate(pairs):
+            for r, s in pairs[i:]:
+                relations.add(_product_rule(tb, da, db, e_m, p, r, q, s))
         for p in range(db):
-            eps_p = eps.columns[p]
-            for r in range(db):
-                eps_r = eps.columns[r]
-                for q in range(da):
-                    for s in range(da):
-                        vec = ambient_symbol(T, e_m, B.mult[p][r],
-                                             A.mult[q][s])
-                        c1 = multiply(A, e_m,
-                                      multiply(A, basis_vector(da, q), eps_p))
-                        _sub(vec, ambient_symbol(T, c1, basis_vector(db, r),
-                                                 basis_vector(da, s)))
-                        c2 = multiply(A, e_m,
-                                      multiply(A, basis_vector(da, s), eps_r))
-                        _sub(vec, ambient_symbol(T, c2, basis_vector(db, p),
-                                                 basis_vector(da, q)))
-                        if any(vec):
-                            rels.append(vec)
-            vec = [2 * x for x in
-                   ambient_symbol(T, e_m, basis_vector(db, p), A.unit)]
-            _sub(vec, ambient_symbol(T, e_m, B.unit, eps_p))
-            if any(vec):
-                rels.append(vec)
-    relations = Subspace(ambient, rels)
-    return OmegaPresentation(ambient, relations,
-                             QuotientStructure(ambient, relations))
+            relations.add(_balancing(tb, da, db, e_m, p))
+    return OmegaPresentation(relations.ambient_dim, relations,
+                             QuotientStructure(relations.ambient_dim,
+                                               relations))
 
 
 def d_symbol(T: Triple, alpha, a) -> dict:
@@ -116,25 +110,22 @@ def d_symbol(T: Triple, alpha, a) -> dict:
 
 def d_one_A_subspace(T: Triple) -> Subspace:
     """Span of the classes d(1 (x) a) inside the quotient coordinates."""
-    vecs = [d_symbol(T, T.B.unit, basis_vector(T.A.dim, k))
-            for k in range(T.A.dim)]
-    return Subspace(omega(T).dim, vecs)
+    tb = _tables(T)
+    Q = omega(T).quotient
+    return Subspace(Q.dim, (
+        Q.project(dict(_outer(T.B.dim, T.A.dim, tb.aunit, tb.bunit,
+                              ((k, 1),))))
+        for k in range(T.A.dim)))
 
 
 def coefficient_action(T: Triple, m: int) -> SparseMat:
     """Ambient matrix of premultiplication of the coefficient by e_m."""
     da, db = T.A.dim, T.B.dim
-    cols = {}
-    for mm in range(da):
-        prod = T.A.mult[m][mm]
-        for j in range(db):
-            for k in range(da):
-                src = (mm * db + j) * da + k
-                col = {}
-                for t, x in enumerate(prod):
-                    if x:
-                        col[(t * db + j) * da + k] = x
-                if col:
-                    cols[src] = col
-    ambient = da * db * da
-    return SparseMat(ambient, ambient, cols)
+    if not 0 <= m < da:
+        raise ValueError(f"coefficient index {m} out of range")
+    tb = _tables(T)
+    cols = {(mm * db + j) * da + k:
+            dict(_outer(db, da, tb.aprod[m][mm], ((j, 1),), ((k, 1),)))
+            for mm in range(da) for j in range(db) for k in range(da)
+            if tb.aprod[m][mm]}
+    return SparseMat.from_ints(da * db * da, da * db * da, cols, tb.aden)

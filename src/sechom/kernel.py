@@ -16,22 +16,23 @@ so the denominator uses the balancing span closed under multiplication
 by the coefficient tensors e_i (x) e_j (x) 1.  The raw (unclosed) span
 can be strictly smaller: its dimension is recorded alongside, and
 ``readings_agree`` reports whether the two coincide, so the difference
-is always surfaced rather than silently absorbed.
+is always surfaced rather than silently absorbed.  Everything is formed
+in integers from the triple's tables (`chains._tables`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, _vec, multiply, tensor_algebra
-from .linalg import (ZERO, InternalCheckError, QuotientStructure, SparseMat,
-                     Subspace, basis_vector, nullspace, to_dense)
+from .algebra import _vec, multiply
+from .chains import _tables
+from .linalg import (InternalCheckError, QuotientStructure, SparseMat,
+                     Subspace, _ints, _outer, _summed, nullspace, to_dense)
 from .triples import Triple, per_triple
 
 
 @dataclass(eq=False)
 class KernelData:
-    algebra: FinAlgebra  # A (x) A (x) B with componentwise product
     m_matrix: SparseMat
     J: Subspace
     j_squared: Subspace
@@ -59,27 +60,43 @@ def tensor_index(T: Triple, i: int, j: int, k: int) -> int:
 def embed_tensor(T: Triple, x, y, beta) -> list:
     """Dense coordinates of x (x) y (x) beta."""
     da, db = T.A.dim, T.B.dim
-    x, y, beta = _vec(x), _vec(y), _vec(beta)
-    out = [ZERO] * (da * da * db)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            for k, bk in enumerate(beta):
-                if bk:
-                    out[(i * da + j) * db + k] += xi * yj * bk
-    return out
+    vecs = _vec(x), _vec(y), _vec(beta)
+    if list(map(len, vecs)) != [da, da, db]:
+        raise ValueError("tensor factors have wrong lengths")
+    supports = [[(i, c) for i, c in enumerate(v) if c] for v in vecs]
+    return to_dense(dict(_outer(da, db, *supports)), da * da * db)
+
+
+# Vectors of A (x) A (x) B below are sparse dicts of integers over the
+# tables `tb` of `chains._Tables`, each exact up to a scale, which leaves
+# every span, kernel and membership built from them alone.
+
+def _product(tb, da: int, db: int, u: dict, v: dict) -> dict:
+    """The componentwise product u v, digit by digit: e_i (x) e_j (x) f_k
+    times e_i' (x) e_j' (x) f_k' is e_i e_i' (x) e_j e_j' (x) f_k f_k'."""
+    n = da * db
+    return _summed(
+        term for x, c in u.items() for y, d in v.items()
+        for term in _outer(da, db, [(a, c * d * w) for a, w in
+                                    tb.aprod[x // n][y // n]],
+                           tb.aprod[x // db % da][y // db % da],
+                           tb.bprod[x % db][y % db]))
+
+
+def _m_column(tb, da: int, db: int, c: int) -> tuple:
+    """The support of e_i e_j eps(f_k) = e_i eps(f_k) e_j (eps is central),
+    c being the index of e_i (x) e_j (x) f_k."""
+    return tb.sandwich[c // (da * db)][c % db][c // db % da]
 
 
 def multiplication_matrix(T: Triple) -> SparseMat:
     """The map e_i (x) e_j (x) f_k to e_i e_j eps(f_k), as a matrix."""
-    A, eps = T.A, T.eps
-    da, db = A.dim, T.B.dim
-    return SparseMat.from_columns(
-        da, [multiply(A, A.mult[i][j], eps.columns[k])
-             for i in range(da) for j in range(da) for k in range(db)])
+    tb = _tables(T)
+    da, db = T.A.dim, T.B.dim
+    cols = {c: dict(_m_column(tb, da, db, c)) for c in range(da * da * db)}
+    return SparseMat.from_ints(da, da * da * db,
+                               {c: col for c, col in cols.items() if col},
+                               tb.sden)
 
 
 def j_generator(T: Triple, alpha, a) -> list:
@@ -91,9 +108,10 @@ def j_generator(T: Triple, alpha, a) -> list:
     vec = embed_tensor(T, A.unit, a, alpha)
     scaled = multiply(A, a, T.eps.apply(alpha))
     for i, x in enumerate(embed_tensor(T, scaled, A.unit, B.unit)):
-        if x:
-            vec[i] -= x
-    if multiplication_matrix(T).matvec(vec):
+        vec[i] -= x
+    tb = _tables(T)
+    if _summed((t, x * y) for c, x in _ints(vec)[0].items()
+               for t, y in _m_column(tb, A.dim, B.dim, c)):
         raise InternalCheckError("generator escaped the multiplication kernel")
     return vec
 
@@ -102,57 +120,43 @@ def j_generator(T: Triple, alpha, a) -> list:
 def kernel_data(T: Triple) -> KernelData:
     """Assemble the kernel, its relation spaces, and the quotient."""
     T.require_commutative("the kernel presentation")
-    A, B = T.A, T.B
-    P3 = tensor_algebra(tensor_algebra(A, A), B,
-                        name=f"({A.name})x({A.name})x({B.name})")
+    tb = _tables(T)
+    da, db = T.A.dim, T.B.dim
     mm = multiplication_matrix(T)
     J = nullspace(mm)
+    n = mm.ncols
 
-    # P3 is commutative, as A and B are, so each product is formed once.
-    j_rows = [to_dense(row, mm.ncols) for row in J.rows]
-    products = []
-    for i, u in enumerate(j_rows):
-        for v in j_rows[i:]:
-            w = multiply(P3, u, v)
-            if any(w):
-                products.append(w)
-    j_squared = Subspace(mm.ncols, products)
+    # A (x) A (x) B is commutative, as A and B are, so each product is
+    # formed once.
+    rows = J._int_rows
+    j_squared = Subspace(n, (_product(tb, da, db, u, v)
+                             for i, u in enumerate(rows) for v in rows[i:]))
 
-    hat_vecs = []
-    for p in range(B.dim):
-        eps_p = T.eps.columns[p]
-        vec = [2 * x for x in
-               embed_tensor(T, A.unit, A.unit, basis_vector(B.dim, p))]
-        for i, x in enumerate(embed_tensor(T, eps_p, A.unit, B.unit)):
-            vec[i] -= x
-        for i, x in enumerate(embed_tensor(T, A.unit, eps_p, B.unit)):
-            vec[i] -= x
-        if any(vec):
-            hat_vecs.append(vec)
-    j_hat = Subspace(mm.ncols, hat_vecs)
+    one, minus = tb.aunit, [(k, -x) for k, x in tb.bunit]
+    hat_vecs = [_summed(_outer(da, db, one, one, ((p, 2 * tb.lden),))
+                        + _outer(da, db, e, one, minus)
+                        + _outer(da, db, one, e, minus))
+                for p, e in enumerate(tb.eps)]
+    j_hat = Subspace(n, hat_vecs)
 
     # Multiplying by every basis tensor e_i (x) e_j (x) 1 in one sweep is the
     # full closure: products of such factors are again of that shape.
-    closed_vecs = list(hat_vecs)
-    for vec in hat_vecs:
-        for i in range(A.dim):
-            for j in range(A.dim):
-                factor = embed_tensor(T, basis_vector(A.dim, i),
-                                      basis_vector(A.dim, j), B.unit)
-                closed_vecs.append(multiply(P3, factor, vec))
-    j_hat_closed = Subspace(mm.ncols, closed_vecs)
+    j_hat_closed = Subspace(n, hat_vecs + [
+        _product(tb, da, db, dict(_outer(da, db, ((i, 1),), ((j, 1),),
+                                         tb.bunit)), vec)
+        for vec in hat_vecs for i in range(da) for j in range(da)])
 
     span_relations = j_squared.sum(j_hat)
     relations = j_squared.sum(j_hat_closed)
-    for row in relations.rows:
+    for row in relations._int_rows:
         if not J.contains(row):
             raise InternalCheckError("relation space escaped the kernel")
     rel_in_j = Subspace(J.dim, [J.coords_of(row, verify=False)
-                                for row in relations.rows])
+                                for row in relations._int_rows])
     quotient = QuotientStructure(J.dim, rel_in_j)
 
     return KernelData(
-        algebra=P3, m_matrix=mm, J=J, j_squared=j_squared,
+        m_matrix=mm, J=J, j_squared=j_squared,
         j_hat=j_hat, j_hat_closed=j_hat_closed,
         span_relations=span_relations, relations=relations,
         relations_in_J=rel_in_j, quotient=quotient,
@@ -167,15 +171,10 @@ def symmetry_check(T: Triple) -> bool:
     raw span reading -- the stronger of the two denominators.
     """
     K = kernel_data(T)
-    A = T.A
-    for row in (to_dense(r, K.J.ambient_dim) for r in K.J.rows):
-        for m in range(A.dim):
-            e_m = basis_vector(A.dim, m)
-            left = multiply(K.algebra,
-                            embed_tensor(T, e_m, A.unit, T.B.unit), row)
-            right = multiply(K.algebra,
-                             embed_tensor(T, A.unit, e_m, T.B.unit), row)
-            diff = [x - y for x, y in zip(left, right)]
-            if not K.span_relations.contains(diff):
-                return False
-    return True
+    tb = _tables(T)
+    da, db = T.A.dim, T.B.dim
+    minus = [(k, -x) for k, x in tb.bunit]
+    return all(K.span_relations.contains(_product(tb, da, db, _summed(
+        _outer(da, db, ((m, 1),), tb.aunit, tb.bunit)
+        + _outer(da, db, tb.aunit, ((m, 1),), minus)), row))
+        for row in K.J._int_rows for m in range(da))

@@ -132,6 +132,23 @@ def _axpy(v: dict, c: int, w: dict) -> None:
             del v[i]
 
 
+def _outer(r1: int, r2: int, x, y, z) -> list:
+    """The terms (index, value) of x (x) y (x) z for supports x, y, z
+    ((index, value) pairs), indexed mixed-radix with radices r1 and r2
+    for the last two factors."""
+    return [((i * r1 + j) * r2 + k, a * b * c)
+            for i, a in x for j, b in y for k, c in z]
+
+
+def _summed(terms) -> dict:
+    """The sum of the (index, value) terms as a sparse vector, with the
+    entries that cancel dropped."""
+    out: dict = {}
+    for i, x in terms:
+        out[i] = out.get(i, 0) + x
+    return {i: x for i, x in out.items() if x}
+
+
 def _strip_content(v: dict) -> None:
     """Divide a nonzero integer vector in place by the gcd of its entries."""
     g = gcd(*v.values())

@@ -19,18 +19,18 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Optional
 
-from .algebra import FinAlgebra, field_algebra, multiply
-from .chains import boundary, chain_dim, chain_space
-from .differentials import (ambient_symbol, d_one_A_subspace, omega,
-                            symbol_index)
+from .algebra import field_algebra
+from .chains import _tables, boundary, chain_dim, chain_space
+from .differentials import (_balancing, _product_rule, d_one_A_subspace,
+                            omega, symbol_index)
 from .homology import _hc_pieces, _hh_pieces, hc, hh
-from .kernel import embed_tensor, kernel_data, tensor_index
-from .linalg import (ONE, InternalCheckError, SparseMat, basis_vector,
+from .kernel import kernel_data
+from .linalg import (ONE, InternalCheckError, SparseMat, _outer, _summed,
                      colspace, nullspace, product_is_zero, rank, solve,
                      to_dense)
 from .oracles import (classical_hh_dims, classical_hc_dims,
                       classical_I_mod_I2_dim, classical_kahler_dim)
-from .triples import Triple, make_triple
+from .triples import Triple, make_triple, per_triple
 
 
 @dataclass
@@ -51,16 +51,15 @@ class TheoremReport:
 class _Builder:
     def __init__(self, triple_name: str, theorem: str):
         self.report = TheoremReport(triple_name, theorem, True, {})
+        self.log: list = []  # (label, verdict, witness) of every check
 
     def check(self, label: str, ok: bool, witness: Optional[dict] = None):
+        self.log.append((label, bool(ok), witness))
         self.report.checks.append((label, bool(ok)))
         if not ok:
             self.report.passed = False
             if self.report.witness is None:
-                payload = {"check": label}
-                if witness:
-                    payload.update(witness)
-                self.report.witness = payload
+                self.report.witness = {"check": label, **(witness or {})}
         return ok
 
     def check_all(self, label: str, failures: Iterator[dict]) -> bool:
@@ -69,13 +68,35 @@ class _Builder:
         witness = next(failures, None)
         return self.check(label, witness is None, witness)
 
+    def agree(self, label: str, engine, classical) -> bool:
+        """Check that an engine value equals its classical reference."""
+        return self.check(label, engine == classical,
+                          {"engine": engine, "classical": classical})
+
     def dims(self, **kwargs):
         self.report.dims.update(kwargs)
+
+    def replay(self, outcome: tuple):
+        """Record an `_outcome` here check by check; return its value."""
+        log, dims, value = outcome
+        for label, ok, witness in log:
+            self.check(label, ok, witness)
+        self.dims(**dims)
+        return value
 
 
 def _wvec(v: dict) -> list:
     """Witness-friendly rendering of a sparse vector."""
     return [[i, str(x)] for i, x in sorted(v.items())]
+
+
+@per_triple
+def _outcome(T: Triple, body) -> tuple:
+    """body(T, builder), run once per triple: every check it made as
+    (label, verdict, witness), its dims, and what it returned."""
+    b = _Builder(T.name, "")
+    value = body(T, b)
+    return b.log, b.report.dims, value
 
 
 def transfer_matrices(T: Triple):
@@ -96,19 +117,19 @@ def transfer_matrices(T: Triple):
 
 def forward_matrix(T: Triple) -> SparseMat:
     """Symbol ambient space into A (x) A (x) B: the symbol e_m d(f_j (x) e_k)
-    goes to e_m (x) e_k (x) f_j minus (e_m eps(f_j) e_k) (x) 1 (x) 1."""
-    A, B = T.A, T.B
-    da, db = A.dim, B.dim
-    cols = []  # in symbol_index order
-    for m in range(da):
-        for j in range(db):
-            sand = multiply(A, basis_vector(da, m), T.eps.columns[j])
-            for k in range(da):
-                scaled = multiply(A, sand, basis_vector(da, k))
-                vec = [-x for x in embed_tensor(T, scaled, A.unit, B.unit)]
-                vec[tensor_index(T, m, k, j)] += ONE
-                cols.append(vec)
-    return SparseMat.from_columns(da * da * db, cols)
+    goes to e_m (x) e_k (x) f_j minus (e_m eps(f_j) e_k) (x) 1 (x) 1.
+    Built in integers from the triple's tables, over sden * lden^2."""
+    tb = _tables(T)
+    da, db = T.A.dim, T.B.dim
+    scale = tb.sden * tb.lden ** 2
+    cols = {(m * db + j) * da + k: _summed(
+        [((m * da + k) * db + j, scale)]
+        + _outer(da, db, [(t, -x) for t, x in tb.sandwich[m][j][k]],
+                 tb.aunit, tb.bunit))
+        for m in range(da) for j in range(db) for k in range(da)}
+    return SparseMat.from_ints(da * da * db, da * db * da,
+                               {c: col for c, col in cols.items() if col},
+                               scale)
 
 
 def _hh1_interface(T: Triple):
@@ -153,9 +174,9 @@ def _prop_hh1_omega(T: Triple, b: _Builder):
     # Cycle coordinates are chain coordinates here (_hh1_interface), so
     # the homology relations are the span of the degree-two boundary.
     b.check_all("relations map into boundaries",
-                ({"relation": i, "vector": _wvec(row)}
-                 for i, row in enumerate(P.relations.rows)
-                 if not Q_hh.relations.contains(psi.matvec(row))))
+                ({"relation": i, "vector": _wvec(P.relations.row(i))}
+                 for i, row in enumerate(P.relations._int_rows)
+                 if not Q_hh.relations.contains(psi._times(row))))
 
     phi_bar = P.quotient.project_matrix() @ phi @ s_hh
     psi_bar = p_hh @ psi @ P.quotient.section_matrix()
@@ -173,7 +194,7 @@ def verify_prop_hh1_omega(T: Triple) -> TheoremReport:
     """Degree-one homology equals the differential-symbol module."""
     T.require_commutative("the degree-one homology comparison")
     b = _Builder(T.name, "Prop3")
-    _prop_hh1_omega(T, b)
+    b.replay(_outcome(T, _prop_hh1_omega))
     return b.report
 
 
@@ -196,8 +217,7 @@ def verify_cor_hc1(T: Triple) -> TheoremReport:
     b.check("induced map is onto", rank(eta) == Q_hc.dim)
     ker = nullspace(eta)
     b.check("kernel is exactly d(1 (x) A)", ker == d1a,
-            None if ker == d1a else {"kernel_dim": ker.dim,
-                                     "d1A_dim": d1a.dim})
+            {"kernel_dim": ker.dim, "d1A_dim": d1a.dim})
     b.check("dimension bookkeeping",
             Q_hc.dim == P.quotient.dim - d1a.dim)
     b.dims(omega=P.quotient.dim, d1A=d1a.dim, hc1=Q_hc.dim)
@@ -216,39 +236,25 @@ def _prop_omega_J(T: Triple, b: _Builder):
     b.check("forward images lie in the kernel", product_is_zero(K.m_matrix, F))
     b.check("forward images span the kernel", colspace(F) == K.J)
 
-    A, B = T.A, T.B
-
-    def product_rule(p, q, k, l) -> list:
-        """d(f_p f_q (x) e_k e_l) minus its two product-rule terms."""
-        e_k, e_l = basis_vector(A.dim, k), basis_vector(A.dim, l)
-        terms = (ambient_symbol(T, A.unit, B.mult[p][q], A.mult[k][l]),
-                 ambient_symbol(T, multiply(A, e_k, T.eps.columns[p]),
-                                basis_vector(B.dim, q), e_l),
-                 ambient_symbol(T, multiply(A, e_l, T.eps.columns[q]),
-                                basis_vector(B.dim, p), e_k))
-        return [x - y - z for x, y, z in zip(*terms)]
-
+    # Both rules with the coefficient 1, in integers (differentials).
+    tb = _tables(T)
+    da, db = T.A.dim, T.B.dim
     b.check_all("product-rule images land in the squared kernel",
                 ({"b_pair": (p, q), "a_pair": (k, l)}
-                 for p, q, k, l in product(range(B.dim), range(B.dim),
-                                           range(A.dim), range(A.dim))
-                 if not K.j_squared.contains(
-                     F.matvec(product_rule(p, q, k, l)))))
-
-    def balancing(p) -> list:
-        """2 d(f_p (x) 1) - d(1 (x) eps(f_p))."""
-        return [2 * x - y for x, y in zip(
-            ambient_symbol(T, A.unit, basis_vector(B.dim, p), A.unit),
-            ambient_symbol(T, A.unit, B.unit, T.eps.columns[p]))]
+                 for p, q, k, l in product(range(db), range(db),
+                                           range(da), range(da))
+                 if not K.j_squared.contains(F._times(
+                     _product_rule(tb, da, db, tb.aunit, p, q, k, l)))))
 
     b.check_all("balancing images land in the balancing span",
-                ({"b_index": p} for p in range(B.dim)
-                 if not K.j_hat.contains(F.matvec(balancing(p)))))
+                ({"b_index": p} for p in range(db)
+                 if not K.j_hat.contains(F._times(
+                     _balancing(tb, da, db, tb.aunit, p)))))
 
     b.check_all("symbol relations map into kernel relations",
-                ({"relation": i, "vector": _wvec(row)}
-                 for i, row in enumerate(P.relations.rows)
-                 if not K.relations.contains(F.matvec(row))))
+                ({"relation": i, "vector": _wvec(P.relations.row(i))}
+                 for i, row in enumerate(P.relations._int_rows)
+                 if not K.relations.contains(F._times(row))))
 
     pulled = (solve(F, row) for row in K.relations.rows)
     b.check_all("kernel relations pull back to symbol relations",
@@ -286,20 +292,20 @@ def verify_prop_omega_J(T: Triple) -> TheoremReport:
     """The symbol module equals the multiplication-kernel quotient."""
     T.require_commutative("the kernel comparison")
     b = _Builder(T.name, "Prop4")
-    _prop_omega_J(T, b)
+    b.replay(_outcome(T, _prop_omega_J))
     return b.report
 
 
 def verify_main(T: Triple) -> TheoremReport:
     """The full degree-one chain: homology, symbol module, and kernel
     quotient are pairwise isomorphic, with the composites mechanically
-    mutually inverse."""
+    mutually inverse.  Only the composites are new checks here."""
     T.require_commutative("the main degree-one comparison")
     P = omega(T)
     K = kernel_data(T)
     b = _Builder(T.name, "Thm_main")
-    Q_hh, phi_bar, psi_bar = _prop_hh1_omega(T, b)
-    f_bar, g_bar = _prop_omega_J(T, b)
+    Q_hh, phi_bar, psi_bar = b.replay(_outcome(T, _prop_hh1_omega))
+    f_bar, g_bar = b.replay(_outcome(T, _prop_omega_J))
     if g_bar is not None:
         comp = f_bar @ phi_bar  # homology classes -> kernel classes
         inv = psi_bar @ g_bar
@@ -312,48 +318,41 @@ def verify_main(T: Triple) -> TheoremReport:
     return b.report
 
 
-def verify_reduction_Bk(A: FinAlgebra, n_max: int = 3) -> TheoremReport:
+def verify_reduction_Bk(source, n_max: int = 3) -> TheoremReport:
     """Over B equal to the ground field the engine must reproduce the
     classical homology of A; for commutative A the degree-one modules must
-    match the classical differential and kernel constructions too."""
-    T = make_triple(A, field_algebra(), [list(A.unit)],
-                    name=f"{A.name or 'A'}_over_k")
-    b = _Builder(T.name, "Reduction_Bk")
+    match the classical differential and kernel constructions too.
+
+    `source` is A, or a triple whose A it is.  A triple whose B has exactly
+    the tables of Q (its eps is then A's unit) is itself the B = Q triple
+    of A, and the checks reuse what it has built; otherwise a twin over Q
+    is built.  The report is named after A either way.
+    """
+    if isinstance(source, Triple):
+        A, T = source.A, source
+    else:
+        A, T = source, None
+    name = f"{A.name or 'A'}_over_k"
+    if T is None or T.B.mult != [[[ONE]]] or T.B.unit != [ONE]:
+        T = make_triple(A, field_algebra(), [list(A.unit)], name=name)
+    b = _Builder(name, "Reduction_Bk")
     hh_classical = classical_hh_dims(A, n_max)
     hc_classical = classical_hc_dims(A, n_max)
-    hh_dims = []
-    hc_dims = []
+    hh_dims = [hh(T, n, max_degree=n_max).dimension for n in range(n_max + 1)]
+    hc_dims = [hc(T, n, max_degree=n_max).dimension for n in range(n_max + 1)]
+    b.agree("homology dimensions match the classical complex",
+            hh_dims, hh_classical)
+    b.agree("cyclic dimensions match the classical complex",
+            hc_dims, hc_classical)
     for n in range(n_max + 1):
-        hh_dims.append(hh(T, n, max_degree=n_max).dimension)
-        hc_dims.append(hc(T, n, max_degree=n_max).dimension)
-    b.check("homology dimensions match the classical complex",
-            hh_dims == hh_classical,
-            None if hh_dims == hh_classical else
-            {"engine": hh_dims, "classical": hh_classical})
-    b.check("cyclic dimensions match the classical complex",
-            hc_dims == hc_classical,
-            None if hc_dims == hc_classical else
-            {"engine": hc_dims, "classical": hc_classical})
-    dims = {}
-    for n in range(n_max + 1):
-        dims[f"hh{n}"] = hh_dims[n]
-        dims[f"hc{n}"] = hc_dims[n]
+        b.dims(**{f"hh{n}": hh_dims[n], f"hc{n}": hc_dims[n]})
     if T.commutative:
-        P = omega(T)
-        K = kernel_data(T)
-        kd = classical_kahler_dim(A)
-        id2 = classical_I_mod_I2_dim(A)
-        b.check("symbol module matches classical differentials",
-                P.quotient.dim == kd,
-                None if P.quotient.dim == kd else
-                {"engine": P.quotient.dim, "classical": kd})
-        b.check("kernel quotient matches classical I over I squared",
-                K.quotient.dim == id2,
-                None if K.quotient.dim == id2 else
-                {"engine": K.quotient.dim, "classical": id2})
+        P, K = omega(T), kernel_data(T)
+        b.agree("symbol module matches classical differentials",
+                P.quotient.dim, classical_kahler_dim(A))
+        b.agree("kernel quotient matches classical I over I squared",
+                K.quotient.dim, classical_I_mod_I2_dim(A))
         b.check("balancing span is zero over the ground field",
                 K.j_hat.dim == 0)
-        dims["omega"] = P.quotient.dim
-        dims["kernel_quotient"] = K.quotient.dim
-    b.dims(**dims)
+        b.dims(omega=P.quotient.dim, kernel_quotient=K.quotient.dim)
     return b.report

@@ -7,15 +7,19 @@ instead of being rebuilt for every test.  Each test file must still pass
 on its own, with a cold memo.
 """
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from sechom import chains
-from sechom.algebra import FinAlgebra, multiply
+from sechom.algebra import FinAlgebra, multiply, tensor_algebra
 from sechom.differentials import ambient_symbol, omega
 from sechom.homology import _induced_boundary
-from sechom.linalg import (AmbientDimensionError, InternalCheckError,
+from sechom.kernel import embed_tensor, tensor_index
+from sechom.linalg import (ONE, AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, _ints,
-                           _kills, nullspace, projection_matrix)
+                           _kills, basis_vector, nullspace, projection_matrix,
+                           to_dense)
 from sechom.oracles import _check_cap, dense_rank
 from sechom.triples import catalog, make_triple
 
@@ -26,6 +30,17 @@ COMMUTATIVE_NAMES = [
     "prod_k", "trunc3_k", "dual_over_dual_id",
 ]
 ALL_NAMES = COMMUTATIVE_NAMES + ["mat2_k"]
+
+
+def child_env() -> dict:
+    """The environment for a child Python process that imports sechom:
+    this checkout's src/ leads PYTHONPATH, as pyproject.toml's pytest
+    `pythonpath` puts it on the tests' own path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                     env.get("PYTHONPATH")]))
+    return env
 
 
 def shared_triple(name: str):
@@ -340,3 +355,115 @@ def derivation_identity_failures(T) -> list:
             if not P.relations.contains(diff):
                 bad.append((2, (k, l)))
     return bad
+
+
+# -- the degree-one layer in Fractions -------------------------------------
+#
+# The engine builds these objects in integers from `chains._tables`; these
+# are the Fraction builders it used before, through `algebra.multiply`,
+# kept as references for the equality gate.
+
+def _sub(u: list, v: list) -> None:
+    for i, x in enumerate(v):
+        if x:
+            u[i] -= x
+
+
+def reference_omega_relations(T) -> Subspace:
+    """The relation span of the symbol module, every product-rule instance
+    and balancing vector formed in Fractions."""
+    A, B, eps = T.A, T.B, T.eps
+    da, db = A.dim, B.dim
+    rels = []
+    for m in range(da):
+        e_m = basis_vector(da, m)
+        for p in range(db):
+            eps_p = eps.columns[p]
+            for r in range(db):
+                eps_r = eps.columns[r]
+                for q in range(da):
+                    for s in range(da):
+                        vec = ambient_symbol(T, e_m, B.mult[p][r],
+                                             A.mult[q][s])
+                        c1 = multiply(A, e_m,
+                                      multiply(A, basis_vector(da, q), eps_p))
+                        _sub(vec, ambient_symbol(T, c1, basis_vector(db, r),
+                                                 basis_vector(da, s)))
+                        c2 = multiply(A, e_m,
+                                      multiply(A, basis_vector(da, s), eps_r))
+                        _sub(vec, ambient_symbol(T, c2, basis_vector(db, p),
+                                                 basis_vector(da, q)))
+                        if any(vec):
+                            rels.append(vec)
+            vec = [2 * x for x in
+                   ambient_symbol(T, e_m, basis_vector(db, p), A.unit)]
+            _sub(vec, ambient_symbol(T, e_m, B.unit, eps_p))
+            if any(vec):
+                rels.append(vec)
+    return Subspace(da * db * da, rels)
+
+
+def reference_forward_matrix(T) -> SparseMat:
+    """`verify.forward_matrix` built column by column in Fractions."""
+    A, B = T.A, T.B
+    da, db = A.dim, B.dim
+    cols = []
+    for m in range(da):
+        for j in range(db):
+            sand = multiply(A, basis_vector(da, m), T.eps.columns[j])
+            for k in range(da):
+                scaled = multiply(A, sand, basis_vector(da, k))
+                vec = [-x for x in embed_tensor(T, scaled, A.unit, B.unit)]
+                vec[tensor_index(T, m, k, j)] += ONE
+                cols.append(vec)
+    return SparseMat.from_columns(da * da * db, cols)
+
+
+def reference_multiplication_matrix(T) -> SparseMat:
+    """`kernel.multiplication_matrix` built in Fractions."""
+    A, eps = T.A, T.eps
+    da, db = A.dim, T.B.dim
+    return SparseMat.from_columns(
+        da, [multiply(A, A.mult[i][j], eps.columns[k])
+             for i in range(da) for j in range(da) for k in range(db)])
+
+
+def tensor_cube(T) -> FinAlgebra:
+    """A (x) A (x) B with the componentwise product."""
+    return tensor_algebra(tensor_algebra(T.A, T.A), T.B)
+
+
+def reference_kernel_data(T) -> dict:
+    """The subspaces of `kernel.kernel_data`, by name, with every product
+    formed in Fractions in the tensor algebra `tensor_cube(T)`."""
+    A, B = T.A, T.B
+    P3 = tensor_cube(T)
+    mm = reference_multiplication_matrix(T)
+    J = nullspace(mm)
+    j_rows = [to_dense(row, mm.ncols) for row in J.rows]
+    products = [multiply(P3, u, v) for i, u in enumerate(j_rows)
+                for v in j_rows[i:]]
+    j_squared = Subspace(mm.ncols, products)
+    hat_vecs = []
+    for p in range(B.dim):
+        eps_p = T.eps.columns[p]
+        vec = [2 * x for x in
+               embed_tensor(T, A.unit, A.unit, basis_vector(B.dim, p))]
+        _sub(vec, embed_tensor(T, eps_p, A.unit, B.unit))
+        _sub(vec, embed_tensor(T, A.unit, eps_p, B.unit))
+        hat_vecs.append(vec)
+    j_hat = Subspace(mm.ncols, hat_vecs)
+    closed = list(hat_vecs)
+    for vec in hat_vecs:
+        for i in range(A.dim):
+            for j in range(A.dim):
+                factor = embed_tensor(T, basis_vector(A.dim, i),
+                                      basis_vector(A.dim, j), B.unit)
+                closed.append(multiply(P3, factor, vec))
+    j_hat_closed = Subspace(mm.ncols, closed)
+    relations = j_squared.sum(j_hat_closed)
+    rel_in_j = Subspace(J.dim, [J.coords_of(row) for row in relations.rows])
+    return {"J": J, "j_squared": j_squared, "j_hat": j_hat,
+            "j_hat_closed": j_hat_closed,
+            "span_relations": j_squared.sum(j_hat), "relations": relations,
+            "relations_in_J": rel_in_j}

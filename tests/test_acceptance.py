@@ -10,9 +10,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, commutator_subspace,
-                     derivation_identity_failures, one_minus_cyclic,
-                     shared_triple)
+from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, child_env,
+                     commutator_subspace, derivation_identity_failures,
+                     one_minus_cyclic, shared_triple)
 from sechom.algebra import (field_algebra, multiply, split_product_algebra,
                             truncated_polynomial_algebra)
 from sechom.chains import boundary, chain_dim
@@ -129,8 +129,8 @@ def test_criterion_09_derivation_consequence_identities():
 def test_criterion_10_byte_identical_reports():
     argv = [sys.executable, "-m", "sechom.cli", "verify", "--catalog",
             "--all", "--format", "machine"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=child_env())
+    second = subprocess.run(argv, capture_output=True, env=child_env())
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and len(first.stdout) > 0)
     if ok:
@@ -181,6 +181,6 @@ def test_criterion_11_mutation_leaves_a_replayable_witness(tmp_path):
     mutated_file.write_text(src, encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "sechom.cli", "validate", str(mutated_file)],
-        capture_output=True)
+        capture_output=True, env=child_env())
     ok = ok and proc.returncode == 3 and b"multiplicative" in proc.stderr
     _line(11, "mutation leaves a replayable witness", ok)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+from _shared import child_env
 from sechom import cli
 from sechom.cli import main
 from sechom.specfile import export_triple, parse_triple_file, triple_hash
@@ -299,7 +300,7 @@ def test_reference_over_its_cap_is_refused_before_the_engine(
     argv = ["compute", "--catalog", "trunc3_k", "--flavor", "hc",
             "--degree", "6", "--max-degree-override", "6", "--oracle"]
     proc = subprocess.run([sys.executable, "-m", "sechom.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -408,7 +409,7 @@ def test_console_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "sechom.cli", "validate", "--catalog", "k_k",
          "--format", "machine"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "valid"
 
@@ -421,7 +422,7 @@ def test_runs_with_numpy_blocked():
             "from sechom.cli import main\n"
             "sys.exit(main(['verify', '--catalog', '--format', 'machine']))\n")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     reports = json.loads(proc.stdout)["reports"]
     assert reports and all(rep["passed"] for rep in reports)

@@ -99,6 +99,15 @@ def test_unit_coefficient_acts_as_identity():
         assert act == SparseMat.identity(omega(T).ambient_dim)
 
 
+def test_coefficient_action_checks_its_index():
+    # -1 once gave the action of the last basis vector, and dim A a bare
+    # IndexError.
+    T = shared_triple("dual_k")
+    for m in (-1, T.A.dim):
+        with pytest.raises(ValueError):
+            coefficient_action(T, m)
+
+
 def test_coefficient_action_preserves_relations():
     for name in ["dual_k", "dual_dual_x", "trunc3_k", "prod_k"]:
         T = shared_triple(name)

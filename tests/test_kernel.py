@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import COMMUTATIVE_NAMES, rebased_triple, shared_triple
+from _shared import (COMMUTATIVE_NAMES, rebased_triple, shared_triple,
+                     tensor_cube)
 from sechom.algebra import multiply
 from sechom.differentials import omega
 from sechom.kernel import (embed_tensor, j_generator, kernel_data,
@@ -45,6 +46,17 @@ def test_embed_tensor_places_single_entries():
     v = embed_tensor(T, _basis(2, 1), _basis(2, 0), _basis(2, 1))
     assert v[tensor_index(T, 1, 0, 1)] == 1
     assert sum(1 for x in v if x) == 1
+
+
+def test_embed_tensor_checks_vector_lengths():
+    # A vector of the wrong length once gave a shifted or truncated tensor.
+    T = shared_triple("dual_dual_x")
+    e_0 = _basis(2, 0)
+    for x, y, beta in ((e_0, [F(0), F(0), F(1)], e_0),
+                       ([F(1)], e_0, e_0),
+                       (e_0, e_0, [F(1)])):
+        with pytest.raises(ValueError):
+            embed_tensor(T, x, y, beta)
 
 
 def test_multiplication_routes_through_eps():
@@ -90,6 +102,20 @@ def test_generators_always_land_in_the_kernel():
                     j_generator(T, _basis(T.B.dim, j), _basis(T.A.dim, k)))
 
 
+def test_generator_outside_the_kernel_is_an_internal_error():
+    # With eps(1) doctored to 2 after validation, 1 (x) x (x) 1 maps to 2x
+    # and x eps(1) (x) 1 (x) 1 to 4x: the generator leaves the kernel.
+    import dataclasses
+
+    from sechom.algebra import AlgMorphism
+    from sechom.linalg import InternalCheckError
+
+    T = shared_triple("dual_k")
+    T2 = dataclasses.replace(T, eps=AlgMorphism(T.B, T.A, [[F(2), F(0)]]))
+    with pytest.raises(InternalCheckError):
+        j_generator(T2, T.B.unit, _basis(2, 1))
+
+
 def test_generator_checks_vector_lengths():
     T = shared_triple("dual_k")
     with pytest.raises(ValueError):
@@ -127,7 +153,8 @@ def test_squared_span_needs_each_product_once():
             rebased_triple("dual_dual_x")]:
         K = kernel_data(T)
         rows = [to_dense(row, K.J.ambient_dim) for row in K.J.rows]
-        every = [multiply(K.algebra, u, v) for u in rows for v in rows]
+        P3 = tensor_cube(T)
+        every = [multiply(P3, u, v) for u in rows for v in rows]
         assert Subspace(K.J.ambient_dim, every) == K.j_squared, T.name
 
 
