@@ -18,8 +18,9 @@ of the others through a table: an `aba` group through the sandwich
 e_i eps(f_k) e_j, a `bb` group through a product in B.  So a face is the
 Cartesian product of its copied digits, as pairs (input offset, output
 offset), with the nonzero table entries of its groups, as items (input
-offset, output offset, signed coefficient), and its cost follows the
-nonzero terms, not columns x faces.  The rotation copies every digit.
+offset, output offset, signed coefficient).  Assembly scatters every item
+once per copy (copies x items terms) and repacks each column once after
+the last face.  The rotation copies every digit.
 
 The cyclic operator t is a signed permutation of the basis: it sends
 e_i to (-1)^n e_img(i).  So the coinvariants C_n / (1 - t) have one axis
@@ -234,8 +235,10 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
     Every face in degree n multiplies one sandwich and n - 1 products in B,
     so each entry is an integer over sden * bden^(n - 1), and the integer
     columns go into the matrix over that denominator as they are.  Each
-    face is built from its digit groups (see the module docstring) into
-    one slot per column, read out in column order.
+    face scatters its flat item list once per copy (see the module
+    docstring) into one slot per column, indexing one shared int per row:
+    O(copies x items).  Every column is then repacked into a fresh dict
+    without its cancelled zeros, and read out in column order.
     """
     tb = _tables(T)
     src = chain_space(T, n)
@@ -266,18 +269,13 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
                 continue
             items = [(pi + qi, po + qo, c * x)
                      for pi, po, c in items for qi, qo, x in group]
-        by_in: dict = {}
-        for pi, po, c in items:
-            by_in.setdefault(pi, []).append((po, c))
         for ci, co in copies:
-            here = rows[co:]
-            for pi, outs in by_in.items():
+            for pi, po, c in items:
                 col = slots[ci + pi]
                 if col is None:
                     col = slots[ci + pi] = {}
-                for po, c in outs:
-                    r = here[po]
-                    col[r] = col.get(r, 0) + c
+                r = rows[co + po]
+                col[r] = col.get(r, 0) + c
     for c, col in enumerate(slots):  # fresh, packed dicts keep peak RSS down
         if col:
             slots[c] = {r: x for r, x in col.items() if x}

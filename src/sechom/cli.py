@@ -39,6 +39,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RESOURCE = 4
+_parser = None  # the argparse parser, built by main on its first call
 
 _THEOREM_FUNCS = {
     "hh1_omega": verify_prop_hh1_omega,
@@ -449,9 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()  # built once per process
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -656,6 +656,10 @@ def _assert_same_assembly(T, n):
         assert new.den == ref.den
         assert new.num == ref.num
         assert list(new.num) == list(ref.num)
+        # The stored form that SparseMat.from_ints takes on trust: no zero
+        # entry, no empty column, columns in ascending order.
+        assert all(col and all(col.values()) for col in new.num.values())
+        assert list(new.num) == sorted(new.num)
 
 
 def test_digit_group_assembly_matches_per_column_assembly():
@@ -680,6 +684,14 @@ def test_digit_group_assembly_matches_per_column_assembly():
         T = rebased_triple(name)
         for n in range(1, 4):
             _assert_same_assembly(T, n)
+
+
+def test_assembly_matches_per_column_assembly_at_the_largest_cyclic_space():
+    # boundary(trunc3_k, 7) has 6,561 columns, the largest space the
+    # cyclic benchmark builds, past the 4,096-column cut of the gate above.
+    T = shared_triple("trunc3_k")
+    assert chain_dim(T, 7) == 6561
+    _assert_same_assembly(T, 7)
 
 
 def _per_tuple_rotation(T, n):

@@ -405,6 +405,41 @@ def test_version_flag(capsys):
     assert "sechom" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    fresh = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return fresh()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["validate", "--catalog", "k_k"]) == 0
+    assert main(["export", "--catalog", "dual_k"]) == 0
+    assert main(["compute", "--catalog", "dual_k", "--degree", "0"]) == 0
+    assert main(["validate"]) == 2
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_failed_parse_leaves_the_reused_parser_clean(capsys, monkeypatch):
+    # The failing request sets --degree before its bad --flavor; the next
+    # request must still get the default degrees of a freshly built parser.
+    request = ["compute", "--catalog", "dual_k", "--format", "machine"]
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(request) == 0
+    expected = capsys.readouterr().out
+    code, out, err = run(capsys, "compute", "--catalog", "dual_k",
+                         "--degree", "0..1", "--flavor", "nope")
+    assert code == 2 and out == ""
+    assert "invalid choice" in err
+    assert main(request) == 0
+    assert capsys.readouterr().out == expected
+    assert [r["degree"] for r in json.loads(expected)["results"]] == [0, 1, 2]
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "sechom.cli", "validate", "--catalog", "k_k",
