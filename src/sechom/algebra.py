@@ -3,16 +3,19 @@
 An algebra of dimension d is stored as a table c with
 ``e_i * e_j = sum_k c[i][j][k] e_k`` together with the coordinates of the
 unit.  Validation reports witnesses instead of raising, so callers can
-decide how to surface a failure.
+decide how to surface a failure.  It reads the table once as integer
+numerators over one denominator, not through the engine's tables, and
+compares both bracketings of each basis triple as sparse integer sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Optional
 
-from .linalg import ZERO, ONE, basis_vector
+from .linalg import ZERO, ONE, _integer_supports, _summed, basis_vector
 
 
 def _vec(coords) -> list:
@@ -101,33 +104,34 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
     The first failing basis triple (resp. index, pair) is recorded as a
     witness.  Commutativity is reported but does not affect validity.
     """
+    d = A.dim
+    den, flat = _integer_supports(
+        [A.mult[i][j] for i in range(d) for j in range(d)] + [A.unit])
+    *flat, unit = flat
+    prod = [flat[i * d:(i + 1) * d] for i in range(d)]
+
+    # Products with one basis factor, as numerators over den**2.
+    def times_e(v, k):
+        return _summed((q, x * y) for m, x in v for q, y in prod[m][k])
+
+    def e_times(i, v):
+        return _summed((q, x * y) for m, x in v for q, y in prod[i][m])
+
     report = AlgebraReport(associative=True)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                left = multiply(A, A.mult[i][j], basis_vector(A.dim, k))
-                right = multiply(A, basis_vector(A.dim, i), A.mult[j][k])
-                if left != right:
-                    report.associative = False
-                    report.assoc_witness = (i, j, k)
-                    break
-            if not report.associative:
-                break
-        if not report.associative:
+    for i, j, k in product(range(d), repeat=3):
+        if times_e(prod[i][j], k) != e_times(i, prod[j][k]):
+            report.associative = False
+            report.assoc_witness = (i, j, k)
             break
-    for i in range(A.dim):
-        e_i = basis_vector(A.dim, i)
-        if multiply(A, A.unit, e_i) != e_i or multiply(A, e_i, A.unit) != e_i:
+    for i in range(d):
+        if not times_e(unit, i) == e_times(i, unit) == {i: den * den}:
             report.unital = False
             report.unit_witness = i
             break
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            if A.mult[i][j] != A.mult[j][i]:
-                report.commutative = False
-                report.comm_witness = (i, j)
-                break
-        if not report.commutative:
+    for i, j in combinations(range(d), 2):
+        if prod[i][j] != prod[j][i]:
+            report.commutative = False
+            report.comm_witness = (i, j)
             break
     return report
 

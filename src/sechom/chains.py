@@ -47,11 +47,9 @@ orbit.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .algebra import multiply
 from .linalg import (ClassMapQuotient, InternalCheckError, SparseMat,
-                     basis_vector)
+                     _integer_supports, basis_vector)
 from .triples import Triple, grading, per_triple
 
 
@@ -113,15 +111,6 @@ class ChainSpace:
         return ix
 
 # -- product tables and chain spaces, one per triple -----------------------
-
-def _integer_supports(vecs: list) -> tuple:
-    """Supports of rational vectors as (k, numerator) pairs over one common
-    denominator: returns (den, supports) with vecs[t][k] equal to
-    numerator / den for every pair (k, numerator) in supports[t]."""
-    den = lcm(*(x.denominator for vec in vecs for x in vec))
-    return den, [tuple((k, x.numerator * (den // x.denominator))
-                       for k, x in enumerate(vec) if x) for vec in vecs]
-
 
 class _Tables:
     """The product tables of one triple, shared by its faces in every degree

@@ -132,6 +132,15 @@ def _axpy(v: dict, c: int, w: dict) -> None:
             del v[i]
 
 
+def _integer_supports(vecs: list) -> tuple:
+    """Supports of rational vectors as (k, numerator) pairs over one common
+    denominator: returns (den, supports) with vecs[t][k] equal to
+    numerator / den for every pair (k, numerator) in supports[t]."""
+    den = lcm(*(x.denominator for vec in vecs for x in vec))
+    return den, [tuple((k, x.numerator * (den // x.denominator))
+                       for k, x in enumerate(vec) if x) for vec in vecs]
+
+
 def _outer(r1: int, r2: int, x, y, z) -> list:
     """The terms (index, value) of x (x) y (x) z for supports x, y, z
     ((index, value) pairs), indexed mixed-radix with radices r1 and r2

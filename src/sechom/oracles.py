@@ -86,21 +86,28 @@ def bar_rotation(A: FinAlgebra, n: int):
     return M
 
 
+def _integral(row) -> list:
+    """A row of ints and Fractions times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def dense_rank(M) -> int:
     """Fraction-free integer elimination; rows are scaled primitive.
 
-    Entries are ints or Fractions.  Each column pivots on its first row of
-    smallest nonzero absolute value, so a +-1 keeps the updated rows from
-    growing.  Rows below the pivot row are zero left of the pivot column,
-    so each update touches the columns from it on.
+    Entries are ints or Fractions.  A row of ints is taken as it is; only
+    a row holding a Fraction is put over its common denominator.  The rows
+    are copied, so M is never changed.  Each column pivots on its first
+    row of smallest nonzero absolute value, so a +-1 keeps the updated
+    rows from growing.  Rows below the pivot row are zero left of the
+    pivot column, so each update touches the columns from it on.
     """
     rows = []
     for row in M:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints = row if set(map(type, row)) <= {int} else _integral(row)
         g = gcd(*ints)
         if g:
-            rows.append([x // g for x in ints])
+            rows.append([x // g for x in ints] if g > 1 else list(ints))
     ncols = len(rows[0]) if rows else 0
     r = 0
     for col in range(ncols):
@@ -236,26 +243,28 @@ def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
             for k, x in enumerate(A.mult[i][j]):
                 if x:
                     mu[k][i * d + j] += x
-    kernel = _dense_kernel(mu)
+    # Each kernel vector and the table scaled to integers: every square
+    # then carries the table's scale den**2 and its factors' scales, so
+    # the rank of the squares is unchanged.
+    kernel = []
+    for v in _dense_kernel(mu):
+        ints = _integral(v)
+        g = gcd(*ints)
+        kernel.append([(p, x // g) for p, x in enumerate(ints) if x])
+    den = lcm(*(x.denominator for row in A.mult for prod in row for x in prod))
+    mult = [[[(k, x.numerator * (den // x.denominator))
+              for k, x in enumerate(prod) if x] for prod in row]
+            for row in A.mult]
 
     def tensor_mult(u, v):
-        out = [Fraction(0)] * (d * d)
-        for i1 in range(d):
-            for j1 in range(d):
-                x = u[i1 * d + j1]
-                if not x:
-                    continue
-                for i2 in range(d):
-                    for j2 in range(d):
-                        y = v[i2 * d + j2]
-                        if not y:
-                            continue
-                        for k1, a in enumerate(A.mult[i1][i2]):
-                            if not a:
-                                continue
-                            for k2, b in enumerate(A.mult[j1][j2]):
-                                if b:
-                                    out[k1 * d + k2] += x * y * a * b
+        out = [0] * (d * d)
+        for p, x in u:
+            i1, j1 = divmod(p, d)
+            for q, y in v:
+                i2, j2 = divmod(q, d)
+                for k1, a in mult[i1][i2]:
+                    for k2, b in mult[j1][j2]:
+                        out[k1 * d + k2] += x * y * a * b
         return out
 
     # For commutative A, A (x) A is commutative too, so u v = v u and each

@@ -12,7 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from sechom import chains
-from sechom.algebra import FinAlgebra, multiply, tensor_algebra
+from sechom.algebra import (AlgebraReport, FinAlgebra, multiply,
+                            tensor_algebra)
 from sechom.differentials import ambient_symbol, omega
 from sechom.homology import _induced_boundary
 from sechom.kernel import embed_tensor, tensor_index
@@ -255,6 +256,41 @@ def reference_induced_on_quotients(M: SparseMat, src: QuotientStructure,
     if not _kills(F, src.relations._int_rows):
         raise InternalCheckError("map does not descend to the quotient")
     return F @ src.section_matrix()
+
+
+def reference_validate_algebra(A: FinAlgebra) -> AlgebraReport:
+    """validate_algebra as it was before it read the table as integer
+    supports: both bracketings of every basis triple, and the unit laws,
+    through dense `multiply` calls in Fractions."""
+    report = AlgebraReport(associative=True)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                left = multiply(A, A.mult[i][j], basis_vector(A.dim, k))
+                right = multiply(A, basis_vector(A.dim, i), A.mult[j][k])
+                if left != right:
+                    report.associative = False
+                    report.assoc_witness = (i, j, k)
+                    break
+            if not report.associative:
+                break
+        if not report.associative:
+            break
+    for i in range(A.dim):
+        e_i = basis_vector(A.dim, i)
+        if multiply(A, A.unit, e_i) != e_i or multiply(A, e_i, A.unit) != e_i:
+            report.unital = False
+            report.unit_witness = i
+            break
+    for i in range(A.dim):
+        for j in range(i + 1, A.dim):
+            if A.mult[i][j] != A.mult[j][i]:
+                report.commutative = False
+                report.comm_witness = (i, j)
+                break
+        if not report.commutative:
+            break
+    return report
 
 
 def commutator_subspace(A: FinAlgebra) -> Subspace:

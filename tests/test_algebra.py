@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import commutator_subspace, shared_triple
+from _shared import (commutator_subspace, rebased_triple,
+                     reference_validate_algebra, rescaled_triple,
+                     shared_triple)
 from sechom.algebra import (AlgMorphism, FinAlgebra, field_algebra,
                             is_central, matrix_algebra, multiply,
                             split_product_algebra, tensor_algebra,
                             truncated_polynomial_algebra, validate_algebra)
 from sechom.differentials import ambient_symbol
 from sechom.kernel import embed_tensor, j_generator
+from sechom.triples import catalog_names
 
 F = Fraction
 
@@ -96,6 +99,41 @@ def test_validator_associativity_witness_is_replayable():
     right = multiply(A, ei, multiply(A, ej, ek))
     assert left != right
     assert not r.commutative
+
+
+def _gated_algebras() -> list:
+    """A and B of every catalog triple, of its rescaled twin and, where
+    both have dimension at most 3, of its rebased twin."""
+    triples = [shared_triple(name) for name in catalog_names()]
+    triples += [rescaled_triple(name) for name in catalog_names()]
+    triples += [rebased_triple(name) for name in catalog_names()
+                if name != "mat2_k"]
+    return [alg for T in triples for alg in (T.A, T.B)]
+
+
+def test_validation_matches_the_multiply_based_reference():
+    # Every field of the report, witnesses included, on the algebras the
+    # engine validates and on seeded single-entry perturbations of their
+    # tables: a change of -1, +1, 1/2 or -2/3 in one structure constant.
+    rng = random.Random(2206)
+    seen = set()
+    algebras = _gated_algebras()
+    for alg in algebras:
+        reports = [(validate_algebra(alg), reference_validate_algebra(alg))]
+        for _ in range(8):
+            mult = copy.deepcopy(alg.mult)
+            i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+            mult[i][j][k] += rng.choice([F(-1), F(1), F(1, 2), F(-2, 3)])
+            bent = FinAlgebra(alg.dim, mult, list(alg.unit), alg.name)
+            reports.append((validate_algebra(bent),
+                            reference_validate_algebra(bent)))
+        for new, old in reports:
+            assert new == old, alg.name
+            seen.add((new.associative, new.unital, new.commutative))
+    # The perturbations break each law, and some keep associativity.
+    assert {(False, False, True), (False, True, False), (False, False, False),
+            (True, False, True), (True, False, False),
+            (True, True, True)} <= seen
 
 
 def test_from_structure_constants_sparse_entries():

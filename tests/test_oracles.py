@@ -262,7 +262,9 @@ def _ordered_I_mod_I2_dim(A):
 
 def test_unordered_kernel_products_match_the_ordered_ones():
     algebras = [catalog(name).A for name in catalog_names()]
-    algebras += [rebased_triple("trunc3_k").A, rescaled_triple("trunc3_k").A]
+    algebras += [rebased_triple(name).A for name in catalog_names()
+                 if name != "mat2_k"]
+    algebras += [rescaled_triple("trunc3_k").A]
     assert not all(validate_algebra(A).commutative for A in algebras)
     for A in algebras:
         assert classical_I_mod_I2_dim(A) == _ordered_I_mod_I2_dim(A), A.name
@@ -351,7 +353,15 @@ def test_dense_rank_matches_the_code_it_replaced():
             M[rng.randrange(nrows)] = [F(0)] * ncols  # a zero row
         if trial % 4 == 1:  # a rank-deficient tall matrix: repeated rows
             M += [[2 * x for x in row] for row in M]
+        if trial % 2:
+            # Int rows (taken as they are) among Fraction rows, and rows
+            # that mix int and Fraction entries.
+            M = [[x.numerator for x in row] if t % 3 == 0 else
+                 [x if k % 2 else x.numerator for k, x in enumerate(row)]
+                 if t % 3 == 1 else row for t, row in enumerate(M)]
+        before = [list(row) for row in M]
         assert dense_rank(M) == _dense_rank_before(M)
+        assert M == before
     # The oracle matrices of a rebased trunc3_k: boundaries, 1 - rotation
     # and the concatenations that classical_hc_dims ranks.
     A = rebased_triple("trunc3_k").A
@@ -364,6 +374,45 @@ def test_dense_rank_matches_the_code_it_replaced():
              for n in range(1, 5)]
     for M in mats:
         assert dense_rank(M) == _dense_rank_before(M)
+
+
+def _reduction_algebras() -> list:
+    """Each distinct A of the catalog, of the rescaled twins (Fraction
+    tables) and of the rebased twins (dense integer tables); the other
+    catalog triples repeat one of these A."""
+    algebras = [catalog(name).A for name in ("k_k", "dual_k", "prod_k",
+                                             "trunc3_k", "mat2_k")]
+    algebras += [rescaled_triple(name).A for name in
+                 ("dual_k", "prod_k", "trunc3_k", "mat2_k")]
+    algebras += [rebased_triple(name).A for name in
+                 ("dual_k", "prod_k", "trunc3_k")]
+    return algebras
+
+
+def test_dense_rank_equals_the_reference_on_every_oracle_matrix(monkeypatch):
+    # Every matrix the B = Q reduction battery ranks, up to its top
+    # degree: each rank must equal the reference's, and the caller's
+    # matrix must come back unchanged.
+    ranked = oracles.dense_rank
+    row_kinds = set()
+
+    def gated(M):
+        before = [list(row) for row in M]
+        r = ranked(M)
+        assert M == before
+        assert all(type(x) is type(y) for row, old in zip(M, before)
+                   for x, y in zip(row, old))
+        assert r == _dense_rank_before(M)
+        row_kinds.update(frozenset(map(type, row)) for row in M)
+        return r
+
+    monkeypatch.setattr(oracles, "dense_rank", gated)
+    for A in _reduction_algebras():
+        n_max = _reduction_degree(A)
+        classical_hh_dims(A, n_max)
+        classical_hc_dims(A, n_max)
+        classical_I_mod_I2_dim(A)
+    assert {frozenset({int}), frozenset({int, F})} <= row_kinds
 
 
 def test_oracles_import_nothing_from_the_engine_linear_algebra():
