@@ -3,9 +3,9 @@
 An algebra of dimension d is stored as a table c with
 ``e_i * e_j = sum_k c[i][j][k] e_k`` together with the coordinates of the
 unit.  Validation reports witnesses instead of raising, so callers can
-decide how to surface a failure.  It reads the table once as integer
-numerators over one denominator, not through the engine's tables, and
-compares both bracketings of each basis triple as sparse integer sums.
+decide how to surface a failure.  The engine reads tables only through
+`_int_table` and multiplies only through `_int_product`, in integers;
+`multiply` serves the public API, `kernel.j_generator` and the oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from .linalg import ZERO, ONE, _integer_supports, _summed, basis_vector
+from .linalg import ZERO, ONE, _integer_supports, _summed
 
 
 def _vec(coords) -> list:
@@ -98,6 +98,19 @@ def multiply(A: FinAlgebra, x, y) -> list:
     return out
 
 
+def _int_table(A: FinAlgebra) -> tuple:
+    """(den, prod): prod[i][j] is e_i e_j as an integer support over den."""
+    den, flat = _integer_supports([v for row in A.mult for v in row])
+    return den, [flat[i * A.dim:(i + 1) * A.dim] for i in range(A.dim)]
+
+
+def _int_product(prod: list, x, y) -> tuple:
+    """The support of x y for supports x and y, through the table prod of
+    `_int_table`, in ascending index order, over den times their dens."""
+    return tuple(sorted(_summed((k, a * b * c) for i, a in x for j, b in y
+                                for k, c in prod[i][j]).items()))
+
+
 def validate_algebra(A: FinAlgebra) -> AlgebraReport:
     """Check associativity, two-sidedness of the unit, and commutativity.
 
@@ -105,26 +118,19 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
     witness.  Commutativity is reported but does not affect validity.
     """
     d = A.dim
-    den, flat = _integer_supports(
-        [A.mult[i][j] for i in range(d) for j in range(d)] + [A.unit])
-    *flat, unit = flat
-    prod = [flat[i * d:(i + 1) * d] for i in range(d)]
-
-    # Products with one basis factor, as numerators over den**2.
-    def times_e(v, k):
-        return _summed((q, x * y) for m, x in v for q, y in prod[m][k])
-
-    def e_times(i, v):
-        return _summed((q, x * y) for m, x in v for q, y in prod[i][m])
-
+    den, prod = _int_table(A)
+    uden, (unit,) = _integer_supports([A.unit])
+    e = [((i, 1),) for i in range(d)]
     report = AlgebraReport(associative=True)
     for i, j, k in product(range(d), repeat=3):
-        if times_e(prod[i][j], k) != e_times(i, prod[j][k]):
+        if (_int_product(prod, prod[i][j], e[k])
+                != _int_product(prod, e[i], prod[j][k])):
             report.associative = False
             report.assoc_witness = (i, j, k)
             break
     for i in range(d):
-        if not times_e(unit, i) == e_times(i, unit) == {i: den * den}:
+        if not (_int_product(prod, unit, e[i]) == _int_product(prod, e[i], unit)
+                == ((i, den * uden),)):
             report.unital = False
             report.unit_witness = i
             break
@@ -138,11 +144,11 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
 
 def is_central(A: FinAlgebra, v) -> bool:
     v = _vec(v)
-    for i in range(A.dim):
-        e_i = basis_vector(A.dim, i)
-        if multiply(A, v, e_i) != multiply(A, e_i, v):
-            return False
-    return True
+    if len(v) != A.dim:
+        raise ValueError(f"coordinate vectors must have length {A.dim}")
+    prod, (s,) = _int_table(A)[1], _integer_supports([v])[1]
+    return all(_int_product(prod, s, e) == _int_product(prod, e, s)
+               for e in (((i, 1),) for i in range(A.dim)))
 
 
 def tensor_algebra(A: FinAlgebra, B: FinAlgebra, name: str = "") -> FinAlgebra:

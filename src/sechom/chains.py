@@ -15,12 +15,13 @@ accordingly, with sign (-1)^n; its (n+1)-st power is the identity.
 
 A face copies some input digits to output slots and sends disjoint groups
 of the others through a table: an `aba` group through the sandwich
-e_i eps(f_k) e_j, a `bb` group through a product in B.  So a face is the
-Cartesian product of its copied digits, as pairs (input offset, output
-offset), with the nonzero table entries of its groups, as items (input
-offset, output offset, signed coefficient).  Assembly scatters every item
-once per copy (copies x items terms) and repacks each column once after
-the last face.  The rotation copies every digit.
+e_i eps(f_k) e_j, made from A's table and eps, a `bb` group through a
+product in B.  So a face is the Cartesian product of its copied digits,
+as pairs (input offset, output offset), with the nonzero table entries of
+its groups, as items (input offset, output offset, signed coefficient).
+Assembly scatters every item once per copy (copies x items terms) and
+repacks each column once after the last face.  The rotation copies every
+digit.
 
 The cyclic operator t is a signed permutation of the basis: it sends
 e_i to (-1)^n e_img(i).  So the coinvariants C_n / (1 - t) have one axis
@@ -47,9 +48,9 @@ orbit.
 
 from __future__ import annotations
 
-from .algebra import multiply
+from .algebra import _int_product, _int_table
 from .linalg import (ClassMapQuotient, InternalCheckError, SparseMat,
-                     _integer_supports, basis_vector)
+                     _integer_supports)
 from .triples import Triple, grading, per_triple
 
 
@@ -116,30 +117,22 @@ class _Tables:
     """The product tables of one triple, shared by its faces in every degree
     and by the degree-one layer.
 
-    They hold integer numerators over one denominator per table (`bden`
-    for products in B, `aden` for products in A, `sden` for the
-    sandwiches e_i eps(f_k) e_j, `lden` for the units `aunit`, `bunit`
-    and the columns `eps` of eps), so faces and the degree-one objects are
-    assembled in plain ints.
+    They hold integer supports over one denominator per table: `bden` for
+    products in B, `aden` for products in A, `lden` for the units `aunit`,
+    `bunit` and the columns `eps` of eps, and `sden` = aden^2 lden for the
+    sandwiches e_i eps(f_k) e_j, two products through A's table.  `sden`
+    need not be least: `SparseMat.from_ints` and `Subspace` normalise.
     """
 
     def __init__(self, T: Triple):
-        A, B, eps = T.A, T.B, T.eps
-        da, db = A.dim, B.dim
-        self.bden, flat = _integer_supports(
-            [B.mult[i][j] for i in range(db) for j in range(db)])
-        self.bprod = [flat[i * db:(i + 1) * db] for i in range(db)]
-        self.aden, flat = _integer_supports(
-            [A.mult[i][j] for i in range(da) for j in range(da)])
-        self.aprod = [flat[i * da:(i + 1) * da] for i in range(da)]
+        self.bden, self.bprod = _int_table(T.B)
+        self.aden, self.aprod = _int_table(T.A)
         self.lden, (self.aunit, self.bunit, *self.eps) = _integer_supports(
-            [A.unit, B.unit, *eps.columns])
-        basis_a = [basis_vector(da, i) for i in range(da)]
-        self.sden, flat = _integer_supports(
-            [multiply(A, multiply(A, basis_a[i], eps.columns[k]), basis_a[j])
-             for i in range(da) for k in range(db) for j in range(da)])
-        self.sandwich = [[flat[(i * db + k) * da:(i * db + k + 1) * da]
-                          for k in range(db)] for i in range(da)]
+            [T.A.unit, T.B.unit, *T.eps.columns])
+        self.sden = self.aden ** 2 * self.lden
+        a, e = self.aprod, [((i, 1),) for i in range(T.A.dim)]
+        self.sandwich = [[[_int_product(a, _int_product(a, e_i, f), e_j)
+                           for e_j in e] for f in self.eps] for e_i in e]
 
 
 _tables = per_triple(_Tables)

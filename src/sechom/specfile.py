@@ -82,6 +82,7 @@ def parse_triple_source(text: str) -> ParsedTriple:
     eps_cols: dict = {}
     name = ""
     max_degree: Optional[int] = None
+    declared: set = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -89,6 +90,11 @@ def parse_triple_source(text: str) -> ParsedTriple:
             continue
         tok = line.split()
         head = tok[0]
+        if head in ("name", "max_degree", "algebra", "unit"):
+            key = " ".join(tok[:2] if head in ("algebra", "unit") else tok[:1])
+            if key in declared:
+                raise SpecParseError(f"{key} declared twice", lineno)
+            declared.add(key)
         if head == "name":
             if len(tok) != 2:
                 raise SpecParseError("name takes exactly one identifier", lineno)
@@ -102,8 +108,6 @@ def parse_triple_source(text: str) -> ParsedTriple:
         elif head == "algebra":
             if len(tok) != 3 or tok[1] not in drafts:
                 raise SpecParseError("expected: algebra <A|B> <dim>", lineno)
-            if drafts[tok[1]].dim is not None:
-                raise SpecParseError(f"algebra {tok[1]} declared twice", lineno)
             dim = _int(tok[2], lineno, "dimension")
             if dim < 1:
                 raise SpecParseError("dimension must be positive", lineno)

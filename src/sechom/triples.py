@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 
-from .algebra import (AlgMorphism, FinAlgebra, field_algebra, is_central,
-                      matrix_algebra, multiply, split_product_algebra,
-                      truncated_polynomial_algebra, validate_algebra)
-from .linalg import ONE, ZERO, SparseMat, nullspace
+from .algebra import (AlgMorphism, FinAlgebra, _int_product, _int_table,
+                      field_algebra, is_central, matrix_algebra, multiply,
+                      split_product_algebra, truncated_polynomial_algebra,
+                      validate_algebra)
+from .linalg import ONE, ZERO, SparseMat, _integer_supports, _summed, nullspace
 
 
 class TripleAxiomError(ValueError):
@@ -112,11 +113,17 @@ def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
         raise EpsNotUnitalError(
             f"eps(1_B) = {img_unit} differs from 1_A = {A.unit}",
             witness=img_unit)
+    # eps(f_i f_j) and eps(f_i) eps(f_j) in integers, over aden bden eden^2.
+    (aden, aprod), (bden, bprod) = _int_table(A), _int_table(B)
+    eden, cols = _integer_supports(eps.columns)
     for i in range(B.dim):
         for j in range(B.dim):
-            lhs = eps.apply(B.mult[i][j])
-            rhs = multiply(A, eps.columns[i], eps.columns[j])
-            if lhs != rhs:
+            lhs = _summed((m, aden * eden * x * y)
+                          for k, x in bprod[i][j] for m, y in cols[k])
+            rhs = {m: bden * x for m, x in _int_product(aprod, cols[i], cols[j])}
+            if lhs != rhs:  # the witness is formed in Fractions
+                lhs = eps.apply(B.mult[i][j])
+                rhs = multiply(A, eps.columns[i], eps.columns[j])
                 raise EpsNotMultiplicativeError(
                     f"eps is not multiplicative on basis pair ({i}, {j}): "
                     f"eps(f_{i} f_{j}) = {lhs} but eps(f_{i}) eps(f_{j}) = {rhs}",
@@ -144,14 +151,13 @@ def grading(T: Triple) -> list:
     da = T.A.dim
     eqs = []
     for alg, off in ((T.A, 0), (T.B, da)):
-        for i, row in enumerate(alg.mult):
+        for i, row in enumerate(_int_table(alg)[1]):
             for j, prod in enumerate(row):
-                for k, x in enumerate(prod):
-                    if x:
-                        eq: dict = {}
-                        for v, c in ((k, 1), (i, -1), (j, -1)):
-                            eq[off + v] = eq.get(off + v, 0) + c
-                        eqs.append(eq)
+                for k, _ in prod:
+                    eq: dict = {}
+                    for v, c in ((k, 1), (i, -1), (j, -1)):
+                        eq[off + v] = eq.get(off + v, 0) + c
+                    eqs.append(eq)
     for k, col in enumerate(T.eps.columns):
         eqs += [{m: 1, da + k: -1} for m, x in enumerate(col) if x]
     cols: dict = {}

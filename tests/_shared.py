@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sechom import chains
-from sechom.algebra import (AlgebraReport, FinAlgebra, multiply,
+from sechom.algebra import (AlgebraReport, AlgMorphism, FinAlgebra, multiply,
                             tensor_algebra)
 from sechom.differentials import ambient_symbol, omega
 from sechom.homology import _induced_boundary
@@ -22,7 +22,10 @@ from sechom.linalg import (ONE, AmbientDimensionError, InternalCheckError,
                            _kills, basis_vector, nullspace, projection_matrix,
                            to_dense)
 from sechom.oracles import _check_cap, dense_rank
-from sechom.triples import catalog, make_triple
+from sechom.triples import (AlgebraInvalidError, BaseNotCommutativeError,
+                            EpsImageNotCentralError,
+                            EpsNotMultiplicativeError, EpsNotUnitalError,
+                            Triple, catalog, make_triple)
 
 _MEMO: dict = {}
 
@@ -291,6 +294,72 @@ def reference_validate_algebra(A: FinAlgebra) -> AlgebraReport:
         if not report.commutative:
             break
     return report
+
+
+def reference_is_central(A: FinAlgebra, v) -> bool:
+    """`algebra.is_central` as it was before it multiplied integer
+    supports: v e_i against e_i v through dense `multiply` calls."""
+    for i in range(A.dim):
+        e_i = basis_vector(A.dim, i)
+        if multiply(A, v, e_i) != multiply(A, e_i, v):
+            return False
+    return True
+
+
+def reference_make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
+                          name: str = "") -> Triple:
+    """`triples.make_triple` as it was before its eps checks multiplied
+    integer supports: eps(f_i f_j) against eps(f_i) eps(f_j) and the
+    centrality of each eps(f_i), in Fractions through `multiply`, with
+    the same errors, messages and witnesses."""
+    reports = []
+    for label, alg in (("A", A), ("B", B)):
+        rep = reference_validate_algebra(alg)
+        if not rep.valid:
+            bad = ("associativity", rep.assoc_witness) if not rep.associative \
+                else ("unit law", rep.unit_witness)
+            raise AlgebraInvalidError(
+                f"algebra {label} ({alg.name or 'unnamed'}) fails {bad[0]} "
+                f"at basis witness {bad[1]}", witness=(label, *bad))
+        reports.append(rep)
+    rep_a, rep_b = reports
+    if not rep_b.commutative:
+        i, j = rep_b.comm_witness
+        raise BaseNotCommutativeError(
+            f"B is not commutative: basis products {i},{j} and {j},{i} differ",
+            witness=rep_b.comm_witness)
+    eps = AlgMorphism(B, A, eps_columns, name=f"eps:{name}" if name else "eps")
+    img_unit = eps.apply(B.unit)
+    if img_unit != A.unit:
+        raise EpsNotUnitalError(
+            f"eps(1_B) = {img_unit} differs from 1_A = {A.unit}",
+            witness=img_unit)
+    for i in range(B.dim):
+        for j in range(B.dim):
+            lhs = eps.apply(B.mult[i][j])
+            rhs = multiply(A, eps.columns[i], eps.columns[j])
+            if lhs != rhs:
+                raise EpsNotMultiplicativeError(
+                    f"eps is not multiplicative on basis pair ({i}, {j}): "
+                    f"eps(f_{i} f_{j}) = {lhs} but eps(f_{i}) eps(f_{j}) = {rhs}",
+                    witness=(i, j, lhs, rhs))
+    for i in range(B.dim):
+        if not reference_is_central(A, eps.columns[i]):
+            raise EpsImageNotCentralError(
+                f"eps(f_{i}) = {eps.columns[i]} is not central in A",
+                witness=(i, eps.columns[i]))
+    return Triple(A, B, eps, commutative=rep_a.commutative, name=name)
+
+
+def reference_sandwich(T) -> list:
+    """The sandwiches e_i eps(f_k) e_j of `chains._Tables`, indexed
+    [i][k][j], as dense Fraction vectors through two `multiply` calls
+    each, as the tables built them before they multiplied A's integer
+    supports."""
+    A, da = T.A, T.A.dim
+    return [[[multiply(A, multiply(A, basis_vector(da, i), col),
+                       basis_vector(da, j)) for j in range(da)]
+             for col in T.eps.columns] for i in range(da)]
 
 
 def commutator_subspace(A: FinAlgebra) -> Subspace:

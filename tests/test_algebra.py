@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from _shared import (commutator_subspace, rebased_triple,
-                     reference_validate_algebra, rescaled_triple,
-                     shared_triple)
+                     reference_is_central, reference_validate_algebra,
+                     rescaled_triple, shared_triple)
 from sechom.algebra import (AlgMorphism, FinAlgebra, field_algebra,
                             is_central, matrix_algebra, multiply,
                             split_product_algebra, tensor_algebra,
@@ -172,6 +172,33 @@ def test_center_detection():
     assert not is_central(M, e12)
     D = truncated_polynomial_algebra(2)
     assert is_central(D, [F(0), F(1)])
+
+
+def test_is_central_matches_the_multiply_based_reference():
+    # Equality gate for the integer centrality test: every basis vector
+    # and seeded random integer combinations, on the rescaled algebras,
+    # whose tables have denominators other than 1.
+    rng = random.Random(2206)
+    seen = set()
+    for name in catalog_names():
+        T = rescaled_triple(name)
+        for alg in (T.A, T.B):
+            vecs = [[F(int(t == i)) for t in range(alg.dim)]
+                    for i in range(alg.dim)]
+            vecs += [[rng.randrange(-3, 4) for _ in range(alg.dim)]
+                     for _ in range(12)]
+            for v in vecs:
+                got = is_central(alg, v)
+                assert got == reference_is_central(alg, v), (name, v)
+                seen.add(got)
+    assert seen == {True, False}
+    A = rescaled_triple("mat2_k").A
+    with pytest.raises(ValueError):
+        is_central(A, [F(1)] * (A.dim + 1))
+    with pytest.raises(ValueError):
+        is_central(A, [F(1)] * (A.dim - 1))
+    with pytest.raises(TypeError):
+        is_central(A, {0: F(1)})
 
 
 def test_tensor_algebra_shape_and_commutativity():

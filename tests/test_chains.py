@@ -17,8 +17,8 @@ import pytest
 from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, coinvariant_relations,
                      cyclic_operator, dense_matrix, dense_rank_of_sparse,
                      one_minus_cyclic, rebased_triple,
-                     reference_induced_on_quotients, rescaled_triple,
-                     shared_triple, value_columns)
+                     reference_induced_on_quotients, reference_sandwich,
+                     rescaled_triple, shared_triple, value_columns)
 from sechom import chains, homology
 from sechom.algebra import multiply
 from sechom.chains import (_face_sum, boundary, chain_dim, chain_space,
@@ -613,6 +613,24 @@ def test_integer_face_assembly_matches_fraction_assembly():
     for T in triples[-2:]:
         tb = chains._tables(T)
         assert tb.bden > 1 and tb.sden > 1
+
+
+def test_sandwich_table_matches_the_multiply_based_reference():
+    # Equality gate for the sandwich: two products of A's integer supports
+    # with eps's, read over sden, equal the two Fraction `multiply` calls
+    # value for value, and every support is in ascending index order.
+    triples = [shared_triple(name) for name in ALL_NAMES]
+    triples += [rescaled_triple(name) for name in ALL_NAMES]
+    triples += [rebased_triple(name) for name in ALL_NAMES if name != "mat2_k"]
+    for T in triples:
+        tb = chains._tables(T)
+        supports = [s for row in tb.sandwich for rk in row for s in rk]
+        assert all([k for k, _ in s] == sorted({k for k, _ in s})
+                   for s in supports)
+        values = [[[[F(dict(s).get(t, 0), tb.sden) for t in range(T.A.dim)]
+                    for s in rk] for rk in row] for row in tb.sandwich]
+        assert values == reference_sandwich(T), T.name
+    assert any(chains._tables(T).sden > 1 for T in triples)
 
 
 def _per_column_face_sum(T, n, faces):

@@ -89,10 +89,18 @@ def test_rationals_are_accepted_but_floats_are_named_and_refused():
 
 
 def test_structural_errors_carry_line_numbers():
-    with pytest.raises(SpecParseError) as exc:
-        parse_triple_source("algebra A 2\nalgebra A 2\n")
-    assert exc.value.line == 2
-    assert "twice" in str(exc.value)
+    # A repeated once-only directive is refused, never silently replaced.
+    for src, line, message in [
+            ("algebra A 2\nalgebra A 2\n", 2, "algebra A declared twice"),
+            ("algebra A 1\nunit A 3\nunit A 1\n", 3, "unit A declared twice"),
+            (DUAL_SOURCE + "unit B 1 0\n", 17, "unit B declared twice"),
+            (DUAL_SOURCE + "name other\n", 17, "name declared twice"),
+            (DUAL_SOURCE + "max_degree 5\n", 17,
+             "max_degree declared twice")]:
+        with pytest.raises(SpecParseError) as exc:
+            parse_triple_source(src)
+        assert exc.value.line == line
+        assert message in str(exc.value)
 
     with pytest.raises(SpecParseError) as exc:
         parse_triple_source(DUAL_SOURCE + "c A 0 1 1 5\n")

@@ -1,11 +1,12 @@
 """Triple assembly: axiom checks, witnesses, and the built-in catalog."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
-                     shared_triple)
+                     reference_make_triple, rescaled_triple, shared_triple)
 from sechom.algebra import (FinAlgebra, field_algebra, matrix_algebra,
                             multiply, truncated_polynomial_algebra)
 from sechom.chains import chain_dim, chain_weights
@@ -71,6 +72,67 @@ def test_eps_image_must_be_central():
     # is not central in the matrix algebra.
     with pytest.raises(EpsImageNotCentralError):
         make_triple(M, B, [list(M.unit), e12])
+
+
+def _outcome(build, A, B, cols, name):
+    """Success as the triple's fields, or the error's class, message and
+    witness."""
+    try:
+        T = build(A, B, cols, name=name)
+    except TripleAxiomError as exc:
+        return type(exc), str(exc), exc.witness
+    return "ok", T.commutative, T.name, T.eps.columns
+
+
+def test_eps_checks_match_the_multiply_based_reference():
+    # Equality gate for the integer eps checks: make_triple succeeds or
+    # fails as the Fraction checks did, with the same class, message and
+    # witness, on every catalog, rescaled and rebased triple and on eps
+    # doctored over the rescaled algebras, whose tables have denominators
+    # other than 1.
+    triples = [shared_triple(name) for name in ALL_NAMES]
+    triples += [rescaled_triple(name) for name in ALL_NAMES]
+    triples += [rebased_triple(name) for name in ALL_NAMES if name != "mat2_k"]
+    cases = [(T.A, T.B, T.eps.columns, T.name) for T in triples]
+    # Over Q[x]/x^3 with x scaled by 2/3 (e_1 e_1 = 4/9 e_2) and Q[y]/y^2
+    # with 1 scaled by 2/3: eps(f_0) = 2/3 1_A, eps(f_1) = e_2 = x^2.
+    A, B = rescaled_triple("trunc3_k").A, rescaled_triple("dual_dual_x").B
+    M = rescaled_triple("mat2_k").A
+    one = [F(2, 3) * u for u in A.unit]
+    cases += [
+        (A, B, [one, [F(0), F(0), F(1)]], "trunc3_over_dual"),
+        # eps(1_B) = 2 * 1_A
+        (A, B, [[2 * c for c in one], [F(0), F(0), F(1)]], "non_unital"),
+        # eps(f_1) = e_1 + e_2 squares to 4/9 e_2, though f_1^2 = 0: fails
+        # at the last pair, (1, 1)
+        (A, B, [one, [F(0), F(1), F(1)]], "late_pair"),
+        # eps(f_1) = 5/7 e_1, a multiple of E12, squares to zero but is
+        # not central
+        (M, B, [[F(2, 3) * u for u in M.unit], [F(0), F(5, 7), F(0), F(0)]],
+         "non_central"),
+    ]
+    assert all(any(c.denominator > 1 for row in alg.mult for v in row
+                   for c in v) for alg in (A, B, M))
+    rng = random.Random(2206)
+    for name in ALL_NAMES:
+        T = rescaled_triple(name)
+        for _ in range(6):
+            cols = [list(c) for c in T.eps.columns]
+            p, k = rng.randrange(T.B.dim), rng.randrange(T.A.dim)
+            cols[p][k] += rng.choice([F(-1), F(1), F(1, 2), F(-2, 3)])
+            cases.append((T.A, T.B, cols, f"{name}_doctored"))
+    outcomes = []
+    for case in cases:
+        got = _outcome(make_triple, *case)
+        assert got == _outcome(reference_make_triple, *case), case[-1]
+        outcomes.append(got[0])
+    doctored = len(triples) + 1
+    assert outcomes[doctored - 1:doctored + 3] == [
+        "ok", EpsNotUnitalError, EpsNotMultiplicativeError,
+        EpsImageNotCentralError]
+    assert _outcome(make_triple, *cases[doctored + 1])[2][:2] == (1, 1)
+    assert {"ok", EpsNotUnitalError, EpsNotMultiplicativeError,
+            EpsImageNotCentralError} <= set(outcomes)
 
 
 def test_invalid_algebra_rejected_up_front():
