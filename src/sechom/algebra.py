@@ -4,8 +4,8 @@ An algebra of dimension d is stored as a table c with
 ``e_i * e_j = sum_k c[i][j][k] e_k`` together with the coordinates of the
 unit.  Validation reports witnesses instead of raising, so callers can
 decide how to surface a failure.  The engine reads tables only through
-`_int_table` and multiplies only through `_int_product`, in integers;
-`multiply` serves the public API, `kernel.j_generator` and the oracles.
+`_int_table`, a triple's once (`triples._tables`), and multiplies only
+through `_int_product`; `multiply` serves the public API and the oracles.
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ def _int_table(A: FinAlgebra) -> tuple:
     return den, [flat[i * A.dim:(i + 1) * A.dim] for i in range(A.dim)]
 
 
-def _int_product(prod: list, x, y) -> tuple:
-    """The support of x y for supports x and y, through the table prod of
-    `_int_table`, in ascending index order, over den times their dens."""
-    return tuple(sorted(_summed((k, a * b * c) for i, a in x for j, b in y
-                                for k, c in prod[i][j]).items()))
+def _int_product(prod: list, x, y) -> dict:
+    """x y for supports x and y, through the table prod of `_int_table`,
+    as a sparse dict over den times their dens."""
+    return _summed((k, a * b * c) for i, a in x for j, b in y
+                   for k, c in prod[i][j])
 
 
 def validate_algebra(A: FinAlgebra) -> AlgebraReport:
@@ -130,7 +130,7 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
             break
     for i in range(d):
         if not (_int_product(prod, unit, e[i]) == _int_product(prod, e[i], unit)
-                == ((i, den * uden),)):
+                == {i: den * uden}):
             report.unital = False
             report.unit_witness = i
             break
@@ -142,13 +142,17 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
     return report
 
 
+def _central(prod: list, s) -> bool:
+    """Whether the support s commutes with every basis vector through prod."""
+    return all(_int_product(prod, s, e) == _int_product(prod, e, s)
+               for e in (((i, 1),) for i in range(len(prod))))
+
+
 def is_central(A: FinAlgebra, v) -> bool:
     v = _vec(v)
     if len(v) != A.dim:
         raise ValueError(f"coordinate vectors must have length {A.dim}")
-    prod, (s,) = _int_table(A)[1], _integer_supports([v])[1]
-    return all(_int_product(prod, s, e) == _int_product(prod, e, s)
-               for e in (((i, 1),) for i in range(A.dim)))
+    return _central(_int_table(A)[1], _integer_supports([v])[1][0])
 
 
 def tensor_algebra(A: FinAlgebra, B: FinAlgebra, name: str = "") -> FinAlgebra:

@@ -14,8 +14,8 @@ operator rotates the a-slots one step and reindexes the b-slots
 accordingly, with sign (-1)^n; its (n+1)-st power is the identity.
 
 A face copies some input digits to output slots and sends disjoint groups
-of the others through a table: an `aba` group through the sandwich
-e_i eps(f_k) e_j, made from A's table and eps, a `bb` group through a
+of the others through a table of the triple's (`triples._tables`): an
+`aba` group through the sandwich e_i eps(f_k) e_j, a `bb` group through a
 product in B.  So a face is the Cartesian product of its copied digits,
 as pairs (input offset, output offset), with the nonzero table entries of
 its groups, as items (input offset, output offset, signed coefficient).
@@ -48,10 +48,8 @@ orbit.
 
 from __future__ import annotations
 
-from .algebra import _int_product, _int_table
-from .linalg import (ClassMapQuotient, InternalCheckError, SparseMat,
-                     _integer_supports)
-from .triples import Triple, grading, per_triple
+from .linalg import ClassMapQuotient, InternalCheckError, SparseMat
+from .triples import Triple, _tables, grading, per_triple
 
 
 def pair_list(n: int) -> list:
@@ -111,32 +109,7 @@ class ChainSpace:
             ix += d * w
         return ix
 
-# -- product tables and chain spaces, one per triple -----------------------
-
-class _Tables:
-    """The product tables of one triple, shared by its faces in every degree
-    and by the degree-one layer.
-
-    They hold integer supports over one denominator per table: `bden` for
-    products in B, `aden` for products in A, `lden` for the units `aunit`,
-    `bunit` and the columns `eps` of eps, and `sden` = aden^2 lden for the
-    sandwiches e_i eps(f_k) e_j, two products through A's table.  `sden`
-    need not be least: `SparseMat.from_ints` and `Subspace` normalise.
-    """
-
-    def __init__(self, T: Triple):
-        self.bden, self.bprod = _int_table(T.B)
-        self.aden, self.aprod = _int_table(T.A)
-        self.lden, (self.aunit, self.bunit, *self.eps) = _integer_supports(
-            [T.A.unit, T.B.unit, *T.eps.columns])
-        self.sden = self.aden ** 2 * self.lden
-        a, e = self.aprod, [((i, 1),) for i in range(T.A.dim)]
-        self.sandwich = [[[_int_product(a, _int_product(a, e_i, f), e_j)
-                           for e_j in e] for f in self.eps] for e_i in e]
-
-
-_tables = per_triple(_Tables)
-
+# -- chain spaces, one per triple ------------------------------------------
 
 @per_triple
 def chain_space(T: Triple, n: int) -> ChainSpace:

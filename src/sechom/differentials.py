@@ -13,7 +13,7 @@ span is a submodule:
 
 Additivity in both arguments is built into the symbol expansion, and
 d(1 (x) 1) = 0 already lies in the product-rule span.  The relations are
-formed in integers from the triple's tables (`chains._tables`).
+formed in integers from the triple's tables (`triples._tables`).
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import _vec
-from .chains import _tables
 from .linalg import (QuotientStructure, SparseMat, Subspace, _outer, _summed,
                      to_dense)
-from .triples import Triple, per_triple
+from .triples import Triple, _tables, per_triple
 
 
 @dataclass(eq=False)
@@ -56,7 +55,7 @@ def ambient_symbol(T: Triple, coeff, alpha, a) -> list:
     return to_dense(dict(_outer(db, da, *supports)), da * db * da)
 
 
-# The relations in integers over the tables `tb` of `chains._Tables`, for a
+# The relations in integers over the tables `tb` of `triples._Tables`, for a
 # coefficient c given by its integer support: each is exact up to a scale,
 # which leaves every span and membership alone.
 

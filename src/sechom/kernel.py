@@ -17,7 +17,7 @@ by the coefficient tensors e_i (x) e_j (x) 1.  The raw (unclosed) span
 can be strictly smaller: its dimension is recorded alongside, and
 ``readings_agree`` reports whether the two coincide, so the difference
 is always surfaced rather than silently absorbed.  Everything is formed
-in integers from the triple's tables (`chains._tables`).
+in integers from the triple's tables (`triples._tables`).
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import _vec, multiply
-from .chains import _tables
 from .linalg import (InternalCheckError, QuotientStructure, SparseMat,
                      Subspace, _ints, _outer, _summed, nullspace, to_dense)
-from .triples import Triple, per_triple
+from .triples import Triple, _tables, per_triple
 
 
 @dataclass(eq=False)
@@ -68,7 +67,7 @@ def embed_tensor(T: Triple, x, y, beta) -> list:
 
 
 # Vectors of A (x) A (x) B below are sparse dicts of integers over the
-# tables `tb` of `chains._Tables`, each exact up to a scale, which leaves
+# tables `tb` of `triples._Tables`, each exact up to a scale, which leaves
 # every span, kernel and membership built from them alone.
 
 def _product(tb, da: int, db: int, u: dict, v: dict) -> dict:

@@ -355,6 +355,11 @@ class SparseMat:
         self.nrows = nrows
         self.ncols = ncols
         cols = {c: _as_sparse(col) for c, col in (cols or {}).items()}
+        for c, col in cols.items():
+            if not 0 <= c < ncols:
+                raise AmbientDimensionError(f"column {c} outside width {ncols}")
+            if any(r < 0 or r >= nrows for r in col):
+                raise AmbientDimensionError(f"row index out of range in column {c}")
         # Over the lcm of the denominators the numerators have no common
         # factor with it, so this is already in lowest terms.
         self.den = den = lcm(*(x.denominator for col in cols.values()
@@ -386,14 +391,8 @@ class SparseMat:
     @classmethod
     def from_columns(cls, nrows: int, columns: Iterable) -> "SparseMat":
         """The matrix with these columns, each dense or sparse."""
-        cols = {}
         columns = list(columns)
-        for c, col in enumerate(columns):
-            col = _as_sparse(col)
-            if any(r < 0 or r >= nrows for r in col):
-                raise AmbientDimensionError(f"row index out of range in column {c}")
-            cols[c] = col
-        return cls(nrows, len(columns), cols)
+        return cls(nrows, len(columns), dict(enumerate(columns)))
 
     @classmethod
     def identity(cls, n: int) -> "SparseMat":

@@ -191,7 +191,12 @@ def parse_triple_file(path: str) -> ParsedTriple:
 
 
 def export_triple(T: Triple, max_degree: Optional[int] = None) -> str:
-    """Canonical text for a triple; parsing it back reproduces the data."""
+    """Canonical text for a triple; parsing it back reproduces the data, so
+    a name that holds whitespace or `#`, which would not read back, raises
+    ValueError."""
+    if "#" in T.name or any(c.isspace() for c in T.name):
+        raise ValueError(f"triple name {T.name!r} cannot be exported: "
+                         f"it holds whitespace or '#'")
     out = []
     if T.name:
         out.append(f"name {T.name}")

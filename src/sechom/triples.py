@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 
-from .algebra import (AlgMorphism, FinAlgebra, _int_product, _int_table,
-                      field_algebra, is_central, matrix_algebra, multiply,
+from .algebra import (AlgMorphism, FinAlgebra, _central, _int_product,
+                      _int_table, field_algebra, matrix_algebra, multiply,
                       split_product_algebra, truncated_polynomial_algebra,
                       validate_algebra)
 from .linalg import ONE, ZERO, SparseMat, _integer_supports, _summed, nullspace
@@ -84,13 +84,39 @@ def per_triple(fn):
     return memoized
 
 
+class _Tables:
+    """The product tables of one triple, shared by its faces in every degree
+    and by the degree-one layer.
+
+    They hold integer supports over one denominator per table: `bden` for
+    products in B, `aden` for products in A, `lden` for the units `aunit`,
+    `bunit` and the columns `eps` of eps, and `sden` = aden^2 lden for the
+    sandwiches e_i eps(f_k) e_j, two products through A's table.  `sden`
+    need not be least: `SparseMat.from_ints` and `Subspace` normalise.
+    """
+
+    def __init__(self, T: Triple):
+        self.bden, self.bprod = _int_table(T.B)
+        self.aden, self.aprod = _int_table(T.A)
+        self.lden, (self.aunit, self.bunit, *self.eps) = _integer_supports(
+            [T.A.unit, T.B.unit, *T.eps.columns])
+        self.sden = self.aden ** 2 * self.lden
+        a, e = self.aprod, [((i, 1),) for i in range(T.A.dim)]
+        self.sandwich = [[[tuple(sorted(_int_product(
+            a, _int_product(a, e_i, f).items(), e_j).items()))
+            for e_j in e] for f in self.eps] for e_i in e]
+
+
+_tables = per_triple(_Tables)
+
+
 def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
                 name: str = "") -> Triple:
     """Validate and assemble a triple.
 
     eps_columns lists the image in A of each basis vector of B.  Failures
-    raise subclasses of TripleAxiomError with a replayable witness.
-    """
+    raise subclasses of TripleAxiomError with a replayable witness.  The
+    eps checks read the triple's tables (`_tables`), which it then keeps."""
     reports = []
     for label, alg in (("A", A), ("B", B)):
         rep = validate_algebra(alg)
@@ -113,27 +139,27 @@ def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
         raise EpsNotUnitalError(
             f"eps(1_B) = {img_unit} differs from 1_A = {A.unit}",
             witness=img_unit)
-    # eps(f_i f_j) and eps(f_i) eps(f_j) in integers, over aden bden eden^2.
-    (aden, aprod), (bden, bprod) = _int_table(A), _int_table(B)
-    eden, cols = _integer_supports(eps.columns)
+    T = Triple(A, B, eps, commutative=rep_a.commutative, name=name)
+    # eps(f_i f_j) and eps(f_i) eps(f_j) in integers, over aden bden lden^2.
+    tb = _tables(T)
     for i in range(B.dim):
         for j in range(B.dim):
-            lhs = _summed((m, aden * eden * x * y)
-                          for k, x in bprod[i][j] for m, y in cols[k])
-            rhs = {m: bden * x for m, x in _int_product(aprod, cols[i], cols[j])}
-            if lhs != rhs:  # the witness is formed in Fractions
-                lhs = eps.apply(B.mult[i][j])
+            lhs = _summed((m, tb.aden * tb.lden * x * y)
+                          for k, x in tb.bprod[i][j] for m, y in tb.eps[k])
+            rhs = _int_product(tb.aprod, tb.eps[i], tb.eps[j])
+            if lhs != {m: tb.bden * x for m, x in rhs.items()}:
+                lhs = eps.apply(B.mult[i][j])  # the witness, in Fractions
                 rhs = multiply(A, eps.columns[i], eps.columns[j])
                 raise EpsNotMultiplicativeError(
                     f"eps is not multiplicative on basis pair ({i}, {j}): "
                     f"eps(f_{i} f_{j}) = {lhs} but eps(f_{i}) eps(f_{j}) = {rhs}",
                     witness=(i, j, lhs, rhs))
     for i in range(B.dim):
-        if not is_central(A, eps.columns[i]):
+        if not _central(tb.aprod, tb.eps[i]):
             raise EpsImageNotCentralError(
                 f"eps(f_{i}) = {eps.columns[i]} is not central in A",
                 witness=(i, eps.columns[i]))
-    return Triple(A, B, eps, commutative=rep_a.commutative, name=name)
+    return T
 
 
 @per_triple
@@ -148,23 +174,20 @@ def grading(T: Triple) -> list:
     basis of the rational solutions; a basis that carries no grading (a
     dense change of basis, say) gives none, and every weight is 0.
     """
+    tb = _tables(T)
     da = T.A.dim
     eqs = []
-    for alg, off in ((T.A, 0), (T.B, da)):
-        for i, row in enumerate(_int_table(alg)[1]):
+    for table, off in ((tb.aprod, 0), (tb.bprod, da)):
+        for i, row in enumerate(table):
             for j, prod in enumerate(row):
-                for k, _ in prod:
-                    eq: dict = {}
-                    for v, c in ((k, 1), (i, -1), (j, -1)):
-                        eq[off + v] = eq.get(off + v, 0) + c
-                    eqs.append(eq)
-    for k, col in enumerate(T.eps.columns):
-        eqs += [{m: 1, da + k: -1} for m, x in enumerate(col) if x]
+                eqs += [_summed(((off + k, 1), (off + i, -1), (off + j, -1)))
+                        for k, _ in prod]
+    for k, col in enumerate(tb.eps):
+        eqs += [{m: 1, da + k: -1} for m, _ in col]
     cols: dict = {}
     for r, eq in enumerate(eqs):
         for v, c in eq.items():
-            if c:
-                cols.setdefault(v, {})[r] = c
+            cols.setdefault(v, {})[r] = c
     K = nullspace(SparseMat.from_ints(len(eqs), da + T.B.dim, cols))
     return [tuple(row.get(v, 0) for v in range(K.ambient_dim))
             for row in K._int_rows]

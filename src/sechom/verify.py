@@ -20,7 +20,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .algebra import field_algebra
-from .chains import _tables, boundary, chain_dim, chain_space
+from .chains import boundary, chain_dim, chain_space
 from .differentials import (_balancing, _product_rule, d_one_A_subspace,
                             omega, symbol_index)
 from .homology import _hc_pieces, _hh_pieces, hc, hh
@@ -30,7 +30,7 @@ from .linalg import (ONE, InternalCheckError, SparseMat, _outer, _summed,
                      to_dense)
 from .oracles import (classical_hh_dims, classical_hc_dims,
                       classical_I_mod_I2_dim, classical_kahler_dim)
-from .triples import Triple, make_triple, per_triple
+from .triples import Triple, _tables, make_triple, per_triple
 
 
 @dataclass

@@ -306,6 +306,15 @@ def reference_is_central(A: FinAlgebra, v) -> bool:
     return True
 
 
+def upper_triangular_algebra() -> FinAlgebra:
+    """The upper-triangular 2x2 matrices in the basis (I, E12, E11).  E12
+    commutes with I and with itself but not with E11, the last basis
+    vector, and the unit's support misses E11."""
+    return FinAlgebra.from_structure_constants(
+        3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1,
+            (2, 0, 2): 1, (2, 1, 1): 1, (2, 2, 2): 1}, [1, 0, 0], "T2(Q)")
+
+
 def reference_make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
                           name: str = "") -> Triple:
     """`triples.make_triple` as it was before its eps checks multiplied
@@ -352,7 +361,7 @@ def reference_make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
 
 
 def reference_sandwich(T) -> list:
-    """The sandwiches e_i eps(f_k) e_j of `chains._Tables`, indexed
+    """The sandwiches e_i eps(f_k) e_j of `triples._Tables`, indexed
     [i][k][j], as dense Fraction vectors through two `multiply` calls
     each, as the tables built them before they multiplied A's integer
     supports."""
@@ -464,7 +473,7 @@ def derivation_identity_failures(T) -> list:
 
 # -- the degree-one layer in Fractions -------------------------------------
 #
-# The engine builds these objects in integers from `chains._tables`; these
+# The engine builds these objects in integers from `triples._tables`; these
 # are the Fraction builders it used before, through `algebra.multiply`,
 # kept as references for the equality gate.
 

@@ -28,7 +28,7 @@ from sechom.kernel import kernel_data, symmetry_check
 from sechom.linalg import (ClassMapQuotient, InternalCheckError,
                            QuotientStructure, SparseMat, colspace,
                            induced_on_quotients)
-from sechom.triples import catalog
+from sechom.triples import _tables, catalog
 from sechom.oracles import bar_boundary, bar_rotation
 from sechom.verify import verify_main
 
@@ -611,7 +611,7 @@ def test_integer_face_assembly_matches_fraction_assembly():
                 assert value_columns(_face_sum(T, n, [(i, 1)])) == \
                     _fraction_face_sum(T, n, [(i, 1)])
     for T in triples[-2:]:
-        tb = chains._tables(T)
+        tb = _tables(T)
         assert tb.bden > 1 and tb.sden > 1
 
 
@@ -623,20 +623,20 @@ def test_sandwich_table_matches_the_multiply_based_reference():
     triples += [rescaled_triple(name) for name in ALL_NAMES]
     triples += [rebased_triple(name) for name in ALL_NAMES if name != "mat2_k"]
     for T in triples:
-        tb = chains._tables(T)
+        tb = _tables(T)
         supports = [s for row in tb.sandwich for rk in row for s in rk]
         assert all([k for k, _ in s] == sorted({k for k, _ in s})
                    for s in supports)
         values = [[[[F(dict(s).get(t, 0), tb.sden) for t in range(T.A.dim)]
                     for s in rk] for rk in row] for row in tb.sandwich]
         assert values == reference_sandwich(T), T.name
-    assert any(chains._tables(T).sden > 1 for T in triples)
+    assert any(_tables(T).sden > 1 for T in triples)
 
 
 def _per_column_face_sum(T, n, faces):
     """Test-local copy of the per-column integer face assembly that the
     digit-group build replaced: every face visits every basis tensor."""
-    tb = chains._tables(T)
+    tb = _tables(T)
     src, dst = chain_space(T, n), chain_space(T, n - 1)
     split = []
     for i, sign in faces:
@@ -696,7 +696,7 @@ def test_digit_group_assembly_matches_per_column_assembly():
         T = rescaled_triple(name)
         for n in range(1, 4):
             _assert_same_assembly(T, n)
-    tb = chains._tables(rescaled_triple("trunc3_k"))
+    tb = _tables(rescaled_triple("trunc3_k"))
     assert tb.bprod[0][0] != ((0, tb.bden),)
     for name in ["trunc3_k", "dual_over_dual_id"]:
         T = rebased_triple(name)

@@ -1,7 +1,7 @@
 """The degree-one layer built once per triple, in integers.
 
 `omega`, `kernel_data`, `forward_matrix` and `multiplication_matrix` are
-built from the triple's integer tables (`chains._tables`); each must equal
+built from the triple's integer tables (`triples._tables`); each must equal
 its Fraction-built reference in `_shared` in canonical form.  The Prop3 and
 Prop4 bodies run once per triple and are replayed into every report that
 needs them, and the B = Q reduction runs on its input triple when that

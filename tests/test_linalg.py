@@ -97,6 +97,12 @@ def test_sparse_matrix_constructors_agree():
 def test_sparse_matrix_bounds_checked():
     with pytest.raises(AmbientDimensionError):
         SparseMat.from_columns(2, [{2: F(1)}, {}])
+    for cols in ({5: {9: 1}}, {2: {0: 1}}, {-1: {0: 1}}, {0: {2: 1}},
+                 {1: {-1: 1}}, {0: [0, 0, 1]}):
+        with pytest.raises(AmbientDimensionError):
+            SparseMat(2, 2, cols)
+    assert SparseMat(2, 2, {1: {1: 3}, 0: [F(1, 2), 0]}) == from_entries(
+        2, 2, [(1, 1, F(3)), (0, 0, F(1, 2))])
     M = SparseMat.identity(2)
     with pytest.raises(AmbientDimensionError):
         M.column(5)

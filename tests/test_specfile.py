@@ -1,5 +1,6 @@
 """The line-based triple description format: parse, export, digest."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from _shared import ALL_NAMES, shared_triple
 from sechom.specfile import (SpecParseError, export_triple, parse_triple_file,
                              parse_triple_source, triple_hash)
-from sechom.triples import EpsNotMultiplicativeError
+from sechom.triples import EpsNotMultiplicativeError, make_triple
 
 F = Fraction
 
@@ -56,6 +57,17 @@ def test_hash_ignores_the_name_but_not_the_data():
         export_triple(T).replace("name dual_dual_x", "name other")).triple
     assert triple_hash(renamed) == triple_hash(T)
     assert triple_hash(shared_triple("dual_dual_zero")) != triple_hash(T)
+
+
+def test_export_refuses_a_name_that_would_not_read_back():
+    T = shared_triple("dual_k")
+    for name in ("my triple", "a#b", "tab\tname", "two\nlines"):
+        renamed = make_triple(T.A, T.B, T.eps.columns, name=name)
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            export_triple(renamed)
+    for name in ("plain", "a.b-c_1"):
+        renamed = make_triple(T.A, T.B, T.eps.columns, name=name)
+        assert parse_triple_source(export_triple(renamed)).name == name
 
 
 def test_round_trip_through_a_file(tmp_path):

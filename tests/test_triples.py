@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
-                     reference_make_triple, rescaled_triple, shared_triple)
+                     reference_make_triple, rescaled_triple, shared_triple,
+                     upper_triangular_algebra)
 from sechom.algebra import (FinAlgebra, field_algebra, matrix_algebra,
                             multiply, truncated_polynomial_algebra)
 from sechom.chains import chain_dim, chain_weights
@@ -72,6 +73,12 @@ def test_eps_image_must_be_central():
     # is not central in the matrix algebra.
     with pytest.raises(EpsImageNotCentralError):
         make_triple(M, B, [list(M.unit), e12])
+    # In the upper-triangular matrices E12 fails only against E11, the last
+    # basis vector.
+    U = upper_triangular_algebra()
+    with pytest.raises(EpsImageNotCentralError) as err:
+        make_triple(U, B, [list(U.unit), [F(0), F(1), F(0)]])
+    assert err.value.witness == (1, [F(0), F(1), F(0)])
 
 
 def _outcome(build, A, B, cols, name):

@@ -1,0 +1,149 @@
+"""Replay hand mutations of the engine and report which ones the tests kill.
+
+A mutant names a file under src/sechom/, an exact piece of its text that
+must occur there once, the text that replaces it, and the test files that
+should fail with it.  For each mutant the runner copies src/, tests/ and
+pyproject.toml to a temporary directory, applies the mutant there and runs
+pytest on its test files from that directory, so pyproject.toml's
+`pythonpath` imports the mutated copy.  A mutant is killed when pytest
+exits nonzero on its files.  Before any mutant runs, the unmutated copy
+must pass every targeted test file.
+
+    python tools/mutants.py          # every mutant
+    python tools/mutants.py --ci     # the fast subset CI runs
+
+Exit status: 0 when every mutant run is killed, 1 when one survives, 2 when
+the unmutated copy fails or a mutant's text is not found exactly once.
+Standard library only; pytest must be importable by this interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/sechom/
+    old: str
+    new: str
+    tests: tuple  # test files, relative to tests/, expected to fail
+    ci: bool = False  # in the fast subset
+
+
+MUTANTS = [
+    Mutant("face-skips-a-copy", "chains.py",
+           "        for ci, co in copies:\n",
+           "        for ci, co in copies[1:]:\n", ("test_chains.py",)),
+    Mutant("face-skips-an-item", "chains.py",
+           "            for pi, po, c in items:\n",
+           "            for pi, po, c in items[:-1]:\n", ("test_chains.py",)),
+    Mutant("face-skips-the-repack", "chains.py",
+           "slots[c] = {r: x for r, x in col.items() if x}",
+           "slots[c] = col", ("test_chains.py",)),
+    Mutant("sandwich-unsorted", "triples.py",
+           "tuple(sorted(_int_product(", "tuple((_int_product(",
+           ("test_chains.py",)),
+    Mutant("sandwich-den-one-aden", "triples.py",
+           "self.sden = self.aden ** 2 * self.lden",
+           "self.sden = self.aden * self.lden", ("test_chains.py",)),
+    Mutant("eps-check-scaled-by-bden", "triples.py",
+           "_summed((m, tb.aden * tb.lden * x * y)",
+           "_summed((m, tb.bden * tb.lden * x * y)",
+           ("test_triples.py",), ci=True),
+    Mutant("central-against-e0-only", "algebra.py",
+           "for i in range(len(prod))))", "for i in range(1)))",
+           ("test_algebra.py",), ci=True),
+    Mutant("central-skips-the-last-vector", "algebra.py",
+           "for i in range(len(prod))))", "for i in range(len(prod) - 1)))",
+           ("test_algebra.py", "test_triples.py"), ci=True),
+    Mutant("spec-allows-a-repeated-unit", "specfile.py",
+           'if head in ("name", "max_degree", "algebra", "unit"):',
+           'if head in ("name", "max_degree", "algebra"):',
+           ("test_specfile.py",), ci=True),
+    Mutant("export-keeps-any-name", "specfile.py",
+           'if "#" in T.name or any(c.isspace() for c in T.name):',
+           "if False:", ("test_specfile.py",), ci=True),
+    Mutant("sparse-mat-takes-any-column", "linalg.py",
+           "if not 0 <= c < ncols:", "if False:", ("test_linalg.py",)),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    shutil.copytree(ROOT / "src", dest / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", dest / "tests",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(cwd: Path, tests) -> int:
+    """Exit code of pytest on the test files, run from the copy at cwd and
+    stopped at the first failure."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider", *(f"tests/{t}" for t in tests)]
+    return subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _source(root: Path, m: Mutant) -> Path:
+    return root / "src" / "sechom" / m.file
+
+
+def run(mutants: list) -> int:
+    with tempfile.TemporaryDirectory(prefix="sechom-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        for m in mutants:  # every text is checked before anything runs
+            found = _source(base, m).read_text("utf-8").count(m.old)
+            if found != 1:
+                print(f"ERROR  {m.name}: its text occurs {found} times "
+                      f"in {m.file}, not once")
+                return 2
+        targets = sorted({t for m in mutants for t in m.tests})
+        start = time.perf_counter()
+        if _pytest(base, targets) != 0:
+            print(f"ERROR  the unmutated copy fails {' '.join(targets)}")
+            return 2
+        print(f"baseline passes {len(targets)} files "
+              f"({time.perf_counter() - start:.1f} s)")
+        survivors = 0
+        for m in mutants:
+            start = time.perf_counter()
+            work = Path(tmp) / m.name
+            _copy_tree(work)
+            path = _source(work, m)
+            path.write_text(path.read_text("utf-8").replace(m.old, m.new),
+                            "utf-8")
+            code = _pytest(work, m.tests)
+            shutil.rmtree(work)
+            survivors += code == 0
+            verdict = "killed  " if code else "SURVIVED"
+            print(f"{verdict} {m.name:32s} {m.file:14s} "
+                  f"exit {code}  {time.perf_counter() - start:5.1f} s")
+        print(f"{len(mutants) - survivors} of {len(mutants)} killed")
+        return 1 if survivors else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--ci", action="store_true", help="the fast subset")
+    args = ap.parse_args(argv)
+    return run([m for m in MUTANTS if m.ci or not args.ci])
+
+
+if __name__ == "__main__":
+    sys.exit(main())
