@@ -25,7 +25,7 @@ from .homology import (DEFAULT_MAX_DEGREE, DegreeCapError, HomologyResult,
                        hc, hh)
 from .kernel import (KernelData, embed_tensor, j_generator, kernel_data,
                      multiplication_matrix, symmetry_check, tensor_index)
-from .linalg import (ClassMapQuotient, QuotientStructure, Rat, SparseMat,
+from .linalg import (ClassMapQuotient, QuotientStructure, SparseMat,
                      Subspace, colspace, induced_on_quotients, nullspace,
                      rank, solve)
 from .specfile import (ParsedTriple, SpecParseError, export_triple,

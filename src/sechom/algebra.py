@@ -111,15 +111,10 @@ def _int_product(prod: list, x, y) -> dict:
                    for k, c in prod[i][j])
 
 
-def validate_algebra(A: FinAlgebra) -> AlgebraReport:
-    """Check associativity, two-sidedness of the unit, and commutativity.
-
-    The first failing basis triple (resp. index, pair) is recorded as a
-    witness.  Commutativity is reported but does not affect validity.
-    """
-    d = A.dim
-    den, prod = _int_table(A)
-    uden, (unit,) = _integer_supports([A.unit])
+def _validated(den: int, prod: list, uden: int, unit) -> AlgebraReport:
+    """`validate_algebra` on a table already read: prod over den from
+    `_int_table`, and the unit's support over uden."""
+    d = len(prod)
     e = [((i, 1),) for i in range(d)]
     report = AlgebraReport(associative=True)
     for i, j, k in product(range(d), repeat=3):
@@ -140,6 +135,17 @@ def validate_algebra(A: FinAlgebra) -> AlgebraReport:
             report.comm_witness = (i, j)
             break
     return report
+
+
+def validate_algebra(A: FinAlgebra) -> AlgebraReport:
+    """Check associativity, two-sidedness of the unit, and commutativity.
+
+    The first failing basis triple (resp. index, pair) is recorded as a
+    witness.  Commutativity is reported but does not affect validity.
+    """
+    den, prod = _int_table(A)
+    uden, (unit,) = _integer_supports([A.unit])
+    return _validated(den, prod, uden, unit)
 
 
 def _central(prod: list, s) -> bool:

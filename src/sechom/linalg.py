@@ -65,8 +65,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

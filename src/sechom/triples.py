@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from functools import wraps
 
 from .algebra import (AlgMorphism, FinAlgebra, _central, _int_product,
-                      _int_table, field_algebra, matrix_algebra, multiply,
-                      split_product_algebra, truncated_polynomial_algebra,
-                      validate_algebra)
+                      _int_table, _validated, field_algebra, matrix_algebra,
+                      multiply, split_product_algebra,
+                      truncated_polynomial_algebra)
 from .linalg import ONE, ZERO, SparseMat, _integer_supports, _summed, nullspace
 
 
@@ -115,11 +115,17 @@ def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
     """Validate and assemble a triple.
 
     eps_columns lists the image in A of each basis vector of B.  Failures
-    raise subclasses of TripleAxiomError with a replayable witness.  The
-    eps checks read the triple's tables (`_tables`), which it then keeps."""
+    raise subclasses of TripleAxiomError with a replayable witness.  Every
+    check reads the triple's tables (`_tables`), which it then keeps, so
+    the shape of eps is checked (ValueError) before the algebras are."""
+    eps = AlgMorphism(B, A, eps_columns, name=f"eps:{name}" if name else "eps")
+    T = Triple(A, B, eps, commutative=False, name=name)
+    tb = _tables(T)
     reports = []
-    for label, alg in (("A", A), ("B", B)):
-        rep = validate_algebra(alg)
+    for label, alg, den, prod, unit in (
+            ("A", A, tb.aden, tb.aprod, tb.aunit),
+            ("B", B, tb.bden, tb.bprod, tb.bunit)):
+        rep = _validated(den, prod, tb.lden, unit)
         if not rep.valid:
             bad = ("associativity", rep.assoc_witness) if not rep.associative \
                 else ("unit law", rep.unit_witness)
@@ -133,15 +139,15 @@ def make_triple(A: FinAlgebra, B: FinAlgebra, eps_columns,
         raise BaseNotCommutativeError(
             f"B is not commutative: basis products {i},{j} and {j},{i} differ",
             witness=rep_b.comm_witness)
-    eps = AlgMorphism(B, A, eps_columns, name=f"eps:{name}" if name else "eps")
-    img_unit = eps.apply(B.unit)
-    if img_unit != A.unit:
+    T.commutative = rep_a.commutative
+    # eps(1_B) and 1_A in integers, over lden^2.
+    if _summed((m, x * y) for k, x in tb.bunit for m, y in tb.eps[k]) != {
+            m: tb.lden * x for m, x in tb.aunit}:
+        img_unit = eps.apply(B.unit)  # the witness, in Fractions
         raise EpsNotUnitalError(
             f"eps(1_B) = {img_unit} differs from 1_A = {A.unit}",
             witness=img_unit)
-    T = Triple(A, B, eps, commutative=rep_a.commutative, name=name)
     # eps(f_i f_j) and eps(f_i) eps(f_j) in integers, over aden bden lden^2.
-    tb = _tables(T)
     for i in range(B.dim):
         for j in range(B.dim):
             lhs = _summed((m, tb.aden * tb.lden * x * y)

@@ -105,13 +105,9 @@ def transfer_matrices(T: Triple):
     identifying them and its inverse."""
     cs1 = chain_space(T, 1)
     da, db = T.A.dim, T.B.dim
-    cols = {}
-    for i0 in range(da):
-        for i1 in range(da):
-            for j in range(db):
-                src = cs1.linearize((i0, i1), {(0, 1): j})
-                cols[src] = {symbol_index(T, i0, j, i1): ONE}
-    phi = SparseMat(da * db * da, cs1.dim, cols)
+    phi = SparseMat.from_ints(da * db * da, cs1.dim, {
+        cs1.linearize((i0, i1), {(0, 1): j}): {symbol_index(T, i0, j, i1): 1}
+        for i0 in range(da) for i1 in range(da) for j in range(db)})
     return phi, phi.transpose()
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from sechom import chains
 from sechom.algebra import (AlgebraReport, AlgMorphism, FinAlgebra, multiply,
                             tensor_algebra)
-from sechom.differentials import ambient_symbol, omega
+from sechom.differentials import ambient_symbol, omega, symbol_index
 from sechom.homology import _induced_boundary
 from sechom.kernel import embed_tensor, tensor_index
 from sechom.linalg import (ONE, AmbientDimensionError, InternalCheckError,
@@ -474,7 +474,7 @@ def derivation_identity_failures(T) -> list:
 # -- the degree-one layer in Fractions -------------------------------------
 #
 # The engine builds these objects in integers from `triples._tables`; these
-# are the Fraction builders it used before, through `algebra.multiply`,
+# are the Fraction builders it used before, most through `algebra.multiply`,
 # kept as references for the equality gate.
 
 def _sub(u: list, v: list) -> None:
@@ -581,3 +581,44 @@ def reference_kernel_data(T) -> dict:
             "j_hat_closed": j_hat_closed,
             "span_relations": j_squared.sum(j_hat), "relations": relations,
             "relations_in_J": rel_in_j}
+
+
+def reference_connes_b_chain(T) -> SparseMat:
+    """`homology.connes_b_chain` built as before it read the triple's
+    integer tables: Fraction products of the units of A and B, summed
+    entry by entry."""
+    cs1 = chains.chain_space(T, 1)
+    da = T.A.dim
+    cols = {}
+    for i in range(da):
+        acc: dict = {}
+        for j, ua in enumerate(T.A.unit):
+            if not ua:
+                continue
+            for k, ub in enumerate(T.B.unit):
+                if not ub:
+                    continue
+                for a0, a1 in ((j, i), (i, j)):
+                    ix = cs1.linearize((a0, a1), {(0, 1): k})
+                    val = acc.get(ix, Fraction(0)) + ua * ub
+                    if val:
+                        acc[ix] = val
+                    else:
+                        acc.pop(ix, None)
+        if acc:
+            cols[i] = acc
+    return SparseMat(chains.chain_dim(T, 1), da, cols)
+
+
+def reference_transfer_matrices(T) -> tuple:
+    """`verify.transfer_matrices` built as before, from Fraction ones."""
+    cs1 = chains.chain_space(T, 1)
+    da, db = T.A.dim, T.B.dim
+    cols = {}
+    for i0 in range(da):
+        for i1 in range(da):
+            for j in range(db):
+                src = cs1.linearize((i0, i1), {(0, 1): j})
+                cols[src] = {symbol_index(T, i0, j, i1): ONE}
+    phi = SparseMat(da * db * da, cs1.dim, cols)
+    return phi, phi.transpose()

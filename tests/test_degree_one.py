@@ -1,27 +1,29 @@
 """The degree-one layer built once per triple, in integers.
 
-`omega`, `kernel_data`, `forward_matrix` and `multiplication_matrix` are
-built from the triple's integer tables (`triples._tables`); each must equal
-its Fraction-built reference in `_shared` in canonical form.  The Prop3 and
-Prop4 bodies run once per triple and are replayed into every report that
-needs them, and the B = Q reduction runs on its input triple when that
-triple's B is Q itself.
+`omega`, `kernel_data`, `forward_matrix`, `multiplication_matrix` and
+`connes_b_chain` are built from the triple's integer tables
+(`triples._tables`), and `transfer_matrices` from integer ones; each must
+equal its Fraction-built reference in `_shared` in canonical form.  The
+Prop3 and Prop4 bodies run once per triple and are replayed into every
+report that needs them, and the B = Q reduction runs on its input triple
+when that triple's B is Q itself.
 """
 
 import hashlib
 
-from _shared import (COMMUTATIVE_NAMES, rebased_triple,
-                     reference_forward_matrix, reference_kernel_data,
-                     reference_multiplication_matrix,
-                     reference_omega_relations, rescaled_triple,
-                     shared_triple)
+from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
+                     reference_connes_b_chain, reference_forward_matrix,
+                     reference_kernel_data, reference_multiplication_matrix,
+                     reference_omega_relations, reference_transfer_matrices,
+                     rescaled_triple, shared_triple)
 from sechom import cli, triples, verify
 from sechom.differentials import omega
+from sechom.homology import connes_b_chain
 from sechom.kernel import kernel_data, multiplication_matrix
 from sechom.specfile import export_triple
 from sechom.triples import catalog
 from sechom.verify import (_Builder, _prop_hh1_omega, _prop_omega_J,
-                           forward_matrix, verify_main,
+                           forward_matrix, transfer_matrices, verify_main,
                            verify_prop_hh1_omega, verify_prop_omega_J,
                            verify_reduction_Bk)
 
@@ -54,6 +56,23 @@ def test_noncommutative_matrices_equal_the_fraction_references():
     T = shared_triple("mat2_k")
     assert forward_matrix(T) == reference_forward_matrix(T)
     assert multiplication_matrix(T) == reference_multiplication_matrix(T)
+
+
+def test_chain_maps_equal_the_fraction_references():
+    # Connes' map from A and the transfer permutations need no commutative
+    # A, so every catalog triple and each rescaled and rebased twin is
+    # gated, the stored denominators and numerators included.
+    triples_ = ([shared_triple(name) for name in ALL_NAMES]
+                + [rescaled_triple(name) for name in ALL_NAMES]
+                + [rebased_triple(name) for name in ALL_NAMES
+                   if name != "mat2_k"])
+    dens = set()
+    for T in triples_:
+        got = connes_b_chain(T)
+        assert got == reference_connes_b_chain(T), T.name
+        assert transfer_matrices(T) == reference_transfer_matrices(T), T.name
+        dens.add(got.den)
+    assert dens - {1}, "no gated map has a denominator other than 1"
 
 
 # -- frozen outputs on spec files ------------------------------------------

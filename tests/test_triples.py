@@ -1,6 +1,7 @@
 """Triple assembly: axiom checks, witnesses, and the built-in catalog."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,18 @@ import pytest
 from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
                      reference_make_triple, rescaled_triple, shared_triple,
                      upper_triangular_algebra)
+from sechom import algebra, linalg
 from sechom.algebra import (FinAlgebra, field_algebra, matrix_algebra,
                             multiply, truncated_polynomial_algebra)
 from sechom.chains import chain_dim, chain_weights
-from sechom.triples import (BaseNotCommutativeError,
+from sechom.homology import connes_segment_check, hc, hh
+from sechom.triples import (AlgebraInvalidError, BaseNotCommutativeError,
                             CommutativeTripleRequiredError,
                             EpsImageNotCentralError,
                             EpsNotMultiplicativeError, EpsNotUnitalError,
                             TripleAxiomError, catalog, catalog_names,
                             grading, make_triple)
+from sechom.verify import verify_main
 
 F = Fraction
 
@@ -140,6 +144,69 @@ def test_eps_checks_match_the_multiply_based_reference():
     assert _outcome(make_triple, *cases[doctored + 1])[2][:2] == (1, 1)
     assert {"ok", EpsNotUnitalError, EpsNotMultiplicativeError,
             EpsImageNotCentralError} <= set(outcomes)
+
+
+def test_algebra_checks_match_the_multiply_based_reference():
+    # make_triple validates A and B on the triple's own tables.  With one
+    # structure constant of A or of B bent by -1, +1, 1/2 or -2/3, it must
+    # succeed or fail as the Fraction checks did, with the same class,
+    # message and witness, on every catalog, rescaled and rebased triple.
+    triples_ = [shared_triple(name) for name in ALL_NAMES]
+    triples_ += [rescaled_triple(name) for name in ALL_NAMES]
+    triples_ += [rebased_triple(name) for name in ALL_NAMES
+                 if name != "mat2_k"]
+    M = matrix_algebra(2)
+    cases = [(M, M, [[F(int(i == k)) for k in range(4)] for i in range(4)],
+              "noncommutative_base")]
+    rng = random.Random(2301)
+    for T in triples_:
+        for _ in range(4):
+            algs = {"A": T.A, "B": T.B}
+            label = rng.choice("AB")
+            alg = algs[label]
+            mult = [[list(v) for v in row] for row in alg.mult]
+            i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+            mult[i][j][k] += rng.choice([F(-1), F(1), F(1, 2), F(-2, 3)])
+            algs[label] = FinAlgebra(alg.dim, mult, list(alg.unit), alg.name)
+            cases.append((algs["A"], algs["B"], T.eps.columns, T.name))
+    seen = set()
+    for case in cases:
+        got = _outcome(make_triple, *case)
+        assert got == _outcome(reference_make_triple, *case), case[-1]
+        seen.add(got[0] if got[0] is not AlgebraInvalidError
+                 else got[2][:2])
+    assert {BaseNotCommutativeError, ("A", "associativity"),
+            ("A", "unit law"), ("B", "associativity"), ("B", "unit law"),
+            "ok"} <= seen
+
+
+def test_a_triples_tables_are_read_once(monkeypatch):
+    # make_triple validates A and B on the tables the triple keeps, so a
+    # triple's life reads each table once (`_int_table`, which makes one
+    # `_integer_supports` call) and the units with eps once: 2 and 3 calls.
+    calls = {"_int_table": 0, "_integer_supports": 0}
+    for attr, owner in (("_int_table", algebra),
+                        ("_integer_supports", linalg)):
+        original = getattr(owner, attr)
+
+        def counted(*args, _attr=attr, _original=original):
+            calls[_attr] += 1
+            return _original(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.split(".")[0] == "sechom"
+                    and getattr(mod, attr, None) is original):
+                monkeypatch.setattr(mod, attr, counted)
+    for name in ALL_NAMES:
+        calls.update(dict.fromkeys(calls, 0))
+        T = catalog(name)
+        hh(T, 1)
+        hc(T, 1)
+        connes_segment_check(T)
+        grading(T)
+        if T.commutative:
+            verify_main(T)
+        assert calls == {"_int_table": 2, "_integer_supports": 3}, name
 
 
 def test_invalid_algebra_rejected_up_front():

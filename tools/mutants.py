@@ -77,6 +77,16 @@ MUTANTS = [
            "if False:", ("test_specfile.py",), ci=True),
     Mutant("sparse-mat-takes-any-column", "linalg.py",
            "if not 0 <= c < ncols:", "if False:", ("test_linalg.py",)),
+    Mutant("descent-check-skipped", "linalg.py",
+           "if [None if a is None else F[a] for a in src.axis] != F:",
+           "if False:", ("test_chains.py",), ci=True),
+    Mutant("connes-b-drops-a-term", "homology.py",
+           "for pair in ((j, i), (i, j)))", "for pair in ((j, i),))",
+           ("test_degree_one.py",)),
+    Mutant("unit-law-skips-the-last-index", "algebra.py",
+           "    for i in range(d):\n        if not (_int_product(prod, unit,",
+           "    for i in range(d - 1):\n        if not (_int_product(prod, unit,",
+           ("test_algebra.py", "test_triples.py"), ci=True),
 ]
 
 
