@@ -339,7 +339,10 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     reports = []
     skipped = []
-    if args.catalog == "__ALL__":
+    if args.catalog == "__ALL__" and args.path is None:  # else _load refuses
+        if args.theorem != "all":
+            raise _CliError("the whole catalog runs every check; --theorem "
+                            "needs a file path or --catalog NAME", EXIT_PARSE)
         for name in catalog_names():
             got, skip = _battery(catalog(name))
             reports.extend(got)

@@ -91,10 +91,10 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
                          weights: list) -> QuotientStructure:
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
-    Callers must have certified that the given columns are cycles; the
-    coordinates of one are its pivot entries in the canonical basis, read
-    without a membership pass.  Integer numerators serve as well as the
-    columns themselves, since only their span matters.
+    Callers must have certified that the given columns are cycles, so
+    `Subspace._coords` reads their coordinates with no membership pass.
+    Integer numerators serve as well as the columns themselves, since
+    only their span matters.
 
     `weights` gives the weight key of each chain coordinate.  Every cycle
     row and every boundary column read must be homogeneous, or the
@@ -112,7 +112,6 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
     goes to `add`; it raises the rank, and P is built again at the next
     stall.
     """
-    pos = cycles._pivot_pos
     size: dict = {}
     for row in cycles._int_rows:
         w = _weight(row, weights, "cycle row")
@@ -128,7 +127,7 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
         if block is None:
             continue
         rels, rejected, test = block
-        v = {pos[p]: x for p, x in col.items() if p in pos}
+        v = cycles._coords(col)
         if test is not None and test.kills(v):
             continue
         if rels.add(v):
@@ -264,10 +263,9 @@ def connes_segment_check(T: Triple) -> SegmentReport:
     q_1, hc_cycles, Q_hc = _hc_pieces(T, 1)
 
     # Induced map on degree-one homology classes, column per basis class.
-    i_mat = SparseMat.from_columns(
-        Q_hc.dim,
-        [Q_hc.project(hc_cycles.coords_of(q_1.project(cycles.rows[c])))
-         for c in Q_hh.nonpivots])
+    i_mat = SparseMat.from_columns(Q_hc.dim, (
+        Q_hc.project(hc_cycles.coords_of(q_1.project(cycles.row(c))))
+        for c in Q_hh.nonpivots))
 
     b_chain = connes_b_chain(T)
     b_mat = SparseMat.from_columns(

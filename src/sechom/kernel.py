@@ -150,8 +150,7 @@ def kernel_data(T: Triple) -> KernelData:
     for row in relations._int_rows:
         if not J.contains(row):
             raise InternalCheckError("relation space escaped the kernel")
-    rel_in_j = Subspace(J.dim, [J.coords_of(row, verify=False)
-                                for row in relations._int_rows])
+    rel_in_j = Subspace(J.dim, map(J._coords, relations._int_rows))
     quotient = QuotientStructure(J.dim, rel_in_j)
 
     return KernelData(

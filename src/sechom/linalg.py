@@ -27,7 +27,8 @@ entry is cleared by cross-multiplication from the stored rows that hold
 it.  No back-substitution runs at the end.  `nullspace` reads the
 kernel's canonical form off one such elimination, with no second one.
 Fractions are formed only for the vectors and rows that leave this module
-(`rows`, `reduce`, `coords_of`, `column`, `matvec`, ...).
+(`rows`, `reduce`, `coords_of`, `column`, `matvec`, ...); engine callers
+read pivot coordinates in integers (`Subspace._coords`).
 
 A product that must vanish (d after d, the kernel rows, the verifier's
 maps into kernels) is tested by `product_is_zero`, never formed.  On
@@ -309,18 +310,18 @@ class Subspace:
     def contains(self, v) -> bool:
         return not self._remainder(v)[0]
 
-    def coords_of(self, v, verify: bool = True) -> dict:
-        """Coordinates of v in the stored basis, sparse: {row number: x}.
-
-        The pivot entries of a vector in the subspace are its coordinates.
-        With verify on, a vector outside the subspace raises ValueError;
-        with it off the caller must know v lies in the subspace.
-        """
-        if verify and self._remainder(v)[0]:
+    def coords_of(self, v) -> dict:
+        """Coordinates of v in the stored basis, sparse: {row number: x};
+        ValueError when v is not in the subspace."""
+        v, den = _ints(v)
+        if self._remainder(v)[0]:
             raise ValueError("vector is not in the subspace")
+        return _as_fractions(self._coords(v), den)
+
+    def _coords(self, v: dict) -> dict:
+        """Pivot entries of an integer vector: its coordinates, unchecked."""
         pos = self._pivot_pos
-        items = v.items() if isinstance(v, dict) else enumerate(v)
-        return _as_sparse({pos[p]: x for p, x in items if p in pos})
+        return {pos[p]: x for p, x in v.items() if p in pos}
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -675,9 +676,9 @@ class QuotientStructure:
 
     The non-pivot coordinates of the canonical form of R serve as
     coordinates on the quotient: class j is that of the axis
-    `nonpivots[j]`.  `project` reduces a vector against R and reads those
-    coordinates; `section` embeds quotient coordinates back using the
-    non-pivot axes, so project(section(c)) == c.
+    `nonpivots[j]`.  `project` applies `project_matrix`, whose kernel is
+    R; `section` embeds quotient coordinates back using the non-pivot
+    axes, so project(section(c)) == c.
     """
 
     __slots__ = ("ambient_dim", "nonpivots", "_relations", "_proj", "_sect")
@@ -703,9 +704,7 @@ class QuotientStructure:
 
     def project(self, v) -> dict:
         """Quotient coordinates of the class of v."""
-        axes = self.nonpivots  # sorted; the remainder lives on these axes
-        return {bisect_left(axes, c): x
-                for c, x in self.relations.reduce(v).items()}
+        return self.project_matrix().matvec(v)
 
     def section(self, coords) -> dict:
         """The ambient vector on the non-pivot axes with these coordinates."""
@@ -742,8 +741,8 @@ class ClassMapQuotient(QuotientStructure):
     Then R is spanned by e_i - sign[i] e_axis[i] for every i off an axis
     and e_i for every i on a dead class, and these rows are R's canonical
     form with pivots at those i, so the axes are exactly the non-pivots.
-    `project_matrix` (one +-1 per live column, and `project` through it)
-    and `induced_on_quotients` read the map itself; R is formed only when
+    `project_matrix` (one +-1 per live column, and so `project`) and
+    `induced_on_quotients` read the map itself; R is formed only when
     `relations` is read.
     """
 
@@ -772,9 +771,6 @@ class ClassMapQuotient(QuotientStructure):
             self._relations = Subspace._of_int_rows(self.ambient_dim,
                                                     pivots, rows)
         return self._relations
-
-    def project(self, v) -> dict:
-        return self.project_matrix().matvec(v)
 
     def project_matrix(self) -> SparseMat:
         if self._proj is None:

@@ -8,24 +8,29 @@ on its own, with a cold memo.
 """
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from sechom import chains
 from sechom.algebra import (AlgebraReport, AlgMorphism, FinAlgebra, multiply,
                             tensor_algebra)
-from sechom.differentials import ambient_symbol, omega, symbol_index
+from sechom.differentials import (_balancing, _product_rule, ambient_symbol,
+                                  omega, symbol_index)
 from sechom.homology import _induced_boundary
-from sechom.kernel import embed_tensor, tensor_index
+from sechom.kernel import embed_tensor, kernel_data, tensor_index
 from sechom.linalg import (ONE, AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, _ints,
-                           _kills, basis_vector, nullspace, projection_matrix,
+                           _kills, basis_vector, colspace, nullspace,
+                           product_is_zero, projection_matrix, solve,
                            to_dense)
 from sechom.oracles import _check_cap, dense_rank
 from sechom.triples import (AlgebraInvalidError, BaseNotCommutativeError,
                             EpsImageNotCentralError,
                             EpsNotMultiplicativeError, EpsNotUnitalError,
-                            Triple, catalog, make_triple)
+                            Triple, _tables, catalog, make_triple)
+from sechom.verify import _wvec, forward_matrix
 
 _MEMO: dict = {}
 
@@ -622,3 +627,69 @@ def reference_transfer_matrices(T) -> tuple:
                 cols[src] = {symbol_index(T, i0, j, i1): ONE}
     phi = SparseMat(da * db * da, cs1.dim, cols)
     return phi, phi.transpose()
+
+
+def reference_prop_omega_J(T, b) -> tuple:
+    """`verify._prop_omega_J` as it was before it pulled back along the
+    transfer permutation: each kernel relation and each kernel class is
+    pulled back under the forward map by `solve`, one elimination apiece,
+    and projected onto the symbol module by reduction against its
+    relations.  Records its checks on the builder b and returns (f_bar,
+    g_bar), as the engine's body does."""
+    P, K = omega(T), kernel_data(T)
+    F = forward_matrix(T)
+
+    b.check("forward images lie in the kernel", product_is_zero(K.m_matrix, F))
+    b.check("forward images span the kernel", colspace(F) == K.J)
+
+    tb = _tables(T)
+    da, db = T.A.dim, T.B.dim
+    b.check_all("product-rule images land in the squared kernel",
+                ({"b_pair": (p, q), "a_pair": (k, l)}
+                 for p, q, k, l in product(range(db), range(db),
+                                           range(da), range(da))
+                 if not K.j_squared.contains(F._times(
+                     _product_rule(tb, da, db, tb.aunit, p, q, k, l)))))
+    b.check_all("balancing images land in the balancing span",
+                ({"b_index": p} for p in range(db)
+                 if not K.j_hat.contains(F._times(
+                     _balancing(tb, da, db, tb.aunit, p)))))
+    b.check_all("symbol relations map into kernel relations",
+                ({"relation": i, "vector": _wvec(P.relations.row(i))}
+                 for i, row in enumerate(P.relations._int_rows)
+                 if not K.relations.contains(F._times(row))))
+
+    pulled = (solve(F, row) for row in K.relations.rows)
+    b.check_all("kernel relations pull back to symbol relations",
+                ({"kernel_relation": i,
+                  "preimage": "none" if w is None else
+                  [str(x) for x in to_dense(w, F.ncols)]}
+                 for i, w in enumerate(pulled)
+                 if w is None or not P.relations.contains(w)))
+
+    pos = K.J._pivot_pos  # pivot entries, read unchecked
+    C = SparseMat.from_columns(
+        K.J.dim, [{pos[p]: x for p, x in F.column(c).items() if p in pos}
+                  for c in range(F.ncols)])
+    f_bar = K.quotient.project_matrix() @ C @ P.quotient.section_matrix()
+
+    def project(w):  # reduce against the relations, read the remainder
+        axes = P.quotient.nonpivots
+        return {bisect_left(axes, c): x
+                for c, x in P.quotient.relations.reduce(w).items()}
+
+    g_bar = None
+    pulled = [solve(F, K.J.rows[c]) for c in K.quotient.nonpivots]
+    if b.check_all("kernel classes pull back",
+                   ({"class": j} for j, w in enumerate(pulled) if w is None)):
+        g_bar = SparseMat.from_columns(P.quotient.dim, map(project, pulled))
+        b.check("round trip on the kernel quotient is the identity",
+                f_bar @ g_bar == SparseMat.identity(K.quotient.dim))
+        b.check("round trip on the symbol module is the identity",
+                g_bar @ f_bar == SparseMat.identity(P.quotient.dim))
+    b.check("dimensions agree", P.quotient.dim == K.quotient.dim)
+    b.dims(omega=P.quotient.dim, kernel=K.J.dim, j_squared=K.j_squared.dim,
+           j_hat=K.j_hat.dim, kernel_relations_span=K.span_relations.dim,
+           kernel_relations=K.relations.dim, readings_agree=K.readings_agree,
+           kernel_quotient=K.quotient.dim)
+    return f_bar, g_bar

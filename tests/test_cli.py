@@ -52,6 +52,16 @@ def test_both_sources_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(p), "--catalog", "dual_k")
     assert code == 2
     assert "not both" in err
+    # A bare --catalog (the whole catalog) must not drop the file either.
+    code, out, err = run(capsys, "verify", str(p), "--catalog")
+    assert code == 2 and out == ""
+    assert "not both" in err
+
+
+def test_whole_catalog_with_one_theorem_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--catalog", "--theorem", "main")
+    assert code == 2 and out == ""
+    assert "--theorem" in err
 
 
 def test_unknown_catalog_name(capsys):

@@ -3,10 +3,12 @@
 `omega`, `kernel_data`, `forward_matrix`, `multiplication_matrix` and
 `connes_b_chain` are built from the triple's integer tables
 (`triples._tables`), and `transfer_matrices` from integer ones; each must
-equal its Fraction-built reference in `_shared` in canonical form.  The
-Prop3 and Prop4 bodies run once per triple and are replayed into every
-report that needs them, and the B = Q reduction runs on its input triple
-when that triple's B is Q itself.
+equal its Fraction-built reference in `_shared` in canonical form, and
+Prop4's pullback along the transfer permutation must give what the
+`solve`-based body it replaced gave.  The Prop3 and Prop4 bodies run
+once per triple and are replayed into every report that needs them, and
+the B = Q reduction runs on its input triple when that triple's B is Q
+itself.
 """
 
 import hashlib
@@ -14,8 +16,9 @@ import hashlib
 from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
                      reference_connes_b_chain, reference_forward_matrix,
                      reference_kernel_data, reference_multiplication_matrix,
-                     reference_omega_relations, reference_transfer_matrices,
-                     rescaled_triple, shared_triple)
+                     reference_omega_relations, reference_prop_omega_J,
+                     reference_transfer_matrices, rescaled_triple,
+                     shared_triple)
 from sechom import cli, triples, verify
 from sechom.differentials import omega
 from sechom.homology import connes_b_chain
@@ -73,6 +76,22 @@ def test_chain_maps_equal_the_fraction_references():
         assert transfer_matrices(T) == reference_transfer_matrices(T), T.name
         dens.add(got.den)
     assert dens - {1}, "no gated map has a denominator other than 1"
+
+
+def test_prop4_pullback_equals_the_solve_reference():
+    # The transfer permutation pulls the kernel back where `solve` did: on
+    # every commutative catalog triple and each rescaled and rebased twin,
+    # f_bar, g_bar, every check with its verdict and witness, and the dims
+    # equal those of the solve-based body.
+    for T in ([shared_triple(name) for name in COMMUTATIVE_NAMES]
+              + [rescaled_triple(name) for name in COMMUTATIVE_NAMES]
+              + [rebased_triple(name) for name in COMMUTATIVE_NAMES]):
+        got, ref = _Builder(T.name, "Prop4"), _Builder(T.name, "Prop4")
+        f_bar, g_bar = _prop_omega_J(T, got)
+        assert g_bar is not None, T.name
+        assert (f_bar, g_bar) == reference_prop_omega_J(T, ref), T.name
+        assert got.log == ref.log, T.name
+        assert got.report.dims == ref.report.dims, T.name
 
 
 # -- frozen outputs on spec files ------------------------------------------

@@ -223,3 +223,17 @@ def test_doctored_multiplication_table_fails(monkeypatch):
     b = _Builder(T.name, "doctored")
     _prop_omega_J(T2, b)
     assert not b.report.passed
+    # The doctored F no longer inverts the transfer permutation on J, so
+    # the kernel relations fail to pull back while the classes still do.
+    assert b.report.checks == [
+        ("forward images lie in the kernel", False),
+        ("forward images span the kernel", False),
+        ("product-rule images land in the squared kernel", False),
+        ("balancing images land in the balancing span", True),
+        ("symbol relations map into kernel relations", False),
+        ("kernel relations pull back to symbol relations", False),
+        ("kernel classes pull back", True),
+        ("round trip on the kernel quotient is the identity", True),
+        ("round trip on the symbol module is the identity", True),
+        ("dimensions agree", True),
+    ]

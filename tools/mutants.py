@@ -87,6 +87,13 @@ MUTANTS = [
            "    for i in range(d):\n        if not (_int_product(prod, unit,",
            "    for i in range(d - 1):\n        if not (_int_product(prod, unit,",
            ("test_algebra.py", "test_triples.py"), ci=True),
+    Mutant("prop4-pullback-skips-the-back-check", "verify.py",
+           "if FP._times(row) != {r: FP.den * x for r, x in row.items()}\n"
+           "                 or not P.relations",
+           "if not P.relations", ("test_verify.py",), ci=True),
+    Mutant("dense-rank-skips-the-last-row", "oracles.py",
+           "range(r + 1, len(rows))", "range(r + 1, len(rows) - 1)",
+           ("test_oracles.py",), ci=True),
 ]
 
 
@@ -142,7 +149,7 @@ def run(mutants: list) -> int:
             shutil.rmtree(work)
             survivors += code == 0
             verdict = "killed  " if code else "SURVIVED"
-            print(f"{verdict} {m.name:32s} {m.file:14s} "
+            print(f"{verdict} {m.name:36s} {m.file:14s} "
                   f"exit {code}  {time.perf_counter() - start:5.1f} s")
         print(f"{len(mutants) - survivors} of {len(mutants)} killed")
         return 1 if survivors else 0
