@@ -17,9 +17,8 @@ from .algebra import (AlgMorphism, FinAlgebra, field_algebra, is_central,
                       validate_algebra)
 from .chains import (ChainSpace, boundary, chain_dim, chain_space,
                      cyclic_quotient, pair_list)
-from .differentials import (OmegaPresentation, ambient_symbol,
-                            coefficient_action, d_one_A_subspace, d_symbol,
-                            omega, symbol_index)
+from .differentials import (ambient_symbol, coefficient_action,
+                            d_one_A_subspace, d_symbol, omega, symbol_index)
 from .homology import (DEFAULT_MAX_DEGREE, DegreeCapError, HomologyResult,
                        SegmentReport, connes_b_chain, connes_segment_check,
                        hc, hh)

@@ -273,17 +273,17 @@ def _cmd_compute(args) -> int:
         payload["results"] = {
             "ambient": P.ambient_dim,
             "relations": P.relations.dim,
-            "dimension": P.quotient.dim,
+            "dimension": P.dim,
             "d_one_A": d_one_A_subspace(T).dim,
         }
         if args.representatives:
             # Symbol class i is that of the ambient axis nonpivots[i].
-            for i, c in enumerate(P.quotient.nonpivots):
+            for i, c in enumerate(P.nonpivots):
                 reps_out.append({"label": f"symbol class {i}",
                                  "vector": [str(x) for x in
                                             basis_vector(P.ambient_dim, c)]})
         if ref is not None:
-            payload["reference"] = {"agrees": ref == P.quotient.dim,
+            payload["reference"] = {"agrees": ref == P.dim,
                                     "classical": {"dimension": ref}}
     elif args.flavor == "kernel":
         ref = _reference(args, classical_I_mod_I2_dim, T)

@@ -18,23 +18,10 @@ formed in integers from the triple's tables (`triples._tables`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import _vec
 from .linalg import (QuotientStructure, SparseMat, Subspace, _outer, _summed,
                      to_dense)
 from .triples import Triple, _tables, per_triple
-
-
-@dataclass(eq=False)
-class OmegaPresentation:
-    ambient_dim: int
-    relations: Subspace
-    quotient: QuotientStructure
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
 
 
 def symbol_index(T: Triple, m: int, j: int, k: int) -> int:
@@ -81,10 +68,11 @@ def _balancing(tb, da: int, db: int, coeff, p: int) -> dict:
 
 
 @per_triple
-def omega(T: Triple) -> OmegaPresentation:
-    """Build the presented module; A must be commutative.  A and B
-    commute, so the product-rule instance for (f_p, e_q), (f_r, e_s) is
-    the one for (f_r, e_s), (f_p, e_q), and each pair is taken once."""
+def omega(T: Triple) -> QuotientStructure:
+    """The presented module, the symbols modulo the relations; A must be
+    commutative.  A and B commute, so the product-rule instance for
+    (f_p, e_q), (f_r, e_s) is the one for (f_r, e_s), (f_p, e_q), and each
+    pair is taken once."""
     T.require_commutative("the module of differential symbols")
     tb = _tables(T)
     da, db = T.A.dim, T.B.dim
@@ -97,20 +85,18 @@ def omega(T: Triple) -> OmegaPresentation:
                 relations.add(_product_rule(tb, da, db, e_m, p, r, q, s))
         for p in range(db):
             relations.add(_balancing(tb, da, db, e_m, p))
-    return OmegaPresentation(relations.ambient_dim, relations,
-                             QuotientStructure(relations.ambient_dim,
-                                               relations))
+    return QuotientStructure(relations.ambient_dim, relations)
 
 
 def d_symbol(T: Triple, alpha, a) -> dict:
     """Quotient coordinates of the class of d(alpha (x) a), sparse."""
-    return omega(T).quotient.project(ambient_symbol(T, T.A.unit, alpha, a))
+    return omega(T).project(ambient_symbol(T, T.A.unit, alpha, a))
 
 
 def d_one_A_subspace(T: Triple) -> Subspace:
     """Span of the classes d(1 (x) a) inside the quotient coordinates."""
     tb = _tables(T)
-    Q = omega(T).quotient
+    Q = omega(T)
     return Subspace(Q.dim, (
         Q.project(dict(_outer(T.B.dim, T.A.dim, tb.aunit, tb.bunit,
                               ((k, 1),))))

@@ -39,8 +39,7 @@ class KernelData:
     j_hat_closed: Subspace  # closed under the coefficient action
     span_relations: Subspace  # j_squared + j_hat, ambient coordinates
     relations: Subspace  # j_squared + j_hat_closed; the quotient denominator
-    relations_in_J: Subspace
-    quotient: QuotientStructure  # of J coordinates by relations_in_J
+    quotient: QuotientStructure  # of J coordinates by the relations
     readings_agree: bool  # span_relations == relations
 
     @property
@@ -150,14 +149,13 @@ def kernel_data(T: Triple) -> KernelData:
     for row in relations._int_rows:
         if not J.contains(row):
             raise InternalCheckError("relation space escaped the kernel")
-    rel_in_j = Subspace(J.dim, map(J._coords, relations._int_rows))
-    quotient = QuotientStructure(J.dim, rel_in_j)
 
     return KernelData(
         m_matrix=mm, J=J, j_squared=j_squared,
         j_hat=j_hat, j_hat_closed=j_hat_closed,
         span_relations=span_relations, relations=relations,
-        relations_in_J=rel_in_j, quotient=quotient,
+        quotient=QuotientStructure(J.dim, Subspace(
+            J.dim, map(J._coords, relations._int_rows))),
         readings_agree=(span_relations == relations))
 
 

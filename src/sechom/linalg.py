@@ -681,7 +681,8 @@ class QuotientStructure:
     axes, so project(section(c)) == c.
     """
 
-    __slots__ = ("ambient_dim", "nonpivots", "_relations", "_proj", "_sect")
+    __slots__ = ("ambient_dim", "nonpivots", "_relations", "_proj", "_sect",
+                 "__weakref__")
 
     def __init__(self, ambient_dim: int, relations: Subspace):
         if relations.ambient_dim != ambient_dim:

@@ -158,32 +158,33 @@ def _prop_hh1_omega(T: Triple, b: _Builder):
     quotient coordinates on both sides.
     """
     P = omega(T)
+    rels = P.relations
     Q_hh, p_hh, s_hh = _hh1_interface(T)
     phi, psi = transfer_matrices(T)
     moved = phi @ boundary(T, 2)
     b.check_all("boundaries map into relations",
                 ({"column": c, "vector": _wvec(moved.column(c))}
                  for c in sorted(moved.num)
-                 if not P.relations.contains(moved.num[c])))
+                 if not rels.contains(moved.num[c])))
 
     b.check("symbol images are cycles", product_is_zero(boundary(T, 1), psi))
 
     # Cycle coordinates are chain coordinates here (_hh1_interface), so
     # the homology relations are the span of the degree-two boundary.
     b.check_all("relations map into boundaries",
-                ({"relation": i, "vector": _wvec(P.relations.row(i))}
-                 for i, row in enumerate(P.relations._int_rows)
+                ({"relation": i, "vector": _wvec(rels.row(i))}
+                 for i, row in enumerate(rels._int_rows)
                  if not Q_hh.relations.contains(psi._times(row))))
 
-    phi_bar = P.quotient.project_matrix() @ phi @ s_hh
-    psi_bar = p_hh @ psi @ P.quotient.section_matrix()
+    phi_bar = P.project_matrix() @ phi @ s_hh
+    psi_bar = p_hh @ psi @ P.section_matrix()
     b.check("round trip on the symbol module is the identity",
-            phi_bar @ psi_bar == SparseMat.identity(P.quotient.dim))
+            phi_bar @ psi_bar == SparseMat.identity(P.dim))
     b.check("round trip on homology is the identity",
             psi_bar @ phi_bar == SparseMat.identity(Q_hh.dim))
-    b.check("dimensions agree", Q_hh.dim == P.quotient.dim)
-    b.dims(chain=chain_dim(T, 1), symbol_relations=P.relations.dim,
-           omega=P.quotient.dim, hh1=Q_hh.dim)
+    b.check("dimensions agree", Q_hh.dim == P.dim)
+    b.dims(chain=chain_dim(T, 1), symbol_relations=rels.dim,
+           omega=P.dim, hh1=Q_hh.dim)
     return Q_hh, phi_bar, psi_bar
 
 
@@ -209,15 +210,15 @@ def verify_cor_hc1(T: Triple) -> TheoremReport:
         {"relation": i, "vector": _wvec(full_map.matvec(rels.row(i)))}
         for i, row in enumerate(rels._int_rows) if full_map._times(row)))
 
-    eta = full_map @ P.quotient.section_matrix()
+    eta = full_map @ P.section_matrix()
     d1a = d_one_A_subspace(T)
     b.check("induced map is onto", rank(eta) == Q_hc.dim)
     ker = nullspace(eta)
     b.check("kernel is exactly d(1 (x) A)", ker == d1a,
             {"kernel_dim": ker.dim, "d1A_dim": d1a.dim})
     b.check("dimension bookkeeping",
-            Q_hc.dim == P.quotient.dim - d1a.dim)
-    b.dims(omega=P.quotient.dim, d1A=d1a.dim, hc1=Q_hc.dim)
+            Q_hc.dim == P.dim - d1a.dim)
+    b.dims(omega=P.dim, d1A=d1a.dim, hc1=Q_hc.dim)
     return b.report
 
 
@@ -265,7 +266,7 @@ def _prop_omega_J(T: Triple, b: _Builder):
     cols = {c: K.J._coords(col) for c, col in F.num.items()}
     C = SparseMat.from_ints(K.J.dim, F.ncols,
                             {c: v for c, v in cols.items() if v}, F.den)
-    f_bar = K.quotient.project_matrix() @ C @ P.quotient.section_matrix()
+    f_bar = K.quotient.project_matrix() @ C @ P.section_matrix()
 
     # Kernel class j is that of the J basis row at non-pivot axis j.
     g_bar = None
@@ -274,13 +275,13 @@ def _prop_omega_J(T: Triple, b: _Builder):
     if b.check_all("kernel classes pull back",
                    ({"class": j} for j in range(reps.ncols)
                     if back.column(j) != reps.column(j))):
-        g_bar = P.quotient.project_matrix() @ phi @ reps
+        g_bar = P.project_matrix() @ phi @ reps
         b.check("round trip on the kernel quotient is the identity",
                 f_bar @ g_bar == SparseMat.identity(K.quotient.dim))
         b.check("round trip on the symbol module is the identity",
-                g_bar @ f_bar == SparseMat.identity(P.quotient.dim))
-    b.check("dimensions agree", P.quotient.dim == K.quotient.dim)
-    b.dims(omega=P.quotient.dim, kernel=K.J.dim, j_squared=K.j_squared.dim,
+                g_bar @ f_bar == SparseMat.identity(P.dim))
+    b.check("dimensions agree", P.dim == K.quotient.dim)
+    b.dims(omega=P.dim, kernel=K.J.dim, j_squared=K.j_squared.dim,
            j_hat=K.j_hat.dim, kernel_relations_span=K.span_relations.dim,
            kernel_relations=K.relations.dim, readings_agree=K.readings_agree,
            kernel_quotient=K.quotient.dim)
@@ -313,7 +314,7 @@ def verify_main(T: Triple) -> TheoremReport:
         b.check("composite round trip on homology is the identity",
                 inv @ comp == SparseMat.identity(Q_hh.dim))
     b.check("all three dimensions agree",
-            Q_hh.dim == P.quotient.dim == K.quotient.dim)
+            Q_hh.dim == P.dim == K.quotient.dim)
     return b.report
 
 
@@ -348,10 +349,10 @@ def verify_reduction_Bk(source, n_max: int = 3) -> TheoremReport:
     if T.commutative:
         P, K = omega(T), kernel_data(T)
         b.agree("symbol module matches classical differentials",
-                P.quotient.dim, classical_kahler_dim(A))
+                P.dim, classical_kahler_dim(A))
         b.agree("kernel quotient matches classical I over I squared",
                 K.quotient.dim, classical_I_mod_I2_dim(A))
         b.check("balancing span is zero over the ground field",
                 K.j_hat.dim == 0)
-        b.dims(omega=P.quotient.dim, kernel_quotient=K.quotient.dim)
+        b.dims(omega=P.dim, kernel_quotient=K.quotient.dim)
     return b.report

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from sechom import chains
 from sechom.algebra import (AlgebraReport, AlgMorphism, FinAlgebra, multiply,
-                            tensor_algebra)
+                            split_product_algebra, tensor_algebra,
+                            truncated_polynomial_algebra)
 from sechom.differentials import (_balancing, _product_rule, ambient_symbol,
                                   omega, symbol_index)
 from sechom.homology import _induced_boundary
@@ -130,6 +131,31 @@ def rebased_triple(name: str):
                          for k in range(T.A.dim)]) for j in r]
     return make_triple(_mixed_algebra(T.A), _mixed_algebra(T.B), eps,
                        name=f"{name}_rebased")
+
+
+# Triples outside the catalog whose B is not the ground field.
+
+def trunc3_over_dual_x2() -> Triple:
+    """Q[x]/x^3 over Q[y]/y^2, with y sent to x^2."""
+    A = truncated_polynomial_algebra(3, "Q[x]/x^3")
+    B = truncated_polynomial_algebra(2, "Q[y]/y^2")
+    return make_triple(A, B, [A.unit, [0, 0, 1]], name="trunc3_over_dual_x2")
+
+
+def prod_over_prod_id() -> Triple:
+    """Q x Q over itself, with eps the identity."""
+    A, B = split_product_algebra(2, "QxQ"), split_product_algebra(2, "QxQ")
+    return make_triple(A, B, [[1, 0], [0, 1]], name="prod_over_prod_id")
+
+
+def sqzero_dual_x() -> Triple:
+    """A = Q[x, y]/(x, y)^2 on the basis 1, x, y, over B = Q[t]/t^2, with
+    t sent to x."""
+    A = FinAlgebra.from_structure_constants(
+        3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1,
+            (2, 0, 2): 1}, [1, 0, 0], "Q[x,y]/(x,y)^2")
+    B = truncated_polynomial_algebra(2, "Q[t]/t^2")
+    return make_triple(A, B, [A.unit, [0, 1, 0]], name="sqzero_dual_x")
 
 
 def dense_matrix(M) -> list:
@@ -671,24 +697,24 @@ def reference_prop_omega_J(T, b) -> tuple:
     C = SparseMat.from_columns(
         K.J.dim, [{pos[p]: x for p, x in F.column(c).items() if p in pos}
                   for c in range(F.ncols)])
-    f_bar = K.quotient.project_matrix() @ C @ P.quotient.section_matrix()
+    f_bar = K.quotient.project_matrix() @ C @ P.section_matrix()
 
     def project(w):  # reduce against the relations, read the remainder
-        axes = P.quotient.nonpivots
+        axes = P.nonpivots
         return {bisect_left(axes, c): x
-                for c, x in P.quotient.relations.reduce(w).items()}
+                for c, x in P.relations.reduce(w).items()}
 
     g_bar = None
     pulled = [solve(F, K.J.rows[c]) for c in K.quotient.nonpivots]
     if b.check_all("kernel classes pull back",
                    ({"class": j} for j, w in enumerate(pulled) if w is None)):
-        g_bar = SparseMat.from_columns(P.quotient.dim, map(project, pulled))
+        g_bar = SparseMat.from_columns(P.dim, map(project, pulled))
         b.check("round trip on the kernel quotient is the identity",
                 f_bar @ g_bar == SparseMat.identity(K.quotient.dim))
         b.check("round trip on the symbol module is the identity",
-                g_bar @ f_bar == SparseMat.identity(P.quotient.dim))
-    b.check("dimensions agree", P.quotient.dim == K.quotient.dim)
-    b.dims(omega=P.quotient.dim, kernel=K.J.dim, j_squared=K.j_squared.dim,
+                g_bar @ f_bar == SparseMat.identity(P.dim))
+    b.check("dimensions agree", P.dim == K.quotient.dim)
+    b.dims(omega=P.dim, kernel=K.J.dim, j_squared=K.j_squared.dim,
            j_hat=K.j_hat.dim, kernel_relations_span=K.span_relations.dim,
            kernel_relations=K.relations.dim, readings_agree=K.readings_agree,
            kernel_quotient=K.quotient.dim)

@@ -48,8 +48,9 @@ def test_integer_builds_equal_the_fraction_references():
         assert forward_matrix(T) == reference_forward_matrix(T), T.name
         assert multiplication_matrix(T) == \
             reference_multiplication_matrix(T), T.name
-        K = kernel_data(T)
-        for field, ref in reference_kernel_data(T).items():
+        K, refs = kernel_data(T), reference_kernel_data(T)
+        assert K.quotient.relations == refs.pop("relations_in_J"), T.name
+        for field, ref in refs.items():
             assert getattr(K, field) == ref, (T.name, field)
 
 

@@ -127,4 +127,4 @@ def test_coefficient_action_composes_like_the_algebra():
     twice = act @ act
     for c in range(P.ambient_dim):
         col = twice.column(c)
-        assert not P.quotient.project(col)
+        assert not P.project(col)
