@@ -3,8 +3,8 @@
 Run:  python3 demos/demo_homology.py
 """
 
-from sechom import (boundary, catalog, chain_dim, connes_segment_check, hc,
-                    hh)
+from sechom import (boundary, catalog, chain_dim, hc, hh,
+                    verify_connes_segment)
 
 
 def main():
@@ -32,9 +32,7 @@ def main():
     rep = "(" + ", ".join(str(x) for x in res.representatives[0]) + ")"
     print(f"\n{res}; representative chain vector: {rep}")
 
-    seg = connes_segment_check(catalog("dual_k"))
-    print(f"\nconnecting segment on dual_k: surjective={seg.surjective}, "
-          f"kernel matches image={seg.kernel_matches_image}")
+    print(f"\nconnecting segment: {verify_connes_segment(catalog('dual_k'))}")
     print("(degrees above 3 need an explicit max_degree: chain spaces "
           "grow steeply)")
 

@@ -20,7 +20,6 @@ from .chains import (ChainSpace, boundary, chain_dim, chain_space,
 from .differentials import (ambient_symbol, coefficient_action,
                             d_one_A_subspace, d_symbol, omega, symbol_index)
 from .homology import (DEFAULT_MAX_DEGREE, DegreeCapError, HomologyResult,
-                       SegmentReport, connes_b_chain, connes_segment_check,
                        hc, hh)
 from .kernel import (KernelData, embed_tensor, j_generator, kernel_data,
                      multiplication_matrix, symmetry_check, tensor_index)
@@ -31,8 +30,9 @@ from .specfile import (ParsedTriple, SpecParseError, export_triple,
                        parse_triple_file, parse_triple_source, triple_hash)
 from .triples import (CommutativeTripleRequiredError, Triple,
                       TripleAxiomError, catalog, catalog_names, make_triple)
-from .verify import (TheoremReport, forward_matrix, transfer_matrices,
-                     verify_cor_hc1, verify_main, verify_prop_hh1_omega,
-                     verify_prop_omega_J, verify_reduction_Bk)
+from .verify import (TheoremReport, connes_b_chain, forward_matrix,
+                     transfer_matrices, verify_connes_segment, verify_cor_hc1,
+                     verify_main, verify_prop_hh1_omega, verify_prop_omega_J,
+                     verify_reduction_Bk)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

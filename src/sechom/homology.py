@@ -19,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import log10
 
-from .chains import (boundary, chain_dim, chain_space, chain_weights,
-                     cyclic_quotient)
+from .chains import boundary, chain_dim, chain_weights, cyclic_quotient
 from .linalg import (InternalCheckError, KernelTest, QuotientStructure,
-                     SparseMat, Subspace, _summed, colspace,
-                     induced_on_quotients, nullspace, product_is_zero,
-                     projection_matrix, rank, to_dense)
-from .triples import Triple, _tables, per_triple
+                     SparseMat, Subspace, induced_on_quotients, nullspace,
+                     product_is_zero, projection_matrix, to_dense)
+from .triples import Triple, per_triple
 
 DEFAULT_MAX_DEGREE = 3
 _MAX_DIGITS = 100  # longer chain dimensions are printed as powers
@@ -112,12 +110,11 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
     goes to `add`; it raises the rank, and P is built again at the next
     stall.
     """
-    size: dict = {}
-    for row in cycles._int_rows:
-        w = _weight(row, weights, "cycle row")
-        size[w] = size.get(w, 0) + 1
+    members: dict = {}  # weight -> numbers of the cycle rows of that weight
+    for j, row in enumerate(cycles._int_rows):
+        members.setdefault(_weight(row, weights, "cycle row"), []).append(j)
     # weight -> [its span, columns it rejected in a row, KernelTest of P]
-    open_blocks = {w: [Subspace(cycles.dim), 0, None] for w in size}
+    open_blocks = {w: [Subspace(cycles.dim), 0, None] for w in members}
     full = []
     for col in next_boundary_cols:
         if not open_blocks:
@@ -131,15 +128,14 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
         if test is not None and test.kills(v):
             continue
         if rels.add(v):
-            if rels.dim == size[w]:
+            if rels.dim == len(members[w]):
                 full.append(open_blocks.pop(w)[0])
             block[1:] = 0, None
         elif rejected + 1 < _STALL:
             block[1] = rejected + 1
         else:
             block[1:] = 0, KernelTest(projection_matrix(rels, [
-                j for j, p in enumerate(cycles.pivots)
-                if weights[p] == w and j not in rels._pivot_pos]))
+                j for j in members[w] if j not in rels._pivot_pos]))
     rows = sorted((p, row) for rels in full
                   + [block[0] for block in open_blocks.values()]
                   for p, row in zip(rels.pivots, rels._int_rows))
@@ -212,68 +208,3 @@ def hc(T: Triple, n: int, max_degree=None) -> HomologyResult:
             for c in Q.nonpivots]
     return HomologyResult(T.name, "hc", n, Q.dim, reps)
 
-
-# -- the degree-one connecting maps ---------------------------------------
-
-def connes_b_chain(T: Triple) -> SparseMat:
-    """The map sending a in A to (1 (x) a) + (a (x) 1) in degree one, with
-    the connecting b-slot carrying the unit of B.
-
-    Its image consists of cycles for any triple, because the boundary of
-    either term is the commutator of a with the unit.  Built in integers
-    from the triple's tables, over lden^2.
-    """
-    tb = _tables(T)
-    cs1 = chain_space(T, 1)
-    cols = {i: _summed((cs1.linearize(pair, {(0, 1): k}), x * y)
-                       for j, x in tb.aunit for k, y in tb.bunit
-                       for pair in ((j, i), (i, j)))
-            for i in range(T.A.dim)}
-    return SparseMat.from_ints(cs1.dim, T.A.dim,
-                               {i: col for i, col in cols.items() if col},
-                               tb.lden ** 2)
-
-
-@dataclass
-class SegmentReport:
-    """Exactness of the degree-one connecting segment.
-
-    The chain-level map from A lands in cycles; passing means the induced
-    map to cyclic homology in degree one is onto and its kernel is exactly
-    the image of A in plain degree-one homology.  That the boundary
-    descends to coinvariants, so that the map to cyclic homology is well
-    defined, is certified when the induced boundary is built
-    (`induced_on_quotients`); a failure there is a hard error.
-    """
-    triple_name: str
-    hh1_dim: int
-    hc1_dim: int
-    image_rank: int
-    surjective: bool
-    kernel_matches_image: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.surjective and self.kernel_matches_image
-
-
-def connes_segment_check(T: Triple) -> SegmentReport:
-    """Verify exactness of A -> H_1 -> cyclic H_1 -> 0 at the matrix level."""
-    cycles, Q_hh = _hh_pieces(T, 1)
-    q_1, hc_cycles, Q_hc = _hc_pieces(T, 1)
-
-    # Induced map on degree-one homology classes, column per basis class.
-    i_mat = SparseMat.from_columns(Q_hc.dim, (
-        Q_hc.project(hc_cycles.coords_of(q_1.project(cycles.row(c))))
-        for c in Q_hh.nonpivots))
-
-    b_chain = connes_b_chain(T)
-    b_mat = SparseMat.from_columns(
-        Q_hh.dim, [Q_hh.project(cycles.coords_of(b_chain.column(c)))
-                   for c in range(T.A.dim)])
-
-    image_rank = rank(i_mat)
-    surjective = image_rank == Q_hc.dim
-    kernel_matches = nullspace(i_mat) == colspace(b_mat)
-    return SegmentReport(T.name, Q_hh.dim, Q_hc.dim, image_rank,
-                         surjective, kernel_matches)

@@ -9,8 +9,9 @@ Report identifiers follow the fixed schema: Prop3 (degree-one homology
 versus the differential-symbol module), Cor3 (degree-one cyclic homology
 versus that module modulo d(1 (x) A)), Prop4 (the module versus the
 multiplication-kernel quotient), Thm_main (the composed chain of the two
-isomorphisms), and Reduction_Bk (collapse to the classical complexes
-when B is the ground field).
+isomorphisms), Reduction_Bk (collapse to the classical complexes when B
+is the ground field), and Segment (exactness of the connecting segment
+A -> degree-one homology -> degree-one cyclic homology -> 0).
 """
 
 from __future__ import annotations
@@ -109,6 +110,25 @@ def transfer_matrices(T: Triple):
         cs1.linearize((i0, i1), {(0, 1): j}): {symbol_index(T, i0, j, i1): 1}
         for i0 in range(da) for i1 in range(da) for j in range(db)})
     return phi, phi.transpose()
+
+
+def connes_b_chain(T: Triple) -> SparseMat:
+    """The map sending a in A to (1 (x) a) + (a (x) 1) in degree one, with
+    the connecting b-slot carrying the unit of B.
+
+    Its image consists of cycles for any triple, because the boundary of
+    either term is the commutator of a with the unit.  Built in integers
+    from the triple's tables, over lden^2.
+    """
+    tb = _tables(T)
+    cs1 = chain_space(T, 1)
+    cols = {i: _summed((cs1.linearize(pair, {(0, 1): k}), x * y)
+                       for j, x in tb.aunit for k, y in tb.bunit
+                       for pair in ((j, i), (i, j)))
+            for i in range(T.A.dim)}
+    return SparseMat.from_ints(cs1.dim, T.A.dim,
+                               {i: col for i, col in cols.items() if col},
+                               tb.lden ** 2)
 
 
 def forward_matrix(T: Triple) -> SparseMat:
@@ -219,6 +239,38 @@ def verify_cor_hc1(T: Triple) -> TheoremReport:
     b.check("dimension bookkeeping",
             Q_hc.dim == P.dim - d1a.dim)
     b.dims(omega=P.dim, d1A=d1a.dim, hc1=Q_hc.dim)
+    return b.report
+
+
+def verify_connes_segment(T: Triple) -> TheoremReport:
+    """Exactness of A -> degree-one homology -> degree-one cyclic homology
+    -> 0 at the matrix level, on any triple.
+
+    The chain-level map from A lands in cycles (connes_b_chain).  That the
+    boundary descends to coinvariants, so that the map to cyclic homology
+    is well defined, is certified when the induced boundary is built
+    (`induced_on_quotients`); a failure there is a hard error.
+    """
+    b = _Builder(T.name, "Segment")
+    cycles, Q_hh = _hh_pieces(T, 1)
+    q_1, hc_cycles, Q_hc = _hc_pieces(T, 1)
+
+    # Induced map on degree-one homology classes, column per basis class.
+    i_mat = SparseMat.from_columns(Q_hc.dim, (
+        Q_hc.project(hc_cycles.coords_of(q_1.project(cycles.row(c))))
+        for c in Q_hh.nonpivots))
+
+    b_chain = connes_b_chain(T)
+    b_mat = SparseMat.from_columns(
+        Q_hh.dim, [Q_hh.project(cycles.coords_of(b_chain.column(c)))
+                   for c in range(T.A.dim)])
+
+    image_rank = rank(i_mat)
+    b.check("induced map to cyclic homology is onto", image_rank == Q_hc.dim)
+    ker, image = nullspace(i_mat), colspace(b_mat)
+    b.check("its kernel is exactly the image of A", ker == image,
+            {"kernel_dim": ker.dim, "image_of_A_dim": image.dim})
+    b.dims(hh1=Q_hh.dim, hc1=Q_hc.dim, image_rank=image_rank)
     return b.report
 
 

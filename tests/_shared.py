@@ -615,7 +615,7 @@ def reference_kernel_data(T) -> dict:
 
 
 def reference_connes_b_chain(T) -> SparseMat:
-    """`homology.connes_b_chain` built as before it read the triple's
+    """`verify.connes_b_chain` built as before it read the triple's
     integer tables: Fraction products of the units of A and B, summed
     entry by entry."""
     cs1 = chains.chain_space(T, 1)

@@ -16,11 +16,12 @@ from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, child_env,
 from sechom.algebra import (field_algebra, multiply, split_product_algebra,
                             truncated_polynomial_algebra)
 from sechom.chains import boundary, chain_dim
-from sechom.homology import connes_segment_check, hc, hh
+from sechom.homology import hc, hh
 from sechom.linalg import colspace
 from sechom.specfile import export_triple, parse_triple_source
 from sechom.triples import EpsNotMultiplicativeError, catalog
-from sechom.verify import (verify_cor_hc1, verify_main, verify_reduction_Bk)
+from sechom.verify import (verify_connes_segment, verify_cor_hc1, verify_main,
+                           verify_reduction_Bk)
 
 F = Fraction
 
@@ -113,8 +114,13 @@ def test_criterion_07_cyclic_corollary_battery():
 
 
 def test_criterion_08_connecting_segment_exactness():
-    ok = all(connes_segment_check(shared_triple(name)).passed
-             for name in COMMUTATIVE_NAMES)
+    ok = True
+    for name in COMMUTATIVE_NAMES:
+        rep = verify_connes_segment(shared_triple(name))
+        if not (rep.passed and rep.witness is None
+                and all(o for _, o in rep.checks)
+                and rep.dims["image_rank"] == rep.dims["hc1"]):
+            ok = False
     _line(8, "connecting segment exactness", ok)
 
 

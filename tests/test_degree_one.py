@@ -21,12 +21,12 @@ from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
                      shared_triple)
 from sechom import cli, triples, verify
 from sechom.differentials import omega
-from sechom.homology import connes_b_chain
 from sechom.kernel import kernel_data, multiplication_matrix
 from sechom.specfile import export_triple
 from sechom.triples import catalog
 from sechom.verify import (_Builder, _prop_hh1_omega, _prop_omega_J,
-                           forward_matrix, transfer_matrices, verify_main,
+                           connes_b_chain, forward_matrix, transfer_matrices,
+                           verify_main,
                            verify_prop_hh1_omega, verify_prop_omega_J,
                            verify_reduction_Bk)
 

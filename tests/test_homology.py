@@ -14,14 +14,15 @@ from _shared import (ALL_NAMES, commutator_subspace, dense_rank_of_sparse,
                      reference_quotient_of_complex, relation_span_inputs,
                      rescaled_triple, shared_triple, sqzero_dual_x,
                      trunc3_over_dual_x2)
-from sechom import chains, homology
+from sechom import chains, homology, verify
 from sechom.chains import boundary, chain_dim, cyclic_quotient
-from sechom.homology import (DegreeCapError, connes_segment_check, hc, hh)
+from sechom.homology import DegreeCapError, hc, hh
 from sechom.linalg import InternalCheckError, SparseMat, Subspace
 from sechom.triples import catalog
 from sechom.oracles import classical_hc_dims, classical_hh_dims
-from sechom.verify import (verify_cor_hc1, verify_main, verify_prop_hh1_omega,
-                           verify_prop_omega_J, verify_reduction_Bk)
+from sechom.verify import (verify_connes_segment, verify_cor_hc1, verify_main,
+                           verify_prop_hh1_omega, verify_prop_omega_J,
+                           verify_reduction_Bk)
 
 F = Fraction
 
@@ -300,24 +301,59 @@ def test_result_string_names_flavor_and_degree():
 
 # -- the degree-one connecting segment -------------------------------------
 
+SEGMENT_CHECKS = ["induced map to cyclic homology is onto",
+                  "its kernel is exactly the image of A"]
+
+
+def _segment_numbers(T):
+    rep = verify_connes_segment(T)
+    assert rep.theorem == "Segment" and rep.triple_name == T.name
+    assert [label for label, _ in rep.checks] == SEGMENT_CHECKS, T.name
+    d = rep.dims
+    return d["hh1"], d["hc1"], d["image_rank"], rep.passed
+
+
 def test_connecting_segment_is_exact_across_catalog():
     # The rescaled and rebased twins are isomorphic to their catalog
     # triples, so the segment has the same numbers and verdict on them.
-    def numbers(T):
-        rep = connes_segment_check(T)
-        return rep.hh1_dim, rep.hc1_dim, rep.image_rank, rep.passed
-
     for name in ALL_NAMES:
         T = shared_triple(name)
-        rep = connes_segment_check(T)
+        want = _segment_numbers(T)
+        rep = verify_connes_segment(T)
         assert rep.passed, f"{name}: {rep}"
-        assert rep.surjective and rep.kernel_matches_image
-        want = numbers(T)
-        assert numbers(rescaled_triple(name)) == want, name
+        assert all(ok for _, ok in rep.checks) and rep.witness is None
+        assert _segment_numbers(rescaled_triple(name)) == want, name
         if name != "mat2_k":
-            assert numbers(rebased_triple(name)) == want, name
+            assert _segment_numbers(rebased_triple(name)) == want, name
 
 
 def test_connecting_segment_numbers_for_dual_numbers():
-    rep = connes_segment_check(shared_triple("dual_k"))
-    assert (rep.hh1_dim, rep.hc1_dim, rep.image_rank) == (1, 0, 0)
+    rep = verify_connes_segment(shared_triple("dual_k"))
+    assert (rep.dims["hh1"], rep.dims["hc1"], rep.dims["image_rank"]) == \
+        (1, 0, 0)
+    assert rep.checks == [(label, True) for label in SEGMENT_CHECKS]
+    assert rep.witness is None
+    assert str(rep) == "[pass] Segment on dual_k (hh1=1, hc1=0, image_rank=0)"
+
+
+def test_connecting_segment_over_b_other_than_q():
+    cases = {trunc3_over_dual_x2: (2, 0, 0), prod_over_prod_id: (0, 0, 0),
+             sqzero_dual_x: (3, 1, 1)}
+    for build, (hh1, hc1, image_rank) in cases.items():
+        T = build()
+        assert _segment_numbers(T) == (hh1, hc1, image_rank, True), T.name
+
+
+def test_connecting_segment_fails_when_a_maps_to_zero(monkeypatch):
+    # On dual_k the image of A is all of degree-one homology, the kernel of
+    # the map to cyclic homology; a zero map from A leaves that kernel
+    # unmatched, and the report says so with both dimensions.
+    T = shared_triple("dual_k")
+    zero = SparseMat.zeros(chain_dim(T, 1), T.A.dim)
+    monkeypatch.setattr(verify, "connes_b_chain", lambda _: zero)
+    rep = verify_connes_segment(T)
+    assert not rep.passed
+    assert rep.checks == [(SEGMENT_CHECKS[0], True), (SEGMENT_CHECKS[1], False)]
+    assert rep.witness == {"check": SEGMENT_CHECKS[1], "kernel_dim": 1,
+                           "image_of_A_dim": 0}
+    assert rep.dims == {"hh1": 1, "hc1": 0, "image_rank": 0}

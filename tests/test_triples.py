@@ -13,14 +13,14 @@ from sechom import algebra, linalg
 from sechom.algebra import (FinAlgebra, field_algebra, matrix_algebra,
                             multiply, truncated_polynomial_algebra)
 from sechom.chains import chain_dim, chain_weights
-from sechom.homology import connes_segment_check, hc, hh
+from sechom.homology import hc, hh
 from sechom.triples import (AlgebraInvalidError, BaseNotCommutativeError,
                             CommutativeTripleRequiredError,
                             EpsImageNotCentralError,
                             EpsNotMultiplicativeError, EpsNotUnitalError,
                             TripleAxiomError, catalog, catalog_names,
                             grading, make_triple)
-from sechom.verify import verify_main
+from sechom.verify import verify_connes_segment, verify_main
 
 F = Fraction
 
@@ -202,7 +202,7 @@ def test_a_triples_tables_are_read_once(monkeypatch):
         T = catalog(name)
         hh(T, 1)
         hc(T, 1)
-        connes_segment_check(T)
+        verify_connes_segment(T)
         grading(T)
         if T.commutative:
             verify_main(T)

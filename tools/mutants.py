@@ -80,7 +80,7 @@ MUTANTS = [
     Mutant("descent-check-skipped", "linalg.py",
            "if [None if a is None else F[a] for a in src.axis] != F:",
            "if False:", ("test_chains.py",), ci=True),
-    Mutant("connes-b-drops-a-term", "homology.py",
+    Mutant("connes-b-drops-a-term", "verify.py",
            "for pair in ((j, i), (i, j)))", "for pair in ((j, i),))",
            ("test_degree_one.py",)),
     Mutant("unit-law-skips-the-last-index", "algebra.py",
@@ -94,6 +94,18 @@ MUTANTS = [
     Mutant("dense-rank-skips-the-last-row", "oracles.py",
            "range(r + 1, len(rows))", "range(r + 1, len(rows) - 1)",
            ("test_oracles.py",), ci=True),
+    Mutant("segment-kernel-check-always-passes", "verify.py",
+           "its kernel is exactly the image of A\", ker == image,",
+           "its kernel is exactly the image of A\", True,",
+           ("test_homology.py",)),
+    # Only triples whose B is not the ground field reach these two.
+    Mutant("face-bb-reads-one-product-row", "chains.py",
+           "for a, row in enumerate(tb.bprod)",
+           "for a, row in enumerate(tb.bprod[:1])", ("test_homology.py",)),
+    Mutant("sandwich-for-the-first-eps-only", "triples.py",
+           "for e_j in e] for f in self.eps] for e_i in e]",
+           "for e_j in e] for f in self.eps[:1]] for e_i in e]",
+           ("test_homology.py",)),
 ]
 
 
