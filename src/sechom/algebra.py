@@ -5,7 +5,8 @@ An algebra of dimension d is stored as a table c with
 unit.  Validation reports witnesses instead of raising, so callers can
 decide how to surface a failure.  The engine reads tables only through
 `_int_table`, a triple's once (`triples._tables`), and multiplies only
-through `_int_product`; `multiply` serves the public API and the oracles.
+through `_int_product`; `multiply` serves the public API and
+`kernel.j_generator`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Independent dense reference computations for cross-checking.
+"""Independent reference computations for cross-checking.
 
-Everything here is deliberately separate from the sparse engine: basis
-tensors are enumerated as tuples, matrices are dense lists of rows of
-exact numbers, and ranks come from an integer fraction-free
-elimination.  The only shared inputs are the algebra structure tables
-themselves.
+Everything here is deliberately separate from the engine: basis tensors
+are numbered by their base-d digits, matrices are lists of sparse rows
+{column: value} of exact numbers, and ranks come from an integer
+fraction-free elimination that files each row under its least column.
+The only shared inputs are the algebra structure tables themselves.
 
 Cyclic homology takes one rank per degree, of [W_{k-1} | b_k] with W
 the image of 1 - rotation, so the +-1 rotation columns pivot before any
@@ -18,10 +18,9 @@ grinding.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
-from .algebra import FinAlgebra, multiply
+from .algebra import FinAlgebra
 
 _CAP = 5000
 
@@ -36,104 +35,133 @@ def _check_cap(dim: int) -> None:
             f"reference path refuses ambient dimension {dim} > {_CAP}")
 
 
-def _tuple_positions(dim: int, length: int) -> dict:
-    return {t: i for i, t in enumerate(product(range(dim), repeat=length))}
-
-
-def _zeros(nrows: int, ncols: int) -> list:
-    return [[0] * ncols for _ in range(nrows)]
+def _terms(A: FinAlgebra) -> list:
+    """The table read once: the nonzero terms (k, x) of each product e_i e_j,
+    with integral x as int so that integral tables are summed in ints."""
+    return [[[(k, int(x) if x.denominator == 1 else x)
+              for k, x in enumerate(coeffs) if x] for coeffs in row]
+            for row in A.mult]
 
 
 def bar_boundary(A: FinAlgebra, n: int):
-    """Classical boundary from (n+1)-fold to n-fold tensors, dense.
+    """Classical boundary from (n+1)-fold to n-fold tensors, as sparse rows.
 
-    Adjacent factors are multiplied with alternating signs; the last face
-    wraps the final factor around to the front.
+    Row r is {column: value} for the n-fold tensor numbered r, {} when it
+    is zero; a tensor (t_0, ..., t_n) is numbered by its base-d digits,
+    t_0 leading.  Adjacent factors are multiplied with alternating signs;
+    the last face wraps the final factor around to the front.  Each face
+    is scattered into the rows a block of trailing factors at a time, so
+    no dense matrix is built.
     """
     if n < 1:
         raise ValueError("boundary needs degree at least 1")
     d = A.dim
     _check_cap(d ** (n + 1))
-    # The table read once: the nonzero terms (k, x) of each product, with
-    # integral x as int so that integral tables are summed in ints.
-    mult = [[[(k, int(x) if x.denominator == 1 else x)
-              for k, x in enumerate(coeffs) if x] for coeffs in row]
-            for row in A.mult]
-    src = list(product(range(d), repeat=n + 1))
-    dst_pos = _tuple_positions(d, n)
-    M = _zeros(d ** n, d ** (n + 1))
-    for c, tup in enumerate(src):
-        for i in range(n):
-            rest = tup[:i] + tup[i + 2:]
-            sign = 1 if i % 2 == 0 else -1
-            for k, x in mult[tup[i]][tup[i + 1]]:
-                M[dst_pos[rest[:i] + (k,) + rest[i:]]][c] += sign * x
-        sign = 1 if n % 2 == 0 else -1
-        for k, x in mult[tup[n]][tup[0]]:
-            M[dst_pos[(k,) + tup[1:n]]][c] += sign * x
-    return M
+    mult = _terms(A)
+    rows = [{} for _ in range(d ** n)]
+    for i in range(n):
+        # Face i: (head, a, b, tail) goes to (head, ab, tail), with `low`
+        # tails after the pair.
+        sign = 1 if i % 2 == 0 else -1
+        low = d ** (n - 1 - i)
+        for head in range(d ** i):
+            for a in range(d):
+                for b in range(d):
+                    src = ((head * d + a) * d + b) * low
+                    for k, x in mult[a][b]:
+                        x *= sign
+                        dst = (head * d + k) * low
+                        for t in range(low):
+                            row = rows[dst + t]
+                            row[src + t] = row.get(src + t, 0) + x
+    # Face n: (a, middle, b) goes to (ba, middle).
+    sign = 1 if n % 2 == 0 else -1
+    low = d ** (n - 1)
+    for a in range(d):
+        for b in range(d):
+            for k, x in mult[b][a]:
+                x *= sign
+                for t in range(low):
+                    row = rows[k * low + t]
+                    src = (a * low + t) * d + b
+                    row[src] = row.get(src, 0) + x
+    return [{c: x for c, x in row.items() if x} for row in rows]
 
 
 def bar_rotation(A: FinAlgebra, n: int):
-    """Signed cyclic rotation on (n+1)-fold tensors, dense."""
+    """Signed cyclic rotation on (n+1)-fold tensors, as sparse rows.
+
+    The rotation moves the last factor to the front, so row r holds one
+    entry, at the tensor that rotates to r.
+    """
     d = A.dim
     _check_cap(d ** (n + 1))
-    pos = _tuple_positions(d, n + 1)
-    M = _zeros(d ** (n + 1), d ** (n + 1))
+    top = d ** n
     sign = 1 if n % 2 == 0 else -1
-    for tup, c in pos.items():
-        M[pos[(tup[-1],) + tup[:-1]]][c] = sign
-    return M
+    return [{(r % top) * d + r // top: sign} for r in range(d * top)]
 
 
 def _integral(row) -> list:
-    """A row of ints and Fractions times the lcm of its denominators."""
+    """Entries (ints and Fractions) times the lcm of their denominators."""
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
 
 
 def dense_rank(M) -> int:
-    """Fraction-free integer elimination; rows are scaled primitive.
+    """Rank of the matrix with rows M, each a sparse dict {column: x}.
 
-    Entries are ints or Fractions.  A row of ints is taken as it is; only
-    a row holding a Fraction is put over its common denominator.  The rows
-    are copied, so M is never changed.  Each column pivots on its first
-    row of smallest nonzero absolute value, so a +-1 keeps the updated
-    rows from growing.  Rows below the pivot row are zero left of the
-    pivot column, so each update touches the columns from it on.
+    Entries are ints or Fractions.  The rows are copied, so M is never
+    changed: a row of ints is taken as it is, and only a row holding a
+    Fraction is put over its common denominator.  Each primitive integer
+    row is filed under its least column.  Columns are visited in order;
+    each pivots on the filed row with the smallest absolute entry there,
+    the one with fewest nonzeros on a tie, so a +-1 keeps the cleared rows
+    from growing.  Every other row filed there is cleared fraction-free
+    (scaled by nothing when the pivot entry divides its entry, up to
+    sign), stripped of its content and filed again under its new least
+    column.
     """
-    rows = []
+    filed: dict = {}
+    ncols = 0
     for row in M:
-        ints = row if set(map(type, row)) <= {int} else _integral(row)
-        g = gcd(*ints)
-        if g:
-            rows.append([x // g for x in ints] if g > 1 else list(ints))
-    ncols = len(rows[0]) if rows else 0
+        row = {c: x for c, x in row.items() if x}
+        if not row:
+            continue
+        if not all(type(x) is int for x in row.values()):
+            row = dict(zip(row, _integral(row.values())))
+        g = gcd(*row.values())
+        if g > 1:
+            row = {c: x // g for c, x in row.items()}
+        filed.setdefault(min(row), []).append(row)
+        ncols = max(ncols, max(row) + 1)
     r = 0
     for col in range(ncols):
-        if r == len(rows):
-            break
-        nonzero = [i for i in range(r, len(rows)) if rows[i][col]]
-        if not nonzero:
+        group = filed.pop(col, None)
+        if not group:
             continue
-        piv = min(nonzero, key=lambda i: abs(rows[i][col]))
-        rows[r], rows[piv] = rows[piv], rows[r]
-        ptail = rows[r][col:]
-        p = ptail[0]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            q = row[col]
-            if q:
-                tail = [p * a - q * b for a, b in zip(row[col:], ptail)]
-                g = gcd(*tail)
-                row[col:] = [x // g for x in tail] if g > 1 else tail
+        piv = min(group, key=lambda row: (abs(row[col]), len(row)))
+        p = piv[col]
         r += 1
+        for row in group:
+            if row is piv:
+                continue
+            g = gcd(p, row[col])
+            a, b = p // g, row[col] // g
+            if a < 0:
+                a, b = -a, -b
+            new = dict(row) if a == 1 else {c: a * x for c, x in row.items()}
+            for c, y in piv.items():
+                x = new.get(c, 0) - b * y
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            if new:
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {c: x // g for c, x in new.items()}
+                filed.setdefault(min(new), []).append(new)
     return r
-
-
-def _hstack(left: list, right: list) -> list:
-    """Column concatenation [left | right] of two matrices with equal rows."""
-    return [lrow + rrow for lrow, rrow in zip(left, right)]
 
 
 def classical_hh_dims(A: FinAlgebra, n_max: int) -> list:
@@ -156,48 +184,48 @@ def classical_hc_dims(A: FinAlgebra, n_max: int) -> list:
     column concatenation [W_{k-1} | b_k] (R_0 = 0), the degree-n
     dimension is N_n + rank W_{n-1} - R_n - R_{n+1}, with rank W_{-1} = 0.
     W_0 is zero, so R_1 is the rank of b_1.  Each concatenation is ranked
-    once, with the rotation columns first.  This avoids constructing
-    quotient complexes entirely, so it shares nothing with the engine's
-    route.
+    once, with the rotation columns first: b_k's columns are shifted past
+    the d^k columns of W_{k-1}.  This avoids constructing quotient
+    complexes entirely, so it shares nothing with the engine's route.
     """
     _check_cap(A.dim ** (n_max + 2))  # b_{n_max+1} is the largest matrix
-    omegas = [[[int(r == c) - x for c, x in enumerate(row)]
-               for r, row in enumerate(bar_rotation(A, k))]
-              for k in range(n_max + 1)]
+    omegas = []  # the rows of 1 - t in degrees 0..n_max
+    for k in range(n_max + 1):
+        W = []
+        for r, row in enumerate(bar_rotation(A, k)):
+            w = {c: -x for c, x in row.items()}
+            w[r] = w.get(r, 0) + 1
+            W.append({c: x for c, x in w.items() if x})
+        omegas.append(W)
     w_rank = [0] + [dense_rank(W) for W in omegas[:n_max]]  # rank W_{n-1}
-    R = [0] + [dense_rank(_hstack(omegas[k - 1], bar_boundary(A, k)))
-               for k in range(1, n_max + 2)]
+    R = [0]
+    for k in range(1, n_max + 2):
+        shift = A.dim ** k
+        R.append(dense_rank([{**w, **{c + shift: x for c, x in b.items()}}
+                             for w, b in zip(omegas[k - 1], bar_boundary(A, k))]))
     return [A.dim ** (n + 1) + w_rank[n] - R[n] - R[n + 1]
             for n in range(n_max + 1)]
 
 
 def classical_kahler_dim(A: FinAlgebra) -> int:
     """Dimension of the classical module of differentials of a commutative
-    algebra, from the Leibniz presentation on the free module a d(b)."""
+    algebra, from the Leibniz presentation on the free module a d(b):
+    m d(pq) = (mp) d(q) + (mq) d(p), a d(b) numbered a * d + b."""
     d = A.dim
     _check_cap(d * d)
+    mult = _terms(A)
     rows = []
     for m in range(d):
-        e_m = [Fraction(int(t == m)) for t in range(d)]
         for p in range(d):
             for q in range(d):
-                vec = [Fraction(0)] * (d * d)
-                for k, x in enumerate(A.mult[p][q]):
-                    if x:
-                        vec[m * d + k] += x
-                cp = multiply(A, e_m, [Fraction(int(t == p)) for t in range(d)])
-                for t, x in enumerate(cp):
-                    if x:
-                        vec[t * d + q] -= x
-                cq = multiply(A, e_m, [Fraction(int(t == q)) for t in range(d)])
-                for t, x in enumerate(cq):
-                    if x:
-                        vec[t * d + p] -= x
-                if any(vec):
-                    rows.append(vec)
+                vec: dict = {}
+                terms = [(m * d + k, x) for k, x in mult[p][q]]
+                terms += [(t * d + q, -x) for t, x in mult[m][p]]
+                terms += [(t * d + p, -x) for t, x in mult[m][q]]
+                for c, x in terms:
+                    vec[c] = vec.get(c, 0) + x
+                rows.append({c: x for c, x in vec.items() if x})
     return d * d - dense_rank(rows)
-
-
 def _dense_kernel(M) -> list:
     """Kernel basis of a dense matrix by textbook reduced elimination."""
     nrows = len(M)
@@ -237,7 +265,7 @@ def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
     """Dimension of I/I^2 for the kernel I of the product map on A (x) A."""
     d = A.dim
     _check_cap(d * d)
-    mu = _zeros(d, d * d)
+    mu = [[0] * (d * d) for _ in range(d)]
     for i in range(d):
         for j in range(d):
             for k, x in enumerate(A.mult[i][j]):
@@ -257,15 +285,16 @@ def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
             for row in A.mult]
 
     def tensor_mult(u, v):
-        out = [0] * (d * d)
+        out: dict = {}
         for p, x in u:
             i1, j1 = divmod(p, d)
             for q, y in v:
                 i2, j2 = divmod(q, d)
                 for k1, a in mult[i1][i2]:
                     for k2, b in mult[j1][j2]:
-                        out[k1 * d + k2] += x * y * a * b
-        return out
+                        c = k1 * d + k2
+                        out[c] = out.get(c, 0) + x * y * a * b
+        return {c: x for c, x in out.items() if x}
 
     # For commutative A, A (x) A is commutative too, so u v = v u and each
     # unordered pair of kernel vectors is multiplied once.

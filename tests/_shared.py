@@ -148,6 +148,21 @@ def prod_over_prod_id() -> Triple:
     return make_triple(A, B, [[1, 0], [0, 1]], name="prod_over_prod_id")
 
 
+def cube_over_prod() -> Triple:
+    """Q^3 over Q x Q, with (1, 0) sent to (1, 1, 0) and (0, 1) to
+    (0, 0, 1)."""
+    A, B = split_product_algebra(3, "Q^3"), split_product_algebra(2, "QxQ")
+    return make_triple(A, B, [[1, 1, 0], [0, 0, 1]], name="cube_over_prod")
+
+
+def dual_over_trunc3_x() -> Triple:
+    """Q[x]/x^2 over Q[y]/y^3, with y sent to x (so y^2 to 0)."""
+    A = truncated_polynomial_algebra(2, "Q[x]/x^2")
+    B = truncated_polynomial_algebra(3, "Q[y]/y^3")
+    return make_triple(A, B, [A.unit, [0, 1], [0, 0]],
+                       name="dual_over_trunc3_x")
+
+
 def sqzero_dual_x() -> Triple:
     """A = Q[x, y]/(x, y)^2 on the basis 1, x, y, over B = Q[t]/t^2, with
     t sent to x."""
@@ -165,10 +180,23 @@ def dense_matrix(M) -> list:
     return [[col.get(r, Fraction(0)) for col in cols] for r in range(M.nrows)]
 
 
+def densify(rows, ncols=None) -> list:
+    """Sparse rows {column: value} as a list of dense rows, ncols wide
+    (by default, just wide enough for every entry)."""
+    if ncols is None:
+        ncols = 1 + max((c for row in rows for c in row), default=-1)
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
 def dense_rank_of_sparse(M) -> int:
-    """Rank of an engine sparse matrix, recomputed densely by the oracle."""
+    """Rank of an engine sparse matrix, recomputed by the oracle from its
+    rows."""
     _check_cap(max(M.nrows, M.ncols))
-    return dense_rank(dense_matrix(M))
+    rows = [{} for _ in range(M.nrows)]
+    for c in range(M.ncols):
+        for r, x in M.column(c).items():
+            rows[r][c] = x
+    return dense_rank(rows)
 
 
 def from_entries(nrows: int, ncols: int, entries) -> SparseMat:

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import (ALL_NAMES, commutator_subspace, dense_rank_of_sparse,
+from _shared import (ALL_NAMES, commutator_subspace, cube_over_prod,
+                     dense_rank_of_sparse, dual_over_trunc3_x,
                      prod_over_prod_id, rebased_triple,
                      reference_quotient_of_complex, relation_span_inputs,
                      rescaled_triple, shared_triple, sqzero_dual_x,
@@ -81,7 +82,8 @@ def test_homology_over_any_b_matches_the_classical_homology_of_a():
              + [(twin(n), 2) for twin in (rescaled_triple, rebased_triple)
                 for n in ("dual_dual_zero", "dual_dual_x")]
              + [(trunc3_over_dual_x2(), 2), (prod_over_prod_id(), 3),
-                (sqzero_dual_x(), 2)])
+                (sqzero_dual_x(), 2), (cube_over_prod(), 3),
+                (dual_over_trunc3_x(), 2)])
     for T, top in cases:
         assert T.B.dim > 1, T.name
         assert [hh(T, n).dimension for n in range(top + 1)] == \

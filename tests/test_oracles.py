@@ -14,8 +14,8 @@ from random import Random
 
 import pytest
 
-from _shared import (dense_rank_of_sparse, from_entries, rebased_triple,
-                     rescaled_triple)
+from _shared import (dense_rank_of_sparse, densify, from_entries,
+                     rebased_triple, rescaled_triple)
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra, tensor_algebra,
@@ -34,6 +34,17 @@ def _matmul(X, Y):
     cols = list(zip(*Y))
     return [[sum(a * b for a, b in zip(row, col)) for col in cols]
             for row in X]
+
+
+def _sparse(M) -> list:
+    """The rows of a dense matrix as sparse dicts of their nonzeros."""
+    return [{c: x for c, x in enumerate(row) if x} for row in M]
+
+
+def _hstack(left, right, width) -> list:
+    """[left | right] of two sparse row lists, left `width` columns wide."""
+    return [{**lrow, **{c + width: x for c, x in rrow.items()}}
+            for lrow, rrow in zip(left, right)]
 
 
 def _algebras():
@@ -55,14 +66,15 @@ def test_bar_boundary_squares_to_zero():
         else:
             tops = [1, 2, 3]
         for n in tops:
-            prod = _matmul(bar_boundary(A, n), bar_boundary(A, n + 1))
+            prod = _matmul(densify(bar_boundary(A, n), A.dim ** (n + 1)),
+                           densify(bar_boundary(A, n + 1), A.dim ** (n + 2)))
             assert not any(any(row) for row in prod)
 
 
 def test_bar_rotation_has_finite_order():
     for _, A in _algebras()[:4]:
         for n in (1, 2):
-            R = bar_rotation(A, n)
+            R = densify(bar_rotation(A, n), A.dim ** (n + 1))
             acc = R
             for _ in range(n):
                 acc = _matmul(acc, R)
@@ -91,6 +103,17 @@ def _bar_boundary_before(A, n):
     return M
 
 
+def _bar_rotation_before(A, n):
+    """Test-local copy of bar_rotation as it built a dense matrix."""
+    d = A.dim
+    pos = {t: i for i, t in enumerate(product(range(d), repeat=n + 1))}
+    M = [[0] * d ** (n + 1) for _ in range(d ** (n + 1))]
+    sign = 1 if n % 2 == 0 else -1
+    for tup, c in pos.items():
+        M[pos[(tup[-1],) + tup[:-1]]][c] = sign
+    return M
+
+
 def test_bar_boundary_matches_the_fraction_built_copy():
     integral = rebased_triple("trunc3_k").A
     fractional = rescaled_triple("trunc3_k").A
@@ -100,11 +123,26 @@ def test_bar_boundary_matches_the_fraction_built_copy():
                for prod in row for x in prod)
     for A in (integral, fractional, matrix_algebra(2)):
         for n in (1, 2, 3):
-            new, old = bar_boundary(A, n), _bar_boundary_before(A, n)
+            new = densify(bar_boundary(A, n), A.dim ** (n + 1))
+            old = _bar_boundary_before(A, n)
             assert len(new) == len(old)
             for new_row, old_row in zip(new, old):
                 assert len(new_row) == len(old_row)
                 assert all(x == y for x, y in zip(new_row, old_row))
+
+
+def test_sparse_bar_rows_equal_the_dense_builders():
+    # Entry for entry on every algebra of the B = Q reduction battery, up
+    # to the degrees its oracles build; the dicts hold only the nonzeros,
+    # so a stored zero fails too.
+    for A in _reduction_algebras():
+        top = _reduction_degree(A)
+        pairs = [(bar_boundary(A, n), _bar_boundary_before(A, n))
+                 for n in range(1, top + 2)]
+        pairs += [(bar_rotation(A, n), _bar_rotation_before(A, n))
+                  for n in range(top + 1)]
+        for sparse, dense in pairs:
+            assert sparse == _sparse(dense), A.name
 
 
 def test_bar_boundary_rejects_degree_zero():
@@ -138,12 +176,16 @@ def test_classical_cyclic_dimensions():
         assert classical_hc_dims(A, 3) == expect[name]
 
 
+def _one_minus_rotation(A, k):
+    """Sparse rows of 1 - t in degree k, from the dense rotation."""
+    return _sparse([[int(r == c) - x for c, x in enumerate(row)]
+                    for r, row in enumerate(_bar_rotation_before(A, k))])
+
+
 def _classical_hc_dims_before(A, n_max):
     """Test-local copy of classical_hc_dims as it ranked [b_n | W_{n-1}]
     and [b_{n+1} | W_n] separately in each degree."""
-    omegas = {k: [[int(r == c) - x for c, x in enumerate(row)]
-                  for r, row in enumerate(bar_rotation(A, k))]
-              for k in range(n_max + 1)}
+    omegas = {k: _one_minus_rotation(A, k) for k in range(n_max + 1)}
     w_rank = {k: dense_rank(M) for k, M in omegas.items()}
     dims = []
     for n in range(n_max + 1):
@@ -151,8 +193,10 @@ def _classical_hc_dims_before(A, n_max):
         if n == 0:
             dims.append(N - dense_rank(bar_boundary(A, 1)))
             continue
-        low = dense_rank(oracles._hstack(bar_boundary(A, n), omegas[n - 1]))
-        high = dense_rank(oracles._hstack(bar_boundary(A, n + 1), omegas[n]))
+        low = dense_rank(_hstack(bar_boundary(A, n), omegas[n - 1],
+                                 A.dim ** (n + 1)))
+        high = dense_rank(_hstack(bar_boundary(A, n + 1), omegas[n],
+                                  A.dim ** (n + 2)))
         dims.append(N + w_rank[n - 1] - low - high)
     return dims
 
@@ -257,7 +301,7 @@ def _ordered_I_mod_I2_dim(A):
                     out[k1 * d + k2] += (x * y * A.mult[i1][i2][k1]
                                          * A.mult[j1][j2][k2])
         squares.append(out)
-    return len(kernel) - dense_rank(squares) if kernel else 0
+    return len(kernel) - dense_rank(_sparse(squares)) if kernel else 0
 
 
 def test_unordered_kernel_products_match_the_ordered_ones():
@@ -278,9 +322,10 @@ def test_two_classical_presentations_agree():
 # -- dense rank ------------------------------------------------------------
 
 def test_dense_rank_on_known_matrices():
-    assert dense_rank([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]]) == 1
-    assert dense_rank([[2, 4], [6, 8]]) == 2
-    assert dense_rank([[0, 0], [0, 0]]) == 0
+    assert dense_rank([{0: F(1, 2), 1: F(1, 3)}, {0: F(1, 4), 1: F(1, 6)}]) == 1
+    assert dense_rank([{0: 2, 1: 4}, {0: 6, 1: 8}]) == 2
+    assert dense_rank([{}, {}]) == 0
+    assert dense_rank([{0: 0, 1: 3}, {1: -6}]) == 1  # a stored zero
     assert dense_rank([]) == 0
 
 
@@ -300,42 +345,39 @@ def test_dense_rank_agrees_with_sparse_elimination():
 
 
 def _dense_rank_before(M) -> int:
-    """Test-local copy of dense_rank before its leaner row updates."""
+    """Test-local copy of the dense elimination dense_rank replaced: for
+    each column it scans every remaining row of a list-of-rows matrix,
+    pivots on the first row of smallest absolute entry and rebuilds the
+    tails of the rows below."""
     rows = []
     for row in M:
-        den = 1
-        vals = [Fraction(x) for x in row]
-        for x in vals:
-            den = lcm(den, x.denominator)
-        ints = [int(x * den) for x in vals]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        if set(map(type, row)) <= {int}:
+            ints = row
+        else:
+            den = lcm(*(x.denominator for x in row))
+            ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
         if g:
-            rows.append([x // g for x in ints])
+            rows.append([x // g for x in ints] if g > 1 else list(ints))
     ncols = len(rows[0]) if rows else 0
     r = 0
     for col in range(ncols):
         if r == len(rows):
             break
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
+        nonzero = [i for i in range(r, len(rows)) if rows[i][col]]
+        if not nonzero:
             continue
+        piv = min(nonzero, key=lambda i: abs(rows[i][col]))
         rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[col]
+        ptail = rows[r][col:]
+        p = ptail[0]
         for i in range(r + 1, len(rows)):
-            q = rows[i][col]
+            row = rows[i]
+            q = row[col]
             if q:
-                row = [p * a - q * b for a, b in zip(rows[i], prow)]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                rows[i] = [x // g for x in row] if g else row
+                tail = [p * a - q * b for a, b in zip(row[col:], ptail)]
+                g = gcd(*tail)
+                row[col:] = [x // g for x in tail] if g > 1 else tail
         r += 1
     return r
 
@@ -346,34 +388,35 @@ def test_dense_rank_matches_the_code_it_replaced():
         nrows, ncols = rng.randrange(0, 9), rng.randrange(1, 9)
         big = rng.choice([1, 10 ** 12])
         density = rng.choice([0.3, 0.7, 1.0])
-        M = [[F(rng.randrange(-9, 10) * big + rng.randrange(-9, 10),
-                rng.randrange(1, 8)) if rng.random() < density else F(0)
-              for _ in range(ncols)] for _ in range(nrows)]
+        # Sparse rows; an entry drawn as zero is stored as a zero.
+        M = [{c: F(rng.randrange(-9, 10) * big + rng.randrange(-9, 10),
+                   rng.randrange(1, 8))
+              for c in range(ncols) if rng.random() < density}
+             for _ in range(nrows)]
         if nrows and trial % 3 == 0:
-            M[rng.randrange(nrows)] = [F(0)] * ncols  # a zero row
+            M[rng.randrange(nrows)] = {}  # a zero row
         if trial % 4 == 1:  # a rank-deficient tall matrix: repeated rows
-            M += [[2 * x for x in row] for row in M]
+            M += [{c: 2 * x for c, x in row.items()} for row in M]
         if trial % 2:
             # Int rows (taken as they are) among Fraction rows, and rows
             # that mix int and Fraction entries.
-            M = [[x.numerator for x in row] if t % 3 == 0 else
-                 [x if k % 2 else x.numerator for k, x in enumerate(row)]
+            M = [{c: x.numerator for c, x in row.items()} if t % 3 == 0 else
+                 {c: x if c % 2 else x.numerator for c, x in row.items()}
                  if t % 3 == 1 else row for t, row in enumerate(M)]
-        before = [list(row) for row in M]
-        assert dense_rank(M) == _dense_rank_before(M)
+        before = [dict(row) for row in M]
+        assert dense_rank(M) == _dense_rank_before(densify(M, ncols))
         assert M == before
     # The oracle matrices of a rebased trunc3_k: boundaries, 1 - rotation
-    # and the concatenations that classical_hc_dims ranks.
+    # and the concatenations, in both orders, that classical_hc_dims ranks.
     A = rebased_triple("trunc3_k").A
-    omegas = [[[int(r == c) - x for c, x in enumerate(row)]
-               for r, row in enumerate(bar_rotation(A, k))] for k in range(4)]
+    omegas = [_one_minus_rotation(A, k) for k in range(4)]
     mats = [bar_boundary(A, k) for k in range(1, 5)] + omegas
-    mats += [oracles._hstack(bar_boundary(A, n), omegas[n - 1])
+    mats += [_hstack(bar_boundary(A, n), omegas[n - 1], A.dim ** (n + 1))
              for n in range(1, 5)]
-    mats += [oracles._hstack(omegas[n - 1], bar_boundary(A, n))
+    mats += [_hstack(omegas[n - 1], bar_boundary(A, n), A.dim ** n)
              for n in range(1, 5)]
     for M in mats:
-        assert dense_rank(M) == _dense_rank_before(M)
+        assert dense_rank(M) == _dense_rank_before(densify(M))
 
 
 def _reduction_algebras() -> list:
@@ -390,20 +433,20 @@ def _reduction_algebras() -> list:
 
 
 def test_dense_rank_equals_the_reference_on_every_oracle_matrix(monkeypatch):
-    # Every matrix the B = Q reduction battery ranks, up to its top
-    # degree: each rank must equal the reference's, and the caller's
-    # matrix must come back unchanged.
+    # Every row set the B = Q reduction battery ranks, up to its top
+    # degree: each rank must equal the reference's on the densified rows,
+    # and the caller's rows must come back unchanged.
     ranked = oracles.dense_rank
     row_kinds = set()
 
     def gated(M):
-        before = [list(row) for row in M]
+        before = [dict(row) for row in M]
         r = ranked(M)
         assert M == before
         assert all(type(x) is type(y) for row, old in zip(M, before)
-                   for x, y in zip(row, old))
-        assert r == _dense_rank_before(M)
-        row_kinds.update(frozenset(map(type, row)) for row in M)
+                   for x, y in zip(row.values(), old.values()))
+        assert r == _dense_rank_before(densify(M))
+        row_kinds.update(frozenset(map(type, row.values())) for row in M)
         return r
 
     monkeypatch.setattr(oracles, "dense_rank", gated)
@@ -411,6 +454,7 @@ def test_dense_rank_equals_the_reference_on_every_oracle_matrix(monkeypatch):
         n_max = _reduction_degree(A)
         classical_hh_dims(A, n_max)
         classical_hc_dims(A, n_max)
+        classical_kahler_dim(A)
         classical_I_mod_I2_dim(A)
     assert {frozenset({int}), frozenset({int, F})} <= row_kinds
 

@@ -92,8 +92,13 @@ MUTANTS = [
            "                 or not P.relations",
            "if not P.relations", ("test_verify.py",), ci=True),
     Mutant("dense-rank-skips-the-last-row", "oracles.py",
-           "range(r + 1, len(rows))", "range(r + 1, len(rows) - 1)",
+           "    for row in M:\n", "    for row in M[:-1]:\n",
            ("test_oracles.py",), ci=True),
+    Mutant("dense-rank-drops-a-cleared-row", "oracles.py",
+           "filed.setdefault(min(new), []).append(new)", "pass",
+           ("test_oracles.py",)),
+    Mutant("dense-rank-pivot-from-another-row", "oracles.py",
+           "p = piv[col]", "p = group[0][col]", ("test_oracles.py",)),
     Mutant("segment-kernel-check-always-passes", "verify.py",
            "its kernel is exactly the image of A\", ker == image,",
            "its kernel is exactly the image of A\", True,",
