@@ -286,11 +286,12 @@ def _cmd_compute(args) -> int:
             payload["reference"] = {"agrees": ref == P.dim,
                                     "classical": {"dimension": ref}}
     elif args.flavor == "kernel":
-        ref = _reference(args, classical_I_mod_I2_dim, T)
-        try:
-            K = kernel_data(T)
+        try:  # refused before the reference, which serves commutative A
+            T.require_commutative("the kernel presentation")
         except CommutativeTripleRequiredError as exc:
             raise _CliError(str(exc), EXIT_VALIDATION) from None
+        ref = _reference(args, classical_I_mod_I2_dim, T)
+        K = kernel_data(T)
         payload["results"] = {
             "ambient": K.m_matrix.ncols,
             "kernel": K.J.dim,

@@ -90,18 +90,29 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
     Callers must have certified that the given columns are cycles, so
-    `Subspace._coords` reads their coordinates with no membership pass.
-    Integer numerators serve as well as the columns themselves, since
-    only their span matters.
+    their coordinates are read off the cycle pivots with no membership
+    pass.  Integer numerators serve as well as the columns themselves,
+    since only their span matters, and their order does not matter
+    either; they are read twice, so they come as a collection such as a
+    list or a dict's values, not an iterator.
+
+    A column whose one entry is at chain index r makes e_r a boundary,
+    hence a cycle: r is a cycle pivot whose row is e_r (a hard error
+    otherwise), and the relation at its coordinate k is the unit row e_k,
+    so every other canonical relation row is zero at k.  A first pass
+    collects these units; the second reads only the columns with two or
+    more entries, with the unit coordinates dropped.  The unit rows and
+    the rows it spans, merged by pivot, are the canonical form.
 
     `weights` gives the weight key of each chain coordinate.  Every cycle
-    row and every boundary column read must be homogeneous, or the
-    grading is wrong and this is a hard error.  A homogeneous column of
-    weight w then has coordinates only on the cycles whose pivot has
-    weight w, so the relations split into one block per weight.  A block
-    takes no more columns once it spans all the cycles of its weight,
-    and the span stops once every block does.  Rows of different blocks
-    have disjoint supports, so together they are the canonical form.
+    row and every column the second pass reads must be homogeneous, or
+    the grading is wrong and this is a hard error.  A homogeneous column
+    of weight w then has coordinates only on the cycles whose pivot has
+    weight w, so the relations split into one block per weight, over the
+    cycles of that weight that are not units.  A block takes no more
+    columns once it spans them (it never opens when there are none), and
+    the span stops once every block does.  Rows of different blocks have
+    disjoint supports, so together they are the canonical form.
 
     Once a block has rejected _STALL columns in a row, its projection P
     onto the quotient of its own cycle coordinates is built, and each
@@ -110,21 +121,35 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
     goes to `add`; it raises the rank, and P is built again at the next
     stall.
     """
-    members: dict = {}  # weight -> numbers of the cycle rows of that weight
-    for j, row in enumerate(cycles._int_rows):
-        members.setdefault(_weight(row, weights, "cycle row"), []).append(j)
+    pos = cycles._pivot_pos
+    units = {r for col in next_boundary_cols if len(col) == 1 for r in col}
+    for r in units:
+        if r not in pos or cycles._int_rows[pos[r]] != {r: 1}:
+            raise InternalCheckError(
+                "a one-entry boundary column is not a cycle basis row")
+    members: dict = {}  # weight -> numbers of its cycle rows, units left out
+    for j, (p, row) in enumerate(zip(cycles.pivots, cycles._int_rows)):
+        w = _weight(row, weights, "cycle row")
+        if p not in units:
+            members.setdefault(w, []).append(j)
+    # The cycle pivots other than units, with their coordinates.
+    keep = {p: k for p, k in pos.items() if p not in units} if units else pos
     # weight -> [its span, columns it rejected in a row, KernelTest of P]
     open_blocks = {w: [Subspace(cycles.dim), 0, None] for w in members}
     full = []
     for col in next_boundary_cols:
         if not open_blocks:
             break
+        if len(col) == 1:
+            continue
         w = _weight(col, weights, "boundary column")
         block = open_blocks.get(w)
         if block is None:
             continue
+        v = {keep[p]: x for p, x in col.items() if p in keep}
+        if not v:
+            continue
         rels, rejected, test = block
-        v = cycles._coords(col)
         if test is not None and test.kills(v):
             continue
         if rels.add(v):
@@ -136,9 +161,11 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
         else:
             block[1:] = 0, KernelTest(projection_matrix(rels, [
                 j for j in members[w] if j not in rels._pivot_pos]))
-    rows = sorted((p, row) for rels in full
-                  + [block[0] for block in open_blocks.values()]
-                  for p, row in zip(rels.pivots, rels._int_rows))
+    rows = [(pos[r], {pos[r]: 1}) for r in units]
+    rows += [(p, row) for rels in full
+             + [block[0] for block in open_blocks.values()]
+             for p, row in zip(rels.pivots, rels._int_rows)]
+    rows.sort()
     relations = Subspace._of_int_rows(cycles.dim, [p for p, _ in rows],
                                       [row for _, row in rows])
     return QuotientStructure(cycles.dim, relations)
@@ -156,8 +183,7 @@ def _homology_pieces(d: SparseMat, d_next: SparseMat, weights: list,
         raise InternalCheckError(
             f"{what} squared is nonzero between degrees {n + 1} and {n - 1}")
     cycles = nullspace(d)
-    Q = _quotient_of_complex(
-        cycles, (d_next.num[c] for c in sorted(d_next.num)), weights)
+    Q = _quotient_of_complex(cycles, d_next.num.values(), weights)
     return cycles, Q
 
 

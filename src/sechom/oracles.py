@@ -262,8 +262,12 @@ def _dense_kernel(M) -> list:
 
 
 def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
-    """Dimension of I/I^2 for the kernel I of the product map on A (x) A."""
+    """Dimension of I/I^2 for the kernel I of the product map on A (x) A.
+    I is an ideal only when A is commutative; any other A is refused
+    with ValueError."""
     d = A.dim
+    if any(A.mult[i][j] != A.mult[j][i] for i in range(d) for j in range(i)):
+        raise ValueError("the I/I^2 reference requires a commutative A")
     _check_cap(d * d)
     mu = [[0] * (d * d) for _ in range(d)]
     for i in range(d):
@@ -296,10 +300,8 @@ def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
                         out[c] = out.get(c, 0) + x * y * a * b
         return {c: x for c, x in out.items() if x}
 
-    # For commutative A, A (x) A is commutative too, so u v = v u and each
-    # unordered pair of kernel vectors is multiplied once.
-    commutative = all(A.mult[i][j] == A.mult[j][i]
-                      for i in range(d) for j in range(i))
+    # A (x) A is commutative, so u v = v u and each unordered pair of
+    # kernel vectors is multiplied once.
     squares = [tensor_mult(u, v) for i, u in enumerate(kernel)
-               for v in (kernel[i:] if commutative else kernel)]
+               for v in kernel[i:]]
     return len(kernel) - dense_rank(squares) if kernel else 0

@@ -114,23 +114,27 @@ def _mixed_algebra(alg: FinAlgebra) -> FinAlgebra:
 
 
 def rebased_triple(name: str):
-    """A catalog triple whose algebras have dimension at most 3, rewritten
-    in the basis given by the columns of _MIX in A and in B, built through
-    make_triple.
+    """`rebased` of a catalog triple.  Not memoized: its degree-4 boundary
+    is large, and its tables go when the caller drops it."""
+    return rebased(catalog(name))
 
-    It is isomorphic to its catalog twin, but every new basis vector mixes
-    all the old ones, so its structure constants are dense and its
-    boundaries carry many more nonzeros.  Not memoized: its degree-4
-    boundary is large, and its tables go when the caller drops it.
+
+def rebased(T: Triple) -> Triple:
+    """A triple whose algebras have dimension at most 3, rewritten in the
+    basis given by the columns of _MIX in A and in B, built through
+    make_triple and named after T with the suffix `_rebased`.
+
+    It is isomorphic to T, but every new basis vector mixes all the old
+    ones, so its structure constants are dense and its boundaries carry
+    many more nonzeros.
     """
-    T = catalog(name)
     P = _MIX[T.B.dim][0]
     Pinv = _MIX[T.A.dim][1]
     r = range(T.B.dim)
     eps = [_mixed(Pinv, [sum(P[l][j] * T.eps.columns[l][k] for l in r)
                          for k in range(T.A.dim)]) for j in r]
     return make_triple(_mixed_algebra(T.A), _mixed_algebra(T.B), eps,
-                       name=f"{name}_rebased")
+                       name=f"{T.name}_rebased")
 
 
 # Triples outside the catalog whose B is not the ground field.

@@ -292,6 +292,22 @@ def test_commutative_precondition_maps_to_exit_three(capsys):
     assert "commutative" in err
 
 
+def test_kernel_reference_refuses_noncommutative_a_before_the_oracle(
+        capsys, monkeypatch):
+    # The I/I^2 oracle refuses a non-commutative A with ValueError; the
+    # command refuses first, with the kernel's own message and exit 3.
+    plain = run(capsys, "compute", "--catalog", "mat2_k", "--flavor", "kernel")
+    assert plain[0] == 3
+    assert "the kernel presentation requires a commutative" in plain[2]
+
+    def unreachable(A):
+        raise AssertionError("the reference ran on a non-commutative A")
+
+    monkeypatch.setattr(cli, "classical_I_mod_I2_dim", unreachable)
+    assert run(capsys, "compute", "--catalog", "mat2_k", "--flavor", "kernel",
+               "--oracle") == plain
+
+
 def test_reference_comparison_requires_ground_field(capsys):
     code, payload, _ = run_json(capsys, "compute", "--catalog", "trunc3_k",
                                 "--flavor", "hh", "--degree", "0..2",

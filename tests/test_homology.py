@@ -222,6 +222,45 @@ def test_stalled_span_tests_columns_by_projection(monkeypatch):
     assert Q.relations == reference_quotient_of_complex(cycles, cols).relations
 
 
+def test_one_entry_columns_give_unit_relations_without_elimination(
+        monkeypatch):
+    # hh(dual_dual_x, 3): 8,878 of the 15,976 boundary columns have one
+    # entry, at 523 distinct cycle pivots.  Each of those gives its unit
+    # relation row with no `add`, so the weight blocks' spans hold every
+    # other relation, and the rest match one plain span.
+    cycles, cols, weights = relation_span_inputs(shared_triple("dual_dual_x"),
+                                                 "hh", 3)
+    units = {cycles._pivot_pos[min(col)] for col in cols if len(col) == 1}
+    assert len(cols) == 15976 and len(units) == 523
+    assert sum(len(col) == 1 for col in cols) == 8878
+    spans = []
+    real = Subspace.__init__
+    monkeypatch.setattr(Subspace, "__init__", lambda self, *args: (
+        spans.append(self), real(self, *args))[1])
+    Q = homology._quotient_of_complex(cycles, cols, weights)
+    monkeypatch.undo()
+    R = Q.relations
+    assert Q.dim == 1 and sum(S.dim for S in spans) == R.dim - len(units)
+    assert all(R._int_rows[R._pivot_pos[k]] == {k: 1} for k in units)
+    assert R == reference_quotient_of_complex(cycles, cols).relations
+
+
+def test_one_entry_column_off_the_cycle_pivots_is_a_hard_error():
+    # A one-entry boundary column is a boundary, hence a cycle basis row
+    # e_r.  At an index that is no cycle pivot, or at a pivot whose row
+    # has other entries, d squared is not zero or the cycles are wrong.
+    cycles, cols, weights = relation_span_inputs(shared_triple("dual_dual_x"),
+                                                 "hh", 2)
+    off = next(r for r in range(cycles.ambient_dim)
+               if r not in cycles._pivot_pos)
+    longer = next(p for p, row in zip(cycles.pivots, cycles._int_rows)
+                  if len(row) > 1)
+    homology._quotient_of_complex(cycles, cols, weights)
+    for r in (off, longer):
+        with pytest.raises(InternalCheckError, match="one-entry"):
+            homology._quotient_of_complex(cycles, cols + [{r: 1}], weights)
+
+
 def test_a_wrong_grading_is_a_hard_error_never_a_wrong_dimension(monkeypatch):
     # Gradings that break eps or a product: every degree either raises or
     # gives the true dimension, and hh in degree 2 raises.  A coarser

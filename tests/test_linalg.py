@@ -7,9 +7,11 @@ from math import gcd, lcm
 
 import pytest
 
-from _shared import (ALL_NAMES, dense_matrix, from_canonical, from_entries,
-                     rebased_triple, relation_span_inputs, rescaled_triple,
-                     shared_triple, value_columns)
+from _shared import (ALL_NAMES, cube_over_prod, dense_matrix,
+                     dual_over_trunc3_x, from_canonical, from_entries,
+                     prod_over_prod_id, rebased, rebased_triple,
+                     relation_span_inputs, rescaled_triple, shared_triple,
+                     sqzero_dual_x, trunc3_over_dual_x2, value_columns)
 from sechom.chains import boundary, cyclic_quotient
 from sechom import linalg
 from sechom.homology import _induced_boundary, _quotient_of_complex, hc, hh
@@ -464,8 +466,9 @@ def test_fraction_free_elimination_matches_fraction_elimination():
 def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
     # Every Subspace that hh and hc construct up to degree 3 on the
     # catalog: per call, the row space in nullspace and one homology
-    # relation span per weight of the cycles, which starts empty and grows
-    # through `add` (gated in
+    # relation span per weight of the cycles that one-entry boundary
+    # columns leave uncovered, which starts empty and grows through `add`
+    # (gated in
     # test_relation_span_stops_once_full_with_the_same_canonical_form).
     # nullspace wraps its kernel rows without a second elimination (gated
     # in the nullspace tests below).
@@ -490,9 +493,11 @@ def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
     for name in ALL_NAMES:
         for n in range(4):
             for flavor in ("hh", "hc"):
-                cycles, _, weights = relation_span_inputs(
+                cycles, cols, weights = relation_span_inputs(
                     shared_triple(name), flavor, n)
-                blocks += len({weights[p] for p in cycles.pivots})
+                units = {min(col) for col in cols if len(col) == 1}
+                blocks += len({weights[p] for p in cycles.pivots
+                               if p not in units})
     assert len(inputs) == 2 * 4 * len(ALL_NAMES) + blocks
     for ambient_dim, vectors in inputs:
         _assert_same_rref(ambient_dim, vectors)
@@ -740,38 +745,64 @@ def _cycle_coordinates(cycles, cols):
     return [{pos[p]: x for p, x in col.items() if p in pos} for col in cols]
 
 
+class _RecordedColumns(list):
+    """Columns that record, per iteration over them, the indices handed
+    out, in order."""
+
+    def __init__(self, cols):
+        super().__init__(cols)
+        self.passes = []
+
+    def __iter__(self):
+        handed = []
+        self.passes.append(handed)
+        for k, col in enumerate(super().__iter__()):
+            handed.append(k)
+            yield col
+
+
 def test_relation_span_stops_once_full_with_the_same_canonical_form(
         monkeypatch):
     # The homology relations of hh and hc up to degree 3 on the catalog,
-    # against the Fraction elimination of every boundary column.  A column
-    # that never reaches `add` lies in a block that spans all the cycles
-    # of its weight (its block was full, or every block was), or its
-    # block's projection killed it: it lies in the span of the columns of
-    # its block that reached `add` before it.
-    read, fed = [], set()
+    # against the Fraction elimination of every boundary column.  The
+    # second pass over the columns feeds `add` each column stripped of
+    # the unit coordinates (those of the one-entry columns).  A column it
+    # reads that never reaches `add` is a one-entry column, strips to
+    # zero, lies in a block that spans all the cycles of its weight (its
+    # block was full, or every block was), or its block's projection
+    # killed it: it lies in the span of the stripped columns of its block
+    # that reached `add` before it.
+    fed: dict = {}  # column index -> the vector `add` was given
     orig = Subspace.add
 
     def recording(self, v):
-        fed.add(read[-1])
+        fed[cols.passes[-1][-1]] = dict(v)
         return orig(self, v)
 
-    skipped = skipped_with_homology = killed = 0
+    counts = Counter()
     for name in ALL_NAMES:
         T = shared_triple(name)
         for n in range(4):
             for flavor in ("hh", "hc"):
-                cycles, cols, weights = relation_span_inputs(T, flavor, n)
-                read.clear()
+                cycles, plain, weights = relation_span_inputs(T, flavor, n)
+                cols = _RecordedColumns(plain)
                 fed.clear()
                 monkeypatch.setattr(Subspace, "add", recording)
-                Q = _quotient_of_complex(
-                    cycles, (read.append(k) or c for k, c in enumerate(cols)),
-                    weights)
+                Q = _quotient_of_complex(cycles, cols, weights)
                 monkeypatch.undo()
+                assert len(cols.passes) == 2 and len(cols.passes[0]) == len(cols)
+                read = cols.passes[1]
+                assert read == list(range(len(read)))
                 vectors = _cycle_coordinates(cycles, cols)
                 rows, pivots, _ = _fraction_rref(cycles.dim, vectors)
                 assert Q.relations.rows == rows
                 assert Q.relations.pivots == pivots
+                units = {cycles._pivot_pos[min(col)] for col in cols
+                         if len(col) == 1}
+                assert all(Q.relations.rows[Q.relations._pivot_pos[k]]
+                           == {k: 1} for k in units)
+                stripped = [{k: x for k, x in v.items() if k not in units}
+                            for v in vectors]
                 cycle_weights = [weights[p] for p in cycles.pivots]
                 spanned = Counter(cycle_weights[j] for j in Q.relations.pivots)
                 full = {w for w, k in Counter(cycle_weights).items()
@@ -781,15 +812,48 @@ def test_relation_span_stops_once_full_with_the_same_canonical_form(
                     w = weights[min(cols[k])]
                     span = before.setdefault(w, Subspace(cycles.dim))
                     if k in fed:
-                        span.add(vectors[k])
+                        assert len(cols[k]) > 1 and fed[k] == stripped[k]
+                        span.add(stripped[k])
                         continue
-                    assert w in full or span.contains(vectors[k])
-                    killed += w not in full
-                    skipped += 1
-                    skipped_with_homology += Q.dim > 0
+                    if len(cols[k]) == 1:
+                        counts["unit"] += 1
+                    elif not stripped[k]:
+                        counts["stripped to zero"] += 1
+                    elif w in full:
+                        counts["full block"] += 1
+                    else:
+                        assert span.contains(stripped[k])
+                        counts["killed"] += 1
+                        counts["killed with homology"] += Q.dim > 0
                 if len(read) < len(cols):  # the span stopped early
                     assert full == set(cycle_weights)
-    assert skipped and skipped_with_homology and killed
+    assert all(counts[c] for c in ("unit", "stripped to zero", "full block",
+                                   "killed", "killed with homology")), counts
+
+
+def test_relation_span_over_b_other_than_q_matches_fraction_elimination():
+    # The five triples of tests/_shared.py whose B is not the ground field
+    # (one-entry columns from degree 1 up) and their rebased twins (dense,
+    # one block, at most two one-entry columns), hh and hc in degrees 0..2,
+    # against the Fraction elimination of the boundary columns.  A twin's
+    # degree-2 span reads about 48 evenly spaced columns: the Fraction
+    # elimination of all of them takes 49-78 s per twin, and its entries
+    # grow fast on the dense twin of dual_over_trunc3_x.
+    for make in (trunc3_over_dual_x2, prod_over_prod_id, cube_over_prod,
+                 dual_over_trunc3_x, sqzero_dual_x):
+        T = make()
+        for twin in (T, rebased(T)):
+            for n in range(3):
+                for flavor in ("hh", "hc"):
+                    cycles, cols, weights = relation_span_inputs(twin, flavor,
+                                                                 n)
+                    if twin is not T and n == 2:
+                        cols = cols[::len(cols) // 48]
+                    Q = _quotient_of_complex(cycles, cols, weights)
+                    rows, pivots, _ = _fraction_rref(
+                        cycles.dim, _cycle_coordinates(cycles, cols))
+                    assert Q.relations.rows == rows, (twin.name, flavor, n)
+                    assert Q.relations.pivots == pivots
 
 
 @pytest.fixture(scope="module")

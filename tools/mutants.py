@@ -103,6 +103,12 @@ MUTANTS = [
            "its kernel is exactly the image of A\", ker == image,",
            "its kernel is exactly the image of A\", True,",
            ("test_homology.py",)),
+    Mutant("span-drops-the-unit-rows", "homology.py",
+           "rows = [(pos[r], {pos[r]: 1}) for r in units]", "rows = []",
+           ("test_homology.py",)),
+    Mutant("span-keeps-the-unit-coordinates", "homology.py",
+           "keep = {p: k for p, k in pos.items() if p not in units} if units "
+           "else pos", "keep = pos", ("test_homology.py",)),
     # Only triples whose B is not the ground field reach these two.
     Mutant("face-bb-reads-one-product-row", "chains.py",
            "for a, row in enumerate(tb.bprod)",
