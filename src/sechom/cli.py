@@ -201,6 +201,15 @@ def _require_ground_field(T: Triple, what: str) -> None:
         raise _CliError(f"{what} B to be the ground field", EXIT_VALIDATION)
 
 
+def _require_commutative(T: Triple, what: str) -> None:
+    """Refuse, as a precondition failure, a request that needs a
+    commutative A; callers refuse before the reference, which would raise."""
+    try:
+        T.require_commutative(what)
+    except CommutativeTripleRequiredError as exc:
+        raise _CliError(str(exc), EXIT_VALIDATION) from None
+
+
 def _reference(args, oracle, T: Triple, *rest):
     """oracle(A, *rest) under --oracle, else None.  Callers run it before
     the engine, so a reference over its size cap is refused before any
@@ -265,11 +274,9 @@ def _cmd_compute(args) -> int:
                 "agrees": agrees,
                 "classical": {str(n): ref[n] for n in degrees}}
     elif args.flavor == "omega":
+        _require_commutative(T, "the module of differential symbols")
         ref = _reference(args, classical_kahler_dim, T)
-        try:
-            P = omega(T)
-        except CommutativeTripleRequiredError as exc:
-            raise _CliError(str(exc), EXIT_VALIDATION) from None
+        P = omega(T)
         payload["results"] = {
             "ambient": P.ambient_dim,
             "relations": P.relations.dim,
@@ -286,10 +293,7 @@ def _cmd_compute(args) -> int:
             payload["reference"] = {"agrees": ref == P.dim,
                                     "classical": {"dimension": ref}}
     elif args.flavor == "kernel":
-        try:  # refused before the reference, which serves commutative A
-            T.require_commutative("the kernel presentation")
-        except CommutativeTripleRequiredError as exc:
-            raise _CliError(str(exc), EXIT_VALIDATION) from None
+        _require_commutative(T, "the kernel presentation")
         ref = _reference(args, classical_I_mod_I2_dim, T)
         K = kernel_data(T)
         payload["results"] = {

@@ -10,6 +10,10 @@ Cyclic homology takes one rank per degree, of [W_{k-1} | b_k] with W
 the image of 1 - rotation, so the +-1 rotation columns pivot before any
 boundary column is reduced (see classical_hc_dims).
 
+The degree-one references serve commutative A only.  I/I^2 needs no
+elimination for I, which has a basis in closed form; its one rank is that
+of the integer products spanning I^2 (see classical_I_mod_I2_dim).
+
 These are slow paths; every entry point refuses ambient dimensions above
 5000 so an accidental call on a large instance fails fast instead of
 grinding.
@@ -17,7 +21,6 @@ grinding.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import FinAlgebra
@@ -207,101 +210,77 @@ def classical_hc_dims(A: FinAlgebra, n_max: int) -> list:
             for n in range(n_max + 1)]
 
 
+def _require_commutative(A: FinAlgebra, what: str) -> None:
+    d = A.dim
+    if any(A.mult[i][j] != A.mult[j][i] for i in range(d) for j in range(i)):
+        raise ValueError(f"{what} requires a commutative A")
+
+
+def _collected(terms) -> dict:
+    """The sparse row of (column, value) terms, values summed per column
+    and zeros dropped."""
+    row: dict = {}
+    for c, x in terms:
+        row[c] = row.get(c, 0) + x
+    return {c: x for c, x in row.items() if x}
+
+
 def classical_kahler_dim(A: FinAlgebra) -> int:
     """Dimension of the classical module of differentials of a commutative
     algebra, from the Leibniz presentation on the free module a d(b):
-    m d(pq) = (mp) d(q) + (mq) d(p), a d(b) numbered a * d + b."""
+    m d(pq) = (mp) d(q) + (mq) d(p), a d(b) numbered a * d + b.  Any other
+    A is refused with ValueError."""
     d = A.dim
+    _require_commutative(A, "the Kahler reference")
     _check_cap(d * d)
     mult = _terms(A)
-    rows = []
-    for m in range(d):
-        for p in range(d):
-            for q in range(d):
-                vec: dict = {}
-                terms = [(m * d + k, x) for k, x in mult[p][q]]
-                terms += [(t * d + q, -x) for t, x in mult[m][p]]
-                terms += [(t * d + p, -x) for t, x in mult[m][q]]
-                for c, x in terms:
-                    vec[c] = vec.get(c, 0) + x
-                rows.append({c: x for c, x in vec.items() if x})
+    rows = [_collected([(m * d + k, x) for k, x in mult[p][q]]
+                       + [(t * d + q, -x) for t, x in mult[m][p]]
+                       + [(t * d + p, -x) for t, x in mult[m][q]])
+            for m in range(d) for p in range(d) for q in range(d)]
     return d * d - dense_rank(rows)
-def _dense_kernel(M) -> list:
-    """Kernel basis of a dense matrix by textbook reduced elimination."""
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    rows = [[Fraction(x) for x in row] for row in M]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        basis.append(v)
-    return basis
 
 
 def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
-    """Dimension of I/I^2 for the kernel I of the product map on A (x) A.
-    I is an ideal only when A is commutative; any other A is refused
-    with ValueError."""
+    """Dimension of I/I^2 for the kernel I of the product map on A (x) A,
+    for a unital A, read off a basis of I in closed form.
+
+    With u the unit and u_j0 != 0, the g_ij = e_i (x) e_j - (e_i e_j) (x) u
+    over all i and all j != j0 are a basis of I: each has product zero,
+    with the j = j0 ones they span I (x = sum c_ij g_ij for x in I), each
+    sum_j u_j g_ij is zero, and dim I = d^2 - d since e_i (x) u maps onto
+    e_i.  With x_l = u (x) e_l - e_l (x) u, g_aj = (e_a (x) u) x_j, so I^2
+    is spanned by the g_aj x_l over all a and j <= l, both != j0.  I is
+    an ideal only when A is commutative; any other A is refused with
+    ValueError.
+    """
     d = A.dim
-    if any(A.mult[i][j] != A.mult[j][i] for i in range(d) for j in range(i)):
-        raise ValueError("the I/I^2 reference requires a commutative A")
+    _require_commutative(A, "the I/I^2 reference")
     _check_cap(d * d)
-    mu = [[0] * (d * d) for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k, x in enumerate(A.mult[i][j]):
-                if x:
-                    mu[k][i * d + j] += x
-    # Each kernel vector and the table scaled to integers: every square
-    # then carries the table's scale den**2 and its factors' scales, so
-    # the rank of the squares is unchanged.
-    kernel = []
-    for v in _dense_kernel(mu):
-        ints = _integral(v)
-        g = gcd(*ints)
-        kernel.append([(p, x // g) for p, x in enumerate(ints) if x])
+    # In integers: the table over den, u over uden, g_ij times den * uden
+    # and x_l times uden.
     den = lcm(*(x.denominator for row in A.mult for prod in row for x in prod))
     mult = [[[(k, x.numerator * (den // x.denominator))
               for k, x in enumerate(prod) if x] for prod in row]
             for row in A.mult]
+    uden = lcm(*(x.denominator for x in A.unit))
+    unit = [(l, x.numerator * (uden // x.denominator))
+            for l, x in enumerate(A.unit) if x]
+    rest = [j for j in range(d) if j != unit[0][0]]
+
+    def g(i, j):
+        return _collected([(i * d + j, den * uden)]
+                          + [(k * d + l, -a * b) for k, a in mult[i][j]
+                             for l, b in unit])
 
     def tensor_mult(u, v):
-        out: dict = {}
-        for p, x in u:
-            i1, j1 = divmod(p, d)
-            for q, y in v:
-                i2, j2 = divmod(q, d)
-                for k1, a in mult[i1][i2]:
-                    for k2, b in mult[j1][j2]:
-                        c = k1 * d + k2
-                        out[c] = out.get(c, 0) + x * y * a * b
-        return {c: x for c, x in out.items() if x}
+        return _collected((k1 * d + k2, s * t * a * b)
+                          for p, s in u.items() for q, t in v.items()
+                          for k1, a in mult[p // d][q // d]
+                          for k2, b in mult[p % d][q % d])
 
-    # A (x) A is commutative, so u v = v u and each unordered pair of
-    # kernel vectors is multiplied once.
-    squares = [tensor_mult(u, v) for i, u in enumerate(kernel)
-               for v in kernel[i:]]
-    return len(kernel) - dense_rank(squares) if kernel else 0
+    xs = {l: _collected([(m * d + l, b) for m, b in unit]
+                        + [(l * d + m, -b) for m, b in unit]) for l in rest}
+    squares = [tensor_mult(g(a, j), xs[l]) for a in range(d)
+               for n, j in enumerate(rest) for l in rest[n:]]
+    return d * (d - 1) - dense_rank(squares)

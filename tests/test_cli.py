@@ -308,6 +308,23 @@ def test_kernel_reference_refuses_noncommutative_a_before_the_oracle(
                "--oracle") == plain
 
 
+def test_omega_reference_refuses_noncommutative_a_before_the_oracle(
+        capsys, monkeypatch):
+    # The Kahler oracle refuses a non-commutative A with ValueError; the
+    # command refuses first, with the symbol module's own message and exit 3.
+    plain = run(capsys, "compute", "--catalog", "mat2_k", "--flavor", "omega")
+    assert plain[0] == 3
+    assert "the module of differential symbols requires a commutative" \
+        in plain[2]
+
+    def unreachable(A):
+        raise AssertionError("the reference ran on a non-commutative A")
+
+    monkeypatch.setattr(cli, "classical_kahler_dim", unreachable)
+    assert run(capsys, "compute", "--catalog", "mat2_k", "--flavor", "omega",
+               "--oracle") == plain
+
+
 def test_reference_comparison_requires_ground_field(capsys):
     code, payload, _ = run_json(capsys, "compute", "--catalog", "trunc3_k",
                                 "--flavor", "hh", "--degree", "0..2",

@@ -14,13 +14,15 @@ from random import Random
 
 import pytest
 
-from _shared import (dense_rank_of_sparse, densify, from_entries,
-                     rebased_triple, rescaled_triple)
+from _shared import (cube_over_prod, dense_rank_of_sparse, densify,
+                     dual_over_trunc3_x, from_entries, prod_over_prod_id,
+                     rebased, rebased_triple, rescaled_triple, sqzero_dual_x,
+                     trunc3_over_dual_x2, upper_triangular_algebra)
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra, tensor_algebra,
                             truncated_polynomial_algebra, validate_algebra)
-from sechom.linalg import SparseMat, rank
+from sechom.linalg import SparseMat, nullspace, rank
 from sechom.oracles import (bar_boundary, bar_rotation, classical_hc_dims,
                             classical_hh_dims, classical_I_mod_I2_dim,
                             classical_kahler_dim, dense_rank)
@@ -281,50 +283,77 @@ def test_diagonal_ideal_presentation_dimensions():
         assert classical_I_mod_I2_dim(A) == expect[name]
 
 
+def _commutative_algebras() -> list:
+    """Every commutative A the suite builds for the degree-one oracles: the
+    catalog's and those of its rebased and rescaled twins, the A of the
+    triples whose B is not Q and of their rebased twins, three tensor
+    products, Q^3, Q[x]/x^4 and Q[x]/x^5."""
+    names = [name for name in catalog_names() if name != "mat2_k"]
+    others = [trunc3_over_dual_x2(), prod_over_prod_id(), cube_over_prod(),
+              dual_over_trunc3_x(), sqzero_dual_x()]
+    dual = truncated_polynomial_algebra(2)
+    algebras = [catalog(name).A for name in names]
+    algebras += [rebased_triple(name).A for name in names]
+    algebras += [rescaled_triple(name).A for name in names]
+    algebras += [T.A for T in others] + [rebased(T).A for T in others]
+    algebras += [tensor_algebra(dual, dual),
+                 tensor_algebra(truncated_polynomial_algebra(3), dual),
+                 tensor_algebra(split_product_algebra(2), dual),
+                 split_product_algebra(3), truncated_polynomial_algebra(4),
+                 truncated_polynomial_algebra(5)]
+    assert all(validate_algebra(A).commutative for A in algebras)
+    return algebras
+
+
+def _noncommutative_algebras() -> list:
+    return [catalog("mat2_k").A, rescaled_triple("mat2_k").A,
+            upper_triangular_algebra()]
+
+
 def _ordered_I_mod_I2_dim(A):
-    """I/I^2 with every ordered product u v of kernel basis vectors, as the
-    oracle formed it for every algebra before it skipped v u on
-    commutative ones."""
+    """I/I^2 with every ordered product u v of a basis of I, the kernel of
+    the product map as the engine's `nullspace` reads it, ranked by the
+    engine's `rank`: a route that shares nothing with the oracle's."""
     d = A.dim
-    mu = [[Fraction(0)] * (d * d) for _ in range(d)]
-    for i, j in product(range(d), repeat=2):
-        for k, x in enumerate(A.mult[i][j]):
-            mu[k][i * d + j] += x
-    kernel = oracles._dense_kernel(mu)
-    squares = []
-    for u, v in product(kernel, repeat=2):
-        out = [Fraction(0)] * (d * d)
-        for i1, j1, i2, j2 in product(range(d), repeat=4):
-            x, y = u[i1 * d + j1], v[i2 * d + j2]
-            if x and y:
-                for k1, k2 in product(range(d), repeat=2):
-                    out[k1 * d + k2] += (x * y * A.mult[i1][i2][k1]
-                                         * A.mult[j1][j2][k2])
-        squares.append(out)
-    return len(kernel) - dense_rank(_sparse(squares)) if kernel else 0
+    terms = [[[(k, x) for k, x in enumerate(prod) if x] for prod in row]
+             for row in A.mult]
+    mu = from_entries(d, d * d, ((k, i * d + j, x)
+                                 for i, j in product(range(d), repeat=2)
+                                 for k, x in terms[i][j]))
+    kernel = nullspace(mu).rows
+    entries = []
+    for r, (u, v) in enumerate(product(kernel, repeat=2)):
+        for (p, x), (q, y) in product(u.items(), v.items()):
+            (i1, j1), (i2, j2) = divmod(p, d), divmod(q, d)
+            for (k1, a), (k2, b) in product(terms[i1][i2], terms[j1][j2]):
+                entries.append((r, k1 * d + k2, x * y * a * b))
+    return len(kernel) - rank(from_entries(len(kernel) ** 2, d * d, entries))
 
 
 def test_unordered_kernel_products_match_the_ordered_ones():
-    # A non-commutative A (M2(Q) of mat2_k) is refused: its kernel of the
-    # product map is not an ideal, and the ordered products gave -4.
-    algebras = [catalog(name).A for name in catalog_names()]
-    algebras += [rebased_triple(name).A for name in catalog_names()
-                 if name != "mat2_k"]
-    algebras += [rescaled_triple("trunc3_k").A]
-    refused = [A for A in algebras if not validate_algebra(A).commutative]
-    assert refused
-    for A in algebras:
-        if A in refused:
-            with pytest.raises(ValueError, match="commutative"):
-                classical_I_mod_I2_dim(A)
-        else:
-            assert classical_I_mod_I2_dim(A) == _ordered_I_mod_I2_dim(A), \
-                A.name
+    # The closed-form basis of I and its products with the x_l against
+    # every ordered product of a kernel basis.  A non-commutative A (M2(Q)
+    # of mat2_k, its rescaled twin, the upper triangular matrices) is
+    # refused: its kernel of the product map is not an ideal.
+    for A in _commutative_algebras():
+        assert classical_I_mod_I2_dim(A) == _ordered_I_mod_I2_dim(A), A.name
+    for A in _noncommutative_algebras():
+        with pytest.raises(ValueError, match="commutative"):
+            classical_I_mod_I2_dim(A)
+
+
+def test_kahler_reference_refuses_a_noncommutative_a():
+    # Its Leibniz presentation gave 0 on M2(Q), a number with no meaning:
+    # the engine's module of differential symbols refuses that A.
+    for A in _noncommutative_algebras():
+        assert not validate_algebra(A).commutative
+        with pytest.raises(ValueError, match="commutative"):
+            classical_kahler_dim(A)
 
 
 def test_two_classical_presentations_agree():
-    for _, A in _algebras()[:4]:
-        assert classical_kahler_dim(A) == classical_I_mod_I2_dim(A)
+    for A in _commutative_algebras():
+        assert classical_kahler_dim(A) == classical_I_mod_I2_dim(A), A.name
 
 
 # -- dense rank ------------------------------------------------------------
@@ -462,8 +491,8 @@ def test_dense_rank_equals_the_reference_on_every_oracle_matrix(monkeypatch):
         n_max = _reduction_degree(A)
         classical_hh_dims(A, n_max)
         classical_hc_dims(A, n_max)
-        classical_kahler_dim(A)
-        if validate_algebra(A).commutative:  # the only A it serves
+        if validate_algebra(A).commutative:  # the only A they serve
+            classical_kahler_dim(A)
             classical_I_mod_I2_dim(A)
     assert {frozenset({int}), frozenset({int, F})} <= row_kinds
 

@@ -99,6 +99,12 @@ MUTANTS = [
            ("test_oracles.py",)),
     Mutant("dense-rank-pivot-from-another-row", "oracles.py",
            "p = piv[col]", "p = group[0][col]", ("test_oracles.py",)),
+    Mutant("i-basis-drops-the-unit-term", "oracles.py",
+           "(k * d + l, -a * b)", "(k * d + l, 0)", ("test_oracles.py",),
+           ci=True),
+    Mutant("kahler-accepts-a-noncommutative-a", "oracles.py",
+           '    _require_commutative(A, "the Kahler reference")\n', "",
+           ("test_oracles.py",), ci=True),
     Mutant("segment-kernel-check-always-passes", "verify.py",
            "its kernel is exactly the image of A\", ker == image,",
            "its kernel is exactly the image of A\", True,",
