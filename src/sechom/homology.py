@@ -8,22 +8,30 @@ certified once per degree, when the induced boundary is built
 cap (default 3) must be requested explicitly since space grows as
 dim(A)^(n+1) * dim(B)^(n(n+1)/2).
 
+`hh` and `hc` read the dimension on `triples.regrade(T)` when it finds a
+triple isomorphic to T whose basis is graded (T's own basis hides the
+grading), and on T otherwise: isomorphic triples have isomorphic
+complexes, and the graded one splits its relation span by weight.
+
 Representatives are always reported in the chain coordinates of the
-requested degree; their classes form a basis of the homology space.
-Class j of a homology quotient is that of the cycle basis row at the
-quotient's non-pivot axis j, so each representative is a stored row.
+requested degree, in T's own basis, and formed only when read; their
+classes form a basis of the homology space.  Class j of a homology
+quotient is that of the cycle basis row at the quotient's non-pivot axis
+j, so each representative is a stored row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import log10
+from typing import Callable
 
 from .chains import boundary, chain_dim, chain_weights, cyclic_quotient
 from .linalg import (InternalCheckError, KernelTest, QuotientStructure,
                      SparseMat, Subspace, induced_on_quotients, nullspace,
                      product_is_zero, projection_matrix, to_dense)
-from .triples import Triple, per_triple
+from .triples import Triple, per_triple, regrade
 
 DEFAULT_MAX_DEGREE = 3
 _MAX_DIGITS = 100  # longer chain dimensions are printed as powers
@@ -65,11 +73,25 @@ def check_degree(T: Triple, n: int, max_degree) -> None:
 
 @dataclass
 class HomologyResult:
+    """The dimension of one homology space, and its representatives.
+
+    The representatives are formed on first read, by `_representatives`,
+    and their number is checked against the dimension then.
+    """
     triple_name: str
     flavor: str  # "hh" or "hc"
     degree: int
     dimension: int
-    representatives: list = field(default_factory=list)
+    _representatives: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def representatives(self) -> list:
+        reps = self._representatives()
+        if len(reps) != self.dimension:
+            raise InternalCheckError(
+                f"{len(reps)} representatives in the input's basis for "
+                f"dimension {self.dimension}")
+        return reps
 
     def __str__(self) -> str:
         return (f"{self.flavor.upper()}_{self.degree}({self.triple_name}) "
@@ -194,11 +216,19 @@ def _hh_pieces(T: Triple, n: int):
 
 
 def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
-    """Homology of the chain complex at degree n."""
+    """Homology of the chain complex at degree n.
+
+    The dimension is read on `regrade(T)` when there is one, else on T;
+    the representatives are T's own (see `HomologyResult`).
+    """
     check_degree(T, n, max_degree)
-    cycles, Q = _hh_pieces(T, n)
-    reps = [to_dense(cycles.row(c), chain_dim(T, n)) for c in Q.nonpivots]
-    return HomologyResult(T.name, "hh", n, Q.dim, reps)
+    R = regrade(T)
+    pieces = _hh_pieces(R or T, n)
+
+    def representatives() -> list:
+        cycles, Q = _hh_pieces(T, n) if R else pieces
+        return [to_dense(cycles.row(c), chain_dim(T, n)) for c in Q.nonpivots]
+    return HomologyResult(T.name, "hh", n, pieces[1].dim, representatives)
 
 
 @per_triple
@@ -227,10 +257,15 @@ def _hc_pieces(T: Triple, n: int):
 
 
 def hc(T: Triple, n: int, max_degree=None) -> HomologyResult:
-    """Homology of the cyclic coinvariant complex at degree n."""
+    """Homology of the cyclic coinvariant complex at degree n, read as
+    `hh` reads its own."""
     check_degree(T, n, max_degree)
-    q_n, cycles, Q = _hc_pieces(T, n)
-    reps = [to_dense(q_n.section(cycles.row(c)), chain_dim(T, n))
-            for c in Q.nonpivots]
-    return HomologyResult(T.name, "hc", n, Q.dim, reps)
+    R = regrade(T)
+    pieces = _hc_pieces(R or T, n)
+
+    def representatives() -> list:
+        q_n, cycles, Q = _hc_pieces(T, n) if R else pieces
+        return [to_dense(q_n.section(cycles.row(c)), chain_dim(T, n))
+                for c in Q.nonpivots]
+    return HomologyResult(T.name, "hc", n, pieces[2].dim, representatives)
 

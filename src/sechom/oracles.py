@@ -228,8 +228,9 @@ def _collected(terms) -> dict:
 def classical_kahler_dim(A: FinAlgebra) -> int:
     """Dimension of the classical module of differentials of a commutative
     algebra, from the Leibniz presentation on the free module a d(b):
-    m d(pq) = (mp) d(q) + (mq) d(p), a d(b) numbered a * d + b.  Any other
-    A is refused with ValueError."""
+    m d(pq) = (mp) d(q) + (mq) d(p), a d(b) numbered a * d + b.  On a
+    commutative A the row (m, p, q) is the row (m, q, p), so only the rows
+    with p <= q are formed.  Any other A is refused with ValueError."""
     d = A.dim
     _require_commutative(A, "the Kahler reference")
     _check_cap(d * d)
@@ -237,7 +238,7 @@ def classical_kahler_dim(A: FinAlgebra) -> int:
     rows = [_collected([(m * d + k, x) for k, x in mult[p][q]]
                        + [(t * d + q, -x) for t, x in mult[m][p]]
                        + [(t * d + p, -x) for t, x in mult[m][q]])
-            for m in range(d) for p in range(d) for q in range(d)]
+            for m in range(d) for p in range(d) for q in range(p, d)]
     return d * d - dense_rank(rows)
 
 

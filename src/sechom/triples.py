@@ -5,18 +5,25 @@ and a unital homomorphism eps from B into the center of A.
 concrete witness, so a failed build can always be replayed by hand.  A
 small catalog of ready-made triples covers the cases used by the tests
 and the command line tool.
+
+`grading` reads the gradings that a triple's basis carries, and
+`regrade` finds one that the basis hides: it rebuilds the triple in the
+eigenbasis of one of its derivations, checked exactly, or gives None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import wraps
+from math import isqrt, lcm
 
 from .algebra import (AlgMorphism, FinAlgebra, _central, _int_product,
                       _int_table, _validated, field_algebra, matrix_algebra,
                       multiply, split_product_algebra,
                       truncated_polynomial_algebra)
-from .linalg import ONE, ZERO, SparseMat, _integer_supports, _summed, nullspace
+from .linalg import (ONE, ZERO, SparseMat, Subspace, _integer_supports,
+                     _summed, nullspace)
 
 
 class TripleAxiomError(ValueError):
@@ -190,13 +197,266 @@ def grading(T: Triple) -> list:
                         for k, _ in prod]
     for k, col in enumerate(tb.eps):
         eqs += [{m: 1, da + k: -1} for m, _ in col]
+    K = _solutions(eqs, da + T.B.dim)
+    return [tuple(row.get(v, 0) for v in range(K.ambient_dim))
+            for row in K._int_rows]
+
+
+def _solutions(eqs: list, nvars: int) -> Subspace:
+    """The rational solutions of the homogeneous integer equations `eqs`
+    (sparse dicts {unknown: coefficient}) in `nvars` unknowns."""
     cols: dict = {}
     for r, eq in enumerate(eqs):
         for v, c in eq.items():
             cols.setdefault(v, {})[r] = c
-    K = nullspace(SparseMat.from_ints(len(eqs), da + T.B.dim, cols))
-    return [tuple(row.get(v, 0) for v in range(K.ambient_dim))
-            for row in K._int_rows]
+    return nullspace(SparseMat.from_ints(len(eqs), nvars, cols))
+
+
+# -- regrading -------------------------------------------------------------
+
+def _by_entry(terms) -> list:
+    """Terms (entry, unknown, coefficient) summed into one equation per
+    entry, the empty ones dropped."""
+    eqs: dict = {}
+    for m, v, x in terms:
+        eqs.setdefault(m, []).append((v, x))
+    return [eq for eq in map(_summed, eqs.values()) if eq]
+
+
+def _derivations(T: Triple) -> Subspace:
+    """The derivations (D_A, D_B) of the triple: D_A of A and D_B of B
+    with D_A eps = eps D_B, as one kernel.
+
+    Unknown m dA + l is the e_m entry of D_A e_l, and dA^2 + j dB + k the
+    f_j entry of D_B f_k.  For every basis pair (i, j) and entry m,
+    D(e_i e_j) - D(e_i) e_j - e_i D(e_j) vanishes in A and in B, read over
+    the table's denominator, and so does D_A eps(f_k) - eps(D_B f_k),
+    read over eps's.
+    """
+    tb = _tables(T)
+    da, db = T.A.dim, T.B.dim
+    eqs = []
+    for off, d, prod in ((0, da, tb.aprod), (da * da, db, tb.bprod)):
+        for i in range(d):
+            for j in range(d):
+                eqs += _by_entry(
+                    [(m, off + m * d + k, x)
+                     for k, x in prod[i][j] for m in range(d)]
+                    + [(m, off + k * d + i, -x)
+                       for k in range(d) for m, x in prod[k][j]]
+                    + [(m, off + k * d + j, -x)
+                       for k in range(d) for m, x in prod[i][k]])
+    for k in range(db):
+        eqs += _by_entry(
+            [(m, m * da + l, x) for l, x in tb.eps[k] for m in range(da)]
+            + [(m, da * da + j * db + k, -x)
+               for j in range(db) for m, x in tb.eps[j]])
+    return _solutions(eqs, da * da + db * db)
+
+
+def _combinations(r: int) -> list:
+    """The coefficient vectors tried on a basis of r derivations, in order:
+    points (1, t, ..., t^(r-1)) of the moment curve, each of which mixes
+    every basis derivation (one that leaves a derivation out can leave
+    two weights of the triple on one eigenspace), then each basis
+    derivation alone.  With r = 0 there is none."""
+    out = [tuple(t ** j for j in range(r)) for t in (1, -1, 2, -2, 3) if r]
+    out += [tuple(int(j == s) for j in range(r)) for s in range(r)]
+    return list(dict.fromkeys(out))
+
+
+def _charpoly(D: list) -> list:
+    """The coefficients c_0, ..., c_n of det(x - D) for an integer matrix
+    D, by Faddeev and LeVerrier: M_k = D M_(k-1) + c_(n-k+1) and
+    c_(n-k) = -tr(D M_k) / k, a division that is exact in integers."""
+    n = len(D)
+    c = [0] * n + [1]
+    M = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(D[i][l] * M[l][j] for l in range(n))
+              + (c[n - k + 1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        c[n - k] = -sum(D[i][l] * M[l][i]
+                        for i in range(n) for l in range(n)) // k
+    return c
+
+
+def _diagonalizes(D: list, g: list, lams: list) -> bool:
+    """Whether D g = g diag(lams): column c of g is an eigenvector of D
+    with eigenvalue lams[c]."""
+    n = len(D)
+    return all(sum(D[i][k] * g[k][c] for k in range(n)) == g[i][c] * lam
+               for c, lam in enumerate(lams) for i in range(n))
+
+
+# The largest eigenvalue bound R that `_eigenbasis` scans up to: 2R + 1
+# integers, a few milliseconds at this size.
+_MAX_EIGENVALUE = 1 << 16
+
+
+def _eigenbasis(D: list):
+    """(g, lams): the columns of the integer matrix g are an eigenbasis of
+    the integer matrix D, with eigenvalues lams in ascending order; None
+    when D is not diagonalizable over Q.
+
+    A rational root of the monic integer characteristic polynomial is an
+    integer.  When every root is an integer, their squares sum to
+    tr(D^2), so each lies in [-R, R] for R = isqrt(tr(D^2)), and a nonzero
+    one divides the polynomial's lowest nonzero coefficient.  That range
+    is scanned, so a D with R above _MAX_EIGENVALUE is passed over.  D is
+    diagonalizable exactly when the kernels of D - lam over those roots
+    have dimensions that sum to n; each kernel gives its primitive
+    integer basis rows.
+    """
+    n = len(D)
+    c = _charpoly(D)
+    tr2 = sum(D[i][j] * D[j][i] for i in range(n) for j in range(n))
+    if not 0 <= tr2 <= _MAX_EIGENVALUE ** 2:
+        return None
+    low = next(x for x in c if x)
+    cols, lams = [], []
+    for lam in range(-isqrt(tr2), isqrt(tr2) + 1):
+        if (lam and low % lam) or sum(x * lam ** e for e, x in enumerate(c)):
+            continue
+        shifted = {j: col for j in range(n) if (col := {
+            i: D[i][j] - (lam if i == j else 0) for i in range(n)
+            if D[i][j] != (lam if i == j else 0)})}
+        for row in nullspace(SparseMat.from_ints(n, n, shifted))._int_rows:
+            cols.append(row)
+            lams.append(lam)
+    if len(cols) != n:
+        return None
+    g = [[col.get(i, 0) for col in cols] for i in range(n)]
+    return (g, lams) if _diagonalizes(D, g, lams) else None
+
+
+def _supports(g: list) -> list:
+    """The columns of the integer matrix g as integer supports."""
+    return [tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*g)]
+
+
+def _image(cols: list, v) -> dict:
+    """g v for the column supports `cols` of g and a support v; with the
+    columns `tb.eps` of `_tables`, eps(v) over tb.lden."""
+    return _summed((i, x * y) for k, x in v for i, y in cols[k])
+
+
+def _inverse(g: list):
+    """(den, N) with g N = den, N an integer matrix: the inverse of the
+    square integer matrix g is N / den.  It is read off the canonical form
+    of [g | 1], which is [1 | g^-1], and returned only once g N = den
+    holds; None when g is singular."""
+    n = len(g)
+    R = Subspace(2 * n, ({**{c: x for c, x in enumerate(row) if x}, n + i: 1}
+                         for i, row in enumerate(g)))
+    if R.pivots != list(range(n)):
+        return None
+    den = lcm(*(row[p] for p, row in zip(R.pivots, R._int_rows)))
+    N = [[row.get(n + c, 0) * (den // row[p]) for c in range(n)]
+         for p, row in zip(R.pivots, R._int_rows)]
+    cols = _supports(g)
+    return (den, N) if all(_image(cols, col) == {c: den} for c, col
+                           in enumerate(_supports(N))) else None
+
+
+def _rebuilt(T: Triple, gA: list, gB: list, inverses: tuple) -> Triple:
+    """T in the bases given by the columns of gA and gB, with `inverses`
+    the (den, N) of `_inverse` of each, built through make_triple under
+    T's name."""
+    tb = _tables(T)
+    (dA, NA), (dB, NB) = inverses
+
+    def carried(N, den, v: dict) -> list:  # N v / den, in Fractions
+        return [Fraction(sum(row[k] * x for k, x in v.items()), den)
+                for row in N]
+    algebras = []
+    for alg, g, N, d, prod, pden, unit in (
+            (T.A, gA, NA, dA, tb.aprod, tb.aden, tb.aunit),
+            (T.B, gB, NB, dB, tb.bprod, tb.bden, tb.bunit)):
+        cols = _supports(g)
+        algebras.append(FinAlgebra(
+            alg.dim, [[carried(N, d * pden, _int_product(prod, a, b))
+                       for b in cols] for a in cols],
+            carried(N, d * tb.lden, dict(unit)), alg.name))
+    eps = [carried(NA, dA * tb.lden, _image(tb.eps, f)) for f in _supports(gB)]
+    return make_triple(*algebras, eps, name=T.name)
+
+
+def _transports(T: Triple, R: Triple, gA: list, gB: list) -> bool:
+    """Whether R's tables are T's carried by gA and gB: g (e'_i e'_j) =
+    (g e'_i)(g e'_j) and g 1' = 1 in A and in B, and
+    gA eps'(f'_k) = eps(gB f'_k).  Both sides are read in integers, on
+    the tables each triple stores, and compared cross-multiplied by the
+    other side's denominator."""
+    tb, rb = _tables(T), _tables(R)
+
+    def same(u: dict, du: int, v: dict, dv: int) -> bool:  # u/du == v/dv
+        return {i: x * dv for i, x in u.items()} == {
+            i: x * du for i, x in v.items()}
+    cA, cB = _supports(gA), _supports(gB)
+    for cols, prod, pden, rprod, rden, unit, runit in (
+            (cA, tb.aprod, tb.aden, rb.aprod, rb.aden, tb.aunit, rb.aunit),
+            (cB, tb.bprod, tb.bden, rb.bprod, rb.bden, tb.bunit, rb.bunit)):
+        if not same(_image(cols, runit), rb.lden, dict(unit), tb.lden):
+            return False
+        if not all(same(_image(cols, rprod[i][j]), rden,
+                        _int_product(prod, a, b), pden)
+                   for i, a in enumerate(cols) for j, b in enumerate(cols)):
+            return False
+    return all(same(_image(cA, col), rb.lden, _image(tb.eps, f), tb.lden)
+               for col, f in zip(rb.eps, cB))
+
+
+@per_triple
+def _regrading(T: Triple):
+    """(R, gA, gB) for `regrade`, or None."""
+    if grading(T):
+        return None
+    K = _derivations(T)
+    da, db = T.A.dim, T.B.dim
+    for coeffs in _combinations(K.dim):
+        D = _summed((v, a * x) for a, row in zip(coeffs, K._int_rows)
+                    for v, x in row.items())
+        eig_a = _eigenbasis([[D.get(m * da + l, 0) for l in range(da)]
+                             for m in range(da)])
+        eig_b = _eigenbasis([[D.get(da * da + j * db + k, 0)
+                              for k in range(db)] for j in range(db)])
+        if eig_a and eig_b and any(eig_a[1] + eig_b[1]):
+            break
+    else:
+        return None
+    (gA, _), (gB, _) = eig_a, eig_b
+    inverses = _inverse(gA), _inverse(gB)
+    if None in inverses:
+        return None
+    R = _rebuilt(T, gA, gB, inverses)
+    if not (_transports(T, R, gA, gB) and grading(R)):
+        return None
+    return R, gA, gB
+
+
+def regrade(T: Triple):
+    """A triple isomorphic to T whose basis carries a grading, found from
+    T's derivations, or None.
+
+    It is tried only when T's own basis carries none (`grading(T)` is
+    empty).  The derivations (D_A, D_B) of the triple are the kernel of
+    one integer system (`_derivations`).  The first combination of a fixed
+    list (`_combinations`) whose D_A and D_B are both diagonalizable over
+    Q, with eigenvalues not all zero, is taken; the eigenvalues are then
+    integers.  With no derivation but 0 there is none.  Each
+    eigenvector of eigenvalue w has weight w, and e_i e_j and eps(f_k)
+    keep weights because D_A and D_B are derivations with
+    D_A eps = eps D_B.  The triple is rebuilt in the eigenbases g_A and
+    g_B through make_triple, and returned only once g g^-1 = 1,
+    D g = g diag(eigenvalues), its tables equal T's carried by g
+    (`_transports`), and its own grading is nonempty all hold exactly.
+    The chain complexes of T and of the result are isomorphic, degree by
+    degree, through the tensor powers of g_A and g_B, so their homology
+    has the same dimensions.  Memoized on T.
+    """
+    found = _regrading(T)
+    return found[0] if found else None
 
 
 # -- catalog ---------------------------------------------------------------

@@ -21,6 +21,7 @@ from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
                      shared_triple)
 from sechom import cli, triples, verify
 from sechom.differentials import omega
+from sechom.homology import _hc_pieces, _hh_pieces
 from sechom.kernel import kernel_data, multiplication_matrix
 from sechom.specfile import export_triple
 from sechom.triples import catalog
@@ -139,6 +140,15 @@ def test_spec_file_outputs_are_frozen(capsys, tmp_path):
             assert code == 0, (T.name, what)
             assert hashlib.sha256(out.encode()).hexdigest() == \
                 SPEC_FILE_HASHES[(T.name, what)], (T.name, what)
+    # The B = Q reduction in `verify` reads hh and hc of trunc3_k_rebased
+    # on its regrading; the triple's own basis gives the same dimensions.
+    T = triples_[-1]
+    assert T.name == "trunc3_k_rebased" and triples.regrade(T) is not None
+    dims = verify_reduction_Bk(T).dims
+    assert [dims[f"hh{n}"] for n in range(4)] == \
+        [_hh_pieces(T, n)[1].dim for n in range(4)]
+    assert [dims[f"hc{n}"] for n in range(4)] == \
+        [_hc_pieces(T, n)[2].dim for n in range(4)]
 
 
 # -- one build per triple --------------------------------------------------

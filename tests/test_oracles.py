@@ -351,6 +351,26 @@ def test_kahler_reference_refuses_a_noncommutative_a():
             classical_kahler_dim(A)
 
 
+def test_kahler_rows_with_p_after_q_add_nothing():
+    # On a commutative A the Leibniz row (m, p, q) equals (m, q, p), so
+    # the d * d(d+1)/2 rows with p <= q have the rank of all d^3.
+    algebras = _commutative_algebras()
+    assert len(algebras) == 37
+    for A in algebras:
+        d = A.dim
+        mult = [[[(k, x) for k, x in enumerate(prod) if x] for prod in row]
+                for row in A.mult]
+        rows = []
+        for m, p, q in product(range(d), repeat=3):
+            row: dict = {}
+            for c, x in ([(m * d + k, x) for k, x in mult[p][q]]
+                         + [(t * d + q, -x) for t, x in mult[m][p]]
+                         + [(t * d + p, -x) for t, x in mult[m][q]]):
+                row[c] = row.get(c, 0) + x
+            rows.append(row)
+        assert classical_kahler_dim(A) == d * d - dense_rank(rows), A.name
+
+
 def test_two_classical_presentations_agree():
     for A in _commutative_algebras():
         assert classical_kahler_dim(A) == classical_I_mod_I2_dim(A), A.name

@@ -123,6 +123,13 @@ MUTANTS = [
            "for e_j in e] for f in self.eps] for e_i in e]",
            "for e_j in e] for f in self.eps[:1]] for e_i in e]",
            ("test_homology.py",)),
+    Mutant("regrade-skips-the-table-check", "triples.py",
+           "        return {i: x * dv for i, x in u.items()} == {\n"
+           "            i: x * du for i, x in v.items()}\n",
+           "        return True\n", ("test_regrade.py",)),
+    Mutant("regrade-accepts-a-non-diagonalizable-derivation", "triples.py",
+           "    if len(cols) != n:\n        return None\n", "",
+           ("test_regrade.py",), ci=True),
 ]
 
 
@@ -178,7 +185,7 @@ def run(mutants: list) -> int:
             shutil.rmtree(work)
             survivors += code == 0
             verdict = "killed  " if code else "SURVIVED"
-            print(f"{verdict} {m.name:36s} {m.file:14s} "
+            print(f"{verdict} {m.name:48s} {m.file:14s} "
                   f"exit {code}  {time.perf_counter() - start:5.1f} s")
         print(f"{len(mutants) - survivors} of {len(mutants)} killed")
         return 1 if survivors else 0
