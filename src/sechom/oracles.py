@@ -1,14 +1,15 @@
 """Independent reference computations for cross-checking.
 
 Everything here is deliberately separate from the engine: basis tensors
-are numbered by their base-d digits, matrices are lists of sparse rows
-{column: value} of exact numbers, and ranks come from an integer
-fraction-free elimination that files each row under its least column.
-The only shared inputs are the algebra structure tables themselves.
+are numbered by their digits, matrices are lists of sparse rows {column:
+value} of exact numbers, and ranks come from an integer fraction-free
+elimination that files each row under its least column.  The only
+shared inputs are the algebra structure tables themselves.
 
-Cyclic homology takes one rank per degree, of [W_{k-1} | b_k] with W
-the image of 1 - rotation, so the +-1 rotation columns pivot before any
-boundary column is reduced (see classical_hc_dims).
+Hochschild and cyclic homology are ranked on the normalized complex
+A (x) Abar^(x)n, Abar = A/Q.1, d (d - 1)^n tensors against the bar
+complex's d^(n+1) (Loday, Cyclic Homology, 1.1): HH from its boundary
+b, HC from b + B on the normalized (b, B) bicomplex (2.1).
 
 The degree-one references serve commutative A only.  I/I^2 needs no
 elimination for I, which has a basis in closed form; its one rank is that
@@ -46,62 +47,17 @@ def _terms(A: FinAlgebra) -> list:
             for row in A.mult]
 
 
-def bar_boundary(A: FinAlgebra, n: int):
-    """Classical boundary from (n+1)-fold to n-fold tensors, as sparse rows.
+def _int_tables(A: FinAlgebra) -> tuple:
+    """(den, table, unit): the table and the unit over one denominator den,
+    as the integer terms (k, x) of each product e_i e_j and of the unit."""
+    den = lcm(*(x.denominator for x in A.unit),
+              *(x.denominator for row in A.mult for prod in row for x in prod))
 
-    Row r is {column: value} for the n-fold tensor numbered r, {} when it
-    is zero; a tensor (t_0, ..., t_n) is numbered by its base-d digits,
-    t_0 leading.  Adjacent factors are multiplied with alternating signs;
-    the last face wraps the final factor around to the front.  Each face
-    is scattered into the rows a block of trailing factors at a time, so
-    no dense matrix is built.
-    """
-    if n < 1:
-        raise ValueError("boundary needs degree at least 1")
-    d = A.dim
-    _check_cap(d ** (n + 1))
-    mult = _terms(A)
-    rows = [{} for _ in range(d ** n)]
-    for i in range(n):
-        # Face i: (head, a, b, tail) goes to (head, ab, tail), with `low`
-        # tails after the pair.
-        sign = 1 if i % 2 == 0 else -1
-        low = d ** (n - 1 - i)
-        for head in range(d ** i):
-            for a in range(d):
-                for b in range(d):
-                    src = ((head * d + a) * d + b) * low
-                    for k, x in mult[a][b]:
-                        x *= sign
-                        dst = (head * d + k) * low
-                        for t in range(low):
-                            row = rows[dst + t]
-                            row[src + t] = row.get(src + t, 0) + x
-    # Face n: (a, middle, b) goes to (ba, middle).
-    sign = 1 if n % 2 == 0 else -1
-    low = d ** (n - 1)
-    for a in range(d):
-        for b in range(d):
-            for k, x in mult[b][a]:
-                x *= sign
-                for t in range(low):
-                    row = rows[k * low + t]
-                    src = (a * low + t) * d + b
-                    row[src] = row.get(src, 0) + x
-    return [{c: x for c, x in row.items() if x} for row in rows]
+    def ints(v):
+        return [(k, x.numerator * (den // x.denominator))
+                for k, x in enumerate(v) if x]
 
-
-def bar_rotation(A: FinAlgebra, n: int):
-    """Signed cyclic rotation on (n+1)-fold tensors, as sparse rows.
-
-    The rotation moves the last factor to the front, so row r holds one
-    entry, at the tensor that rotates to r.
-    """
-    d = A.dim
-    _check_cap(d ** (n + 1))
-    top = d ** n
-    sign = 1 if n % 2 == 0 else -1
-    return [{(r % top) * d + r // top: sign} for r in range(d * top)]
+    return den, [[ints(prod) for prod in row] for row in A.mult], ints(A.unit)
 
 
 def _integral(row) -> list:
@@ -167,47 +123,109 @@ def dense_rank(M) -> int:
     return r
 
 
+def _normalized(A: FinAlgebra) -> tuple:
+    """A's tables for C_n = A (x) Abar^(x)n in ints: with u_j0 the first
+    nonzero entry of the unit, Abar has the basis ebar_j, j != j0, in
+    `rest`, and e_j0 maps to -sum (u_j/u_j0) ebar_j.  With table and unit
+    over one denominator den, proj[k] is e_k in Abar times den u_j0, first
+    the e_a ebar_p and last the ebar_q e_a in A, inner the ebar_p ebar_q
+    in Abar, so each face and B is den^2 u_j0 times its rational self."""
+    _, mult, unit = _int_tables(A)
+    (j0, u0), rest = unit[0], [j for j in range(A.dim) if j != unit[0][0]]
+    proj = [[(rest.index(k), u0)] if k != j0 else
+            [(rest.index(l), -x) for l, x in unit[1:]] for k in range(A.dim)]
+    full = [[[(k, u0 * x) for k, x in prod] for prod in row] for row in mult]
+    inner = [[list(_collected((p, x * y) for k, x in mult[i][j]
+                              for p, y in proj[k]).items()) for j in rest]
+             for i in rest]
+    return (rest, proj, unit, [[row[j] for j in rest] for row in full],
+            inner, [full[j] for j in rest])
+
+
+def _normalized_boundary(N: tuple, n: int) -> list:
+    """The boundary of the normalized complex N = _normalized(A) from C_n
+    to C_{n-1} (Loday, 1.1), as sparse rows, one per basis tensor of
+    C_{n-1}; (a_0, p_1, ..., p_n) is numbered by its digits, base d then
+    r = d - 1.  Faces 0 and n write the full product into slot 0, faces
+    1..n-1 carry theirs to Abar; each is scattered a block of trailing
+    factors at a time, so no dense matrix is built."""
+    rest, _, _, first, inner, last = N
+    d, r = len(first), len(rest)
+    rows = [{} for _ in range(d * r ** (n - 1))]
+    for i in range(n):  # face i: (head, x, y, tail) goes to (head, xy, tail)
+        low, s = r ** (n - 1 - i), (-1) ** i
+        for head in range(d * r ** (i - 1) if i else 1):
+            for x, products in enumerate(inner if i else first):
+                for y, terms in enumerate(products):
+                    src = ((head * r + x) * r + y) * low
+                    for k, v in terms:
+                        for t in range(low):
+                            row = rows[(head * r + k) * low + t]
+                            row[src + t] = row.get(src + t, 0) + s * v
+    low, s = r ** (n - 1), (-1) ** n
+    for q, products in enumerate(last):  # face n: (a, mid, q) to (qa, mid)
+        for a, terms in enumerate(products):
+            for k, v in terms:
+                for t in range(low):
+                    row = rows[k * low + t]
+                    src = (a * low + t) * r + q
+                    row[src] = row.get(src, 0) + s * v
+    return [{c: x for c, x in row.items() if x} for row in rows]
+
+
+def _connes_operator(N: tuple, n: int) -> list:
+    """Connes' B from C_n to C_{n+1} on the normalized complex (Loday,
+    2.1), a_0 abar_1 ... abar_n to sum_i (-1)^(ni) 1 abar_i ... abar_n
+    abar_0 ... abar_{i-1}, as sparse rows, one per basis tensor of C_{n+1}."""
+    rest, proj, unit, _, _, _ = N
+    d, r = len(proj), len(rest)
+    top = r ** n
+    rows = [{} for _ in range(d * r * top)]
+    for a, (p, y), t in ((a, q, t) for a in range(d) for q in proj[a]
+                         for t in range(top)):
+        cycle, src = p * top + t, a * top + t  # abar_0 ... abar_n, base r
+        for i in range(n + 1):
+            low, s = r ** (n + 1 - i), (-1) ** (n * i) * y
+            for l, x in unit:
+                row = rows[l * r * top + (cycle % low) * r ** i + cycle // low]
+                row[src] = row.get(src, 0) + s * x
+    return [{c: x for c, x in row.items() if x} for row in rows]
+
+
 def classical_hh_dims(A: FinAlgebra, n_max: int) -> list:
-    """Hochschild homology dimensions of A in degrees 0..n_max."""
-    _check_cap(A.dim ** (n_max + 2))  # the largest space, before any rank
-    dims = []
-    ranks = {0: 0}
-    for k in range(1, n_max + 2):
-        ranks[k] = dense_rank(bar_boundary(A, k))
-    for n in range(n_max + 1):
-        dims.append(A.dim ** (n + 1) - ranks[n] - ranks[n + 1])
-    return dims
+    """Hochschild homology dimensions of A in degrees 0..n_max, from the
+    ranks of the normalized boundaries (Loday, 1.1): the degenerate
+    tensors span an acyclic subcomplex, so C_n has d (d - 1)^n tensors."""
+    _check_cap(A.dim ** (n_max + 2))  # the largest bar space, before any rank
+    N = _normalized(A)
+    ranks = [0] + [dense_rank(_normalized_boundary(N, k))
+                   for k in range(1, n_max + 2)]
+    return [A.dim * (A.dim - 1) ** n - ranks[n] - ranks[n + 1]
+            for n in range(n_max + 1)]
 
 
 def classical_hc_dims(A: FinAlgebra, n_max: int) -> list:
-    """Cyclic homology dimensions of A in degrees 0..n_max.
+    """Cyclic homology dimensions of A in degrees 0..n_max, from the
+    normalized (b, B) bicomplex (Loday, 2.1): Tot_n = C_n + C_{n-2} +
+    ..., and D_n = b + B sends the summand C_m to C_{m-1} by b and, but
+    for the first, to C_{m+1} by B.  Each D_n is ranked once, and dim HC_n
+    = dim Tot_n - rank D_n - rank D_{n+1}; no quotient complex is built,
+    so nothing is shared with the engine's route."""
+    _check_cap(A.dim ** (n_max + 2))  # the largest bar space, before any rank
+    N, d, r = _normalized(A), A.dim, A.dim - 1
+    b = {m: _normalized_boundary(N, m) for m in range(1, n_max + 2)}
+    B = {m: _connes_operator(N, m) for m in range(n_max)}
+    tot = [[d * r ** m for m in range(n, -1, -2)] for n in range(n_max + 2)]
 
-    Computed purely from ranks of the Connes complex C/(1 - t): with W_k
-    the image of (1 - rotation) in degree k and R_k the rank of the
-    column concatenation [W_{k-1} | b_k] (R_0 = 0), the degree-n
-    dimension is N_n + rank W_{n-1} - R_n - R_{n+1}, with rank W_{-1} = 0.
-    W_0 is zero, so R_1 is the rank of b_1.  Each concatenation is ranked
-    once, with the rotation columns first: b_k's columns are shifted past
-    the d^k columns of W_{k-1}.  This avoids constructing quotient
-    complexes entirely, so it shares nothing with the engine's route.
-    """
-    _check_cap(A.dim ** (n_max + 2))  # b_{n_max+1} is the largest matrix
-    omegas = []  # the rows of 1 - t in degrees 0..n_max
-    for k in range(n_max + 1):
-        W = []
-        for r, row in enumerate(bar_rotation(A, k)):
-            w = {c: -x for c, x in row.items()}
-            w[r] = w.get(r, 0) + 1
-            W.append({c: x for c, x in w.items() if x})
-        omegas.append(W)
-    w_rank = [0] + [dense_rank(W) for W in omegas[:n_max]]  # rank W_{n-1}
-    R = [0]
-    for k in range(1, n_max + 2):
-        shift = A.dim ** k
-        R.append(dense_rank([{**w, **{c + shift: x for c, x in b.items()}}
-                             for w, b in zip(omegas[k - 1], bar_boundary(A, k))]))
-    return [A.dim ** (n + 1) + w_rank[n] - R[n] - R[n + 1]
-            for n in range(n_max + 1)]
+    def total(n):  # D_n, one row per basis tensor of Tot_{n-1}
+        off = [sum(tot[n][:k]) for k in range(n // 2 + 2)]
+        return [{**{c + off[k]: x for c, x in x_b.items()},
+                 **{c + off[k + 1]: x for c, x in x_B.items()}}
+                for k, m in enumerate(range(n - 1, -1, -2))  # the summand C_m
+                for x_b, x_B in zip(b[m + 1], B[m - 1] if m else [{}] * d)]
+
+    ranks = [0] + [dense_rank(total(n)) for n in range(1, n_max + 2)]
+    return [sum(tot[n]) - ranks[n] - ranks[n + 1] for n in range(n_max + 1)]
 
 
 def _require_commutative(A: FinAlgebra, what: str) -> None:
@@ -258,19 +276,11 @@ def classical_I_mod_I2_dim(A: FinAlgebra) -> int:
     d = A.dim
     _require_commutative(A, "the I/I^2 reference")
     _check_cap(d * d)
-    # In integers: the table over den, u over uden, g_ij times den * uden
-    # and x_l times uden.
-    den = lcm(*(x.denominator for row in A.mult for prod in row for x in prod))
-    mult = [[[(k, x.numerator * (den // x.denominator))
-              for k, x in enumerate(prod) if x] for prod in row]
-            for row in A.mult]
-    uden = lcm(*(x.denominator for x in A.unit))
-    unit = [(l, x.numerator * (uden // x.denominator))
-            for l, x in enumerate(A.unit) if x]
+    den, mult, unit = _int_tables(A)  # g_ij times den^2, x_l times den
     rest = [j for j in range(d) if j != unit[0][0]]
 
     def g(i, j):
-        return _collected([(i * d + j, den * uden)]
+        return _collected([(i * d + j, den * den)]
                           + [(k * d + l, -a * b) for k, a in mult[i][j]
                              for l, b in unit])
 

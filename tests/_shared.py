@@ -26,7 +26,7 @@ from sechom.linalg import (ONE, AmbientDimensionError, InternalCheckError,
                            _kills, basis_vector, colspace, nullspace,
                            product_is_zero, projection_matrix, solve,
                            to_dense)
-from sechom.oracles import _check_cap, dense_rank
+from sechom.oracles import _check_cap, _terms, dense_rank
 from sechom.triples import (AlgebraInvalidError, BaseNotCommutativeError,
                             EpsImageNotCentralError,
                             EpsNotMultiplicativeError, EpsNotUnitalError,
@@ -190,6 +190,66 @@ def densify(rows, ncols=None) -> list:
     if ncols is None:
         ncols = 1 + max((c for row in rows for c in row), default=-1)
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def bar_boundary(A: FinAlgebra, n: int):
+    """Classical boundary from (n+1)-fold to n-fold tensors, as sparse rows:
+    the unnormalized bar complex, a reference for the normalized one the
+    oracles rank and for the engine's boundary over B = Q.
+
+    Row r is {column: value} for the n-fold tensor numbered r, {} when it
+    is zero; a tensor (t_0, ..., t_n) is numbered by its base-d digits,
+    t_0 leading.  Adjacent factors are multiplied with alternating signs;
+    the last face wraps the final factor around to the front.  Each face
+    is scattered into the rows a block of trailing factors at a time, so
+    no dense matrix is built.
+    """
+    if n < 1:
+        raise ValueError("boundary needs degree at least 1")
+    d = A.dim
+    _check_cap(d ** (n + 1))
+    mult = _terms(A)
+    rows = [{} for _ in range(d ** n)]
+    for i in range(n):
+        # Face i: (head, a, b, tail) goes to (head, ab, tail), with `low`
+        # tails after the pair.
+        sign = 1 if i % 2 == 0 else -1
+        low = d ** (n - 1 - i)
+        for head in range(d ** i):
+            for a in range(d):
+                for b in range(d):
+                    src = ((head * d + a) * d + b) * low
+                    for k, x in mult[a][b]:
+                        x *= sign
+                        dst = (head * d + k) * low
+                        for t in range(low):
+                            row = rows[dst + t]
+                            row[src + t] = row.get(src + t, 0) + x
+    # Face n: (a, middle, b) goes to (ba, middle).
+    sign = 1 if n % 2 == 0 else -1
+    low = d ** (n - 1)
+    for a in range(d):
+        for b in range(d):
+            for k, x in mult[b][a]:
+                x *= sign
+                for t in range(low):
+                    row = rows[k * low + t]
+                    src = (a * low + t) * d + b
+                    row[src] = row.get(src, 0) + x
+    return [{c: x for c, x in row.items() if x} for row in rows]
+
+
+def bar_rotation(A: FinAlgebra, n: int):
+    """Signed cyclic rotation on (n+1)-fold tensors, as sparse rows.
+
+    The rotation moves the last factor to the front, so row r holds one
+    entry, at the tensor that rotates to r.
+    """
+    d = A.dim
+    _check_cap(d ** (n + 1))
+    top = d ** n
+    sign = 1 if n % 2 == 0 else -1
+    return [{(r % top) * d + r // top: sign} for r in range(d * top)]
 
 
 def dense_rank_of_sparse(M) -> int:

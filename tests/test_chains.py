@@ -14,9 +14,10 @@ from itertools import product
 
 import pytest
 
-from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, coinvariant_relations,
-                     cyclic_operator, dense_matrix, dense_rank_of_sparse,
-                     densify, one_minus_cyclic, rebased_triple,
+from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, bar_boundary,
+                     bar_rotation, coinvariant_relations, cyclic_operator,
+                     dense_matrix, dense_rank_of_sparse, densify,
+                     one_minus_cyclic, rebased_triple,
                      reference_induced_on_quotients, reference_sandwich,
                      rescaled_triple, shared_triple, value_columns)
 from sechom import chains, homology
@@ -29,7 +30,6 @@ from sechom.linalg import (ClassMapQuotient, InternalCheckError,
                            QuotientStructure, SparseMat, colspace,
                            induced_on_quotients)
 from sechom.triples import _tables, catalog
-from sechom.oracles import bar_boundary, bar_rotation
 from sechom.verify import verify_main
 
 F = Fraction

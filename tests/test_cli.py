@@ -504,3 +504,29 @@ def test_runs_with_numpy_blocked():
     assert proc.returncode == 0, proc.stderr
     reports = json.loads(proc.stdout)["reports"]
     assert reports and all(rep["passed"] for rep in reports)
+
+
+def test_reference_cap_counts_the_bar_complex_of_the_top_degree(
+        capsys, monkeypatch):
+    # The oracles rank the normalized complex, but their cap still counts
+    # the bar complex one degree up, d^(n_max + 2): mat2_k's hh in degrees
+    # 0..5 (4^7 = 16384) is refused before any engine work, and its hc in
+    # degrees 0..4 (4^6 = 4096) is answered and agrees.
+    def engine(*args, **kwargs):
+        raise AssertionError("the engine ran before the refusal")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "hh", engine)
+        code, out, err = run(capsys, "compute", "--catalog", "mat2_k",
+                             "--flavor", "hh", "--degree", "0..5",
+                             "--max-degree-override", "5", "--oracle")
+    assert code == 4 and out == ""
+    assert err == ("resource cap: reference path refuses ambient dimension "
+                   "16384 > 5000\n")
+    code, payload, _ = run_json(capsys, "compute", "--catalog", "mat2_k",
+                                "--flavor", "hc", "--degree", "0..4",
+                                "--max-degree-override", "4", "--oracle")
+    assert code == 0
+    assert payload["reference"] == {
+        "agrees": True, "classical": {"0": 1, "1": 0, "2": 1, "3": 0, "4": 1}}
+    assert [r["dimension"] for r in payload["results"]] == [1, 0, 1, 0, 1]

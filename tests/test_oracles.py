@@ -14,16 +14,18 @@ from random import Random
 
 import pytest
 
-from _shared import (cube_over_prod, dense_rank_of_sparse, densify,
-                     dual_over_trunc3_x, from_entries, prod_over_prod_id,
-                     rebased, rebased_triple, rescaled_triple, sqzero_dual_x,
-                     trunc3_over_dual_x2, upper_triangular_algebra)
+from _shared import (bar_boundary, bar_rotation, cube_over_prod,
+                     dense_rank_of_sparse, densify, dual_over_trunc3_x,
+                     from_entries, prod_over_prod_id, rebased, rebased_triple,
+                     rescaled_triple, sqzero_dual_x, trunc3_over_dual_x2,
+                     upper_triangular_algebra)
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra, tensor_algebra,
                             truncated_polynomial_algebra, validate_algebra)
 from sechom.linalg import SparseMat, nullspace, rank
-from sechom.oracles import (bar_boundary, bar_rotation, classical_hc_dims,
+from sechom.oracles import (_connes_operator, _normalized,
+                            _normalized_boundary, classical_hc_dims,
                             classical_hh_dims, classical_I_mod_I2_dim,
                             classical_kahler_dim, dense_rank)
 from sechom.triples import catalog, catalog_names
@@ -220,29 +222,184 @@ def test_cyclic_dimensions_match_the_code_they_replaced():
             A, n_max)
 
 
-def test_cyclic_dimensions_match_on_random_algebras():
-    # Tensor products of the catalog algebras and of monomial quotients
-    # Q[x]/(x^m), up to dimension 4.
+def _classical_hh_dims_before(A, n_max):
+    """Test-local copy of classical_hh_dims as it ranked the bar
+    boundaries, d^(n+1) tensors in degree n."""
+    ranks = [0] + [dense_rank(bar_boundary(A, k)) for k in range(1, n_max + 2)]
+    return [A.dim ** (n + 1) - ranks[n] - ranks[n + 1]
+            for n in range(n_max + 1)]
+
+
+def _oracle_algebras() -> list:
+    """Every algebra the oracle tests build: the catalog's, its rebased and
+    rescaled twins, the degree-one battery's commutative and
+    non-commutative algebras and the seeded tensor products."""
+    names = catalog_names()
+    algebras = [catalog(name).A for name in names]
+    algebras += [rebased_triple(name).A for name in names if name != "mat2_k"]
+    algebras += [rescaled_triple(name).A for name in names]
+    algebras += _commutative_algebras() + _noncommutative_algebras()
+    return algebras + _seeded_tensor_algebras()
+
+
+def test_hochschild_dimensions_match_the_code_they_replaced():
+    # The normalized complex against the bar complex, at the top degree
+    # of the B = Q reduction battery.
+    for A in _oracle_algebras():
+        n_max = _reduction_degree(A)
+        assert classical_hh_dims(A, n_max) == _classical_hh_dims_before(
+            A, n_max), A.name
+
+
+def test_cyclic_dimensions_match_on_every_oracle_algebra():
+    # The normalized (b, B) bicomplex against the Connes complex C/(1 - t).
+    for A in _oracle_algebras():
+        n_max = _reduction_degree(A)
+        assert classical_hc_dims(A, n_max) == _classical_hc_dims_before(
+            A, n_max), A.name
+
+
+def _times(X, Y) -> list:
+    """The product X Y of two matrices stored as sparse rows."""
+    out = []
+    for row in X:
+        acc: dict = {}
+        for c, x in row.items():
+            for k, y in Y[c].items():
+                acc[k] = acc.get(k, 0) + x * y
+        out.append({k: v for k, v in acc.items() if v})
+    return out
+
+
+def _plus(X, Y) -> list:
+    """The sum X + Y of two matrices stored as sparse rows."""
+    out = []
+    for xrow, yrow in zip(X, Y):
+        acc = dict(xrow)
+        for k, y in yrow.items():
+            acc[k] = acc.get(k, 0) + y
+        out.append({k: v for k, v in acc.items() if v})
+    return out
+
+
+def _identity_algebras() -> list:
+    """The reduction battery's algebras, the upper triangular 2 x 2
+    matrices and two seeded tensor products of dimension 4."""
+    tensors = [A for A in _seeded_tensor_algebras() if A.dim == 4][:2]
+    return _reduction_algebras() + [upper_triangular_algebra()] + tensors
+
+
+def test_normalized_b_and_connes_b_square_to_zero_and_anticommute():
+    # b b = 0, B B = 0 and b B + B b = 0 on C_n for n <= 3, so D = b + B
+    # squares to zero on the total complex.
+    for A in _identity_algebras():
+        N = _normalized(A)
+        b = {n: _normalized_boundary(N, n) for n in range(1, 5)}
+        B = {n: _connes_operator(N, n) for n in range(5)}
+        for n in range(4):
+            assert not any(_times(B[n + 1], B[n])), A.name
+            bB = _times(b[n + 1], B[n])
+            if n:
+                assert not any(_times(b[n], b[n + 1])), A.name
+                bB = _plus(bB, _times(B[n - 1], b[n]))
+            assert len(bB) == A.dim * (A.dim - 1) ** n
+            assert not any(bB), A.name
+
+
+def _quotient_map(A, n) -> list:
+    """q_n from the bar complex onto the normalized one, a_0 (x) a_1 ...
+    (x) a_n to a_0 abar_1 ... abar_n, in Fractions, as sparse rows, one
+    per basis tensor of C_n; a bar tensor is numbered by its base-d
+    digits, a normalized one by a_0 and then base-(d - 1) digits."""
+    d, u = A.dim, A.unit
+    j0 = next(j for j, x in enumerate(u) if x)
+    rest = [j for j in range(d) if j != j0]
+    proj = [{rest.index(k): F(1)} if k != j0 else
+            {p: -u[j] / u[j0] for p, j in enumerate(rest) if u[j]}
+            for k in range(d)]
+    rows = [{} for _ in range(d * (d - 1) ** n)]
+    for col, (a0, *tail) in enumerate(product(range(d), repeat=n + 1)):
+        image = {a0: F(1)}
+        for a in tail:
+            image = {c * (d - 1) + p: x * y for c, x in image.items()
+                     for p, y in proj[a].items()}
+        for c, x in image.items():
+            rows[c][col] = x
+    return rows
+
+
+def _bar_connes_operator(A, n) -> list:
+    """Connes' (1 - t) s N from bar degree n to n + 1, in Fractions: N the
+    sum of the powers of the signed rotation t, s the extra degeneracy
+    a_0 ... a_n to 1 a_0 ... a_n (Loday, 2.1)."""
+    d = A.dim
+    t = bar_rotation(A, n)
+    N = power = [{r: F(1)} for r in range(d ** (n + 1))]
+    for _ in range(n):
+        power = _times(power, t)
+        N = _plus(N, power)
+    s = [{} for _ in range(d ** (n + 2))]
+    for c in range(d ** (n + 1)):
+        for l, x in enumerate(A.unit):
+            if x:
+                s[l * d ** (n + 1) + c][c] = x
+    one_minus_t = _plus([{r: F(1)} for r in range(d ** (n + 2))],
+                        [{c: -x for c, x in row.items()}
+                         for row in bar_rotation(A, n + 1)])
+    return _times(_times(one_minus_t, s), N)
+
+
+def test_normalized_maps_are_the_bar_maps_on_the_quotient():
+    # b_n q_n = q_{n-1} b_n and B_n q_n = q_{n+1} B_n entry by entry, the
+    # normalized maps built in integers at the one scale den^2 u_j0, den
+    # the common denominator of table and unit, u_j0 the first nonzero
+    # entry of the unit.
+    for A in _identity_algebras():
+        den = lcm(*(x.denominator for x in A.unit),
+                  *(x.denominator for row in A.mult for p in row for x in p))
+        scale = den * den * next(x for x in A.unit if x)
+        top = _reduction_degree(A)
+        N, q = _normalized(A), {n: _quotient_map(A, n) for n in range(top + 2)}
+        for n in range(1, top + 2):
+            assert _times(_normalized_boundary(N, n), q[n]) == [
+                {c: scale * x for c, x in row.items()}
+                for row in _times(q[n - 1], bar_boundary(A, n))], A.name
+        for n in range(top + 1):
+            assert _times(_connes_operator(N, n), q[n]) == [
+                {c: scale * x for c, x in row.items()}
+                for row in _times(q[n + 1], _bar_connes_operator(A, n))], \
+                A.name
+
+
+def _seeded_tensor_algebras() -> list:
+    """Twenty tensor products of the catalog algebras and of monomial
+    quotients Q[x]/(x^m), up to dimension 4, drawn with a fixed seed."""
     rng = Random(1992)
     factors = [A for _, A in _algebras()]
     factors += [truncated_polynomial_algebra(m) for m in (1, 2, 3, 4)]
-    seen = set()
+    algebras = []
     for _ in range(20):
         while True:
             X, Y = rng.choice(factors), rng.choice(factors)
             if X.dim * Y.dim <= 4:
                 break
-        A = tensor_algebra(X, Y)
-        seen.add(A.dim)
+        algebras.append(tensor_algebra(X, Y))
+    return algebras
+
+
+def test_cyclic_dimensions_match_on_random_algebras():
+    algebras = _seeded_tensor_algebras()
+    for A in algebras:
         n_max = _reduction_degree(A)
         assert classical_hc_dims(A, n_max) == _classical_hc_dims_before(
             A, n_max)
-    assert seen == {1, 2, 3, 4}
+    assert {A.dim for A in algebras} == {1, 2, 3, 4}
 
 
 def test_cyclic_dimensions_rank_each_concatenation_once(monkeypatch):
-    # rank W_0, W_1, W_2 and [W_{k-1} | b_k] for k = 1..4; the code it
-    # replaced made 11 calls.
+    # One rank of D = b + B per total degree 1..4 of the normalized (b, B)
+    # bicomplex; the [W_{k-1} | b_k] concatenations it replaced made 7
+    # calls, and the code before them 11.
     calls = []
     ranked = oracles.dense_rank
 
@@ -253,7 +410,7 @@ def test_cyclic_dimensions_rank_each_concatenation_once(monkeypatch):
     monkeypatch.setattr(oracles, "dense_rank", counting)
     assert classical_hc_dims(truncated_polynomial_algebra(2), 3) == \
         [2, 0, 2, 0]
-    assert len(calls) == 7
+    assert len(calls) == 4
 
 
 def test_degree_zero_cyclic_equals_hochschild():

@@ -102,6 +102,13 @@ MUTANTS = [
     Mutant("i-basis-drops-the-unit-term", "oracles.py",
            "(k * d + l, -a * b)", "(k * d + l, 0)", ("test_oracles.py",),
            ci=True),
+    # Interior faces project along e_j0, not along the unit: the e_j0 terms
+    # of their products drop, which is right only when u = e_j0.
+    Mutant("normalized-face-keeps-the-unit-part", "oracles.py",
+           "for k, x in mult[i][j]\n", "for k, x in mult[i][j] if k != j0\n",
+           ("test_oracles.py",)),
+    Mutant("connes-B-drops-the-cyclic-sign", "oracles.py",
+           "(-1) ** (n * i) * y", "y", ("test_oracles.py",), ci=True),
     Mutant("kahler-accepts-a-noncommutative-a", "oracles.py",
            '    _require_commutative(A, "the Kahler reference")\n', "",
            ("test_oracles.py",), ci=True),
