@@ -19,9 +19,9 @@ of the others through a table of the triple's (`triples._tables`): an
 product in B.  So a face is the Cartesian product of its copied digits,
 as pairs (input offset, output offset), with the nonzero table entries of
 its groups, as items (input offset, output offset, signed coefficient).
-Assembly scatters every item once per copy (copies x items terms) and
-repacks each column once after the last face.  The rotation copies every
-digit.
+Assembly scatters every item once per copy (copies x items terms),
+deleting an entry as soon as it cancels, so no column is copied or
+repacked afterwards.  The rotation copies every digit.
 
 The cyclic operator t is a signed permutation of the basis: it sends
 e_i to (-1)^n e_img(i).  So the coinvariants C_n / (1 - t) have one axis
@@ -192,8 +192,9 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
     columns go into the matrix over that denominator as they are.  Each
     face scatters its flat item list once per copy (see the module
     docstring) into one slot per column, indexing one shared int per row:
-    O(copies x items).  Every column is then repacked into a fresh dict
-    without its cancelled zeros, and read out in column order.
+    O(copies x items).  An entry whose sum cancels to 0 is deleted at
+    once, so each column dict is written in that one pass, and the
+    non-empty columns are read out in column order.
     """
     tb = _tables(T)
     src = chain_space(T, n)
@@ -230,10 +231,11 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
                 if col is None:
                     col = slots[ci + pi] = {}
                 r = rows[co + po]
-                col[r] = col.get(r, 0) + c
-    for c, col in enumerate(slots):  # fresh, packed dicts keep peak RSS down
-        if col:
-            slots[c] = {r: x for r, x in col.items() if x}
+                x = col.get(r, 0) + c
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
     return SparseMat.from_ints(
         dst.dim, src.dim, {c: col for c, col in enumerate(slots) if col}, den)
 

@@ -107,34 +107,46 @@ def _weight(v: dict, weights: list, what: str):
     return keys.pop()
 
 
-def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
+def _quotient_of_complex(cycles: Subspace, cols: dict,
                          weights: list) -> QuotientStructure:
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
-    Callers must have certified that the given columns are cycles, so
-    their coordinates are read off the cycle pivots with no membership
-    pass.  Integer numerators serve as well as the columns themselves,
-    since only their span matters, and their order does not matter
-    either; they are read twice, so they come as a collection such as a
-    list or a dict's values, not an iterator.
+    `cols` holds the next boundary's columns by column number, as
+    `SparseMat.num` does.  Callers must have certified that they are
+    cycles, so their coordinates are read off the cycle pivots with no
+    membership pass.  Integer numerators serve as well as the columns
+    themselves, since only their span matters, and their order does not
+    matter either.
 
     A column whose one entry is at chain index r makes e_r a boundary,
     hence a cycle: r is a cycle pivot whose row is e_r (a hard error
     otherwise), and the relation at its coordinate k is the unit row e_k,
-    so every other canonical relation row is zero at k.  A first pass
-    collects these units; the second reads only the columns with two or
-    more entries, with the unit coordinates dropped.  The unit rows and
-    the rows it spans, merged by pivot, are the canonical form.
+    so every other canonical relation row is zero at k.  A cycle
+    coordinate is live until its relation is known to be such a unit
+    row.  The first pass collects the units; the second counts the live
+    coordinates of every column.  A column with exactly one live
+    coordinate k makes e_k a relation, since its other coordinates are
+    relations already, so k is peeled and every column that holds k
+    loses a live coordinate, until no column has exactly one (the
+    coreduction of Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35,
+    1998).  The numbers of the columns that hold each live coordinate are
+    gathered only when some column has exactly one, and a column with
+    255 or more is left out of the peel.  The weight blocks below then
+    read only the columns with two or more live coordinates, with the
+    others dropped, and the unit rows of the units and of the peeled
+    coordinates, merged with the blocks' rows by pivot, are the
+    canonical form.
 
     `weights` gives the weight key of each chain coordinate.  Every cycle
-    row and every column the second pass reads must be homogeneous, or
-    the grading is wrong and this is a hard error.  A homogeneous column
-    of weight w then has coordinates only on the cycles whose pivot has
-    weight w, so the relations split into one block per weight, over the
-    cycles of that weight that are not units.  A block takes no more
-    columns once it spans them (it never opens when there are none), and
-    the span stops once every block does.  Rows of different blocks have
-    disjoint supports, so together they are the canonical form.
+    row and every column with two or more entries must be homogeneous, or
+    the grading is wrong and this is a hard error (the columns are
+    checked before the peel).  A homogeneous column of weight w then has
+    coordinates only on the cycles whose pivot has weight w, so the
+    relations split into one block per weight, over the live cycles of
+    that weight.  A block takes no more columns once it spans them (it
+    never opens when there are none), and the span stops once every
+    block does.  Rows of different blocks have disjoint supports, so
+    together they are the canonical form.
 
     Once a block has rejected _STALL columns in a row, its projection P
     onto the quotient of its own cycle coordinates is built, and each
@@ -144,33 +156,62 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
     stall.
     """
     pos = cycles._pivot_pos
-    units = {r for col in next_boundary_cols if len(col) == 1 for r in col}
+    units = {r for col in cols.values() if len(col) == 1 for r in col}
     for r in units:
         if r not in pos or cycles._int_rows[pos[r]] != {r: 1}:
             raise InternalCheckError(
                 "a one-entry boundary column is not a cycle basis row")
-    members: dict = {}  # weight -> numbers of its cycle rows, units left out
+    live = {p: k for p, k in pos.items() if p not in units}
+    # Live coordinates, up to 255, of each column with two or more; the
+    # columns with exactly one go on the stack.
+    count = bytearray(max(cols, default=-1) + 1)
+    stack = []
+    for c, col in cols.items():
+        if len(col) > 1:
+            _weight(col, weights, "boundary column")
+            n = sum(map(live.__contains__, col))
+            if n == 1:
+                stack.append(c)
+            elif n:
+                count[c] = min(n, 255)
+    if stack:
+        holders = {p: [] for p in live}
+        for c, col in cols.items():
+            if 1 < count[c] < 255:
+                for p in col:
+                    if p in live:
+                        holders[p].append(c)
+        while stack:
+            # A column on the stack has one live coordinate left, or none
+            # once another column has peeled it, and is then skipped.
+            for k in cols[stack.pop()]:
+                if k in live:
+                    break
+            else:
+                continue
+            del live[k]
+            for c in holders.pop(k):
+                count[c] -= 1
+                if count[c] == 1:
+                    stack.append(c)
+    members: dict = {}  # weight -> numbers of its live cycle rows
     for j, (p, row) in enumerate(zip(cycles.pivots, cycles._int_rows)):
         w = _weight(row, weights, "cycle row")
-        if p not in units:
+        if p in live:
             members.setdefault(w, []).append(j)
-    # The cycle pivots other than units, with their coordinates.
-    keep = {p: k for p, k in pos.items() if p not in units} if units else pos
     # weight -> [its span, columns it rejected in a row, KernelTest of P]
     open_blocks = {w: [Subspace(cycles.dim), 0, None] for w in members}
     full = []
-    for col in next_boundary_cols:
+    for c, col in cols.items():
         if not open_blocks:
             break
-        if len(col) == 1:
+        if count[c] < 2:
             continue
-        w = _weight(col, weights, "boundary column")
+        w = weights[next(iter(col))]
         block = open_blocks.get(w)
         if block is None:
             continue
-        v = {keep[p]: x for p, x in col.items() if p in keep}
-        if not v:
-            continue
+        v = {live[p]: x for p, x in col.items() if p in live}
         rels, rejected, test = block
         if test is not None and test.kills(v):
             continue
@@ -183,7 +224,7 @@ def _quotient_of_complex(cycles: Subspace, next_boundary_cols,
         else:
             block[1:] = 0, KernelTest(projection_matrix(rels, [
                 j for j in members[w] if j not in rels._pivot_pos]))
-    rows = [(pos[r], {pos[r]: 1}) for r in units]
+    rows = [(k, {k: 1}) for p, k in pos.items() if p not in live]
     rows += [(p, row) for rels in full
              + [block[0] for block in open_blocks.values()]
              for p, row in zip(rels.pivots, rels._int_rows)]
@@ -205,7 +246,7 @@ def _homology_pieces(d: SparseMat, d_next: SparseMat, weights: list,
         raise InternalCheckError(
             f"{what} squared is nonzero between degrees {n + 1} and {n - 1}")
     cycles = nullspace(d)
-    Q = _quotient_of_complex(cycles, d_next.num.values(), weights)
+    Q = _quotient_of_complex(cycles, d_next.num, weights)
     return cycles, Q
 
 

@@ -518,6 +518,26 @@ def relation_span_inputs(T, flavor: str, n: int) -> tuple:
     return nullspace(d), [d_next.num[c] for c in sorted(d_next.num)], weights
 
 
+def peel_sweeps(cycles: Subspace, cols) -> tuple:
+    """The units and the peel of `homology._quotient_of_complex`, found
+    with no incidence: sweeps over the columns settle the one live cycle
+    pivot of each column that has exactly one when it is read, until a
+    sweep settles nothing.  Returns the settled pivots and the numbers of
+    the columns that settled one."""
+    pos = cycles._pivot_pos
+    settled = {min(col) for col in cols if len(col) == 1}
+    peeled: set = set()
+    while True:
+        before = len(peeled)
+        for c, col in enumerate(cols):
+            left = [p for p in col if p in pos and p not in settled]
+            if len(col) > 1 and len(left) == 1:
+                peeled.add(c)
+                settled.add(left[0])
+        if len(peeled) == before:
+            return settled, peeled
+
+
 def reference_quotient_of_complex(cycles: Subspace, cols) -> QuotientStructure:
     """The homology quotient with one relation span over all weights, as
     the engine built it before the span was split into weight blocks: it

@@ -15,11 +15,13 @@ from itertools import product
 import pytest
 
 from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, bar_boundary,
-                     bar_rotation, coinvariant_relations, cyclic_operator,
-                     dense_matrix, dense_rank_of_sparse, densify,
-                     one_minus_cyclic, rebased_triple,
+                     bar_rotation, coinvariant_relations, cube_over_prod,
+                     cyclic_operator, dense_matrix, dense_rank_of_sparse,
+                     densify, dual_over_trunc3_x, one_minus_cyclic,
+                     prod_over_prod_id, rebased_triple,
                      reference_induced_on_quotients, reference_sandwich,
-                     rescaled_triple, shared_triple, value_columns)
+                     rescaled_triple, shared_triple, sqzero_dual_x,
+                     trunc3_over_dual_x2, value_columns)
 from sechom import chains, homology
 from sechom.algebra import multiply
 from sechom.chains import (_face_sum, boundary, chain_dim, chain_space,
@@ -254,6 +256,102 @@ def test_boundary_squares_to_zero_spot_checks():
         T = shared_triple(name)
         for n in range(1, top):
             assert (boundary(T, n) @ boundary(T, n + 1)).is_zero()
+
+
+# -- the faces from the pair maps of SP^2(S^1) ------------------------------
+#
+# The complex is a Loday construction.  With S^1_n = {0, ..., n} the
+# simplicial circle, X_n the unordered pairs {r, s} of its points (r = s
+# allowed) and Y_n the diagonal, C_n = A^(Y_n) (x) B^(X_n - Y_n).  Face i
+# merges point i into i + 1 (i < n), or n into 0 (i = n), and the face of
+# the complex is the map this induces on pairs: each output pair takes
+# the product of the factors of its preimages, in A in cyclic order from
+# i, through eps for the pair that falls onto the diagonal.
+
+def _sp2_points(m):
+    """The points of X_m in the order of a basis tensor's digits: the
+    diagonal {t, t} first, then the pairs r < s in lexicographic order."""
+    return ([(t, t) for t in range(m + 1)]
+            + [(r, s) for r in range(m + 1) for s in range(r + 1, m + 1)])
+
+
+def _sp2_face(n, i):
+    """Face i in degree n as, per output point, the positions of its
+    preimage points: (output position, diagonal preimages in cyclic order
+    from i, off-diagonal preimages)."""
+    def d(j):
+        return (j if j <= i else j - 1) if i < n else (j if j < n else 0)
+
+    src = _sp2_points(n)
+    face = []
+    for t, y in enumerate(_sp2_points(n - 1)):
+        pre = [p for p, (r, s) in enumerate(src)
+               if tuple(sorted((d(r), d(s)))) == y]
+        diag = sorted((p for p in pre if src[p][0] == src[p][1]),
+                      key=lambda p: (src[p][0] - i) % (n + 1))
+        off = [p for p in pre if src[p][0] != src[p][1]]
+        assert (len(diag), len(off)) in ((1, 0), (2, 1), (0, 1), (0, 2))
+        face.append((t, diag, off))
+    return face
+
+
+def _sp2_boundary(T, n):
+    """The alternating sum of the faces in degree n, built from the pair
+    maps alone with Fraction products, as {column: {row: Fraction}}."""
+    A, B = T.A, T.B
+
+    def support(vec):
+        return [(k, x) for k, x in enumerate(vec) if x]
+
+    sandwich = [[[support(multiply(A, multiply(A, _basis(A.dim, a),
+                                                T.eps.columns[k]),
+                                   _basis(A.dim, b)))
+                  for b in range(A.dim)] for k in range(B.dim)]
+                for a in range(A.dim)]
+    bprod = [[support(B.mult[k][l]) for l in range(B.dim)]
+             for k in range(B.dim)]
+    radices = [A.dim if r == s else B.dim for r, s in _sp2_points(n)]
+    out = [A.dim if r == s else B.dim for r, s in _sp2_points(n - 1)]
+    place = [1] * len(out)  # the weight of each output digit
+    for t in range(len(out) - 2, -1, -1):
+        place[t] = place[t + 1] * out[t + 1]
+    faces = [((-1) ** i, _sp2_face(n, i)) for i in range(n + 1)]
+    cols = {}
+    for c, digit in enumerate(product(*map(range, radices))):
+        acc = {}
+        for sign, face in faces:
+            terms = [(0, F(sign))]
+            for t, diag, off in face:
+                if len(diag) == 2:
+                    a, b = (digit[p] for p in diag)
+                    opts = sandwich[a][digit[off[0]]][b]
+                elif diag:
+                    opts = [(digit[diag[0]], 1)]
+                elif len(off) == 2:
+                    opts = bprod[digit[off[0]]][digit[off[1]]]
+                else:
+                    opts = [(digit[off[0]], 1)]
+                terms = [(r + k * place[t], x * y)
+                         for r, x in terms for k, y in opts]
+            for r, x in terms:
+                acc[r] = acc.get(r, 0) + x
+        acc = {r: x for r, x in acc.items() if x}
+        if acc:
+            cols[c] = acc
+    return cols
+
+
+def test_boundary_equals_the_faces_of_sp2_of_the_circle():
+    # Entry for entry, up to degree 3, on the catalog and on the triples
+    # whose B is not the ground field.
+    triples = [shared_triple(name) for name in ALL_NAMES]
+    triples += [make() for make in (trunc3_over_dual_x2, prod_over_prod_id,
+                                    cube_over_prod, dual_over_trunc3_x,
+                                    sqzero_dual_x)]
+    for T in triples:
+        for n in range(1, 4):
+            assert value_columns(boundary(T, n)) == _sp2_boundary(T, n), (
+                T.name, n)
 
 
 def test_boundary_matches_classical_bar_complex_over_ground_field():

@@ -11,7 +11,7 @@ import pytest
 
 from _shared import (ALL_NAMES, commutator_subspace, cube_over_prod,
                      dense_rank_of_sparse, dual_over_trunc3_x,
-                     prod_over_prod_id, rebased_triple,
+                     peel_sweeps, prod_over_prod_id, rebased_triple,
                      reference_quotient_of_complex, relation_span_inputs,
                      rescaled_triple, shared_triple, sqzero_dual_x,
                      trunc3_over_dual_x2)
@@ -176,7 +176,8 @@ def test_hc_sweep_builds_each_induced_boundary_once(monkeypatch):
 def _assert_blocks_match_single_span(T, flavor, degrees):
     for n in degrees:
         cycles, cols, weights = relation_span_inputs(T, flavor, n)
-        Q = homology._quotient_of_complex(cycles, cols, weights)
+        Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
+                                          weights)
         ref = reference_quotient_of_complex(cycles, cols)
         assert Q.relations == ref.relations, (T.name, flavor, n)
         assert Q.nonpivots == ref.nonpivots
@@ -226,7 +227,8 @@ def test_stalled_span_tests_columns_by_projection(monkeypatch):
     real = Subspace.add
     monkeypatch.setattr(Subspace, "add",
                         lambda self, v: calls.append(1) or real(self, v))
-    Q = homology._quotient_of_complex(cycles, cols, weights)
+    Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
+                                      weights)
     monkeypatch.undo()
     assert len(calls) < 1024
     assert Q.relations == reference_quotient_of_complex(cycles, cols).relations
@@ -236,23 +238,56 @@ def test_one_entry_columns_give_unit_relations_without_elimination(
         monkeypatch):
     # hh(dual_dual_x, 3): 8,878 of the 15,976 boundary columns have one
     # entry, at 523 distinct cycle pivots.  Each of those gives its unit
-    # relation row with no `add`, so the weight blocks' spans hold every
-    # other relation, and the rest match one plain span.
-    cycles, cols, weights = relation_span_inputs(shared_triple("dual_dual_x"),
-                                                 "hh", 3)
-    units = {cycles._pivot_pos[min(col)] for col in cols if len(col) == 1}
-    assert len(cols) == 15976 and len(units) == 523
-    assert sum(len(col) == 1 for col in cols) == 8878
-    spans = []
-    real = Subspace.__init__
-    monkeypatch.setattr(Subspace, "__init__", lambda self, *args: (
-        spans.append(self), real(self, *args))[1])
-    Q = homology._quotient_of_complex(cycles, cols, weights)
-    monkeypatch.undo()
-    R = Q.relations
-    assert Q.dim == 1 and sum(S.dim for S in spans) == R.dim - len(units)
-    assert all(R._int_rows[R._pivot_pos[k]] == {k: 1} for k in units)
-    assert R == reference_quotient_of_complex(cycles, cols).relations
+    # relation row with no `add`, and so does each coordinate the peel
+    # settles after them: with the units, 921 of the 968 cycle
+    # coordinates, leaving 47 live.  The weight blocks' spans hold the
+    # other 46 relations, and the rest match one plain span.  On
+    # dual_dual_zero the units and the peel give 833 of 967 relations.
+    for name, settles, blocks in (("dual_dual_x", 921, 46),
+                                  ("dual_dual_zero", 833, 134)):
+        cycles, cols, weights = relation_span_inputs(shared_triple(name),
+                                                     "hh", 3)
+        pos = cycles._pivot_pos
+        units = {pos[min(col)] for col in cols if len(col) == 1}
+        settled = {pos[p] for p in peel_sweeps(cycles, cols)[0]}
+        if name == "dual_dual_x":
+            assert len(cols) == 15976 and len(units) == 523
+            assert sum(len(col) == 1 for col in cols) == 8878
+            assert cycles.dim - len(settled) == 47
+        assert units < settled and len(settled) == settles
+        spans = []
+        real = Subspace.__init__
+        monkeypatch.setattr(Subspace, "__init__", lambda self, *args: (
+            spans.append(self), real(self, *args))[1])
+        Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
+                                          weights)
+        monkeypatch.undo()
+        R = Q.relations
+        assert Q.dim == 1
+        assert sum(S.dim for S in spans) == R.dim - len(settled) == blocks
+        assert all(R._int_rows[R._pivot_pos[k]] == {k: 1} for k in settled)
+        assert R == reference_quotient_of_complex(cycles, cols).relations
+
+
+def test_a_column_with_255_live_coordinates_is_left_out_of_the_peel():
+    # Every chain index a cycle, one weight.  Units settle 0..99, and the
+    # chain {i, i + 1} peels 100..599 one after the other.  The long
+    # column holds 0..600, too many live coordinates for its count byte,
+    # so the peel leaves it alone and its block strips it down to e_600.
+    amb = 601
+    cycles = Subspace(amb, [{i: 1} for i in range(amb)])
+    cols = [{i: 1} for i in range(100)]
+    cols += [{i: 1, i + 1: -1} for i in range(99, 599)]
+    cols.append({i: 1 for i in range(amb)})
+    Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
+                                      [0] * amb)
+    assert Q.dim == 0
+    assert Q.relations == reference_quotient_of_complex(cycles,
+                                                        cols).relations
+    cols[-1] = {i: 1 for i in range(amb - 1)}  # now e_600 is a class
+    Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
+                                      [0] * amb)
+    assert Q.dim == 1 and Q.nonpivots == [600]
 
 
 def test_one_entry_column_off_the_cycle_pivots_is_a_hard_error():
@@ -265,10 +300,12 @@ def test_one_entry_column_off_the_cycle_pivots_is_a_hard_error():
                if r not in cycles._pivot_pos)
     longer = next(p for p, row in zip(cycles.pivots, cycles._int_rows)
                   if len(row) > 1)
-    homology._quotient_of_complex(cycles, cols, weights)
+    homology._quotient_of_complex(cycles, dict(enumerate(cols)),
+                                  weights)
     for r in (off, longer):
         with pytest.raises(InternalCheckError, match="one-entry"):
-            homology._quotient_of_complex(cycles, cols + [{r: 1}], weights)
+            homology._quotient_of_complex(
+                cycles, dict(enumerate(cols + [{r: 1}])), weights)
 
 
 def test_a_wrong_grading_is_a_hard_error_never_a_wrong_dimension(monkeypatch):

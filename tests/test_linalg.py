@@ -9,7 +9,7 @@ import pytest
 
 from _shared import (ALL_NAMES, cube_over_prod, dense_matrix,
                      dual_over_trunc3_x, from_canonical, from_entries,
-                     prod_over_prod_id, rebased, rebased_triple,
+                     peel_sweeps, prod_over_prod_id, rebased, rebased_triple,
                      relation_span_inputs, rescaled_triple, shared_triple,
                      sqzero_dual_x, trunc3_over_dual_x2, value_columns)
 from sechom.chains import boundary, cyclic_quotient
@@ -466,9 +466,9 @@ def test_fraction_free_elimination_matches_fraction_elimination():
 def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
     # Every Subspace that hh and hc construct up to degree 3 on the
     # catalog: per call, the row space in nullspace and one homology
-    # relation span per weight of the cycles that one-entry boundary
-    # columns leave uncovered, which starts empty and grows through `add`
-    # (gated in
+    # relation span per weight of the cycles that neither one-entry
+    # boundary columns nor the peel settle (the live cycles), which starts
+    # empty and grows through `add` (gated in
     # test_relation_span_stops_once_full_with_the_same_canonical_form).
     # nullspace wraps its kernel rows without a second elimination (gated
     # in the nullspace tests below).
@@ -496,9 +496,9 @@ def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
             for flavor in ("hh", "hc"):
                 cycles, cols, weights = relation_span_inputs(
                     shared_triple(name), flavor, n)
-                units = {min(col) for col in cols if len(col) == 1}
+                settled = peel_sweeps(cycles, cols)[0]
                 blocks += len({weights[p] for p in cycles.pivots
-                               if p not in units})
+                               if p not in settled})
     assert len(inputs) == 2 * 4 * len(ALL_NAMES) + blocks
     for ambient_dim, vectors in inputs:
         _assert_same_rref(ambient_dim, vectors)
@@ -746,90 +746,98 @@ def _cycle_coordinates(cycles, cols):
     return [{pos[p]: x for p, x in col.items() if p in pos} for col in cols]
 
 
-class _RecordedColumns(list):
-    """Columns that record, per iteration over them, the indices handed
-    out, in order."""
+class _RecordedColumn(dict):
+    """A column that logs its number each time its entries are read with
+    their values (`items`), as a weight block reads a column it strips."""
 
-    def __init__(self, cols):
-        super().__init__(cols)
-        self.passes = []
+    def __init__(self, col, number, log):
+        super().__init__(col)
+        self.number, self.log = number, log
 
-    def __iter__(self):
-        handed = []
-        self.passes.append(handed)
-        for k, col in enumerate(super().__iter__()):
-            handed.append(k)
-            yield col
+    def items(self):
+        self.log.append(self.number)
+        return super().items()
 
 
 def test_relation_span_stops_once_full_with_the_same_canonical_form(
         monkeypatch):
     # The homology relations of hh and hc up to degree 3 on the catalog,
-    # against the Fraction elimination of every boundary column.  The
-    # second pass over the columns feeds `add` each column stripped of
-    # the unit coordinates (those of the one-entry columns).  A column it
-    # reads that never reaches `add` is a one-entry column, strips to
+    # and up to degree 1 on rebased dual_dual_x (one block, whose span
+    # stalls: after the peel no catalog block up to degree 3 kills a
+    # column while it has homology), against the Fraction elimination of
+    # every boundary column.  The weight blocks read the columns in
+    # order, each at most once, and feed `add` each column with two or
+    # more live coordinates, stripped of the settled ones (those of the
+    # one-entry columns and of the peel, found here by `peel_sweeps`).
+    # A column that never reaches `add` is a one-entry column, a peeled
+    # column (it had exactly one live coordinate in a sweep), strips to
     # zero, lies in a block that spans all the cycles of its weight (its
-    # block was full, or every block was), or its block's projection
-    # killed it: it lies in the span of the stripped columns of its block
-    # that reached `add` before it.
-    fed: dict = {}  # column index -> the vector `add` was given
+    # block was full, or every block was, and the span had stopped), or
+    # was read and killed by its block's projection: it lies in the span
+    # of the stripped columns of its block that reached `add` before it.
+    fed: dict = {}  # column number -> the vector `add` was given
+    read: list = []  # numbers of the columns the blocks read, in order
     orig = Subspace.add
 
     def recording(self, v):
-        fed[cols.passes[-1][-1]] = dict(v)
+        fed[read[-1]] = dict(v)
         return orig(self, v)
 
     counts = Counter()
-    for name in ALL_NAMES:
-        T = shared_triple(name)
-        for n in range(4):
+    inputs = [(shared_triple(name), range(4)) for name in ALL_NAMES]
+    inputs.append((rebased_triple("dual_dual_x"), range(2)))
+    for T, degrees in inputs:
+        for n in degrees:
             for flavor in ("hh", "hc"):
-                cycles, plain, weights = relation_span_inputs(T, flavor, n)
-                cols = _RecordedColumns(plain)
+                cycles, cols, weights = relation_span_inputs(T, flavor, n)
+                read.clear()
                 fed.clear()
                 monkeypatch.setattr(Subspace, "add", recording)
-                Q = _quotient_of_complex(cycles, cols, weights)
+                Q = _quotient_of_complex(cycles, {
+                    k: _RecordedColumn(col, k, read)
+                    for k, col in enumerate(cols)}, weights)
                 monkeypatch.undo()
-                assert len(cols.passes) == 2 and len(cols.passes[0]) == len(cols)
-                read = cols.passes[1]
-                assert read == list(range(len(read)))
+                assert read == sorted(set(read))
+                was_read = set(read)
                 vectors = _cycle_coordinates(cycles, cols)
                 rows, pivots, _ = _fraction_rref(cycles.dim, vectors)
                 assert Q.relations.rows == rows
                 assert Q.relations.pivots == pivots
-                units = {cycles._pivot_pos[min(col)] for col in cols
-                         if len(col) == 1}
+                settled_pivots, peeled = peel_sweeps(cycles, cols)
+                settled = {cycles._pivot_pos[p] for p in settled_pivots}
                 assert all(Q.relations.rows[Q.relations._pivot_pos[k]]
-                           == {k: 1} for k in units)
-                stripped = [{k: x for k, x in v.items() if k not in units}
+                           == {k: 1} for k in settled)
+                stripped = [{k: x for k, x in v.items() if k not in settled}
                             for v in vectors]
                 cycle_weights = [weights[p] for p in cycles.pivots]
                 spanned = Counter(cycle_weights[j] for j in Q.relations.pivots)
                 full = {w for w, k in Counter(cycle_weights).items()
                         if spanned[w] == k}
                 before: dict = {}  # weight -> span of the columns fed so far
-                for k in read:
-                    w = weights[min(cols[k])]
+                for k, col in enumerate(cols):
+                    w = weights[min(col)]
                     span = before.setdefault(w, Subspace(cycles.dim))
+                    if k in was_read:
+                        assert k not in peeled and len(stripped[k]) > 1
                     if k in fed:
-                        assert len(cols[k]) > 1 and fed[k] == stripped[k]
+                        assert fed[k] == stripped[k]
                         span.add(stripped[k])
-                        continue
-                    if len(cols[k]) == 1:
-                        counts["unit"] += 1
-                    elif not stripped[k]:
-                        counts["stripped to zero"] += 1
-                    elif w in full:
-                        counts["full block"] += 1
-                    else:
+                    elif k in was_read:
                         assert span.contains(stripped[k])
                         counts["killed"] += 1
                         counts["killed with homology"] += Q.dim > 0
-                if len(read) < len(cols):  # the span stopped early
-                    assert full == set(cycle_weights)
-    assert all(counts[c] for c in ("unit", "stripped to zero", "full block",
-                                   "killed", "killed with homology")), counts
+                    elif len(col) == 1:
+                        counts["unit"] += 1
+                    elif k in peeled:
+                        counts["peeled"] += 1
+                    elif not stripped[k]:
+                        counts["stripped to zero"] += 1
+                    else:
+                        assert w in full
+                        counts["full block"] += 1
+    assert all(counts[c] for c in ("unit", "peeled", "stripped to zero",
+                                   "full block", "killed",
+                                   "killed with homology")), counts
 
 
 def test_relation_span_over_b_other_than_q_matches_fraction_elimination():
@@ -850,7 +858,8 @@ def test_relation_span_over_b_other_than_q_matches_fraction_elimination():
                                                                  n)
                     if twin is not T and n == 2:
                         cols = cols[::len(cols) // 48]
-                    Q = _quotient_of_complex(cycles, cols, weights)
+                    Q = _quotient_of_complex(cycles, dict(enumerate(cols)),
+                                             weights)
                     rows, pivots, _ = _fraction_rref(
                         cycles.dim, _cycle_coordinates(cycles, cols))
                     assert Q.relations.rows == rows, (twin.name, flavor, n)

@@ -49,9 +49,9 @@ MUTANTS = [
     Mutant("face-skips-an-item", "chains.py",
            "            for pi, po, c in items:\n",
            "            for pi, po, c in items[:-1]:\n", ("test_chains.py",)),
-    Mutant("face-skips-the-repack", "chains.py",
-           "slots[c] = {r: x for r, x in col.items() if x}",
-           "slots[c] = col", ("test_chains.py",)),
+    Mutant("face-keeps-a-cancelled-zero", "chains.py",
+           "                    del col[r]\n",
+           "                    col[r] = x\n", ("test_chains.py",)),
     Mutant("sandwich-unsorted", "triples.py",
            "tuple(sorted(_int_product(", "tuple((_int_product(",
            ("test_chains.py",)),
@@ -117,11 +117,17 @@ MUTANTS = [
            "its kernel is exactly the image of A\", True,",
            ("test_homology.py",)),
     Mutant("span-drops-the-unit-rows", "homology.py",
-           "rows = [(pos[r], {pos[r]: 1}) for r in units]", "rows = []",
-           ("test_homology.py",)),
+           "rows = [(k, {k: 1}) for p, k in pos.items() if p not in live]",
+           "rows = []", ("test_homology.py",)),
+    # The residue keeps every settled coordinate, units and peeled ones.
     Mutant("span-keeps-the-unit-coordinates", "homology.py",
-           "keep = {p: k for p, k in pos.items() if p not in units} if units "
-           "else pos", "keep = pos", ("test_homology.py",)),
+           "v = {live[p]: x for p, x in col.items() if p in live}",
+           "v = {pos[p]: x for p, x in col.items() if p in pos}",
+           ("test_homology.py",)),
+    Mutant("peel-skips-the-decrement", "homology.py",
+           "                count[c] -= 1\n", "", ("test_homology.py",)),
+    Mutant("peel-leaves-a-peeled-coordinate-in-the-residue", "homology.py",
+           "            del live[k]\n", "", ("test_homology.py",)),
     # Only triples whose B is not the ground field reach these two.
     Mutant("face-bb-reads-one-product-row", "chains.py",
            "for a, row in enumerate(tb.bprod)",
