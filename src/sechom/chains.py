@@ -39,7 +39,11 @@ are its non-pivots.
 
 A grading of the triple (`triples.grading`) gives each basis tensor a
 weight, the sum of its digits' weights.  Faces multiply within a digit
-group and the rotation permutes digits, so both keep the weight.
+group and the rotation permutes digits, so both keep the weight.  So the
+boundary splits into weight blocks, and `boundary_blocks` assembles one
+block at a time: a copy and an item carry disjoint digits, so their
+weights add up to the weight of the column they scatter into, and block
+w scatters only the pairs whose weights sum to w.
 
 Descent of the boundary to the coinvariants is certified where the
 induced boundary is built, by `linalg.induced_on_quotients`, orbit by
@@ -130,14 +134,25 @@ def chain_weights(T: Triple, n: int) -> list:
     """The weight key of every basis tensor in degree n under `grading(T)`:
     the sum of its digits' keys, expanded digit by digit.  All keys are 0
     when the triple's basis carries no grading."""
+    cs = chain_space(T, n)
+    return _keys_of_digits(cs.radices, _slot_keys(T, n))
+
+
+def _slot_keys(T: Triple, n: int) -> list:
+    """For each slot of a degree-n basis tensor, the weight key under
+    `grading(T)` of each basis vector that the slot's digit picks."""
     G = grading(T)
     da = T.A.dim
     keys = [sum(row[v] * _KEY_BASE ** j for j, row in enumerate(G))
             for v in range(da + T.B.dim)]
-    cs = chain_space(T, n)
-    digits = [keys[:da]] * (n + 1) + [keys[da:]] * len(cs.pairs)
+    return [keys[:da]] * (n + 1) + [keys[da:]] * (n * (n + 1) // 2)
+
+
+def _keys_of_digits(radices: list, keys: list) -> list:
+    """The weight key of every digit string of these radices, numbered
+    mixed-radix: the sum of its digits' keys."""
     out = [0]
-    for r, digit in zip(cs.radices, digits):
+    for r, digit in zip(radices, keys):
         if r > 1:  # a radix-1 digit is the unit, of weight 0
             out = [x + y for x in out for y in digit]
     return out
@@ -184,28 +199,16 @@ def _face_recipe(n: int, i: int) -> list:
     return recipe
 
 
-def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
-    """The sum of sign * face i over (i, sign) in faces, degree n to n - 1.
-
-    Every face in degree n multiplies one sandwich and n - 1 products in B,
-    so each entry is an integer over sden * bden^(n - 1), and the integer
-    columns go into the matrix over that denominator as they are.  Each
-    face scatters its flat item list once per copy (see the module
-    docstring) into one slot per column, indexing one shared int per row:
-    O(copies x items).  An entry whose sum cancels to 0 is deleted at
-    once, so each column dict is written in that one pass, and the
-    non-empty columns are read out in column order.
-    """
+def _face_plans(T: Triple, n: int, faces: list):
+    """The copies and items (see the module docstring) of sign * face i
+    in degree n, for each (i, sign) in faces in turn."""
     tb = _tables(T)
     src = chain_space(T, n)
-    dst = chain_space(T, n - 1)
-    den = tb.sden * tb.bden ** (n - 1)
+    dst_weights = chain_space(T, n - 1).weights
     W = src.weights
-    slots = [None] * src.dim
-    rows = list(range(dst.dim))  # one int object per row, for all columns
     for i, sign in faces:
         copies, items = [(0, 0)], [(0, 0, sign)]
-        for op, w in zip(_face_recipe(n, i), dst.weights):
+        for op, w in zip(_face_recipe(n, i), dst_weights):
             if op[0] == "aba":
                 _, p, q, s = op
                 group = [(a * W[p] + k * W[q] + b * W[s], d * w, x)
@@ -225,19 +228,58 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
                 continue
             items = [(pi + qi, po + qo, c * x)
                      for pi, po, c in items for qi, qo, x in group]
-        for ci, co in copies:
-            for pi, po, c in items:
-                col = slots[ci + pi]
-                if col is None:
-                    col = slots[ci + pi] = {}
-                r = rows[co + po]
-                x = col.get(r, 0) + c
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
+        yield copies, items
+
+
+def _scatter(slots, rows: list, copies: list, items: list) -> None:
+    """Add every item, once per copy, into the column dicts `slots` holds
+    by input index (None where there is none yet), at the shared row ints
+    `rows`, deleting an entry as soon as it cancels."""
+    for ci, co in copies:
+        for pi, po, c in items:
+            col = slots[ci + pi]
+            if col is None:
+                col = slots[ci + pi] = {}
+            r = rows[co + po]
+            x = col.get(r, 0) + c
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+
+
+def _face_den(T: Triple, n: int) -> int:
+    """The denominator of every face in degree n: each multiplies one
+    sandwich and n - 1 products in B."""
+    tb = _tables(T)
+    return tb.sden * tb.bden ** (n - 1)
+
+
+def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
+    """The sum of sign * face i over (i, sign) in faces, degree n to n - 1.
+
+    Each entry is an integer over `_face_den`, and the integer columns go
+    into the matrix over that denominator as they are.  Each face
+    scatters its flat item list once per copy (see the module docstring)
+    into one slot per column, indexing one shared int per row:
+    O(copies x items).  An entry whose sum cancels to 0 is deleted at
+    once, so each column dict is written in that one pass, and the
+    non-empty columns are read out in column order.
+    """
+    src = chain_space(T, n)
+    dst = chain_space(T, n - 1)
+    slots = [None] * src.dim
+    rows = list(range(dst.dim))  # one int object per row, for all columns
+    for copies, items in _face_plans(T, n, faces):
+        _scatter(slots, rows, copies, items)
     return SparseMat.from_ints(
-        dst.dim, src.dim, {c: col for c, col in enumerate(slots) if col}, den)
+        dst.dim, src.dim, {c: col for c, col in enumerate(slots) if col},
+        _face_den(T, n))
+
+
+def _alternating(n: int) -> list:
+    """The faces of the boundary in degree n, as (i, sign)."""
+    return [(i, 1 if i % 2 == 0 else -1) for i in range(n + 1)]
 
 
 @per_triple
@@ -247,8 +289,71 @@ def boundary(T: Triple, n: int) -> SparseMat:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return SparseMat.zeros(0, chain_space(T, 0).dim)
-    return _face_sum(T, n, [(i, 1 if i % 2 == 0 else -1)
-                            for i in range(n + 1)])
+    return _face_sum(T, n, _alternating(n))
+
+
+class _BlockSlots(dict):
+    """The column dicts of one weight block by input index, for `_scatter`:
+    an index with no column yet reads None."""
+
+    __slots__ = ()
+
+    def __missing__(self, c):
+        return None
+
+
+def boundary_blocks(T: Triple, n: int):
+    """The nonzero columns of boundary(T, n), one weight block at a time.
+
+    Yields (w, cols) for every weight key w that a nonzero column has, in
+    increasing order: cols maps each such column c, whose key
+    `chain_weights(T, n)[c]` is w, to its integer numerators over
+    `_face_den(T, n)`, not brought to lowest terms.  Each face's copies
+    are grouped by the weight key of the digits they carry and its items
+    by that of the other digits, so block w scatters only the pairs whose
+    keys sum to w, and each term is scattered once over all blocks, as in
+    `boundary`.  The keys are those `chain_weights` adds up, read off the
+    offsets of the copies and items, so no per-tensor key list is built.
+    Nothing is memoized: a block is garbage once its reader drops it.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if n == 0:
+        return
+    src = chain_space(T, n)
+    # The key of input index x is high[x // M] + low[x % M], from two
+    # tables over the high and the low half of the digits.  A copy and an
+    # item have disjoint digits, so their keys, each read with the other
+    # digits at 0, sum to that of the tensor they make plus that of 0.
+    keys, h = _slot_keys(T, n), len(src.radices) // 2
+    M = src.weights[h - 1]
+    high = _keys_of_digits(src.radices[:h], keys[:h])
+    low = _keys_of_digits(src.radices[h:], keys[h:])
+
+    def by_key(terms: list, base: int) -> dict:
+        out: dict = {}
+        for t in terms:
+            x = t[0]
+            out.setdefault(high[x // M] + low[x % M] - base, []).append(t)
+        return out
+
+    plans = [(by_key(copies, 0), by_key(items, high[0] + low[0]))
+             for copies, items in _face_plans(T, n, _alternating(n))]
+    rows = list(range(chain_space(T, n - 1).dim))
+    weights = sorted({kc + ki for cg, ig in plans for kc in cg for ki in ig})
+    for w in weights:
+        slots = _BlockSlots()
+        for copies_by_key, items_by_key in plans:
+            for kc, copies in copies_by_key.items():
+                items = items_by_key.get(w - kc)
+                if items:
+                    _scatter(slots, rows, copies, items)
+        if w == weights[-1]:
+            plans = copies = items = None  # free, while the last block is read
+        for c in [c for c, col in slots.items() if not col]:
+            del slots[c]
+        if slots:
+            yield w, slots
 
 
 # -- cyclic structure ------------------------------------------------------

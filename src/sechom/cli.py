@@ -257,19 +257,21 @@ def _cmd_compute(args) -> int:
                 raise _CliError(str(exc), EXIT_RESOURCE) from None
         ref = _reference(args, classical_hh_dims if args.flavor == "hh"
                          else classical_hc_dims, T, max(degrees))
-        results = []
-        for n in degrees:
+        dims, reps = {}, {}
+        # Highest degree first: hh then streams only the top boundary and
+        # finds each lower one in the memo, built once.
+        for n in reversed(degrees):
             res = func(T, n, max_degree=cap)
-            results.append({"degree": n, "dimension": res.dimension})
+            dims[n] = res.dimension
             if args.representatives:
-                for i, rep in enumerate(res.representatives):
-                    reps_out.append({
-                        "label": f"{args.flavor}{n} class {i}",
-                        "vector": [str(x) for x in rep]})
-        payload["results"] = results
+                reps[n] = [{"label": f"{args.flavor}{n} class {i}",
+                            "vector": [str(x) for x in rep]}
+                           for i, rep in enumerate(res.representatives)]
+        payload["results"] = [{"degree": n, "dimension": dims[n]}
+                              for n in degrees]
+        reps_out = [rep for n in degrees for rep in reps.get(n, ())]
         if ref is not None:
-            mine = {r["degree"]: r["dimension"] for r in results}
-            agrees = all(mine[n] == ref[n] for n in degrees)
+            agrees = all(dims[n] == ref[n] for n in degrees)
             payload["reference"] = {
                 "agrees": agrees,
                 "classical": {str(n): ref[n] for n in degrees}}

@@ -11,7 +11,12 @@ dim(A)^(n+1) * dim(B)^(n(n+1)/2).
 `hh` and `hc` read the dimension on `triples.regrade(T)` when it finds a
 triple isomorphic to T whose basis is graded (T's own basis hides the
 grading), and on T otherwise: isomorphic triples have isomorphic
-complexes, and the graded one splits its relation span by weight.
+complexes, and the graded one splits its relation span by weight.  The
+quotient reads the next boundary one weight block at a time; `hh` takes
+the blocks from the memo when the boundary is built whole there, and
+otherwise streams them from `chains.boundary_blocks`, so it never holds
+the next boundary whole.  A caller that sweeps hh over degrees should
+go from the top down, so that only the top boundary is streamed.
 
 Representatives are always reported in the chain coordinates of the
 requested degree, in T's own basis, and formed only when read; their
@@ -27,11 +32,12 @@ from functools import cached_property
 from math import log10
 from typing import Callable
 
-from .chains import boundary, chain_dim, chain_weights, cyclic_quotient
+from .chains import (boundary, boundary_blocks, chain_dim, chain_weights,
+                     cyclic_quotient)
 from .linalg import (InternalCheckError, KernelTest, QuotientStructure,
-                     SparseMat, Subspace, induced_on_quotients, nullspace,
-                     product_is_zero, projection_matrix, to_dense)
-from .triples import Triple, per_triple, regrade
+                     SparseMat, Subspace, _kills, induced_on_quotients,
+                     nullspace, projection_matrix, to_dense)
+from .triples import Triple, per_triple, recall, regrade
 
 DEFAULT_MAX_DEGREE = 3
 _MAX_DIGITS = 100  # longer chain dimensions are printed as powers
@@ -98,77 +104,119 @@ class HomologyResult:
                 f"has dimension {self.dimension}")
 
 
+def _inhomogeneous(what: str) -> InternalCheckError:
+    return InternalCheckError(
+        f"{what} is not homogeneous for the triple's grading")
+
+
 def _weight(v: dict, weights: list, what: str):
     """The one weight key of every index of the nonzero vector v."""
     keys = set(map(weights.__getitem__, v))
     if len(keys) != 1:
-        raise InternalCheckError(
-            f"{what} is not homogeneous for the triple's grading")
+        raise _inhomogeneous(what)
     return keys.pop()
 
 
-def _quotient_of_complex(cycles: Subspace, cols: dict,
+def _by_weight(cols: dict, weights: list):
+    """Nonzero columns as weight blocks, (w, {column: column}), each column
+    in the block of the weight key of its least index."""
+    blocks: dict = {}
+    for (c, col), w in zip(cols.items(),
+                           map(weights.__getitem__, map(min, cols.values()))):
+        blocks.setdefault(w, {})[c] = col
+    return blocks.items()
+
+
+def _quotient_of_complex(cycles: Subspace, blocks,
                          weights: list) -> QuotientStructure:
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
-    `cols` holds the next boundary's columns by column number, as
-    `SparseMat.num` does.  Callers must have certified that they are
-    cycles, so their coordinates are read off the cycle pivots with no
-    membership pass.  Integer numerators serve as well as the columns
-    themselves, since only their span matters, and their order does not
-    matter either.
+    `blocks` gives the next boundary's columns as weight blocks (w, cols),
+    one per weight key w, read once in turn: cols maps column numbers to
+    columns that lie in weight w, as `chains.boundary_blocks` yields them
+    and `_by_weight` groups a whole matrix.  Callers must have certified
+    that they are cycles, so their coordinates are read off the cycle
+    pivots with no membership pass.  Integer numerators serve as well as
+    the columns themselves, since only their span matters, and their
+    order does not matter either.
+
+    `weights` gives the weight key of each chain coordinate.  Every cycle
+    row and every column must be homogeneous, a column of its block's
+    weight, or the grading is wrong and this is a hard error.  A column
+    of weight w then has coordinates only on the cycles whose pivot has
+    weight w, so each block's relations are found from its own columns
+    (`_block_relations`), and the block is dropped before the next is
+    read.  Rows of different blocks have disjoint supports, so together,
+    merged by pivot, they are the canonical form.  The cycle rows are
+    checked once every block is read, so that a caller that checks each
+    block as it comes reports a nonzero square first.
+    """
+    members: dict = {}  # weight -> numbers of the cycle rows of its pivots
+    for j, p in enumerate(cycles.pivots):
+        members.setdefault(weights[p], []).append(j)
+    rows = []
+    for w, cols in blocks:
+        rows += _block_relations(cycles, members.get(w, ()), w, cols,
+                                 weights)
+        del cols  # before the next block is built
+    for row in cycles._int_rows:
+        _weight(row, weights, "cycle row")
+    rows.sort()
+    relations = Subspace._of_int_rows(cycles.dim, [p for p, _ in rows],
+                                      [row for _, row in rows])
+    return QuotientStructure(cycles.dim, relations)
+
+
+def _block_relations(cycles: Subspace, members, w, cols: dict,
+                     weights: list) -> list:
+    """The canonical relation rows of one weight block, as (pivot, row):
+    those the columns `cols` of weight w give on the cycle rows numbered
+    in `members`, the cycle rows of weight w.
 
     A column whose one entry is at chain index r makes e_r a boundary,
     hence a cycle: r is a cycle pivot whose row is e_r (a hard error
     otherwise), and the relation at its coordinate k is the unit row e_k,
     so every other canonical relation row is zero at k.  A cycle
     coordinate is live until its relation is known to be such a unit
-    row.  The first pass collects the units; the second counts the live
-    coordinates of every column.  A column with exactly one live
-    coordinate k makes e_k a relation, since its other coordinates are
-    relations already, so k is peeled and every column that holds k
-    loses a live coordinate, until no column has exactly one (the
-    coreduction of Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35,
-    1998).  The numbers of the columns that hold each live coordinate are
-    gathered only when some column has exactly one, and a column with
-    255 or more is left out of the peel.  The weight blocks below then
-    read only the columns with two or more live coordinates, with the
-    others dropped, and the unit rows of the units and of the peeled
-    coordinates, merged with the blocks' rows by pivot, are the
-    canonical form.
+    row.  The units are collected first; then the live coordinates of
+    every column are counted.  A column with exactly one live coordinate
+    k makes e_k a relation, since its other coordinates are relations
+    already, so k is peeled and every column that holds k loses a live
+    coordinate, until no column has exactly one (the coreduction of
+    Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35, 1998).  The
+    numbers of the columns that hold each live coordinate are gathered
+    only when some column has exactly one, and a column with 255 or more
+    is left out of the peel.
 
-    `weights` gives the weight key of each chain coordinate.  Every cycle
-    row and every column with two or more entries must be homogeneous, or
-    the grading is wrong and this is a hard error (the columns are
-    checked before the peel).  A homogeneous column of weight w then has
-    coordinates only on the cycles whose pivot has weight w, so the
-    relations split into one block per weight, over the live cycles of
-    that weight.  A block takes no more columns once it spans them (it
-    never opens when there are none), and the span stops once every
-    block does.  Rows of different blocks have disjoint supports, so
-    together they are the canonical form.
-
-    Once a block has rejected _STALL columns in a row, its projection P
-    onto the quotient of its own cycle coordinates is built, and each
-    later column v of the block is tested by P v = 0, which is exact: the
-    kernel of P is the block's span.  Only a column that P does not kill
-    goes to `add`; it raises the rank, and P is built again at the next
-    stall.
+    The span then reads only the columns with two or more live
+    coordinates, with the others dropped.  It never opens when no
+    coordinate is live, and takes no more columns once it spans the live
+    ones.  Once it has rejected _STALL columns in a row, its projection P
+    onto the quotient of the live coordinates is built, and each later
+    column v is tested by P v = 0, which is exact: the kernel of P is the
+    span.  Only a column that P does not kill goes to `add`; it raises
+    the rank, and P is built again at the next stall.  The unit rows of
+    the units and of the peeled coordinates, with the span's rows, are
+    the block's canonical form.
     """
     pos = cycles._pivot_pos
     units = {r for col in cols.values() if len(col) == 1 for r in col}
     for r in units:
+        if weights[r] != w:
+            raise _inhomogeneous("boundary column")
         if r not in pos or cycles._int_rows[pos[r]] != {r: 1}:
             raise InternalCheckError(
                 "a one-entry boundary column is not a cycle basis row")
-    live = {p: k for p, k in pos.items() if p not in units}
+    pivots = cycles.pivots
+    live = {pivots[j]: j for j in members if pivots[j] not in units}
     # Live coordinates, up to 255, of each column with two or more; the
     # columns with exactly one go on the stack.
-    count = bytearray(max(cols, default=-1) + 1)
+    count = bytearray(max(cols) + 1)
     stack = []
     for c, col in cols.items():
         if len(col) > 1:
-            _weight(col, weights, "boundary column")
+            if set(map(weights.__getitem__, col)) != {w}:
+                raise _inhomogeneous("boundary column")
             n = sum(map(live.__contains__, col))
             if n == 1:
                 stack.append(c)
@@ -194,66 +242,66 @@ def _quotient_of_complex(cycles: Subspace, cols: dict,
                 count[c] -= 1
                 if count[c] == 1:
                     stack.append(c)
-    members: dict = {}  # weight -> numbers of its live cycle rows
-    for j, (p, row) in enumerate(zip(cycles.pivots, cycles._int_rows)):
-        w = _weight(row, weights, "cycle row")
-        if p in live:
-            members.setdefault(w, []).append(j)
-    # weight -> [its span, columns it rejected in a row, KernelTest of P]
-    open_blocks = {w: [Subspace(cycles.dim), 0, None] for w in members}
-    full = []
+    rows = [(k, {k: 1}) for k in members if pivots[k] not in live]
+    if not live:
+        return rows
+    rels, rejected, test = Subspace(cycles.dim), 0, None
     for c, col in cols.items():
-        if not open_blocks:
-            break
         if count[c] < 2:
             continue
-        w = weights[next(iter(col))]
-        block = open_blocks.get(w)
-        if block is None:
-            continue
         v = {live[p]: x for p, x in col.items() if p in live}
-        rels, rejected, test = block
         if test is not None and test.kills(v):
             continue
         if rels.add(v):
-            if rels.dim == len(members[w]):
-                full.append(open_blocks.pop(w)[0])
-            block[1:] = 0, None
+            if rels.dim == len(live):
+                break
+            rejected, test = 0, None
         elif rejected + 1 < _STALL:
-            block[1] = rejected + 1
+            rejected += 1
         else:
-            block[1:] = 0, KernelTest(projection_matrix(rels, [
-                j for j in members[w] if j not in rels._pivot_pos]))
-    rows = [(k, {k: 1}) for p, k in pos.items() if p not in live]
-    rows += [(p, row) for rels in full
-             + [block[0] for block in open_blocks.values()]
-             for p, row in zip(rels.pivots, rels._int_rows)]
-    rows.sort()
-    relations = Subspace._of_int_rows(cycles.dim, [p for p, _ in rows],
-                                      [row for _, row in rows])
-    return QuotientStructure(cycles.dim, relations)
+            rejected, test = 0, KernelTest(projection_matrix(rels, [
+                k for k in live.values() if k not in rels._pivot_pos]))
+    return rows + list(zip(rels.pivots, rels._int_rows))
 
 
-def _homology_pieces(d: SparseMat, d_next: SparseMat, weights: list,
-                     what: str, n: int):
-    """Cycles of d (degree n) and their quotient by the image of d_next.
+def _checked(d: SparseMat, blocks, what: str, n: int):
+    """The blocks, each once d has been found to kill its columns."""
+    nnz = d.nnz
+    for w, cols in blocks:
+        if not _kills(d, cols.values(), nnz):
+            raise InternalCheckError(
+                f"{what} squared is nonzero between degrees {n + 1} and "
+                f"{n - 1}")
+        yield w, cols
+        del cols  # before the next block is built
 
-    d after d_next must vanish; otherwise the complex is broken and
-    this is a hard error.  In degree 0, d has no rows, so every chain is a
-    cycle.  `weights` gives the weight key of each degree-n coordinate.
+
+def _homology_pieces(d: SparseMat, blocks, weights: list, what: str,
+                     n: int):
+    """Cycles of d (degree n) and their quotient by the image of the next
+    boundary, whose columns `blocks` gives by weight.
+
+    d after the next boundary must vanish; otherwise the complex is
+    broken and this is a hard error, checked block by block.  In degree
+    0, d has no rows, so every chain is a cycle.  `weights` gives the
+    weight key of each degree-n coordinate.
     """
-    if not product_is_zero(d, d_next):
-        raise InternalCheckError(
-            f"{what} squared is nonzero between degrees {n + 1} and {n - 1}")
     cycles = nullspace(d)
-    Q = _quotient_of_complex(cycles, d_next.num, weights)
+    Q = _quotient_of_complex(cycles, _checked(d, blocks, what, n), weights)
     return cycles, Q
 
 
 def _hh_pieces(T: Triple, n: int):
-    """Cycles of the boundary at degree n and the homology quotient."""
-    return _homology_pieces(boundary(T, n), boundary(T, n + 1),
-                            chain_weights(T, n), "boundary", n)
+    """Cycles of the boundary at degree n and the homology quotient.
+
+    The next boundary is read from T's memo when it is there, and is
+    otherwise streamed by `boundary_blocks`, never held whole.
+    """
+    weights = chain_weights(T, n)
+    d_next = recall(T, boundary, n + 1)
+    blocks = (boundary_blocks(T, n + 1) if d_next is None
+              else _by_weight(d_next.num, weights))
+    return _homology_pieces(boundary(T, n), blocks, weights, "boundary", n)
 
 
 def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
@@ -289,11 +337,12 @@ def _induced_boundary(T: Triple, k: int) -> SparseMat:
 def _hc_pieces(T: Triple, n: int):
     """Cycle subspace and homology quotient on coinvariant coordinates."""
     q_n = cyclic_quotient(T, n)
-    weights = chain_weights(T, n)
-    cycles, Q = _homology_pieces(_induced_boundary(T, n),
-                                 _induced_boundary(T, n + 1),
-                                 [weights[c] for c in q_n.nonpivots],
-                                 "induced boundary", n)
+    tensor_weights = chain_weights(T, n)
+    weights = [tensor_weights[c] for c in q_n.nonpivots]
+    cycles, Q = _homology_pieces(
+        _induced_boundary(T, n),
+        _by_weight(_induced_boundary(T, n + 1).num, weights), weights,
+        "induced boundary", n)
     return q_n, cycles, Q
 
 

@@ -537,9 +537,10 @@ def _dict_is_zero(M: SparseMat, cols) -> bool:
     return not any(map(M._times, cols))
 
 
-def _kills(M: SparseMat, cols) -> bool:
+def _kills(M: SparseMat, cols, nnz_m=None) -> bool:
     """Whether M v = 0 for every nonzero integer vector v in `cols` (a list
     or a dict's values, read more than once), on the path that costs less.
+    `nnz_m` is M.nnz, for a caller that tests M against many sets.
 
     The packed test runs when the dict product's updates, about
     nnz(cols) * nnz(M) / M.ncols, exceed the packed test's cost in the
@@ -549,7 +550,9 @@ def _kills(M: SparseMat, cols) -> bool:
     """
     if not (M.num and cols):
         return True
-    nnz_m, nnz_n = M.nnz, sum(map(len, cols))
+    if nnz_m is None:
+        nnz_m = M.nnz
+    nnz_n = sum(map(len, cols))
     updates = nnz_n * nnz_m / M.ncols
     fixed = 2 * (nnz_m + len(cols))
     if updates > fixed:

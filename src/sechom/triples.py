@@ -91,6 +91,15 @@ def per_triple(fn):
     return memoized
 
 
+def recall(T: Triple, fn, *args):
+    """What fn(T, *args) returned earlier, or None if it has not run: fn is
+    a `per_triple` function, or a wrapper of one that keeps `__wrapped__`.
+    Nothing is computed."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    return T._memo.get((fn, args))
+
+
 class _Tables:
     """The product tables of one triple, shared by its faces in every degree
     and by the degree-one layer.

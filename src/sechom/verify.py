@@ -179,9 +179,9 @@ def _prop_hh1_omega(T: Triple, b: _Builder):
     """
     P = omega(T)
     rels = P.relations
-    Q_hh, p_hh, s_hh = _hh1_interface(T)
     phi, psi = transfer_matrices(T)
-    moved = phi @ boundary(T, 2)
+    moved = phi @ boundary(T, 2)  # built whole before hh reads it
+    Q_hh, p_hh, s_hh = _hh1_interface(T)
     b.check_all("boundaries map into relations",
                 ({"column": c, "vector": _wvec(moved.column(c))}
                  for c in sorted(moved.num)
@@ -252,8 +252,8 @@ def verify_connes_segment(T: Triple) -> TheoremReport:
     (`induced_on_quotients`); a failure there is a hard error.
     """
     b = _Builder(T.name, "Segment")
+    q_1, hc_cycles, Q_hc = _hc_pieces(T, 1)  # builds boundary(T, 2) whole
     cycles, Q_hh = _hh_pieces(T, 1)
-    q_1, hc_cycles, Q_hc = _hc_pieces(T, 1)
 
     # Induced map on degree-one homology classes, column per basis class.
     i_mat = SparseMat.from_columns(Q_hc.dim, (
@@ -390,8 +390,10 @@ def verify_reduction_Bk(source, n_max: int = 3) -> TheoremReport:
     b = _Builder(name, "Reduction_Bk")
     hh_classical = classical_hh_dims(A, n_max)
     hc_classical = classical_hc_dims(A, n_max)
-    hh_dims = [hh(T, n, max_degree=n_max).dimension for n in range(n_max + 1)]
+    # hc builds every boundary up to degree n_max + 1 whole, and hh then
+    # finds each in the memo.
     hc_dims = [hc(T, n, max_degree=n_max).dimension for n in range(n_max + 1)]
+    hh_dims = [hh(T, n, max_degree=n_max).dimension for n in range(n_max + 1)]
     b.agree("homology dimensions match the classical complex",
             hh_dims, hh_classical)
     b.agree("cyclic dimensions match the classical complex",

@@ -19,7 +19,8 @@ from sechom.algebra import (AlgebraReport, AlgMorphism, FinAlgebra, multiply,
                             truncated_polynomial_algebra)
 from sechom.differentials import (_balancing, _product_rule, ambient_symbol,
                                   omega, symbol_index)
-from sechom.homology import _induced_boundary
+from sechom.homology import (_by_weight, _induced_boundary,
+                             _quotient_of_complex)
 from sechom.kernel import embed_tensor, kernel_data, tensor_index
 from sechom.linalg import (ONE, AmbientDimensionError, InternalCheckError,
                            QuotientStructure, SparseMat, Subspace, _ints,
@@ -516,6 +517,14 @@ def relation_span_inputs(T, flavor: str, n: int) -> tuple:
         d, d_next = _induced_boundary(T, n), _induced_boundary(T, n + 1)
         weights = [weights[c] for c in chains.cyclic_quotient(T, n).nonpivots]
     return nullspace(d), [d_next.num[c] for c in sorted(d_next.num)], weights
+
+
+def quotient_of_columns(cycles: Subspace, cols: list,
+                        weights: list) -> QuotientStructure:
+    """`homology._quotient_of_complex` on the columns `cols`, numbered in
+    order, fed as weight blocks the way hc feeds its induced boundary."""
+    return _quotient_of_complex(
+        cycles, _by_weight(dict(enumerate(cols)), weights), weights)
 
 
 def peel_sweeps(cycles: Subspace, cols) -> tuple:

@@ -258,6 +258,48 @@ def test_boundary_squares_to_zero_spot_checks():
             assert (boundary(T, n) @ boundary(T, n + 1)).is_zero()
 
 
+def _assert_blocks_make_the_boundary(T, n):
+    # Blocks in increasing key order, no empty column, every column in the
+    # block of its tensor's weight, and together the boundary entry for
+    # entry (each block's integers are over the faces' denominator).
+    weights = chains.chain_weights(T, n)
+    keys, union = [], {}
+    for w, cols in chains.boundary_blocks(T, n):
+        keys.append(w)
+        assert cols and all(cols.values()), (T.name, n, w)
+        assert {weights[c] for c in cols} == {w}, (T.name, n, w)
+        assert not union.keys() & cols.keys()
+        union.update(cols)
+    assert keys == sorted(set(keys))
+    M = boundary(T, n)
+    assert SparseMat.from_ints(M.nrows, M.ncols, union,
+                               chains._face_den(T, n) if n else 1) == M, (
+        T.name, n)
+    return len(keys)
+
+
+def test_boundary_blocks_are_the_boundary_by_weight():
+    for name in ALL_NAMES:
+        for n in range(4):
+            _assert_blocks_make_the_boundary(shared_triple(name), n)
+    # dual_dual_x has 11 nonzero blocks in degree 4, dual_dual_zero 35.
+    for name, blocks in (("dual_dual_zero", 35), ("dual_dual_x", 11),
+                         ("dual_over_dual_id", 11)):
+        assert _assert_blocks_make_the_boundary(shared_triple(name),
+                                                4) == blocks
+    for make in (trunc3_over_dual_x2, prod_over_prod_id, cube_over_prod,
+                 dual_over_trunc3_x, sqzero_dual_x):
+        T = make()
+        for n in range(4):
+            _assert_blocks_make_the_boundary(T, n)
+    T = rebased_triple("dual_dual_x")  # ungraded: one block
+    assert _assert_blocks_make_the_boundary(T, 1) == 0  # boundary(1) = 0
+    for n in range(2, 4):
+        assert _assert_blocks_make_the_boundary(T, n) == 1
+    with pytest.raises(ValueError):
+        next(chains.boundary_blocks(T, -1))
+
+
 # -- the faces from the pair maps of SP^2(S^1) ------------------------------
 #
 # The complex is a Loday construction.  With S^1_n = {0, ..., n} the

@@ -11,16 +11,16 @@ import pytest
 
 from _shared import (ALL_NAMES, commutator_subspace, cube_over_prod,
                      dense_rank_of_sparse, dual_over_trunc3_x,
-                     peel_sweeps, prod_over_prod_id, rebased_triple,
-                     reference_quotient_of_complex, relation_span_inputs,
-                     rescaled_triple, shared_triple, sqzero_dual_x,
-                     trunc3_over_dual_x2)
+                     peel_sweeps, prod_over_prod_id, quotient_of_columns,
+                     rebased_triple, reference_quotient_of_complex,
+                     relation_span_inputs, rescaled_triple, shared_triple,
+                     sqzero_dual_x, trunc3_over_dual_x2)
 from sechom import chains, homology, verify
 from sechom.chains import boundary, chain_dim, cyclic_quotient
 from sechom.homology import (DegreeCapError, _hc_pieces, _hh_pieces, hc,
                              hh)
 from sechom.linalg import InternalCheckError, SparseMat, Subspace
-from sechom.triples import catalog, regrade
+from sechom.triples import catalog, recall, regrade
 from sechom.oracles import classical_hc_dims, classical_hh_dims
 from sechom.verify import (verify_connes_segment, verify_cor_hc1, verify_main,
                            verify_prop_hh1_omega, verify_prop_omega_J,
@@ -176,8 +176,7 @@ def test_hc_sweep_builds_each_induced_boundary_once(monkeypatch):
 def _assert_blocks_match_single_span(T, flavor, degrees):
     for n in degrees:
         cycles, cols, weights = relation_span_inputs(T, flavor, n)
-        Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
-                                          weights)
+        Q = quotient_of_columns(cycles, cols, weights)
         ref = reference_quotient_of_complex(cycles, cols)
         assert Q.relations == ref.relations, (T.name, flavor, n)
         assert Q.nonpivots == ref.nonpivots
@@ -216,6 +215,60 @@ def test_weight_blocks_stop_feeding_columns_once_spanned(monkeypatch):
     assert len(calls) <= 6000
 
 
+def test_streamed_and_memo_fed_quotients_match_the_single_span(monkeypatch):
+    # hh reads the next boundary from the memo when it is there, and
+    # otherwise streams it by weight block without memoizing it.  Both
+    # give the relations of one plain span over every column: the
+    # catalog, the triples whose B is not the ground field, and a rebased
+    # triple (one block).
+    streamed = []
+    real = homology.boundary_blocks
+    monkeypatch.setattr(homology, "boundary_blocks", lambda T, k: (
+        streamed.append(k), real(T, k))[1])
+    inputs = [(lambda name=name: catalog(name), range(4))
+              for name in ALL_NAMES]
+    inputs += [(make, range(3)) for make in (
+        trunc3_over_dual_x2, prod_over_prod_id, cube_over_prod,
+        dual_over_trunc3_x, sqzero_dual_x)]
+    inputs.append((lambda: rebased_triple("dual_dual_zero"), range(3)))
+    for make, degrees in inputs:
+        T = make()
+        for n in degrees:
+            cycles, cols, weights = relation_span_inputs(make(), "hh", n)
+            ref = reference_quotient_of_complex(cycles, cols).relations
+            del streamed[:]
+            assert recall(T, boundary, n + 1) is None
+            assert _hh_pieces(T, n)[1].relations == ref, (T.name, n)
+            assert streamed == [n + 1]
+            assert recall(T, boundary, n + 1) is None
+            boundary(T, n + 1)
+            assert _hh_pieces(T, n)[1].relations == ref, (T.name, n)
+            assert streamed == [n + 1]
+
+
+def test_a_full_block_reads_no_further_column(monkeypatch):
+    # Three live cycles of one weight, no unit and nothing to peel: the
+    # first three columns span them, and the block reads none of the
+    # forty after them (a span that read on would reject them, and at its
+    # stall build a projection onto no coordinate).
+    read = []
+
+    class Logged(dict):
+        def items(self):
+            read.append(self.number)
+            return super().items()
+
+    cycles = Subspace(3, [{0: 1}, {1: 1}, {2: 1}])
+    cols = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    cols += [{0: k, 1: 1} for k in range(2, 42)]
+    logged = {}
+    for c, col in enumerate(cols):
+        logged[c] = Logged(col)
+        logged[c].number = c
+    Q = homology._quotient_of_complex(cycles, [(0, logged)], [0] * 3)
+    assert Q.dim == 0 and read == [0, 1, 2]
+
+
 def test_stalled_span_tests_columns_by_projection(monkeypatch):
     # Rebased dual_dual_x is one block, and its degree-2 span stops growing
     # after a few hundred of its 1,024 boundary columns; a plain span
@@ -227,8 +280,7 @@ def test_stalled_span_tests_columns_by_projection(monkeypatch):
     real = Subspace.add
     monkeypatch.setattr(Subspace, "add",
                         lambda self, v: calls.append(1) or real(self, v))
-    Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
-                                      weights)
+    Q = quotient_of_columns(cycles, cols, weights)
     monkeypatch.undo()
     assert len(calls) < 1024
     assert Q.relations == reference_quotient_of_complex(cycles, cols).relations
@@ -259,8 +311,7 @@ def test_one_entry_columns_give_unit_relations_without_elimination(
         real = Subspace.__init__
         monkeypatch.setattr(Subspace, "__init__", lambda self, *args: (
             spans.append(self), real(self, *args))[1])
-        Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
-                                          weights)
+        Q = quotient_of_columns(cycles, cols, weights)
         monkeypatch.undo()
         R = Q.relations
         assert Q.dim == 1
@@ -279,14 +330,12 @@ def test_a_column_with_255_live_coordinates_is_left_out_of_the_peel():
     cols = [{i: 1} for i in range(100)]
     cols += [{i: 1, i + 1: -1} for i in range(99, 599)]
     cols.append({i: 1 for i in range(amb)})
-    Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
-                                      [0] * amb)
+    Q = quotient_of_columns(cycles, cols, [0] * amb)
     assert Q.dim == 0
     assert Q.relations == reference_quotient_of_complex(cycles,
                                                         cols).relations
     cols[-1] = {i: 1 for i in range(amb - 1)}  # now e_600 is a class
-    Q = homology._quotient_of_complex(cycles, dict(enumerate(cols)),
-                                      [0] * amb)
+    Q = quotient_of_columns(cycles, cols, [0] * amb)
     assert Q.dim == 1 and Q.nonpivots == [600]
 
 
@@ -300,12 +349,10 @@ def test_one_entry_column_off_the_cycle_pivots_is_a_hard_error():
                if r not in cycles._pivot_pos)
     longer = next(p for p, row in zip(cycles.pivots, cycles._int_rows)
                   if len(row) > 1)
-    homology._quotient_of_complex(cycles, dict(enumerate(cols)),
-                                  weights)
+    quotient_of_columns(cycles, cols, weights)
     for r in (off, longer):
         with pytest.raises(InternalCheckError, match="one-entry"):
-            homology._quotient_of_complex(
-                cycles, dict(enumerate(cols + [{r: 1}])), weights)
+            quotient_of_columns(cycles, cols + [{r: 1}], weights)
 
 
 def test_a_wrong_grading_is_a_hard_error_never_a_wrong_dimension(monkeypatch):
@@ -331,6 +378,16 @@ def test_a_wrong_grading_is_a_hard_error_never_a_wrong_dimension(monkeypatch):
             with pytest.raises(InternalCheckError, match="not homogeneous"):
                 hh(catalog(name), 2)
         monkeypatch.undo()
+    # A one-entry column off its block's weight, at a cycle pivot whose
+    # row is e_r: its unit relation would land in the wrong block.
+    cycles, cols, weights = relation_span_inputs(shared_triple("dual_dual_x"),
+                                                 "hh", 2)
+    r = next(min(col) for col in cols if len(col) == 1)
+    homology._quotient_of_complex(cycles, [(weights[r], {0: {r: 1}})],
+                                  weights)
+    with pytest.raises(InternalCheckError, match="not homogeneous"):
+        homology._quotient_of_complex(
+            cycles, [(weights[r] + 1, {0: {r: 1}})], weights)
 
 
 # -- guard rails -----------------------------------------------------------
@@ -343,6 +400,8 @@ def test_nonzero_square_is_a_hard_error_in_both_flavors(monkeypatch):
     T = catalog("dual_k")
     monkeypatch.setattr(homology, "boundary", lambda T, k: ones(
         chain_dim(T, k - 1), chain_dim(T, k)))
+    monkeypatch.setattr(homology, "boundary_blocks", lambda T, k: iter(
+        [(0, ones(chain_dim(T, k - 1), chain_dim(T, k)).num)]))
     with pytest.raises(InternalCheckError, match="^boundary squared"):
         hh(T, 1)
     monkeypatch.setattr(homology, "_induced_boundary", lambda T, k: ones(

@@ -9,12 +9,13 @@ import pytest
 
 from _shared import (ALL_NAMES, cube_over_prod, dense_matrix,
                      dual_over_trunc3_x, from_canonical, from_entries,
-                     peel_sweeps, prod_over_prod_id, rebased, rebased_triple,
-                     relation_span_inputs, rescaled_triple, shared_triple,
-                     sqzero_dual_x, trunc3_over_dual_x2, value_columns)
+                     peel_sweeps, prod_over_prod_id, quotient_of_columns,
+                     rebased, rebased_triple, relation_span_inputs,
+                     rescaled_triple, shared_triple, sqzero_dual_x,
+                     trunc3_over_dual_x2, value_columns)
 from sechom.chains import boundary, cyclic_quotient
 from sechom import linalg
-from sechom.homology import _induced_boundary, _quotient_of_complex, hc, hh
+from sechom.homology import _induced_boundary, hc, hh
 from sechom.linalg import (AmbientDimensionError, ClassMapQuotient,
                            InternalCheckError, KernelTest, QuotientStructure,
                            SparseMat, Subspace,
@@ -466,10 +467,10 @@ def test_fraction_free_elimination_matches_fraction_elimination():
 def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
     # Every Subspace that hh and hc construct up to degree 3 on the
     # catalog: per call, the row space in nullspace and one homology
-    # relation span per weight of the cycles that neither one-entry
-    # boundary columns nor the peel settle (the live cycles), which starts
-    # empty and grows through `add` (gated in
-    # test_relation_span_stops_once_full_with_the_same_canonical_form).
+    # relation span per weight block of the next boundary's columns that
+    # has cycles neither one-entry boundary columns nor the peel settle
+    # (the live cycles), which starts empty and grows through `add` (gated
+    # in test_relation_span_stops_once_full_with_the_same_canonical_form).
     # nullspace wraps its kernel rows without a second elimination (gated
     # in the nullspace tests below).
     inputs = []
@@ -498,7 +499,8 @@ def test_fraction_free_elimination_matches_on_catalog_inputs(monkeypatch):
                     shared_triple(name), flavor, n)
                 settled = peel_sweeps(cycles, cols)[0]
                 blocks += len({weights[p] for p in cycles.pivots
-                               if p not in settled})
+                               if p not in settled}
+                              & {weights[min(col)] for col in cols})
     assert len(inputs) == 2 * 4 * len(ALL_NAMES) + blocks
     for ambient_dim, vectors in inputs:
         _assert_same_rref(ambient_dim, vectors)
@@ -765,14 +767,14 @@ def test_relation_span_stops_once_full_with_the_same_canonical_form(
     # and up to degree 1 on rebased dual_dual_x (one block, whose span
     # stalls: after the peel no catalog block up to degree 3 kills a
     # column while it has homology), against the Fraction elimination of
-    # every boundary column.  The weight blocks read the columns in
-    # order, each at most once, and feed `add` each column with two or
-    # more live coordinates, stripped of the settled ones (those of the
-    # one-entry columns and of the peel, found here by `peel_sweeps`).
-    # A column that never reaches `add` is a one-entry column, a peeled
-    # column (it had exactly one live coordinate in a sweep), strips to
-    # zero, lies in a block that spans all the cycles of its weight (its
-    # block was full, or every block was, and the span had stopped), or
+    # every boundary column.  The weight blocks are read one after the
+    # other, each block's columns in order and each at most once, and
+    # feed `add` each column with two or more live coordinates, stripped
+    # of the settled ones (those of the one-entry columns and of the
+    # peel, found here by `peel_sweeps`).  A column that never reaches
+    # `add` is a one-entry column, a peeled column (it had exactly one
+    # live coordinate in a sweep), strips to zero, lies in a block that
+    # spans all the cycles of its weight (its block was full), or
     # was read and killed by its block's projection: it lies in the span
     # of the stripped columns of its block that reached `add` before it.
     fed: dict = {}  # column number -> the vector `add` was given
@@ -793,11 +795,17 @@ def test_relation_span_stops_once_full_with_the_same_canonical_form(
                 read.clear()
                 fed.clear()
                 monkeypatch.setattr(Subspace, "add", recording)
-                Q = _quotient_of_complex(cycles, {
-                    k: _RecordedColumn(col, k, read)
-                    for k, col in enumerate(cols)}, weights)
+                Q = quotient_of_columns(cycles, [
+                    _RecordedColumn(col, k, read)
+                    for k, col in enumerate(cols)], weights)
                 monkeypatch.undo()
-                assert read == sorted(set(read))
+                blocks = [weights[min(cols[k])] for k in read]
+                assert len(read) == len(set(read))
+                assert [w for i, w in enumerate(blocks)
+                        if i == 0 or blocks[i - 1] != w] == list(
+                            dict.fromkeys(blocks))
+                assert all(a < b for a, b, u, v in zip(
+                    read, read[1:], blocks, blocks[1:]) if u == v)
                 was_read = set(read)
                 vectors = _cycle_coordinates(cycles, cols)
                 rows, pivots, _ = _fraction_rref(cycles.dim, vectors)
@@ -858,8 +866,7 @@ def test_relation_span_over_b_other_than_q_matches_fraction_elimination():
                                                                  n)
                     if twin is not T and n == 2:
                         cols = cols[::len(cols) // 48]
-                    Q = _quotient_of_complex(cycles, dict(enumerate(cols)),
-                                             weights)
+                    Q = quotient_of_columns(cycles, cols, weights)
                     rows, pivots, _ = _fraction_rref(
                         cycles.dim, _cycle_coordinates(cycles, cols))
                     assert Q.relations.rows == rows, (twin.name, flavor, n)

@@ -44,14 +44,17 @@ class Mutant:
 
 MUTANTS = [
     Mutant("face-skips-a-copy", "chains.py",
-           "        for ci, co in copies:\n",
-           "        for ci, co in copies[1:]:\n", ("test_chains.py",)),
+           "    for ci, co in copies:\n",
+           "    for ci, co in copies[1:]:\n", ("test_chains.py",)),
     Mutant("face-skips-an-item", "chains.py",
-           "            for pi, po, c in items:\n",
-           "            for pi, po, c in items[:-1]:\n", ("test_chains.py",)),
+           "        for pi, po, c in items:\n",
+           "        for pi, po, c in items[:-1]:\n", ("test_chains.py",)),
     Mutant("face-keeps-a-cancelled-zero", "chains.py",
-           "                    del col[r]\n",
-           "                    col[r] = x\n", ("test_chains.py",)),
+           "                del col[r]\n",
+           "                col[r] = x\n", ("test_chains.py",)),
+    Mutant("blocks-drop-a-weight", "chains.py",
+           "    for w in weights:\n", "    for w in weights[1:]:\n",
+           ("test_chains.py", "test_homology.py")),
     Mutant("sandwich-unsorted", "triples.py",
            "tuple(sorted(_int_product(", "tuple((_int_product(",
            ("test_chains.py",)),
@@ -117,8 +120,13 @@ MUTANTS = [
            "its kernel is exactly the image of A\", True,",
            ("test_homology.py",)),
     Mutant("span-drops-the-unit-rows", "homology.py",
-           "rows = [(k, {k: 1}) for p, k in pos.items() if p not in live]",
+           "rows = [(k, {k: 1}) for k in members if pivots[k] not in live]",
            "rows = []", ("test_homology.py",)),
+    # A one-entry column off its block's weight would settle a coordinate
+    # of another block.
+    Mutant("block-weight-unchecked", "homology.py",
+           "        if weights[r] != w:\n", "        if False:\n",
+           ("test_homology.py",)),
     # The residue keeps every settled coordinate, units and peeled ones.
     Mutant("span-keeps-the-unit-coordinates", "homology.py",
            "v = {live[p]: x for p, x in col.items() if p in live}",
