@@ -45,9 +45,12 @@ block at a time: a copy and an item carry disjoint digits, so their
 weights add up to the weight of the column they scatter into, and block
 w scatters only the pairs whose weights sum to w.
 
-Descent of the boundary to the coinvariants is certified where the
-induced boundary is built, by `linalg.induced_on_quotients`, orbit by
-orbit.
+The cyclic flavor reads the boundary only on coinvariant coordinates,
+and `projected_boundary` scatters the face plans straight onto them: a
+term lands at its row's class, times the row's sign and its column's, or
+is skipped on a dead class, so no boundary is built for it.  Descent to
+the coinvariants is certified where the induced boundary is built, by
+`linalg._descended`, class by class.
 """
 
 from __future__ import annotations
@@ -277,6 +280,32 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
         _face_den(T, n))
 
 
+def _projected_scatter(slots, coord: list, sign: list, src_sign: list,
+                       copies: list, items: list) -> None:
+    """`_scatter` onto quotient coordinates: a term (input i, row r,
+    coefficient c) adds c sign[r] src_sign[i] at coordinate coord[r] of
+    column i, and is skipped when r is on a dead class (coord[r] None).
+    A cancelled entry is deleted at once, and a column left empty is
+    set back to None."""
+    for ci, co in copies:
+        for pi, po, c in items:
+            r = co + po
+            j = coord[r]
+            if j is None:
+                continue
+            i = ci + pi
+            col = slots[i]
+            if col is None:
+                col = slots[i] = {}
+            x = col.get(j, 0) + c * sign[r] * src_sign[i]
+            if x:
+                col[j] = x
+            else:
+                del col[j]
+                if not col:
+                    slots[i] = None
+
+
 def _alternating(n: int) -> list:
     """The faces of the boundary in degree n, as (i, sign)."""
     return [(i, 1 if i % 2 == 0 else -1) for i in range(n + 1)]
@@ -414,3 +443,22 @@ def cyclic_quotient(T: Triple, n: int) -> ClassMapQuotient:
         raise InternalCheckError(
             "the coinvariant class map does not kill 1 - t")
     return ClassMapQuotient(axis, sign)
+
+
+def projected_boundary(T: Triple, n: int, src: ClassMapQuotient,
+                       dst: ClassMapQuotient) -> list:
+    """P boundary(T, n) on every input index, P being dst's projection,
+    in integers over `_face_den(T, n)`: the column of index c is
+    sign[c] P d e_c, src's sign (P d e_c on a dead class), as a column
+    dict on dst's quotient coordinates, or None where it is zero.
+
+    This is `linalg._descended`'s input, scattered straight from the face
+    plans with the signs folded into each term, so the boundary itself is
+    never built.
+    """
+    src_sign = [s or 1 for s in src.sign]
+    slots = [None] * chain_space(T, n).dim
+    for copies, items in _face_plans(T, n, _alternating(n)):
+        _projected_scatter(slots, dst._coord, dst.sign, src_sign, copies,
+                           items)
+    return slots

@@ -2,10 +2,11 @@
 
 The plain flavor is kernel-mod-image of the boundary; the cyclic flavor
 runs the same computation on the quotient complex by the cyclic operator's
-coinvariant relations.  That the boundary descends to that quotient is
-certified once per degree, when the induced boundary is built
-(`induced_on_quotients`); a failure is a hard error.  Degrees above the
-cap (default 3) must be requested explicitly since space grows as
+coinvariant relations.  Its boundary is scattered straight onto
+coinvariant coordinates, never built whole (`_induced_boundary`), and
+that it descends to the quotient is certified once per degree, when it
+is built; a failure is a hard error.  Degrees above the cap (default 3)
+must be requested explicitly since space grows as
 dim(A)^(n+1) * dim(B)^(n(n+1)/2).
 
 `hh` and `hc` read the dimension on `triples.regrade(T)` when it finds a
@@ -32,11 +33,12 @@ from functools import cached_property
 from math import log10
 from typing import Callable
 
-from .chains import (boundary, boundary_blocks, chain_dim, chain_weights,
-                     cyclic_quotient)
+from .chains import (_face_den, boundary, boundary_blocks, chain_dim,
+                     chain_weights, cyclic_quotient, projected_boundary)
 from .linalg import (InternalCheckError, KernelTest, QuotientStructure,
-                     SparseMat, Subspace, _kills, induced_on_quotients,
-                     nullspace, projection_matrix, to_dense)
+                     SparseMat, Subspace, _descended, _kills,
+                     induced_on_quotients, nullspace, projection_matrix,
+                     to_dense)
 from .triples import Triple, per_triple, recall, regrade
 
 DEFAULT_MAX_DEGREE = 3
@@ -324,14 +326,23 @@ def hh(T: Triple, n: int, max_degree=None) -> HomologyResult:
 def _induced_boundary(T: Triple, k: int) -> SparseMat:
     """Boundary on cyclic coinvariant coordinates, degree k to k - 1.
 
-    induced_on_quotients certifies that the boundary descends; a failure
-    is a hard error.  Memoized, so a sweep over degrees builds each once.
+    F = P_{k-1} boundary(T, k) is scattered straight onto coinvariant
+    coordinates (`chains.projected_boundary`), so the boundary is never
+    built; when the memo holds it whole, because another reader built
+    it, it is projected by `induced_on_quotients` instead.  Either way
+    `linalg._descended` certifies that F descends, a failure being a
+    hard error, and keeps only the axis columns.  Memoized, so a sweep
+    over degrees builds each once.
     """
     q_src = cyclic_quotient(T, k)
     if k == 0:
         return SparseMat.zeros(0, q_src.dim)
     q_dst = cyclic_quotient(T, k - 1)
-    return induced_on_quotients(boundary(T, k), q_src, q_dst)
+    d = recall(T, boundary, k)
+    if d is not None:
+        return induced_on_quotients(d, q_src, q_dst)
+    return _descended(projected_boundary(T, k, q_src, q_dst), q_src,
+                      q_dst.dim, _face_den(T, k))
 
 
 def _hc_pieces(T: Triple, n: int):

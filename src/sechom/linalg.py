@@ -790,16 +790,13 @@ def induced_on_quotients(M: SparseMat, src: ClassMapQuotient,
 
     F = P M, P being dst's projection, is formed in one pass over M's
     columns: row r moves to dst's class of r with r's sign, or drops on a
-    dead class.  M descends when F kills every relation of src: F e_i = 0
-    on a dead class and F e_i = sign[i] F e_axis[i] elsewhere, src's sign
-    and axis.  This is checked on every index of src, and a violation is
-    a hard error.  Column j of the induced map is F e_m for the j-th axis
-    m of src.
+    dead class.  Column c is kept as sign[c] F e_c, src's sign (F e_c on
+    a dead class), and `_descended` checks descent and reads the axes.
     """
     if M.ncols != src.ambient_dim or M.nrows != dst.ambient_dim:
         raise AmbientDimensionError("matrix shape does not match the quotients")
     coord, sign, src_sign = dst._coord, dst.sign, src.sign
-    F = [None] * M.ncols  # column c is sign[c] F e_c (F e_c on a dead class)
+    F = [None] * M.ncols
     for c, col in M.num.items():
         sc = src_sign[c] or 1
         acc: dict = {}
@@ -816,9 +813,25 @@ def induced_on_quotients(M: SparseMat, src: ClassMapQuotient,
                     acc[j] = sc * sign[r] * x
         if acc:
             F[c] = acc
+    return _descended(F, src, dst.dim, M.den)
+
+
+def _descended(F: list, src: ClassMapQuotient, nrows: int,
+               den: int) -> SparseMat:
+    """The induced map, over den, of a map F into nrows quotient
+    coordinates that is given on every index c of src as F[c] =
+    sign[c] F e_c, src's sign (F e_c on a dead class): an integer column
+    dict, or None where it is zero.
+
+    F descends when it kills every relation of src: F e_c = 0 on a dead
+    class and F e_c = sign[c] F e_axis[c] elsewhere, that is F[c] equals
+    F[axis[c]], or is None.  This is checked on every index of src, and a
+    violation is a hard error.  Column j of the induced map is F e_m for
+    the j-th axis m of src, whose sign is 1.
+    """
     if [None if a is None else F[a] for a in src.axis] != F:
         raise InternalCheckError(
             "map does not descend to the quotient: image of a relation "
             "is not a relation")
-    return SparseMat.from_ints(dst.dim, src.dim, {
-        j: F[m] for j, m in enumerate(src.nonpivots) if F[m]}, M.den)
+    return SparseMat.from_ints(nrows, src.dim, {
+        j: F[m] for j, m in enumerate(src.nonpivots) if F[m]}, den)

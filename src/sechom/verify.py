@@ -30,7 +30,7 @@ from .linalg import (ONE, InternalCheckError, SparseMat, _outer, _summed,
                      colspace, nullspace, product_is_zero)
 from .oracles import (classical_hh_dims, classical_hc_dims,
                       classical_I_mod_I2_dim, classical_kahler_dim)
-from .triples import Triple, _tables, make_triple, per_triple
+from .triples import Triple, _tables, make_triple, per_triple, regrade
 
 
 @dataclass
@@ -249,11 +249,14 @@ def verify_connes_segment(T: Triple) -> TheoremReport:
     The chain-level map from A lands in cycles (connes_b_chain).  That the
     boundary descends to coinvariants, so that the map to cyclic homology
     is well defined, is certified when the induced boundary is built
-    (`induced_on_quotients`); a failure there is a hard error.
+    (`homology._induced_boundary`); a failure there is a hard error.
     """
     b = _Builder(T.name, "Segment")
-    q_1, hc_cycles, Q_hc = _hc_pieces(T, 1)  # builds boundary(T, 2) whole
+    # hh and hc both read boundary(T, 2), and hh builds boundary(T, 1):
+    # built whole once, each is found in the memo by hc.
+    boundary(T, 2)
     cycles, Q_hh = _hh_pieces(T, 1)
+    q_1, hc_cycles, Q_hc = _hc_pieces(T, 1)
 
     # Induced map on degree-one homology classes, column per basis class.
     i_mat = SparseMat.from_columns(Q_hc.dim, (
@@ -390,8 +393,12 @@ def verify_reduction_Bk(source, n_max: int = 3) -> TheoremReport:
     b = _Builder(name, "Reduction_Bk")
     hh_classical = classical_hh_dims(A, n_max)
     hc_classical = classical_hc_dims(A, n_max)
-    # hc builds every boundary up to degree n_max + 1 whole, and hh then
-    # finds each in the memo.
+    # hh and hc both read every boundary up to degree n_max + 1, on the
+    # triple they compute on: built whole there once, each is found in the
+    # memo by both.
+    R = regrade(T) or T
+    for k in range(1, n_max + 2):
+        boundary(R, k)
     hc_dims = [hc(T, n, max_degree=n_max).dimension for n in range(n_max + 1)]
     hh_dims = [hh(T, n, max_degree=n_max).dimension for n in range(n_max + 1)]
     b.agree("homology dimensions match the classical complex",

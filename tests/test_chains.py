@@ -22,7 +22,7 @@ from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, bar_boundary,
                      reference_induced_on_quotients, reference_sandwich,
                      rescaled_triple, shared_triple, sqzero_dual_x,
                      trunc3_over_dual_x2, value_columns)
-from sechom import chains, homology
+from sechom import chains, hc, homology
 from sechom.algebra import multiply
 from sechom.chains import (_face_sum, boundary, chain_dim, chain_space,
                            cyclic_quotient, pair_list)
@@ -31,7 +31,7 @@ from sechom.kernel import kernel_data, symmetry_check
 from sechom.linalg import (ClassMapQuotient, InternalCheckError,
                            QuotientStructure, SparseMat, colspace,
                            induced_on_quotients)
-from sechom.triples import _tables, catalog
+from sechom.triples import _tables, catalog, recall
 from sechom.verify import verify_main
 
 F = Fraction
@@ -529,6 +529,49 @@ def test_induced_boundary_equals_the_projected_product():
             assert homology._induced_boundary(T, n) == ref, (T.name, n)
 
 
+def _fresh_cases() -> list:
+    """(make, top): a maker of fresh triples and the top degree each
+    projected-boundary gate reaches on it."""
+    cases = [(lambda name=name: catalog(name), 4) for name in ALL_NAMES]
+    cases += [(lambda: catalog("trunc3_k"), 7),
+              (lambda: catalog("mat2_k"), 5)]
+    cases += [(make, 3) for make in (trunc3_over_dual_x2, prod_over_prod_id,
+                                     cube_over_prod, dual_over_trunc3_x,
+                                     sqzero_dual_x)]
+    cases += [(lambda name=name: rebased_triple(name), 3)
+              for name in ("dual_dual_x", "trunc3_k")]
+    return cases
+
+
+def test_projected_boundary_equals_the_induced_product():
+    # Equality gate for the scatter onto coinvariant coordinates: on a
+    # triple with no boundary in its memo, the induced boundary is the
+    # projection of the whole boundary, as SparseMat data (den and num),
+    # and the reference product; no boundary is left in the memo.
+    for make, top in _fresh_cases():
+        T, twin = make(), make()
+        for k in range(1, top + 1):
+            got = homology._induced_boundary(T, k)
+            q_src = cyclic_quotient(twin, k)
+            q_dst = cyclic_quotient(twin, k - 1)
+            ref = induced_on_quotients(boundary(twin, k), q_src, q_dst)
+            assert (got.den, got.num) == (ref.den, ref.num), (T.name, k)
+            assert got == reference_induced_on_quotients(
+                boundary(twin, k), q_src, q_dst), (T.name, k)
+        assert all(recall(T, boundary, k) is None for k in range(top + 1))
+
+
+def test_hc_sweep_builds_no_boundary():
+    # hc reads these graded triples themselves, so the induced boundaries
+    # are in their memo, and no boundary is.
+    for name, top in (("trunc3_k", 6), ("dual_dual_x", 3)):
+        T = catalog(name)
+        for n in range(top, -1, -1):
+            hc(T, n, max_degree=top)
+        assert recall(T, homology._induced_boundary, top + 1) is not None
+        assert all(recall(T, boundary, k) is None for k in range(top + 2))
+
+
 def test_class_map_must_kill_one_minus_rotation(monkeypatch):
     # A class map with one sign flipped in a live orbit, or with one dead
     # orbit made live, is refused where it is built.
@@ -555,14 +598,19 @@ def test_class_map_must_kill_one_minus_rotation(monkeypatch):
 
 def test_descent_check_fires_on_smaller_relations(monkeypatch):
     # Drop one orbit relation from the degree-1 coinvariants: the boundary
-    # of degree 2 must then fail to descend, and loudly.
-    T = catalog("mat2_k")  # fresh, so no cached quotient is reused
-    smaller = _mutations(T, 1)["dropped"]
+    # of degree 2 must then fail to descend, and loudly, whether it is
+    # scattered onto the quotient or projected from the memo.
     real = homology.cyclic_quotient
-    monkeypatch.setattr(homology, "cyclic_quotient",
-                        lambda T2, k: smaller if k == 1 else real(T2, k))
-    with pytest.raises(InternalCheckError):
-        homology._induced_boundary(T, 2)
+    for whole in (False, True):
+        T = catalog("mat2_k")  # fresh, so no cached quotient is reused
+        if whole:
+            boundary(T, 2)
+        smaller = _mutations(T, 1)["dropped"]
+        monkeypatch.setattr(homology, "cyclic_quotient",
+                            lambda T2, k, q=smaller: q if k == 1
+                            else real(T2, k))
+        with pytest.raises(InternalCheckError, match="does not descend"):
+            homology._induced_boundary(T, 2)
 
 
 def _mutations(T, n):

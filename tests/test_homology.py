@@ -157,14 +157,15 @@ def test_cyclic_representatives_live_in_the_chain_space():
 def test_hc_sweep_builds_each_induced_boundary_once(monkeypatch):
     # hc(T, n) needs the induced boundaries of degrees n and n + 1, so a
     # sweep over 0..6 asks for degrees 1..7 twice each but builds each once.
+    # Both routes to an induced boundary end in one descent check.
     built = []
-    real = homology.induced_on_quotients
+    real = homology._descended
 
     def counted(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(homology, "induced_on_quotients", counted)
+    monkeypatch.setattr(homology, "_descended", counted)
     T = catalog("trunc3_k")
     for n in range(7):
         hc(T, n, max_degree=6)

@@ -2,6 +2,7 @@
 with replayable witnesses when fed inconsistent data."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from _shared import (COMMUTATIVE_NAMES, rebased_triple, rescaled_triple,
 from sechom.algebra import (field_algebra, matrix_algebra, multiply,
                             split_product_algebra,
                             truncated_polynomial_algebra)
-from sechom import verify
+from sechom import chains, verify
 from sechom.chains import boundary
+from sechom.cli import main
 from sechom.differentials import ambient_symbol, omega
 from sechom.homology import _hh_pieces
 from sechom.kernel import kernel_data
 from sechom.linalg import QuotientStructure, SparseMat, Subspace, colspace
+from sechom.specfile import export_triple
 from sechom.triples import CommutativeTripleRequiredError
 from sechom.verify import (forward_matrix, transfer_matrices, verify_cor_hc1,
                            verify_main, verify_prop_hh1_omega,
@@ -67,6 +70,36 @@ def test_ground_field_reduction_battery():
         rep = verify_reduction_Bk(A)
         assert rep.passed, f"{A.name}: {rep.witness}"
         assert rep.dims["omega"] == rep.dims["kernel_quotient"]
+
+
+@pytest.mark.parametrize("rebase", [False, True])
+def test_battery_builds_each_face_plan_once(monkeypatch, capsys, tmp_path,
+                                            rebase):
+    # verify --theorem all reads boundaries of degrees 1 and 2 on the
+    # triple itself and of degrees 1..4 on its regrading (the rebased
+    # triple has one); hh, hc and the degree-one verifiers share them, so
+    # no (triple, degree) assembles its faces twice, whole, streamed or
+    # scattered onto coinvariants.
+    args = ["verify", "--catalog", "trunc3_k"]
+    if rebase:
+        path = tmp_path / "trunc3_k_rebased.triple"
+        path.write_text(export_triple(rebased_triple("trunc3_k")),
+                        encoding="utf-8")
+        args = ["verify", str(path)]
+    built = Counter()
+    real = chains._face_plans
+
+    def counted(T, n, faces):
+        built[id(T), n] += 1
+        return real(T, n, faces)
+
+    monkeypatch.setattr(chains, "_face_plans", counted)
+    assert main([*args, "--theorem", "all", "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert sorted(Counter(n for _, n in built).items()) == (
+        [(1, 2), (2, 2), (3, 1), (4, 1)] if rebase
+        else [(1, 1), (2, 1), (3, 1), (4, 1)])
+    assert set(built.values()) == {1}
 
 
 def test_reduction_handles_noncommutative_coefficients():

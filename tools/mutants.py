@@ -44,14 +44,24 @@ class Mutant:
 
 MUTANTS = [
     Mutant("face-skips-a-copy", "chains.py",
-           "    for ci, co in copies:\n",
-           "    for ci, co in copies[1:]:\n", ("test_chains.py",)),
+           "    for ci, co in copies:\n        for pi, po, c in items:\n"
+           "            col = slots[ci + pi]\n",
+           "    for ci, co in copies[1:]:\n        for pi, po, c in items:\n"
+           "            col = slots[ci + pi]\n", ("test_chains.py",)),
     Mutant("face-skips-an-item", "chains.py",
-           "        for pi, po, c in items:\n",
-           "        for pi, po, c in items[:-1]:\n", ("test_chains.py",)),
+           "        for pi, po, c in items:\n"
+           "            col = slots[ci + pi]\n",
+           "        for pi, po, c in items[:-1]:\n"
+           "            col = slots[ci + pi]\n", ("test_chains.py",)),
     Mutant("face-keeps-a-cancelled-zero", "chains.py",
            "                del col[r]\n",
            "                col[r] = x\n", ("test_chains.py",)),
+    Mutant("projected-scatter-drops-the-row-sign", "chains.py",
+           "x = col.get(j, 0) + c * sign[r] * src_sign[i]",
+           "x = col.get(j, 0) + c * src_sign[i]", ("test_chains.py",)),
+    Mutant("projected-scatter-drops-the-source-sign", "chains.py",
+           "x = col.get(j, 0) + c * sign[r] * src_sign[i]",
+           "x = col.get(j, 0) + c * sign[r]", ("test_chains.py",)),
     Mutant("blocks-drop-a-weight", "chains.py",
            "    for w in weights:\n", "    for w in weights[1:]:\n",
            ("test_chains.py", "test_homology.py")),
@@ -80,6 +90,7 @@ MUTANTS = [
            "if False:", ("test_specfile.py",), ci=True),
     Mutant("sparse-mat-takes-any-column", "linalg.py",
            "if not 0 <= c < ncols:", "if False:", ("test_linalg.py",)),
+    # The one descent check of both routes to an induced boundary.
     Mutant("descent-check-skipped", "linalg.py",
            "if [None if a is None else F[a] for a in src.axis] != F:",
            "if False:", ("test_chains.py",), ci=True),
