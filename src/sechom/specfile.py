@@ -17,11 +17,20 @@ the engine is exact and a float would silently poison it.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+# hashlib maps OpenSSL's libcrypto (3.4 MB resident) for one digest; the
+# interpreter's own SHA-256 gives the same hex digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .algebra import FinAlgebra
 from .linalg import ZERO
@@ -219,4 +228,4 @@ def export_triple(T: Triple, max_degree: Optional[int] = None) -> str:
 def triple_hash(T: Triple) -> str:
     """Stable digest of the canonical export, name excluded."""
     text = export_triple(Triple(T.A, T.B, T.eps, T.commutative, name=""))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()

@@ -1,6 +1,7 @@
 """Command line behavior: sources, flavors, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from _shared import child_env
 from sechom import cli
 from sechom.cli import main
 from sechom.specfile import export_triple, parse_triple_file, triple_hash
-from sechom.triples import catalog, catalog_names
+from sechom.triples import Triple, catalog, catalog_names
 
 
 def run(capsys, *argv):
@@ -504,6 +505,30 @@ def test_runs_with_numpy_blocked():
     assert proc.returncode == 0, proc.stderr
     reports = json.loads(proc.stdout)["reports"]
     assert reports and all(rep["passed"] for rep in reports)
+
+
+def test_requests_hash_without_loading_openssl():
+    # triple_hash takes SHA-256 from the interpreter's built-in module, so a
+    # fresh process answers a compute and a verify request without hashlib's
+    # OpenSSL binding; only an interpreter that lacks both built-in modules
+    # falls back to hashlib.
+    code = ("import sys\n"
+            "from sechom.cli import main\n"
+            "assert main(['compute', '--catalog', 'dual_dual_x', '--degree',"
+            " '0..1', '--format', 'machine']) == 0\n"
+            "assert main(['verify', '--catalog', 'dual_dual_x', '--theorem',"
+            " 'hc1', '--format', 'machine']) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    *outs, loaded = proc.stdout.splitlines()
+    T = catalog("dual_dual_x")
+    text = export_triple(Triple(T.A, T.B, T.eps, T.commutative, name=""))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert [json.loads(out)["triple"]["hash"] for out in outs] == [digest] * 2
+    if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        assert loaded == "False"
 
 
 def test_reference_cap_counts_the_bar_complex_of_the_top_degree(

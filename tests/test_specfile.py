@@ -1,14 +1,17 @@
 """The line-based triple description format: parse, export, digest."""
 
+import hashlib
 import re
 from fractions import Fraction
 
 import pytest
 
-from _shared import ALL_NAMES, shared_triple
+from _shared import (ALL_NAMES, cube_over_prod, dual_over_trunc3_x,
+                     prod_over_prod_id, rebased_triple, rescaled_triple,
+                     shared_triple, sqzero_dual_x, trunc3_over_dual_x2)
 from sechom.specfile import (SpecParseError, export_triple, parse_triple_file,
                              parse_triple_source, triple_hash)
-from sechom.triples import EpsNotMultiplicativeError, make_triple
+from sechom.triples import EpsNotMultiplicativeError, Triple, make_triple
 
 F = Fraction
 
@@ -57,6 +60,20 @@ def test_hash_ignores_the_name_but_not_the_data():
         export_triple(T).replace("name dual_dual_x", "name other")).triple
     assert triple_hash(renamed) == triple_hash(T)
     assert triple_hash(shared_triple("dual_dual_zero")) != triple_hash(T)
+
+
+def test_hash_is_the_hashlib_digest_of_the_nameless_export():
+    # triple_hash takes SHA-256 from the interpreter's built-in module, not
+    # from hashlib; both must give the same digest on every triple.
+    triples = [shared_triple(name) for name in ALL_NAMES]
+    triples += [rescaled_triple(name) for name in ALL_NAMES]
+    triples += [rebased_triple(name) for name in ALL_NAMES if name != "mat2_k"]
+    triples += [trunc3_over_dual_x2(), prod_over_prod_id(), cube_over_prod(),
+                dual_over_trunc3_x(), sqzero_dual_x()]
+    for T in triples:
+        text = export_triple(Triple(T.A, T.B, T.eps, T.commutative, name=""))
+        assert triple_hash(T) == hashlib.sha256(
+            text.encode("utf-8")).hexdigest(), T.name
 
 
 def test_export_refuses_a_name_that_would_not_read_back():

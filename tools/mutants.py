@@ -75,6 +75,9 @@ MUTANTS = [
            "_summed((m, tb.aden * tb.lden * x * y)",
            "_summed((m, tb.bden * tb.lden * x * y)",
            ("test_triples.py",), ci=True),
+    Mutant("triple-hash-keeps-the-name", "specfile.py",
+           "T.commutative, name=\"\"))", "T.commutative, name=T.name))",
+           ("test_specfile.py",), ci=True),
     Mutant("central-against-e0-only", "algebra.py",
            "for i in range(len(prod))))", "for i in range(1)))",
            ("test_algebra.py",), ci=True),
