@@ -11,10 +11,8 @@ through `_int_product`; `multiply` serves the public API and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
 
 from .linalg import ZERO, ONE, _integer_supports, _summed
 
@@ -32,25 +30,20 @@ def _vec(coords) -> list:
     return [x if type(x) is Fraction else Fraction(x) for x in coords]
 
 
-@dataclass(eq=False)
 class FinAlgebra:
-    dim: int
-    mult: list  # mult[i][j] is the coordinate list of e_i * e_j
-    unit: list
-    name: str = ""
-
-    def __post_init__(self):
-        if len(self.mult) != self.dim or any(
-                len(row) != self.dim for row in self.mult):
+    def __init__(self, dim: int, mult: list, unit: list, name: str = ""):
+        # mult[i][j] is the coordinate list of e_i * e_j
+        self.dim, self.name = dim, name
+        if len(mult) != dim or any(len(row) != dim for row in mult):
             raise ValueError("structure constant table has wrong shape")
-        self.mult = [[_vec(self.mult[i][j]) for j in range(self.dim)]
-                     for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if len(self.mult[i][j]) != self.dim:
+        self.mult = [[_vec(mult[i][j]) for j in range(dim)]
+                     for i in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                if len(self.mult[i][j]) != dim:
                     raise ValueError("structure constant table has wrong shape")
-        self.unit = _vec(self.unit)
-        if len(self.unit) != self.dim:
+        self.unit = _vec(unit)
+        if len(self.unit) != dim:
             raise ValueError("unit has wrong length")
 
     @classmethod
@@ -65,15 +58,23 @@ class FinAlgebra:
         return cls(dim, mult, unit, name)
 
 
-@dataclass
 class AlgebraReport:
     """Outcome of validate_algebra; witnesses are basis indices."""
-    associative: bool
-    assoc_witness: Optional[tuple] = None
-    unital: bool = True
-    unit_witness: Optional[int] = None
-    commutative: bool = True
-    comm_witness: Optional[tuple] = None
+
+    def __init__(self, associative: bool, assoc_witness: tuple | None = None,
+                 unital: bool = True, unit_witness: int | None = None,
+                 commutative: bool = True, comm_witness: tuple | None = None):
+        self.associative, self.assoc_witness = associative, assoc_witness
+        self.unital, self.unit_witness = unital, unit_witness
+        self.commutative, self.comm_witness = commutative, comm_witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.associative, self.assoc_witness, self.unital,
+                 self.unit_witness, self.commutative, self.comm_witness)
+                == (other.associative, other.assoc_witness, other.unital,
+                    other.unit_witness, other.commutative, other.comm_witness))
 
     @property
     def valid(self) -> bool:
@@ -191,20 +192,18 @@ def tensor_algebra(A: FinAlgebra, B: FinAlgebra, name: str = "") -> FinAlgebra:
     return FinAlgebra.from_structure_constants(dim, entries, unit, label)
 
 
-@dataclass(eq=False)
 class AlgMorphism:
     """Unital algebra map given by the images of the source basis."""
-    source: FinAlgebra
-    target: FinAlgebra
-    columns: list  # columns[j] is the image of source basis vector j
-    name: str = ""
 
-    def __post_init__(self):
-        if len(self.columns) != self.source.dim:
+    def __init__(self, source: FinAlgebra, target: FinAlgebra, columns: list,
+                 name: str = ""):
+        # columns[j] is the image of source basis vector j
+        self.source, self.target, self.name = source, target, name
+        if len(columns) != source.dim:
             raise ValueError("morphism needs one column per source basis vector")
-        self.columns = [_vec(c) for c in self.columns]
+        self.columns = [_vec(c) for c in columns]
         for c in self.columns:
-            if len(c) != self.target.dim:
+            if len(c) != target.dim:
                 raise ValueError("morphism column has wrong length")
 
     def apply(self, v) -> list:

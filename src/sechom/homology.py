@@ -28,10 +28,9 @@ j, so each representative is a stored row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cached_property
 from math import log10
-from typing import Callable
 
 from .chains import (_face_den, boundary, boundary_blocks, chain_dim,
                      chain_weights, cyclic_quotient, projected_boundary)
@@ -79,18 +78,27 @@ def check_degree(T: Triple, n: int, max_degree) -> None:
         raise DegreeCapError(n, cap, dims)
 
 
-@dataclass
 class HomologyResult:
     """The dimension of one homology space, and its representatives.
 
     The representatives are formed on first read, by `_representatives`,
-    and their number is checked against the dimension then.
+    and their number is checked against the dimension then.  Two results
+    are equal when their names, flavors, degrees and dimensions are.
     """
-    triple_name: str
-    flavor: str  # "hh" or "hc"
-    degree: int
-    dimension: int
-    _representatives: Callable = field(repr=False, compare=False)
+
+    def __init__(self, triple_name: str, flavor: str, degree: int,
+                 dimension: int, _representatives: Callable):
+        self.triple_name = triple_name
+        self.flavor = flavor  # "hh" or "hc"
+        self.degree, self.dimension = degree, dimension
+        self._representatives = _representatives
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.triple_name, self.flavor, self.degree, self.dimension)
+                == (other.triple_name, other.flavor, other.degree,
+                    other.dimension))
 
     @cached_property
     def representatives(self) -> list:

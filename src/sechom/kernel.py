@@ -22,25 +22,25 @@ in integers from the triple's tables (`triples._tables`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import _vec, multiply
 from .linalg import (InternalCheckError, QuotientStructure, SparseMat,
                      Subspace, _ints, _outer, _summed, nullspace, to_dense)
 from .triples import Triple, _tables, per_triple
 
 
-@dataclass(eq=False)
 class KernelData:
-    m_matrix: SparseMat
-    J: Subspace
-    j_squared: Subspace
-    j_hat: Subspace  # raw span of the balancing vectors
-    j_hat_closed: Subspace  # closed under the coefficient action
-    span_relations: Subspace  # j_squared + j_hat, ambient coordinates
-    relations: Subspace  # j_squared + j_hat_closed; the quotient denominator
-    quotient: QuotientStructure  # of J coordinates by the relations
-    readings_agree: bool  # span_relations == relations
+    def __init__(self, m_matrix: SparseMat, J: Subspace, j_squared: Subspace,
+                 j_hat: Subspace, j_hat_closed: Subspace,
+                 span_relations: Subspace, relations: Subspace,
+                 quotient: QuotientStructure, readings_agree: bool):
+        self.m_matrix, self.J, self.j_squared = m_matrix, J, j_squared
+        self.j_hat = j_hat  # raw span of the balancing vectors
+        self.j_hat_closed = j_hat_closed  # closed under the coefficient action
+        # j_squared + j_hat in ambient coordinates, and j_squared +
+        # j_hat_closed, the quotient denominator
+        self.span_relations, self.relations = span_relations, relations
+        self.quotient = quotient  # of J coordinates by the relations
+        self.readings_agree = readings_agree  # span_relations == relations
 
     @property
     def dim(self) -> int:

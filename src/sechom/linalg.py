@@ -61,10 +61,10 @@ Everything is exact; no floats enter at any point.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -349,7 +349,7 @@ class SparseMat:
     __slots__ = ("nrows", "ncols", "num", "den")
 
     def __init__(self, nrows: int, ncols: int,
-                 cols: Optional[dict[int, dict]] = None):
+                 cols: dict[int, dict] | None = None):
         """The matrix with these columns, {column: {row: rational}}."""
         self.nrows = nrows
         self.ncols = ncols
@@ -627,7 +627,7 @@ def nullspace(M: SparseMat) -> Subspace:
     return ker
 
 
-def solve(M: SparseMat, b) -> Optional[dict]:
+def solve(M: SparseMat, b) -> dict | None:
     """One solution of M x = b, or None when the system is inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
@@ -694,8 +694,8 @@ class QuotientStructure:
         self._relations = relations
         pivset = set(relations.pivots)
         self.nonpivots = [c for c in range(ambient_dim) if c not in pivset]
-        self._proj: Optional[SparseMat] = None
-        self._sect: Optional[SparseMat] = None
+        self._proj: SparseMat | None = None
+        self._sect: SparseMat | None = None
 
     @property
     def relations(self) -> Subspace:

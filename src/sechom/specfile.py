@@ -18,9 +18,7 @@ the engine is exact and a float would silently poison it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 # hashlib maps OpenSSL's libcrypto (3.4 MB resident) for one digest; the
 # interpreter's own SHA-256 gives the same hex digest.
@@ -42,18 +40,22 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 class SpecParseError(ValueError):
     """Malformed triple file; carries the 1-based line number."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
 
 
-@dataclass
 class ParsedTriple:
-    triple: Triple
-    name: str
-    max_degree: Optional[int]
+    def __init__(self, triple: Triple, name: str, max_degree: int | None):
+        self.triple, self.name, self.max_degree = triple, name, max_degree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.triple, self.name, self.max_degree)
+                == (other.triple, other.name, other.max_degree))
 
 
 def _rational(token: str, line: int) -> Fraction:
@@ -79,8 +81,8 @@ def _int(token: str, line: int, what: str) -> int:
 
 class _AlgebraDraft:
     def __init__(self):
-        self.dim: Optional[int] = None
-        self.unit: Optional[list] = None
+        self.dim: int | None = None
+        self.unit: list | None = None
         self.entries: dict = {}
 
 
@@ -90,7 +92,7 @@ def parse_triple_source(text: str) -> ParsedTriple:
     drafts = {"A": _AlgebraDraft(), "B": _AlgebraDraft()}
     eps_cols: dict = {}
     name = ""
-    max_degree: Optional[int] = None
+    max_degree: int | None = None
     declared: set = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -199,7 +201,7 @@ def parse_triple_file(path: str) -> ParsedTriple:
         return parse_triple_source(fh.read())
 
 
-def export_triple(T: Triple, max_degree: Optional[int] = None) -> str:
+def export_triple(T: Triple, max_degree: int | None = None) -> str:
     """Canonical text for a triple; parsing it back reproduces the data, so
     a name that holds whitespace or `#`, which would not read back, raises
     ValueError."""

@@ -13,7 +13,6 @@ eigenbasis of one of its derivations, checked exactly, or gives None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import isqrt, lcm
@@ -58,15 +57,13 @@ class CommutativeTripleRequiredError(ValueError):
     """Operation defined only when A is commutative."""
 
 
-@dataclass(eq=False)
 class Triple:
-    A: FinAlgebra
-    B: FinAlgebra
-    eps: AlgMorphism
-    commutative: bool  # whether A is commutative
-    name: str = ""
-    # Not an init field, so dataclasses.replace starts an empty memo.
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, A: FinAlgebra, B: FinAlgebra, eps: AlgMorphism,
+                 commutative: bool, name: str = ""):
+        self.A, self.B, self.eps = A, B, eps
+        self.commutative = commutative  # whether A is commutative
+        self.name = name
+        self._memo: dict = {}  # of `per_triple`; every triple starts empty
 
     def require_commutative(self, what: str) -> None:
         if not self.commutative:

@@ -16,9 +16,8 @@ A -> degree-one homology -> degree-one cyclic homology -> 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator, Optional
 
 from .algebra import field_algebra
 from .chains import boundary, chain_dim, chain_space
@@ -33,14 +32,22 @@ from .oracles import (classical_hh_dims, classical_hc_dims,
 from .triples import Triple, _tables, make_triple, per_triple, regrade
 
 
-@dataclass
 class TheoremReport:
-    triple_name: str
-    theorem: str
-    passed: bool
-    dims: dict
-    checks: list = field(default_factory=list)
-    witness: Optional[dict] = None
+    def __init__(self, triple_name: str, theorem: str, passed: bool,
+                 dims: dict, checks: list | None = None,
+                 witness: dict | None = None):
+        self.triple_name, self.theorem = triple_name, theorem
+        self.passed, self.dims = passed, dims
+        self.checks = [] if checks is None else checks
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.triple_name, self.theorem, self.passed, self.dims,
+                 self.checks, self.witness)
+                == (other.triple_name, other.theorem, other.passed,
+                    other.dims, other.checks, other.witness))
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -53,7 +60,7 @@ class _Builder:
         self.report = TheoremReport(triple_name, theorem, True, {})
         self.log: list = []  # (label, verdict, witness) of every check
 
-    def check(self, label: str, ok: bool, witness: Optional[dict] = None):
+    def check(self, label: str, ok: bool, witness: dict | None = None):
         self.log.append((label, bool(ok), witness))
         self.report.checks.append((label, bool(ok)))
         if not ok:

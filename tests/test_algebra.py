@@ -130,6 +130,11 @@ def test_validation_matches_the_multiply_based_reference():
         for new, old in reports:
             assert new == old, alg.name
             seen.add((new.associative, new.unital, new.commutative))
+    # == reads every witness, so the comparisons above check them too.
+    for field in ("assoc_witness", "unit_witness", "comm_witness"):
+        bent = copy.copy(new)
+        setattr(bent, field, -1)
+        assert bent != old, field
     # The perturbations break each law, and some keep associativity.
     assert {(False, False, True), (False, True, False), (False, False, False),
             (True, False, True), (True, False, False),

@@ -6,7 +6,6 @@ construction logic with the face-recipe machinery they test.
 """
 
 import copy
-import dataclasses
 import gc
 import weakref
 from fractions import Fraction
@@ -23,7 +22,7 @@ from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, bar_boundary,
                      rescaled_triple, shared_triple, sqzero_dual_x,
                      trunc3_over_dual_x2, value_columns)
 from sechom import chains, hc, homology
-from sechom.algebra import multiply
+from sechom.algebra import FinAlgebra, multiply
 from sechom.chains import (_face_sum, boundary, chain_dim, chain_space,
                            cyclic_quotient, pair_list)
 from sechom.differentials import omega
@@ -31,7 +30,7 @@ from sechom.kernel import kernel_data, symmetry_check
 from sechom.linalg import (ClassMapQuotient, InternalCheckError,
                            QuotientStructure, SparseMat, colspace,
                            induced_on_quotients)
-from sechom.triples import _tables, catalog, recall
+from sechom.triples import Triple, _tables, catalog, recall
 from sechom.verify import verify_main
 
 F = Fraction
@@ -736,7 +735,8 @@ def test_replaced_triple_starts_an_empty_memo():
     M, P = boundary(T, 2), omega(T)
     mutated = copy.deepcopy(T.A.mult)
     mutated[1][1][0] += F(1)  # pretend x * x = 1
-    T2 = dataclasses.replace(T, A=dataclasses.replace(T.A, mult=mutated))
+    A2 = FinAlgebra(T.A.dim, mutated, T.A.unit, T.A.name)
+    T2 = Triple(A2, T.B, T.eps, T.commutative, T.name)
     assert T2._memo == {}
     assert boundary(T2, 2) != M
     assert omega(T2) is not P

@@ -6,12 +6,21 @@ import json
 import subprocess
 import sys
 import time
+import weakref
+
+import pytest
 
 from _shared import child_env
 from sechom import cli
+from sechom.algebra import AlgebraReport, AlgMorphism, FinAlgebra
+from sechom.chains import boundary
 from sechom.cli import main
-from sechom.specfile import export_triple, parse_triple_file, triple_hash
+from sechom.homology import HomologyResult
+from sechom.kernel import KernelData, kernel_data
+from sechom.specfile import (ParsedTriple, export_triple, parse_triple_file,
+                             triple_hash)
 from sechom.triples import Triple, catalog, catalog_names
+from sechom.verify import TheoremReport
 
 
 def run(capsys, *argv):
@@ -529,6 +538,80 @@ def test_requests_hash_without_loading_openssl():
     assert [json.loads(out)["triple"]["hash"] for out in outs] == [digest] * 2
     if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
         assert loaded == "False"
+
+
+def test_requests_import_neither_dataclasses_nor_typing():
+    # The records are plain classes and no annotation is evaluated, so a
+    # fresh process answers a request without dataclasses (nor the inspect,
+    # ast and dis it pulls in) and without typing.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from sechom.cli import main\n"
+            "assert main(['compute', '--catalog', 'dual_dual_x', '--degree',"
+            " '0..1', '--format', 'machine']) == 0\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.splitlines()[-1].split())
+    assert "sechom.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "typing"}
+
+
+def test_value_records_compare_every_field():
+    T = catalog("dual_dual_x")
+    # (class, arguments, a different value for each compared argument)
+    cases = [
+        (AlgebraReport, (True, (0, 1, 1), False, 1, False, (0, 1)),
+         (False, (1, 0, 0), True, None, True, None)),
+        (TheoremReport, ("dual_k", "hc1", True, {"HC_1": 1}, [("c", True)],
+                         {"w": 1}),
+         ("trunc3_k", "Prop3", False, {"HC_1": 2}, [], None)),
+        (ParsedTriple, (T, "dual_dual_x", 3), (catalog("dual_dual_x"), "x",
+                                                None)),
+        # the representatives are formed on demand and not compared
+        (HomologyResult, ("dual_k", "hh", 1, 0, list),
+         ("trunc3_k", "hc", 2, 1)),
+    ]
+    for cls, args, others in cases:
+        record = cls(*args)
+        assert record == cls(*args) and record != args
+        for i, other in enumerate(others):
+            assert cls(*args[:i], other, *args[i + 1:]) != record, (cls, i)
+        with pytest.raises(TypeError):
+            hash(record)
+    res = HomologyResult("dual_k", "hh", 1, 0, list)
+    assert res.representatives == []
+    assert res == HomologyResult("dual_k", "hh", 1, 0, tuple)
+    assert TheoremReport("t", "x", True, {}).checks == []
+    assert (TheoremReport("t", "x", True, {}).checks
+            is not TheoremReport("t", "x", True, {}).checks)
+
+
+def test_engine_records_compare_by_identity():
+    T = catalog("dual_dual_x")
+    K = kernel_data(T)
+    twins = [
+        (T.A, FinAlgebra(T.A.dim, T.A.mult, T.A.unit, T.A.name)),
+        (T.eps, AlgMorphism(T.B, T.A, T.eps.columns, T.eps.name)),
+        (T, Triple(T.A, T.B, T.eps, T.commutative, T.name)),
+        (K, KernelData(K.m_matrix, K.J, K.j_squared, K.j_hat, K.j_hat_closed,
+                       K.span_relations, K.relations, K.quotient,
+                       K.readings_agree)),
+    ]
+    for record, twin in twins:
+        assert record == record and record != twin
+        assert len({record, twin}) == 2
+
+
+def test_triples_are_weakly_referenced_and_never_share_a_memo():
+    C = catalog("dual_dual_x")
+    T, twin = (Triple(C.A, C.B, C.eps, C.commutative, C.name)
+               for _ in range(2))
+    assert weakref.ref(T)() is T
+    assert T._memo == twin._memo == {} and T._memo is not twin._memo
+    boundary(T, 1)
+    assert T._memo and twin._memo == {}
 
 
 def test_reference_cap_counts_the_bar_complex_of_the_top_degree(

@@ -22,7 +22,7 @@ from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, rebased_triple,
 from sechom import cli, triples, verify
 from sechom.differentials import omega
 from sechom.homology import _hc_pieces, _hh_pieces
-from sechom.kernel import kernel_data, multiplication_matrix
+from sechom.kernel import KernelData, kernel_data, multiplication_matrix
 from sechom.specfile import export_triple
 from sechom.triples import catalog
 from sechom.verify import (_Builder, _prop_hh1_omega, _prop_omega_J,
@@ -221,16 +221,15 @@ def test_a_failing_outcome_replays_its_first_witness(monkeypatch):
     # The raw balancing span as the kernel denominator fails Prop4 on
     # dual_dual_zero (see test_verify); Prop4 and Thm_main must both carry
     # the witness a fresh run of the body records.
-    import dataclasses
-
     from sechom.linalg import QuotientStructure, Subspace
 
     T = catalog("dual_dual_zero")
     K = kernel_data(T)
     raw_in_J = Subspace(K.J.dim,
                         [K.J.coords_of(row) for row in K.span_relations.rows])
-    K2 = dataclasses.replace(K, relations=K.span_relations,
-                             quotient=QuotientStructure(K.J.dim, raw_in_J))
+    K2 = KernelData(K.m_matrix, K.J, K.j_squared, K.j_hat, K.j_hat_closed,
+                    K.span_relations, K.span_relations,
+                    QuotientStructure(K.J.dim, raw_in_J), K.readings_agree)
     monkeypatch.setattr(verify, "kernel_data", lambda _: K2)
     b = _Builder(T.name, "Prop4")
     _prop_omega_J(T, b)

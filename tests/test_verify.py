@@ -1,7 +1,6 @@
 """End-to-end theorem verifiers: pass across the catalog, fail loudly
 with replayable witnesses when fed inconsistent data."""
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -9,18 +8,18 @@ import pytest
 
 from _shared import (COMMUTATIVE_NAMES, rebased_triple, rescaled_triple,
                      shared_triple)
-from sechom.algebra import (field_algebra, matrix_algebra, multiply,
-                            split_product_algebra,
+from sechom.algebra import (FinAlgebra, field_algebra, matrix_algebra,
+                            multiply, split_product_algebra,
                             truncated_polynomial_algebra)
 from sechom import chains, verify
 from sechom.chains import boundary
 from sechom.cli import main
 from sechom.differentials import ambient_symbol, omega
 from sechom.homology import _hh_pieces
-from sechom.kernel import kernel_data
+from sechom.kernel import KernelData, kernel_data
 from sechom.linalg import QuotientStructure, SparseMat, Subspace, colspace
 from sechom.specfile import export_triple
-from sechom.triples import CommutativeTripleRequiredError
+from sechom.triples import CommutativeTripleRequiredError, Triple
 from sechom.verify import (forward_matrix, transfer_matrices, verify_cor_hc1,
                            verify_main, verify_prop_hh1_omega,
                            verify_prop_omega_J, verify_reduction_Bk)
@@ -170,9 +169,9 @@ def test_doctored_relations_fail_with_replayable_witness(monkeypatch):
     K = kernel_data(T)
     raw_in_J = Subspace(K.J.dim,
                         [K.J.coords_of(row) for row in K.span_relations.rows])
-    K2 = dataclasses.replace(
-        K, relations=K.span_relations,
-        quotient=QuotientStructure(K.J.dim, raw_in_J))
+    K2 = KernelData(K.m_matrix, K.J, K.j_squared, K.j_hat, K.j_hat_closed,
+                    K.span_relations, K.span_relations,
+                    QuotientStructure(K.J.dim, raw_in_J), K.readings_agree)
     assert K2.quotient.dim == 2  # the raw reading leaves too much behind
 
     monkeypatch.setattr(verify, "kernel_data", lambda _: K2)
@@ -203,7 +202,9 @@ def test_product_rule_witness_is_the_first_failure_in_order(monkeypatch):
     T = shared_triple("dual_dual_x")
     A, B = T.A, T.B
     K = kernel_data(T)
-    K2 = dataclasses.replace(K, j_squared=Subspace(K.J.ambient_dim))
+    K2 = KernelData(K.m_matrix, K.J, Subspace(K.J.ambient_dim), K.j_hat,
+                    K.j_hat_closed, K.span_relations, K.relations, K.quotient,
+                    K.readings_agree)
     monkeypatch.setattr(verify, "kernel_data", lambda _: K2)
     b = _Builder(T.name, "doctored")
     _prop_omega_J(T, b)
@@ -249,8 +250,8 @@ def test_doctored_multiplication_table_fails(monkeypatch):
     P, K = omega(T), kernel_data(T)
     mutated = copy.deepcopy(T.A.mult)
     mutated[1][1][0] += F(1)  # pretend x * x = 1
-    A2 = dataclasses.replace(T.A, mult=mutated)
-    T2 = dataclasses.replace(T, A=A2)
+    A2 = FinAlgebra(T.A.dim, mutated, T.A.unit, T.A.name)
+    T2 = Triple(A2, T.B, T.eps, T.commutative, T.name)
     monkeypatch.setattr(verify, "omega", lambda _: P)
     monkeypatch.setattr(verify, "kernel_data", lambda _: K)
     b = _Builder(T.name, "doctored")

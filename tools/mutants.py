@@ -75,6 +75,17 @@ MUTANTS = [
            "_summed((m, tb.aden * tb.lden * x * y)",
            "_summed((m, tb.bden * tb.lden * x * y)",
            ("test_triples.py",), ci=True),
+    Mutant("report-eq-ignores-a-witness", "algebra.py",
+           "self.commutative, self.comm_witness)\n"
+           "                == (other.associative, other.assoc_witness, "
+           "other.unital,\n"
+           "                    other.unit_witness, other.commutative, "
+           "other.comm_witness))",
+           "self.commutative)\n"
+           "                == (other.associative, other.assoc_witness, "
+           "other.unital,\n"
+           "                    other.unit_witness, other.commutative))",
+           ("test_algebra.py",), ci=True),
     Mutant("triple-hash-keeps-the-name", "specfile.py",
            "T.commutative, name=\"\"))", "T.commutative, name=T.name))",
            ("test_specfile.py",), ci=True),
