@@ -25,7 +25,7 @@ from .kernel import (KernelData, embed_tensor, j_generator, kernel_data,
                      multiplication_matrix, symmetry_check, tensor_index)
 from .linalg import (ClassMapQuotient, QuotientStructure, SparseMat,
                      Subspace, colspace, induced_on_quotients, nullspace,
-                     rank, solve)
+                     solve)
 from .specfile import (ParsedTriple, SpecParseError, export_triple,
                        parse_triple_file, parse_triple_source, triple_hash)
 from .triples import (CommutativeTripleRequiredError, Triple,

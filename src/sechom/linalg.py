@@ -46,8 +46,9 @@ update per nonzero of N per nonzero of the column of M it meets.  Sparse
 operands (the catalog boundaries, about one nonzero per column)
 therefore keep the dict product, and dense ones (rebased boundaries, six
 to twenty nonzeros per column) are packed; the choice reads only the
-operands' sizes.  The stalled homology relation spans use the same
-packing, one vector at a time (`KernelTest`).
+operands' sizes.  `KernelTest` is the one packer: `product_is_zero`
+packs M once for N's widest column, and the stalled homology relation
+spans test one vector at a time, repacking for a wider one.
 
 A quotient by relations that identify basis vectors up to sign (the
 cyclic coinvariants) is kept as its signed class map
@@ -200,14 +201,13 @@ class Subspace:
     and the stored data never depends on the order they came in.
     """
 
-    __slots__ = ("ambient_dim", "pivots", "_int_rows", "_rows", "_pivot_pos")
+    __slots__ = ("ambient_dim", "pivots", "_int_rows", "_pivot_pos")
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
         self.ambient_dim = ambient_dim
         self.pivots: list = []
         self._int_rows: list = []
         self._pivot_pos: dict = {}
-        self._rows = None
         for v in vectors:
             self.add(v)
 
@@ -238,7 +238,6 @@ class Subspace:
         self._int_rows.insert(at, v)
         for k in range(at, len(self.pivots)):
             self._pivot_pos[self.pivots[k]] = k
-        self._rows = None
         return True
 
     @classmethod
@@ -251,7 +250,6 @@ class Subspace:
         sub.pivots = pivots
         sub._int_rows = int_rows
         sub._pivot_pos = {p: k for k, p in enumerate(pivots)}
-        sub._rows = None
         return sub
 
     # -- queries -----------------------------------------------------------
@@ -263,10 +261,8 @@ class Subspace:
     @property
     def rows(self) -> list:
         """The canonical basis rows, sparse dicts of Fractions: row k is 1
-        at `pivots[k]` and 0 at every other pivot.  Formed on first use."""
-        if self._rows is None:
-            self._rows = list(map(self.row, range(len(self.pivots))))
-        return self._rows
+        at `pivots[k]` and 0 at every other pivot.  Formed on each read."""
+        return list(map(self.row, range(len(self.pivots))))
 
     def row(self, k: int) -> dict:
         """Canonical basis row k (see `rows`), formed alone."""
@@ -479,15 +475,6 @@ def _row_dicts(M: SparseMat) -> list:
 _DIGITS_PER_UPDATE = 100
 
 
-def _slot_bits(M: SparseMat, cols) -> int:
-    """The slot width b of the packed zero test of M against the nonzero
-    integer vectors `cols`, for nonzero M: every entry of M v is below
-    2^(b-2) in absolute value."""
-    top = max(max(map(abs, col.values())) for col in M.num.values())
-    wide = max(map(sum, (map(abs, col.values()) for col in cols)))
-    return (top * wide).bit_length() + 2
-
-
 def _packed_columns(M: SparseMat, b: int) -> list:
     """Column k of M's numerators as one integer, entry r in slot r of b
     bits: sum of M[r][k] * 2^(r*b)."""
@@ -497,22 +484,15 @@ def _packed_columns(M: SparseMat, b: int) -> list:
     return packed
 
 
-def _packed_is_zero(M: SparseMat, cols, b: int) -> bool:
-    """Whether M kills every vector in `cols`, each tested as one sum of
-    M's columns packed into b-bit slots (b from `_slot_bits`; see the
-    module docstring)."""
-    at = _packed_columns(M, b).__getitem__
-    return not any(sum(map(mul, col.values(), map(at, col))) for col in cols)
-
-
 class KernelTest:
     """Exact tests of M v = 0 for one nonzero matrix M and integer vectors
-    v that come one at a time.
+    v, M's columns packed as in `product_is_zero`.
 
-    M's columns are packed as in `product_is_zero`, into slots wide enough
-    for vectors whose entries' absolute values sum to at most `room`.  A
-    wider vector first repacks M with twice its width as the new room, so
-    every test is exact.  Nothing is packed before the first test.
+    `pack(room)` packs M into slots of `slot_bits(room)` bits, wide
+    enough for every vector whose entries' absolute values sum to at most
+    room.  `kills` takes such a vector on that packing; a wider one first
+    repacks M with twice its width as the new room, so every test is
+    exact.  Nothing is packed before the first test or `pack`.
     """
 
     __slots__ = ("_M", "_top", "_room", "_at")
@@ -522,12 +502,19 @@ class KernelTest:
         self._top = max(max(map(abs, col.values())) for col in M.num.values())
         self._room = -1
 
+    def slot_bits(self, room: int) -> int:
+        """The slot width b for vectors of width at most room: every entry
+        of M v is below 2^(b-2) in absolute value."""
+        return (self._top * room).bit_length() + 2
+
+    def pack(self, room: int) -> None:
+        self._room = room
+        self._at = _packed_columns(self._M, self.slot_bits(room)).__getitem__
+
     def kills(self, v: dict) -> bool:
         width = sum(map(abs, v.values()))
         if width > self._room:
-            self._room = 2 * width
-            b = (self._top * self._room).bit_length() + 2
-            self._at = _packed_columns(self._M, b).__getitem__
+            self.pack(2 * width)
         return not sum(map(mul, v.values(), map(self._at, v)))
 
 
@@ -556,10 +543,14 @@ def _kills(M: SparseMat, cols, nnz_m=None) -> bool:
     updates = nnz_n * nnz_m / M.ncols
     fixed = 2 * (nnz_m + len(cols))
     if updates > fixed:
-        b = _slot_bits(M, cols)
-        digits = (nnz_m + nnz_n) * (M.nrows * b // 30 + 1)
+        test = KernelTest(M)
+        room = max(map(sum, (map(abs, col.values()) for col in cols)))
+        digits = (nnz_m + nnz_n) * (M.nrows * test.slot_bits(room) // 30 + 1)
         if updates > fixed + digits / _DIGITS_PER_UPDATE:
-            return _packed_is_zero(M, cols, b)
+            test.pack(room)
+            at = test._at
+            return not any(sum(map(mul, col.values(), map(at, col)))
+                           for col in cols)
     return _dict_is_zero(M, cols)
 
 
@@ -570,15 +561,6 @@ def product_is_zero(M: SparseMat, N: SparseMat) -> bool:
         raise AmbientDimensionError(
             f"cannot multiply {M.nrows}x{M.ncols} by {N.nrows}x{N.ncols}")
     return _kills(M, N.num.values())
-
-
-def rank(M: SparseMat) -> int:
-    """Rank via row elimination with content stripping."""
-    return row_space(M).dim
-
-
-def row_space(M: SparseMat) -> Subspace:
-    return Subspace(M.ncols, _row_dicts(M))
 
 
 def colspace(M: SparseMat) -> Subspace:

@@ -39,14 +39,6 @@ def _check_cap(dim: int) -> None:
             f"reference path refuses ambient dimension {dim} > {_CAP}")
 
 
-def _terms(A: FinAlgebra) -> list:
-    """The table read once: the nonzero terms (k, x) of each product e_i e_j,
-    with integral x as int so that integral tables are summed in ints."""
-    return [[[(k, int(x) if x.denominator == 1 else x)
-              for k, x in enumerate(coeffs) if x] for coeffs in row]
-            for row in A.mult]
-
-
 def _int_tables(A: FinAlgebra) -> tuple:
     """(den, table, unit): the table and the unit over one denominator den,
     as the integer terms (k, x) of each product e_i e_j and of the unit."""
@@ -252,7 +244,7 @@ def classical_kahler_dim(A: FinAlgebra) -> int:
     d = A.dim
     _require_commutative(A, "the Kahler reference")
     _check_cap(d * d)
-    mult = _terms(A)
+    mult = _int_tables(A)[1]  # every term one product, times den
     rows = [_collected([(m * d + k, x) for k, x in mult[p][q]]
                        + [(t * d + q, -x) for t, x in mult[m][p]]
                        + [(t * d + p, -x) for t, x in mult[m][q]])

@@ -27,7 +27,7 @@ from sechom.linalg import (ONE, AmbientDimensionError, InternalCheckError,
                            _kills, basis_vector, colspace, nullspace,
                            product_is_zero, projection_matrix, solve,
                            to_dense)
-from sechom.oracles import _check_cap, _terms, dense_rank
+from sechom.oracles import _check_cap, _int_tables, dense_rank
 from sechom.triples import (AlgebraInvalidError, BaseNotCommutativeError,
                             EpsImageNotCentralError,
                             EpsNotMultiplicativeError, EpsNotUnitalError,
@@ -203,13 +203,14 @@ def bar_boundary(A: FinAlgebra, n: int):
     t_0 leading.  Adjacent factors are multiplied with alternating signs;
     the last face wraps the final factor around to the front.  Each face
     is scattered into the rows a block of trailing factors at a time, so
-    no dense matrix is built.
+    no dense matrix is built.  The faces are summed in integers, over the
+    table's common denominator, and each entry is divided by it last.
     """
     if n < 1:
         raise ValueError("boundary needs degree at least 1")
     d = A.dim
     _check_cap(d ** (n + 1))
-    mult = _terms(A)
+    den, mult, _ = _int_tables(A)
     rows = [{} for _ in range(d ** n)]
     for i in range(n):
         # Face i: (head, a, b, tail) goes to (head, ab, tail), with `low`
@@ -237,7 +238,8 @@ def bar_boundary(A: FinAlgebra, n: int):
                     row = rows[k * low + t]
                     src = (a * low + t) * d + b
                     row[src] = row.get(src, 0) + x
-    return [{c: x for c, x in row.items() if x} for row in rows]
+    return [{c: x if den == 1 else Fraction(x, den)
+             for c, x in row.items() if x} for row in rows]
 
 
 def bar_rotation(A: FinAlgebra, n: int):

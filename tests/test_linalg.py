@@ -18,10 +18,9 @@ from sechom import linalg
 from sechom.homology import _induced_boundary, hc, hh
 from sechom.linalg import (AmbientDimensionError, ClassMapQuotient,
                            InternalCheckError, KernelTest, QuotientStructure,
-                           SparseMat, Subspace,
-                           _dict_is_zero, _packed_is_zero, _slot_bits,
+                           SparseMat, Subspace, _dict_is_zero, _row_dicts,
                            colspace, induced_on_quotients, nullspace,
-                           product_is_zero, rank, row_space, solve, to_dense)
+                           product_is_zero, solve, to_dense)
 from sechom.triples import grading, regrade
 
 F = Fraction
@@ -136,12 +135,12 @@ def test_matmul_add_transpose():
 def test_rank_nullspace_rowspace_colspace():
     M = from_entries(3, 3, [
         (0, 0, F(1)), (0, 1, F(2)), (1, 0, F(2)), (1, 1, F(4)), (2, 2, F(1))])
-    assert rank(M) == 2
+    assert colspace(M).dim == 2
     ker = nullspace(M)
     assert ker.dim == 1
     for row in ker.rows:
         assert not M.matvec(row)
-    assert row_space(M).dim == 2
+    assert Subspace(M.ncols, _row_dicts(M)).dim == 2
     assert colspace(M).dim == 2
 
 
@@ -228,7 +227,7 @@ def test_random_span_membership_and_rank_nullity():
                 if rng.random() < 0.5:
                     entries.append((r, c, F(rng.randrange(-4, 5))))
         M = from_entries(nrows, ncols, entries)
-        assert rank(M) + nullspace(M).dim == ncols
+        assert colspace(M).dim + nullspace(M).dim == ncols
         S = colspace(M)
         combo = [F(0)] * nrows
         for c in range(ncols):
@@ -416,7 +415,7 @@ def _nullspace_by_second_elimination(M):
     """Test-local copy of the kernel path that the closed form replaced:
     free column f gives e_f minus the sum of rows[p][f] * e_p over the
     pivots of the row space, and a second Subspace eliminates those."""
-    R = row_space(M)
+    R = Subspace(M.ncols, _row_dicts(M))
     held = {}
     for p, row in zip(R.pivots, R._int_rows):
         for c, x in row.items():
@@ -727,7 +726,7 @@ def test_closed_form_nullspace_matches_second_elimination():
     K = nullspace(d)
     assert from_canonical(d.ncols, K.rows, K.pivots) == K
     assert not any(d.matvec(row) for row in K.rows)
-    assert K.dim == d.ncols - rank(d) == 968
+    assert K.dim == d.ncols - colspace(d).dim == 968
 
 
 def test_nullspace_checks_each_kernel_row(monkeypatch):
@@ -736,9 +735,12 @@ def test_nullspace_checks_each_kernel_row(monkeypatch):
     monkeypatch.setattr(SparseMat, "_times", lambda self, v: {0: 1})
     with pytest.raises(InternalCheckError, match="not in the kernel"):
         nullspace(M)
-    # A dense boundary's kernel rows are checked on the packed path.
+    # A dense boundary's kernel rows are checked on the packed path: packed
+    # as the identity, M kills no nonzero row.
     monkeypatch.undo()
-    monkeypatch.setattr(linalg, "_packed_is_zero", lambda M, cols, b: False)
+    real = linalg._packed_columns
+    monkeypatch.setattr(linalg, "_packed_columns",
+                        lambda M, b: real(SparseMat.identity(M.ncols), b))
     with pytest.raises(InternalCheckError, match="not in the kernel"):
         nullspace(boundary(rebased_triple("dual_dual_x"), 2))
 
@@ -898,8 +900,11 @@ def test_rebased_degree_three_relation_slice_matches_fraction_elimination(
 # -- packed zero tests ------------------------------------------------------
 
 def _packed(M, N) -> bool:
+    """The packed zero test of M N, M packed once for N's widest column."""
     cols = N.num.values()
-    return _packed_is_zero(M, cols, _slot_bits(M, cols))
+    test = KernelTest(M)
+    test.pack(max(map(sum, (map(abs, col.values()) for col in cols))))
+    return all(map(test.kills, cols))
 
 
 def _both_paths_are_zero(M, N) -> bool:
@@ -952,8 +957,8 @@ def test_packed_and_dict_zero_tests_match_the_product():
 
 def test_product_is_zero_packs_dense_operands_only(monkeypatch):
     packed = []
-    real = linalg._packed_is_zero
-    monkeypatch.setattr(linalg, "_packed_is_zero",
+    real = linalg._packed_columns
+    monkeypatch.setattr(linalg, "_packed_columns",
                         lambda *args: packed.append(1) or real(*args))
     T = shared_triple("dual_dual_x")
     assert product_is_zero(boundary(T, 3), boundary(T, 4))
@@ -1037,11 +1042,50 @@ def test_kernel_test_repacks_for_wider_vectors():
         assert KernelTest(M).kills({})
 
 
+def test_product_is_zero_packs_for_the_widest_column_sum(monkeypatch):
+    # Four copies of the all-ones column make product_is_zero pack M once
+    # m >= 4; its slots must hold max|M| times the column's sum, m, and
+    # not max|M| times its largest entry, 1.
+    packed = []
+    real = linalg._packed_columns
+    monkeypatch.setattr(linalg, "_packed_columns",
+                        lambda *args: packed.append(1) or real(*args))
+    for M, ones in _slot_overflow_cases():
+        N = SparseMat.from_ints(M.ncols, 4, {c: dict(ones) for c in range(4)})
+        packed.clear()
+        assert not product_is_zero(M, N)
+        assert bool(packed) == (M.ncols >= 4)
+
+
+def test_kernel_test_packed_for_a_room_takes_narrower_vectors_as_packed(
+        monkeypatch):
+    widths = []
+    real = linalg._packed_columns
+    monkeypatch.setattr(linalg, "_packed_columns",
+                        lambda M, b: widths.append(b) or real(M, b))
+    for M, ones in _slot_overflow_cases():
+        top = max(abs(x) for col in M.num.values() for x in col.values())
+        for room in (M.ncols, 2 * M.ncols):
+            widths.clear()
+            test = KernelTest(M)
+            test.pack(room)
+            assert widths == [test.slot_bits(room)]
+            assert test.slot_bits(room) == (top * room).bit_length() + 2
+            vectors = [ones, {0: 1}, {0: room}, {M.ncols - 1: -room},
+                       dict.fromkeys(range(M.ncols), -1)]
+            if M.ncols > 2:
+                vectors += [{1: 1, 2: -1}, {1: room // 2, 2: -(room // 2)}]
+            for v in vectors:
+                assert sum(map(abs, v.values())) <= room
+                assert test.kills(v) == (not M._times(v))
+            assert len(widths) == 1
+
+
 def test_rebased_degree_three_square_is_zero_on_the_packed_path(
         rebased_dual_dual_x, monkeypatch):
     packed = []
-    real = linalg._packed_is_zero
-    monkeypatch.setattr(linalg, "_packed_is_zero",
+    real = linalg._packed_columns
+    monkeypatch.setattr(linalg, "_packed_columns",
                         lambda *args: packed.append(1) or real(*args))
     M, N = boundary(rebased_dual_dual_x, 3), boundary(rebased_dual_dual_x, 4)
     assert product_is_zero(M, N) and packed

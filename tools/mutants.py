@@ -1,8 +1,8 @@
 """Replay hand mutations of the engine and report which ones the tests kill.
 
 A mutant names a file under src/sechom/, an exact piece of its text that
-must occur there once, the text that replaces it, and the test files that
-should fail with it.  For each mutant the runner copies src/, tests/ and
+must occur there once, the text that replaces it, and the test files (or
+pytest node ids in them) that should fail with it.  For each mutant the runner copies src/, tests/ and
 pyproject.toml to a temporary directory, applies the mutant there and runs
 pytest on its test files from that directory, so pyproject.toml's
 `pythonpath` imports the mutated copy.  A mutant is killed when pytest
@@ -38,7 +38,7 @@ class Mutant:
     file: str  # relative to src/sechom/
     old: str
     new: str
-    tests: tuple  # test files, relative to tests/, expected to fail
+    tests: tuple  # test files or node ids, relative to tests/, expected to fail
     ci: bool = False  # in the fast subset
 
 
@@ -104,6 +104,21 @@ MUTANTS = [
            "if False:", ("test_specfile.py",), ci=True),
     Mutant("sparse-mat-takes-any-column", "linalg.py",
            "if not 0 <= c < ncols:", "if False:", ("test_linalg.py",)),
+    # The Kronecker zero test's one packer: its slot width, its repack for
+    # a wider vector, and the width product_is_zero packs for.
+    Mutant("packed-slot-one-bit-short", "linalg.py",
+           "(self._top * room).bit_length() + 2",
+           "(self._top * room).bit_length() + 1", ("test_linalg.py",)),
+    # The packed tests close test_linalg.py, so CI runs just the one that
+    # kills this mutant.
+    Mutant("kernel-test-never-repacks", "linalg.py",
+           "if width > self._room:", "if self._room < 0:",
+           ("test_linalg.py::test_kernel_test_repacks_for_wider_vectors",),
+           ci=True),
+    Mutant("packed-width-from-the-largest-entry", "linalg.py",
+           "room = max(map(sum, (map(abs, col.values()) for col in cols)))",
+           "room = max(map(max, (map(abs, col.values()) for col in cols)))",
+           ("test_linalg.py",)),
     # The one descent check of both routes to an induced boundary.
     Mutant("descent-check-skipped", "linalg.py",
            "if [None if a is None else F[a] for a in src.axis] != F:",
