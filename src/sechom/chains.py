@@ -41,9 +41,13 @@ A grading of the triple (`triples.grading`) gives each basis tensor a
 weight, the sum of its digits' weights.  Faces multiply within a digit
 group and the rotation permutes digits, so both keep the weight.  So the
 boundary splits into weight blocks, and `boundary_blocks` assembles one
-block at a time: a copy and an item carry disjoint digits, so their
-weights add up to the weight of the column they scatter into, and block
-w scatters only the pairs whose weights sum to w.
+block at a time, in sub-blocks by the digits of a-slots 0 and 1 as well:
+a copy and an item carry disjoint digits, so their keys add up to the
+key of the column they scatter into, and sub-block k scatters only the
+pairs whose keys sum to k.  A column is whole once its sub-block is, so
+a one-entry column x e_r is then kept only as its row r, a unit, and
+only the columns with two or more entries are held until the weight
+block is read.
 
 The cyclic flavor reads the boundary only on coinvariant coordinates,
 and `projected_boundary` scatters the face plans straight onto them: a
@@ -54,6 +58,8 @@ the coinvariants is certified where the induced boundary is built, by
 """
 
 from __future__ import annotations
+
+from itertools import groupby, zip_longest
 
 from .linalg import ClassMapQuotient, InternalCheckError, SparseMat
 from .triples import Triple, _tables, grading, per_triple
@@ -322,7 +328,7 @@ def boundary(T: Triple, n: int) -> SparseMat:
 
 
 class _BlockSlots(dict):
-    """The column dicts of one weight block by input index, for `_scatter`:
+    """The column dicts of one sub-block by input index, for `_scatter`:
     an index with no column yet reads None."""
 
     __slots__ = ()
@@ -334,16 +340,25 @@ class _BlockSlots(dict):
 def boundary_blocks(T: Triple, n: int):
     """The nonzero columns of boundary(T, n), one weight block at a time.
 
-    Yields (w, cols) for every weight key w that a nonzero column has, in
-    increasing order: cols maps each such column c, whose key
-    `chain_weights(T, n)[c]` is w, to its integer numerators over
-    `_face_den(T, n)`, not brought to lowest terms.  Each face's copies
-    are grouped by the weight key of the digits they carry and its items
-    by that of the other digits, so block w scatters only the pairs whose
-    keys sum to w, and each term is scattered once over all blocks, as in
-    `boundary`.  The keys are those `chain_weights` adds up, read off the
-    offsets of the copies and items, so no per-tensor key list is built.
-    Nothing is memoized: a block is garbage once its reader drops it.
+    Yields (w, units, cols) for every weight key w that a nonzero column
+    has, in increasing order.  A column c of weight w (its key
+    `chain_weights(T, n)[c]`) with one entry, x e_r, only puts r in the
+    set `units`; cols maps each column c of weight w with two or more
+    entries to its integer numerators over `_face_den(T, n)`, not brought
+    to lowest terms.
+
+    Each face's copies are grouped by the sub-block key of the digits they
+    carry and its items by that of the other digits, so sub-block k
+    scatters only the pairs whose keys sum to k, and each term is
+    scattered once over all sub-blocks, as in `boundary`.  The sub-block
+    key of a tensor of weight key w whose a-slots 0 and 1 hold d_0 and
+    d_1 is w dim(A)^2 + d_0 + dim(A) d_1: a sum over the digits, read off
+    the offsets of the copies and items, so no per-tensor key list is
+    built.  A column is whole once its sub-block is scattered: its units
+    are then kept as rows, its cancelled columns dropped, and the rest
+    kept until the weight block is yielded, the sub-blocks' columns taken
+    in turn.  Nothing is memoized: a block is garbage once its reader
+    drops it.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -354,7 +369,11 @@ def boundary_blocks(T: Triple, n: int):
     # tables over the high and the low half of the digits.  A copy and an
     # item have disjoint digits, so their keys, each read with the other
     # digits at 0, sum to that of the tensor they make plus that of 0.
-    keys, h = _slot_keys(T, n), len(src.radices) // 2
+    da = T.A.dim
+    keys = [[k * da * da for k in slot] for slot in _slot_keys(T, n)]
+    keys[0] = [k + d for d, k in enumerate(keys[0])]
+    keys[1] = [k + da * d for d, k in enumerate(keys[1])]
+    h = len(src.radices) // 2
     M = src.weights[h - 1]
     high = _keys_of_digits(src.radices[:h], keys[:h])
     low = _keys_of_digits(src.radices[h:], keys[h:])
@@ -369,20 +388,35 @@ def boundary_blocks(T: Triple, n: int):
     plans = [(by_key(copies, 0), by_key(items, high[0] + low[0]))
              for copies, items in _face_plans(T, n, _alternating(n))]
     rows = list(range(chain_space(T, n - 1).dim))
-    weights = sorted({kc + ki for cg, ig in plans for kc in cg for ki in ig})
-    for w in weights:
-        slots = _BlockSlots()
-        for copies_by_key, items_by_key in plans:
-            for kc, copies in copies_by_key.items():
-                items = items_by_key.get(w - kc)
-                if items:
-                    _scatter(slots, rows, copies, items)
-        if w == weights[-1]:
-            plans = copies = items = None  # free, while the last block is read
-        for c in [c for c, col in slots.items() if not col]:
-            del slots[c]
-        if slots:
-            yield w, slots
+    sub_keys = sorted({kc + ki for cg, ig in plans for kc in cg for ki in ig})
+    for w, block_keys in groupby(sub_keys, lambda k: k // (da * da)):
+        units, parts = set(), []
+        for k in block_keys:
+            slots = _BlockSlots()
+            for copies_by_key, items_by_key in plans:
+                for kc, copies in copies_by_key.items():
+                    items = items_by_key.get(k - kc)
+                    if items:
+                        _scatter(slots, rows, copies, items)
+            if k == sub_keys[-1]:
+                plans = copies = items = None  # free them for the last block
+            part = {}
+            for c, col in slots.items():
+                if len(col) > 1:
+                    part[c] = col
+                elif col:
+                    units.update(col)
+            del slots
+            if part:
+                parts.append(part.items())
+        if units or parts:
+            # The sub-blocks' columns in turn: a dense block's span fills
+            # up sooner than when it reads one sub-block after another.
+            cols = {c: col for group in zip_longest(*parts)
+                    for c, col in filter(None, group)}
+            del parts, part
+            yield w, units, cols
+            del cols
 
 
 # -- cyclic structure ------------------------------------------------------

@@ -13,11 +13,16 @@ dim(A)^(n+1) * dim(B)^(n(n+1)/2).
 triple isomorphic to T whose basis is graded (T's own basis hides the
 grading), and on T otherwise: isomorphic triples have isomorphic
 complexes, and the graded one splits its relation span by weight.  The
-quotient reads the next boundary one weight block at a time; `hh` takes
-the blocks from the memo when the boundary is built whole there, and
-otherwise streams them from `chains.boundary_blocks`, so it never holds
-the next boundary whole.  A caller that sweeps hh over degrees should
-go from the top down, so that only the top boundary is streamed.
+quotient reads the next boundary one weight block at a time, each as the
+rows r of its one-entry columns x e_r, its units, and its other columns;
+`hh` takes the blocks from the memo when the boundary is built whole
+there, and otherwise streams them from `chains.boundary_blocks`, which
+scatters each block in sub-blocks and keeps only those two, so it never
+holds the next boundary whole, nor a one-entry column once its sub-block
+is scattered.  d squared is tested on a unit in closed form: it kills
+x e_r exactly when column r of d is zero.  A caller that sweeps hh over
+degrees should go from the top down, so that only the top boundary is
+streamed.
 
 Representatives are always reported in the chain coordinates of the
 requested degree, in T's own basis, and formed only when read; their
@@ -128,27 +133,35 @@ def _weight(v: dict, weights: list, what: str):
 
 
 def _by_weight(cols: dict, weights: list):
-    """Nonzero columns as weight blocks, (w, {column: column}), each column
-    in the block of the weight key of its least index."""
+    """Nonzero columns as weight blocks (w, units, cols), as
+    `chains.boundary_blocks` yields them, each column in the block of the
+    weight key of its least index: a one-entry column x e_r puts r in
+    units, and the others are kept in cols by column number."""
     blocks: dict = {}
     for (c, col), w in zip(cols.items(),
                            map(weights.__getitem__, map(min, cols.values()))):
-        blocks.setdefault(w, {})[c] = col
-    return blocks.items()
+        if w not in blocks:
+            blocks[w] = set(), {}
+        if len(col) == 1:
+            blocks[w][0].update(col)
+        else:
+            blocks[w][1][c] = col
+    return [(w, units, block) for w, (units, block) in blocks.items()]
 
 
 def _quotient_of_complex(cycles: Subspace, blocks,
                          weights: list) -> QuotientStructure:
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
-    `blocks` gives the next boundary's columns as weight blocks (w, cols),
-    one per weight key w, read once in turn: cols maps column numbers to
-    columns that lie in weight w, as `chains.boundary_blocks` yields them
-    and `_by_weight` groups a whole matrix.  Callers must have certified
-    that they are cycles, so their coordinates are read off the cycle
-    pivots with no membership pass.  Integer numerators serve as well as
-    the columns themselves, since only their span matters, and their
-    order does not matter either.
+    `blocks` gives the next boundary's columns as weight blocks (w, units,
+    cols), one per weight key w, read once in turn, as
+    `chains.boundary_blocks` yields them and `_by_weight` groups a whole
+    matrix: units holds the row r of every one-entry column x e_r of
+    weight w, and cols maps column numbers to the other columns of weight
+    w.  Callers must have certified that they are cycles, so their
+    coordinates are read off the cycle pivots with no membership pass.
+    Integer numerators serve as well as the columns themselves, since
+    only their span matters, and their order does not matter either.
 
     `weights` gives the weight key of each chain coordinate.  Every cycle
     row and every column must be homogeneous, a column of its block's
@@ -165,10 +178,10 @@ def _quotient_of_complex(cycles: Subspace, blocks,
     for j, p in enumerate(cycles.pivots):
         members.setdefault(weights[p], []).append(j)
     rows = []
-    for w, cols in blocks:
-        rows += _block_relations(cycles, members.get(w, ()), w, cols,
+    for w, units, cols in blocks:
+        rows += _block_relations(cycles, members.get(w, ()), w, units, cols,
                                  weights)
-        del cols  # before the next block is built
+        del units, cols  # before the next block is built
     for row in cycles._int_rows:
         _weight(row, weights, "cycle row")
     rows.sort()
@@ -177,26 +190,27 @@ def _quotient_of_complex(cycles: Subspace, blocks,
     return QuotientStructure(cycles.dim, relations)
 
 
-def _block_relations(cycles: Subspace, members, w, cols: dict,
+def _block_relations(cycles: Subspace, members, w, units, cols: dict,
                      weights: list) -> list:
     """The canonical relation rows of one weight block, as (pivot, row):
-    those the columns `cols` of weight w give on the cycle rows numbered
-    in `members`, the cycle rows of weight w.
+    those its one-entry columns, at the chain indices `units`, and its
+    other columns `cols` give on the cycle rows numbered in `members`,
+    the cycle rows of weight w.
 
     A column whose one entry is at chain index r makes e_r a boundary,
     hence a cycle: r is a cycle pivot whose row is e_r (a hard error
     otherwise), and the relation at its coordinate k is the unit row e_k,
     so every other canonical relation row is zero at k.  A cycle
     coordinate is live until its relation is known to be such a unit
-    row.  The units are collected first; then the live coordinates of
-    every column are counted.  A column with exactly one live coordinate
-    k makes e_k a relation, since its other coordinates are relations
-    already, so k is peeled and every column that holds k loses a live
-    coordinate, until no column has exactly one (the coreduction of
-    Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35, 1998).  The
-    numbers of the columns that hold each live coordinate are gathered
-    only when some column has exactly one, and a column with 255 or more
-    is left out of the peel.
+    row.  The units are checked first; then the live coordinates of
+    every other column are counted.  A column with exactly one live
+    coordinate k makes e_k a relation, since its other coordinates are
+    relations already, so k is peeled and every column that holds k
+    loses a live coordinate, until no column has exactly one (the
+    coreduction of Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35,
+    1998).  The numbers of the columns that hold each live coordinate are
+    gathered only when some column has exactly one, and a column with 255
+    or more is left out of the peel.
 
     The span then reads only the columns with two or more live
     coordinates, with the others dropped.  It never opens when no
@@ -210,7 +224,6 @@ def _block_relations(cycles: Subspace, members, w, cols: dict,
     the block's canonical form.
     """
     pos = cycles._pivot_pos
-    units = {r for col in cols.values() if len(col) == 1 for r in col}
     for r in units:
         if weights[r] != w:
             raise _inhomogeneous("boundary column")
@@ -219,19 +232,18 @@ def _block_relations(cycles: Subspace, members, w, cols: dict,
                 "a one-entry boundary column is not a cycle basis row")
     pivots = cycles.pivots
     live = {pivots[j]: j for j in members if pivots[j] not in units}
-    # Live coordinates, up to 255, of each column with two or more; the
-    # columns with exactly one go on the stack.
-    count = bytearray(max(cols) + 1)
+    # Live coordinates, up to 255, of each column; the columns with
+    # exactly one go on the stack.
+    count = bytearray(max(cols, default=-1) + 1)
     stack = []
     for c, col in cols.items():
-        if len(col) > 1:
-            if set(map(weights.__getitem__, col)) != {w}:
-                raise _inhomogeneous("boundary column")
-            n = sum(map(live.__contains__, col))
-            if n == 1:
-                stack.append(c)
-            elif n:
-                count[c] = min(n, 255)
+        if set(map(weights.__getitem__, col)) != {w}:
+            raise _inhomogeneous("boundary column")
+        n = sum(map(live.__contains__, col))
+        if n == 1:
+            stack.append(c)
+        elif n:
+            count[c] = min(n, 255)
     if stack:
         holders = {p: [] for p in live}
         for c, col in cols.items():
@@ -275,15 +287,17 @@ def _block_relations(cycles: Subspace, members, w, cols: dict,
 
 
 def _checked(d: SparseMat, blocks, what: str, n: int):
-    """The blocks, each once d has been found to kill its columns."""
+    """The blocks, each once d has been found to kill its columns: a
+    one-entry column x e_r exactly when column r of d is zero, and the
+    others by `_kills`."""
     nnz = d.nnz
-    for w, cols in blocks:
-        if not _kills(d, cols.values(), nnz):
+    for w, units, cols in blocks:
+        if any(map(d.num.get, units)) or not _kills(d, cols.values(), nnz):
             raise InternalCheckError(
                 f"{what} squared is nonzero between degrees {n + 1} and "
                 f"{n - 1}")
-        yield w, cols
-        del cols  # before the next block is built
+        yield w, units, cols
+        del units, cols  # before the next block is built
 
 
 def _homology_pieces(d: SparseMat, blocks, weights: list, what: str,

@@ -36,11 +36,11 @@ dense operands it packs each column k of M's numerators into one
 integer, P_k = sum of M[r][k] * 2^(r*b) (Kronecker substitution), so
 column c of M N is zero iff S_c = sum of N[k][c] * P_k is.  Row r of
 that column is the digit d_r of S_c in base 2^b, and |d_r| <= max|M| *
-sum_k |N[k][c]|, which is below 2^(b-2) for b = bit length of (max|M| *
-max_c sum_k |N[k][c]|) + 2.  Each digit then lies strictly inside its
-balanced base-2^b range, so S_c = 0 only when every digit is zero: the
-lowest nonzero digit would have to be a multiple of 2^b.  Packing costs
-a pass over both operands and one big-integer multiply-add of
+sum_k |N[k][c]|, which is below 2^b for b = bit length of (max|M| *
+max_c sum_k |N[k][c]|).  So S_c = 0 only when every digit is zero: were
+one nonzero, the lowest, d_r, would make S_c / 2^(r*b) = d_r plus a
+multiple of 2^b, which is not zero since 0 < |d_r| < 2^b.  Packing
+costs a pass over both operands and one big-integer multiply-add of
 M.nrows * b bits per nonzero of N; the dict product costs one dict
 update per nonzero of N per nonzero of the column of M it meets.  Sparse
 operands (the catalog boundaries, about one nonzero per column)
@@ -504,8 +504,8 @@ class KernelTest:
 
     def slot_bits(self, room: int) -> int:
         """The slot width b for vectors of width at most room: every entry
-        of M v is below 2^(b-2) in absolute value."""
-        return (self._top * room).bit_length() + 2
+        of M v is below 2^b in absolute value."""
+        return (self._top * room).bit_length()
 
     def pack(self, room: int) -> None:
         self._room = room

@@ -52,25 +52,18 @@ def _int_tables(A: FinAlgebra) -> tuple:
     return den, [[ints(prod) for prod in row] for row in A.mult], ints(A.unit)
 
 
-def _integral(row) -> list:
-    """Entries (ints and Fractions) times the lcm of their denominators."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def dense_rank(M) -> int:
     """Rank of the matrix with rows M, each a sparse dict {column: x}.
 
-    Entries are ints or Fractions.  The rows are copied, so M is never
-    changed: a row of ints is taken as it is, and only a row holding a
-    Fraction is put over its common denominator.  Each primitive integer
-    row is filed under its least column.  Columns are visited in order;
-    each pivots on the filed row with the smallest absolute entry there,
-    the one with fewest nonzeros on a tie, so a +-1 keeps the cleared rows
-    from growing.  Every other row filed there is cleared fraction-free
-    (scaled by nothing when the pivot entry divides its entry, up to
-    sign), stripped of its content and filed again under its new least
-    column.
+    Entries are ints: every oracle builds its rows in integers, over its
+    table's denominator.  The rows are copied, so M is never changed.
+    Each primitive integer row is filed under its least column.  Columns
+    are visited in order; each pivots on the filed row with the smallest
+    absolute entry there, the one with fewest nonzeros on a tie, so a +-1
+    keeps the cleared rows from growing.  Every other row filed there is
+    cleared fraction-free (scaled by nothing when the pivot entry divides
+    its entry, up to sign), stripped of its content and filed again under
+    its new least column.
     """
     filed: dict = {}
     ncols = 0
@@ -78,8 +71,6 @@ def dense_rank(M) -> int:
         row = {c: x for c, x in row.items() if x}
         if not row:
             continue
-        if not all(type(x) is int for x in row.values()):
-            row = dict(zip(row, _integral(row.values())))
         g = gcd(*row.values())
         if g > 1:
             row = {c: x // g for c, x in row.items()}

@@ -11,6 +11,7 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 from sechom import chains
@@ -255,13 +256,24 @@ def bar_rotation(A: FinAlgebra, n: int):
     return [{(r % top) * d + r // top: sign} for r in range(d * top)]
 
 
+def integer_rows(rows) -> list:
+    """Each sparse row times the lcm of its entries' denominators: integer
+    rows of the same rank, as `oracles.dense_rank` takes them."""
+    out = []
+    for row in rows:
+        den = lcm(1, *(x.denominator for x in row.values()))
+        out.append({c: x.numerator * (den // x.denominator)
+                    for c, x in row.items()})
+    return out
+
+
 def dense_rank_of_sparse(M) -> int:
-    """Rank of an engine sparse matrix, recomputed by the oracle from its
-    rows."""
+    """Rank of an engine sparse matrix, recomputed by the oracle from the
+    rows of its integer numerators."""
     _check_cap(max(M.nrows, M.ncols))
     rows = [{} for _ in range(M.nrows)]
-    for c in range(M.ncols):
-        for r, x in M.column(c).items():
+    for c, col in M.num.items():
+        for r, x in col.items():
             rows[r][c] = x
     return dense_rank(rows)
 

@@ -257,23 +257,32 @@ def test_boundary_squares_to_zero_spot_checks():
             assert (boundary(T, n) @ boundary(T, n + 1)).is_zero()
 
 
-def _assert_blocks_make_the_boundary(T, n):
-    # Blocks in increasing key order, no empty column, every column in the
-    # block of its tensor's weight, and together the boundary entry for
-    # entry (each block's integers are over the faces' denominator).
-    weights = chains.chain_weights(T, n)
-    keys, union = [], {}
-    for w, cols in chains.boundary_blocks(T, n):
-        keys.append(w)
-        assert cols and all(cols.values()), (T.name, n, w)
-        assert {weights[c] for c in cols} == {w}, (T.name, n, w)
-        assert not union.keys() & cols.keys()
-        union.update(cols)
-    assert keys == sorted(set(keys))
+def _boundary_ints(T, n) -> dict:
+    """The columns of boundary(T, n) as integers over the faces'
+    denominator, as `boundary_blocks` scatters them."""
     M = boundary(T, n)
-    assert SparseMat.from_ints(M.nrows, M.ncols, union,
-                               chains._face_den(T, n) if n else 1) == M, (
-        T.name, n)
+    g = chains._face_den(T, n) // M.den if n else 1
+    return {c: {r: x * g for r, x in col.items()} for c, col in M.num.items()}
+
+
+def _assert_blocks_make_the_boundary(T, n):
+    # Blocks in increasing key order, none empty.  Per weight, cols holds
+    # the boundary's columns of that weight with two or more entries,
+    # entry for entry, and units the rows of its one-entry columns.
+    weights = chains.chain_weights(T, n)
+    want = {}
+    for c, col in _boundary_ints(T, n).items():
+        units, cols = want.setdefault(weights[c], (set(), {}))
+        if len(col) == 1:
+            units.update(col)
+        else:
+            cols[c] = col
+    keys = []
+    for w, units, cols in chains.boundary_blocks(T, n):
+        keys.append(w)
+        assert units or cols, (T.name, n, w)
+        assert (units, cols) == want.pop(w, None), (T.name, n, w)
+    assert keys == sorted(set(keys)) and not want, (T.name, n)
     return len(keys)
 
 
@@ -297,6 +306,30 @@ def test_boundary_blocks_are_the_boundary_by_weight():
         assert _assert_blocks_make_the_boundary(T, n) == 1
     with pytest.raises(ValueError):
         next(chains.boundary_blocks(T, -1))
+
+
+def _assert_blocks_are_the_memo_route(T, n):
+    # hh reads a memoized boundary through `homology._by_weight`, which
+    # files each column by the weight of its least row, and streams it
+    # otherwise: both routes must give the same blocks.
+    want = homology._by_weight(_boundary_ints(T, n),
+                               chains.chain_weights(T, n - 1))
+    got = list(chains.boundary_blocks(T, n))
+    assert sorted(got) == sorted(want), (T.name, n)
+
+
+def test_streamed_blocks_are_the_blocks_of_the_whole_boundary():
+    for name in ALL_NAMES:
+        for n in range(1, 5 if name.startswith("dual_dual") else 4):
+            _assert_blocks_are_the_memo_route(shared_triple(name), n)
+    for make in (trunc3_over_dual_x2, prod_over_prod_id, cube_over_prod,
+                 dual_over_trunc3_x, sqzero_dual_x):
+        T = make()
+        for n in range(1, 4):
+            _assert_blocks_are_the_memo_route(T, n)
+    T = rebased_triple("dual_dual_x")
+    for n in range(2, 4):
+        _assert_blocks_are_the_memo_route(T, n)
 
 
 # -- the faces from the pair maps of SP^2(S^1) ------------------------------

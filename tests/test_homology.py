@@ -271,7 +271,8 @@ def test_a_full_block_reads_no_further_column(monkeypatch):
     for c, col in enumerate(cols):
         logged[c] = Logged(col)
         logged[c].number = c
-    Q = homology._quotient_of_complex(cycles, [(0, logged)], [0] * 3)
+    Q = homology._quotient_of_complex(cycles, [(0, set(), logged)],
+                                      [0] * 3)
     assert Q.dim == 0 and read == [0, 1, 2]
 
 
@@ -389,11 +390,10 @@ def test_a_wrong_grading_is_a_hard_error_never_a_wrong_dimension(monkeypatch):
     cycles, cols, weights = relation_span_inputs(shared_triple("dual_dual_x"),
                                                  "hh", 2)
     r = next(min(col) for col in cols if len(col) == 1)
-    homology._quotient_of_complex(cycles, [(weights[r], {0: {r: 1}})],
-                                  weights)
+    homology._quotient_of_complex(cycles, [(weights[r], {r}, {})], weights)
     with pytest.raises(InternalCheckError, match="not homogeneous"):
         homology._quotient_of_complex(
-            cycles, [(weights[r] + 1, {0: {r: 1}})], weights)
+            cycles, [(weights[r] + 1, {r}, {})], weights)
 
 
 # -- guard rails -----------------------------------------------------------
@@ -407,13 +407,28 @@ def test_nonzero_square_is_a_hard_error_in_both_flavors(monkeypatch):
     monkeypatch.setattr(homology, "boundary", lambda T, k: ones(
         chain_dim(T, k - 1), chain_dim(T, k)))
     monkeypatch.setattr(homology, "boundary_blocks", lambda T, k: iter(
-        [(0, ones(chain_dim(T, k - 1), chain_dim(T, k)).num)]))
+        [(0, set(), ones(chain_dim(T, k - 1), chain_dim(T, k)).num)]))
     with pytest.raises(InternalCheckError, match="^boundary squared"):
         hh(T, 1)
     monkeypatch.setattr(homology, "_induced_boundary", lambda T, k: ones(
         cyclic_quotient(T, k - 1).dim, cyclic_quotient(T, k).dim))
     with pytest.raises(InternalCheckError, match="^induced boundary squared"):
         hc(T, 1)
+
+
+def test_a_one_entry_column_off_the_kernel_is_a_nonzero_square(monkeypatch):
+    # A one-entry column x e_r is tested in closed form: d kills it
+    # exactly when column r of d is zero.  At an r where it is not, the
+    # square is nonzero, whatever the rest of the block holds.
+    T = catalog("dual_dual_x")
+    r = min(boundary(T, 2).num)
+    real = homology.boundary_blocks
+    monkeypatch.setattr(homology, "boundary_blocks", lambda T, k: (
+        (w, units | {r}, cols) for w, units, cols in real(T, k)))
+    with pytest.raises(InternalCheckError, match="^boundary squared"):
+        hh(T, 2)
+    monkeypatch.undo()
+    assert hh(catalog("dual_dual_x"), 2).dimension == TWO_VARIABLE_HH[2]
 
 
 def test_degree_cap_mentions_the_override():

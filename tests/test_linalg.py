@@ -1070,7 +1070,7 @@ def test_kernel_test_packed_for_a_room_takes_narrower_vectors_as_packed(
             test = KernelTest(M)
             test.pack(room)
             assert widths == [test.slot_bits(room)]
-            assert test.slot_bits(room) == (top * room).bit_length() + 2
+            assert test.slot_bits(room) == (top * room).bit_length()
             vectors = [ones, {0: 1}, {0: room}, {M.ncols - 1: -room},
                        dict.fromkeys(range(M.ncols), -1)]
             if M.ncols > 2:

@@ -16,9 +16,9 @@ import pytest
 
 from _shared import (bar_boundary, bar_rotation, cube_over_prod,
                      dense_rank_of_sparse, densify, dual_over_trunc3_x,
-                     from_entries, prod_over_prod_id, rebased, rebased_triple,
-                     rescaled_triple, sqzero_dual_x, trunc3_over_dual_x2,
-                     upper_triangular_algebra)
+                     from_entries, integer_rows, prod_over_prod_id, rebased,
+                     rebased_triple, rescaled_triple, sqzero_dual_x,
+                     trunc3_over_dual_x2, upper_triangular_algebra)
 from sechom import oracles
 from sechom.algebra import (field_algebra, matrix_algebra,
                             split_product_algebra, tensor_algebra,
@@ -190,17 +190,17 @@ def _classical_hc_dims_before(A, n_max):
     """Test-local copy of classical_hc_dims as it ranked [b_n | W_{n-1}]
     and [b_{n+1} | W_n] separately in each degree."""
     omegas = {k: _one_minus_rotation(A, k) for k in range(n_max + 1)}
-    w_rank = {k: dense_rank(M) for k, M in omegas.items()}
+    w_rank = {k: dense_rank(integer_rows(M)) for k, M in omegas.items()}
     dims = []
     for n in range(n_max + 1):
         N = A.dim ** (n + 1)
         if n == 0:
-            dims.append(N - dense_rank(bar_boundary(A, 1)))
+            dims.append(N - dense_rank(integer_rows(bar_boundary(A, 1))))
             continue
-        low = dense_rank(_hstack(bar_boundary(A, n), omegas[n - 1],
-                                 A.dim ** (n + 1)))
-        high = dense_rank(_hstack(bar_boundary(A, n + 1), omegas[n],
-                                  A.dim ** (n + 2)))
+        low = dense_rank(integer_rows(_hstack(
+            bar_boundary(A, n), omegas[n - 1], A.dim ** (n + 1))))
+        high = dense_rank(integer_rows(_hstack(
+            bar_boundary(A, n + 1), omegas[n], A.dim ** (n + 2))))
         dims.append(N + w_rank[n - 1] - low - high)
     return dims
 
@@ -225,7 +225,8 @@ def test_cyclic_dimensions_match_the_code_they_replaced():
 def _classical_hh_dims_before(A, n_max):
     """Test-local copy of classical_hh_dims as it ranked the bar
     boundaries, d^(n+1) tensors in degree n."""
-    ranks = [0] + [dense_rank(bar_boundary(A, k)) for k in range(1, n_max + 2)]
+    ranks = [0] + [dense_rank(integer_rows(bar_boundary(A, k)))
+                   for k in range(1, n_max + 2)]
     return [A.dim ** (n + 1) - ranks[n] - ranks[n + 1]
             for n in range(n_max + 1)]
 
@@ -526,7 +527,8 @@ def test_kahler_rows_with_p_after_q_add_nothing():
                          + [(t * d + p, -x) for t, x in mult[m][q]]):
                 row[c] = row.get(c, 0) + x
             rows.append(row)
-        assert classical_kahler_dim(A) == d * d - dense_rank(rows), A.name
+        assert classical_kahler_dim(A) == d * d - dense_rank(
+            integer_rows(rows)), A.name
 
 
 def test_two_classical_presentations_agree():
@@ -537,7 +539,8 @@ def test_two_classical_presentations_agree():
 # -- dense rank ------------------------------------------------------------
 
 def test_dense_rank_on_known_matrices():
-    assert dense_rank([{0: F(1, 2), 1: F(1, 3)}, {0: F(1, 4), 1: F(1, 6)}]) == 1
+    assert dense_rank(integer_rows([{0: F(1, 2), 1: F(1, 3)},
+                                    {0: F(1, 4), 1: F(1, 6)}])) == 1
     assert dense_rank([{0: 2, 1: 4}, {0: 6, 1: 8}]) == 2
     assert dense_rank([{}, {}]) == 0
     assert dense_rank([{0: 0, 1: 3}, {1: -6}]) == 1  # a stored zero
@@ -612,12 +615,7 @@ def test_dense_rank_matches_the_code_it_replaced():
             M[rng.randrange(nrows)] = {}  # a zero row
         if trial % 4 == 1:  # a rank-deficient tall matrix: repeated rows
             M += [{c: 2 * x for c, x in row.items()} for row in M]
-        if trial % 2:
-            # Int rows (taken as they are) among Fraction rows, and rows
-            # that mix int and Fraction entries.
-            M = [{c: x.numerator for c, x in row.items()} if t % 3 == 0 else
-                 {c: x if c % 2 else x.numerator for c, x in row.items()}
-                 if t % 3 == 1 else row for t, row in enumerate(M)]
+        M = integer_rows(M)  # each row scaled: the same rank
         before = [dict(row) for row in M]
         assert dense_rank(M) == _dense_rank_before(densify(M, ncols))
         assert M == before
@@ -631,7 +629,7 @@ def test_dense_rank_matches_the_code_it_replaced():
     mats += [_hstack(omegas[n - 1], bar_boundary(A, n), A.dim ** n)
              for n in range(1, 5)]
     for M in mats:
-        assert dense_rank(M) == _dense_rank_before(densify(M))
+        assert dense_rank(integer_rows(M)) == _dense_rank_before(densify(M))
 
 
 def _reduction_algebras() -> list:
@@ -652,8 +650,7 @@ def test_dense_rank_equals_the_reference_on_every_oracle_matrix(monkeypatch):
     # degree: each rank must equal the reference's on the densified rows,
     # the caller's rows must come back unchanged, and every oracle, the
     # Kahler one on a fractional table included, must hand it integer
-    # rows.  Rows that hold a Fraction are ranked against the reference in
-    # test_dense_rank_matches_the_code_it_replaced.
+    # rows, the only rows it takes.
     ranked = oracles.dense_rank
     row_kinds = set()
 

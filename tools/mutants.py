@@ -63,8 +63,15 @@ MUTANTS = [
            "x = col.get(j, 0) + c * sign[r] * src_sign[i]",
            "x = col.get(j, 0) + c * sign[r]", ("test_chains.py",)),
     Mutant("blocks-drop-a-weight", "chains.py",
-           "    for w in weights:\n", "    for w in weights[1:]:\n",
+           "        if units or parts:\n",
+           "        if (units or parts) and w > sub_keys[0] // (da * da):\n",
            ("test_chains.py", "test_homology.py")),
+    # A sub-block's one-entry columns are kept as rows, never dropped.
+    Mutant("sub-block-drops-its-units", "chains.py",
+           "                elif col:\n                    units.update(col)\n",
+           "",
+           ("test_chains.py::test_boundary_blocks_are_the_boundary_by_weight",),
+           ci=True),
     Mutant("sandwich-unsorted", "triples.py",
            "tuple(sorted(_int_product(", "tuple((_int_product(",
            ("test_chains.py",)),
@@ -107,8 +114,8 @@ MUTANTS = [
     # The Kronecker zero test's one packer: its slot width, its repack for
     # a wider vector, and the width product_is_zero packs for.
     Mutant("packed-slot-one-bit-short", "linalg.py",
-           "(self._top * room).bit_length() + 2",
-           "(self._top * room).bit_length() + 1", ("test_linalg.py",)),
+           "(self._top * room).bit_length()",
+           "(self._top * room).bit_length() - 1", ("test_linalg.py",)),
     # The packed tests close test_linalg.py, so CI runs just the one that
     # kills this mutant.
     Mutant("kernel-test-never-repacks", "linalg.py",
@@ -159,6 +166,12 @@ MUTANTS = [
            "its kernel is exactly the image of A\", ker == image,",
            "its kernel is exactly the image of A\", True,",
            ("test_homology.py",)),
+    # d squared on a one-entry column, in closed form.
+    Mutant("unit-square-unchecked", "homology.py",
+           "if any(map(d.num.get, units)) or not _kills(",
+           "if not _kills(", ("test_homology.py::"
+                              "test_a_one_entry_column_off_the_kernel_is_a_"
+                              "nonzero_square",), ci=True),
     Mutant("span-drops-the-unit-rows", "homology.py",
            "rows = [(k, {k: 1}) for k in members if pivots[k] not in live]",
            "rows = []", ("test_homology.py",)),
