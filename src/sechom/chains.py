@@ -47,21 +47,41 @@ key of the column they scatter into, and sub-block k scatters only the
 pairs whose keys sum to k.  A column is whole once its sub-block is, so
 a one-entry column x e_r is then kept only as its row r, a unit, and
 only the columns with two or more entries are held until the weight
-block is read.
+block is read.  A key that is a sum over the digits is read off two
+tables (`_split_keys`), over the first and the second half of the digits
+of radix above 1, each about the square root of the chain dimension
+long.
 
 The cyclic flavor reads the boundary only on coinvariant coordinates,
 and `projected_boundary` scatters the face plans straight onto them: a
 term lands at its row's class, times the row's sign and its column's, or
 is skipped on a dead class, so no boundary is built for it.  Descent to
 the coinvariants is certified where the induced boundary is built, by
-`linalg._descended`, class by class.
+`linalg._descends`, class by class.
+
+The rotation only permutes slots, so it keeps a tensor's content: the
+multiset of its a-digits and that of its b-digits.  So every orbit lies
+in one content block, the tensors of one content.  A tensor's content
+key sums P^v over its a-digits v and P^(dim A + v) over its b-digits v;
+P exceeds the number of slots of either kind, so the key tells contents
+apart.  `_content_keys` adds it to the weight key times a base above
+every content key, so that one key, a sum over the digits, gives both
+the block and its weight.  `projected_boundary_blocks` reads the induced
+boundary of the top degree one content block at a time, so that neither
+that degree's class map nor a column per index is ever held whole: it
+lists the block's tensors from the two key tables, walks their orbits
+(`_orbit_blocks`), scatters the face plans whose keys add up to the
+block's, checks descent on every index of the block, and keeps only its
+axis columns, yielded by weight as `boundary_blocks` yields its blocks.
 """
 
 from __future__ import annotations
 
 from itertools import groupby, zip_longest
+from math import prod
 
-from .linalg import ClassMapQuotient, InternalCheckError, SparseMat
+from .linalg import (ClassMapQuotient, InternalCheckError, SparseMat,
+                     _descends)
 from .triples import Triple, _tables, grading, per_triple
 
 
@@ -158,13 +178,43 @@ def _slot_keys(T: Triple, n: int) -> list:
 
 
 def _keys_of_digits(radices: list, keys: list) -> list:
-    """The weight key of every digit string of these radices, numbered
+    """The key of every digit string of these radices, numbered
     mixed-radix: the sum of its digits' keys."""
     out = [0]
     for r, digit in zip(radices, keys):
         if r > 1:  # a radix-1 digit is the unit, of weight 0
             out = [x + y for x in out for y in digit]
     return out
+
+
+def _split_keys(radices: list, keys: list) -> tuple:
+    """(M, high, low): the key of digit string x (`_keys_of_digits`) is
+    high[x // M] + low[x % M], high and low being the keys of the digits
+    before and from position h, which splits the digits of radix above 1
+    in half, so that neither table is much longer than the square root
+    of the number of strings."""
+    big = [p for p, r in enumerate(radices) if r > 1]
+    h = big[len(big) // 2] if big else len(radices)
+    return (prod(radices[h:]), _keys_of_digits(radices[:h], keys[:h]),
+            _keys_of_digits(radices[h:], keys[h:]))
+
+
+def _plans_by_key(T: Triple, n: int, keys: list) -> dict:
+    """The face plans of boundary(T, n) by the key under the slot keys
+    `keys` (a sum over the digits) of the input indices they scatter: key
+    k maps to the (copies, items) pairs, face by face, that scatter into
+    the tensors of key k."""
+    M, high, low = _split_keys(chain_space(T, n).radices, keys)
+    work: dict = {}
+    for copies_by_key, items in _face_plans(T, n, _alternating(n), keys):
+        items_by_key: dict = {}
+        for t in items:
+            x = t[0]
+            items_by_key.setdefault(high[x // M] + low[x % M], []).append(t)
+        for kc, copies in copies_by_key.items():
+            for ki, group in items_by_key.items():
+                work.setdefault(kc + ki, []).append((copies, group))
+    return work
 
 
 # -- face maps -------------------------------------------------------------
@@ -208,15 +258,23 @@ def _face_recipe(n: int, i: int) -> list:
     return recipe
 
 
-def _face_plans(T: Triple, n: int, faces: list):
+def _face_plans(T: Triple, n: int, faces: list, keys=None):
     """The copies and items (see the module docstring) of sign * face i
-    in degree n, for each (i, sign) in faces in turn."""
+    in degree n, for each (i, sign) in faces in turn, the copies as a
+    dict of lists by key.
+
+    A copy's key is 0, or given slot keys `keys`, the sum over the digits
+    it carries of each one's key less that of the digit 0, read off
+    digit by digit as the copies are.  It adds up with the key of an
+    item's input offset, its other digits read as 0, to the key of the
+    tensor the two make.
+    """
     tb = _tables(T)
     src = chain_space(T, n)
     dst_weights = chain_space(T, n - 1).weights
     W = src.weights
     for i, sign in faces:
-        copies, items = [(0, 0)], [(0, 0, sign)]
+        copies, items, copy_keys = [(0, 0)], [(0, 0, sign)], [0]
         for op, w in zip(_face_recipe(n, i), dst_weights):
             if op[0] == "aba":
                 _, p, q, s = op
@@ -230,14 +288,26 @@ def _face_plans(T: Triple, n: int, faces: list):
                          for a, row in enumerate(tb.bprod)
                          for b, opts in enumerate(row) for d, x in opts]
             else:
-                if src.radices[op[1]] > 1:  # a radix-1 digit is always 0
-                    copies = [(ci + d * W[op[1]], co + d * w)
-                              for ci, co in copies
-                              for d in range(src.radices[op[1]])]
+                p = op[1]
+                if src.radices[p] > 1:  # a radix-1 digit is always 0
+                    copies = [(ci + d * W[p], co + d * w) for ci, co in copies
+                              for d in range(src.radices[p])]
+                    if keys is not None:
+                        moved = [k - keys[p][0] for k in keys[p]]
+                        copy_keys = [k + y for k in copy_keys for y in moved]
                 continue
             items = [(pi + qi, po + qo, c * x)
                      for pi, po, c in items for qi, qo, x in group]
-        yield copies, items
+        if keys is None:
+            yield {0: copies}, items
+            continue
+        by_key: dict = {}
+        for t, k in zip(copies, copy_keys):
+            if k in by_key:
+                by_key[k].append(t)
+            else:
+                by_key[k] = [t]
+        yield by_key, items
 
 
 def _scatter(slots, rows: list, copies: list, items: list) -> None:
@@ -280,36 +350,41 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
     slots = [None] * src.dim
     rows = list(range(dst.dim))  # one int object per row, for all columns
     for copies, items in _face_plans(T, n, faces):
-        _scatter(slots, rows, copies, items)
+        _scatter(slots, rows, copies[0], items)
     return SparseMat.from_ints(
         dst.dim, src.dim, {c: col for c, col in enumerate(slots) if col},
         _face_den(T, n))
 
 
 def _projected_scatter(slots, coord: list, sign: list, src_sign: list,
-                       copies: list, items: list) -> None:
-    """`_scatter` onto quotient coordinates: a term (input i, row r,
-    coefficient c) adds c sign[r] src_sign[i] at coordinate coord[r] of
-    column i, and is skipped when r is on a dead class (coord[r] None).
-    A cancelled entry is deleted at once, and a column left empty is
-    set back to None."""
-    for ci, co in copies:
+                       plans) -> None:
+    """`_scatter` onto quotient coordinates, for each (copies, items) pair
+    of plans: a term (input i, row r, coefficient c) adds c sign[r]
+    src_sign[i] at coordinate coord[r] of column i, and is skipped when r
+    is on a dead class (coord[r] None).  A cancelled entry is deleted at
+    once, and a column left empty is set back to None."""
+    for copies, items in plans:
         for pi, po, c in items:
-            r = co + po
-            j = coord[r]
-            if j is None:
-                continue
-            i = ci + pi
-            col = slots[i]
-            if col is None:
-                col = slots[i] = {}
-            x = col.get(j, 0) + c * sign[r] * src_sign[i]
-            if x:
-                col[j] = x
-            else:
-                del col[j]
-                if not col:
-                    slots[i] = None
+            for ci, co in copies:
+                r = co + po
+                j = coord[r]
+                if j is None:
+                    continue
+                i = ci + pi
+                col = slots[i]
+                x = c * sign[r] * src_sign[i]
+                if col is None:
+                    slots[i] = {j: x}
+                elif j not in col:
+                    col[j] = x
+                else:
+                    x += col[j]
+                    if x:
+                        col[j] = x
+                    else:
+                        del col[j]
+                        if not col:
+                            slots[i] = None
 
 
 def _alternating(n: int) -> list:
@@ -352,54 +427,30 @@ def boundary_blocks(T: Triple, n: int):
     scatters only the pairs whose keys sum to k, and each term is
     scattered once over all sub-blocks, as in `boundary`.  The sub-block
     key of a tensor of weight key w whose a-slots 0 and 1 hold d_0 and
-    d_1 is w dim(A)^2 + d_0 + dim(A) d_1: a sum over the digits, read off
-    the offsets of the copies and items, so no per-tensor key list is
-    built.  A column is whole once its sub-block is scattered: its units
-    are then kept as rows, its cancelled columns dropped, and the rest
-    kept until the weight block is yielded, the sub-blocks' columns taken
-    in turn.  Nothing is memoized: a block is garbage once its reader
-    drops it.
+    d_1 is w dim(A)^2 + d_0 + dim(A) d_1: a sum over the digits, read
+    digit by digit for the copies and off the offsets of the items
+    (`_plans_by_key`), so no per-tensor key list is built.  A column is
+    whole once its sub-block is scattered: its units are then kept as
+    rows, its cancelled columns dropped, and the rest kept until the
+    weight block is yielded, the sub-blocks' columns taken in turn.
+    Nothing is memoized: a block is garbage once its reader drops it.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return
-    src = chain_space(T, n)
-    # The key of input index x is high[x // M] + low[x % M], from two
-    # tables over the high and the low half of the digits.  A copy and an
-    # item have disjoint digits, so their keys, each read with the other
-    # digits at 0, sum to that of the tensor they make plus that of 0.
     da = T.A.dim
     keys = [[k * da * da for k in slot] for slot in _slot_keys(T, n)]
     keys[0] = [k + d for d, k in enumerate(keys[0])]
     keys[1] = [k + da * d for d, k in enumerate(keys[1])]
-    h = len(src.radices) // 2
-    M = src.weights[h - 1]
-    high = _keys_of_digits(src.radices[:h], keys[:h])
-    low = _keys_of_digits(src.radices[h:], keys[h:])
-
-    def by_key(terms: list, base: int) -> dict:
-        out: dict = {}
-        for t in terms:
-            x = t[0]
-            out.setdefault(high[x // M] + low[x % M] - base, []).append(t)
-        return out
-
-    plans = [(by_key(copies, 0), by_key(items, high[0] + low[0]))
-             for copies, items in _face_plans(T, n, _alternating(n))]
+    work = _plans_by_key(T, n, keys)
     rows = list(range(chain_space(T, n - 1).dim))
-    sub_keys = sorted({kc + ki for cg, ig in plans for kc in cg for ki in ig})
-    for w, block_keys in groupby(sub_keys, lambda k: k // (da * da)):
+    for w, block_keys in groupby(sorted(work), lambda k: k // (da * da)):
         units, parts = set(), []
         for k in block_keys:
             slots = _BlockSlots()
-            for copies_by_key, items_by_key in plans:
-                for kc, copies in copies_by_key.items():
-                    items = items_by_key.get(k - kc)
-                    if items:
-                        _scatter(slots, rows, copies, items)
-            if k == sub_keys[-1]:
-                plans = copies = items = None  # free them for the last block
+            for copies, items in work.pop(k):  # freed once scattered
+                _scatter(slots, rows, copies, items)
             part = {}
             for c, col in slots.items():
                 if len(col) > 1:
@@ -421,9 +472,10 @@ def boundary_blocks(T: Triple, n: int):
 
 # -- cyclic structure ------------------------------------------------------
 
-def _rotation(T: Triple, n: int) -> list:
-    """The rotation in degree n as a list img: basis tensor c goes to
-    (-1)^n times basis tensor img[c]."""
+def _rotation_keys(T: Triple, n: int) -> list:
+    """For each slot of a degree-n basis tensor, the offset in the rotated
+    tensor's index of each digit the slot holds: the rotation sends index
+    x to the sum of its digits' offsets (`_keys_of_digits`)."""
     cs = chain_space(T, n)
     bpos = {pr: t for t, pr in enumerate(cs.pairs)}
     na = n + 1
@@ -431,11 +483,13 @@ def _rotation(T: Triple, n: int) -> list:
     out_w = [cs.weights[(t + 1) % na] for t in range(na)]
     out_w += [cs.weights[na + bpos[(r + 1, s + 1) if s < n else (0, r + 1)]]
               for r, s in cs.pairs]
-    img = [0]
-    for r, w in zip(cs.radices, out_w):
-        if r > 1:  # a radix-1 digit is always 0
-            img = [x + d * w for x in img for d in range(r)]
-    return img
+    return [[d * w for d in range(r)] for r, w in zip(cs.radices, out_w)]
+
+
+def _rotation(T: Triple, n: int) -> list:
+    """The rotation in degree n as a list img: basis tensor c goes to
+    (-1)^n times basis tensor img[c]."""
+    return _keys_of_digits(chain_space(T, n).radices, _rotation_keys(T, n))
 
 
 def _orbit_classes(img: list, rot_sign: int) -> tuple:
@@ -479,6 +533,83 @@ def cyclic_quotient(T: Triple, n: int) -> ClassMapQuotient:
     return ClassMapQuotient(axis, sign)
 
 
+def _content_keys(T: Triple, n: int) -> tuple:
+    """(keys, Q): for each slot of a degree-n basis tensor, the key of
+    each digit, its weight key (`_slot_keys`) times Q plus its content
+    key: P^v for a-digit v and P^(dim A + v) for b-digit v, P being above
+    the number of slots of either kind.  So a tensor's key, the sum over
+    its digits, gives its weight key w (key // Q) and the multisets of
+    its a-digits and b-digits, which the rotation keeps."""
+    da = T.A.dim
+    P = max(n + 1, n * (n + 1) // 2) + 1
+    Q = P ** (da + T.B.dim)
+    slots = _slot_keys(T, n)
+    a = [w * Q + P ** v for v, w in enumerate(slots[0])]
+    b = [w * Q + P ** (da + v) for v, w in enumerate(slots[-1])]
+    return [a] * (n + 1) + [b] * (len(slots) - n - 1), Q
+
+
+def _orbit_blocks(T: Triple, n: int, keys: list, signs: list):
+    """The class map of the degree-n coinvariants, one content block at a
+    time.
+
+    A content block holds the basis tensors of one key k under the slot
+    keys `keys` (`_content_keys`).  Yields (k, idx, axis) for each k in
+    increasing order: idx lists the block's tensors orbit by orbit, and
+    tensor idx[p] goes to signs[idx[p]] times the class of tensor
+    idx[axis[p]], or to 0 when axis[p] is None, as in `cyclic_quotient`.
+    Each sign is written to `signs`, and is +-1 on a dead orbit too.
+
+    The tensors of key k are the pairs of a high and a low half of the
+    digits (`_split_keys`) whose keys sum to k, and the rotation of a
+    tensor is read off two half tables as well.  Each orbit is walked
+    from its largest tensor, its axis, as in `_orbit_classes`.  So P (1 -
+    t) e_i = 0 for each tensor i of the orbit once the rotation takes its
+    last tensor back to the axis, which is checked, and the block's
+    orbits must hold all of its tensors and no others: a failure of
+    either is a hard error.
+    """
+    cs = chain_space(T, n)
+    M, high, low = _split_keys(cs.radices, keys)
+    _, img_high, img_low = _split_keys(cs.radices, _rotation_keys(T, n))
+    halves = []  # per half: key -> its index offsets
+    for table, scale in ((high, M), (low, 1)):
+        group: dict = {}
+        for x, key in enumerate(table):
+            group.setdefault(key, []).append(x * scale)
+        halves.append(group)
+    pairs: dict = {}  # key -> the pairs of halves of its tensors
+    for kh, hs in halves[0].items():
+        for kl, xs in halves[1].items():
+            pairs.setdefault(kh + kl, []).append((hs, xs))
+    rot_sign = 1 if n % 2 == 0 else -1
+    seen = bytearray(cs.dim)
+    for k in sorted(pairs):
+        tensors = [h + x for hs, xs in pairs.pop(k) for h in hs for x in xs]
+        tensors.sort(reverse=True)
+        idx, axis = [], []
+        for m in tensors:
+            if seen[m]:
+                continue
+            p, s, i = len(idx), 1, m
+            while not seen[i]:
+                seen[i] = 1
+                idx.append(i)
+                axis.append(p)
+                signs[i] = s
+                s *= rot_sign
+                i = img_high[i // M] + img_low[i % M]
+            if i != m:
+                raise InternalCheckError(
+                    "the coinvariant class map does not kill 1 - t")
+            if s < 0:  # the orbit is dead
+                axis[p:] = [None] * (len(idx) - p)
+        if len(idx) != len(tensors):
+            raise InternalCheckError("the rotation moves a basis tensor "
+                                     "out of its content block")
+        yield k, idx, axis
+
+
 def projected_boundary(T: Triple, n: int, src: ClassMapQuotient,
                        dst: ClassMapQuotient) -> list:
     """P boundary(T, n) on every input index, P being dst's projection,
@@ -492,7 +623,50 @@ def projected_boundary(T: Triple, n: int, src: ClassMapQuotient,
     """
     src_sign = [s or 1 for s in src.sign]
     slots = [None] * chain_space(T, n).dim
-    for copies, items in _face_plans(T, n, _alternating(n)):
-        _projected_scatter(slots, dst._coord, dst.sign, src_sign, copies,
-                           items)
+    _projected_scatter(slots, dst._coord, dst.sign, src_sign, (
+        (copies[0], items)
+        for copies, items in _face_plans(T, n, _alternating(n))))
     return slots
+
+
+def projected_boundary_blocks(T: Triple, n: int, dst: ClassMapQuotient):
+    """The induced boundary of degree n on the coinvariants, P
+    boundary(T, n) on the axes of the degree-n class map, P being dst's
+    projection, one weight block at a time, in integers over
+    `_face_den(T, n)`; neither the degree-n class map nor its columns are
+    ever held whole.
+
+    Yields (w, units, cols) as `boundary_blocks` does, for every weight
+    key w that a nonzero column has, in increasing order, a column being
+    read off the axis m of its orbit: a column x e_r puts its coordinate
+    r in units, and cols maps m to each column with two or more entries.
+    The face plans (`_plans_by_key`) of each block of `_orbit_blocks` are
+    scattered onto dst's coordinates, its columns signed as
+    `projected_boundary`'s, and the descent check of `linalg._descends`
+    runs on every index of the block before its axis columns are kept.
+    """
+    if n < 1:
+        raise ValueError("degree must be positive")
+    keys, Q = _content_keys(T, n)
+    work = _plans_by_key(T, n, keys)
+    coord, sign = dst._coord, dst.sign
+    dim = chain_space(T, n).dim
+    # By input index: the columns of the block being read, and the signs.
+    slots, signs = [None] * dim, [1] * dim
+    for w, blocks in groupby(_orbit_blocks(T, n, keys, signs),
+                             lambda b: b[0] // Q):
+        units, cols = set(), {}
+        for k, idx, axis in blocks:
+            _projected_scatter(slots, coord, sign, signs, work.pop(k, ()))
+            F = [slots[i] for i in idx]
+            for i in idx:
+                slots[i] = None
+            _descends(F, axis)
+            for m in [m for m, a in enumerate(axis) if a == m and F[m]]:
+                if len(F[m]) > 1:
+                    cols[idx[m]] = F[m]
+                else:
+                    units.update(F[m])
+        if units or cols:
+            yield w, units, cols
+            del cols

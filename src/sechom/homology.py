@@ -4,9 +4,9 @@ The plain flavor is kernel-mod-image of the boundary; the cyclic flavor
 runs the same computation on the quotient complex by the cyclic operator's
 coinvariant relations.  Its boundary is scattered straight onto
 coinvariant coordinates, never built whole (`_induced_boundary`), and
-that it descends to the quotient is certified once per degree, when it
-is built; a failure is a hard error.  Degrees above the cap (default 3)
-must be requested explicitly since space grows as
+that it descends to the quotient is certified on every index as it is
+built or streamed; a failure is a hard error.  Degrees above the cap
+(default 3) must be requested explicitly since space grows as
 dim(A)^(n+1) * dim(B)^(n(n+1)/2).
 
 `hh` and `hc` read the dimension on `triples.regrade(T)` when it finds a
@@ -19,10 +19,16 @@ rows r of its one-entry columns x e_r, its units, and its other columns;
 there, and otherwise streams them from `chains.boundary_blocks`, which
 scatters each block in sub-blocks and keeps only those two, so it never
 holds the next boundary whole, nor a one-entry column once its sub-block
-is scattered.  d squared is tested on a unit in closed form: it kills
-x e_r exactly when column r of d is zero.  A caller that sweeps hh over
-degrees should go from the top down, so that only the top boundary is
-streamed.
+is scattered.  `hc` reads the next induced boundary the same way: from
+the memo when it, or the boundary it is projected from, is there, and
+otherwise streamed by `chains.projected_boundary_blocks`, one content
+block of the rotation at a time, so that it holds neither the next
+degree's class map nor a column per index of it.  d squared is tested on
+a unit in closed form: it kills x e_r exactly when column r of d is
+zero.  A caller that sweeps hh or hc over degrees should go from the top
+down, so that only the top boundary is streamed; swept upwards, hc
+streams each degree before it builds it whole, and builds its face plans
+twice.
 
 Representatives are always reported in the chain coordinates of the
 requested degree, in T's own basis, and formed only when read; their
@@ -38,7 +44,8 @@ from functools import cached_property
 from math import log10
 
 from .chains import (_face_den, boundary, boundary_blocks, chain_dim,
-                     chain_weights, cyclic_quotient, projected_boundary)
+                     chain_weights, cyclic_quotient, projected_boundary,
+                     projected_boundary_blocks)
 from .linalg import (InternalCheckError, KernelTest, QuotientStructure,
                      SparseMat, Subspace, _descended, _kills,
                      induced_on_quotients, nullspace, projection_matrix,
@@ -368,14 +375,22 @@ def _induced_boundary(T: Triple, k: int) -> SparseMat:
 
 
 def _hc_pieces(T: Triple, n: int):
-    """Cycle subspace and homology quotient on coinvariant coordinates."""
+    """Cycle subspace and homology quotient on coinvariant coordinates.
+
+    The next induced boundary is read from T's memo when it, or the
+    boundary it is projected from, is there, and is otherwise streamed
+    by `projected_boundary_blocks`, never held whole.
+    """
     q_n = cyclic_quotient(T, n)
     tensor_weights = chain_weights(T, n)
     weights = [tensor_weights[c] for c in q_n.nonpivots]
-    cycles, Q = _homology_pieces(
-        _induced_boundary(T, n),
-        _by_weight(_induced_boundary(T, n + 1).num, weights), weights,
-        "induced boundary", n)
+    d = _induced_boundary(T, n)
+    if (recall(T, boundary, n + 1) is None
+            and recall(T, _induced_boundary, n + 1) is None):
+        blocks = projected_boundary_blocks(T, n + 1, q_n)
+    else:
+        blocks = _by_weight(_induced_boundary(T, n + 1).num, weights)
+    cycles, Q = _homology_pieces(d, blocks, weights, "induced boundary", n)
     return q_n, cycles, Q
 
 

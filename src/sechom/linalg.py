@@ -811,9 +811,16 @@ def _descended(F: list, src: ClassMapQuotient, nrows: int,
     violation is a hard error.  Column j of the induced map is F e_m for
     the j-th axis m of src, whose sign is 1.
     """
-    if [None if a is None else F[a] for a in src.axis] != F:
+    _descends(F, src.axis)
+    return SparseMat.from_ints(nrows, src.dim, {
+        j: F[m] for j, m in enumerate(src.nonpivots) if F[m]}, den)
+
+
+def _descends(F: list, axis: list) -> None:
+    """Raise unless F, given as in `_descended` on every index c of a class
+    map whose axes are `axis`, kills its relations: F[c] is None where
+    axis[c] is, and equals F[axis[c]] elsewhere."""
+    if [None if a is None else F[a] for a in axis] != F:
         raise InternalCheckError(
             "map does not descend to the quotient: image of a relation "
             "is not a relation")
-    return SparseMat.from_ints(nrows, src.dim, {
-        j: F[m] for j, m in enumerate(src.nonpivots) if F[m]}, den)

@@ -594,14 +594,138 @@ def test_projected_boundary_equals_the_induced_product():
 
 
 def test_hc_sweep_builds_no_boundary():
-    # hc reads these graded triples themselves, so the induced boundaries
-    # are in their memo, and no boundary is.
+    # hc reads these graded triples themselves.  Swept from the top down,
+    # it streams the induced boundary of degree top + 1 by content block,
+    # so neither it nor the class map of that degree is in the memo, and
+    # no boundary is.
     for name, top in (("trunc3_k", 6), ("dual_dual_x", 3)):
         T = catalog(name)
         for n in range(top, -1, -1):
             hc(T, n, max_degree=top)
-        assert recall(T, homology._induced_boundary, top + 1) is not None
+        assert recall(T, homology._induced_boundary, top) is not None
+        assert recall(T, homology._induced_boundary, top + 1) is None
+        assert recall(T, cyclic_quotient, top + 1) is None
         assert all(recall(T, boundary, k) is None for k in range(top + 2))
+
+
+def _streamed(T, k):
+    """`chains.projected_boundary_blocks` of degree k as {w: (units,
+    cols)}, with the class map of degree k - 1 read from T's memo."""
+    got = {}
+    for w, units, cols in chains.projected_boundary_blocks(
+            T, k, cyclic_quotient(T, k - 1)):
+        assert w not in got and (units or cols), (T.name, k, w)
+        got[w] = units, cols
+    return got
+
+
+def _assert_streamed_blocks_are_the_induced_boundary(T, top):
+    # The blocks, one per weight and none empty, are those `_by_weight`
+    # makes of the whole induced boundary, projected from the whole
+    # boundary, a column keyed by its orbit's axis and not by its
+    # quotient coordinate.
+    for k in range(1, top + 1):
+        got = _streamed(T, k)
+        axes = cyclic_quotient(T, k).nonpivots
+        q_dst = cyclic_quotient(T, k - 1)
+        weights = [chains.chain_weights(T, k - 1)[c] for c in q_dst.nonpivots]
+        whole = induced_on_quotients(boundary(T, k), cyclic_quotient(T, k),
+                                     q_dst)
+        g = chains._face_den(T, k) // whole.den
+        want = {w: (units, {axes[j]: {r: x * g for r, x in whole.num[j].items()}
+                            for j in cols})
+                for w, units, cols in homology._by_weight(whole.num, weights)}
+        assert got == want, (T.name, k)
+
+
+def test_streamed_induced_boundary_is_the_whole_one_by_weight():
+    for name in ALL_NAMES:
+        _assert_streamed_blocks_are_the_induced_boundary(catalog(name), 3)
+    _assert_streamed_blocks_are_the_induced_boundary(catalog("trunc3_k"), 7)
+    _assert_streamed_blocks_are_the_induced_boundary(catalog("mat2_k"), 5)
+    for make in (trunc3_over_dual_x2, prod_over_prod_id, cube_over_prod,
+                 dual_over_trunc3_x, sqzero_dual_x):
+        _assert_streamed_blocks_are_the_induced_boundary(make(), 3)
+    for name in ("dual_dual_x", "trunc3_k"):  # ungraded: one weight
+        _assert_streamed_blocks_are_the_induced_boundary(
+            rebased_triple(name), 3)
+
+
+def test_orbit_blocks_merge_to_the_class_map():
+    # The content blocks' orbits, axes and signs, merged over the blocks,
+    # are the class map of `cyclic_quotient`: the same axis, largest of
+    # its orbit, and the same sign on every live index, and None and 0
+    # on every dead one.
+    cases = [(catalog(name), 4) for name in ALL_NAMES]
+    cases += [(catalog("trunc3_k"), 7), (catalog("mat2_k"), 5),
+              (sqzero_dual_x(), 3), (rebased_triple("dual_dual_x"), 3)]
+    for T, top in cases:
+        for n in range(top + 1):
+            Q = cyclic_quotient(T, n)
+            keys, _ = chains._content_keys(T, n)
+            signs = [0] * chain_dim(T, n)
+            axis, sign = [False] * len(signs), [False] * len(signs)
+            for _, idx, block_axis in chains._orbit_blocks(T, n, keys,
+                                                            signs):
+                for i, a in zip(idx, block_axis):
+                    axis[i] = None if a is None else idx[a]
+                    sign[i] = 0 if a is None else signs[i]
+            assert (axis, sign) == (Q.axis, Q.sign), (T.name, n)
+
+
+def test_a_block_that_the_rotation_does_not_keep_is_refused(monkeypatch):
+    # One slot's content keys moved one digit over: the rotation then
+    # carries tensors out of their block, and the block's walk refuses it.
+    real = chains._content_keys
+
+    def moved(T, n):
+        keys, Q = real(T, n)
+        return [keys[0][1:] + keys[0][:1]] + keys[1:], Q
+
+    for name, n in (("trunc3_k", 3), ("dual_dual_x", 2)):
+        T = catalog(name)
+        q = cyclic_quotient(T, n - 1)
+        monkeypatch.setattr(chains, "_content_keys", moved)
+        with pytest.raises(InternalCheckError):
+            list(chains.projected_boundary_blocks(T, n, q))
+        monkeypatch.undo()
+
+
+def test_a_block_whose_class_map_keeps_one_minus_rotation_is_refused(
+        monkeypatch):
+    # A rotation that is not a permutation (one a-slot's digits all read
+    # as 0) leaves an orbit open: P (1 - t) is then nonzero on it, and the
+    # block's walk refuses it.
+    real = chains._rotation_keys
+
+    def collapsed(T, n):
+        keys = real(T, n)
+        return [[0] * len(keys[0])] + keys[1:]
+
+    for name, n in (("trunc3_k", 3), ("mat2_k", 2)):
+        T = catalog(name)
+        q = cyclic_quotient(T, n - 1)
+        monkeypatch.setattr(chains, "_rotation_keys", collapsed)
+        with pytest.raises(InternalCheckError, match="1 - t"):
+            list(chains.projected_boundary_blocks(T, n, q))
+        monkeypatch.undo()
+
+
+def test_half_digit_tables_stay_near_the_square_root():
+    # Both tables of `_split_keys` stay within about twice the square root
+    # of the chain dimension, also where every b-digit has radix 1, and
+    # together they give each index its key.
+    for name, top in (("trunc3_k", 7), ("mat2_k", 5), ("dual_dual_x", 5)):
+        T = catalog(name)
+        for n in range(1, top + 1):
+            cs = chain_space(T, n)
+            M, high, low = chains._split_keys(cs.radices,
+                                              chains._slot_keys(T, n))
+            assert len(high) * len(low) == cs.dim, (name, n)
+            assert max(len(high), len(low)) ** 2 <= 4 * cs.dim, (name, n)
+            if cs.dim <= 6561:
+                assert [high[x // M] + low[x % M] for x in range(cs.dim)] == (
+                    chains.chain_weights(T, n)), (name, n)
 
 
 def test_class_map_must_kill_one_minus_rotation(monkeypatch):
@@ -631,7 +755,8 @@ def test_class_map_must_kill_one_minus_rotation(monkeypatch):
 def test_descent_check_fires_on_smaller_relations(monkeypatch):
     # Drop one orbit relation from the degree-1 coinvariants: the boundary
     # of degree 2 must then fail to descend, and loudly, whether it is
-    # scattered onto the quotient or projected from the memo.
+    # scattered onto the quotient, projected from the memo or streamed by
+    # content block.
     real = homology.cyclic_quotient
     for whole in (False, True):
         T = catalog("mat2_k")  # fresh, so no cached quotient is reused
@@ -643,6 +768,8 @@ def test_descent_check_fires_on_smaller_relations(monkeypatch):
                             else real(T2, k))
         with pytest.raises(InternalCheckError, match="does not descend"):
             homology._induced_boundary(T, 2)
+    with pytest.raises(InternalCheckError, match="does not descend"):
+        list(chains.projected_boundary_blocks(catalog("mat2_k"), 2, smaller))
 
 
 def _mutations(T, n):

@@ -5,6 +5,7 @@ classical reference path; the genuinely two-variable triples are frozen
 from hand-audited runs and re-ranked densely as a second route.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -160,21 +161,28 @@ def test_cyclic_representatives_live_in_the_chain_space():
 
 
 def test_hc_sweep_builds_each_induced_boundary_once(monkeypatch):
-    # hc(T, n) needs the induced boundaries of degrees n and n + 1, so a
-    # sweep over 0..6 asks for degrees 1..7 twice each but builds each once.
-    # Both routes to an induced boundary end in one descent check.
-    built = []
-    real = homology._descended
+    # hc(T, n) needs the induced boundaries of degrees n and n + 1.  Swept
+    # from the top down, as `compute` sweeps, it streams degree 7 and
+    # builds degrees 1..6 whole, each from its face plans once.  Swept
+    # upwards, it streams each degree n + 1 before it builds it whole for
+    # hc(T, n + 1), so each degree's face plans are built at most twice.
+    built = Counter()
+    real = chains._face_plans
 
-    def counted(*args):
-        built.append(args)
-        return real(*args)
+    def counted(T, n, *args):
+        built[n] += 1
+        return real(T, n, *args)
 
-    monkeypatch.setattr(homology, "_descended", counted)
+    monkeypatch.setattr(chains, "_face_plans", counted)
+    T = catalog("trunc3_k")
+    for n in range(6, -1, -1):
+        hc(T, n, max_degree=6)
+    assert built == Counter(range(1, 8))
+    built.clear()
     T = catalog("trunc3_k")
     for n in range(7):
         hc(T, n, max_degree=6)
-    assert len(built) == 7
+    assert set(built) == set(range(1, 8)) and max(built.values()) == 2
 
 
 # -- weight blocks ---------------------------------------------------------
