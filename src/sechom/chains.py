@@ -16,10 +16,16 @@ accordingly, with sign (-1)^n; its (n+1)-st power is the identity.
 A face copies some input digits to output slots and sends disjoint groups
 of the others through a table of the triple's (`triples._tables`): an
 `aba` group through the sandwich e_i eps(f_k) e_j, a `bb` group through a
-product in B.  So a face is the Cartesian product of its copied digits,
-as pairs (input offset, output offset), with the nonzero table entries of
-its groups, as items (input offset, output offset, signed coefficient).
-Assembly scatters every item once per copy (copies x items terms),
+product in B.  So a face is the Cartesian product of its copied digits
+with the nonzero table entries of its groups.  It is held as copies,
+pairs (input offset, output offset), and items, triples (input offset,
+output offset, signed coefficient).  The items start as the groups'
+entries; a copied digit of radix r is then folded into them, in slot
+order, while the items times r^2 stay within the copies left, and the
+other copied digits make the copies.  There are copies x items terms
+however the digits are split, and two balanced factors hold about twice
+their square root: on trunc3_k in degree 7 a face holds 54 items and 81
+copies, not 6 and 729.  Assembly scatters every item once per copy,
 deleting an entry as soon as it cancels, so no column is copied or
 repacked afterwards.  The rotation copies every digit.
 
@@ -203,7 +209,12 @@ def _plans_by_key(T: Triple, n: int, keys: list) -> dict:
     """The face plans of boundary(T, n) by the key under the slot keys
     `keys` (a sum over the digits) of the input indices they scatter: key
     k maps to the (copies, items) pairs, face by face, that scatter into
-    the tensors of key k."""
+    the tensors of key k.
+
+    An item's key is read off its input offset, which carries the digits
+    folded into it, and a copy's by `_face_plans`.  Every face's plan is
+    held for as long as the map is: 8 x (54 items + 81 copies) on
+    trunc3_k in degree 7, 6 x (32 + 64) on mat2_k in degree 5."""
     M, high, low = _split_keys(chain_space(T, n).radices, keys)
     work: dict = {}
     for copies_by_key, items in _face_plans(T, n, _alternating(n), keys):
@@ -263,6 +274,12 @@ def _face_plans(T: Triple, n: int, faces: list, keys=None):
     in degree n, for each (i, sign) in faces in turn, the copies as a
     dict of lists by key.
 
+    The items are the groups' entries with copied digits of radix r
+    folded in, in slot order, for as long as len(items) r^2 is at most
+    the number of copies left; the copies expand the rest.  So the items
+    never outnumber the copies unless the groups' entries alone do, as
+    on dual_dual_x (36 items and 8 copies in degree 3).
+
     A copy's key is 0, or given slot keys `keys`, the sum over the digits
     it carries of each one's key less that of the digit 0, read off
     digit by digit as the copies are.  It adds up with the key of an
@@ -274,7 +291,7 @@ def _face_plans(T: Triple, n: int, faces: list, keys=None):
     dst_weights = chain_space(T, n - 1).weights
     W = src.weights
     for i, sign in faces:
-        copies, items, copy_keys = [(0, 0)], [(0, 0, sign)], [0]
+        items, copied, left = [(0, 0, sign)], [], 1
         for op, w in zip(_face_recipe(n, i), dst_weights):
             if op[0] == "aba":
                 _, p, q, s = op
@@ -288,16 +305,25 @@ def _face_plans(T: Triple, n: int, faces: list, keys=None):
                          for a, row in enumerate(tb.bprod)
                          for b, opts in enumerate(row) for d, x in opts]
             else:
-                p = op[1]
-                if src.radices[p] > 1:  # a radix-1 digit is always 0
-                    copies = [(ci + d * W[p], co + d * w) for ci, co in copies
-                              for d in range(src.radices[p])]
-                    if keys is not None:
-                        moved = [k - keys[p][0] for k in keys[p]]
-                        copy_keys = [k + y for k in copy_keys for y in moved]
+                r = src.radices[op[1]]
+                if r > 1:  # a radix-1 digit is always 0
+                    copied.append((op[1], r, w))
+                    left *= r
                 continue
             items = [(pi + qi, po + qo, c * x)
                      for pi, po, c in items for qi, qo, x in group]
+        while copied and len(items) * copied[0][1] ** 2 <= left:
+            p, r, w = copied.pop(0)
+            items = [(pi + d * W[p], po + d * w, c)
+                     for pi, po, c in items for d in range(r)]
+            left //= r
+        copies, copy_keys = [(0, 0)], [0]
+        for p, r, w in copied:
+            copies = [(ci + d * W[p], co + d * w) for ci, co in copies
+                      for d in range(r)]
+            if keys is not None:
+                moved = [k - keys[p][0] for k in keys[p]]
+                copy_keys = [k + y for k in copy_keys for y in moved]
         if keys is None:
             yield {0: copies}, items
             continue

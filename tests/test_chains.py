@@ -728,6 +728,67 @@ def test_half_digit_tables_stay_near_the_square_root():
                     chains.chain_weights(T, n)), (name, n)
 
 
+def _plain_face_terms(T, n, i) -> list:
+    """Test-local plain product of face i in degree n: every copied digit
+    expanded into the copies and only the groups' table entries in the
+    items; its terms (input, output, coefficient), sorted."""
+    tb = _tables(T)
+    src, dst = chain_space(T, n), chain_space(T, n - 1)
+    W = src.weights
+    copies, items = [(0, 0)], [(0, 0, 1)]
+    for op, w in zip(chains._face_recipe(n, i), dst.weights):
+        if op[0] in ("a", "b"):
+            copies = [(ci + d * W[op[1]], co + d * w) for ci, co in copies
+                      for d in range(src.radices[op[1]])]
+            continue
+        if op[0] == "aba":
+            group = [(a * W[op[1]] + k * W[op[2]] + b * W[op[3]], d * w, x)
+                     for a in range(T.A.dim) for k in range(T.B.dim)
+                     for b in range(T.A.dim)
+                     for d, x in tb.sandwich[a][k][b]]
+        else:
+            group = [(a * W[op[1]] + b * W[op[2]], d * w, x)
+                     for a in range(T.B.dim) for b in range(T.B.dim)
+                     for d, x in tb.bprod[a][b]]
+        items = [(pi + qi, po + qo, c * x)
+                 for pi, po, c in items for qi, qo, x in group]
+    return sorted((ci + pi, co + po, c) for ci, co in copies
+                  for pi, po, c in items)
+
+
+def test_face_plans_fold_copies_into_items_and_keep_every_term():
+    # Each face's plan folds copied digits into its items while the items
+    # stay no more than the copies left.  Its terms, every copy with every
+    # item, are the plain product's as a multiset, and the copies grouped
+    # by key (the stream's plans) are the same copies.
+    cases = [(catalog("trunc3_k"), 7), (catalog("mat2_k"), 5),
+             (catalog("dual_dual_x"), 5)]
+    cases += [(make(), 3) for make in (trunc3_over_dual_x2, prod_over_prod_id,
+                                       cube_over_prod, dual_over_trunc3_x,
+                                       sqzero_dual_x)]
+    held = {}
+    for T, top in cases:
+        for n in range(1, top + 1):
+            keys, _ = chains._content_keys(T, n)
+            for i in range(n + 1):
+                (by_key, items), = chains._face_plans(T, n, [(i, 1)])
+                copies = by_key[0]
+                assert sorted((ci + pi, co + po, c) for ci, co in copies
+                              for pi, po, c in items) == (
+                    _plain_face_terms(T, n, i)), (T.name, n, i)
+                (keyed, keyed_items), = chains._face_plans(T, n, [(i, 1)],
+                                                           keys)
+                assert keyed_items == items, (T.name, n, i)
+                assert sorted(t for group in keyed.values() for t in group) == (
+                    sorted(copies)), (T.name, n, i)
+                held.setdefault((T.name, n), set()).add(
+                    (len(items), len(copies)))
+    assert held[("trunc3_k", 7)] == {(54, 81)}  # 6 items, 729 copies unfolded
+    assert held[("mat2_k", 5)] == {(32, 64)}  # 8 and 256 unfolded
+    assert held[("dual_dual_x", 3)] == {(36, 8)}  # items outnumber copies
+    assert held[("dual_dual_x", 5)] == {(324, 1024)}
+
+
 def test_class_map_must_kill_one_minus_rotation(monkeypatch):
     # A class map with one sign flipped in a live orbit, or with one dead
     # orbit made live, is refused where it is built.

@@ -85,6 +85,11 @@ MUTANTS = [
            "",
            ("test_chains.py::test_boundary_blocks_are_the_boundary_by_weight",),
            ci=True),
+    # Every term stays right without the fold; only the held counts tell.
+    Mutant("face-plans-never-fold", "chains.py",
+           "while copied and len(items)", "while False and len(items)",
+           ("test_chains.py::test_face_plans_fold_copies_into_items_and_"
+            "keep_every_term",), ci=True),
     Mutant("sandwich-unsorted", "triples.py",
            "tuple(sorted(_int_product(", "tuple((_int_product(",
            ("test_chains.py",)),
