@@ -47,16 +47,17 @@ A grading of the triple (`triples.grading`) gives each basis tensor a
 weight, the sum of its digits' weights.  Faces multiply within a digit
 group and the rotation permutes digits, so both keep the weight.  So the
 boundary splits into weight blocks, and `boundary_blocks` assembles one
-block at a time, in sub-blocks by the digits of a-slots 0 and 1 as well:
-a copy and an item carry disjoint digits, so their keys add up to the
-key of the column they scatter into, and sub-block k scatters only the
-pairs whose keys sum to k.  A column is whole once its sub-block is, so
-a one-entry column x e_r is then kept only as its row r, a unit, and
-only the columns with two or more entries are held until the weight
-block is read.  A key that is a sum over the digits is read off two
-tables (`_split_keys`), over the first and the second half of the digits
-of radix above 1, each about the square root of the chain dimension
-long.
+block at a time, in sub-blocks by the digits of a-slots 0 and 1 as well.
+Copies and items alike are keyed by their input offsets, and a copy c
+and an item i carry disjoint digits, so key(c) + key(i) = key(c + i) +
+key(0): with key(0) taken off the copies' keys, sub-block k scatters
+only the pairs whose keys sum to k.  A column is whole once its
+sub-block is, so a one-entry column x e_r is then kept only as its row
+r, a unit, and only the columns with two or more entries are held until
+the weight block is read.  A key that is a sum over the digits is read
+off two tables (`_split_keys`), over the first and the second half of
+the digits of radix above 1, each about the square root of the chain
+dimension long.
 
 The cyclic flavor reads the boundary only on coinvariant coordinates,
 and `projected_boundary` scatters the face plans straight onto them: a
@@ -72,13 +73,15 @@ key sums P^v over its a-digits v and P^(dim A + v) over its b-digits v;
 P exceeds the number of slots of either kind, so the key tells contents
 apart.  `_content_keys` adds it to the weight key times a base above
 every content key, so that one key, a sum over the digits, gives both
-the block and its weight.  `projected_boundary_blocks` reads the induced
-boundary of the top degree one content block at a time, so that neither
-that degree's class map nor a column per index is ever held whole: it
-lists the block's tensors from the two key tables, walks their orbits
-(`_orbit_blocks`), scatters the face plans whose keys add up to the
-block's, checks descent on every index of the block, and keeps only its
-axis columns, yielded by weight as `boundary_blocks` yields its blocks.
+the block and its weight.  Every digit, 0 included, has a nonzero
+content key, so here key(0) is not 0.
+`projected_boundary_blocks` reads the induced boundary of the top degree
+one content block at a time, so that neither that degree's class map nor
+a column per index is ever held whole: it lists the block's tensors from
+the two key tables, walks their orbits (`_orbit_blocks`), scatters the
+face plans whose keys add up to the block's, checks descent on every
+index of the block, and keeps only its axis columns, yielded by weight
+as `boundary_blocks` yields its blocks.
 """
 
 from __future__ import annotations
@@ -211,20 +214,25 @@ def _plans_by_key(T: Triple, n: int, keys: list) -> dict:
     k maps to the (copies, items) pairs, face by face, that scatter into
     the tensors of key k.
 
-    An item's key is read off its input offset, which carries the digits
-    folded into it, and a copy's by `_face_plans`.  Every face's plan is
-    held for as long as the map is: 8 x (54 items + 81 copies) on
-    trunc3_k in degree 7, 6 x (32 + 64) on mat2_k in degree 5."""
+    Copies and items alike are filed by the key of their input offset,
+    its other digits read as 0.  A copy and an item carry disjoint
+    digits, so their keys add up to the key of the tensor they make plus
+    the key of index 0, which is taken off the copies' keys.  Every
+    face's plan is held for as long as the map is: 8 x (54 items + 81
+    copies) on trunc3_k in degree 7, 6 x (32 + 64) on mat2_k in degree
+    5."""
     M, high, low = _split_keys(chain_space(T, n).radices, keys)
+    zero = high[0] + low[0]
     work: dict = {}
-    for copies_by_key, items in _face_plans(T, n, _alternating(n), keys):
-        items_by_key: dict = {}
-        for t in items:
-            x = t[0]
-            items_by_key.setdefault(high[x // M] + low[x % M], []).append(t)
-        for kc, copies in copies_by_key.items():
-            for ki, group in items_by_key.items():
-                work.setdefault(kc + ki, []).append((copies, group))
+    for copies, items in _face_plans(T, n, _alternating(n)):
+        filed = ({}, {})  # the copies and the items by key
+        for plan, by_key, k0 in zip((copies, items), filed, (zero, 0)):
+            for t in plan:
+                x = t[0]
+                by_key.setdefault(high[x // M] + low[x % M] - k0, []).append(t)
+        for kc, group_c in filed[0].items():
+            for ki, group_i in filed[1].items():
+                work.setdefault(kc + ki, []).append((group_c, group_i))
     return work
 
 
@@ -269,22 +277,16 @@ def _face_recipe(n: int, i: int) -> list:
     return recipe
 
 
-def _face_plans(T: Triple, n: int, faces: list, keys=None):
+def _face_plans(T: Triple, n: int, faces: list):
     """The copies and items (see the module docstring) of sign * face i
-    in degree n, for each (i, sign) in faces in turn, the copies as a
-    dict of lists by key.
+    in degree n, for each (i, sign) in faces in turn.
 
     The items are the groups' entries with copied digits of radix r
     folded in, in slot order, for as long as len(items) r^2 is at most
     the number of copies left; the copies expand the rest.  So the items
     never outnumber the copies unless the groups' entries alone do, as
-    on dual_dual_x (36 items and 8 copies in degree 3).
-
-    A copy's key is 0, or given slot keys `keys`, the sum over the digits
-    it carries of each one's key less that of the digit 0, read off
-    digit by digit as the copies are.  It adds up with the key of an
-    item's input offset, its other digits read as 0, to the key of the
-    tensor the two make.
+    on dual_dual_x (36 items and 8 copies in degree 3).  A plan carries
+    no keys: `_plans_by_key` reads those off the input offsets.
     """
     tb = _tables(T)
     src = chain_space(T, n)
@@ -317,23 +319,11 @@ def _face_plans(T: Triple, n: int, faces: list, keys=None):
             items = [(pi + d * W[p], po + d * w, c)
                      for pi, po, c in items for d in range(r)]
             left //= r
-        copies, copy_keys = [(0, 0)], [0]
+        copies = [(0, 0)]
         for p, r, w in copied:
             copies = [(ci + d * W[p], co + d * w) for ci, co in copies
                       for d in range(r)]
-            if keys is not None:
-                moved = [k - keys[p][0] for k in keys[p]]
-                copy_keys = [k + y for k in copy_keys for y in moved]
-        if keys is None:
-            yield {0: copies}, items
-            continue
-        by_key: dict = {}
-        for t, k in zip(copies, copy_keys):
-            if k in by_key:
-                by_key[k].append(t)
-            else:
-                by_key[k] = [t]
-        yield by_key, items
+        yield copies, items
 
 
 def _scatter(slots, rows: list, copies: list, items: list) -> None:
@@ -376,7 +366,7 @@ def _face_sum(T: Triple, n: int, faces: list) -> SparseMat:
     slots = [None] * src.dim
     rows = list(range(dst.dim))  # one int object per row, for all columns
     for copies, items in _face_plans(T, n, faces):
-        _scatter(slots, rows, copies[0], items)
+        _scatter(slots, rows, copies, items)
     return SparseMat.from_ints(
         dst.dim, src.dim, {c: col for c, col in enumerate(slots) if col},
         _face_den(T, n))
@@ -448,18 +438,17 @@ def boundary_blocks(T: Triple, n: int):
     entries to its integer numerators over `_face_den(T, n)`, not brought
     to lowest terms.
 
-    Each face's copies are grouped by the sub-block key of the digits they
-    carry and its items by that of the other digits, so sub-block k
-    scatters only the pairs whose keys sum to k, and each term is
-    scattered once over all sub-blocks, as in `boundary`.  The sub-block
-    key of a tensor of weight key w whose a-slots 0 and 1 hold d_0 and
-    d_1 is w dim(A)^2 + d_0 + dim(A) d_1: a sum over the digits, read
-    digit by digit for the copies and off the offsets of the items
-    (`_plans_by_key`), so no per-tensor key list is built.  A column is
-    whole once its sub-block is scattered: its units are then kept as
-    rows, its cancelled columns dropped, and the rest kept until the
-    weight block is yielded, the sub-blocks' columns taken in turn.
-    Nothing is memoized: a block is garbage once its reader drops it.
+    Each face's copies and items are filed by the sub-block key of their
+    input offsets (`_plans_by_key`), so sub-block k scatters only the
+    pairs whose keys sum to k, and each term is scattered once over all
+    sub-blocks, as in `boundary`.  The sub-block key of a tensor of
+    weight key w whose a-slots 0 and 1 hold d_0 and d_1 is w dim(A)^2 +
+    d_0 + dim(A) d_1, a sum over the digits, so no per-tensor key list is
+    built.  A column is whole once its sub-block is scattered: its units
+    are then kept as rows, its cancelled columns dropped, and the rest
+    kept until the weight block is yielded, the sub-blocks' columns taken
+    in turn.  Nothing is memoized: a block is garbage once its reader
+    drops it.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -649,9 +638,8 @@ def projected_boundary(T: Triple, n: int, src: ClassMapQuotient,
     """
     src_sign = [s or 1 for s in src.sign]
     slots = [None] * chain_space(T, n).dim
-    _projected_scatter(slots, dst._coord, dst.sign, src_sign, (
-        (copies[0], items)
-        for copies, items in _face_plans(T, n, _alternating(n))))
+    _projected_scatter(slots, dst._coord, dst.sign, src_sign,
+                       _face_plans(T, n, _alternating(n)))
     return slots
 
 

@@ -756,37 +756,59 @@ def _plain_face_terms(T, n, i) -> list:
                   for pi, po, c in items)
 
 
+def _plan_cases() -> list:
+    """The triples whose face plans the plan tests read, with top degrees."""
+    cases = [(catalog("trunc3_k"), 7), (catalog("mat2_k"), 5),
+             (catalog("dual_dual_x"), 5)]
+    return cases + [(make(), 3) for make in (
+        trunc3_over_dual_x2, prod_over_prod_id, cube_over_prod,
+        dual_over_trunc3_x, sqzero_dual_x)]
+
+
 def test_face_plans_fold_copies_into_items_and_keep_every_term():
     # Each face's plan folds copied digits into its items while the items
     # stay no more than the copies left.  Its terms, every copy with every
-    # item, are the plain product's as a multiset, and the copies grouped
-    # by key (the stream's plans) are the same copies.
-    cases = [(catalog("trunc3_k"), 7), (catalog("mat2_k"), 5),
-             (catalog("dual_dual_x"), 5)]
-    cases += [(make(), 3) for make in (trunc3_over_dual_x2, prod_over_prod_id,
-                                       cube_over_prod, dual_over_trunc3_x,
-                                       sqzero_dual_x)]
+    # item, are the plain product's as a multiset.
     held = {}
-    for T, top in cases:
+    for T, top in _plan_cases():
         for n in range(1, top + 1):
-            keys, _ = chains._content_keys(T, n)
             for i in range(n + 1):
-                (by_key, items), = chains._face_plans(T, n, [(i, 1)])
-                copies = by_key[0]
+                (copies, items), = chains._face_plans(T, n, [(i, 1)])
                 assert sorted((ci + pi, co + po, c) for ci, co in copies
                               for pi, po, c in items) == (
                     _plain_face_terms(T, n, i)), (T.name, n, i)
-                (keyed, keyed_items), = chains._face_plans(T, n, [(i, 1)],
-                                                           keys)
-                assert keyed_items == items, (T.name, n, i)
-                assert sorted(t for group in keyed.values() for t in group) == (
-                    sorted(copies)), (T.name, n, i)
                 held.setdefault((T.name, n), set()).add(
                     (len(items), len(copies)))
     assert held[("trunc3_k", 7)] == {(54, 81)}  # 6 items, 729 copies unfolded
     assert held[("mat2_k", 5)] == {(32, 64)}  # 8 and 256 unfolded
     assert held[("dual_dual_x", 3)] == {(36, 8)}  # items outnumber copies
     assert held[("dual_dual_x", 5)] == {(324, 1024)}
+
+
+def test_plans_by_key_file_every_term_once_under_its_input_key():
+    # `_plans_by_key` files copies and items alike by the keys of their
+    # input offsets, key(0) taken off the copies'.  Under the slot keys,
+    # and under the content keys, where the digit 0 has a nonzero key so
+    # the offset matters, every term of every face is filed exactly once,
+    # under the key that `_keys_of_digits` gives its input tensor.
+    # dual_dual_x stops at degree 4: its degree-5 plans make 2M terms.
+    for T, top in _plan_cases():
+        for n in range(1, (4 if T.name == "dual_dual_x" else top) + 1):
+            radices = chain_space(T, n).radices
+            terms = sorted(
+                (ci + pi, co + po, c) for copies, items in chains._face_plans(
+                    T, n, chains._alternating(n))
+                for ci, co in copies for pi, po, c in items)
+            for keys in (chains._slot_keys(T, n),
+                         chains._content_keys(T, n)[0]):
+                key = chains._keys_of_digits(radices, keys)
+                filed = []
+                for k, plans in chains._plans_by_key(T, n, keys).items():
+                    got = [(ci + pi, co + po, c) for copies, items in plans
+                           for ci, co in copies for pi, po, c in items]
+                    assert {key[i] for i, _, _ in got} == {k}, (T.name, n, k)
+                    filed += got
+                assert sorted(filed) == terms, (T.name, n)
 
 
 def test_class_map_must_kill_one_minus_rotation(monkeypatch):

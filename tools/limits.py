@@ -18,7 +18,8 @@ function of that name in tests/_shared.py makes (`sqzero_dual_x`,
 and so every sechom module, which its RSS includes.  On a 2-vCPU Xeon,
 `sqzero_dual_x` took 26 s and 345 MB in hh, 22 s and 639 MB in hc.
 
-Exit status: 0 when every dimension matches its oracle, 1 otherwise.
+Exit status: 0 when every dimension matches its oracle, 1 otherwise,
+also when a row's process fails (its stderr is printed).
 Standard library only.
 """
 
@@ -56,11 +57,15 @@ print(json.dumps({"dim": dim, "oracle": oracle[n], "cpu_s": cpu,
 """ % DEGREE
 
 
-def row(flavor: str, name: str) -> dict:
-    """One row, measured in a fresh process."""
-    out = subprocess.run([sys.executable, "-c", _ROW, str(ROOT), flavor, name],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def row(flavor: str, name: str):
+    """One row, measured in a fresh process, or None when that process
+    fails; its stderr, the traceback included, is then printed."""
+    child = subprocess.run([sys.executable, "-c", _ROW, str(ROOT), flavor,
+                            name], capture_output=True, text=True)
+    if child.returncode:
+        sys.stderr.write(child.stderr)
+        return None
+    return json.loads(child.stdout)
 
 
 def main(argv=None) -> int:
@@ -76,6 +81,10 @@ def main(argv=None) -> int:
     for name in names:
         for flavor in ("hh", "hc"):
             r = row(flavor, name)
+            if r is None:
+                wrong += 1
+                print(f"{flavor} {name:22s} FAILED", flush=True)
+                continue
             ok = r["dim"] == r["oracle"]
             wrong += not ok
             print(f"{flavor} {name:22s} dim {r['dim']:3d}  "

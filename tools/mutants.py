@@ -90,6 +90,14 @@ MUTANTS = [
            "while copied and len(items)", "while False and len(items)",
            ("test_chains.py::test_face_plans_fold_copies_into_items_and_"
             "keep_every_term",), ci=True),
+    # Copies and items are keyed by their input offsets; left with the key
+    # of index 0, a copy's key is off by it wherever the digit 0's key is
+    # nonzero, as under the content keys.
+    Mutant("plan-copy-key-keeps-index-zero", "chains.py",
+           "zip((copies, items), filed, (zero, 0))",
+           "zip((copies, items), filed, (0, 0))",
+           ("test_chains.py::test_plans_by_key_file_every_term_once_under_"
+            "its_input_key",), ci=True),
     Mutant("sandwich-unsorted", "triples.py",
            "tuple(sorted(_int_product(", "tuple((_int_product(",
            ("test_chains.py",)),
