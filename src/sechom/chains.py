@@ -47,17 +47,17 @@ A grading of the triple (`triples.grading`) gives each basis tensor a
 weight, the sum of its digits' weights.  Faces multiply within a digit
 group and the rotation permutes digits, so both keep the weight.  So the
 boundary splits into weight blocks, and `boundary_blocks` assembles one
-block at a time, in sub-blocks by the digits of a-slots 0 and 1 as well.
-Copies and items alike are keyed by their input offsets, and a copy c
-and an item i carry disjoint digits, so key(c) + key(i) = key(c + i) +
-key(0): with key(0) taken off the copies' keys, sub-block k scatters
-only the pairs whose keys sum to k.  A column is whole once its
-sub-block is, so a one-entry column x e_r is then kept only as its row
-r, a unit, and only the columns with two or more entries are held until
-the weight block is read.  A key that is a sum over the digits is read
-off two tables (`_split_keys`), over the first and the second half of
-the digits of radix above 1, each about the square root of the chain
-dimension long.
+block at a time, in sub-blocks by the digits of the first half of the
+a-slots as well.  Copies and items alike are keyed by their input
+offsets, and a copy c and an item i carry disjoint digits, so key(c) +
+key(i) = key(c + i) + key(0): with key(0) taken off the copies' keys,
+sub-block k scatters only the pairs whose keys sum to k.  A column is
+whole once its sub-block is, so each sub-block is yielded as a part of
+its weight block as soon as it is scattered, a one-entry column x e_r
+kept only as its row r, a unit, and nothing is held from one part to
+the next.  A key that is a sum over the digits is read off two tables
+(`_split_keys`), over the first and the second half of the digits of
+radix above 1, each about the square root of the chain dimension long.
 
 The cyclic flavor reads the boundary only on coinvariant coordinates,
 and `projected_boundary` scatters the face plans straight onto them: a
@@ -86,7 +86,7 @@ as `boundary_blocks` yields its blocks.
 
 from __future__ import annotations
 
-from itertools import groupby, zip_longest
+from itertools import groupby
 from math import prod
 
 from .linalg import (ClassMapQuotient, InternalCheckError, SparseMat,
@@ -327,20 +327,27 @@ def _face_plans(T: Triple, n: int, faces: list):
 
 
 def _scatter(slots, rows: list, copies: list, items: list) -> None:
-    """Add every item, once per copy, into the column dicts `slots` holds
-    by input index (None where there is none yet), at the shared row ints
-    `rows`, deleting an entry as soon as it cancels."""
+    """Add every item, once per copy, into the column dicts that `slots`
+    holds by input index, at the shared row ints `rows`, deleting an
+    entry as soon as it cancels.  `slots` is a dict of the columns
+    scattered so far, or a list with None at every other index, which
+    indexes faster when it spans the whole degree.  Copies run outside
+    and items inside, which fixes the order of each column's entries."""
+    get = slots.get if type(slots) is dict else slots.__getitem__
     for ci, co in copies:
         for pi, po, c in items:
-            col = slots[ci + pi]
+            col = get(ci + pi)
             if col is None:
                 col = slots[ci + pi] = {}
             r = rows[co + po]
-            x = col.get(r, 0) + c
-            if x:
-                col[r] = x
+            if r not in col:
+                col[r] = c
             else:
-                del col[r]
+                x = col[r] + c
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
 
 
 def _face_den(T: Triple, n: int) -> int:
@@ -418,71 +425,57 @@ def boundary(T: Triple, n: int) -> SparseMat:
     return _face_sum(T, n, _alternating(n))
 
 
-class _BlockSlots(dict):
-    """The column dicts of one sub-block by input index, for `_scatter`:
-    an index with no column yet reads None."""
-
-    __slots__ = ()
-
-    def __missing__(self, c):
-        return None
-
-
 def boundary_blocks(T: Triple, n: int):
-    """The nonzero columns of boundary(T, n), one weight block at a time.
+    """The nonzero columns of boundary(T, n), in parts by weight.
 
-    Yields (w, units, cols) for every weight key w that a nonzero column
-    has, in increasing order.  A column c of weight w (its key
-    `chain_weights(T, n)[c]`) with one entry, x e_r, only puts r in the
-    set `units`; cols maps each column c of weight w with two or more
-    entries to its integer numerators over `_face_den(T, n)`, not brought
-    to lowest terms.
+    Yields parts (w, units, cols), one per sub-block that has a nonzero
+    column, w being the weight key of its columns (`chain_weights(T,
+    n)[c]`), in nondecreasing order: the parts of one weight come in a
+    row, and each nonzero column is in exactly one part.  A column x e_r
+    with one entry only puts r in the set `units`; cols maps each column
+    c with two or more entries to its integer numerators over
+    `_face_den(T, n)`, not brought to lowest terms.
 
     Each face's copies and items are filed by the sub-block key of their
     input offsets (`_plans_by_key`), so sub-block k scatters only the
     pairs whose keys sum to k, and each term is scattered once over all
     sub-blocks, as in `boundary`.  The sub-block key of a tensor of
-    weight key w whose a-slots 0 and 1 hold d_0 and d_1 is w dim(A)^2 +
-    d_0 + dim(A) d_1, a sum over the digits, so no per-tensor key list is
-    built.  A column is whole once its sub-block is scattered: its units
-    are then kept as rows, its cancelled columns dropped, and the rest
-    kept until the weight block is yielded, the sub-blocks' columns taken
-    in turn.  Nothing is memoized: a block is garbage once its reader
-    drops it.
+    weight key w whose first s = ceil((n + 1) / 2) a-slots hold d_0, ...,
+    d_(s-1) is w dim(A)^s + sum_j d_j dim(A)^j, a sum over the digits, so
+    no per-tensor key list is built.  A column is whole once its
+    sub-block is scattered, so the part is yielded then, its cancelled
+    columns dropped, and nothing is held from one part to the next: a
+    part is garbage once its reader drops it.  Half the a-slots keep the
+    parts small in the top degrees, where a weight block holds 10^5
+    columns; every a-slot would cut degree 3 into parts so small that
+    their number costs more than their size saves.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return
     da = T.A.dim
-    keys = [[k * da * da for k in slot] for slot in _slot_keys(T, n)]
-    keys[0] = [k + d for d, k in enumerate(keys[0])]
-    keys[1] = [k + da * d for d, k in enumerate(keys[1])]
+    s = (n + 2) // 2  # ceil((n + 1) / 2) a-slots
+    base = da ** s
+    keys = [[k * base for k in slot] for slot in _slot_keys(T, n)]
+    for j in range(s):
+        keys[j] = [k + d * da ** j for d, k in enumerate(keys[j])]
     work = _plans_by_key(T, n, keys)
     rows = list(range(chain_space(T, n - 1).dim))
-    for w, block_keys in groupby(sorted(work), lambda k: k // (da * da)):
-        units, parts = set(), []
-        for k in block_keys:
-            slots = _BlockSlots()
-            for copies, items in work.pop(k):  # freed once scattered
-                _scatter(slots, rows, copies, items)
-            part = {}
-            for c, col in slots.items():
-                if len(col) > 1:
-                    part[c] = col
-                elif col:
-                    units.update(col)
-            del slots
-            if part:
-                parts.append(part.items())
-        if units or parts:
-            # The sub-blocks' columns in turn: a dense block's span fills
-            # up sooner than when it reads one sub-block after another.
-            cols = {c: col for group in zip_longest(*parts)
-                    for c, col in filter(None, group)}
-            del parts, part
-            yield w, units, cols
-            del cols
+    for k in sorted(work):
+        slots: dict = {}
+        for copies, items in work.pop(k):  # freed once scattered
+            _scatter(slots, rows, copies, items)
+        units, cols = set(), {}
+        for c, col in slots.items():
+            if len(col) > 1:
+                cols[c] = col
+            elif col:
+                units.update(col)
+        del slots
+        if units or cols:
+            yield k // base, units, cols
+            del units, cols
 
 
 # -- cyclic structure ------------------------------------------------------
@@ -650,10 +643,11 @@ def projected_boundary_blocks(T: Triple, n: int, dst: ClassMapQuotient):
     `_face_den(T, n)`; neither the degree-n class map nor its columns are
     ever held whole.
 
-    Yields (w, units, cols) as `boundary_blocks` does, for every weight
-    key w that a nonzero column has, in increasing order, a column being
-    read off the axis m of its orbit: a column x e_r puts its coordinate
-    r in units, and cols maps m to each column with two or more entries.
+    Yields one part (w, units, cols), shaped as `boundary_blocks`'s, for
+    every weight key w that a nonzero column has, in increasing order, a
+    column being read off the axis m of its orbit: a column x e_r puts
+    its coordinate r in units, and cols maps m to each column with two
+    or more entries.
     The face plans (`_plans_by_key`) of each block of `_orbit_blocks` are
     scattered onto dst's coordinates, its columns signed as
     `projected_boundary`'s, and the descent check of `linalg._descends`

@@ -13,22 +13,26 @@ dim(A)^(n+1) * dim(B)^(n(n+1)/2).
 triple isomorphic to T whose basis is graded (T's own basis hides the
 grading), and on T otherwise: isomorphic triples have isomorphic
 complexes, and the graded one splits its relation span by weight.  The
-quotient reads the next boundary one weight block at a time, each as the
-rows r of its one-entry columns x e_r, its units, and its other columns;
-`hh` takes the blocks from the memo when the boundary is built whole
-there, and otherwise streams them from `chains.boundary_blocks`, which
-scatters each block in sub-blocks and keeps only those two, so it never
-holds the next boundary whole, nor a one-entry column once its sub-block
-is scattered.  `hc` reads the next induced boundary the same way: from
-the memo when it, or the boundary it is projected from, is there, and
-otherwise streamed by `chains.projected_boundary_blocks`, one content
-block of the rotation at a time, so that it holds neither the next
-degree's class map nor a column per index of it.  d squared is tested on
-a unit in closed form: it kills x e_r exactly when column r of d is
-zero.  A caller that sweeps hh or hc over degrees should go from the top
-down, so that only the top boundary is streamed; swept upwards, hc
-streams each degree before it builds it whole, and builds its face plans
-twice.
+quotient reads the next boundary one weight block at a time, each in
+parts, a part as the rows r of its one-entry columns x e_r, its units,
+and its other columns; `hh` takes the blocks from the memo when the
+boundary is built whole there, one part each, and otherwise streams
+them from `chains.boundary_blocks`, which yields each block's
+sub-blocks as its parts as they are scattered.  A part is read as it
+comes: its units, and each column with fewer than two live cycle
+coordinates (`_block_relations`), settle what they settle at once and
+are dropped, so of the next boundary only the part being read and the
+columns that may still add to its block's span are ever held.  `hc`
+reads the next induced boundary the same way: from the memo when it,
+or the boundary it is projected from, is there, and otherwise streamed
+by `chains.projected_boundary_blocks`, one content block of the
+rotation at a time and one part per weight, so that it holds neither
+the next degree's class map nor a column per index of it.  d squared
+is tested on each part, on a unit in closed form: it kills x e_r
+exactly when column r of d is zero.  A caller that sweeps hh or hc over
+degrees should go from the top down, so that only the top boundary is
+streamed; swept upwards, hc streams each degree before it builds it
+whole, and builds its face plans twice.
 
 Representatives are always reported in the chain coordinates of the
 requested degree, in T's own basis, and formed only when read; their
@@ -41,7 +45,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cached_property
+from itertools import groupby, zip_longest
 from math import log10
+from operator import itemgetter
 
 from .chains import (_face_den, boundary, boundary_blocks, chain_dim,
                      chain_weights, cyclic_quotient, projected_boundary,
@@ -140,10 +146,11 @@ def _weight(v: dict, weights: list, what: str):
 
 
 def _by_weight(cols: dict, weights: list):
-    """Nonzero columns as weight blocks (w, units, cols), as
-    `chains.boundary_blocks` yields them, each column in the block of the
-    weight key of its least index: a one-entry column x e_r puts r in
-    units, and the others are kept in cols by column number."""
+    """Nonzero columns as weight blocks (w, units, cols), one part per
+    weight, shaped as `chains.boundary_blocks`'s parts, each column in
+    the block of the weight key of its least index: a one-entry column
+    x e_r puts r in units, and the others are kept in cols by column
+    number."""
     blocks: dict = {}
     for (c, col), w in zip(cols.items(),
                            map(weights.__getitem__, map(min, cols.values()))):
@@ -160,35 +167,35 @@ def _quotient_of_complex(cycles: Subspace, blocks,
                          weights: list) -> QuotientStructure:
     """Homology quotient: cycle coordinates modulo boundary coordinates.
 
-    `blocks` gives the next boundary's columns as weight blocks (w, units,
-    cols), one per weight key w, read once in turn, as
+    `blocks` gives the next boundary's columns in parts (w, units, cols),
+    read once in turn, the parts of each weight key w in a row, as
     `chains.boundary_blocks` yields them and `_by_weight` groups a whole
-    matrix: units holds the row r of every one-entry column x e_r of
-    weight w, and cols maps column numbers to the other columns of weight
-    w.  Callers must have certified that they are cycles, so their
-    coordinates are read off the cycle pivots with no membership pass.
-    Integer numerators serve as well as the columns themselves, since
-    only their span matters, and their order does not matter either.
+    matrix, one part per weight: units holds the row r of every
+    one-entry column x e_r of the part, and cols maps column numbers to
+    its other columns, all of weight w.  Callers must have certified that
+    they are cycles, so their coordinates are read off the cycle pivots
+    with no membership pass.  Integer numerators serve as well as the
+    columns themselves, since only their span matters, and their order
+    does not matter either.
 
     `weights` gives the weight key of each chain coordinate.  Every cycle
-    row and every column must be homogeneous, a column of its block's
+    row and every column must be homogeneous, a column of its part's
     weight, or the grading is wrong and this is a hard error.  A column
     of weight w then has coordinates only on the cycles whose pivot has
-    weight w, so each block's relations are found from its own columns
-    (`_block_relations`), and the block is dropped before the next is
-    read.  Rows of different blocks have disjoint supports, so together,
-    merged by pivot, they are the canonical form.  The cycle rows are
-    checked once every block is read, so that a caller that checks each
-    block as it comes reports a nonzero square first.
+    weight w, so each weight's relations are found from its own parts
+    (`_block_relations`), which are dropped as they are read.  Rows of
+    different weights have disjoint supports, so together, merged by
+    pivot, they are the canonical form.  The cycle rows are checked once
+    every part is read, so that a caller that checks each part as it
+    comes reports a nonzero square first.
     """
     members: dict = {}  # weight -> numbers of the cycle rows of its pivots
     for j, p in enumerate(cycles.pivots):
         members.setdefault(weights[p], []).append(j)
     rows = []
-    for w, units, cols in blocks:
-        rows += _block_relations(cycles, members.get(w, ()), w, units, cols,
+    for w, parts in groupby(blocks, itemgetter(0)):
+        rows += _block_relations(cycles, members.get(w, ()), w, parts,
                                  weights)
-        del units, cols  # before the next block is built
     for row in cycles._int_rows:
         _weight(row, weights, "cycle row")
     rows.sort()
@@ -197,63 +204,96 @@ def _quotient_of_complex(cycles: Subspace, blocks,
     return QuotientStructure(cycles.dim, relations)
 
 
-def _block_relations(cycles: Subspace, members, w, units, cols: dict,
+def _block_relations(cycles: Subspace, members, w, parts,
                      weights: list) -> list:
-    """The canonical relation rows of one weight block, as (pivot, row):
-    those its one-entry columns, at the chain indices `units`, and its
-    other columns `cols` give on the cycle rows numbered in `members`,
-    the cycle rows of weight w.
+    """The canonical relation rows of one weight, as (pivot, row): those
+    the parts (w, units, cols) of weight w give on the cycle rows
+    numbered in `members`, the cycle rows of weight w.  Each part is read
+    once, as it comes, and only its columns that may still add to the
+    span are kept.
 
     A column whose one entry is at chain index r makes e_r a boundary,
     hence a cycle: r is a cycle pivot whose row is e_r (a hard error
     otherwise), and the relation at its coordinate k is the unit row e_k,
     so every other canonical relation row is zero at k.  A cycle
     coordinate is live until its relation is known to be such a unit
-    row.  The units are checked first; then the live coordinates of
-    every other column are counted.  A column with exactly one live
-    coordinate k makes e_k a relation, since its other coordinates are
-    relations already, so k is peeled and every column that holds k
-    loses a live coordinate, until no column has exactly one (the
-    coreduction of Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35,
-    1998).  The numbers of the columns that hold each live coordinate are
-    gathered only when some column has exactly one, and a column with 255
-    or more is left out of the peel.
+    row.  A part's units are checked and settled first; then each of its
+    other columns is checked to be of weight w, and its live coordinates
+    are counted.  A column with none is dropped.  A column with exactly
+    one, k, makes e_k a relation, since its other coordinates are
+    relations already, so k is peeled, and the column is dropped.  Only
+    a column with two or more is kept.  Once every part is read, the
+    kept columns lose a live coordinate for each one peeled after they
+    were counted, and the peel goes on until no kept column has exactly
+    one (the coreduction of Kaczynski, Mrozek & Slusarek, Comput. Math.
+    Appl. 35, 1998).  The peeled set is the least set of coordinates
+    closed under that rule, so it does not depend on the order in which
+    the columns come, and a dropped column would add nothing to it: one
+    with no live coordinate never peels, and one that peeled has no live
+    coordinate left.  So the relations are those of every column.  The
+    numbers of the kept columns that hold each live coordinate are
+    gathered only when some column is left with exactly one, and a
+    column with 255 or more is left out of that peel.
 
-    The span then reads only the columns with two or more live
-    coordinates, with the others dropped.  It never opens when no
-    coordinate is live, and takes no more columns once it spans the live
-    ones.  Once it has rejected _STALL columns in a row, its projection P
-    onto the quotient of the live coordinates is built, and each later
-    column v is tested by P v = 0, which is exact: the kernel of P is the
-    span.  Only a column that P does not kill goes to `add`; it raises
-    the rank, and P is built again at the next stall.  The unit rows of
-    the units and of the peeled coordinates, with the span's rows, are
-    the block's canonical form.
+    The span then reads only the kept columns with two or more live
+    coordinates, round-robin over the parts, with the others dropped.  It
+    never opens when no coordinate is live, and takes no more columns
+    once it spans the live ones.  Once it has rejected _STALL columns in
+    a row, its projection P onto the quotient of the live coordinates is
+    built, and each later column v is tested by P v = 0, which is exact:
+    the kernel of P is the span.  Only a column that P does not kill goes
+    to `add`; it raises the rank, and P is built again at the next stall.
+    The unit rows of the units and of the peeled coordinates, with the
+    span's rows, are the canonical form.
     """
-    pos = cycles._pivot_pos
-    for r in units:
-        if weights[r] != w:
-            raise _inhomogeneous("boundary column")
-        if r not in pos or cycles._int_rows[pos[r]] != {r: 1}:
-            raise InternalCheckError(
-                "a one-entry boundary column is not a cycle basis row")
-    pivots = cycles.pivots
-    live = {pivots[j]: j for j in members if pivots[j] not in units}
-    # Live coordinates, up to 255, of each column; the columns with
-    # exactly one go on the stack.
-    count = bytearray(max(cols, default=-1) + 1)
+    pos, int_rows, pivots = cycles._pivot_pos, cycles._int_rows, cycles.pivots
+    live = {pivots[j]: j for j in members}
+    is_live, weight_of = live.__contains__, weights.__getitem__
+    # Per part, its kept columns and their live coordinates, up to 255;
+    # `since` is the number of live coordinates when the first was counted.
+    kept, counts, since = [], [], None
+    for _, units, cols in parts:
+        for r in units:
+            if weights[r] != w:
+                raise _inhomogeneous("boundary column")
+            if r not in pos or int_rows[pos[r]] != {r: 1}:
+                raise InternalCheckError(
+                    "a one-entry boundary column is not a cycle basis row")
+            live.pop(r, None)
+        start, part, count = len(live), [], bytearray()
+        for col in cols.values():
+            if set(map(weight_of, col)) != {w}:
+                raise _inhomogeneous("boundary column")
+            n = sum(map(is_live, col))
+            if n > 1:
+                part.append(col)
+                count.append(min(n, 255))
+            elif n:
+                del live[next(filter(is_live, col))]
+        if part:
+            kept.append(part)
+            counts.append(count)
+            if since is None:
+                since = start
+        del units, cols  # before the next part is built
+    if len(kept) == 1:
+        cols, count = kept[0], counts[0]
+    else:  # a dense block's span fills up sooner than part by part
+        cols = [col for group in zip_longest(*kept) for col in group
+                if col is not None]
+        count = bytearray(x for group in zip_longest(*counts) for x in group
+                          if x is not None)
+    del kept, counts
     stack = []
-    for c, col in cols.items():
-        if set(map(weights.__getitem__, col)) != {w}:
-            raise _inhomogeneous("boundary column")
-        n = sum(map(live.__contains__, col))
-        if n == 1:
-            stack.append(c)
-        elif n:
+    if since != len(live):  # recount: a coordinate has left since
+        for c, col in enumerate(cols):
+            n = sum(map(is_live, col))
+            if n == 1:
+                stack.append(c)
             count[c] = min(n, 255)
     if stack:
         holders = {p: [] for p in live}
-        for c, col in cols.items():
+        for c, col in enumerate(cols):
             if 1 < count[c] < 255:
                 for p in col:
                     if p in live:
@@ -275,8 +315,8 @@ def _block_relations(cycles: Subspace, members, w, units, cols: dict,
     if not live:
         return rows
     rels, rejected, test = Subspace(cycles.dim), 0, None
-    for c, col in cols.items():
-        if count[c] < 2:
+    for col, n in zip(cols, count):
+        if n < 2:
             continue
         v = {live[p]: x for p, x in col.items() if p in live}
         if test is not None and test.kills(v):
@@ -294,9 +334,9 @@ def _block_relations(cycles: Subspace, members, w, units, cols: dict,
 
 
 def _checked(d: SparseMat, blocks, what: str, n: int):
-    """The blocks, each once d has been found to kill its columns: a
-    one-entry column x e_r exactly when column r of d is zero, and the
-    others by `_kills`."""
+    """The parts (w, units, cols), each once d has been found to kill its
+    columns: a one-entry column x e_r exactly when column r of d is zero,
+    and the others by `_kills`."""
     nnz = d.nnz
     for w, units, cols in blocks:
         if any(map(d.num.get, units)) or not _kills(d, cols.values(), nnz):
@@ -304,16 +344,16 @@ def _checked(d: SparseMat, blocks, what: str, n: int):
                 f"{what} squared is nonzero between degrees {n + 1} and "
                 f"{n - 1}")
         yield w, units, cols
-        del units, cols  # before the next block is built
+        del units, cols  # before the next part is built
 
 
 def _homology_pieces(d: SparseMat, blocks, weights: list, what: str,
                      n: int):
     """Cycles of d (degree n) and their quotient by the image of the next
-    boundary, whose columns `blocks` gives by weight.
+    boundary, whose columns `blocks` gives in parts by weight.
 
     d after the next boundary must vanish; otherwise the complex is
-    broken and this is a hard error, checked block by block.  In degree
+    broken and this is a hard error, checked part by part.  In degree
     0, d has no rows, so every chain is a cycle.  `weights` gives the
     weight key of each degree-n coordinate.
     """

@@ -218,6 +218,46 @@ def test_weight_blocks_match_the_single_span():
             _assert_blocks_match_single_span(T, flavor, range(top + 1))
 
 
+def _fed_three_ways(cols: list, weights: list):
+    """Each weight of the columns `cols` as parts (w, units, cols), fed
+    three ways: one part per weight (`homology._by_weight`), one part per
+    column in column order, and those in reverse order within each
+    weight."""
+    blocks = homology._by_weight(dict(enumerate(cols)), weights)
+    singles = {w: [] for w, _, _ in blocks}
+    for c, col in enumerate(cols):
+        w = weights[min(col)]
+        singles[w].append((w, set(col), {}) if len(col) == 1
+                          else (w, set(), {c: col}))
+    yield blocks
+    yield [part for parts in singles.values() for part in parts]
+    yield [part for parts in singles.values() for part in reversed(parts)]
+
+
+def test_relations_are_every_columns_span_however_the_parts_come():
+    # The equality gate of the arrival filter: a weight's parts are read
+    # as they come, and only the columns left with two or more live
+    # coordinates are kept, so the relations must be the canonical span of
+    # every next-boundary column's cycle coordinates, however the columns
+    # are split into parts and in whatever order they come.  The streamed
+    # quotient (`boundary_blocks`, in sub-blocks) is the same.
+    inputs = [(lambda name=name: catalog(name), 3) for name in ALL_NAMES]
+    inputs += [(make, 2) for make in (
+        trunc3_over_dual_x2, prod_over_prod_id, cube_over_prod,
+        dual_over_trunc3_x, sqzero_dual_x)]
+    inputs.append((lambda: rebased_triple("dual_dual_x"), 2))
+    for make, top in inputs:
+        T = make()
+        for n in range(top + 1):
+            cycles, cols, weights = relation_span_inputs(make(), "hh", n)
+            want = reference_quotient_of_complex(cycles, cols).relations
+            assert recall(T, boundary, n + 1) is None
+            assert _hh_pieces(T, n)[1].relations == want, (T.name, n)
+            for parts in _fed_three_ways(cols, weights):
+                Q = homology._quotient_of_complex(cycles, parts, weights)
+                assert Q.relations == want, (T.name, n)
+
+
 def test_weight_blocks_stop_feeding_columns_once_spanned(monkeypatch):
     # hh(dual_dual_x, 3) with one span fed 15,976 boundary columns to
     # `add` at degree 3 alone, because HH_3 = 1 kept it from filling up.
@@ -338,20 +378,29 @@ def test_one_entry_columns_give_unit_relations_without_elimination(
 def test_a_column_with_255_live_coordinates_is_left_out_of_the_peel():
     # Every chain index a cycle, one weight.  Units settle 0..99, and the
     # chain {i, i + 1} peels 100..599 one after the other.  The long
-    # column holds 0..600, too many live coordinates for its count byte,
-    # so the peel leaves it alone and its block strips it down to e_600.
+    # column holds 0..600.  Read after the units, as one part, it is
+    # peeled as it comes, like the chain.  Read before them, in a part of
+    # its own with the chain, it has too many live coordinates for its
+    # count byte, so the peel leaves it alone and the span strips it down
+    # to e_600.
     amb = 601
     cycles = Subspace(amb, [{i: 1} for i in range(amb)])
     cols = [{i: 1} for i in range(100)]
     cols += [{i: 1, i + 1: -1} for i in range(99, 599)]
     cols.append({i: 1 for i in range(amb)})
-    Q = quotient_of_columns(cycles, cols, [0] * amb)
-    assert Q.dim == 0
-    assert Q.relations == reference_quotient_of_complex(cycles,
-                                                        cols).relations
+
+    def units_last():
+        return homology._quotient_of_complex(cycles, [
+            (0, set(), dict(enumerate(cols[100:]))), (0, set(range(100)), {})
+        ], [0] * amb)
+
+    for Q in (quotient_of_columns(cycles, cols, [0] * amb), units_last()):
+        assert Q.dim == 0
+        assert Q.relations == reference_quotient_of_complex(
+            cycles, cols).relations
     cols[-1] = {i: 1 for i in range(amb - 1)}  # now e_600 is a class
-    Q = quotient_of_columns(cycles, cols, [0] * amb)
-    assert Q.dim == 1 and Q.nonpivots == [600]
+    for Q in (quotient_of_columns(cycles, cols, [0] * amb), units_last()):
+        assert Q.dim == 1 and Q.nonpivots == [600]
 
 
 def test_one_entry_column_off_the_cycle_pivots_is_a_hard_error():

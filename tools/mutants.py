@@ -45,17 +45,17 @@ class Mutant:
 MUTANTS = [
     Mutant("face-skips-a-copy", "chains.py",
            "    for ci, co in copies:\n        for pi, po, c in items:\n"
-           "            col = slots[ci + pi]\n",
+           "            col = get(ci + pi)\n",
            "    for ci, co in copies[1:]:\n        for pi, po, c in items:\n"
-           "            col = slots[ci + pi]\n", ("test_chains.py",)),
+           "            col = get(ci + pi)\n", ("test_chains.py",)),
     Mutant("face-skips-an-item", "chains.py",
            "        for pi, po, c in items:\n"
-           "            col = slots[ci + pi]\n",
+           "            col = get(ci + pi)\n",
            "        for pi, po, c in items[:-1]:\n"
-           "            col = slots[ci + pi]\n", ("test_chains.py",)),
+           "            col = get(ci + pi)\n", ("test_chains.py",)),
     Mutant("face-keeps-a-cancelled-zero", "chains.py",
-           "                del col[r]\n",
-           "                col[r] = x\n", ("test_chains.py",)),
+           "                    del col[r]\n",
+           "                    col[r] = x\n", ("test_chains.py",)),
     # The one projected scatter of both routes to an induced boundary,
     # whole and by content block.
     Mutant("projected-scatter-drops-the-row-sign", "chains.py",
@@ -76,12 +76,13 @@ MUTANTS = [
            "return [a[1:] + a[:1]] + [a] * n + [b]",
            ("test_chains.py::test_orbit_blocks_merge_to_the_class_map",)),
     Mutant("blocks-drop-a-weight", "chains.py",
-           "        if units or parts:\n",
-           "        if (units or parts) and w > sub_keys[0] // (da * da):\n",
+           "    for k in sorted(work):\n",
+           "    for k in [k for k in sorted(work)\n"
+           "              if k // base > min(work) // base]:\n",
            ("test_chains.py", "test_homology.py")),
     # A sub-block's one-entry columns are kept as rows, never dropped.
     Mutant("sub-block-drops-its-units", "chains.py",
-           "                elif col:\n                    units.update(col)\n",
+           "            elif col:\n                units.update(col)\n",
            "",
            ("test_chains.py::test_boundary_blocks_are_the_boundary_by_weight",),
            ci=True),
@@ -204,13 +205,24 @@ MUTANTS = [
     # A one-entry column off its block's weight would settle a coordinate
     # of another block.
     Mutant("block-weight-unchecked", "homology.py",
-           "        if weights[r] != w:\n", "        if False:\n",
+           "            if weights[r] != w:\n", "            if False:\n",
            ("test_homology.py",)),
     # The residue keeps every settled coordinate, units and peeled ones.
     Mutant("span-keeps-the-unit-coordinates", "homology.py",
            "v = {live[p]: x for p, x in col.items() if p in live}",
            "v = {pos[p]: x for p, x in col.items() if p in pos}",
            ("test_homology.py",)),
+    # A column read with two live coordinates is kept, neither peeled nor
+    # dropped.
+    Mutant("arrival-drops-a-two-coordinate-column", "homology.py",
+           "            if n > 1:\n                part.append(col)\n"
+           "                count.append(min(n, 255))\n"
+           "            elif n:\n",
+           "            if n > 2:\n                part.append(col)\n"
+           "                count.append(min(n, 255))\n"
+           "            elif n == 1:\n",
+           ("test_homology.py::test_relations_are_every_columns_span_however_"
+            "the_parts_come",)),
     Mutant("peel-skips-the-decrement", "homology.py",
            "                count[c] -= 1\n", "", ("test_homology.py",)),
     Mutant("peel-leaves-a-peeled-coordinate-in-the-residue", "homology.py",
