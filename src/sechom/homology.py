@@ -18,11 +18,12 @@ parts, a part as the rows r of its one-entry columns x e_r, its units,
 and its other columns; `hh` takes the blocks from the memo when the
 boundary is built whole there, one part each, and otherwise streams
 them from `chains.boundary_blocks`, which yields each block's
-sub-blocks as its parts as they are scattered.  A part is read as it
-comes: its units, and each column with fewer than two live cycle
-coordinates (`_block_relations`), settle what they settle at once and
-are dropped, so of the next boundary only the part being read and the
-columns that may still add to its block's span are ever held.  `hc`
+sub-blocks as its parts as they are scattered.  A part's units, and
+each column with fewer than two live cycle coordinates, settle what
+they settle as the part is read and are dropped, so of the next
+boundary only the part being read and the columns that may still add
+to its block's span are ever held; those are counted once, when the
+weight's parts are read, and peeled (`_block_relations`).  `hc`
 reads the next induced boundary the same way: from the memo when it,
 or the boundary it is projected from, is there, and otherwise streamed
 by `chains.projected_boundary_blocks`, one content block of the
@@ -223,35 +224,32 @@ def _block_relations(cycles: Subspace, members, w, parts,
     one, k, makes e_k a relation, since its other coordinates are
     relations already, so k is peeled, and the column is dropped.  Only
     a column with two or more is kept.  Once every part is read, the
-    kept columns lose a live coordinate for each one peeled after they
-    were counted, and the peel goes on until no kept column has exactly
-    one (the coreduction of Kaczynski, Mrozek & Slusarek, Comput. Math.
-    Appl. 35, 1998).  The peeled set is the least set of coordinates
-    closed under that rule, so it does not depend on the order in which
-    the columns come, and a dropped column would add nothing to it: one
-    with no live coordinate never peels, and one that peeled has no live
-    coordinate left.  So the relations are those of every column.  The
-    numbers of the kept columns that hold each live coordinate are
-    gathered only when some column is left with exactly one, and a
-    column with 255 or more is left out of that peel.
+    kept columns are taken round-robin over the parts, their live
+    coordinates are counted once, since later parts may have settled
+    some, and the peel goes on until no kept column has exactly one (the
+    coreduction of Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35,
+    1998).  The peeled set is the least set of coordinates closed under
+    that rule, so it does not depend on the order in which the columns
+    come, and a dropped column would add nothing to it: one with no live
+    coordinate never peels, and one that peeled has no live coordinate
+    left.  So the relations are those of every column.  The numbers of
+    the kept columns that hold each live coordinate are gathered only
+    when some column is left with exactly one.
 
-    The span then reads only the kept columns with two or more live
-    coordinates, round-robin over the parts, with the others dropped.  It
-    never opens when no coordinate is live, and takes no more columns
-    once it spans the live ones.  Once it has rejected _STALL columns in
-    a row, its projection P onto the quotient of the live coordinates is
-    built, and each later column v is tested by P v = 0, which is exact:
-    the kernel of P is the span.  Only a column that P does not kill goes
-    to `add`; it raises the rank, and P is built again at the next stall.
-    The unit rows of the units and of the peeled coordinates, with the
-    span's rows, are the canonical form.
+    The span then reads, in that order, only the kept columns left with
+    two or more live coordinates.  It never opens when no coordinate is
+    live, and takes no more columns once it spans the live ones.  Once it
+    has rejected _STALL columns in a row, its projection P onto the
+    quotient of the live coordinates is built, and each later column v is
+    tested by P v = 0, which is exact: the kernel of P is the span.  Only
+    a column that P does not kill goes to `add`; it raises the rank, and
+    P is built again at the next stall.  The unit rows of the settled
+    coordinates, with the span's rows, are the canonical form.
     """
     pos, int_rows, pivots = cycles._pivot_pos, cycles._int_rows, cycles.pivots
     live = {pivots[j]: j for j in members}
     is_live, weight_of = live.__contains__, weights.__getitem__
-    # Per part, its kept columns and their live coordinates, up to 255;
-    # `since` is the number of live coordinates when the first was counted.
-    kept, counts, since = [], [], None
+    kept = []  # per part, its columns with two or more live coordinates
     for _, units, cols in parts:
         for r in units:
             if weights[r] != w:
@@ -260,41 +258,28 @@ def _block_relations(cycles: Subspace, members, w, parts,
                 raise InternalCheckError(
                     "a one-entry boundary column is not a cycle basis row")
             live.pop(r, None)
-        start, part, count = len(live), [], bytearray()
+        part = []
         for col in cols.values():
             if set(map(weight_of, col)) != {w}:
                 raise _inhomogeneous("boundary column")
             n = sum(map(is_live, col))
             if n > 1:
                 part.append(col)
-                count.append(min(n, 255))
             elif n:
                 del live[next(filter(is_live, col))]
         if part:
             kept.append(part)
-            counts.append(count)
-            if since is None:
-                since = start
         del units, cols  # before the next part is built
-    if len(kept) == 1:
-        cols, count = kept[0], counts[0]
-    else:  # a dense block's span fills up sooner than part by part
-        cols = [col for group in zip_longest(*kept) for col in group
-                if col is not None]
-        count = bytearray(x for group in zip_longest(*counts) for x in group
-                          if x is not None)
-    del kept, counts
-    stack = []
-    if since != len(live):  # recount: a coordinate has left since
-        for c, col in enumerate(cols):
-            n = sum(map(is_live, col))
-            if n == 1:
-                stack.append(c)
-            count[c] = min(n, 255)
+    # Round-robin: a dense block's span fills up sooner than part by part.
+    cols = [col for group in zip_longest(*kept) for col in group
+            if col is not None]
+    del kept
+    count = [sum(map(is_live, col)) for col in cols]
+    stack = [c for c, n in enumerate(count) if n == 1]
     if stack:
         holders = {p: [] for p in live}
         for c, col in enumerate(cols):
-            if 1 < count[c] < 255:
+            if count[c] > 1:
                 for p in col:
                     if p in live:
                         holders[p].append(c)

@@ -256,6 +256,15 @@ def test_relations_are_every_columns_span_however_the_parts_come():
             for parts in _fed_three_ways(cols, weights):
                 Q = homology._quotient_of_complex(cycles, parts, weights)
                 assert Q.relations == want, (T.name, n)
+    # Fed one column a part, {0, 1} is kept with two live coordinates and
+    # falls to one only through the unit at 0 in a later part; it then
+    # peels 1, and {1, 2} peels 2.
+    cycles = Subspace(3, [{0: 1}, {1: 1}, {2: 1}])
+    cols = [{0: 1, 1: 1}, {0: 1}, {1: 1, 2: 1}]
+    want = reference_quotient_of_complex(cycles, cols).relations
+    for parts in _fed_three_ways(cols, [0] * 3):
+        Q = homology._quotient_of_complex(cycles, parts, [0] * 3)
+        assert Q.relations == want and Q.dim == 0
 
 
 def test_weight_blocks_stop_feeding_columns_once_spanned(monkeypatch):
@@ -375,14 +384,14 @@ def test_one_entry_columns_give_unit_relations_without_elimination(
         assert R == reference_quotient_of_complex(cycles, cols).relations
 
 
-def test_a_column_with_255_live_coordinates_is_left_out_of_the_peel():
+def test_a_column_of_601_live_coordinates_is_peeled_like_any_other():
     # Every chain index a cycle, one weight.  Units settle 0..99, and the
     # chain {i, i + 1} peels 100..599 one after the other.  The long
     # column holds 0..600.  Read after the units, as one part, it is
     # peeled as it comes, like the chain.  Read before them, in a part of
-    # its own with the chain, it has too many live coordinates for its
-    # count byte, so the peel leaves it alone and the span strips it down
-    # to e_600.
+    # its own with the chain, it is kept with 601 live coordinates; its
+    # count, taken once the units are read, falls by one as each of
+    # 100..599 peels, and at one it peels 600 like any other column.
     amb = 601
     cycles = Subspace(amb, [{i: 1} for i in range(amb)])
     cols = [{i: 1} for i in range(100)]

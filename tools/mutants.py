@@ -216,11 +216,15 @@ MUTANTS = [
     # dropped.
     Mutant("arrival-drops-a-two-coordinate-column", "homology.py",
            "            if n > 1:\n                part.append(col)\n"
-           "                count.append(min(n, 255))\n"
            "            elif n:\n",
            "            if n > 2:\n                part.append(col)\n"
-           "                count.append(min(n, 255))\n"
            "            elif n == 1:\n",
+           ("test_homology.py::test_relations_are_every_columns_span_however_"
+            "the_parts_come",)),
+    # A kept column left with two live coordinates peels one of them.
+    Mutant("peel-takes-a-two-coordinate-column", "homology.py",
+           "stack = [c for c, n in enumerate(count) if n == 1]",
+           "stack = [c for c, n in enumerate(count) if n == 2]",
            ("test_homology.py::test_relations_are_every_columns_span_however_"
             "the_parts_come",)),
     Mutant("peel-skips-the-decrement", "homology.py",
