@@ -37,11 +37,12 @@ relation row written out.  Each orbit is walked once, from its largest
 index m, which becomes its axis: the k-th element after m, img^k(m), maps
 to (-1)^(nk) times the class of e_m.  An orbit that comes back to m with
 sign -1 is dead: 1 - t is invertible on it, and its elements map to 0.
-The map is then checked to kill 1 - t: P (1 - t) e_i = 0 for every
-basis index i, P being the projection.  The relations, formed only when
-a caller reads them, are e_i minus its sign times e_m, and e_i on a dead
-orbit; they already are the canonical RREF of im(1 - t), and the axes
-are its non-pivots.
+Every orbit must close at its axis, which is checked: then P (1 - t) e_i
+= 0 for each of its indices i, P being the projection.  One walk
+(`_walk`) serves the whole degree, as one block, and the content blocks
+below.  The relations, formed only when a caller reads them, are e_i
+minus its sign times e_m, and e_i on a dead orbit; they already are the
+canonical RREF of im(1 - t), and the axes are its non-pivots.
 
 A grading of the triple (`triples.grading`) gives each basis tensor a
 weight, the sum of its digits' weights.  Faces multiply within a digit
@@ -494,50 +495,65 @@ def _rotation_keys(T: Triple, n: int) -> list:
     return [[d * w for d in range(r)] for r, w in zip(cs.radices, out_w)]
 
 
-def _rotation(T: Triple, n: int) -> list:
-    """The rotation in degree n as a list img: basis tensor c goes to
-    (-1)^n times basis tensor img[c]."""
-    return _keys_of_digits(chain_space(T, n).radices, _rotation_keys(T, n))
+def _walk(T: Triple, n: int, blocks, signs: list):
+    """The signed class map of the degree-n coinvariants, block by block.
 
+    For each (k, tensors) of `blocks`, tensors listing a block's basis
+    tensors in decreasing order, closed under the rotation, yields (k,
+    idx, axis): idx lists the block's tensors orbit by orbit, and tensor
+    idx[p] goes to signs[idx[p]] times the class of tensor idx[axis[p]],
+    or to 0 when axis[p] is None.  Each sign is written to `signs`, and
+    is +-1 on a dead orbit too.
 
-def _orbit_classes(img: list, rot_sign: int) -> tuple:
-    """The signed class map of the coinvariants, as (axis, sign) for
-    `linalg.ClassMapQuotient`, of the rotation e_i -> rot_sign e_img[i]
-    (see the module docstring)."""
-    axis = [None] * len(img)
-    sign = [0] * len(img)
-    seen = bytearray(len(img))
-    for m in range(len(img) - 1, -1, -1):
-        if seen[m]:
-            continue
-        orbit = []
-        i = m
-        while not seen[i]:
-            seen[i] = 1
-            orbit.append(i)
-            i = img[i]
-        if rot_sign ** len(orbit) > 0:  # the orbit is live
-            for k, i in enumerate(orbit):
-                axis[i] = m
-                sign[i] = rot_sign ** k
-    return axis, sign
+    Each orbit is walked from its largest tensor, its axis, the rotation
+    being read off two half tables (`_split_keys`).  So P (1 - t) e_i = 0
+    for each tensor i of the orbit once the rotation takes its last
+    tensor back to the axis, which is checked, and the block's orbits
+    must hold all of its tensors and no others: a failure of either is a
+    hard error.
+    """
+    cs = chain_space(T, n)
+    M, img_high, img_low = _split_keys(cs.radices, _rotation_keys(T, n))
+    rot_sign = 1 if n % 2 == 0 else -1
+    seen = bytearray(cs.dim)
+    for k, tensors in blocks:
+        idx, axis = [], []
+        for m in tensors:
+            if seen[m]:
+                continue
+            p, s, i = len(idx), 1, m
+            while not seen[i]:
+                seen[i] = 1
+                idx.append(i)
+                axis.append(p)
+                signs[i] = s
+                s *= rot_sign
+                i = img_high[i // M] + img_low[i % M]
+            if i != m:
+                raise InternalCheckError(
+                    "the coinvariant class map does not kill 1 - t")
+            if s < 0:  # the orbit is dead
+                axis[p:] = [None] * (len(idx) - p)
+        if len(idx) != len(tensors):
+            raise InternalCheckError("the rotation moves a basis tensor "
+                                     "out of its block")
+        yield k, idx, axis
 
 
 @per_triple
 def cyclic_quotient(T: Triple, n: int) -> ClassMapQuotient:
     """The cyclic coinvariants C_n / (1 - t) in degree n, as a signed class
-    map.  P (1 - t) = 0 is checked on every basis index, P being the
-    projection; the boundary's descent is certified in
-    `homology._induced_boundary`."""
-    img = _rotation(T, n)
-    rot_sign = 1 if n % 2 == 0 else -1
-    axis, sign = _orbit_classes(img, rot_sign)
-    # P (1 - t) e_i is sign[i] times the class of e_axis[i] minus
-    # rot_sign * sign[k] times the class of e_axis[k], k = img[i].
-    if ([axis[k] for k in img] != axis
-            or [rot_sign * sign[k] for k in img] != sign):
-        raise InternalCheckError(
-            "the coinvariant class map does not kill 1 - t")
+    map, walked (`_walk`) as one block of every basis index: each orbit
+    closing at its axis certifies P (1 - t) = 0, P being the projection.
+    The boundary's descent is certified in `homology._induced_boundary`."""
+    dim = chain_space(T, n).dim
+    axis, sign = [None] * dim, [0] * dim
+    [(_, idx, at)] = _walk(T, n, [(0, range(dim - 1, -1, -1))], sign)
+    for i, p in zip(idx, at):
+        if p is None:
+            sign[i] = 0
+        else:
+            axis[i] = idx[p]
     return ClassMapQuotient(axis, sign)
 
 
@@ -559,27 +575,14 @@ def _content_keys(T: Triple, n: int) -> tuple:
 
 def _orbit_blocks(T: Triple, n: int, keys: list, signs: list):
     """The class map of the degree-n coinvariants, one content block at a
-    time.
+    time, as `_walk` yields it.
 
     A content block holds the basis tensors of one key k under the slot
-    keys `keys` (`_content_keys`).  Yields (k, idx, axis) for each k in
-    increasing order: idx lists the block's tensors orbit by orbit, and
-    tensor idx[p] goes to signs[idx[p]] times the class of tensor
-    idx[axis[p]], or to 0 when axis[p] is None, as in `cyclic_quotient`.
-    Each sign is written to `signs`, and is +-1 on a dead orbit too.
-
-    The tensors of key k are the pairs of a high and a low half of the
-    digits (`_split_keys`) whose keys sum to k, and the rotation of a
-    tensor is read off two half tables as well.  Each orbit is walked
-    from its largest tensor, its axis, as in `_orbit_classes`.  So P (1 -
-    t) e_i = 0 for each tensor i of the orbit once the rotation takes its
-    last tensor back to the axis, which is checked, and the block's
-    orbits must hold all of its tensors and no others: a failure of
-    either is a hard error.
+    keys `keys` (`_content_keys`); the blocks come in increasing order of
+    k.  The tensors of key k are the pairs of a high and a low half of
+    the digits (`_split_keys`) whose keys sum to k.
     """
-    cs = chain_space(T, n)
-    M, high, low = _split_keys(cs.radices, keys)
-    _, img_high, img_low = _split_keys(cs.radices, _rotation_keys(T, n))
+    M, high, low = _split_keys(chain_space(T, n).radices, keys)
     halves = []  # per half: key -> its index offsets
     for table, scale in ((high, M), (low, 1)):
         group: dict = {}
@@ -590,32 +593,14 @@ def _orbit_blocks(T: Triple, n: int, keys: list, signs: list):
     for kh, hs in halves[0].items():
         for kl, xs in halves[1].items():
             pairs.setdefault(kh + kl, []).append((hs, xs))
-    rot_sign = 1 if n % 2 == 0 else -1
-    seen = bytearray(cs.dim)
-    for k in sorted(pairs):
-        tensors = [h + x for hs, xs in pairs.pop(k) for h in hs for x in xs]
-        tensors.sort(reverse=True)
-        idx, axis = [], []
-        for m in tensors:
-            if seen[m]:
-                continue
-            p, s, i = len(idx), 1, m
-            while not seen[i]:
-                seen[i] = 1
-                idx.append(i)
-                axis.append(p)
-                signs[i] = s
-                s *= rot_sign
-                i = img_high[i // M] + img_low[i % M]
-            if i != m:
-                raise InternalCheckError(
-                    "the coinvariant class map does not kill 1 - t")
-            if s < 0:  # the orbit is dead
-                axis[p:] = [None] * (len(idx) - p)
-        if len(idx) != len(tensors):
-            raise InternalCheckError("the rotation moves a basis tensor "
-                                     "out of its content block")
-        yield k, idx, axis
+
+    def listed():
+        for k in sorted(pairs):
+            tensors = [h + x for hs, xs in pairs.pop(k) for h in hs
+                       for x in xs]
+            tensors.sort(reverse=True)
+            yield k, tensors
+    yield from _walk(T, n, listed(), signs)
 
 
 def projected_boundary(T: Triple, n: int, src: ClassMapQuotient,

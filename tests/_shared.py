@@ -303,11 +303,19 @@ def value_columns(M) -> dict:
     return cols
 
 
+def rotation(T, n: int) -> list:
+    """The rotation in degree n as a list img, read off the engine's
+    digit offsets (`chains._rotation_keys`): basis tensor c goes to
+    (-1)^n times basis tensor img[c]."""
+    return chains._keys_of_digits(chains.chain_space(T, n).radices,
+                                  chains._rotation_keys(T, n))
+
+
 def _signed_rotation(T, n: int, one: int, t: int) -> SparseMat:
     """one * 1 + t * (the cyclic operator) in degree n, built column by
     column from the engine's digit rotation: the cyclic operator sends
-    basis tensor c to (-1)^n times basis tensor chains._rotation(T, n)[c]."""
-    img = chains._rotation(T, n)
+    basis tensor c to (-1)^n times basis tensor rotation(T, n)[c]."""
+    img = rotation(T, n)
     cols = {}
     for c, i in enumerate(img):
         col = {c: one}
@@ -358,7 +366,7 @@ def coinvariant_relations(T, n: int) -> Subspace:
     the rotation, as the engine built it before it kept the coinvariants
     as a class map: orbits walked from their smallest index, every row
     written out and passed through `from_canonical`."""
-    img = chains._rotation(T, n)
+    img = rotation(T, n)
     sign = 1 if n % 2 == 0 else -1
     rows = {}
     seen = bytearray(len(img))

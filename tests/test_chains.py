@@ -19,7 +19,7 @@ from _shared import (ALL_NAMES, COMMUTATIVE_NAMES, bar_boundary,
                      densify, dual_over_trunc3_x, one_minus_cyclic,
                      prod_over_prod_id, rebased_triple,
                      reference_induced_on_quotients, reference_sandwich,
-                     rescaled_triple, shared_triple, sqzero_dual_x,
+                     rescaled_triple, rotation, shared_triple, sqzero_dual_x,
                      trunc3_over_dual_x2, value_columns)
 from sechom import chains, hc, homology
 from sechom.algebra import FinAlgebra, multiply
@@ -672,7 +672,9 @@ def test_orbit_blocks_merge_to_the_class_map():
     # The content blocks' orbits, axes and signs, merged over the blocks,
     # are the class map of `cyclic_quotient`: the same axis, largest of
     # its orbit, and the same sign on every live index, and None and 0
-    # on every dead one.
+    # on every dead one.  Both come from one walk, so the merged map's
+    # relations are also checked against the orbit rows of
+    # `coinvariant_relations`, walked apart from the engine.
     cases = [(catalog(name), 4) for name in ALL_NAMES]
     cases += [(catalog("trunc3_k"), 7), (catalog("mat2_k"), 5),
               (sqzero_dual_x(), 3), (rebased_triple("dual_dual_x"), 3)]
@@ -688,6 +690,8 @@ def test_orbit_blocks_merge_to_the_class_map():
                     axis[i] = None if a is None else idx[a]
                     sign[i] = 0 if a is None else signs[i]
             assert (axis, sign) == (Q.axis, Q.sign), (T.name, n)
+            assert ClassMapQuotient(axis, sign).relations == (
+                coinvariant_relations(T, n)), (T.name, n)
 
 
 def test_a_block_that_the_rotation_does_not_keep_is_refused(monkeypatch):
@@ -712,7 +716,7 @@ def test_a_block_whose_class_map_keeps_one_minus_rotation_is_refused(
         monkeypatch):
     # A rotation that is not a permutation (one a-slot's digits all read
     # as 0) leaves an orbit open: P (1 - t) is then nonzero on it, and the
-    # block's walk refuses it.
+    # walk refuses it, by content block and over the whole degree alike.
     real = chains._rotation_keys
 
     def collapsed(T, n):
@@ -725,6 +729,8 @@ def test_a_block_whose_class_map_keeps_one_minus_rotation_is_refused(
         monkeypatch.setattr(chains, "_rotation_keys", collapsed)
         with pytest.raises(InternalCheckError, match="1 - t"):
             list(chains.projected_boundary_blocks(T, n, q))
+        with pytest.raises(InternalCheckError, match="1 - t"):
+            cyclic_quotient(catalog(name), n)
         monkeypatch.undo()
 
 
@@ -828,30 +834,6 @@ def test_plans_by_key_file_every_term_once_under_its_input_key():
                 assert sorted(filed) == terms, (T.name, n)
 
 
-def test_class_map_must_kill_one_minus_rotation(monkeypatch):
-    # A class map with one sign flipped in a live orbit, or with one dead
-    # orbit made live, is refused where it is built.
-    real = chains._orbit_classes
-
-    def flipped(img, rot_sign):
-        axis, sign = real(img, rot_sign)
-        i = next(i for i, a in enumerate(axis) if a is not None and a != i)
-        sign[i] = -sign[i]
-        return axis, sign
-
-    def revived(img, rot_sign):
-        axis, sign = real(img, rot_sign)
-        i = axis.index(None)
-        axis[i], sign[i] = i, 1
-        return axis, sign
-
-    for mutate, name, n in ((flipped, "dual_k", 2), (revived, "mat2_k", 1)):
-        monkeypatch.setattr(chains, "_orbit_classes", mutate)
-        with pytest.raises(InternalCheckError, match="1 - t"):
-            cyclic_quotient(catalog(name), n)
-    monkeypatch.undo()
-
-
 def test_descent_check_fires_on_smaller_relations(monkeypatch):
     # Drop one orbit relation from the degree-1 coinvariants: the boundary
     # of degree 2 must then fail to descend, and loudly, whether it is
@@ -890,7 +872,7 @@ def _mutations(T, n):
         sign[live[0]] = -sign[live[0]]
         out["flipped"] = ClassMapQuotient(list(Q.axis), sign)
     if None in Q.axis:
-        img = chains._rotation(T, n)
+        img = rotation(T, n)
         orbit = [Q.axis.index(None)]
         while img[orbit[-1]] != orbit[0]:
             orbit.append(img[orbit[-1]])
@@ -1188,7 +1170,7 @@ def test_digit_rotation_matches_per_tuple_rotation():
             if chain_dim(T, n) > 6561:
                 break
             img, sgn = _per_tuple_rotation(T, n)
-            assert chains._rotation(T, n) == img
+            assert rotation(T, n) == img
             assert sgn == [(-1) ** n] * len(img)
             assert cyclic_operator(T, n).num == {
                 c: {i: s} for c, (i, s) in enumerate(zip(img, sgn))}

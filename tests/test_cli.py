@@ -543,7 +543,9 @@ def test_requests_hash_without_loading_openssl():
 def test_requests_import_neither_dataclasses_nor_typing():
     # The records are plain classes and no annotation is evaluated, so a
     # fresh process answers a request without dataclasses (nor the inspect,
-    # ast and dis it pulls in) and without typing.
+    # ast and dis it pulls in) and without typing.  Every module it loads
+    # is sechom's or the standard library's: pytest is installed wherever
+    # this runs, so a stray third-party import would pass the other tests.
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "from sechom.cli import main\n"
@@ -556,6 +558,8 @@ def test_requests_import_neither_dataclasses_nor_typing():
     added = set(proc.stdout.splitlines()[-1].split())
     assert "sechom.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "typing"}
+    tops = {m.split(".")[0] for m in added}
+    assert not tops - set(sys.stdlib_module_names) - {"sechom"}
 
 
 def test_value_records_compare_every_field():

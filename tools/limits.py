@@ -1,4 +1,4 @@
-"""Time hh and hc in degree 4 on the largest triples the engine reaches.
+"""Time hh and hc in degree 4 on the largest triples, and bound their memory.
 
 Each row runs `hh(T, 4, max_degree=4)` or `hc(T, 4, max_degree=4)` alone
 in a fresh Python process, on this tree's src/, and reports the CPU
@@ -18,9 +18,15 @@ function of that name in tests/_shared.py makes (`sqzero_dual_x`,
 and so every sechom module, which its RSS includes.  On a 2-vCPU Xeon,
 `sqzero_dual_x` took 26 s and 345 MB in hh, 22 s and 639 MB in hc.
 
-Exit status: 0 when every dimension matches its oracle, 1 otherwise,
-also when a row's process fails (its stderr is printed).
-Standard library only.
+Rows of `BOUNDS` are gated: a row whose peak RSS reaches its bound
+prints OVER.  The bounds sit well above what Python 3.10 through 3.13
+read on a 2-vCPU Xeon (hh 48-62 MB, hc 97-105 MB), since a peak moves by
+about 0.5 MB with the heap's layout alone.  A row with no bound only
+reports.
+
+Exit status: 0 when every dimension matches its oracle and every bounded
+row stays under its bound, 1 otherwise, also when a row's process fails
+(its stderr is printed).  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEGREE = 4
 DEFAULT_TRIPLES = ["dual_dual_x", "dual_dual_zero"]
+# Peak RSS bounds in MB, by (flavor, triple).
+BOUNDS = {(flavor, name): mb for name in DEFAULT_TRIPLES
+          for flavor, mb in (("hh", 75), ("hc", 125))}
 # Run as `python -c _ROW ROOT FLAVOR NAME`; prints one JSON object.
 _ROW = """
 import json, resource, sys, time
@@ -86,11 +95,14 @@ def main(argv=None) -> int:
                 print(f"{flavor} {name:22s} FAILED", flush=True)
                 continue
             ok = r["dim"] == r["oracle"]
-            wrong += not ok
+            mb = r["maxrss_kb"] / 1024
+            bound = BOUNDS.get((flavor, name))
+            over = bound is not None and mb >= bound
+            wrong += not ok or over
             print(f"{flavor} {name:22s} dim {r['dim']:3d}  "
                   f"{'=' if ok else '!='} oracle {r['oracle']:3d}  "
-                  f"{r['cpu_s']:6.2f} s  {r['maxrss_kb'] / 1024:7.1f} MB",
-                  flush=True)
+                  f"{r['cpu_s']:6.2f} s  {mb:7.1f} MB"
+                  + (f"  OVER {bound} MB" if over else ""), flush=True)
     return 1 if wrong else 0
 
 

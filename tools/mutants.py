@@ -64,13 +64,17 @@ MUTANTS = [
     Mutant("projected-scatter-drops-the-source-sign", "chains.py",
            "x = c * sign[r] * src_sign[i]", "x = c * sign[r]",
            ("test_chains.py",)),
-    # The walk of a content block checks P (1 - t) = 0 as its orbit
-    # closes; a content key one digit off lets the rotation leave a block.
+    # The one orbit walk, of the whole degree and of each content block,
+    # checks P (1 - t) = 0 as an orbit closes, and maps a dead orbit to 0;
+    # a content key one digit off lets the rotation leave a block.
     Mutant("block-class-map-unchecked", "chains.py",
            "            if i != m:\n                raise InternalCheckError(\n",
            "            if False:\n                raise InternalCheckError(\n",
            ("test_chains.py::test_a_block_whose_class_map_keeps_one_minus_"
             "rotation_is_refused",), ci=True),
+    Mutant("walk-keeps-a-dead-orbit", "chains.py",
+           "            if s < 0:  # the orbit is dead\n",
+           "            if False:\n", ("test_chains.py",), ci=True),
     Mutant("orbit-in-the-wrong-block", "chains.py",
            "return [a] * (n + 1) + [b]",
            "return [a[1:] + a[:1]] + [a] * n + [b]",
